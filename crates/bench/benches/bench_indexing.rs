@@ -1,28 +1,26 @@
 //! Criterion micro-benchmarks behind Figures 12/13: NNS index build and
 //! query cost — exact scan vs HNSW vs hyperplane LSH — plus the HNSW
-//! parameter ablation (efSearch sweep) called out in DESIGN.md §5, the
-//! columnar-vs-per-vector exact-scan comparison backing the
-//! `EmbeddingMatrix` refactor, and the end-to-end `Pipeline::block` run.
+//! parameter ablation (efSearch sweep) called out in DESIGN.md §5, and the
+//! end-to-end `Pipeline::block` run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use embeddings4er::prelude::Pipeline;
 use er_blocking::{BlockerBackend, TopKConfig};
 use er_core::rng::rng;
-use er_core::{Embedding, EmbeddingMatrix, SerializationMode};
+use er_core::{EmbeddingMatrix, QueryParams, SerializationMode};
 use er_datasets::{CleanCleanDataset, DatasetId};
 use er_embed::{ModelCode, ModelZoo, ZooConfig};
 use er_index::exact::ExactIndex;
 use er_index::hnsw::{HnswConfig, HnswIndex};
 use er_index::lsh::{HyperplaneLsh, LshConfig};
-use er_index::{Metric, NnIndex};
+use er_index::{IndexReader, Metric, NnIndex};
 use rand::Rng;
 use std::hint::black_box;
 
-fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Embedding> {
+fn random_vectors(n: usize, dim: usize, seed: u64) -> EmbeddingMatrix {
     let mut r = rng(seed);
-    (0..n)
-        .map(|_| Embedding((0..dim).map(|_| r.gen_range(-1.0..1.0)).collect()))
-        .collect()
+    let flat = (0..n * dim).map(|_| r.gen_range(-1.0..1.0)).collect();
+    EmbeddingMatrix::from_flat(dim, flat).expect("n x dim floats")
 }
 
 fn bench_build(c: &mut Criterion) {
@@ -30,13 +28,13 @@ fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig13_index_build");
     group.sample_size(10);
     group.bench_function("exact", |b| {
-        b.iter(|| black_box(ExactIndex::build(&vectors)))
+        b.iter(|| black_box(ExactIndex::from_matrix(&vectors, Metric::Euclidean)))
     });
     group.bench_function("hnsw", |b| {
-        b.iter(|| black_box(HnswIndex::build(&vectors, HnswConfig::default())));
+        b.iter(|| black_box(HnswIndex::from_matrix(&vectors, HnswConfig::default())));
     });
     group.bench_function("hyperplane_lsh", |b| {
-        b.iter(|| black_box(HyperplaneLsh::build(&vectors, LshConfig::default())));
+        b.iter(|| black_box(HyperplaneLsh::from_matrix(&vectors, LshConfig::default())));
     });
     group.finish();
 }
@@ -44,29 +42,29 @@ fn bench_build(c: &mut Criterion) {
 fn bench_query(c: &mut Criterion) {
     let vectors = random_vectors(1_200, 64, 4);
     let queries = random_vectors(16, 64, 5);
-    let exact = ExactIndex::build(&vectors);
-    let hnsw = HnswIndex::build(&vectors, HnswConfig::default());
-    let lsh = HyperplaneLsh::build(&vectors, LshConfig::default());
+    let exact = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
+    let hnsw = HnswIndex::from_matrix(&vectors, HnswConfig::default());
+    let lsh = HyperplaneLsh::from_matrix(&vectors, LshConfig::default());
 
     let mut group = c.benchmark_group("fig12_index_query_k10");
     group.bench_function("exact", |b| {
         b.iter(|| {
-            for q in &queries {
-                black_box(exact.search(q, 10));
+            for q in queries.rows_iter() {
+                black_box(exact.search_slice(q, 10));
             }
         });
     });
     group.bench_function("hnsw", |b| {
         b.iter(|| {
-            for q in &queries {
-                black_box(hnsw.search(q, 10));
+            for q in queries.rows_iter() {
+                black_box(hnsw.search_slice(q, 10));
             }
         });
     });
     group.bench_function("hyperplane_lsh", |b| {
         b.iter(|| {
-            for q in &queries {
-                black_box(lsh.search(q, 10));
+            for q in queries.rows_iter() {
+                black_box(lsh.search_slice(q, 10));
             }
         });
     });
@@ -78,17 +76,17 @@ fn bench_query(c: &mut Criterion) {
 fn bench_batched_search(c: &mut Criterion) {
     let vectors = random_vectors(1_200, 64, 10);
     let queries = random_vectors(128, 64, 11);
-    let index = HnswIndex::build(&vectors, HnswConfig::default());
+    let index = HnswIndex::from_matrix(&vectors, HnswConfig::default());
     let mut group = c.benchmark_group("hnsw_batch_vs_sequential_128q");
     group.bench_function("sequential", |b| {
         b.iter(|| {
-            for q in &queries {
-                black_box(index.search(q, 10));
+            for q in queries.rows_iter() {
+                black_box(index.search_slice(q, 10));
             }
         });
     });
     group.bench_function("search_batch", |b| {
-        b.iter(|| black_box(index.search_batch(&queries, 10)));
+        b.iter(|| black_box(index.search_batch_rows(&queries, 10)));
     });
     group.finish();
 }
@@ -98,15 +96,14 @@ fn bench_batched_search(c: &mut Criterion) {
 fn bench_hnsw_ablation(c: &mut Criterion) {
     let vectors = random_vectors(1_200, 64, 6);
     let queries = random_vectors(16, 64, 7);
-    let mut index = HnswIndex::build(&vectors, HnswConfig::default());
+    let index = HnswIndex::from_matrix(&vectors, HnswConfig::default());
     let mut group = c.benchmark_group("hnsw_ablation_ef_search");
     for ef in [16usize, 64, 256] {
-        index = index.with_ef_search(ef);
-        let index = &index;
+        let params = QueryParams::with_ef_search(ef);
         group.bench_with_input(BenchmarkId::from_parameter(ef), &ef, |b, _| {
             b.iter(|| {
-                for q in &queries {
-                    black_box(index.search(q, 10));
+                for q in queries.rows_iter() {
+                    black_box(index.search_counted(q, 10, &params));
                 }
             });
         });
@@ -120,65 +117,11 @@ fn bench_dimension_ablation(c: &mut Criterion) {
     for dim in [32usize, 64, 128, 256] {
         let vectors = random_vectors(1_500, dim, 8);
         let queries = random_vectors(16, dim, 9);
-        let index = ExactIndex::build(&vectors);
+        let index = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
         group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, _| {
             b.iter(|| {
-                for q in &queries {
-                    black_box(index.search(q, 10));
-                }
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The pre-refactor exact index, kept verbatim as the baseline: one heap
-/// allocation per stored vector, distances recomputing both norms on
-/// every comparison.
-struct PerVecScan {
-    vectors: Vec<Embedding>,
-    metric: Metric,
-}
-
-impl PerVecScan {
-    fn search(&self, query: &Embedding, k: usize) -> Vec<(usize, f32)> {
-        let mut hits: Vec<(usize, f32)> = self
-            .vectors
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i, self.metric.distance(query, v)))
-            .collect();
-        hits.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        hits.truncate(k);
-        hits
-    }
-}
-
-/// The acceptance claim of the columnar refactor: the contiguous
-/// `EmbeddingMatrix` scan with prenormed cosine must be no slower than the
-/// per-`Vec<Embedding>` scan it replaced.
-fn bench_matrix_vs_pervec_scan(c: &mut Criterion) {
-    let vectors = random_vectors(1_500, 64, 12);
-    let queries = random_vectors(16, 64, 13);
-    let matrix = EmbeddingMatrix::from_embeddings(&vectors);
-    let mut group = c.benchmark_group("exact_scan_matrix_vs_pervec");
-    for metric in [Metric::Cosine, Metric::Euclidean] {
-        let per_vec = PerVecScan {
-            vectors: vectors.clone(),
-            metric,
-        };
-        let columnar = ExactIndex::from_matrix(&matrix, metric);
-        group.bench_function(BenchmarkId::new("per_vec", format!("{metric:?}")), |b| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(per_vec.search(q, 10));
-                }
-            });
-        });
-        group.bench_function(BenchmarkId::new("matrix", format!("{metric:?}")), |b| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(columnar.search(q, 10));
+                for q in queries.rows_iter() {
+                    black_box(index.search_slice(q, 10));
                 }
             });
         });
@@ -217,7 +160,6 @@ criterion_group!(
     bench_batched_search,
     bench_hnsw_ablation,
     bench_dimension_ablation,
-    bench_matrix_vs_pervec_scan,
     bench_pipeline_block_d1
 );
 criterion_main!(benches);

@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use er_core::rng::rng;
-use er_core::{Embedding, EntityId, GroundTruth, ScoredPair};
+use er_core::{EmbeddingMatrix, EntityId, GroundTruth, ScoredPair};
 use er_index::exact::ExactIndex;
-use er_index::NnIndex;
+use er_index::{Metric, NnIndex};
 use er_matching::similarity;
 use er_matching::{unique_mapping_clustering, ThresholdSweep};
 use rand::Rng;
@@ -75,19 +75,19 @@ fn bench_string_similarities(c: &mut Criterion) {
 /// k ablation: cost of k ∈ {1, 5, 10} blocking queries (the Fig. 3 rows).
 fn bench_knn_k_ablation(c: &mut Criterion) {
     let mut r = rng(13);
-    let vectors: Vec<Embedding> = (0..3_000)
-        .map(|_| Embedding((0..64).map(|_| r.gen_range(-1.0f32..1.0)).collect()))
-        .collect();
-    let queries: Vec<Embedding> = (0..16)
-        .map(|_| Embedding((0..64).map(|_| r.gen_range(-1.0f32..1.0)).collect()))
-        .collect();
-    let index = ExactIndex::build(&vectors);
+    let mut random_matrix = |rows: usize| {
+        let flat = (0..rows * 64).map(|_| r.gen_range(-1.0f32..1.0)).collect();
+        EmbeddingMatrix::from_flat(64, flat).expect("rows x 64 floats")
+    };
+    let vectors = random_matrix(3_000);
+    let queries = random_matrix(16);
+    let index = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
     let mut group = c.benchmark_group("knn_k_ablation");
     for k in [1usize, 5, 10] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
-                for q in &queries {
-                    black_box(index.search(q, k));
+                for q in queries.rows_iter() {
+                    black_box(index.search_slice(q, k));
                 }
             });
         });

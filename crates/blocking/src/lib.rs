@@ -2,17 +2,14 @@
 //! blocker + candidate-set machinery, DeepBlocker-style Auto-Encoder
 //! blocker, token-overlap blocking).
 //!
-//! Ships row 12 complete: the embedding [`top_k_blocking`] pipeline over
-//! the `er-index` backends (exact / HNSW / LSH) plus the redundant-pair
-//! dedup. The DeepBlocker-style Auto-Encoder (row 13) and token-overlap
+//! Ships row 12 complete: the embedding top-k blocker
+//! ([`top_k_blocking_scored_matrix`]) over the `er-index` backends (exact /
+//! HNSW / LSH) plus the redundant-pair dedup. The DeepBlocker-style Auto-Encoder (row 13) and token-overlap
 //! blocking (row 14) land with the matching-SotA PR.
 
 pub mod topk;
 
-pub use topk::{
-    top_k_blocking, top_k_blocking_matrix, top_k_blocking_point, top_k_blocking_scored_matrix,
-    BlockerBackend, TopKConfig,
-};
+pub use topk::{top_k_blocking_scored_matrix, BlockerBackend, TopKConfig};
 
 use er_core::{EntityId, ScoredPair};
 

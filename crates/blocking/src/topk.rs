@@ -10,51 +10,18 @@
 //! worker pool while staying bit-identical to sequential search), and
 //! threads each hit's similarity outward as a [`ScoredPair`] — the
 //! scored-candidate contract the matchers consume (see
-//! [`Metric::hit_similarity`]: cosine scores are bit-identical to
-//! `er_matching::similarity::cosine`). The unscored
-//! [`top_k_blocking_matrix`] and the legacy [`top_k_blocking`] entry
-//! points are thin projections of the same code path, so all three emit
-//! candidates in the same canonical `(left, right)` order.
+//! [`er_index::Metric::hit_similarity`]: cosine scores are bit-identical to
+//! `er_matching::similarity::cosine`). This is the one blocking entry
+//! point; the unscored view is `.map(|p| p.id_pair())` at the call site.
 
 use crate::dedup_scored;
-use er_core::{
-    BackendParams, Embedding, EmbeddingMatrix, EntityId, HnswParams, LshParams, OperatingPoint,
-    ScanConfig, ScoredPair,
-};
-use er_index::{ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metric, NnIndex};
+use er_core::{EmbeddingMatrix, EntityId, OperatingPoint, ScanConfig, ScoredPair};
+use er_index::{AnyIndex, NnIndex};
 
-/// Which index serves the k-NN queries.
-#[derive(Debug, Clone)]
-pub enum BlockerBackend {
-    /// Brute-force scan under the given metric — exact, O(|left|·|right|).
-    Exact(Metric),
-    /// HNSW graph (the scalable default; seed/metric live in the config).
-    Hnsw(HnswConfig),
-    /// Hyperplane LSH with multi-table probing.
-    Lsh(LshConfig),
-}
-
-impl BlockerBackend {
-    /// The metric the backend's index will be built with.
-    pub fn metric(&self) -> Metric {
-        match self {
-            BlockerBackend::Exact(metric) => *metric,
-            BlockerBackend::Hnsw(config) => config.metric,
-            BlockerBackend::Lsh(config) => config.metric,
-        }
-    }
-}
-
-impl Default for BlockerBackend {
-    /// HNSW under cosine — the paper's blocking setting over raw
-    /// embeddings, on the scalable index.
-    fn default() -> Self {
-        BlockerBackend::Hnsw(HnswConfig {
-            metric: Metric::Cosine,
-            ..HnswConfig::default()
-        })
-    }
-}
+// The backend choice lives beside the one constructor that consumes it
+// (`er_index::AnyIndex::build`); re-exported so `er_blocking::BlockerBackend`
+// keeps naming it.
+pub use er_index::BlockerBackend;
 
 /// Top-k blocking configuration.
 ///
@@ -117,91 +84,38 @@ impl Default for TopKConfig {
 }
 
 impl TopKConfig {
-    /// Derive a blocking config from a unified [`OperatingPoint`] — the
-    /// preferred construction path since the config redesign (the legacy
-    /// struct remains supported; see the crate docs' deprecation note).
+    /// Derive a blocking config from a unified [`OperatingPoint`].
     /// Validates the point first, so a self-contradictory configuration
     /// (e.g. a quantized scan on an approximate backend) surfaces as a
     /// typed `ErError::Config` instead of silently misconfiguring a
-    /// backend. The point's single `metric`/`scan.tier` feed every backend
-    /// config, which is what closes the "two scans disagree" footgun.
+    /// backend.
     pub fn from_point(point: &OperatingPoint) -> er_core::Result<TopKConfig> {
         point.validate()?;
-        let backend = match point.backend {
-            BackendParams::Exact => BlockerBackend::Exact(point.metric),
-            BackendParams::Hnsw | BackendParams::HnswWith(_) => {
-                let p = point.backend.hnsw().expect("hnsw params");
-                BlockerBackend::Hnsw(HnswConfig {
-                    m: p.m,
-                    ef_construction: p.ef_construction,
-                    ef_search: p.ef_search,
-                    metric: point.metric,
-                    seed: p.seed,
-                    tier: point.scan.tier,
-                })
-            }
-            BackendParams::Lsh | BackendParams::LshWith(_) => {
-                let p = point.backend.lsh().expect("lsh params");
-                BlockerBackend::Lsh(LshConfig {
-                    planes: p.planes,
-                    tables: p.tables,
-                    probes: p.probes,
-                    metric: point.metric,
-                    seed: p.seed,
-                    tier: point.scan.tier,
-                })
-            }
-        };
         Ok(TopKConfig {
             k: point.k,
-            backend,
+            backend: BlockerBackend::from_point(point),
             dirty: point.dirty,
             scan: point.scan,
         })
     }
 }
 
-impl TryFrom<&OperatingPoint> for TopKConfig {
-    type Error = er_core::ErError;
-
-    fn try_from(point: &OperatingPoint) -> er_core::Result<TopKConfig> {
-        TopKConfig::from_point(point)
-    }
-}
-
-/// Lift a legacy blocking config into the unified [`OperatingPoint`].
-/// Total (never fails): every constructible `TopKConfig` has a unified
-/// form. For approximate backends the point's scan tier is the *backend's*
-/// tier — the one that actually ranks — and any quantization set on the
-/// legacy `scan` field (which those backends silently ignored: the
-/// footgun) is dropped.
+/// Lift a blocking config into the unified [`OperatingPoint`]. Total
+/// (never fails): every constructible `TopKConfig` has a unified form. For
+/// approximate backends the point's scan tier is the *backend's* tier — the
+/// one that actually ranks — and any quantization set on the `scan` field
+/// (which no approximate index can honour) is dropped.
 impl From<&TopKConfig> for OperatingPoint {
     fn from(config: &TopKConfig) -> OperatingPoint {
-        let (backend, scan) = match &config.backend {
-            BlockerBackend::Exact(_) => (BackendParams::Exact, config.scan),
-            BlockerBackend::Hnsw(c) => (
-                BackendParams::HnswWith(HnswParams {
-                    m: c.m,
-                    ef_construction: c.ef_construction,
-                    ef_search: c.ef_search,
-                    seed: c.seed,
-                }),
-                ScanConfig::with_tier(c.tier),
-            ),
-            BlockerBackend::Lsh(c) => (
-                BackendParams::LshWith(LshParams {
-                    planes: c.planes,
-                    tables: c.tables,
-                    probes: c.probes,
-                    seed: c.seed,
-                }),
-                ScanConfig::with_tier(c.tier),
-            ),
+        let scan = match &config.backend {
+            BlockerBackend::Exact(_) => config.scan,
+            BlockerBackend::Hnsw(c) => ScanConfig::with_tier(c.tier),
+            BlockerBackend::Lsh(c) => ScanConfig::with_tier(c.tier),
         };
         OperatingPoint {
             k: config.k,
             metric: config.backend.metric(),
-            backend,
+            backend: config.backend.params(),
             scan,
             dirty: config.dirty,
             recall_target: None,
@@ -210,48 +124,11 @@ impl From<&TopKConfig> for OperatingPoint {
     }
 }
 
-/// Run top-k blocking over legacy per-entity embeddings: each side is
-/// copied once into an [`EmbeddingMatrix`] and handed to
-/// [`top_k_blocking_matrix`], whose candidates it returns unchanged.
-///
-/// For Dirty ER pass the same collection as both sides with
-/// `config.dirty = true`; self-matches are removed by the dedup pass.
-pub fn top_k_blocking(
-    left_ids: &[EntityId],
-    left_vectors: &[Embedding],
-    right_ids: &[EntityId],
-    right_vectors: &[Embedding],
-    config: &TopKConfig,
-) -> Vec<(EntityId, EntityId)> {
-    top_k_blocking_matrix(
-        left_ids,
-        &EmbeddingMatrix::from_embeddings(left_vectors),
-        right_ids,
-        &EmbeddingMatrix::from_embeddings(right_vectors),
-        config,
-    )
-}
-
 /// Run top-k blocking over columnar storage: index `right` (borrowed,
-/// zero-copy), batch-query it with every row of `left`, and return the
-/// deduplicated candidate pairs `(left id, right id)` — the unscored
-/// projection of [`top_k_blocking_scored_matrix`], in the same order.
-pub fn top_k_blocking_matrix(
-    left_ids: &[EntityId],
-    left: &EmbeddingMatrix,
-    right_ids: &[EntityId],
-    right: &EmbeddingMatrix,
-    config: &TopKConfig,
-) -> Vec<(EntityId, EntityId)> {
-    top_k_blocking_scored_matrix(left_ids, left, right_ids, right, config)
-        .into_iter()
-        .map(|p| p.id_pair())
-        .collect()
-}
-
-/// The scored variant of [`top_k_blocking_matrix`]: every surviving
-/// candidate carries the similarity the matchers consume, threaded from
-/// the index hit via [`Metric::hit_similarity`].
+/// zero-copy) with the configured backend, batch-query it with every row
+/// of `left`, and return the deduplicated candidate pairs, each carrying
+/// the similarity the matchers consume, threaded from the index hit via
+/// [`er_index::Metric::hit_similarity`].
 ///
 /// For cosine backends the score is recomputed as
 /// `kernels::cosine_prenorm(left row, cached left norm, right row, cached
@@ -265,7 +142,13 @@ pub fn top_k_blocking_matrix(
 /// Output is deduplicated (order-normalized and self-pair-free when
 /// `config.dirty`) and sorted by `(left, right)`; the similarity is
 /// symmetric at the bit level, so order normalization never changes a
-/// score.
+/// score. For Dirty ER pass the same collection as both sides.
+///
+/// Panics when [`AnyIndex::build`] rejects the config (a degenerate
+/// backend config, quantization on an approximate backend, a PQ layout not
+/// dividing the dimension): that is a construction bug in the caller's
+/// config, not a data error — [`TopKConfig::from_point`] reports the same
+/// rules as a typed error up front.
 pub fn top_k_blocking_scored_matrix(
     left_ids: &[EntityId],
     left: &EmbeddingMatrix,
@@ -278,64 +161,8 @@ pub fn top_k_blocking_scored_matrix(
     if left_ids.is_empty() || right_ids.is_empty() || config.k == 0 {
         return Vec::new();
     }
-    match &config.backend {
-        BlockerBackend::Exact(metric) => query_all(
-            // A bad PQ layout (subspaces not dividing the embedding dim) is
-            // a construction bug in the caller's config, not a data error.
-            &ExactIndex::from_source_scan(right, *metric, config.scan)
-                .expect("top-k blocking: scan config failed to build"),
-            left_ids,
-            left,
-            right_ids,
-            right,
-            config,
-        ),
-        BlockerBackend::Hnsw(hnsw) => query_all(
-            &HnswIndex::from_matrix(right, hnsw.clone()),
-            left_ids,
-            left,
-            right_ids,
-            right,
-            config,
-        ),
-        BlockerBackend::Lsh(lsh) => query_all(
-            &HyperplaneLsh::from_matrix(right, lsh.clone()),
-            left_ids,
-            left,
-            right_ids,
-            right,
-            config,
-        ),
-    }
-}
-
-/// [`top_k_blocking_scored_matrix`] driven by a unified
-/// [`OperatingPoint`] — validate the point, derive the blocking config,
-/// run the scored blocker. The typed `ErError::Config` error is the only
-/// way this differs from the legacy path: a valid point produces
-/// candidates bit-identical to [`top_k_blocking_scored_matrix`] with
-/// `TopKConfig::from_point(point)`.
-pub fn top_k_blocking_point(
-    left_ids: &[EntityId],
-    left: &EmbeddingMatrix,
-    right_ids: &[EntityId],
-    right: &EmbeddingMatrix,
-    point: &OperatingPoint,
-) -> er_core::Result<Vec<ScoredPair>> {
-    let config = TopKConfig::from_point(point)?;
-    Ok(top_k_blocking_scored_matrix(
-        left_ids, left, right_ids, right, &config,
-    ))
-}
-
-fn query_all<I: NnIndex + Sync>(
-    index: &I,
-    left_ids: &[EntityId],
-    left: &EmbeddingMatrix,
-    right_ids: &[EntityId],
-    right: &EmbeddingMatrix,
-    config: &TopKConfig,
-) -> Vec<ScoredPair> {
+    let index = AnyIndex::build(right, &config.backend, config.scan)
+        .expect("top-k blocking: backend config failed to build");
     let metric = index.metric();
     let hits = index.search_batch_rows(left, config.k);
     let pairs = hits.into_iter().enumerate().flat_map(|(i, neighbours)| {
@@ -358,43 +185,47 @@ fn query_all<I: NnIndex + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_core::{HnswParams, LshParams};
+    use er_index::{HnswConfig, Metric};
 
     fn ids(n: u32) -> Vec<EntityId> {
         (0..n).map(EntityId).collect()
     }
 
+    fn matrix(rows: &[[f32; 2]]) -> EmbeddingMatrix {
+        EmbeddingMatrix::from_flat(2, rows.concat()).unwrap()
+    }
+
     /// Two tight clusters far apart: blocking must pair within clusters.
-    fn clustered() -> (Vec<Embedding>, Vec<Embedding>) {
-        let left = vec![
-            Embedding(vec![0.0, 1.0]),
-            Embedding(vec![0.1, 1.0]),
-            Embedding(vec![10.0, 0.0]),
-        ];
-        let right = vec![
-            Embedding(vec![0.05, 1.0]),
-            Embedding(vec![10.1, 0.1]),
-            Embedding(vec![9.9, 0.0]),
-        ];
+    fn clustered() -> (EmbeddingMatrix, EmbeddingMatrix) {
+        let left = matrix(&[[0.0, 1.0], [0.1, 1.0], [10.0, 0.0]]);
+        let right = matrix(&[[0.05, 1.0], [10.1, 0.1], [9.9, 0.0]]);
         (left, right)
+    }
+
+    /// Block `left` against `right` under ids `0..n` and project the
+    /// scores away.
+    fn candidates(
+        left: &EmbeddingMatrix,
+        right: &EmbeddingMatrix,
+        config: &TopKConfig,
+    ) -> Vec<(EntityId, EntityId)> {
+        let (left_ids, right_ids) = (ids(left.len() as u32), ids(right.len() as u32));
+        top_k_blocking_scored_matrix(&left_ids, left, &right_ids, right, config)
+            .iter()
+            .map(|p| p.id_pair())
+            .collect()
+    }
+
+    fn exact_euclidean(k: usize) -> TopKConfig {
+        TopKConfig::new(k).backend(BlockerBackend::Exact(Metric::Euclidean))
     }
 
     #[test]
     fn exact_backend_pairs_within_clusters() {
         let (left, right) = clustered();
-        let candidates = top_k_blocking(
-            &ids(3),
-            &left,
-            &ids(3),
-            &right,
-            &TopKConfig {
-                k: 1,
-                backend: BlockerBackend::Exact(Metric::Euclidean),
-                dirty: false,
-                ..TopKConfig::default()
-            },
-        );
         assert_eq!(
-            candidates,
+            candidates(&left, &right, &exact_euclidean(1)),
             vec![
                 (EntityId(0), EntityId(0)),
                 (EntityId(1), EntityId(0)),
@@ -407,87 +238,27 @@ mod tests {
     fn k_bounds_the_candidate_count() {
         let (left, right) = clustered();
         for k in [1usize, 2, 3, 10] {
-            let candidates = top_k_blocking(
-                &ids(3),
-                &left,
-                &ids(3),
-                &right,
-                &TopKConfig {
-                    k,
-                    backend: BlockerBackend::Exact(Metric::Euclidean),
-                    dirty: false,
-                    ..TopKConfig::default()
-                },
-            );
-            assert!(candidates.len() <= 3 * k.min(3));
+            let found = candidates(&left, &right, &exact_euclidean(k));
+            assert!(found.len() <= 3 * k.min(3));
         }
     }
 
     #[test]
     fn dirty_mode_self_blocks_without_self_pairs() {
-        let vectors = vec![
-            Embedding(vec![0.0, 1.0]),
-            Embedding(vec![0.0, 1.01]),
-            Embedding(vec![5.0, 0.0]),
-            Embedding(vec![5.0, 0.01]),
-        ];
-        let ids = ids(4);
-        let candidates = top_k_blocking(
-            &ids,
-            &vectors,
-            &ids,
-            &vectors,
-            &TopKConfig {
-                k: 2,
-                backend: BlockerBackend::Exact(Metric::Euclidean),
-                dirty: true,
-                ..TopKConfig::default()
-            },
-        );
-        assert!(candidates.iter().all(|(a, b)| a < b), "{candidates:?}");
-        assert!(candidates.contains(&(EntityId(0), EntityId(1))));
-        assert!(candidates.contains(&(EntityId(2), EntityId(3))));
-    }
-
-    #[test]
-    fn matrix_path_and_legacy_path_emit_identical_candidates() {
-        let (left, right) = clustered();
-        let left_matrix = EmbeddingMatrix::from_embeddings(&left);
-        let right_matrix = EmbeddingMatrix::from_embeddings(&right);
-        let backends = [
-            BlockerBackend::Exact(Metric::Cosine),
-            BlockerBackend::Hnsw(HnswConfig::default()),
-            BlockerBackend::Lsh(LshConfig {
-                tables: 4,
-                ..LshConfig::default()
-            }),
-        ];
-        for backend in backends {
-            let config = TopKConfig {
-                k: 2,
-                backend,
-                dirty: false,
-                ..TopKConfig::default()
-            };
-            let legacy = top_k_blocking(&ids(3), &left, &ids(3), &right, &config);
-            let matrix =
-                top_k_blocking_matrix(&ids(3), &left_matrix, &ids(3), &right_matrix, &config);
-            assert_eq!(legacy, matrix, "{:?}", config.backend);
-        }
+        let vectors = matrix(&[[0.0, 1.0], [0.0, 1.01], [5.0, 0.0], [5.0, 0.01]]);
+        let found = candidates(&vectors, &vectors, &exact_euclidean(2).dirty(true));
+        assert!(found.iter().all(|(a, b)| a < b), "{found:?}");
+        assert!(found.contains(&(EntityId(0), EntityId(1))));
+        assert!(found.contains(&(EntityId(2), EntityId(3))));
     }
 
     #[test]
     fn empty_sides_and_zero_k_yield_no_candidates() {
         let (left, right) = clustered();
-        let cfg = TopKConfig {
-            k: 0,
-            backend: BlockerBackend::Exact(Metric::Euclidean),
-            dirty: false,
-            ..TopKConfig::default()
-        };
-        assert!(top_k_blocking(&ids(3), &left, &ids(3), &right, &cfg).is_empty());
-        assert!(top_k_blocking(&[], &[], &ids(3), &right, &TopKConfig::default()).is_empty());
-        assert!(top_k_blocking(&ids(3), &left, &[], &[], &TopKConfig::default()).is_empty());
+        let empty = EmbeddingMatrix::new(2);
+        assert!(candidates(&left, &right, &exact_euclidean(0)).is_empty());
+        assert!(candidates(&empty, &right, &TopKConfig::default()).is_empty());
+        assert!(candidates(&left, &empty, &TopKConfig::default()).is_empty());
     }
 
     #[test]
@@ -512,53 +283,15 @@ mod tests {
     }
 
     #[test]
-    fn scored_candidates_project_onto_the_unscored_path() {
-        let (left, right) = clustered();
-        let left_matrix = EmbeddingMatrix::from_embeddings(&left);
-        let right_matrix = EmbeddingMatrix::from_embeddings(&right);
-        for backend in [
-            BlockerBackend::Exact(Metric::Cosine),
-            BlockerBackend::Exact(Metric::Euclidean),
-            BlockerBackend::Hnsw(HnswConfig::default()),
-            BlockerBackend::Lsh(LshConfig::default()),
-        ] {
-            let config = TopKConfig::new(2).backend(backend);
-            let scored = top_k_blocking_scored_matrix(
-                &ids(3),
-                &left_matrix,
-                &ids(3),
-                &right_matrix,
-                &config,
-            );
-            let plain =
-                top_k_blocking_matrix(&ids(3), &left_matrix, &ids(3), &right_matrix, &config);
-            assert_eq!(
-                scored.iter().map(|p| p.id_pair()).collect::<Vec<_>>(),
-                plain,
-                "{:?}",
-                config.backend
-            );
-            assert!(
-                scored.iter().all(|p| p.score.is_finite()),
-                "{:?}",
-                config.backend
-            );
-        }
-    }
-
-    #[test]
     fn cosine_scores_are_bit_identical_to_the_kernel() {
         let (left, right) = clustered();
-        let left_matrix = EmbeddingMatrix::from_embeddings(&left);
-        let right_matrix = EmbeddingMatrix::from_embeddings(&right);
         let config = TopKConfig::new(3).backend(BlockerBackend::Exact(Metric::Cosine));
-        let scored =
-            top_k_blocking_scored_matrix(&ids(3), &left_matrix, &ids(3), &right_matrix, &config);
+        let scored = top_k_blocking_scored_matrix(&ids(3), &left, &ids(3), &right, &config);
         assert!(!scored.is_empty());
         for p in scored {
             let expected = er_core::kernels::cosine(
-                left_matrix.row(p.left.0 as usize),
-                right_matrix.row(p.right.0 as usize),
+                left.row(p.left.0 as usize),
+                right.row(p.right.0 as usize),
             );
             assert_eq!(p.score.to_bits(), expected.to_bits(), "{p:?}");
         }
@@ -603,17 +336,11 @@ mod tests {
         });
         let err = TopKConfig::from_point(&bad).unwrap_err();
         assert!(matches!(err, er_core::ErError::Config(_)), "{err}");
-        let (left, right) = clustered();
-        let lm = EmbeddingMatrix::from_embeddings(&left);
-        let rm = EmbeddingMatrix::from_embeddings(&right);
-        assert!(top_k_blocking_point(&ids(3), &lm, &ids(3), &rm, &bad).is_err());
     }
 
     #[test]
-    fn point_blocking_is_bit_identical_to_the_legacy_path() {
+    fn every_point_backend_blocks_with_finite_scores() {
         let (left, right) = clustered();
-        let lm = EmbeddingMatrix::from_embeddings(&left);
-        let rm = EmbeddingMatrix::from_embeddings(&right);
         for point in [
             OperatingPoint::default().k(2),
             OperatingPoint::default().k(2).exact(),
@@ -622,19 +349,14 @@ mod tests {
                 ..LshParams::default()
             }),
         ] {
-            let via_point = top_k_blocking_point(&ids(3), &lm, &ids(3), &rm, &point).unwrap();
-            let via_config = top_k_blocking_scored_matrix(
-                &ids(3),
-                &lm,
-                &ids(3),
-                &rm,
-                &TopKConfig::from_point(&point).unwrap(),
+            let config = TopKConfig::from_point(&point).unwrap();
+            let scored = top_k_blocking_scored_matrix(&ids(3), &left, &ids(3), &right, &config);
+            assert!(!scored.is_empty(), "{:?}", config.backend);
+            assert!(
+                scored.iter().all(|p| p.score.is_finite()),
+                "{:?}",
+                config.backend
             );
-            assert_eq!(via_point.len(), via_config.len());
-            for (a, b) in via_point.iter().zip(&via_config) {
-                assert_eq!(a.id_pair(), b.id_pair());
-                assert_eq!(a.score.to_bits(), b.score.to_bits());
-            }
         }
     }
 
@@ -651,30 +373,10 @@ mod tests {
     #[test]
     fn backends_agree_on_easy_data() {
         let (left, right) = clustered();
-        let exact = top_k_blocking(
-            &ids(3),
-            &left,
-            &ids(3),
-            &right,
-            &TopKConfig {
-                k: 1,
-                backend: BlockerBackend::Exact(Metric::Euclidean),
-                dirty: false,
-                ..TopKConfig::default()
-            },
+        let hnsw = exact_euclidean(1).backend(BlockerBackend::Hnsw(HnswConfig::default()));
+        assert_eq!(
+            candidates(&left, &right, &exact_euclidean(1)),
+            candidates(&left, &right, &hnsw)
         );
-        let hnsw = top_k_blocking(
-            &ids(3),
-            &left,
-            &ids(3),
-            &right,
-            &TopKConfig {
-                k: 1,
-                backend: BlockerBackend::Hnsw(HnswConfig::default()),
-                dirty: false,
-                ..TopKConfig::default()
-            },
-        );
-        assert_eq!(exact, hnsw);
     }
 }

@@ -3,9 +3,9 @@
 //! candidate-list contract, and agreement between the batch and
 //! sequential search paths.
 
-use er_blocking::{top_k_blocking, BlockerBackend, TopKConfig};
+use er_blocking::{top_k_blocking_scored_matrix, BlockerBackend, TopKConfig};
 use er_core::rng::rng;
-use er_core::{Embedding, EntityId, GroundTruth};
+use er_core::{EmbeddingMatrix, EntityId, GroundTruth};
 use er_eval::Metrics;
 use er_index::{HnswConfig, LshConfig, Metric};
 use rand::Rng;
@@ -20,32 +20,38 @@ fn planted(
     dim: usize,
     jitter: f32,
     seed: u64,
-) -> (Vec<Embedding>, Vec<Embedding>, GroundTruth) {
+) -> (EmbeddingMatrix, EmbeddingMatrix, GroundTruth) {
     let mut r = rng(seed);
-    let left: Vec<Embedding> = (0..left_n)
-        .map(|_| Embedding((0..dim).map(|_| r.gen_range(-1.0..1.0)).collect()))
-        .collect();
-    let mut right: Vec<Embedding> = Vec::with_capacity(right_n);
-    for l in left.iter().take(matches) {
-        right.push(Embedding(
-            l.as_slice()
-                .iter()
-                .map(|x| x + r.gen_range(-jitter..jitter))
-                .collect(),
-        ));
+    let mut left = EmbeddingMatrix::with_capacity(dim, left_n);
+    for _ in 0..left_n {
+        let row: Vec<f32> = (0..dim).map(|_| r.gen_range(-1.0..1.0)).collect();
+        left.push(&row);
+    }
+    let mut right = EmbeddingMatrix::with_capacity(dim, right_n);
+    for l in left.rows_iter().take(matches) {
+        let row: Vec<f32> = l.iter().map(|x| x + r.gen_range(-jitter..jitter)).collect();
+        right.push(&row);
     }
     for _ in matches..right_n {
-        right.push(Embedding(
-            (0..dim).map(|_| r.gen_range(-1.0..1.0)).collect(),
-        ));
+        let row: Vec<f32> = (0..dim).map(|_| r.gen_range(-1.0..1.0)).collect();
+        right.push(&row);
     }
     let gt =
         GroundTruth::clean_clean((0..matches).map(|i| (EntityId(i as u32), EntityId(i as u32))));
     (left, right, gt)
 }
 
-fn ids(n: usize) -> Vec<EntityId> {
-    (0..n as u32).map(EntityId).collect()
+/// The one blocker under ids `0..n`, scores projected away.
+fn block(
+    left: &EmbeddingMatrix,
+    right: &EmbeddingMatrix,
+    config: &TopKConfig,
+) -> Vec<(EntityId, EntityId)> {
+    let ids = |n: usize| (0..n as u32).map(EntityId).collect::<Vec<_>>();
+    top_k_blocking_scored_matrix(&ids(left.len()), left, &ids(right.len()), right, config)
+        .iter()
+        .map(|p| p.id_pair())
+        .collect()
 }
 
 #[test]
@@ -71,7 +77,7 @@ fn every_backend_recovers_planted_duplicates() {
             dirty: false,
             ..TopKConfig::default()
         };
-        let candidates = top_k_blocking(&ids(120), &left, &ids(120), &right, &config);
+        let candidates = block(&left, &right, &config);
         let m = Metrics::of_candidates(&candidates, &gt);
         assert!(
             m.recall >= 0.9,
@@ -101,8 +107,8 @@ fn blocker_candidate_lists_are_deterministic() {
             dirty: false,
             ..TopKConfig::default()
         };
-        let a = top_k_blocking(&ids(100), &left, &ids(100), &right, &config);
-        let b = top_k_blocking(&ids(100), &left, &ids(100), &right, &config);
+        let a = block(&left, &right, &config);
+        let b = block(&left, &right, &config);
         assert_eq!(a, b, "same build, same candidates: {config:?}");
         assert!(!a.is_empty());
     }
@@ -120,7 +126,7 @@ fn blocker_candidate_lists_are_deterministic() {
         dirty: false,
         ..TopKConfig::default()
     };
-    let c = top_k_blocking(&ids(100), &left, &ids(100), &right, &reseeded);
+    let c = block(&left, &right, &reseeded);
     assert!(!c.is_empty());
 }
 
@@ -136,7 +142,7 @@ fn candidate_set_is_far_smaller_than_cross_product() {
         dirty: false,
         ..TopKConfig::default()
     };
-    let candidates = top_k_blocking(&ids(150), &left, &ids(150), &right, &config);
+    let candidates = block(&left, &right, &config);
     let cross = 150 * 150;
     assert!(
         candidates.len() * 4 < cross,

@@ -158,6 +158,20 @@ impl EmbeddingMatrix {
         self.data.chunks_exact(self.dim.max(1)).take(self.len())
     }
 
+    /// Copy the given rows, in the given order, into a fresh matrix — row
+    /// floats **and their cached norms** verbatim, so every distance over a
+    /// selected row is bit-identical to the same distance over the source
+    /// row (the compaction and sampling contract).
+    pub fn select_rows(&self, rows: impl IntoIterator<Item = usize>) -> EmbeddingMatrix {
+        let rows = rows.into_iter();
+        let mut out = EmbeddingMatrix::with_capacity(self.dim, rows.size_hint().0);
+        for i in rows {
+            out.data.extend_from_slice(self.row(i));
+            out.norms.push(self.norms[i]);
+        }
+        out
+    }
+
     /// Int8-quantize every row (see [`crate::quant::QuantizedMatrix`]) —
     /// the entry point of the memory-bound scan tier. Deterministic and
     /// row-local, so quantizing shards equals quantizing the whole matrix.
@@ -166,21 +180,10 @@ impl EmbeddingMatrix {
     }
 }
 
-impl From<&[Embedding]> for EmbeddingMatrix {
-    fn from(embeddings: &[Embedding]) -> EmbeddingMatrix {
-        EmbeddingMatrix::from_embeddings(embeddings)
-    }
-}
-
-impl From<&EmbeddingMatrix> for Vec<Embedding> {
-    fn from(matrix: &EmbeddingMatrix) -> Vec<Embedding> {
-        matrix.to_embeddings()
-    }
-}
-
-/// How an index holds its vectors: either it owns a matrix (built from a
-/// legacy `Vec<Embedding>` constructor) or it borrows one built upstream —
-/// the zero-copy contract. Indices never clone a borrowed matrix.
+/// How an index holds its vectors: either it owns a matrix (the serving
+/// path, which mutates it) or it borrows one built upstream (the batch
+/// pipeline) — the zero-copy contract. Indices never clone or mutate a
+/// borrowed matrix.
 #[derive(Debug, Clone)]
 pub enum VectorStore<'a> {
     Owned(EmbeddingMatrix),
@@ -218,9 +221,8 @@ impl std::ops::Deref for VectorStore<'_> {
     }
 }
 
-/// Anything an index can be built from. The seam that lets the
-/// `Vec<Embedding>` constructors keep working while the pipeline hands the
-/// same index a borrowed [`EmbeddingMatrix`] without copying a float.
+/// Anything an index can be built from: a matrix handed over (owned) or
+/// lent (borrowed, without copying a float).
 pub trait VectorSource<'a> {
     fn into_store(self) -> VectorStore<'a>;
 }
@@ -236,14 +238,6 @@ impl<'a> VectorSource<'a> for &'a EmbeddingMatrix {
 impl<'a> VectorSource<'a> for EmbeddingMatrix {
     fn into_store(self) -> VectorStore<'a> {
         VectorStore::Owned(self)
-    }
-}
-
-/// Legacy path: per-entity embeddings are copied once into a fresh owned
-/// matrix (the same single copy the old `Vec<Embedding>` storage made).
-impl<'a> VectorSource<'a> for &[Embedding] {
-    fn into_store(self) -> VectorStore<'a> {
-        VectorStore::Owned(EmbeddingMatrix::from_embeddings(self))
     }
 }
 
@@ -316,7 +310,7 @@ mod tests {
         let borrowed = (&matrix).into_store();
         assert_eq!(borrowed.matrix(), &matrix);
         assert_eq!(borrowed.row(1), matrix.row(1));
-        let owned = embeddings().as_slice().into_store();
+        let owned = matrix.clone().into_store();
         assert_eq!(owned.matrix(), &matrix);
     }
 }

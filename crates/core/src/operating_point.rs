@@ -126,6 +126,45 @@ impl BackendParams {
             BackendParams::Lsh | BackendParams::LshWith(_) => "lsh",
         }
     }
+
+    /// The backend rules, stated once for every path that builds an index
+    /// — [`OperatingPoint::validate`] and `er_index::AnyIndex::build` both
+    /// call this, so a degenerate config is the same typed
+    /// [`ErError::Config`] whether it arrives as a point or as a legacy
+    /// config struct: quantized scans only rank on `Exact`, HNSW needs
+    /// `m >= 2` and non-zero beams, LSH signatures are `u64` bitmasks over
+    /// at least one table.
+    pub fn validate(&self, quant: &Quantization) -> Result<()> {
+        let fail = |msg: String| Err(ErError::Config(msg));
+        if !matches!(quant, Quantization::None) && !matches!(self, BackendParams::Exact) {
+            return fail(format!(
+                "backend config: quantized scans only apply to the Exact \
+                 backend, not {}",
+                self.name()
+            ));
+        }
+        if let Some(p) = self.hnsw() {
+            if p.m < 2 {
+                return fail(format!("backend config: HNSW needs m >= 2, got {}", p.m));
+            }
+            if p.ef_construction == 0 || p.ef_search == 0 {
+                return fail("backend config: HNSW beam widths must be >= 1".to_string());
+            }
+        }
+        if let Some(p) = self.lsh() {
+            if !(1..=64).contains(&p.planes) {
+                return fail(format!(
+                    "backend config: LSH signatures are u64 bitmasks, \
+                     need 1 <= planes <= 64, got {}",
+                    p.planes
+                ));
+            }
+            if p.tables == 0 {
+                return fail("backend config: LSH needs at least one table".to_string());
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Runtime query-parameter overrides — the knobs that change a search
@@ -272,39 +311,11 @@ impl OperatingPoint {
     }
 
     /// Reject self-contradictory settings with a typed
-    /// [`ErError::Config`]. Every conversion into a legacy config struct
-    /// validates first, so an invalid point can never reach a backend.
+    /// [`ErError::Config`]: the backend rules of
+    /// [`BackendParams::validate`] plus the tuning goals' ranges.
     pub fn validate(&self) -> Result<()> {
         let fail = |msg: String| Err(ErError::Config(msg));
-        if !matches!(self.scan.quant, Quantization::None)
-            && !matches!(self.backend, BackendParams::Exact)
-        {
-            return fail(format!(
-                "operating point: quantized scans only apply to the Exact \
-                 backend, not {}",
-                self.backend.name()
-            ));
-        }
-        if let Some(p) = self.backend.hnsw() {
-            if p.m < 2 {
-                return fail(format!("operating point: HNSW needs m >= 2, got {}", p.m));
-            }
-            if p.ef_construction == 0 || p.ef_search == 0 {
-                return fail("operating point: HNSW beam widths must be >= 1".to_string());
-            }
-        }
-        if let Some(p) = self.backend.lsh() {
-            if !(1..=64).contains(&p.planes) {
-                return fail(format!(
-                    "operating point: LSH signatures are u64 bitmasks, \
-                     need 1 <= planes <= 64, got {}",
-                    p.planes
-                ));
-            }
-            if p.tables == 0 {
-                return fail("operating point: LSH needs at least one table".to_string());
-            }
-        }
+        self.backend.validate(&self.scan.quant)?;
         if let Some(t) = self.recall_target {
             if !(t > 0.0 && t <= 1.0) {
                 return fail(format!(

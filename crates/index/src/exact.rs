@@ -11,11 +11,11 @@
 //! exact distances, so with `R ≥` live rows the output is bit-identical to
 //! the pure exact scan.
 
+use crate::store::{owned_mut, push_row, rerank, Ranked, Tombstones};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::pq::{PqCodebook, PqCodes};
 use er_core::quant::QuantizedMatrix;
-use er_core::{Embedding, EmbeddingMatrix, ErError, QueryParams, VectorSource, VectorStore};
-use std::cmp::Ordering;
+use er_core::{EmbeddingMatrix, QueryParams, VectorSource, VectorStore};
 use std::collections::BinaryHeap;
 
 // `ScanConfig` / `Quantization` moved down into er-core with the
@@ -32,57 +32,19 @@ pub(crate) enum QuantState {
     Pq { book: PqCodebook, codes: PqCodes },
 }
 
-/// A heap entry ordered by distance (max-heap keeps the worst of the
-/// current top-k on top, ready for eviction).
-struct Hit {
-    dist: f32,
-    idx: usize,
-}
-
-impl PartialEq for Hit {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Hit {}
-
-impl PartialOrd for Hit {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Hit {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then_with(|| self.idx.cmp(&other.idx))
-    }
-}
+/// The scan's bounded max-heap entry: the worst of the current top-k sits
+/// on top, ready for eviction.
+type Hit = Ranked<usize>;
 
 #[derive(Debug, Clone)]
 pub struct ExactIndex<'a> {
     pub(crate) store: VectorStore<'a>,
     pub(crate) metric: Metric,
-    /// Tombstones: deleted rows stay in the matrix (ids are stable) but
-    /// the scan skips them.
-    pub(crate) deleted: Vec<bool>,
-    pub(crate) deleted_count: usize,
+    /// Deleted rows stay in the matrix (ids are stable) but the scan
+    /// skips them.
+    pub(crate) tombstones: Tombstones,
     pub(crate) scan: ScanConfig,
     pub(crate) quant: QuantState,
-}
-
-impl ExactIndex<'static> {
-    /// Build with the default metric (squared Euclidean). Copies the
-    /// embeddings once into an owned matrix (the legacy path).
-    pub fn build(vectors: &[Embedding]) -> ExactIndex<'static> {
-        ExactIndex::with_metric(vectors, Metric::Euclidean)
-    }
-
-    pub fn with_metric(vectors: &[Embedding], metric: Metric) -> ExactIndex<'static> {
-        ExactIndex::from_source(vectors, metric)
-    }
 }
 
 impl<'a> ExactIndex<'a> {
@@ -92,15 +54,14 @@ impl<'a> ExactIndex<'a> {
     }
 
     /// The [`VectorSource`] seam: build from anything that yields a
-    /// [`VectorStore`] — a borrowed matrix, an owned matrix, or a legacy
-    /// `&[Embedding]` (copied once).
+    /// [`VectorStore`] — a borrowed matrix or an owned one.
     pub fn from_source(source: impl VectorSource<'a>, metric: Metric) -> ExactIndex<'a> {
         ExactIndex::from_source_scan(source, metric, ScanConfig::default())
             .expect("the default scan config cannot fail")
     }
 
     /// Build with an explicit [`ScanConfig`]. Errors (typed
-    /// [`ErError::Model`]) only for PQ configurations that cannot train —
+    /// [`er_core::ErError::Model`]) only for PQ configurations that cannot train —
     /// an empty matrix or `subspaces` not dividing the dimension.
     pub fn from_source_scan(
         source: impl VectorSource<'a>,
@@ -108,7 +69,6 @@ impl<'a> ExactIndex<'a> {
         scan: ScanConfig,
     ) -> er_core::Result<ExactIndex<'a>> {
         let store = source.into_store();
-        let n = store.len();
         let quant = match scan.quant {
             Quantization::None => QuantState::None,
             Quantization::Int8 { .. } => QuantState::Int8(store.matrix().quantize()),
@@ -119,10 +79,9 @@ impl<'a> ExactIndex<'a> {
             }
         };
         Ok(ExactIndex {
+            tombstones: Tombstones::new(store.len()),
             store,
             metric,
-            deleted: vec![false; n],
-            deleted_count: 0,
             scan,
             quant,
         })
@@ -149,7 +108,7 @@ impl<'a> ExactIndex<'a> {
         let mut heap: BinaryHeap<Hit> = BinaryHeap::with_capacity(k + 1);
         let mut evals = 0u64;
         for (idx, row) in matrix.rows_iter().enumerate() {
-            if self.deleted[idx] {
+            if self.tombstones.is_deleted(idx) {
                 continue;
             }
             let dist =
@@ -161,51 +120,6 @@ impl<'a> ExactIndex<'a> {
         (drain_sorted(heap), evals)
     }
 
-    /// The shared body of [`NnIndex::search_slice`] and
-    /// [`IndexReader::search_counted`]: the scan plus its full-width
-    /// distance-evaluation count. A pure exact scan evaluates every live
-    /// row; a quantized scan evaluates only the re-ranked candidates (the
-    /// quantized first pass runs over int8/PQ codes, which the kernel cost
-    /// tables price separately — see `er-tune`).
-    fn search_counted_inner(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
-        if k == 0 || self.live_count() == 0 {
-            return (Vec::new(), 0);
-        }
-        let rerank = match self.scan.quant {
-            Quantization::None => return self.search_exact(query, k),
-            Quantization::Int8 { rerank } | Quantization::Pq { rerank, .. } => rerank,
-        };
-        // Quantized first pass over the best R = max(rerank, k) rows, then
-        // an exact re-rank: every returned distance comes from the f32
-        // kernels, the quantized codes only choose *which* rows compete.
-        let r = rerank.max(k);
-        let candidates = self.search_approx(query, r);
-        let evals = candidates.len() as u64;
-        let matrix = self.store.matrix();
-        let tier = self.scan.tier;
-        let query_norm = self.metric.query_norm_tier(tier, query);
-        let mut hits: Vec<Neighbor> = candidates
-            .into_iter()
-            .map(|c| {
-                let dist = self.metric.distance_prenorm_tier(
-                    tier,
-                    query,
-                    query_norm,
-                    matrix.row(c.index),
-                    matrix.norm(c.index),
-                );
-                Neighbor::new(c.index, dist)
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then_with(|| a.index.cmp(&b.index))
-        });
-        hits.truncate(k);
-        (hits, evals)
-    }
-
     /// Quantized first pass: rank every live row by its approximate
     /// distance and keep the best `r`.
     fn search_approx(&self, query: &[f32], r: usize) -> Vec<Neighbor> {
@@ -215,7 +129,7 @@ impl<'a> ExactIndex<'a> {
             QuantState::Int8(qm) => {
                 let qq = qm.quantize_query(query);
                 for idx in 0..qm.len() {
-                    if self.deleted[idx] {
+                    if self.tombstones.is_deleted(idx) {
                         continue;
                     }
                     let dist = match self.metric {
@@ -231,7 +145,7 @@ impl<'a> ExactIndex<'a> {
                     Metric::Euclidean => {
                         let table = book.l2_tables(query);
                         for idx in 0..codes.len() {
-                            if self.deleted[idx] {
+                            if self.tombstones.is_deleted(idx) {
                                 continue;
                             }
                             let dist = codes.adc_sum(&table, k_cents, idx);
@@ -242,7 +156,7 @@ impl<'a> ExactIndex<'a> {
                         let table = book.dot_tables(query);
                         let query_norm = er_core::kernels::norm(query);
                         for idx in 0..codes.len() {
-                            if self.deleted[idx] {
+                            if self.tombstones.is_deleted(idx) {
                                 continue;
                             }
                             let dist = 1.0 - codes.cosine(&table, k_cents, idx, query_norm);
@@ -260,25 +174,19 @@ impl<'a> ExactIndex<'a> {
 #[inline]
 fn push_bounded(heap: &mut BinaryHeap<Hit>, k: usize, dist: f32, idx: usize) {
     if heap.len() < k {
-        heap.push(Hit { dist, idx });
+        heap.push(Hit { dist, id: idx });
     } else if dist < heap.peek().expect("non-empty").dist {
         heap.pop();
-        heap.push(Hit { dist, idx });
+        heap.push(Hit { dist, id: idx });
     }
 }
 
-/// Heap → neighbors sorted by `(distance, index)`.
+/// Heap → neighbors sorted by `(distance, index)` — [`Ranked`]'s order.
 fn drain_sorted(heap: BinaryHeap<Hit>) -> Vec<Neighbor> {
-    let mut hits: Vec<Neighbor> = heap
+    heap.into_sorted_vec()
         .into_iter()
-        .map(|h| Neighbor::new(h.idx, h.dist))
-        .collect();
-    hits.sort_by(|a, b| {
-        a.distance
-            .total_cmp(&b.distance)
-            .then_with(|| a.index.cmp(&b.index))
-    });
-    hits
+        .map(|h| Neighbor::new(h.id, h.dist))
+        .collect()
 }
 
 impl NnIndex for ExactIndex<'_> {
@@ -291,54 +199,62 @@ impl NnIndex for ExactIndex<'_> {
     }
 
     fn search_slice(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_counted_inner(query, k).0
+        self.search_counted(query, k, &QueryParams::default()).0
     }
 }
 
 impl IndexReader for ExactIndex<'_> {
     fn is_deleted(&self, index: usize) -> bool {
-        self.deleted.get(index).copied().unwrap_or(false)
+        self.tombstones.is_deleted(index)
     }
 
     fn live_count(&self) -> usize {
-        self.store.len() - self.deleted_count
+        self.tombstones.live()
     }
 
-    /// The scan has no runtime query parameters, so `params` is ignored;
-    /// the counter is live rows (pure scan) or re-ranked candidates
-    /// (quantized scan).
+    /// The scan has no runtime query parameters, so `params` is ignored.
+    /// A pure exact scan evaluates every live row; a quantized scan counts
+    /// only the re-ranked candidates (the first pass runs over int8/PQ
+    /// codes, which the kernel cost tables price separately — see
+    /// `er-tune`).
     fn search_counted(
         &self,
         query: &[f32],
         k: usize,
         _params: &QueryParams,
     ) -> (Vec<Neighbor>, u64) {
-        self.search_counted_inner(query, k)
+        if k == 0 || self.live_count() == 0 {
+            return (Vec::new(), 0);
+        }
+        let rerank_budget = match self.scan.quant {
+            Quantization::None => return self.search_exact(query, k),
+            Quantization::Int8 { rerank } | Quantization::Pq { rerank, .. } => rerank,
+        };
+        // Quantized first pass over the best R = max(rerank, k) rows, then
+        // an exact re-rank: every returned distance comes from the f32
+        // kernels, the quantized codes only choose *which* rows compete.
+        let candidates = self.search_approx(query, rerank_budget.max(k));
+        let evals = candidates.len() as u64;
+        let hits = rerank(
+            self.store.matrix(),
+            self.metric,
+            self.scan.tier,
+            query,
+            candidates.into_iter().map(|c| c.index),
+            k,
+        );
+        (hits, evals)
     }
 }
 
 impl MutableIndex for ExactIndex<'_> {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
-        let matrix = self.store.matrix_mut().ok_or_else(|| {
-            ErError::Model(
-                "ExactIndex::insert_row: the index borrows its matrix; \
-                 streaming mutation needs an owned store"
-                    .into(),
-            )
-        })?;
-        if matrix.is_empty() && matrix.dim() == 0 && !row.is_empty() {
-            // An index built over nothing adopts the first row's dimension.
-            *matrix = EmbeddingMatrix::new(row.len());
-        }
-        if matrix.dim() != row.len() {
-            return Err(ErError::Model(format!(
-                "ExactIndex::insert_row: pushed a {}-d row into a {}-d index",
-                row.len(),
-                matrix.dim()
-            )));
-        }
-        matrix.push(row);
-        self.deleted.push(false);
+        let id = push_row(
+            &mut self.store,
+            &mut self.tombstones,
+            row,
+            "ExactIndex::insert_row",
+        )?;
         // Keep the quantized companion storage in sync.
         match &mut self.quant {
             QuantState::None => {}
@@ -351,16 +267,11 @@ impl MutableIndex for ExactIndex<'_> {
             }
             QuantState::Pq { book, codes } => book.encode_row(row, codes),
         }
-        Ok(self.store.len() - 1)
+        Ok(id)
     }
 
     fn delete_row(&mut self, index: usize) -> bool {
-        if index >= self.deleted.len() || self.deleted[index] {
-            return false;
-        }
-        self.deleted[index] = true;
-        self.deleted_count += 1;
-        true
+        self.tombstones.delete(index)
     }
 
     /// Float-free compaction: live rows, their cached norms, and any
@@ -368,30 +279,12 @@ impl MutableIndex for ExactIndex<'_> {
     /// every distance the compacted index computes is bit-identical to the
     /// tombstoned original's.
     fn compact(&mut self) -> er_core::Result<Vec<u32>> {
-        let keep: Vec<u32> = (0..self.store.len())
-            .filter(|&i| !self.deleted[i])
-            .map(|i| i as u32)
-            .collect();
-        if self.deleted_count == 0 {
+        let keep = self.tombstones.live_rows();
+        if self.tombstones.count() == 0 {
             return Ok(keep);
         }
-        {
-            let matrix = self.store.matrix_mut().ok_or_else(|| {
-                ErError::Model(
-                    "ExactIndex::compact: the index borrows its matrix; \
-                     compaction needs an owned store"
-                        .into(),
-                )
-            })?;
-            let dim = matrix.dim();
-            let mut data = Vec::with_capacity(keep.len() * dim);
-            let mut norms = Vec::with_capacity(keep.len());
-            for &old in &keep {
-                data.extend_from_slice(matrix.row(old as usize));
-                norms.push(matrix.norm(old as usize));
-            }
-            *matrix = EmbeddingMatrix::from_parts(dim, data, norms)?;
-        }
+        let matrix = owned_mut(&mut self.store, "ExactIndex::compact")?;
+        *matrix = matrix.select_rows(keep.iter().map(|&old| old as usize));
         match &mut self.quant {
             QuantState::None => {}
             QuantState::Int8(qm) => {
@@ -417,8 +310,7 @@ impl MutableIndex for ExactIndex<'_> {
                 *codes = PqCodes::from_parts(book, kept)?;
             }
         }
-        self.deleted = vec![false; keep.len()];
-        self.deleted_count = 0;
+        self.tombstones = Tombstones::new(keep.len());
         Ok(keep)
     }
 }
@@ -427,20 +319,19 @@ impl MutableIndex for ExactIndex<'_> {
 mod tests {
     use super::*;
 
-    fn points() -> Vec<Embedding> {
-        vec![
-            Embedding(vec![0.0, 0.0]),
-            Embedding(vec![1.0, 0.0]),
-            Embedding(vec![0.0, 3.0]),
-            Embedding(vec![5.0, 5.0]),
-        ]
+    fn matrix(rows: &[[f32; 2]]) -> EmbeddingMatrix {
+        EmbeddingMatrix::from_flat(2, rows.concat()).unwrap()
+    }
+
+    fn points() -> EmbeddingMatrix {
+        matrix(&[[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [5.0, 5.0]])
     }
 
     #[test]
     fn returns_nearest_first() {
-        let index = ExactIndex::build(&points());
+        let index = ExactIndex::from_source(points(), Metric::Euclidean);
         assert_eq!(index.metric(), Metric::Euclidean);
-        let hits = index.search(&Embedding(vec![0.9, 0.1]), 2);
+        let hits = index.search_slice(&[0.9, 0.1], 2);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].index, 1, "closest point is (1,0)");
         assert_eq!(hits[1].index, 0);
@@ -449,23 +340,19 @@ mod tests {
 
     #[test]
     fn k_larger_than_corpus_returns_everything() {
-        let index = ExactIndex::build(&points());
-        assert_eq!(index.search(&Embedding(vec![0.0, 0.0]), 10).len(), 4);
+        let index = ExactIndex::from_source(points(), Metric::Euclidean);
+        assert_eq!(index.search_slice(&[0.0, 0.0], 10).len(), 4);
         assert_eq!(index.len(), 4);
-        assert!(index.search(&Embedding(vec![0.0, 0.0]), 0).is_empty());
+        assert!(index.search_slice(&[0.0, 0.0], 0).is_empty());
     }
 
     #[test]
     fn hand_computed_euclidean_fixture() {
         // a = (1,0), b = (0,2), c = (3,4); query (1,0): |q-a|² = 0,
         // |q-b|² = 1+4 = 5, |q-c|² = 4+16 = 20.
-        let vectors = vec![
-            Embedding(vec![1.0, 0.0]),
-            Embedding(vec![0.0, 2.0]),
-            Embedding(vec![3.0, 4.0]),
-        ];
-        let index = ExactIndex::with_metric(&vectors, Metric::Euclidean);
-        let hits = index.search(&Embedding(vec![1.0, 0.0]), 3);
+        let vectors = matrix(&[[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]);
+        let index = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
+        let hits = index.search_slice(&[1.0, 0.0], 3);
         assert_eq!(
             hits,
             vec![
@@ -480,14 +367,10 @@ mod tests {
     fn hand_computed_cosine_fixture() {
         // Same fixture, query (1,0): cos distances 0, 1, 1−3/5 = 0.4 — the
         // scaled-but-colinear ranking Euclidean gets wrong.
-        let vectors = vec![
-            Embedding(vec![1.0, 0.0]),
-            Embedding(vec![0.0, 2.0]),
-            Embedding(vec![3.0, 4.0]),
-        ];
-        let index = ExactIndex::with_metric(&vectors, Metric::Cosine);
+        let vectors = matrix(&[[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]);
+        let index = ExactIndex::from_matrix(&vectors, Metric::Cosine);
         assert_eq!(index.metric(), Metric::Cosine);
-        let hits = index.search(&Embedding(vec![1.0, 0.0]), 3);
+        let hits = index.search_slice(&[1.0, 0.0], 3);
         assert_eq!(hits[0].index, 0);
         assert_eq!(
             hits[1].index, 2,
@@ -498,8 +381,8 @@ mod tests {
         assert!((hits[2].distance - 1.0).abs() < 1e-6);
 
         // Under Euclidean the order of those two flips: 20 > 5.
-        let euclid = ExactIndex::build(&vectors);
-        let hits = euclid.search(&Embedding(vec![1.0, 0.0]), 3);
+        let euclid = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
+        let hits = euclid.search_slice(&[1.0, 0.0], 3);
         assert_eq!(hits[1].index, 1);
         assert_eq!(hits[2].index, 2);
     }
@@ -507,12 +390,11 @@ mod tests {
     #[test]
     fn borrowed_matrix_gives_the_same_hits_as_the_owned_copy() {
         let vectors = points();
-        let matrix = EmbeddingMatrix::from_embeddings(&vectors);
         for metric in [Metric::Euclidean, Metric::Cosine] {
-            let owned = ExactIndex::with_metric(&vectors, metric);
-            let borrowed = ExactIndex::from_matrix(&matrix, metric);
-            for q in &vectors {
-                assert_eq!(owned.search(q, 3), borrowed.search(q, 3));
+            let owned = ExactIndex::from_source(vectors.clone(), metric);
+            let borrowed = ExactIndex::from_matrix(&vectors, metric);
+            for q in vectors.rows_iter() {
+                assert_eq!(owned.search_slice(q, 3), borrowed.search_slice(q, 3));
             }
         }
     }

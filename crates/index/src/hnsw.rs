@@ -27,11 +27,12 @@
 //! Deletions are tombstones: the node keeps its id and its links (it still
 //! routes searches through the graph) but is masked out of results.
 
+use crate::store::{owned_mut, push_row, Ranked, Tombstones};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::rng::{derive, DetRng};
-use er_core::{Embedding, EmbeddingMatrix, ErError, QueryParams, VectorSource, VectorStore};
+use er_core::{EmbeddingMatrix, QueryParams, VectorSource, VectorStore};
 use rand::Rng;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Levels are capped so a pathological RNG draw cannot allocate an
@@ -72,36 +73,9 @@ impl Default for HnswConfig {
     }
 }
 
-/// A `(distance, id)` pair with a total, deterministic order: primary by
-/// distance, ties by id. `BinaryHeap<Cand>` is a max-heap (worst on top),
-/// `BinaryHeap<Reverse<Cand>>` a min-heap (best on top).
-#[derive(Debug, Clone, Copy)]
-struct Cand {
-    dist: f32,
-    id: u32,
-}
-
-impl PartialEq for Cand {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Cand {}
-
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then_with(|| self.id.cmp(&other.id))
-    }
-}
+/// A graph candidate: `(distance to the query, node id)`, ties broken on
+/// the id so every heap and neighbour comparison is deterministic.
+type Cand = Ranked<u32>;
 
 #[derive(Debug, Clone)]
 pub struct HnswIndex<'a> {
@@ -115,17 +89,9 @@ pub struct HnswIndex<'a> {
     /// node — a later `insert_row` continues exactly where the build left
     /// off (and persistence replays the stream to this position on load).
     pub(crate) level_rng: DetRng,
-    /// Tombstones: `deleted[node]` masks the node out of search results
-    /// while its links keep routing.
-    pub(crate) deleted: Vec<bool>,
-    pub(crate) deleted_count: usize,
-}
-
-impl HnswIndex<'static> {
-    /// Legacy path: copy the embeddings once into an owned matrix.
-    pub fn build(vectors: &[Embedding], config: HnswConfig) -> HnswIndex<'static> {
-        HnswIndex::from_source(vectors, config)
-    }
+    /// A tombstoned node is masked out of search results while its links
+    /// keep routing.
+    pub(crate) tombstones: Tombstones,
 }
 
 impl<'a> HnswIndex<'a> {
@@ -152,8 +118,7 @@ impl<'a> HnswIndex<'a> {
             max_level: 0,
             config,
             level_rng,
-            deleted: vec![false; n],
-            deleted_count: 0,
+            tombstones: Tombstones::new(n),
         };
         let mut visited = vec![false; n];
         for id in 0..n as u32 {
@@ -192,22 +157,6 @@ impl<'a> HnswIndex<'a> {
     /// The stored vectors (owned or borrowed).
     pub fn matrix(&self) -> &EmbeddingMatrix {
         self.store.matrix()
-    }
-
-    /// Adjust the *default* query-time beam width without rebuilding the
-    /// graph. `ef_search` only affects [`NnIndex::search`], never the graph
-    /// itself — the same knob FAISS exposes as a search-time parameter.
-    ///
-    /// Note: with the `er_core::OperatingPoint` redesign the preferred way
-    /// to sweep the beam width is per query, via
-    /// [`IndexReader::search_counted`] /
-    /// [`IndexReader::search_params`] with
-    /// `QueryParams { ef_search: Some(ef), .. }` — bit-identical to
-    /// rebuilding through this setter (pinned by tests), without consuming
-    /// the index.
-    pub fn with_ef_search(mut self, ef_search: usize) -> Self {
-        self.config.ef_search = ef_search;
-        self
     }
 
     /// The adjacency structure, `[node][layer] -> neighbour ids` — exposed
@@ -271,6 +220,8 @@ impl<'a> HnswIndex<'a> {
         // Beam search + connect on each layer the node participates in.
         let mut entries = vec![cur];
         for layer in (0..=level.min(self.max_level)).rev() {
+            // No mask: construction links through tombstoned nodes, which
+            // is what keeps journal replay bit-identical to the live path.
             let found = self.search_layer(
                 &query,
                 query_norm,
@@ -279,6 +230,7 @@ impl<'a> HnswIndex<'a> {
                 layer,
                 visited,
                 &mut evals,
+                |_| true,
             );
             let max_conn = if layer == 0 {
                 2 * self.config.m
@@ -335,6 +287,12 @@ impl<'a> HnswIndex<'a> {
     /// Best-first beam search of one layer (the paper's Algorithm 2),
     /// returning up to `ef` candidates sorted nearest-first. `evals`
     /// counts every distance evaluation of the beam.
+    ///
+    /// `live` masks the *result set* only: a node it rejects is still
+    /// traversed (it keeps routing the beam through the graph) but never
+    /// enters the results, so the beam keeps `ef` live candidates and
+    /// `k ≤ ef` hits never contain a masked id. Construction passes
+    /// `|_| true`, which monomorphizes the mask away.
     #[allow(clippy::too_many_arguments)]
     fn search_layer(
         &self,
@@ -345,6 +303,7 @@ impl<'a> HnswIndex<'a> {
         layer: usize,
         visited: &mut [bool],
         evals: &mut u64,
+        live: impl Fn(u32) -> bool,
     ) -> Vec<Cand> {
         visited.iter_mut().for_each(|v| *v = false);
         let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
@@ -352,15 +311,18 @@ impl<'a> HnswIndex<'a> {
         for &e in entries {
             if !std::mem::replace(&mut visited[e.id as usize], true) {
                 frontier.push(Reverse(e));
-                results.push(e);
+                if live(e.id) {
+                    results.push(e);
+                }
             }
         }
         while results.len() > ef {
             results.pop();
         }
         while let Some(Reverse(cand)) = frontier.pop() {
-            let worst = results.peek().expect("results non-empty").dist;
-            if results.len() == ef && cand.dist > worst {
+            // Under a mask `results` may still be empty here (every entry
+            // masked), so the cut-off only applies once the beam is full.
+            if results.len() == ef && cand.dist > results.peek().expect("full").dist {
                 break;
             }
             for &nb in &self.neighbors[cand.id as usize][layer] {
@@ -374,9 +336,11 @@ impl<'a> HnswIndex<'a> {
                 };
                 if results.len() < ef || next < *results.peek().expect("non-empty") {
                     frontier.push(Reverse(next));
-                    results.push(next);
-                    if results.len() > ef {
-                        results.pop();
+                    if live(nb) {
+                        results.push(next);
+                        if results.len() > ef {
+                            results.pop();
+                        }
                     }
                 }
             }
@@ -428,66 +392,6 @@ impl<'a> HnswIndex<'a> {
         cands.sort_unstable();
         self.select_neighbors(&cands, max_conn)
     }
-
-    /// [`Self::search_layer`] with tombstone masking: deleted nodes are
-    /// traversed (they keep routing the beam through the graph) but only
-    /// live nodes may enter the result set, so the beam keeps `ef` *live*
-    /// candidates and `k ≤ ef` hits never contain a deleted id.
-    #[allow(clippy::too_many_arguments)]
-    fn search_layer_masked(
-        &self,
-        query: &[f32],
-        query_norm: f32,
-        entries: &[Cand],
-        ef: usize,
-        layer: usize,
-        visited: &mut [bool],
-        evals: &mut u64,
-    ) -> Vec<Cand> {
-        visited.iter_mut().for_each(|v| *v = false);
-        let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-        let mut results: BinaryHeap<Cand> = BinaryHeap::with_capacity(ef + 1);
-        for &e in entries {
-            if !std::mem::replace(&mut visited[e.id as usize], true) {
-                frontier.push(Reverse(e));
-                if !self.deleted[e.id as usize] {
-                    results.push(e);
-                }
-            }
-        }
-        while results.len() > ef {
-            results.pop();
-        }
-        while let Some(Reverse(cand)) = frontier.pop() {
-            // Unlike the unmasked beam, `results` may still be empty here
-            // (all entries deleted), so the cut-off only applies once full.
-            if results.len() == ef && cand.dist > results.peek().expect("full").dist {
-                break;
-            }
-            for &nb in &self.neighbors[cand.id as usize][layer] {
-                if std::mem::replace(&mut visited[nb as usize], true) {
-                    continue;
-                }
-                *evals += 1;
-                let next = Cand {
-                    dist: self.dist(query, query_norm, nb),
-                    id: nb,
-                };
-                if results.len() < ef || next < *results.peek().expect("non-empty") {
-                    frontier.push(Reverse(next));
-                    if !self.deleted[nb as usize] {
-                        results.push(next);
-                        if results.len() > ef {
-                            results.pop();
-                        }
-                    }
-                }
-            }
-        }
-        let mut out = results.into_vec();
-        out.sort_unstable();
-        out
-    }
 }
 
 impl NnIndex for HnswIndex<'_> {
@@ -500,16 +404,29 @@ impl NnIndex for HnswIndex<'_> {
     }
 
     fn search_slice(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_counted_inner(query, k, self.config.ef_search).0
+        self.search_counted(query, k, &QueryParams::default()).0
     }
 }
 
-impl HnswIndex<'_> {
-    /// The shared body of [`NnIndex::search_slice`] and
-    /// [`IndexReader::search_counted`]: the graph search with an explicit
-    /// beam width, counting every distance evaluation (entry distance,
-    /// greedy descent, layer-0 beam).
-    fn search_counted_inner(&self, query: &[f32], k: usize, ef: usize) -> (Vec<Neighbor>, u64) {
+impl IndexReader for HnswIndex<'_> {
+    fn is_deleted(&self, index: usize) -> bool {
+        self.tombstones.is_deleted(index)
+    }
+
+    fn live_count(&self) -> usize {
+        self.tombstones.live()
+    }
+
+    /// Honors `params.ef_search` (the runtime beam width — bit-identical
+    /// to an index built with that `HnswConfig::ef_search`); other params
+    /// are ignored. Counts every distance evaluation: entry distance,
+    /// greedy descent, layer-0 beam.
+    fn search_counted(
+        &self,
+        query: &[f32],
+        k: usize,
+        params: &QueryParams,
+    ) -> (Vec<Neighbor>, u64) {
         if k == 0 || self.live_count() == 0 {
             return (Vec::new(), 0);
         }
@@ -524,13 +441,18 @@ impl HnswIndex<'_> {
         for layer in (1..=self.max_level).rev() {
             cur = self.greedy_closest(query, query_norm, cur, layer, &mut evals);
         }
-        let ef = ef.max(k);
+        let ef = params.ef_search.unwrap_or(self.config.ef_search).max(k);
         let mut visited = vec![false; self.store.len()];
-        let found = if self.deleted_count == 0 {
-            self.search_layer(query, query_norm, &[cur], ef, 0, &mut visited, &mut evals)
-        } else {
-            self.search_layer_masked(query, query_norm, &[cur], ef, 0, &mut visited, &mut evals)
-        };
+        let found = self.search_layer(
+            query,
+            query_norm,
+            &[cur],
+            ef,
+            0,
+            &mut visited,
+            &mut evals,
+            |id| !self.tombstones.is_deleted(id as usize),
+        );
         let hits = found
             .into_iter()
             .take(k)
@@ -540,52 +462,14 @@ impl HnswIndex<'_> {
     }
 }
 
-impl IndexReader for HnswIndex<'_> {
-    fn is_deleted(&self, index: usize) -> bool {
-        self.deleted.get(index).copied().unwrap_or(false)
-    }
-
-    fn live_count(&self) -> usize {
-        self.store.len() - self.deleted_count
-    }
-
-    /// Honors `params.ef_search` (the runtime beam width — bit-identical
-    /// to rebuilding via [`HnswIndex::with_ef_search`]); other params are
-    /// ignored.
-    fn search_counted(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &QueryParams,
-    ) -> (Vec<Neighbor>, u64) {
-        let ef = params.ef_search.unwrap_or(self.config.ef_search);
-        self.search_counted_inner(query, k, ef)
-    }
-}
-
 impl MutableIndex for HnswIndex<'_> {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
-        let matrix = self.store.matrix_mut().ok_or_else(|| {
-            ErError::Model(
-                "HnswIndex::insert_row: the index borrows its matrix; \
-                 streaming mutation needs an owned store"
-                    .into(),
-            )
-        })?;
-        if matrix.is_empty() && matrix.dim() == 0 && !row.is_empty() {
-            // An index built over nothing adopts the first row's dimension.
-            *matrix = EmbeddingMatrix::new(row.len());
-        }
-        if matrix.dim() != row.len() {
-            return Err(ErError::Model(format!(
-                "HnswIndex::insert_row: pushed a {}-d row into a {}-d index",
-                row.len(),
-                matrix.dim()
-            )));
-        }
-        matrix.push(row);
-        let id = self.store.len() - 1;
-        self.deleted.push(false);
+        let id = push_row(
+            &mut self.store,
+            &mut self.tombstones,
+            row,
+            "HnswIndex::insert_row",
+        )?;
         let level = self.draw_level();
         let mut visited = vec![false; self.store.len()];
         self.insert(id as u32, level, &mut visited);
@@ -593,12 +477,7 @@ impl MutableIndex for HnswIndex<'_> {
     }
 
     fn delete_row(&mut self, index: usize) -> bool {
-        if index >= self.deleted.len() || self.deleted[index] {
-            return false;
-        }
-        self.deleted[index] = true;
-        self.deleted_count += 1;
-        true
+        self.tombstones.delete(index)
     }
 
     /// Compaction rebuilds the graph from scratch over the live rows — and
@@ -609,38 +488,13 @@ impl MutableIndex for HnswIndex<'_> {
     /// calls continue exactly like inserts into that fresh build). Row
     /// floats and their cached norms are copied verbatim.
     fn compact(&mut self) -> er_core::Result<Vec<u32>> {
-        let keep: Vec<u32> = (0..self.store.len())
-            .filter(|&i| !self.deleted[i])
-            .map(|i| i as u32)
-            .collect();
-        if self.deleted_count == 0 {
+        let keep = self.tombstones.live_rows();
+        if self.tombstones.count() == 0 {
             return Ok(keep);
         }
-        let live = {
-            let matrix = self.store.matrix_mut().ok_or_else(|| {
-                ErError::Model(
-                    "HnswIndex::compact: the index borrows its matrix; \
-                     compaction needs an owned store"
-                        .into(),
-                )
-            })?;
-            let dim = matrix.dim();
-            let mut data = Vec::with_capacity(keep.len() * dim);
-            let mut norms = Vec::with_capacity(keep.len());
-            for &old in &keep {
-                data.extend_from_slice(matrix.row(old as usize));
-                norms.push(matrix.norm(old as usize));
-            }
-            EmbeddingMatrix::from_parts(dim, data, norms)?
-        };
-        let rebuilt = HnswIndex::from_source(live, self.config.clone());
-        self.store = rebuilt.store;
-        self.neighbors = rebuilt.neighbors;
-        self.entry = rebuilt.entry;
-        self.max_level = rebuilt.max_level;
-        self.level_rng = rebuilt.level_rng;
-        self.deleted = rebuilt.deleted;
-        self.deleted_count = 0;
+        let live = owned_mut(&mut self.store, "HnswIndex::compact")?
+            .select_rows(keep.iter().map(|&old| old as usize));
+        *self = HnswIndex::from_source(live, self.config.clone());
         Ok(keep)
     }
 }
@@ -649,19 +503,18 @@ impl MutableIndex for HnswIndex<'_> {
 mod tests {
     use super::*;
 
-    fn grid() -> Vec<Embedding> {
+    fn grid() -> EmbeddingMatrix {
         // A 6×6 grid: nearest neighbours are unambiguous.
-        (0..36)
-            .map(|i| Embedding(vec![(i % 6) as f32, (i / 6) as f32]))
-            .collect()
+        let flat = (0..36).flat_map(|i| [(i % 6) as f32, (i / 6) as f32]);
+        EmbeddingMatrix::from_flat(2, flat.collect()).unwrap()
     }
 
     #[test]
     fn finds_exact_hits_on_small_data() {
-        let index = HnswIndex::build(&grid(), HnswConfig::default());
+        let index = HnswIndex::from_source(grid(), HnswConfig::default());
         assert_eq!(index.len(), 36);
         // Query right on top of node 14 = (2, 2).
-        let hits = index.search(&Embedding(vec![2.0, 2.0]), 5);
+        let hits = index.search_slice(&[2.0, 2.0], 5);
         assert_eq!(hits[0], Neighbor::new(14, 0.0));
         // The four direct grid neighbours are all at distance 1.
         let next: Vec<usize> = hits[1..].iter().map(|h| h.index).collect();
@@ -670,32 +523,29 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        let empty = HnswIndex::build(&[], HnswConfig::default());
+        let empty = HnswIndex::from_source(EmbeddingMatrix::new(0), HnswConfig::default());
         assert!(empty.is_empty());
-        assert!(empty.search(&Embedding(vec![0.0]), 3).is_empty());
+        assert!(empty.search_slice(&[0.0], 3).is_empty());
 
-        let one = HnswIndex::build(&[Embedding(vec![1.0, 1.0])], HnswConfig::default());
-        let hits = one.search(&Embedding(vec![0.0, 0.0]), 5);
+        let one = EmbeddingMatrix::from_flat(2, vec![1.0, 1.0]).unwrap();
+        let one = HnswIndex::from_source(one, HnswConfig::default());
+        let hits = one.search_slice(&[0.0, 0.0], 5);
         assert_eq!(hits, vec![Neighbor::new(0, 2.0)]);
-        assert!(one.search(&Embedding(vec![0.0, 0.0]), 0).is_empty());
+        assert!(one.search_slice(&[0.0, 0.0], 0).is_empty());
     }
 
     #[test]
     fn respects_cosine_metric() {
-        let vectors = vec![
-            Embedding(vec![1.0, 0.0]),
-            Embedding(vec![0.0, 2.0]),
-            Embedding(vec![3.0, 4.0]),
-        ];
-        let index = HnswIndex::build(
-            &vectors,
+        let vectors = EmbeddingMatrix::from_flat(2, vec![1.0, 0.0, 0.0, 2.0, 3.0, 4.0]).unwrap();
+        let index = HnswIndex::from_source(
+            vectors,
             HnswConfig {
                 metric: Metric::Cosine,
                 ..HnswConfig::default()
             },
         );
         assert_eq!(index.metric(), Metric::Cosine);
-        let hits = index.search(&Embedding(vec![1.0, 0.0]), 3);
+        let hits = index.search_slice(&[1.0, 0.0], 3);
         assert_eq!(hits[0].index, 0);
         assert_eq!(
             hits[1].index, 2,
@@ -706,7 +556,7 @@ mod tests {
 
     #[test]
     fn graph_is_bounded_connected_and_self_link_free() {
-        let index = HnswIndex::build(&grid(), HnswConfig::default());
+        let index = HnswIndex::from_source(grid(), HnswConfig::default());
         let adj = index.adjacency();
         for (id, layers) in adj.iter().enumerate() {
             assert!(!layers.is_empty());
@@ -721,8 +571,8 @@ mod tests {
         }
         // Every node must be findable: querying a node's own vector with a
         // wide beam returns that node first.
-        for (id, v) in grid().iter().enumerate() {
-            let hits = index.search(v, 1);
+        for (id, v) in grid().rows_iter().enumerate() {
+            let hits = index.search_slice(v, 1);
             assert_eq!(
                 hits[0],
                 Neighbor::new(id, 0.0),
@@ -733,19 +583,18 @@ mod tests {
 
     #[test]
     fn borrowed_matrix_builds_the_bit_identical_graph() {
-        let vectors = grid();
-        let matrix = EmbeddingMatrix::from_embeddings(&vectors);
+        let matrix = grid();
         for metric in [Metric::Euclidean, Metric::Cosine] {
             let config = HnswConfig {
                 metric,
                 ..HnswConfig::default()
             };
-            let owned = HnswIndex::build(&vectors, config.clone());
+            let owned = HnswIndex::from_source(matrix.clone(), config.clone());
             let borrowed = HnswIndex::from_matrix(&matrix, config);
             assert_eq!(owned.adjacency(), borrowed.adjacency());
             assert_eq!(owned.max_level(), borrowed.max_level());
-            for v in &vectors {
-                assert_eq!(owned.search(v, 5), borrowed.search(v, 5));
+            for v in matrix.rows_iter() {
+                assert_eq!(owned.search_slice(v, 5), borrowed.search_slice(v, 5));
             }
         }
     }

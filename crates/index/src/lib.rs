@@ -11,27 +11,34 @@
 //! and tombstone-reclaiming [`MutableIndex::compact`].
 //!
 //! Storage is columnar: every index holds an [`er_core::VectorStore`] —
-//! either an [`er_core::EmbeddingMatrix`] it owns (the legacy
-//! `Vec<Embedding>` constructors copy once into one) or a matrix it
-//! *borrows* from the pipeline (`from_matrix`, zero-copy; indices never
-//! clone a borrowed matrix). Distances run over contiguous rows with
+//! either an [`er_core::EmbeddingMatrix`] it owns (the serving path) or a
+//! matrix it *borrows* from the pipeline (zero-copy; indices never clone
+//! or mutate a borrowed matrix). Distances run over contiguous rows with
 //! precomputed row norms, so a cosine scan touches each stored vector once.
+//!
+//! [`AnyIndex::build`] is the one place a backend choice
+//! ([`BlockerBackend`]) becomes an index, and the one place its config is
+//! validated.
 
+pub mod any;
 pub mod exact;
 pub mod hnsw;
 pub mod lsh;
 pub mod metric;
 pub mod persist;
+mod store;
 
+pub use any::{AnyIndex, BlockerBackend};
 pub use exact::{ExactIndex, Quantization, ScanConfig};
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use lsh::{HyperplaneLsh, LshConfig};
 pub use metric::Metric;
+pub use store::Ranked;
 // The runtime query-parameter overrides every `IndexReader` accepts (part
 // of the `er_core::OperatingPoint` redesign).
 pub use er_core::QueryParams;
 
-use er_core::{Embedding, EmbeddingMatrix};
+use er_core::EmbeddingMatrix;
 
 /// One search hit: the position of a stored vector and its distance from
 /// the query under the index's [`Metric`] (lower is always closer).
@@ -84,12 +91,6 @@ pub trait IndexReader: NnIndex {
     /// prices those from the kernel calibration tables instead.
     fn search_counted(&self, query: &[f32], k: usize, params: &QueryParams)
         -> (Vec<Neighbor>, u64);
-
-    /// [`IndexReader::search_counted`] without the counter — the
-    /// parameter-sweeping search entry point.
-    fn search_params(&self, query: &[f32], k: usize, params: &QueryParams) -> Vec<Neighbor> {
-        self.search_counted(query, k, params).0
-    }
 }
 
 /// The writer handle on top of [`IndexReader`] — the `er-serve` mutation
@@ -138,66 +139,48 @@ pub trait NnIndex {
     /// The distance this index was built to minimize.
     fn metric(&self) -> Metric;
 
-    /// Search with a raw query row — the allocation-free primitive every
-    /// other search entry point funnels into.
+    /// Search with a raw query row under the index's built-in parameters:
+    /// the hits of [`IndexReader::search_counted`] with
+    /// `QueryParams::default()`.
     fn search_slice(&self, query: &[f32], k: usize) -> Vec<Neighbor>;
 
-    fn search(&self, query: &Embedding, k: usize) -> Vec<Neighbor> {
-        self.search_slice(query.as_slice(), k)
-    }
-
-    /// Batched search over many queries, parallelized across a scoped-thread
-    /// worker pool (no crates.io, so no rayon — plain `std::thread::scope`).
+    /// Batched search over the rows of an [`EmbeddingMatrix`] — the
+    /// pipeline's query path — parallelized across a scoped-thread worker
+    /// pool (no crates.io, so no rayon — plain `std::thread::scope`).
     ///
     /// Queries are split into contiguous chunks, one per worker, and the
     /// per-chunk results are reassembled in input order, so the output is
-    /// *identical* to calling [`NnIndex::search`] sequentially — blocking an
-    /// entire dataset saturates cores without sacrificing determinism.
-    fn search_batch(&self, queries: &[Embedding], k: usize) -> Vec<Vec<Neighbor>>
-    where
-        Self: Sync + Sized,
-    {
-        batch_by_chunks(queries.len(), |i| self.search(&queries[i], k))
-    }
-
-    /// [`NnIndex::search_batch`] over the rows of an [`EmbeddingMatrix`] —
-    /// the pipeline's query path. Same chunking, same in-order reassembly,
-    /// bit-identical to sequential [`NnIndex::search_slice`] calls.
+    /// *identical* to calling [`NnIndex::search_slice`] sequentially —
+    /// blocking an entire dataset saturates cores without sacrificing
+    /// determinism.
     fn search_batch_rows(&self, queries: &EmbeddingMatrix, k: usize) -> Vec<Vec<Neighbor>>
     where
         Self: Sync + Sized,
     {
-        batch_by_chunks(queries.len(), |i| self.search_slice(queries.row(i), k))
-    }
-}
-
-/// Fan `0..n` out over scoped-thread workers in contiguous chunks and
-/// reassemble the per-index results in input order.
-fn batch_by_chunks<F>(n: usize, search_one: F) -> Vec<Vec<Neighbor>>
-where
-    F: Fn(usize) -> Vec<Neighbor> + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|w| w.get())
-        .unwrap_or(1)
-        .min(n);
-    if workers <= 1 {
-        return (0..n).map(&search_one).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let search_one = &search_one;
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(n);
-                scope.spawn(move || (start..end).map(search_one).collect::<Vec<_>>())
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("search worker panicked"));
+        let n = queries.len();
+        let search_one = |i: usize| self.search_slice(queries.row(i), k);
+        let workers = std::thread::available_parallelism()
+            .map(|w| w.get())
+            .unwrap_or(1)
+            .min(n);
+        if workers <= 1 {
+            return (0..n).map(search_one).collect();
         }
-    });
-    out
+        let chunk = n.div_ceil(workers);
+        let search_one = &search_one;
+        let mut out = Vec::with_capacity(n);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .step_by(chunk)
+                .map(|start| {
+                    let end = (start + chunk).min(n);
+                    scope.spawn(move || (start..end).map(search_one).collect::<Vec<_>>())
+                })
+                .collect();
+            for handle in handles {
+                out.extend(handle.join().expect("search worker panicked"));
+            }
+        });
+        out
+    }
 }

@@ -15,11 +15,10 @@
 //! follow it, which makes recall provably non-decreasing in `tables` for a
 //! fixed seed (the candidate union only grows).
 
+use crate::store::{owned_mut, push_row, rerank, Tombstones};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::rng::derive;
-use er_core::{
-    Embedding, EmbeddingMatrix, ErError, KernelTier, QueryParams, VectorSource, VectorStore,
-};
+use er_core::{EmbeddingMatrix, ErError, KernelTier, QueryParams, VectorSource, VectorStore};
 use rand::{Rng, RngCore};
 use std::collections::HashMap;
 
@@ -83,10 +82,9 @@ pub struct HyperplaneLsh<'a> {
     pub(crate) store: VectorStore<'a>,
     pub(crate) tables: Vec<Table>,
     pub(crate) config: LshConfig,
-    /// Tombstones: deleted ids stay hashed in their buckets (ids are
-    /// stable) but candidate gathering skips them.
-    pub(crate) deleted: Vec<bool>,
-    pub(crate) deleted_count: usize,
+    /// Deleted ids stay hashed in their buckets (ids are stable) but
+    /// candidate gathering skips them.
+    pub(crate) tombstones: Tombstones,
 }
 
 /// Standard normal via Box–Muller (the vendored `rand` has no
@@ -95,13 +93,6 @@ fn gaussian(rng: &mut impl RngCore) -> f32 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32
-}
-
-impl HyperplaneLsh<'static> {
-    /// Legacy path: copy the embeddings once into an owned matrix.
-    pub fn build(vectors: &[Embedding], config: LshConfig) -> HyperplaneLsh<'static> {
-        HyperplaneLsh::from_source(vectors, config)
-    }
 }
 
 impl<'a> HyperplaneLsh<'a> {
@@ -129,7 +120,7 @@ impl<'a> HyperplaneLsh<'a> {
                 let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
                 let mut signatures = Vec::with_capacity(matrix.len());
                 for (id, row) in matrix.rows_iter().enumerate() {
-                    let sig = signature(&hyperplanes, row, config.tier);
+                    let sig = signature(&hyperplanes, row, config.tier, |_| {});
                     signatures.push(sig);
                     buckets.entry(sig).or_default().push(id as u32);
                 }
@@ -140,13 +131,11 @@ impl<'a> HyperplaneLsh<'a> {
                 }
             })
             .collect();
-        let n = store.len();
         HyperplaneLsh {
+            tombstones: Tombstones::new(store.len()),
             store,
             tables,
             config,
-            deleted: vec![false; n],
-            deleted_count: 0,
         }
     }
 
@@ -168,15 +157,41 @@ impl<'a> HyperplaneLsh<'a> {
             .collect()
     }
 
-    /// Gather the deduplicated candidate ids the probing scheme reaches for
-    /// `query` (exposed for the recall analysis; `search` re-ranks these).
-    pub fn candidates(&self, query: &Embedding) -> Vec<u32> {
-        self.candidates_slice(query.as_slice())
-    }
-
-    /// Slice form of [`HyperplaneLsh::candidates`].
-    pub fn candidates_slice(&self, query: &[f32]) -> Vec<u32> {
-        self.candidates_slice_with(query, self.config.probes, self.config.tables)
+    /// The buckets `query` probes under `(probes, tables)`, in probe order:
+    /// per table of the prefix (clamped to the built count), the base
+    /// bucket, then the buckets reached by flipping single signature bits,
+    /// least-confident (smallest |margin|) first. A probed signature
+    /// nothing hashed to yields an empty bucket. An empty index hashed
+    /// nothing — probing its dim-0 hyperplanes against a real query would
+    /// be a shape mismatch — so it probes nothing.
+    fn probed_buckets<'s>(
+        &'s self,
+        query: &'s [f32],
+        probes: usize,
+        tables: usize,
+    ) -> impl Iterator<Item = &'s [u32]> + 's {
+        let tables = if self.store.is_empty() {
+            0
+        } else {
+            tables.clamp(1, self.tables.len())
+        };
+        self.tables[..tables].iter().flat_map(move |table| {
+            let mut margins = Vec::with_capacity(self.config.planes);
+            let sig = signature(&table.hyperplanes, query, self.config.tier, |dot| {
+                margins.push(dot)
+            });
+            let mut order: Vec<usize> = (0..self.config.planes).collect();
+            order.sort_by(|&a, &b| {
+                margins[a]
+                    .abs()
+                    .total_cmp(&margins[b].abs())
+                    .then_with(|| a.cmp(&b))
+            });
+            order.truncate(probes);
+            std::iter::once(sig)
+                .chain(order.into_iter().map(move |bit| sig ^ (1 << bit)))
+                .map(|probe| table.buckets.get(&probe).map_or(&[][..], Vec::as_slice))
+        })
     }
 
     /// The cost hook for `er-tune`'s occupancy model: the live occupancy
@@ -186,112 +201,56 @@ impl<'a> HyperplaneLsh<'a> {
     /// estimator turns these raw per-bucket counts into an expected
     /// *unique* candidate count analytically, so it must see the overlaps.
     pub fn probed_occupancy(&self, query: &[f32], probes: usize, tables: usize) -> Vec<usize> {
-        if self.store.is_empty() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for table in &self.tables[..tables.clamp(1, self.tables.len())] {
-            let (sig, margins) =
-                signature_with_margins(&table.hyperplanes, query, self.config.tier);
-            let mut order: Vec<usize> = (0..self.config.planes).collect();
-            order.sort_by(|&a, &b| {
-                margins[a]
-                    .abs()
-                    .total_cmp(&margins[b].abs())
-                    .then_with(|| a.cmp(&b))
-            });
-            let probe_sigs =
-                std::iter::once(sig).chain(order.iter().take(probes).map(|&bit| sig ^ (1 << bit)));
-            for probe in probe_sigs {
-                let count = table
-                    .buckets
-                    .get(&probe)
-                    .map(|bucket| {
-                        bucket
-                            .iter()
-                            .filter(|&&id| !self.deleted[id as usize])
-                            .count()
-                    })
-                    .unwrap_or(0);
-                out.push(count);
-            }
-        }
-        out
+        self.probed_buckets(query, probes, tables)
+            .map(|bucket| {
+                bucket
+                    .iter()
+                    .filter(|&&id| !self.tombstones.is_deleted(id as usize))
+                    .count()
+            })
+            .collect()
     }
 
-    /// [`HyperplaneLsh::candidates_slice`] with runtime probe settings:
-    /// probe `probes` extra buckets per table, over only the first
-    /// `tables` tables (clamped to the built count). Because table `t`'s
-    /// hyperplane stream is independent of how many tables follow it, the
-    /// prefix gather is bit-identical to an index *built* with `tables`
-    /// tables — which is what lets the tuner sweep both knobs against one
-    /// build.
+    /// The deduplicated live candidate ids the probing scheme reaches for
+    /// `query` (`search` re-ranks these): probe `probes` extra buckets per
+    /// table, over only the first `tables` tables (clamped to the built
+    /// count). Because table `t`'s hyperplane stream is independent of how
+    /// many tables follow it, the prefix gather is bit-identical to an
+    /// index *built* with `tables` tables — which is what lets the tuner
+    /// sweep both knobs against one build.
     pub fn candidates_slice_with(&self, query: &[f32], probes: usize, tables: usize) -> Vec<u32> {
-        if self.store.is_empty() {
-            // An empty index hashed nothing; probing its dim-0 hyperplanes
-            // against a real query would be a shape mismatch.
-            return Vec::new();
-        }
         let mut seen = vec![false; self.store.len()];
-        let mut out = Vec::new();
-        for table in &self.tables[..tables.clamp(1, self.tables.len())] {
-            let (sig, margins) =
-                signature_with_margins(&table.hyperplanes, query, self.config.tier);
-            // Probe order: the base bucket, then single-bit flips of the
-            // least-confident (smallest |margin|) bits.
-            let mut order: Vec<usize> = (0..self.config.planes).collect();
-            order.sort_by(|&a, &b| {
-                margins[a]
-                    .abs()
-                    .total_cmp(&margins[b].abs())
-                    .then_with(|| a.cmp(&b))
-            });
-            let probes =
-                std::iter::once(sig).chain(order.iter().take(probes).map(|&bit| sig ^ (1 << bit)));
-            for probe in probes {
-                if let Some(bucket) = table.buckets.get(&probe) {
-                    for &id in bucket {
-                        if !self.deleted[id as usize]
-                            && !std::mem::replace(&mut seen[id as usize], true)
-                        {
-                            out.push(id);
-                        }
-                    }
-                }
-            }
-        }
-        out
+        self.probed_buckets(query, probes, tables)
+            .flatten()
+            .copied()
+            .filter(|&id| {
+                !self.tombstones.is_deleted(id as usize)
+                    && !std::mem::replace(&mut seen[id as usize], true)
+            })
+            .collect()
     }
 }
 
-/// Signature bits via the tier selector — no private scalar fold here: the
-/// dots come from [`KernelTier::dot`], the same entry point every other
-/// crate ranks with.
-fn signature(hyperplanes: &[Vec<f32>], v: &[f32], tier: KernelTier) -> u64 {
-    let mut sig = 0u64;
-    for (bit, plane) in hyperplanes.iter().enumerate() {
-        if tier.dot(plane, v) >= 0.0 {
-            sig |= 1 << bit;
-        }
-    }
-    sig
-}
-
-fn signature_with_margins(
+/// Signature bits — one dot-product sign per hyperplane — via the tier
+/// selector (no private scalar fold here: the dots come from
+/// [`KernelTier::dot`], the same entry point every other crate ranks
+/// with). Each plane's dot, the bit's confidence margin, is also handed to
+/// `margin` in plane order.
+fn signature(
     hyperplanes: &[Vec<f32>],
     v: &[f32],
     tier: KernelTier,
-) -> (u64, Vec<f32>) {
+    mut margin: impl FnMut(f32),
+) -> u64 {
     let mut sig = 0u64;
-    let mut margins = Vec::with_capacity(hyperplanes.len());
     for (bit, plane) in hyperplanes.iter().enumerate() {
         let dot = tier.dot(plane, v);
         if dot >= 0.0 {
             sig |= 1 << bit;
         }
-        margins.push(dot);
+        margin(dot);
     }
-    (sig, margins)
+    sig
 }
 
 impl NnIndex for HyperplaneLsh<'_> {
@@ -304,117 +263,79 @@ impl NnIndex for HyperplaneLsh<'_> {
     }
 
     fn search_slice(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_counted_inner(query, k, self.config.probes, self.config.tables)
-            .0
-    }
-}
-
-impl HyperplaneLsh<'_> {
-    /// The shared body of [`NnIndex::search_slice`] and
-    /// [`IndexReader::search_counted`]: gather candidates under the given
-    /// probe settings and re-rank them exactly. The eval counter is the
-    /// candidate count — one full-width distance per gathered row (the
-    /// signature dots are priced separately by the cost model).
-    fn search_counted_inner(
-        &self,
-        query: &[f32],
-        k: usize,
-        probes: usize,
-        tables: usize,
-    ) -> (Vec<Neighbor>, u64) {
-        if k == 0 || self.live_count() == 0 {
-            return (Vec::new(), 0);
-        }
-        let matrix = self.store.matrix();
-        let tier = self.config.tier;
-        let query_norm = self.config.metric.query_norm_tier(tier, query);
-        let candidates = self.candidates_slice_with(query, probes, tables);
-        let evals = candidates.len() as u64;
-        let mut hits: Vec<Neighbor> = candidates
-            .into_iter()
-            .map(|id| {
-                let dist = self.config.metric.distance_prenorm_tier(
-                    tier,
-                    query,
-                    query_norm,
-                    matrix.row(id as usize),
-                    matrix.norm(id as usize),
-                );
-                Neighbor::new(id as usize, dist)
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then_with(|| a.index.cmp(&b.index))
-        });
-        hits.truncate(k);
-        (hits, evals)
+        self.search_counted(query, k, &QueryParams::default()).0
     }
 }
 
 impl IndexReader for HyperplaneLsh<'_> {
     fn is_deleted(&self, index: usize) -> bool {
-        self.deleted.get(index).copied().unwrap_or(false)
+        self.tombstones.is_deleted(index)
     }
 
     fn live_count(&self) -> usize {
-        self.store.len() - self.deleted_count
+        self.tombstones.live()
     }
 
     /// Honors `params.probes` and `params.tables` (runtime probe settings
     /// — the table prefix is bit-identical to an index built with that
-    /// many tables); `ef_search` is ignored.
+    /// many tables); `ef_search` is ignored. Gathers candidates and
+    /// re-ranks them exactly; the counter is the candidate count — one
+    /// full-width distance per gathered row (the signature dots are priced
+    /// separately by the cost model).
     fn search_counted(
         &self,
         query: &[f32],
         k: usize,
         params: &QueryParams,
     ) -> (Vec<Neighbor>, u64) {
+        if k == 0 || self.live_count() == 0 {
+            return (Vec::new(), 0);
+        }
         let probes = params.probes.unwrap_or(self.config.probes);
         let tables = params.tables.unwrap_or(self.config.tables);
-        self.search_counted_inner(query, k, probes, tables)
+        let candidates = self.candidates_slice_with(query, probes, tables);
+        let evals = candidates.len() as u64;
+        let hits = rerank(
+            self.store.matrix(),
+            self.config.metric,
+            self.config.tier,
+            query,
+            candidates.into_iter().map(|id| id as usize),
+            k,
+        );
+        (hits, evals)
     }
 }
 
 impl MutableIndex for HyperplaneLsh<'_> {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
-        let matrix = self.store.matrix_mut().ok_or_else(|| {
-            ErError::Model(
-                "HyperplaneLsh::insert_row: the index borrows its matrix; \
-                 streaming mutation needs an owned store"
-                    .into(),
-            )
-        })?;
         // No dimension adoption here: the hyperplanes were drawn against
         // the build-time dimension, so a mismatched row cannot be hashed.
-        if matrix.dim() != row.len() {
+        if self.store.dim() != row.len() {
             return Err(ErError::Model(format!(
                 "HyperplaneLsh::insert_row: pushed a {}-d row into a {}-d index \
                  (build over `EmbeddingMatrix::new(dim)` for an empty start)",
                 row.len(),
-                matrix.dim()
+                self.store.dim()
             )));
         }
-        matrix.push(row);
-        let id = (self.store.len() - 1) as u32;
-        self.deleted.push(false);
+        let id = push_row(
+            &mut self.store,
+            &mut self.tombstones,
+            row,
+            "HyperplaneLsh::insert_row",
+        )?;
         let tier = self.config.tier;
         for table in &mut self.tables {
-            let sig = signature(&table.hyperplanes, row, tier);
+            let sig = signature(&table.hyperplanes, row, tier, |_| {});
             table.signatures.push(sig);
-            table.buckets.entry(sig).or_default().push(id);
+            table.buckets.entry(sig).or_default().push(id as u32);
         }
-        Ok(id as usize)
+        Ok(id)
     }
 
     fn delete_row(&mut self, index: usize) -> bool {
-        if index >= self.deleted.len() || self.deleted[index] {
-            return false;
-        }
-        self.deleted[index] = true;
-        self.deleted_count += 1;
-        true
+        self.tombstones.delete(index)
     }
 
     /// Float-free compaction: the hyperplanes are untouched, live rows
@@ -423,30 +344,12 @@ impl MutableIndex for HyperplaneLsh<'_> {
     /// signatures — no dot product is ever recomputed, so candidate sets
     /// and re-ranked distances stay bit-identical.
     fn compact(&mut self) -> er_core::Result<Vec<u32>> {
-        let keep: Vec<u32> = (0..self.store.len())
-            .filter(|&i| !self.deleted[i])
-            .map(|i| i as u32)
-            .collect();
-        if self.deleted_count == 0 {
+        let keep = self.tombstones.live_rows();
+        if self.tombstones.count() == 0 {
             return Ok(keep);
         }
-        {
-            let matrix = self.store.matrix_mut().ok_or_else(|| {
-                ErError::Model(
-                    "HyperplaneLsh::compact: the index borrows its matrix; \
-                     compaction needs an owned store"
-                        .into(),
-                )
-            })?;
-            let dim = matrix.dim();
-            let mut data = Vec::with_capacity(keep.len() * dim);
-            let mut norms = Vec::with_capacity(keep.len());
-            for &old in &keep {
-                data.extend_from_slice(matrix.row(old as usize));
-                norms.push(matrix.norm(old as usize));
-            }
-            *matrix = EmbeddingMatrix::from_parts(dim, data, norms)?;
-        }
+        let matrix = owned_mut(&mut self.store, "HyperplaneLsh::compact")?;
+        *matrix = matrix.select_rows(keep.iter().map(|&old| old as usize));
         for table in &mut self.tables {
             table.signatures = keep
                 .iter()
@@ -454,8 +357,7 @@ impl MutableIndex for HyperplaneLsh<'_> {
                 .collect();
             table.rebuild_buckets();
         }
-        self.deleted = vec![false; keep.len()];
-        self.deleted_count = 0;
+        self.tombstones = Tombstones::new(keep.len());
         Ok(keep)
     }
 }
@@ -465,21 +367,20 @@ mod tests {
     use super::*;
     use er_core::rng::rng;
 
-    fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Embedding> {
+    fn random_vectors(n: usize, dim: usize, seed: u64) -> EmbeddingMatrix {
         let mut r = rng(seed);
-        (0..n)
-            .map(|_| Embedding((0..dim).map(|_| r.gen_range(-1.0..1.0)).collect()))
-            .collect()
+        let flat = (0..n * dim).map(|_| r.gen_range(-1.0..1.0)).collect();
+        EmbeddingMatrix::from_flat(dim, flat).unwrap()
     }
 
     #[test]
     fn identical_vectors_always_collide() {
         let vectors = random_vectors(20, 8, 1);
-        let lsh = HyperplaneLsh::build(&vectors, LshConfig::default());
-        for (id, v) in vectors.iter().enumerate() {
+        let lsh = HyperplaneLsh::from_matrix(&vectors, LshConfig::default());
+        for (id, v) in vectors.rows_iter().enumerate() {
             // A vector is always a candidate for itself (same signature in
             // every table), so search finds it at distance ~0.
-            let hits = lsh.search(v, 1);
+            let hits = lsh.search_slice(v, 1);
             assert_eq!(hits[0].index, id);
             assert!(hits[0].distance < 1e-6);
         }
@@ -488,44 +389,31 @@ mod tests {
     #[test]
     fn probing_expands_the_candidate_set() {
         let vectors = random_vectors(200, 8, 2);
-        let base = HyperplaneLsh::build(
-            &vectors,
-            LshConfig {
-                probes: 0,
-                ..LshConfig::default()
-            },
-        );
-        let probed = HyperplaneLsh::build(
-            &vectors,
-            LshConfig {
-                probes: 4,
-                ..LshConfig::default()
-            },
-        );
-        let q = Embedding(vec![0.3; 8]);
-        let narrow = base.candidates(&q).len();
-        let wide = probed.candidates(&q).len();
+        let lsh = HyperplaneLsh::from_matrix(&vectors, LshConfig::default());
+        let q = [0.3; 8];
+        let narrow = lsh.candidates_slice_with(&q, 0, 8).len();
+        let wide = lsh.candidates_slice_with(&q, 4, 8).len();
         assert!(wide >= narrow, "probing must not shrink candidates");
     }
 
     #[test]
     fn empty_index_and_zero_k() {
-        let lsh = HyperplaneLsh::build(&[], LshConfig::default());
+        let lsh = HyperplaneLsh::from_source(EmbeddingMatrix::new(0), LshConfig::default());
         assert!(lsh.is_empty());
-        assert!(lsh.search(&Embedding(vec![1.0]), 5).is_empty());
-        let one = HyperplaneLsh::build(&[Embedding(vec![1.0, 2.0])], LshConfig::default());
-        assert!(one.search(&Embedding(vec![1.0, 2.0]), 0).is_empty());
+        assert!(lsh.search_slice(&[1.0], 5).is_empty());
+        let one = EmbeddingMatrix::from_flat(2, vec![1.0, 2.0]).unwrap();
+        let one = HyperplaneLsh::from_source(one, LshConfig::default());
+        assert!(one.search_slice(&[1.0, 2.0], 0).is_empty());
     }
 
     #[test]
     fn borrowed_matrix_hashes_to_identical_signatures_and_hits() {
-        let vectors = random_vectors(60, 8, 5);
-        let matrix = EmbeddingMatrix::from_embeddings(&vectors);
-        let owned = HyperplaneLsh::build(&vectors, LshConfig::default());
+        let matrix = random_vectors(60, 8, 5);
+        let owned = HyperplaneLsh::from_source(matrix.clone(), LshConfig::default());
         let borrowed = HyperplaneLsh::from_matrix(&matrix, LshConfig::default());
         assert_eq!(owned.signatures(), borrowed.signatures());
-        for v in &vectors {
-            assert_eq!(owned.search(v, 5), borrowed.search(v, 5));
+        for v in matrix.rows_iter() {
+            assert_eq!(owned.search_slice(v, 5), borrowed.search_slice(v, 5));
         }
     }
 

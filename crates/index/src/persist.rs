@@ -30,7 +30,8 @@
 
 use crate::exact::{QuantState, Quantization, ScanConfig};
 use crate::lsh::Table;
-use crate::{ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metric};
+use crate::store::Tombstones;
+use crate::{BlockerBackend, ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metric};
 use er_core::binary::{self, kind, BinReader, BinWriter};
 use er_core::pq::PqConfig;
 use er_core::{ErError, KernelTier, Result, VectorStore};
@@ -77,14 +78,23 @@ fn tier_from_code(code: u8) -> Result<KernelTier> {
     KernelTier::from_code(code).ok_or_else(|| corrupt(format!("unknown kernel tier code {code}")))
 }
 
-fn tombstones_to_bytes(deleted: &[bool]) -> Vec<u8> {
+/// A stored config that breaks the backend rules every build enforces
+/// (`BackendParams::validate`) can only come from a damaged file.
+fn config_in_range(backend: BlockerBackend) -> Result<()> {
+    backend
+        .params()
+        .validate(&Quantization::None)
+        .map_err(corrupt)
+}
+
+fn tombstones_to_bytes(tombstones: &Tombstones) -> Vec<u8> {
     let mut w = BinWriter::new();
-    w.put_bitmap(deleted);
+    w.put_bitmap(tombstones.flags());
     w.into_bytes()
 }
 
 /// Read the tombstone bitmap and require it to cover exactly `rows` rows.
-fn tombstones_from(sections: &[(u32, &[u8])], rows: usize) -> Result<(Vec<bool>, usize)> {
+fn tombstones_from(sections: &[(u32, &[u8])], rows: usize) -> Result<Tombstones> {
     let body = binary::section(sections, tag::TOMBSTONES, "tombstones")?;
     let deleted = BinReader::new(body).get_bitmap()?;
     if deleted.len() != rows {
@@ -93,8 +103,7 @@ fn tombstones_from(sections: &[(u32, &[u8])], rows: usize) -> Result<(Vec<bool>,
             deleted.len()
         )));
     }
-    let count = deleted.iter().filter(|&&d| d).count();
-    Ok((deleted, count))
+    Ok(Tombstones::from_flags(deleted))
 }
 
 fn matrix_section(sections: &[(u32, &[u8])]) -> Result<er_core::EmbeddingMatrix> {
@@ -129,7 +138,7 @@ impl ExactIndex<'_> {
         let mut sections = vec![
             (tag::MATRIX, matrix.into_bytes()),
             (tag::META, meta.into_bytes()),
-            (tag::TOMBSTONES, tombstones_to_bytes(&self.deleted)),
+            (tag::TOMBSTONES, tombstones_to_bytes(&self.tombstones)),
         ];
         // The quantized companion storage serializes verbatim — a load
         // must see the codes the build produced, not re-quantize (the
@@ -225,12 +234,10 @@ impl ExactIndex<'static> {
                 QuantState::Pq { book, codes }
             }
         };
-        let (deleted, deleted_count) = tombstones_from(&sections, matrix.len())?;
         Ok(ExactIndex {
+            tombstones: tombstones_from(&sections, matrix.len())?,
             store: VectorStore::Owned(matrix),
             metric,
-            deleted,
-            deleted_count,
             scan: ScanConfig {
                 tier,
                 quant: quant_cfg,
@@ -274,7 +281,7 @@ impl HnswIndex<'_> {
             &[
                 (tag::MATRIX, matrix.into_bytes()),
                 (tag::META, meta.into_bytes()),
-                (tag::TOMBSTONES, tombstones_to_bytes(&self.deleted)),
+                (tag::TOMBSTONES, tombstones_to_bytes(&self.tombstones)),
                 (tag::GRAPH, graph.into_bytes()),
             ],
         )
@@ -304,12 +311,7 @@ impl HnswIndex<'static> {
             metric: metric_from_code(meta.get_u8()?)?,
             tier: tier_from_code(meta.get_u8()?)?,
         };
-        if config.m < 2 || config.ef_construction < 1 || config.ef_search < 1 {
-            return Err(corrupt(format!(
-                "HNSW config out of range (m {}, ef_construction {}, ef_search {})",
-                config.m, config.ef_construction, config.ef_search
-            )));
-        }
+        config_in_range(BlockerBackend::Hnsw(config.clone()))?;
         let entry = meta.get_u32()?;
         let max_level = meta.get_usize()?;
         if n > 0 && (entry as usize >= n || max_level > crate::hnsw::MAX_LEVEL) {
@@ -344,17 +346,15 @@ impl HnswIndex<'static> {
             }
             neighbors.push(layers);
         }
-        let (deleted, deleted_count) = tombstones_from(&sections, n)?;
         let level_rng = HnswIndex::level_rng_after(config.seed, n);
         Ok(HnswIndex {
+            tombstones: tombstones_from(&sections, n)?,
             store: VectorStore::Owned(matrix),
             neighbors,
             entry,
             max_level,
             config,
             level_rng,
-            deleted,
-            deleted_count,
         })
     }
 
@@ -393,7 +393,7 @@ impl HyperplaneLsh<'_> {
             &[
                 (tag::MATRIX, matrix.into_bytes()),
                 (tag::META, meta.into_bytes()),
-                (tag::TOMBSTONES, tombstones_to_bytes(&self.deleted)),
+                (tag::TOMBSTONES, tombstones_to_bytes(&self.tombstones)),
                 (tag::HYPERPLANES, planes.into_bytes()),
                 (tag::SIGNATURES, sigs.into_bytes()),
             ],
@@ -424,12 +424,7 @@ impl HyperplaneLsh<'static> {
             metric: metric_from_code(meta.get_u8()?)?,
             tier: tier_from_code(meta.get_u8()?)?,
         };
-        if !(1..=64).contains(&config.planes) || config.tables < 1 {
-            return Err(corrupt(format!(
-                "LSH config out of range ({} planes, {} tables)",
-                config.planes, config.tables
-            )));
-        }
+        config_in_range(BlockerBackend::Lsh(config.clone()))?;
         let mut planes =
             BinReader::new(binary::section(&sections, tag::HYPERPLANES, "hyperplanes")?);
         let mut sigs = BinReader::new(binary::section(&sections, tag::SIGNATURES, "signatures")?);
@@ -461,13 +456,11 @@ impl HyperplaneLsh<'static> {
             table.rebuild_buckets();
             tables.push(table);
         }
-        let (deleted, deleted_count) = tombstones_from(&sections, n)?;
         Ok(HyperplaneLsh {
+            tombstones: tombstones_from(&sections, n)?,
             store: VectorStore::Owned(matrix),
             tables,
             config,
-            deleted,
-            deleted_count,
         })
     }
 
@@ -484,27 +477,26 @@ mod tests {
         MutableIndex, NnIndex,
     };
     use er_core::binary::{self, kind};
-    use er_core::{Embedding, ErError};
+    use er_core::{EmbeddingMatrix, ErError};
     use rand::Rng;
 
-    fn vectors(n: usize, dim: usize, seed: u64) -> Vec<Embedding> {
+    fn vectors(n: usize, dim: usize, seed: u64) -> EmbeddingMatrix {
         let mut r = er_core::rng::rng(seed);
-        (0..n)
-            .map(|_| Embedding((0..dim).map(|_| r.gen_range(-1.0..1.0)).collect()))
-            .collect()
+        let flat = (0..n * dim).map(|_| r.gen_range(-1.0..1.0)).collect();
+        EmbeddingMatrix::from_flat(dim, flat).unwrap()
     }
 
     #[test]
     fn exact_round_trip_preserves_hits_and_tombstones() {
         let vs = vectors(30, 6, 9);
         for metric in [Metric::Euclidean, Metric::Cosine] {
-            let mut index = ExactIndex::with_metric(&vs, metric);
+            let mut index = ExactIndex::from_source(vs.clone(), metric);
             assert!(index.delete_row(4) && index.delete_row(17));
             let back = ExactIndex::from_bytes(&index.to_bytes()).unwrap();
             assert_eq!(back.live_count(), 28);
             assert!(back.is_deleted(4) && back.is_deleted(17));
-            for q in &vs {
-                assert_eq!(index.search(q, 7), back.search(q, 7));
+            for q in vs.rows_iter() {
+                assert_eq!(index.search_slice(q, 7), back.search_slice(q, 7));
             }
         }
     }
@@ -512,47 +504,49 @@ mod tests {
     #[test]
     fn hnsw_round_trip_is_bit_identical_and_resumes_the_level_stream() {
         let vs = vectors(40, 6, 10);
-        let mut index = HnswIndex::build(&vs, HnswConfig::default());
+        let mut index = HnswIndex::from_source(vs.clone(), HnswConfig::default());
         index.delete_row(3);
         let bytes = index.to_bytes();
         let mut back = HnswIndex::from_bytes(&bytes).unwrap();
         assert_eq!(index.adjacency(), back.adjacency());
         assert_eq!(index.max_level(), back.max_level());
-        for q in &vs {
-            assert_eq!(index.search(q, 5), back.search(q, 5));
+        for q in vs.rows_iter() {
+            assert_eq!(index.search_slice(q, 5), back.search_slice(q, 5));
         }
         // The reloaded index continues the level stream exactly where the
         // original would: the next insert yields identical graphs.
-        let extra = Embedding(vec![0.5; 6]);
-        index.insert_row(extra.as_slice()).unwrap();
-        back.insert_row(extra.as_slice()).unwrap();
+        index.insert_row(&[0.5; 6]).unwrap();
+        back.insert_row(&[0.5; 6]).unwrap();
         assert_eq!(index.adjacency(), back.adjacency());
     }
 
     #[test]
     fn lsh_round_trip_rebuilds_buckets_without_rehashing() {
         let vs = vectors(50, 8, 11);
-        let mut index = HyperplaneLsh::build(&vs, LshConfig::default());
+        let mut index = HyperplaneLsh::from_source(vs.clone(), LshConfig::default());
         index.delete_row(25);
         let back = HyperplaneLsh::from_bytes(&index.to_bytes()).unwrap();
         assert_eq!(index.signatures(), back.signatures());
-        for q in &vs {
-            assert_eq!(index.search(q, 5), back.search(q, 5));
-            assert_eq!(index.candidates(q), back.candidates(q));
+        for q in vs.rows_iter() {
+            assert_eq!(index.search_slice(q, 5), back.search_slice(q, 5));
+            assert_eq!(
+                index.candidates_slice_with(q, 2, 8),
+                back.candidates_slice_with(q, 2, 8)
+            );
         }
     }
 
     #[test]
     fn wrong_kind_and_corruption_are_typed_errors() {
         let vs = vectors(10, 4, 12);
-        let exact = ExactIndex::build(&vs).to_bytes();
+        let exact = ExactIndex::from_matrix(&vs, Metric::Euclidean).to_bytes();
         // An exact file is not an HNSW file.
         assert!(matches!(
             HnswIndex::from_bytes(&exact),
             Err(ErError::Corrupt(_))
         ));
         // A graph whose adjacency points past the matrix is rejected.
-        let hnsw = HnswIndex::build(&vs, HnswConfig::default());
+        let hnsw = HnswIndex::from_matrix(&vs, HnswConfig::default());
         let bytes = hnsw.to_bytes();
         assert_eq!(binary::peek_kind(&bytes).unwrap(), kind::HNSW_INDEX);
         for cut in [0, 10, bytes.len() / 2, bytes.len() - 1] {

@@ -1,0 +1,173 @@
+//! The plumbing all three backends share: the tombstone set, the checked
+//! append into an owned store, the `(distance, id)` heap entry, and the
+//! exact re-rank of a candidate list.
+
+use crate::{Metric, Neighbor};
+use er_core::{EmbeddingMatrix, ErError, KernelTier, Result, VectorStore};
+use std::cmp::Ordering;
+
+/// A `(distance, id)` pair with a total, deterministic order: primary by
+/// distance (`f32::total_cmp`), ties by id. `BinaryHeap<Ranked<T>>` is a
+/// max-heap (worst on top, ready for eviction),
+/// `BinaryHeap<Reverse<Ranked<T>>>` a min-heap (best on top).
+#[derive(Debug, Clone, Copy)]
+pub struct Ranked<T> {
+    pub dist: f32,
+    pub id: T,
+}
+
+impl<T: Ord> Ord for Ranked<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.dist
+            .total_cmp(&other.dist)
+            .then_with(|| self.id.cmp(&other.id))
+    }
+}
+
+impl<T: Ord> PartialOrd for Ranked<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T: Ord> PartialEq for Ranked<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T: Ord> Eq for Ranked<T> {}
+
+/// Which stored rows are deleted. Row ids are stable: a deleted row keeps
+/// its slot in the matrix (and, for HNSW, its graph links) and is only
+/// masked out of results. One flag per stored row, always.
+#[derive(Debug, Clone)]
+pub(crate) struct Tombstones {
+    flags: Vec<bool>,
+    count: usize,
+}
+
+impl Tombstones {
+    /// `rows` live rows.
+    pub(crate) fn new(rows: usize) -> Tombstones {
+        Tombstones {
+            flags: vec![false; rows],
+            count: 0,
+        }
+    }
+
+    /// From a persisted deletion bitmap.
+    pub(crate) fn from_flags(flags: Vec<bool>) -> Tombstones {
+        let count = flags.iter().filter(|&&d| d).count();
+        Tombstones { flags, count }
+    }
+
+    /// One flag per stored row — what persistence writes.
+    pub(crate) fn flags(&self) -> &[bool] {
+        &self.flags
+    }
+
+    /// Whether `row` is tombstoned (out-of-range rows are not).
+    #[inline]
+    pub(crate) fn is_deleted(&self, row: usize) -> bool {
+        self.flags.get(row).copied().unwrap_or(false)
+    }
+
+    /// Tombstoned rows.
+    pub(crate) fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Stored rows minus tombstones.
+    pub(crate) fn live(&self) -> usize {
+        self.flags.len() - self.count
+    }
+
+    /// Tombstone `row`; `false` when out of range or already deleted.
+    pub(crate) fn delete(&mut self, row: usize) -> bool {
+        if row >= self.flags.len() || self.flags[row] {
+            return false;
+        }
+        self.flags[row] = true;
+        self.count += 1;
+        true
+    }
+
+    /// The live rows in order — the new→old map a compaction returns.
+    pub(crate) fn live_rows(&self) -> Vec<u32> {
+        (0..self.flags.len() as u32)
+            .filter(|&row| !self.flags[row as usize])
+            .collect()
+    }
+}
+
+/// The matrix of an index that owns its store, or the typed error every
+/// mutation of a borrowed store reports (`who` names the caller).
+pub(crate) fn owned_mut<'s>(
+    store: &'s mut VectorStore<'_>,
+    who: &str,
+) -> Result<&'s mut EmbeddingMatrix> {
+    store.matrix_mut().ok_or_else(|| {
+        ErError::Model(format!(
+            "{who}: the index borrows its matrix; mutation needs an owned store"
+        ))
+    })
+}
+
+/// Append `row` (and its live tombstone slot) to an owned store and return
+/// the new row id. Fails on a borrowed store or a dimension mismatch; a
+/// store built over nothing (dim 0) adopts the first row's dimension.
+pub(crate) fn push_row(
+    store: &mut VectorStore<'_>,
+    tombstones: &mut Tombstones,
+    row: &[f32],
+    who: &str,
+) -> Result<usize> {
+    let matrix = owned_mut(store, who)?;
+    if matrix.is_empty() && matrix.dim() == 0 && !row.is_empty() {
+        *matrix = EmbeddingMatrix::new(row.len());
+    }
+    if matrix.dim() != row.len() {
+        return Err(ErError::Model(format!(
+            "{who}: pushed a {}-d row into a {}-d index",
+            row.len(),
+            matrix.dim()
+        )));
+    }
+    matrix.push(row);
+    tombstones.flags.push(false);
+    Ok(matrix.len() - 1)
+}
+
+/// Exact distances from `query` to the candidate rows on `tier`, sorted by
+/// `(distance, index)` and cut to the best `k` — the second pass of every
+/// backend that gathers candidates cheaply first (quantized scan, LSH).
+pub(crate) fn rerank(
+    matrix: &EmbeddingMatrix,
+    metric: Metric,
+    tier: KernelTier,
+    query: &[f32],
+    candidates: impl Iterator<Item = usize>,
+    k: usize,
+) -> Vec<Neighbor> {
+    let query_norm = metric.query_norm_tier(tier, query);
+    let mut hits: Vec<Neighbor> = candidates
+        .map(|i| {
+            let dist = metric.distance_prenorm_tier(
+                tier,
+                query,
+                query_norm,
+                matrix.row(i),
+                matrix.norm(i),
+            );
+            Neighbor::new(i, dist)
+        })
+        .collect();
+    hits.sort_by(|a, b| {
+        a.distance
+            .total_cmp(&b.distance)
+            .then_with(|| a.index.cmp(&b.index))
+    });
+    hits.truncate(k);
+    hits
+}

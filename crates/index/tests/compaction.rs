@@ -13,7 +13,7 @@
 //! pinned at sizes where the search is effectively exhaustive.
 
 use er_core::pq::PqConfig;
-use er_core::{Embedding, EntityId, KernelTier};
+use er_core::{Embedding, EmbeddingMatrix, EntityId, KernelTier};
 use er_index::{
     ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, IndexReader, LshConfig, Metric, MutableIndex,
     NnIndex, Quantization, ScanConfig,
@@ -29,8 +29,8 @@ fn vectors(n: usize, dim: usize, seed: u64) -> Vec<Embedding> {
 
 fn assert_same_hits(a: &impl NnIndex, b: &impl NnIndex, queries: &[Embedding], k: usize) {
     for q in queries {
-        let ha = a.search(q, k);
-        let hb = b.search(q, k);
+        let ha = a.search_slice(q.as_slice(), k);
+        let hb = b.search_slice(q.as_slice(), k);
         assert_eq!(ha.len(), hb.len(), "hit count drifted");
         for (x, y) in ha.iter().zip(&hb) {
             assert_eq!(
@@ -49,7 +49,7 @@ fn distances(index: &impl NnIndex, queries: &[Embedding], k: usize) -> Vec<Vec<u
         .iter()
         .map(|q| {
             index
-                .search(q, k)
+                .search_slice(q.as_slice(), k)
                 .iter()
                 .map(|h| h.distance.to_bits())
                 .collect()
@@ -71,7 +71,7 @@ fn exact_compaction_is_bit_identical_for_both_metrics() {
     let vs = vectors(40, 9, 70);
     let queries = vectors(8, 9, 71);
     for metric in [Metric::Euclidean, Metric::Cosine] {
-        let mut index = ExactIndex::with_metric(&vs, metric);
+        let mut index = ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), metric);
         let deleted = delete_every_third(&mut index, vs.len());
         let before = distances(&index, &queries, 7);
 
@@ -119,7 +119,9 @@ fn quantized_exact_compaction_is_bit_identical() {
     ];
     for metric in [Metric::Euclidean, Metric::Cosine] {
         for scan in configs {
-            let mut index = ExactIndex::from_source_scan(vs.as_slice(), metric, scan).unwrap();
+            let mut index =
+                ExactIndex::from_source_scan(EmbeddingMatrix::from_embeddings(&vs), metric, scan)
+                    .unwrap();
             delete_every_third(&mut index, vs.len());
             let before = distances(&index, &queries, 6);
             index.compact().unwrap();
@@ -145,7 +147,8 @@ fn hnsw_compaction_equals_fresh_batch_build() {
             metric,
             ..HnswConfig::default()
         };
-        let mut index = HnswIndex::build(&vs, config.clone());
+        let mut index =
+            HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), config.clone());
         let deleted = delete_every_third(&mut index, vs.len());
         let before = distances(&index, &queries, 5);
 
@@ -159,7 +162,7 @@ fn hnsw_compaction_equals_fresh_batch_build() {
             .filter(|(i, _)| !deleted.contains(i))
             .map(|(_, v)| v.clone())
             .collect();
-        let fresh = HnswIndex::build(&live, config);
+        let fresh = HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&live), config);
         assert_eq!(index.adjacency(), fresh.adjacency(), "{metric:?}");
         assert_eq!(index.len(), live.len());
         // At this size the search is effectively exhaustive, so masked
@@ -178,7 +181,7 @@ fn lsh_compaction_is_bit_identical_for_both_metrics() {
             metric,
             ..LshConfig::default()
         };
-        let mut index = HyperplaneLsh::build(&vs, config);
+        let mut index = HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), config);
         delete_every_third(&mut index, vs.len());
         let before = distances(&index, &queries, 5);
         index.compact().unwrap();
@@ -192,9 +195,12 @@ fn lsh_compaction_is_bit_identical_for_both_metrics() {
 #[test]
 fn compacting_with_no_tombstones_is_an_identity_no_op() {
     let vs = vectors(12, 6, 78);
-    let mut exact = ExactIndex::build(&vs);
-    let mut hnsw = HnswIndex::build(&vs, HnswConfig::default());
-    let mut lsh = HyperplaneLsh::build(&vs, LshConfig::default());
+    let mut exact =
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean);
+    let mut hnsw =
+        HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
+    let mut lsh =
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
     let bytes_before = (exact.to_bytes(), hnsw.to_bytes(), lsh.to_bytes());
     let identity: Vec<u32> = (0..vs.len() as u32).collect();
     assert_eq!(exact.compact().unwrap(), identity);
@@ -211,18 +217,24 @@ fn compacting_with_no_tombstones_is_an_identity_no_op() {
 fn empty_and_all_tombstoned_compactions_are_panic_free() {
     let vs = vectors(9, 5, 79);
     // Empty index.
-    let mut exact = ExactIndex::build(&[]);
-    let mut hnsw = HnswIndex::build(&[], HnswConfig::default());
-    let mut lsh = HyperplaneLsh::build(&[], LshConfig::default());
+    let mut exact =
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&[]), Metric::Euclidean);
+    let mut hnsw =
+        HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&[]), HnswConfig::default());
+    let mut lsh =
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&[]), LshConfig::default());
     assert!(exact.compact().unwrap().is_empty());
     assert!(hnsw.compact().unwrap().is_empty());
     assert!(lsh.compact().unwrap().is_empty());
 
     // Everything tombstoned: compaction leaves a valid, searchable,
     // zero-row index.
-    let mut exact = ExactIndex::build(&vs);
-    let mut hnsw = HnswIndex::build(&vs, HnswConfig::default());
-    let mut lsh = HyperplaneLsh::build(&vs, LshConfig::default());
+    let mut exact =
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean);
+    let mut hnsw =
+        HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
+    let mut lsh =
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
     for i in 0..vs.len() {
         exact.delete_row(i);
         hnsw.delete_row(i);
@@ -232,9 +244,9 @@ fn empty_and_all_tombstoned_compactions_are_panic_free() {
     assert!(hnsw.compact().unwrap().is_empty());
     assert!(lsh.compact().unwrap().is_empty());
     for q in &vs {
-        assert!(exact.search(q, 3).is_empty());
-        assert!(hnsw.search(q, 3).is_empty());
-        assert!(lsh.search(q, 3).is_empty());
+        assert!(exact.search_slice(q.as_slice(), 3).is_empty());
+        assert!(hnsw.search_slice(q.as_slice(), 3).is_empty());
+        assert!(lsh.search_slice(q.as_slice(), 3).is_empty());
     }
     assert_eq!(exact.len(), 0);
     assert_eq!(hnsw.len(), 0);
@@ -248,7 +260,7 @@ fn compaction_supports_continued_mutation() {
     // append positions matching `len()` after a compaction).
     let vs = vectors(20, 6, 80);
     let extra = vectors(4, 6, 81);
-    let mut index = ExactIndex::with_metric(&vs, Metric::Cosine);
+    let mut index = ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Cosine);
     delete_every_third(&mut index, vs.len());
     index.compact().unwrap();
     let base = index.len();
@@ -257,6 +269,6 @@ fn compaction_supports_continued_mutation() {
     }
     assert_eq!(index.live_count(), base + extra.len());
     let _ = EntityId(0); // er-core linkage sanity (ids live a layer up)
-    let hits = index.search(&extra[0], 3);
+    let hits = index.search_slice(extra[0].as_slice(), 3);
     assert_eq!(hits.len(), 3);
 }

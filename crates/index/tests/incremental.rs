@@ -29,7 +29,7 @@ fn hnsw_incremental_build_is_bit_identical_to_batch() {
             metric,
             ..HnswConfig::default()
         };
-        let batch = HnswIndex::build(&vs, config.clone());
+        let batch = HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), config.clone());
         let mut incremental = HnswIndex::from_source(EmbeddingMatrix::new(8), config);
         for v in &vs {
             incremental.insert_row(v.as_slice()).unwrap();
@@ -37,7 +37,10 @@ fn hnsw_incremental_build_is_bit_identical_to_batch() {
         assert_eq!(batch.adjacency(), incremental.adjacency());
         assert_eq!(batch.max_level(), incremental.max_level());
         for v in &vs {
-            assert_eq!(batch.search(v, 5), incremental.search(v, 5));
+            assert_eq!(
+                batch.search_slice(v.as_slice(), 5),
+                incremental.search_slice(v.as_slice(), 5)
+            );
         }
     }
 }
@@ -45,9 +48,11 @@ fn hnsw_incremental_build_is_bit_identical_to_batch() {
 #[test]
 fn exact_and_lsh_incremental_build_match_batch() {
     let vs = vectors(40, 6, 22);
-    let batch_exact = ExactIndex::with_metric(&vs, Metric::Cosine);
+    let batch_exact =
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Cosine);
     let mut inc_exact = ExactIndex::from_source(EmbeddingMatrix::new(6), Metric::Cosine);
-    let batch_lsh = HyperplaneLsh::build(&vs, LshConfig::default());
+    let batch_lsh =
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
     let mut inc_lsh = HyperplaneLsh::from_source(EmbeddingMatrix::new(6), LshConfig::default());
     for (i, v) in vs.iter().enumerate() {
         assert_eq!(inc_exact.insert_row(v.as_slice()).unwrap(), i);
@@ -55,8 +60,14 @@ fn exact_and_lsh_incremental_build_match_batch() {
     }
     assert_eq!(batch_lsh.signatures(), inc_lsh.signatures());
     for v in &vs {
-        assert_eq!(batch_exact.search(v, 7), inc_exact.search(v, 7));
-        assert_eq!(batch_lsh.search(v, 7), inc_lsh.search(v, 7));
+        assert_eq!(
+            batch_exact.search_slice(v.as_slice(), 7),
+            inc_exact.search_slice(v.as_slice(), 7)
+        );
+        assert_eq!(
+            batch_lsh.search_slice(v.as_slice(), 7),
+            inc_lsh.search_slice(v.as_slice(), 7)
+        );
     }
 }
 
@@ -67,9 +78,12 @@ fn exact_and_lsh_incremental_build_match_batch() {
 fn tombstones_mask_results_without_moving_ids() {
     let vs = vectors(30, 6, 23);
     let dropped = [0usize, 7, 15, 29];
-    let mut exact = ExactIndex::build(&vs);
-    let mut hnsw = HnswIndex::build(&vs, HnswConfig::default());
-    let mut lsh = HyperplaneLsh::build(&vs, LshConfig::default());
+    let mut exact =
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean);
+    let mut hnsw =
+        HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
+    let mut lsh =
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
     for &d in &dropped {
         assert!(exact.delete_row(d) && hnsw.delete_row(d) && lsh.delete_row(d));
         // Double deletion is a no-op, not a panic.
@@ -79,7 +93,11 @@ fn tombstones_mask_results_without_moving_ids() {
     assert_eq!(hnsw.live_count(), 26);
     assert_eq!(lsh.live_count(), 26);
     for v in &vs {
-        for hits in [exact.search(v, 30), hnsw.search(v, 30), lsh.search(v, 30)] {
+        for hits in [
+            exact.search_slice(v.as_slice(), 30),
+            hnsw.search_slice(v.as_slice(), 30),
+            lsh.search_slice(v.as_slice(), 30),
+        ] {
             assert!(hits.iter().all(|h| !dropped.contains(&h.index)));
             assert!(hits.len() <= 26);
         }
@@ -88,10 +106,13 @@ fn tombstones_mask_results_without_moving_ids() {
     // must reproduce, modulo the stable original ids.
     let survivors: Vec<usize> = (0..vs.len()).filter(|i| !dropped.contains(i)).collect();
     let shrunk_vs: Vec<Embedding> = survivors.iter().map(|&i| vs[i].clone()).collect();
-    let shrunk = ExactIndex::build(&shrunk_vs);
+    let shrunk = ExactIndex::from_source(
+        EmbeddingMatrix::from_embeddings(&shrunk_vs),
+        Metric::Euclidean,
+    );
     for v in &vs {
-        let masked = exact.search(v, 5);
-        let oracle = shrunk.search(v, 5);
+        let masked = exact.search_slice(v.as_slice(), 5);
+        let oracle = shrunk.search_slice(v.as_slice(), 5);
         assert_eq!(masked.len(), oracle.len());
         for (m, o) in masked.iter().zip(&oracle) {
             assert_eq!(m.index, survivors[o.index]);
@@ -104,23 +125,26 @@ fn tombstones_mask_results_without_moving_ids() {
 fn all_tombstoned_index_returns_empty_never_panics() {
     let vs = vectors(12, 4, 24);
     let q = Embedding(vec![0.1; 4]);
-    let mut exact = ExactIndex::build(&vs);
-    let mut hnsw = HnswIndex::build(&vs, HnswConfig::default());
-    let mut lsh = HyperplaneLsh::build(&vs, LshConfig::default());
+    let mut exact =
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean);
+    let mut hnsw =
+        HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
+    let mut lsh =
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
     for i in 0..vs.len() {
         exact.delete_row(i);
         hnsw.delete_row(i);
         lsh.delete_row(i);
     }
     assert_eq!(exact.live_count(), 0);
-    assert!(exact.search(&q, 5).is_empty());
-    assert!(hnsw.search(&q, 5).is_empty());
-    assert!(lsh.search(&q, 5).is_empty());
+    assert!(exact.search_slice(q.as_slice(), 5).is_empty());
+    assert!(hnsw.search_slice(q.as_slice(), 5).is_empty());
+    assert!(lsh.search_slice(q.as_slice(), 5).is_empty());
     // The graph survives total deletion: re-inserting works and the new
     // row is findable.
     let id = hnsw.insert_row(q.as_slice()).unwrap();
     assert_eq!(id, vs.len());
-    let hits = hnsw.search(&q, 3);
+    let hits = hnsw.search_slice(q.as_slice(), 3);
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].index, id);
 }
@@ -129,18 +153,21 @@ fn all_tombstoned_index_returns_empty_never_panics() {
 fn k_larger_than_live_count_truncates_cleanly() {
     let vs = vectors(10, 4, 25);
     let q = Embedding(vec![0.3; 4]);
-    let mut exact = ExactIndex::build(&vs);
-    let mut hnsw = HnswIndex::build(&vs, HnswConfig::default());
-    let mut lsh = HyperplaneLsh::build(&vs, LshConfig::default());
+    let mut exact =
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean);
+    let mut hnsw =
+        HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
+    let mut lsh =
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
     for d in [1usize, 4, 6] {
         exact.delete_row(d);
         hnsw.delete_row(d);
         lsh.delete_row(d);
     }
-    assert_eq!(exact.search(&q, 100).len(), 7);
-    assert_eq!(hnsw.search(&q, 100).len(), 7);
+    assert_eq!(exact.search_slice(q.as_slice(), 100).len(), 7);
+    assert_eq!(hnsw.search_slice(q.as_slice(), 100).len(), 7);
     assert!(
-        lsh.search(&q, 100).len() <= 7,
+        lsh.search_slice(q.as_slice(), 100).len() <= 7,
         "LSH may return fewer (probing)"
     );
     // Out-of-range deletes are rejected, not panics.
@@ -172,23 +199,30 @@ fn dimension_mismatches_are_typed_errors() {
     ));
     assert_eq!(exact.insert_row(&[1.0; 4]).unwrap(), 0);
     // Dim-0 empty stores adopt the first row's dimension (exact, HNSW)…
-    let mut adopt = ExactIndex::build(&[]);
+    let mut adopt =
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&[]), Metric::Euclidean);
     assert_eq!(adopt.insert_row(&[1.0, 2.0]).unwrap(), 0);
     assert!(matches!(
         adopt.insert_row(&[1.0; 5]),
         Err(ErError::Model(_))
     ));
-    let mut hnsw = HnswIndex::build(&[], HnswConfig::default());
+    let mut hnsw =
+        HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&[]), HnswConfig::default());
     assert_eq!(hnsw.insert_row(&[1.0, 2.0]).unwrap(), 0);
     // …but LSH hashed nothing yet still fixed its hyperplane dimension.
-    let mut lsh = HyperplaneLsh::build(&[], LshConfig::default());
+    let mut lsh =
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&[]), LshConfig::default());
     assert!(matches!(
         lsh.insert_row(&[1.0, 2.0]),
         Err(ErError::Model(_))
     ));
     let mut lsh = HyperplaneLsh::from_source(EmbeddingMatrix::new(2), LshConfig::default());
     assert_eq!(lsh.insert_row(&[1.0, 2.0]).unwrap(), 0);
-    assert_eq!(lsh.search(&Embedding(vec![1.0, 2.0]), 1).len(), 1);
+    assert_eq!(
+        lsh.search_slice(Embedding(vec![1.0, 2.0]).as_slice(), 1)
+            .len(),
+        1
+    );
 }
 
 /// Queries stay legal between mutations: interleave inserts and deletes
@@ -206,9 +240,13 @@ fn interleaved_mutations_keep_queries_consistent() {
             let victim = live.remove(live.len() / 2);
             assert!(exact.delete_row(victim));
         }
-        let hits = exact.search(&q, 4);
+        let hits = exact.search_slice(q.as_slice(), 4);
         let oracle_vs: Vec<Embedding> = live.iter().map(|&j| vs[j].clone()).collect();
-        let oracle = ExactIndex::build(&oracle_vs).search(&q, 4);
+        let oracle = ExactIndex::from_source(
+            EmbeddingMatrix::from_embeddings(&oracle_vs),
+            Metric::Euclidean,
+        )
+        .search_slice(q.as_slice(), 4);
         assert_eq!(hits.len(), oracle.len());
         for (h, o) in hits.iter().zip(&oracle) {
             assert_eq!(h.index, live[o.index]);

@@ -4,8 +4,10 @@
 //! the sequential results.
 
 use er_core::rng::rng;
-use er_core::Embedding;
-use er_index::{HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, NnIndex};
+use er_core::{kernels, Embedding, EmbeddingMatrix};
+use er_index::{
+    ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metric, Neighbor, NnIndex,
+};
 use rand::Rng;
 
 fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Embedding> {
@@ -18,21 +20,33 @@ fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Embedding> {
 #[test]
 fn same_seed_builds_bit_identical_hnsw_graphs() {
     let vectors = random_vectors(300, 12, 21);
-    let a = HnswIndex::build(&vectors, HnswConfig::default());
-    let b = HnswIndex::build(&vectors, HnswConfig::default());
+    let a = HnswIndex::from_source(
+        EmbeddingMatrix::from_embeddings(&vectors),
+        HnswConfig::default(),
+    );
+    let b = HnswIndex::from_source(
+        EmbeddingMatrix::from_embeddings(&vectors),
+        HnswConfig::default(),
+    );
     assert_eq!(a.adjacency(), b.adjacency());
     assert_eq!(a.max_level(), b.max_level());
     for q in random_vectors(10, 12, 22) {
-        assert_eq!(a.search(&q, 10), b.search(&q, 10));
+        assert_eq!(
+            a.search_slice(q.as_slice(), 10),
+            b.search_slice(q.as_slice(), 10)
+        );
     }
 }
 
 #[test]
 fn different_seeds_build_different_hnsw_graphs() {
     let vectors = random_vectors(300, 12, 23);
-    let a = HnswIndex::build(&vectors, HnswConfig::default());
-    let b = HnswIndex::build(
-        &vectors,
+    let a = HnswIndex::from_source(
+        EmbeddingMatrix::from_embeddings(&vectors),
+        HnswConfig::default(),
+    );
+    let b = HnswIndex::from_source(
+        EmbeddingMatrix::from_embeddings(&vectors),
         HnswConfig {
             seed: 43,
             ..HnswConfig::default()
@@ -48,16 +62,28 @@ fn different_seeds_build_different_hnsw_graphs() {
 #[test]
 fn same_seed_builds_bit_identical_lsh_signatures() {
     let vectors = random_vectors(200, 12, 24);
-    let a = HyperplaneLsh::build(&vectors, LshConfig::default());
-    let b = HyperplaneLsh::build(&vectors, LshConfig::default());
+    let a = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vectors),
+        LshConfig::default(),
+    );
+    let b = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vectors),
+        LshConfig::default(),
+    );
     assert_eq!(a.signatures(), b.signatures());
     for q in random_vectors(10, 12, 25) {
-        assert_eq!(a.candidates(&q), b.candidates(&q));
-        assert_eq!(a.search(&q, 5), b.search(&q, 5));
+        assert_eq!(
+            a.candidates_slice_with(q.as_slice(), 2, 8),
+            b.candidates_slice_with(q.as_slice(), 2, 8)
+        );
+        assert_eq!(
+            a.search_slice(q.as_slice(), 5),
+            b.search_slice(q.as_slice(), 5)
+        );
     }
 
-    let c = HyperplaneLsh::build(
-        &vectors,
+    let c = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vectors),
         LshConfig {
             seed: 7,
             ..LshConfig::default()
@@ -68,22 +94,81 @@ fn same_seed_builds_bit_identical_lsh_signatures() {
 
 #[test]
 fn search_batch_matches_sequential_search() {
-    let vectors = random_vectors(400, 12, 26);
-    let queries = random_vectors(67, 12, 27);
-    let hnsw = HnswIndex::build(&vectors, HnswConfig::default());
-    let lsh = HyperplaneLsh::build(&vectors, LshConfig::default());
-    let exact = er_index::ExactIndex::build(&vectors);
-
-    let sequential: Vec<_> = queries.iter().map(|q| hnsw.search(q, 10)).collect();
-    assert_eq!(hnsw.search_batch(&queries, 10), sequential);
-
-    let sequential: Vec<_> = queries.iter().map(|q| lsh.search(q, 10)).collect();
-    assert_eq!(lsh.search_batch(&queries, 10), sequential);
-
-    let sequential: Vec<_> = queries.iter().map(|q| exact.search(q, 10)).collect();
-    assert_eq!(exact.search_batch(&queries, 10), sequential);
+    let vectors = EmbeddingMatrix::from_embeddings(&random_vectors(400, 12, 26));
+    let queries = EmbeddingMatrix::from_embeddings(&random_vectors(67, 12, 27));
+    let sequential = |index: &dyn NnIndex| -> Vec<Vec<Neighbor>> {
+        queries
+            .rows_iter()
+            .map(|q| index.search_slice(q, 10))
+            .collect()
+    };
+    for metric in [Metric::Euclidean, Metric::Cosine] {
+        let hnsw = HnswIndex::from_matrix(
+            &vectors,
+            HnswConfig {
+                metric,
+                ..HnswConfig::default()
+            },
+        );
+        assert_eq!(hnsw.search_batch_rows(&queries, 10), sequential(&hnsw));
+    }
+    let lsh = HyperplaneLsh::from_matrix(&vectors, LshConfig::default());
+    assert_eq!(lsh.search_batch_rows(&queries, 10), sequential(&lsh));
+    let exact = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
+    assert_eq!(exact.search_batch_rows(&queries, 10), sequential(&exact));
 
     // Degenerate batch shapes.
-    assert!(exact.search_batch(&[], 10).is_empty());
-    assert_eq!(exact.search_batch(&queries[..1], 10).len(), 1);
+    assert!(exact
+        .search_batch_rows(&EmbeddingMatrix::new(12), 10)
+        .is_empty());
+    let one = queries.select_rows([0]);
+    assert_eq!(exact.search_batch_rows(&one, 10).len(), 1);
+}
+
+/// The tuple-era oracle: a verbatim brute-force scan returning the bare
+/// `(usize, f32)` hits searches used to emit before [`Neighbor`].
+fn tuple_era_scan(
+    vectors: &[Embedding],
+    query: &Embedding,
+    metric: Metric,
+    k: usize,
+) -> Vec<(usize, f32)> {
+    let mut hits: Vec<(usize, f32)> = vectors
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let dist = match metric {
+                Metric::Euclidean => kernels::squared_euclidean(query.as_slice(), v.as_slice()),
+                Metric::Cosine => 1.0 - kernels::cosine(query.as_slice(), v.as_slice()),
+            };
+            (i, dist)
+        })
+        .collect();
+    hits.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+    hits.truncate(k);
+    hits
+}
+
+/// The `Neighbor` redesign must not perturb a single bit: every hit's
+/// `(index, distance)` equals the tuple the old API returned.
+#[test]
+fn neighbor_hits_are_bit_identical_to_the_tuple_era() {
+    let vectors = random_vectors(200, 24, 51);
+    let queries = random_vectors(25, 24, 52);
+    for metric in [Metric::Euclidean, Metric::Cosine] {
+        let index = ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vectors), metric);
+        for q in &queries {
+            let hits = index.search_slice(q.as_slice(), 10);
+            let oracle = tuple_era_scan(&vectors, q, metric, 10);
+            assert_eq!(hits.len(), oracle.len());
+            for (n, (idx, dist)) in hits.iter().zip(&oracle) {
+                assert_eq!(n.index, *idx, "{metric:?}");
+                assert_eq!(
+                    n.distance.to_bits(),
+                    dist.to_bits(),
+                    "{metric:?}: distance drifted from the tuple era"
+                );
+            }
+        }
+    }
 }

@@ -3,7 +3,7 @@
 //! × both metrics — plus corrupted-header and truncated-file loads
 //! returning typed [`ErError::Corrupt`] instead of panicking.
 
-use er_core::{Embedding, ErError};
+use er_core::{Embedding, EmbeddingMatrix, ErError};
 use er_index::{
     ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, IndexReader, LshConfig, Metric, MutableIndex,
     NnIndex,
@@ -20,7 +20,10 @@ fn vectors(n: usize, dim: usize, seed: u64) -> Vec<Embedding> {
 
 fn assert_same_hits(a: &impl NnIndex, b: &impl NnIndex, queries: &[Embedding], k: usize) {
     for q in queries {
-        let (ha, hb) = (a.search(q, k), b.search(q, k));
+        let (ha, hb) = (
+            a.search_slice(q.as_slice(), k),
+            b.search_slice(q.as_slice(), k),
+        );
         assert_eq!(ha.len(), hb.len());
         for (x, y) in ha.iter().zip(&hb) {
             assert_eq!(x.index, y.index);
@@ -43,7 +46,7 @@ proptest! {
     ) {
         let metric = [Metric::Euclidean, Metric::Cosine][metric_pick];
         let vs = vectors(n, dim, seed);
-        let mut index = ExactIndex::with_metric(&vs, metric);
+        let mut index = ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), metric);
         if del_stride > 0 {
             for i in (0..n).step_by(del_stride) {
                 index.delete_row(i);
@@ -64,7 +67,7 @@ proptest! {
         let metric = [Metric::Euclidean, Metric::Cosine][metric_pick];
         let config = HnswConfig { metric, ..HnswConfig::default() };
         let vs = vectors(n, dim, seed);
-        let mut index = HnswIndex::build(&vs, config);
+        let mut index = HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), config);
         if n > 2 {
             index.delete_row(n / 2);
         }
@@ -82,7 +85,7 @@ proptest! {
         let metric = [Metric::Euclidean, Metric::Cosine][metric_pick];
         let config = LshConfig { metric, ..LshConfig::default() };
         let vs = vectors(n, dim, seed);
-        let mut index = HyperplaneLsh::build(&vs, config);
+        let mut index = HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), config);
         if n > 2 {
             index.delete_row(0);
         }
@@ -96,9 +99,9 @@ proptest! {
     fn truncated_files_fail_typed(cut_frac in 0.0f64..1.0) {
         let vs = vectors(12, 4, 99);
         let files = [
-            ExactIndex::build(&vs).to_bytes(),
-            HnswIndex::build(&vs, HnswConfig::default()).to_bytes(),
-            HyperplaneLsh::build(&vs, LshConfig::default()).to_bytes(),
+            ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean).to_bytes(),
+            HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default()).to_bytes(),
+            HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default()).to_bytes(),
         ];
         for bytes in &files {
             let cut = ((bytes.len() as f64) * cut_frac) as usize;
@@ -115,7 +118,7 @@ proptest! {
     /// A single flipped bit anywhere — header or payload — is caught.
     fn flipped_bit_fails_typed(pos_frac in 0.0f64..1.0, bit in 0..8u32) {
         let vs = vectors(10, 4, 7);
-        let mut bytes = HnswIndex::build(&vs, HnswConfig::default()).to_bytes();
+        let mut bytes = HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default()).to_bytes();
         let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();
         bytes[pos] ^= 1 << bit;
         assert!(matches!(HnswIndex::from_bytes(&bytes), Err(ErError::Corrupt(_))));
@@ -129,17 +132,18 @@ fn save_and_load_round_trip_through_the_filesystem() {
     let vs = vectors(20, 6, 31);
     let queries = vectors(5, 6, 32);
 
-    let exact = ExactIndex::with_metric(&vs, Metric::Cosine);
+    let exact = ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Cosine);
     let path = dir.join("exact.erbf");
     exact.save(&path).unwrap();
     assert_same_hits(&exact, &ExactIndex::load(&path).unwrap(), &queries, 5);
 
-    let hnsw = HnswIndex::build(&vs, HnswConfig::default());
+    let hnsw = HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
     let path = dir.join("hnsw.erbf");
     hnsw.save(&path).unwrap();
     assert_same_hits(&hnsw, &HnswIndex::load(&path).unwrap(), &queries, 5);
 
-    let lsh = HyperplaneLsh::build(&vs, LshConfig::default());
+    let lsh =
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
     let path = dir.join("lsh.erbf");
     lsh.save(&path).unwrap();
     assert_same_hits(&lsh, &HyperplaneLsh::load(&path).unwrap(), &queries, 5);
@@ -155,7 +159,8 @@ fn save_and_load_round_trip_through_the_filesystem() {
 #[test]
 fn corrupted_headers_fail_typed() {
     let vs = vectors(8, 4, 33);
-    let good = ExactIndex::build(&vs).to_bytes();
+    let good = ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean)
+        .to_bytes();
     // Bad magic.
     let mut bad = good.clone();
     bad[0..4].copy_from_slice(b"NOPE");
@@ -203,16 +208,22 @@ fn corrupted_headers_fail_typed() {
 fn serialization_is_byte_deterministic() {
     let vs = vectors(15, 5, 34);
     assert_eq!(
-        HnswIndex::build(&vs, HnswConfig::default()).to_bytes(),
-        HnswIndex::build(&vs, HnswConfig::default()).to_bytes()
+        HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default())
+            .to_bytes(),
+        HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default())
+            .to_bytes()
     );
     assert_eq!(
-        HyperplaneLsh::build(&vs, LshConfig::default()).to_bytes(),
-        HyperplaneLsh::build(&vs, LshConfig::default()).to_bytes()
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default())
+            .to_bytes(),
+        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default())
+            .to_bytes()
     );
     assert_eq!(
-        ExactIndex::build(&vs).to_bytes(),
-        ExactIndex::build(&vs).to_bytes()
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean)
+            .to_bytes(),
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean)
+            .to_bytes()
     );
 }
 
@@ -259,7 +270,9 @@ fn quantized_and_tiered_indices_round_trip_bit_identically() {
     let queries = vectors(6, 8, 42);
     for metric in [Metric::Euclidean, Metric::Cosine] {
         for scan in scan_configs() {
-            let mut index = ExactIndex::from_source_scan(vs.as_slice(), metric, scan).unwrap();
+            let mut index =
+                ExactIndex::from_source_scan(EmbeddingMatrix::from_embeddings(&vs), metric, scan)
+                    .unwrap();
             index.delete_row(3);
             index.delete_row(17);
             let back = ExactIndex::from_bytes(&index.to_bytes()).unwrap();
@@ -276,10 +289,15 @@ fn quantized_and_tiered_indices_round_trip_bit_identically() {
 fn k_larger_than_rows_is_fine_in_every_scan_config() {
     let vs = vectors(7, 8, 43);
     for scan in scan_configs() {
-        let index = ExactIndex::from_source_scan(vs.as_slice(), Metric::Cosine, scan).unwrap();
-        let hits = index.search(&vs[0], 50);
+        let index = ExactIndex::from_source_scan(
+            EmbeddingMatrix::from_embeddings(&vs),
+            Metric::Cosine,
+            scan,
+        )
+        .unwrap();
+        let hits = index.search_slice(vs[0].as_slice(), 50);
         assert_eq!(hits.len(), 7, "{scan:?}");
-        assert!(index.search(&vs[0], 0).is_empty());
+        assert!(index.search_slice(vs[0].as_slice(), 0).is_empty());
     }
 }
 
@@ -296,7 +314,7 @@ proptest! {
             ScanConfig { tier: KernelTier::Lanes, quant: Quantization::Int8 { rerank: 6 } },
             ScanConfig { tier: KernelTier::Reference, quant: Quantization::Pq { config: pq8(), rerank: 6 } },
         ][pick];
-        let mut bytes = ExactIndex::from_source_scan(vs.as_slice(), Metric::Cosine, scan)
+        let mut bytes = ExactIndex::from_source_scan(EmbeddingMatrix::from_embeddings(&vs), Metric::Cosine, scan)
             .unwrap()
             .to_bytes();
         let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();
@@ -314,7 +332,7 @@ proptest! {
             tier: KernelTier::Lanes,
             quant: Quantization::Pq { config: pq8(), rerank: 6 },
         };
-        let bytes = ExactIndex::from_source_scan(vs.as_slice(), Metric::Cosine, scan)
+        let bytes = ExactIndex::from_source_scan(EmbeddingMatrix::from_embeddings(&vs), Metric::Cosine, scan)
             .unwrap()
             .to_bytes();
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
@@ -337,7 +355,9 @@ fn quantized_round_trip_after_streaming_inserts() {
         tier: KernelTier::Lanes,
         quant: Quantization::Int8 { rerank: 8 },
     };
-    let mut index = ExactIndex::from_source_scan(vs.as_slice(), Metric::Cosine, scan).unwrap();
+    let mut index =
+        ExactIndex::from_source_scan(EmbeddingMatrix::from_embeddings(&vs), Metric::Cosine, scan)
+            .unwrap();
     for e in &extra {
         index.insert_row(e.as_slice()).unwrap();
     }

@@ -9,7 +9,7 @@
 //!    (exact: live rows; LSH: gathered candidates).
 
 use er_core::rng::rng;
-use er_core::{Embedding, QueryParams};
+use er_core::{Embedding, EmbeddingMatrix, QueryParams};
 use er_index::{
     ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, IndexReader, LshConfig, Metric, MutableIndex,
     NnIndex, Quantization, ScanConfig,
@@ -36,16 +36,16 @@ fn default_params_match_search_slice_on_every_backend() {
     let vectors = random_vectors(120, 16, 11);
     let queries = random_vectors(20, 16, 12);
     for metric in [Metric::Euclidean, Metric::Cosine] {
-        let exact = ExactIndex::with_metric(&vectors, metric);
-        let hnsw = HnswIndex::build(
-            &vectors,
+        let exact = ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vectors), metric);
+        let hnsw = HnswIndex::from_source(
+            EmbeddingMatrix::from_embeddings(&vectors),
             HnswConfig {
                 metric,
                 ..HnswConfig::default()
             },
         );
-        let lsh = HyperplaneLsh::build(
-            &vectors,
+        let lsh = HyperplaneLsh::from_source(
+            EmbeddingMatrix::from_embeddings(&vectors),
             LshConfig {
                 metric,
                 ..LshConfig::default()
@@ -78,20 +78,26 @@ fn default_params_match_search_slice_on_every_backend() {
 fn runtime_ef_search_matches_the_construction_time_setter() {
     let vectors = random_vectors(150, 12, 21);
     let queries = random_vectors(25, 12, 22);
-    let base = HnswIndex::build(
-        &vectors,
-        HnswConfig {
-            metric: Metric::Cosine,
-            ..HnswConfig::default()
-        },
-    );
+    let matrix = EmbeddingMatrix::from_embeddings(&vectors);
+    let build = |ef_search: usize| {
+        HnswIndex::from_matrix(
+            &matrix,
+            HnswConfig {
+                metric: Metric::Cosine,
+                ef_search,
+                ..HnswConfig::default()
+            },
+        )
+    };
+    let base = build(HnswConfig::default().ef_search);
     for ef in [4usize, 16, 48, 200] {
-        let rebuilt = base.clone().with_ef_search(ef);
+        let rebuilt = build(ef);
+        assert_eq!(rebuilt.adjacency(), base.adjacency());
         let params = QueryParams::with_ef_search(ef);
         for q in &queries {
             assert_bit_identical(
                 &rebuilt.search_slice(q.as_slice(), 5),
-                &base.search_params(q.as_slice(), 5, &params),
+                &base.search_counted(q.as_slice(), 5, &params).0,
                 &format!("ef={ef}"),
             );
         }
@@ -103,8 +109,8 @@ fn runtime_probes_and_tables_match_a_matching_build() {
     let vectors = random_vectors(200, 10, 31);
     let queries = random_vectors(25, 10, 32);
     // One wide build; narrower settings are runtime overrides against it.
-    let wide = HyperplaneLsh::build(
-        &vectors,
+    let wide = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vectors),
         LshConfig {
             tables: 16,
             probes: 4,
@@ -112,8 +118,8 @@ fn runtime_probes_and_tables_match_a_matching_build() {
         },
     );
     for (tables, probes) in [(4usize, 0usize), (8, 2), (16, 4), (3, 1)] {
-        let narrow = HyperplaneLsh::build(
-            &vectors,
+        let narrow = HyperplaneLsh::from_source(
+            EmbeddingMatrix::from_embeddings(&vectors),
             LshConfig {
                 tables,
                 probes,
@@ -127,13 +133,13 @@ fn runtime_probes_and_tables_match_a_matching_build() {
         };
         for q in &queries {
             assert_eq!(
-                narrow.candidates_slice(q.as_slice()),
+                narrow.candidates_slice_with(q.as_slice(), probes, tables),
                 wide.candidates_slice_with(q.as_slice(), probes, tables),
                 "tables={tables} probes={probes}: candidate sets differ"
             );
             assert_bit_identical(
                 &narrow.search_slice(q.as_slice(), 5),
-                &wide.search_params(q.as_slice(), 5, &params),
+                &wide.search_counted(q.as_slice(), 5, &params).0,
                 &format!("tables={tables} probes={probes}"),
             );
         }
@@ -144,7 +150,8 @@ fn runtime_probes_and_tables_match_a_matching_build() {
 fn exact_counter_is_live_rows_and_respects_tombstones() {
     let vectors = random_vectors(80, 8, 41);
     let q = &vectors[0];
-    let mut index = ExactIndex::with_metric(&vectors, Metric::Cosine);
+    let mut index =
+        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vectors), Metric::Cosine);
     let (_, evals) = index.search_counted(q.as_slice(), 10, &QueryParams::default());
     assert_eq!(evals, 80);
     for dead in [3usize, 10, 77] {
@@ -162,8 +169,12 @@ fn quantized_exact_counter_is_the_rerank_set() {
         quant: Quantization::Int8 { rerank: 24 },
         ..ScanConfig::default()
     };
-    let index =
-        ExactIndex::from_source_scan(&vectors[..], Metric::Cosine, scan).expect("int8 builds");
+    let index = ExactIndex::from_source_scan(
+        EmbeddingMatrix::from_embeddings(&vectors),
+        Metric::Cosine,
+        scan,
+    )
+    .expect("int8 builds");
     let (_, evals) = index.search_counted(vectors[3].as_slice(), 10, &QueryParams::default());
     // Full-width evals are the re-ranked candidates, not the whole matrix.
     assert_eq!(evals, 24);
@@ -175,18 +186,23 @@ fn quantized_exact_counter_is_the_rerank_set() {
 #[test]
 fn lsh_counter_is_the_gathered_candidate_count() {
     let vectors = random_vectors(150, 10, 61);
-    let lsh = HyperplaneLsh::build(&vectors, LshConfig::default());
+    let lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vectors),
+        LshConfig::default(),
+    );
     for q in random_vectors(10, 10, 62) {
         let (_, evals) = lsh.search_counted(q.as_slice(), 5, &QueryParams::default());
-        assert_eq!(evals, lsh.candidates_slice(q.as_slice()).len() as u64);
+        let config = lsh.config();
+        let gathered = lsh.candidates_slice_with(q.as_slice(), config.probes, config.tables);
+        assert_eq!(evals, gathered.len() as u64);
     }
 }
 
 #[test]
 fn hnsw_counter_grows_with_the_beam_and_is_deterministic() {
     let vectors = random_vectors(300, 12, 71);
-    let hnsw = HnswIndex::build(
-        &vectors,
+    let hnsw = HnswIndex::from_source(
+        EmbeddingMatrix::from_embeddings(&vectors),
         HnswConfig {
             metric: Metric::Cosine,
             ..HnswConfig::default()
@@ -209,4 +225,74 @@ fn hnsw_counter_grows_with_the_beam_and_is_deterministic() {
     // And never exceeds one evaluation per stored row plus revisits across
     // layers — sanity-bound it by a small multiple of n.
     assert!(wide <= 4 * vectors.len() as u64, "wide beam evals {wide}");
+}
+
+/// Golden pin for the HNSW beam search: link structure, hits (index +
+/// distance bits) and `search_counted` eval counts of a seeded fixture,
+/// with and without tombstones, folded into one FNV-1a digest. The beam
+/// must traverse tombstoned nodes (construction links through them, queries
+/// route through them) while never returning them — any change to how the
+/// mask is applied moves the adjacency after post-delete inserts or the
+/// eval counts, and therefore this digest.
+#[test]
+fn hnsw_beam_golden_digest_with_and_without_tombstones() {
+    let rows = random_vectors(420, 12, 81);
+    let queries = random_vectors(40, 12, 82);
+    let mut bytes: Vec<u8> = Vec::new();
+    for metric in [Metric::Euclidean, Metric::Cosine] {
+        for tombstones in [false, true] {
+            let config = HnswConfig {
+                m: 8,
+                ef_construction: 40,
+                metric,
+                ..HnswConfig::default()
+            };
+            let seed_rows = er_core::EmbeddingMatrix::from_embeddings(&rows[..300]);
+            let mut index = HnswIndex::from_source(seed_rows, config);
+            if tombstones {
+                for dead in (0..300).step_by(4) {
+                    assert!(index.delete_row(dead));
+                }
+            }
+            // Inserts continue after the deletes: construction links
+            // through tombstoned nodes.
+            for (i, row) in rows[300..].iter().enumerate() {
+                index.insert_row(row.as_slice()).unwrap();
+                if tombstones && i % 4 == 1 {
+                    assert!(index.delete_row(300 + i));
+                }
+            }
+            assert_eq!(index.len(), 420);
+            assert_eq!(index.live_count(), if tombstones { 315 } else { 420 });
+            for layers in index.adjacency() {
+                bytes.extend((layers.len() as u32).to_le_bytes());
+                for links in layers {
+                    bytes.extend((links.len() as u32).to_le_bytes());
+                    links.iter().for_each(|l| bytes.extend(l.to_le_bytes()));
+                }
+            }
+            for q in &queries {
+                for (k, params) in [
+                    (1, QueryParams::with_ef_search(1)),
+                    (10, QueryParams::default()),
+                    (10, QueryParams::with_ef_search(8)),
+                    (25, QueryParams::with_ef_search(100)),
+                ] {
+                    let (hits, evals) = index.search_counted(q.as_slice(), k, &params);
+                    assert!(hits.iter().all(|h| !index.is_deleted(h.index)));
+                    bytes.extend(evals.to_le_bytes());
+                    for h in hits {
+                        bytes.extend((h.index as u32).to_le_bytes());
+                        bytes.extend(h.distance.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        er_core::binary::fnv1a64(&bytes),
+        0x0b58_1c0b_805d_fd78,
+        "HNSW golden digest moved: {:#018x}",
+        er_core::binary::fnv1a64(&bytes)
+    );
 }

@@ -47,7 +47,10 @@ pub mod snapshot;
 mod wal;
 
 pub use resolver::{unified_operating_point, Resolver, ServeConfig};
-pub use shard::{search_snapshots, AnyIndex, ShardedIndex};
+// The backend-erased index moved down beside its constructor
+// (`er_index::AnyIndex::build`); re-exported under its serving name.
+pub use er_index::AnyIndex;
+pub use shard::{search_snapshots, ShardedIndex};
 pub use snapshot::{CompactionPolicy, SegmentSnapshot, ShardStats};
 
 use er_core::EntityId;

@@ -29,16 +29,15 @@
 //! at a *newer* epoch means the save file itself is stale — a corruption
 //! error, never silent data loss.
 
-use crate::shard::{AnyIndex, ShardedIndex};
+use crate::shard::ShardedIndex;
 use crate::snapshot::{CompactionPolicy, SegmentSnapshot, ShardStats};
 use crate::wal::JournalWriter;
 use crate::Hit;
-use er_blocking::BlockerBackend;
 use er_core::binary::{self, kind, BinReader, BinWriter};
 use er_core::journal::parse_journal;
 use er_core::{Embedding, Entity, EntityId, ErError, Result, SerializationMode};
 use er_embed::LanguageModel;
-use er_index::ScanConfig;
+use er_index::{AnyIndex, BlockerBackend, ScanConfig};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -197,10 +196,10 @@ pub struct Resolver<'m> {
 
 impl<'m> Resolver<'m> {
     /// An empty in-memory resolver: `config.shards` empty indices sized to
-    /// the model's embedding dimension. Errors (typed [`ErError::Model`])
-    /// for zero shards or a scan config the service cannot honour — PQ
-    /// quantization (needs a trained codebook, the service starts empty)
-    /// or quantization on a non-Exact backend.
+    /// the model's embedding dimension. Errors (see [`ShardedIndex::new`])
+    /// for zero shards, a degenerate backend config, quantization on a
+    /// non-Exact backend, or PQ quantization (needs a trained codebook,
+    /// the service starts empty).
     pub fn new(
         model: &'m dyn LanguageModel,
         mode: SerializationMode,
@@ -209,7 +208,7 @@ impl<'m> Resolver<'m> {
         Ok(Resolver {
             model,
             mode,
-            index: ShardedIndex::with_options(
+            index: ShardedIndex::new(
                 model.dim(),
                 config.shards,
                 config.backend,
@@ -286,8 +285,8 @@ impl<'m> Resolver<'m> {
                         )));
                     }
                     if header.epoch == epoch {
-                        self.index.replay(i, &parsed.records)?;
                         resume = Some((parsed.committed_bytes as u64, parsed.records.len() as u64));
+                        self.index.replay(i, parsed.records)?;
                     }
                     // Older epoch: a crash hit between the save rename and
                     // the journal reset. Its records are already in the

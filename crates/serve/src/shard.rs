@@ -26,231 +26,13 @@
 use crate::snapshot::{CompactionPolicy, SegmentSnapshot, ShardStats, WriteOp};
 use crate::wal::JournalWriter;
 use crate::Hit;
-use er_blocking::BlockerBackend;
-use er_core::binary::{self, fnv1a64, kind};
+use er_core::binary::fnv1a64;
 use er_core::journal::JournalRecord;
 use er_core::{EmbeddingMatrix, EntityId, ErError, Result};
-use er_index::{
-    ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, IndexReader, LshConfig, Metric, MutableIndex,
-    Neighbor, NnIndex, Quantization, ScanConfig,
-};
-use std::cmp::{Ordering, Reverse};
+use er_index::{AnyIndex, BlockerBackend, Metric, Neighbor, NnIndex, Ranked, ScanConfig};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
-
-/// One owned index of any backend — the per-shard storage. All three
-/// variants share the [`MutableIndex`] mutation surface and the binary
-/// persistence format of `er_index::persist`.
-#[derive(Debug, Clone)]
-pub enum AnyIndex {
-    Exact(ExactIndex<'static>),
-    Hnsw(HnswIndex<'static>),
-    Lsh(HyperplaneLsh<'static>),
-}
-
-impl AnyIndex {
-    /// An empty index of the given backend over `dim`-component vectors,
-    /// with the default scan (Reference kernels, no quantization).
-    ///
-    /// Every shard is built from the same backend config — including the
-    /// seed, which is safe because shards hold disjoint records, so no
-    /// cross-shard draw ever compares two streams.
-    pub fn empty(backend: &BlockerBackend, dim: usize) -> AnyIndex {
-        AnyIndex::empty_scan(backend, dim, ScanConfig::default())
-            .expect("the default scan config cannot fail")
-    }
-
-    /// [`AnyIndex::empty`] with an explicit [`ScanConfig`] for the Exact
-    /// backend. Errors (typed [`ErError::Model`]) for scan configs the
-    /// streaming service cannot honour: PQ needs a trained codebook but
-    /// the service starts empty (use `Int8` or `None`), and quantized
-    /// scans only apply to the Exact backend (HNSW and LSH carry their
-    /// own kernel `tier` in their configs).
-    pub fn empty_scan(backend: &BlockerBackend, dim: usize, scan: ScanConfig) -> Result<AnyIndex> {
-        if matches!(scan.quant, Quantization::Pq { .. }) {
-            return Err(ErError::Model(
-                "er-serve: PQ quantization needs a trained codebook, but the \
-                 streaming service starts empty — use Int8 or None"
-                    .into(),
-            ));
-        }
-        let matrix = EmbeddingMatrix::new(dim);
-        match backend {
-            BlockerBackend::Exact(metric) => Ok(AnyIndex::Exact(ExactIndex::from_source_scan(
-                matrix, *metric, scan,
-            )?)),
-            BlockerBackend::Hnsw(config) => {
-                if scan.quant != Quantization::None {
-                    return Err(ErError::Model(
-                        "er-serve: quantized scans require the Exact backend".into(),
-                    ));
-                }
-                Ok(AnyIndex::Hnsw(HnswIndex::from_source(
-                    matrix,
-                    config.clone(),
-                )))
-            }
-            BlockerBackend::Lsh(config) => {
-                if scan.quant != Quantization::None {
-                    return Err(ErError::Model(
-                        "er-serve: quantized scans require the Exact backend".into(),
-                    ));
-                }
-                Ok(AnyIndex::Lsh(HyperplaneLsh::from_source(
-                    matrix,
-                    config.clone(),
-                )))
-            }
-        }
-    }
-
-    /// The backend config this index was built with — how a loaded shard
-    /// reconstitutes the `ShardedIndex`-level [`BlockerBackend`].
-    pub fn backend(&self) -> BlockerBackend {
-        match self {
-            AnyIndex::Exact(i) => BlockerBackend::Exact(i.metric()),
-            AnyIndex::Hnsw(i) => BlockerBackend::Hnsw(i.config().clone()),
-            AnyIndex::Lsh(i) => BlockerBackend::Lsh(i.config().clone()),
-        }
-    }
-
-    /// Serialize via the backend's own `er_index::persist` container.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            AnyIndex::Exact(i) => i.to_bytes(),
-            AnyIndex::Hnsw(i) => i.to_bytes(),
-            AnyIndex::Lsh(i) => i.to_bytes(),
-        }
-    }
-
-    /// Dispatch on the container's `kind` header to the right loader.
-    pub fn from_bytes(bytes: &[u8]) -> Result<AnyIndex> {
-        match binary::peek_kind(bytes)? {
-            kind::EXACT_INDEX => Ok(AnyIndex::Exact(ExactIndex::from_bytes(bytes)?)),
-            kind::HNSW_INDEX => Ok(AnyIndex::Hnsw(HnswIndex::from_bytes(bytes)?)),
-            kind::LSH_INDEX => Ok(AnyIndex::Lsh(HyperplaneLsh::from_bytes(bytes)?)),
-            other => Err(ErError::Corrupt(format!(
-                "shard container holds kind {other}, expected an index kind"
-            ))),
-        }
-    }
-}
-
-impl NnIndex for AnyIndex {
-    fn len(&self) -> usize {
-        match self {
-            AnyIndex::Exact(i) => i.len(),
-            AnyIndex::Hnsw(i) => i.len(),
-            AnyIndex::Lsh(i) => i.len(),
-        }
-    }
-
-    fn metric(&self) -> Metric {
-        match self {
-            AnyIndex::Exact(i) => i.metric(),
-            AnyIndex::Hnsw(i) => i.metric(),
-            AnyIndex::Lsh(i) => i.metric(),
-        }
-    }
-
-    fn search_slice(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        match self {
-            AnyIndex::Exact(i) => i.search_slice(query, k),
-            AnyIndex::Hnsw(i) => i.search_slice(query, k),
-            AnyIndex::Lsh(i) => i.search_slice(query, k),
-        }
-    }
-}
-
-impl IndexReader for AnyIndex {
-    fn is_deleted(&self, index: usize) -> bool {
-        match self {
-            AnyIndex::Exact(i) => i.is_deleted(index),
-            AnyIndex::Hnsw(i) => i.is_deleted(index),
-            AnyIndex::Lsh(i) => i.is_deleted(index),
-        }
-    }
-
-    fn live_count(&self) -> usize {
-        match self {
-            AnyIndex::Exact(i) => i.live_count(),
-            AnyIndex::Hnsw(i) => i.live_count(),
-            AnyIndex::Lsh(i) => i.live_count(),
-        }
-    }
-
-    fn search_counted(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &er_core::QueryParams,
-    ) -> (Vec<Neighbor>, u64) {
-        match self {
-            AnyIndex::Exact(i) => i.search_counted(query, k, params),
-            AnyIndex::Hnsw(i) => i.search_counted(query, k, params),
-            AnyIndex::Lsh(i) => i.search_counted(query, k, params),
-        }
-    }
-}
-
-impl MutableIndex for AnyIndex {
-    fn insert_row(&mut self, row: &[f32]) -> Result<usize> {
-        match self {
-            AnyIndex::Exact(i) => i.insert_row(row),
-            AnyIndex::Hnsw(i) => i.insert_row(row),
-            AnyIndex::Lsh(i) => i.insert_row(row),
-        }
-    }
-
-    fn delete_row(&mut self, index: usize) -> bool {
-        match self {
-            AnyIndex::Exact(i) => i.delete_row(index),
-            AnyIndex::Hnsw(i) => i.delete_row(index),
-            AnyIndex::Lsh(i) => i.delete_row(index),
-        }
-    }
-
-    fn compact(&mut self) -> Result<Vec<u32>> {
-        match self {
-            AnyIndex::Exact(i) => i.compact(),
-            AnyIndex::Hnsw(i) => i.compact(),
-            AnyIndex::Lsh(i) => i.compact(),
-        }
-    }
-}
-
-fn op_to_record(op: &WriteOp) -> Option<JournalRecord> {
-    match op {
-        WriteOp::Insert { id, row } => Some(JournalRecord::Insert {
-            id: id.0,
-            row: row.clone(),
-        }),
-        WriteOp::Upsert { id, row } => Some(JournalRecord::Upsert {
-            id: id.0,
-            row: row.clone(),
-        }),
-        WriteOp::Delete { id } => Some(JournalRecord::Delete { id: id.0 }),
-        // Logically invisible — recovery re-derives any *automatic*
-        // compaction deterministically inside `SegmentSnapshot::apply`,
-        // and a crash merely loses a manual one (an optimization, never
-        // data).
-        WriteOp::Compact => None,
-    }
-}
-
-fn record_to_op(rec: &JournalRecord) -> WriteOp {
-    match rec {
-        JournalRecord::Insert { id, row } => WriteOp::Insert {
-            id: EntityId(*id),
-            row: row.clone(),
-        },
-        JournalRecord::Upsert { id, row } => WriteOp::Upsert {
-            id: EntityId(*id),
-            row: row.clone(),
-        },
-        JournalRecord::Delete { id } => WriteOp::Delete { id: EntityId(*id) },
-    }
-}
 
 /// The writer's half of a shard: the standby snapshot, the ops it is
 /// missing (applied to the published side but not yet here), and the
@@ -278,9 +60,12 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
+    /// An empty shard. Every shard is built from the same backend config —
+    /// including the seed, which is safe because shards hold disjoint
+    /// records, so no cross-shard draw ever compares two streams.
     fn new(backend: &BlockerBackend, dim: usize, scan: ScanConfig) -> Result<Shard> {
         Ok(Shard::from_snapshot(SegmentSnapshot::from_index(
-            AnyIndex::empty_scan(backend, dim, scan)?,
+            AnyIndex::build(EmbeddingMatrix::new(dim), backend, scan)?,
         )))
     }
 
@@ -327,7 +112,7 @@ impl Shard {
     /// The single mutation path: catch up, probe for no-ops (which are
     /// neither journaled nor published), journal, apply to the standby,
     /// swap the sides. `journal: false` is used for replay (the record is
-    /// already on disk) and for manual compaction (never journaled).
+    /// already on disk).
     pub(crate) fn write(
         &self,
         op: WriteOp,
@@ -341,18 +126,24 @@ impl Shard {
         // changes no state, so it must not reach the journal (replay would
         // then diverge from the live no-op) or publish a new version.
         match &op {
-            WriteOp::Insert { id, .. } if w.standby.contains(*id) => return Ok(false),
-            WriteOp::Delete { id } if !w.standby.contains(*id) => return Ok(false),
+            WriteOp::Record(JournalRecord::Insert { id, .. })
+                if w.standby.contains(EntityId(*id)) =>
+            {
+                return Ok(false)
+            }
+            WriteOp::Record(JournalRecord::Delete { id }) if !w.standby.contains(EntityId(*id)) => {
+                return Ok(false)
+            }
             WriteOp::Compact if w.standby.stored() == w.standby.live_count() => return Ok(true),
             _ => {}
         }
-        if journal {
-            if let Some(rec) = op_to_record(&op) {
-                if let Some(j) = w.journal.as_mut() {
-                    j.append(&rec)?;
-                    w.journal_len += 1;
-                }
-            }
+        // A compaction is never journaled: it is logically invisible —
+        // recovery re-derives any *automatic* compaction deterministically
+        // inside `SegmentSnapshot::apply`, and a crash merely loses a
+        // manual one (an optimization, never data).
+        if let (true, WriteOp::Record(rec), Some(j)) = (journal, &op, w.journal.as_mut()) {
+            j.append(rec)?;
+            w.journal_len += 1;
         }
         let out = Arc::make_mut(&mut w.standby).apply(&op, policy)?;
         {
@@ -398,37 +189,6 @@ impl Shard {
     }
 }
 
-/// An entry in the k-way merge heap: the current head of one shard's
-/// sorted hit list, ordered by the global `(distance, id)` contract.
-struct MergeHead {
-    hit: Hit,
-    shard: usize,
-    pos: usize,
-}
-
-impl PartialEq for MergeHead {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for MergeHead {}
-
-impl PartialOrd for MergeHead {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MergeHead {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.hit
-            .distance
-            .total_cmp(&other.hit.distance)
-            .then_with(|| self.hit.id.0.cmp(&other.hit.id.0))
-    }
-}
-
 /// Scatter-gather top-k over an explicit set of per-shard snapshots: fan
 /// the query out across the shards on scoped threads (one per shard,
 /// mirroring `search_batch`), then k-way merge the per-shard sorted lists
@@ -456,26 +216,26 @@ pub fn search_snapshots(snaps: &[Arc<SegmentSnapshot>], query: &[f32], k: usize)
         });
         out
     };
-    let mut heap: BinaryHeap<Reverse<MergeHead>> = BinaryHeap::with_capacity(per_shard.len());
-    for (shard, hits) in per_shard.iter().enumerate() {
-        if let Some(&hit) = hits.first() {
-            heap.push(Reverse(MergeHead { hit, shard, pos: 0 }));
-        }
-    }
+    // Each heap entry is the current head of one shard's sorted list,
+    // ordered by the global `(distance, id)` contract (an id lives on
+    // exactly one shard, so the trailing position never decides).
+    let head = |shard: usize, pos: usize| {
+        per_shard[shard].get(pos).map(|hit| {
+            Reverse(Ranked {
+                dist: hit.distance,
+                id: (hit.id, shard, pos),
+            })
+        })
+    };
+    let mut heap: BinaryHeap<_> = (0..per_shard.len()).filter_map(|s| head(s, 0)).collect();
     let mut merged = Vec::with_capacity(k);
     while merged.len() < k {
-        let Some(Reverse(head)) = heap.pop() else {
+        let Some(Reverse(Ranked { dist, id })) = heap.pop() else {
             break;
         };
-        merged.push(head.hit);
-        let next_pos = head.pos + 1;
-        if let Some(&hit) = per_shard[head.shard].get(next_pos) {
-            heap.push(Reverse(MergeHead {
-                hit,
-                shard: head.shard,
-                pos: next_pos,
-            }));
-        }
+        let (entity, shard, pos) = id;
+        merged.push(Hit::new(entity, dist));
+        heap.extend(head(shard, pos + 1));
     }
     merged
 }
@@ -496,28 +256,12 @@ pub struct ShardedIndex {
 
 impl ShardedIndex {
     /// `shards` empty indices of the given backend over `dim`-component
-    /// vectors, with the default scan (Reference kernels, no quantization)
-    /// and the default [`CompactionPolicy`].
-    pub fn new(dim: usize, shards: usize, backend: BlockerBackend) -> ShardedIndex {
-        assert!(shards >= 1, "need at least one shard");
-        ShardedIndex::with_scan(dim, shards, backend, ScanConfig::default())
-            .expect("the default scan config cannot fail")
-    }
-
-    /// [`ShardedIndex::new`] with an explicit [`ScanConfig`]. Errors
-    /// (typed [`ErError::Model`]) for zero shards or a scan config the
-    /// service cannot honour (see [`AnyIndex::empty_scan`]).
-    pub fn with_scan(
-        dim: usize,
-        shards: usize,
-        backend: BlockerBackend,
-        scan: ScanConfig,
-    ) -> Result<ShardedIndex> {
-        ShardedIndex::with_options(dim, shards, backend, scan, CompactionPolicy::default())
-    }
-
-    /// The full constructor: explicit scan config and compaction policy.
-    pub fn with_options(
+    /// vectors. Errors for zero shards ([`ErError::Model`]) or a backend /
+    /// scan config no index can honour (see [`AnyIndex::build`]: degenerate
+    /// HNSW/LSH parameters and quantization on a non-Exact backend are
+    /// [`ErError::Config`]; PQ, which cannot train on an empty shard, is
+    /// [`ErError::Model`]).
+    pub fn new(
         dim: usize,
         shards: usize,
         backend: BlockerBackend,
@@ -629,10 +373,10 @@ impl ShardedIndex {
     pub fn insert(&self, id: EntityId, row: &[f32]) -> Result<bool> {
         self.check_dim(row)?;
         self.shards[self.shard_of(id)].write(
-            WriteOp::Insert {
-                id,
+            WriteOp::Record(JournalRecord::Insert {
+                id: id.0,
                 row: row.to_vec(),
-            },
+            }),
             &self.policy,
             true,
         )
@@ -643,10 +387,10 @@ impl ShardedIndex {
     pub fn upsert(&self, id: EntityId, row: &[f32]) -> Result<bool> {
         self.check_dim(row)?;
         self.shards[self.shard_of(id)].write(
-            WriteOp::Upsert {
-                id,
+            WriteOp::Record(JournalRecord::Upsert {
+                id: id.0,
                 row: row.to_vec(),
-            },
+            }),
             &self.policy,
             true,
         )
@@ -655,7 +399,11 @@ impl ShardedIndex {
     /// Tombstone a record. Returns `Ok(false)` when the id is not live.
     /// (Errors are I/O failures appending to the write-ahead journal.)
     pub fn delete(&self, id: EntityId) -> Result<bool> {
-        self.shards[self.shard_of(id)].write(WriteOp::Delete { id }, &self.policy, true)
+        self.shards[self.shard_of(id)].write(
+            WriteOp::Record(JournalRecord::Delete { id: id.0 }),
+            &self.policy,
+            true,
+        )
     }
 
     /// Manually compact every shard, dropping tombstoned rows. Live top-k
@@ -722,7 +470,7 @@ impl ShardedIndex {
     /// Re-apply journal records to `shard` without re-journaling them —
     /// the recovery path. Records route-checked against the shard they
     /// claim to belong to.
-    pub(crate) fn replay(&self, shard: usize, records: &[JournalRecord]) -> Result<()> {
+    pub(crate) fn replay(&self, shard: usize, records: Vec<JournalRecord>) -> Result<()> {
         for rec in records {
             let id = EntityId(rec.id());
             if self.shard_of(id) != shard {
@@ -733,7 +481,7 @@ impl ShardedIndex {
                     self.shard_of(id)
                 )));
             }
-            self.shards[shard].write(record_to_op(rec), &self.policy, false)?;
+            self.shards[shard].write(WriteOp::Record(rec), &self.policy, false)?;
         }
         Ok(())
     }
@@ -775,17 +523,4 @@ impl ShardedIndex {
         let snaps = self.snapshots();
         search_snapshots(&snaps, query, k)
     }
-}
-
-/// Convenience constructors for the three stock backends.
-pub fn exact_backend(metric: Metric) -> BlockerBackend {
-    BlockerBackend::Exact(metric)
-}
-
-pub fn hnsw_backend(config: HnswConfig) -> BlockerBackend {
-    BlockerBackend::Hnsw(config)
-}
-
-pub fn lsh_backend(config: LshConfig) -> BlockerBackend {
-    BlockerBackend::Lsh(config)
 }

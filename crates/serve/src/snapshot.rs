@@ -16,10 +16,10 @@
 //! HNSW graph layout) that the pre-crash writer built, as long as the
 //! [`CompactionPolicy`] persisted alongside the save is used.
 
-use crate::shard::AnyIndex;
 use crate::Hit;
+use er_core::journal::JournalRecord;
 use er_core::{EntityId, ErError, Result};
-use er_index::{IndexReader, MutableIndex, NnIndex};
+use er_index::{AnyIndex, IndexReader, MutableIndex, NnIndex};
 use std::collections::HashMap;
 
 /// When a shard compacts automatically. The check runs after every delete
@@ -78,23 +78,14 @@ pub struct ShardStats {
     pub journal_len: u64,
 }
 
-/// One committed mutation, as routed to a shard. The writer applies ops to
-/// its standby side, keeps them in a backlog to catch the other side up
-/// after the swap, and (for the first three) appends them to the
-/// write-ahead journal before applying.
+/// One mutation, as routed to a shard: a journalable record (carried as
+/// the [`JournalRecord`] itself, so the journaled write path and replay
+/// hand the same value around without re-packing the row) or a manual
+/// compaction. The writer applies ops to its standby side and keeps them
+/// in a backlog to catch the other side up after the swap.
 #[derive(Debug, Clone)]
 pub(crate) enum WriteOp {
-    Insert {
-        id: EntityId,
-        row: Vec<f32>,
-    },
-    Upsert {
-        id: EntityId,
-        row: Vec<f32>,
-    },
-    Delete {
-        id: EntityId,
-    },
+    Record(JournalRecord),
     /// Manual compaction. Not journaled: logically invisible (same live
     /// records, same answers), so recovery simply skips it.
     Compact,
@@ -103,7 +94,7 @@ pub(crate) enum WriteOp {
 /// One shard's immutable, searchable state. See the module docs.
 #[derive(Debug, Clone)]
 pub struct SegmentSnapshot {
-    pub(crate) index: AnyIndex,
+    pub(crate) index: AnyIndex<'static>,
     /// Row → the entity id inserted at that row (including tombstoned
     /// rows; rebuilt on compaction).
     pub(crate) ids: Vec<EntityId>,
@@ -116,7 +107,7 @@ pub struct SegmentSnapshot {
 }
 
 impl SegmentSnapshot {
-    pub(crate) fn from_index(index: AnyIndex) -> SegmentSnapshot {
+    pub(crate) fn from_index(index: AnyIndex<'static>) -> SegmentSnapshot {
         SegmentSnapshot {
             index,
             ids: Vec::new(),
@@ -128,7 +119,10 @@ impl SegmentSnapshot {
     /// Rebuild the live-id map from the insertion history + tombstones —
     /// the load path. Fails if the history disagrees with the index (two
     /// live rows claiming one id, or a row count mismatch).
-    pub(crate) fn from_parts(index: AnyIndex, ids: Vec<EntityId>) -> Result<SegmentSnapshot> {
+    pub(crate) fn from_parts(
+        index: AnyIndex<'static>,
+        ids: Vec<EntityId>,
+    ) -> Result<SegmentSnapshot> {
         if ids.len() != index.len() {
             return Err(ErError::Corrupt(format!(
                 "shard id history covers {} rows, index stores {}",
@@ -174,7 +168,7 @@ impl SegmentSnapshot {
     }
 
     /// The underlying index (read-only).
-    pub fn index(&self) -> &AnyIndex {
+    pub fn index(&self) -> &AnyIndex<'static> {
         &self.index
     }
 
@@ -217,35 +211,36 @@ impl SegmentSnapshot {
     pub(crate) fn apply(&mut self, op: &WriteOp, policy: &CompactionPolicy) -> Result<bool> {
         self.version += 1;
         match op {
-            WriteOp::Insert { id, row } => {
-                if self.rows.contains_key(id) {
+            WriteOp::Record(JournalRecord::Insert { id, row }) => {
+                let id = EntityId(*id);
+                if self.rows.contains_key(&id) {
                     return Ok(false);
                 }
                 let row_idx = self.index.insert_row(row)?;
                 debug_assert_eq!(row_idx, self.ids.len());
-                self.ids.push(*id);
-                self.rows.insert(*id, row_idx);
+                self.ids.push(id);
+                self.rows.insert(id, row_idx);
                 Ok(true)
             }
-            WriteOp::Upsert { id, row } => {
-                let replaced = match self.rows.get(id) {
-                    Some(&old_row) => {
+            WriteOp::Record(JournalRecord::Upsert { id, row }) => {
+                let id = EntityId(*id);
+                let replaced = match self.rows.remove(&id) {
+                    Some(old_row) => {
                         self.index.delete_row(old_row);
-                        self.rows.remove(id);
                         true
                     }
                     None => false,
                 };
                 let row_idx = self.index.insert_row(row)?;
-                self.ids.push(*id);
-                self.rows.insert(*id, row_idx);
+                self.ids.push(id);
+                self.rows.insert(id, row_idx);
                 if replaced {
                     self.maybe_compact(policy)?;
                 }
                 Ok(replaced)
             }
-            WriteOp::Delete { id } => {
-                let existed = match self.rows.remove(id) {
+            WriteOp::Record(JournalRecord::Delete { id }) => {
+                let existed = match self.rows.remove(&EntityId(*id)) {
                     Some(row) => self.index.delete_row(row),
                     None => false,
                 };

@@ -5,8 +5,8 @@
 use er_blocking::BlockerBackend;
 use er_core::{Embedding, Entity, EntityId, ErError, SerializationMode};
 use er_embed::{LanguageModel, ModelCode};
-use er_index::{ExactIndex, HnswConfig, LshConfig, Metric, NnIndex};
-use er_serve::{Resolver, ServeConfig, ShardedIndex};
+use er_index::{ExactIndex, HnswConfig, LshConfig, Metric, NnIndex, ScanConfig};
+use er_serve::{CompactionPolicy, Resolver, ServeConfig, ShardedIndex};
 use rand::Rng;
 use std::time::Duration;
 
@@ -54,6 +54,17 @@ fn random_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..n)
         .map(|_| (0..dim).map(|_| r.gen_range(-1.0..1.0)).collect())
         .collect()
+}
+
+fn exact_shards(dim: usize, shards: usize, metric: Metric) -> ShardedIndex {
+    ShardedIndex::new(
+        dim,
+        shards,
+        BlockerBackend::Exact(metric),
+        ScanConfig::default(),
+        CompactionPolicy::default(),
+    )
+    .unwrap()
 }
 
 #[test]
@@ -148,7 +159,7 @@ fn scatter_gather_exact_is_bit_identical_to_single_index() {
         }
         let oracle = ExactIndex::from_source(oracle_matrix, metric);
         for shards in [1usize, 2, 5] {
-            let sharded = ShardedIndex::new(dim, shards, BlockerBackend::Exact(metric));
+            let sharded = exact_shards(dim, shards, metric);
             for (i, row) in rows.iter().enumerate() {
                 assert!(sharded.insert(EntityId(i as u32), row).unwrap());
             }
@@ -168,7 +179,7 @@ fn scatter_gather_exact_is_bit_identical_to_single_index() {
 
 #[test]
 fn sharding_routes_deterministically_and_covers_all_shards() {
-    let sharded = ShardedIndex::new(4, 5, BlockerBackend::Exact(Metric::Euclidean));
+    let sharded = exact_shards(4, 5, Metric::Euclidean);
     let mut seen = [false; 5];
     for id in 0..200u32 {
         let s = sharded.shard_of(EntityId(id));
@@ -281,7 +292,8 @@ fn loading_rejects_wrong_models_and_corrupt_bytes() {
         Err(ErError::Corrupt(_))
     ));
     // An index container is not a resolver container.
-    let solo = ExactIndex::build(&[Embedding(vec![0.0; 4])]).to_bytes();
+    let solo = er_core::EmbeddingMatrix::from_flat(4, vec![0.0; 4]).unwrap();
+    let solo = ExactIndex::from_source(solo, Metric::Euclidean).to_bytes();
     assert!(matches!(
         Resolver::from_bytes(&solo, &model),
         Err(ErError::Corrupt(_))
@@ -484,4 +496,85 @@ fn operating_point_is_the_single_source_of_truth_for_both_configs() {
         Resolver::with_point(&model, SerializationMode::SchemaAgnostic, &bad),
         Err(ErError::Config(_))
     ));
+}
+
+/// Degenerate backend configs reach the serving path as typed
+/// `ErError::Config`s from the one validating constructor — not as the
+/// `assert!`s inside `HnswIndex::from_source` / `HyperplaneLsh::from_source`
+/// that used to abort the process. One case per rule, on all three entry
+/// points that build shards.
+#[test]
+fn degenerate_backend_configs_are_typed_errors_not_panics() {
+    let hnsw = |config: HnswConfig| BlockerBackend::Hnsw(config);
+    let lsh = |config: LshConfig| BlockerBackend::Lsh(config);
+    let degenerate = [
+        hnsw(HnswConfig {
+            m: 1,
+            ..HnswConfig::default()
+        }),
+        hnsw(HnswConfig {
+            ef_construction: 0,
+            ..HnswConfig::default()
+        }),
+        hnsw(HnswConfig {
+            ef_search: 0,
+            ..HnswConfig::default()
+        }),
+        lsh(LshConfig {
+            planes: 0,
+            ..LshConfig::default()
+        }),
+        lsh(LshConfig {
+            planes: 65,
+            ..LshConfig::default()
+        }),
+        lsh(LshConfig {
+            tables: 0,
+            ..LshConfig::default()
+        }),
+    ];
+    let model = TrigramModel { dim: 8 };
+    let mode = SerializationMode::SchemaAgnostic;
+    let dir = std::env::temp_dir().join(format!("er-serve-degenerate-{}", std::process::id()));
+    for backend in degenerate {
+        let label = format!("{backend:?}");
+        let config = ServeConfig::new().backend(backend.clone());
+        assert!(
+            matches!(
+                Resolver::new(&model, mode.clone(), config.clone()),
+                Err(ErError::Config(_))
+            ),
+            "Resolver::new: {label}"
+        );
+        assert!(
+            matches!(
+                Resolver::open(&dir, &model, mode.clone(), config),
+                Err(ErError::Config(_))
+            ),
+            "Resolver::open: {label}"
+        );
+        assert!(
+            matches!(
+                ShardedIndex::new(
+                    8,
+                    2,
+                    backend,
+                    ScanConfig::default(),
+                    CompactionPolicy::default()
+                ),
+                Err(ErError::Config(_))
+            ),
+            "ShardedIndex::new: {label}"
+        );
+    }
+    // Quantization on an approximate backend is the same typed error.
+    let quantized = ServeConfig::new().scan(ScanConfig {
+        quant: er_index::Quantization::Int8 { rerank: 8 },
+        ..ScanConfig::default()
+    });
+    assert!(matches!(
+        Resolver::new(&model, mode, quantized),
+        Err(ErError::Config(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
 }

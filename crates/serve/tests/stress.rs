@@ -52,7 +52,7 @@ fn live_set_hash(ids: &[EntityId]) -> u64 {
 type Observation = (usize, u64, u64);
 
 fn run_churn(ops: usize, readers: usize, dim: usize) {
-    let index = ShardedIndex::with_options(
+    let index = ShardedIndex::new(
         dim,
         SHARDS,
         BlockerBackend::Exact(Metric::Cosine),
@@ -210,7 +210,7 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
     // compacted) index is bit-identical to a serially rebuilt one holding
     // the same final records — neither the concurrency nor the compaction
     // history changes exact answers.
-    let serial = ShardedIndex::with_options(
+    let serial = ShardedIndex::new(
         dim,
         SHARDS,
         BlockerBackend::Exact(Metric::Cosine),

@@ -35,7 +35,7 @@ use er_core::{
     ScanConfig,
 };
 use er_index::{
-    ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, IndexReader, LshConfig, Neighbor, NnIndex,
+    AnyIndex, BlockerBackend, ExactIndex, HnswIndex, HyperplaneLsh, IndexReader, Neighbor, NnIndex,
 };
 
 /// What the tuner sweeps and how it samples. The defaults mirror the
@@ -128,14 +128,6 @@ fn stride_sample(n: usize, max: usize) -> Vec<usize> {
     (0..max).map(|i| (i as f64 * stride) as usize).collect()
 }
 
-fn gather(matrix: &EmbeddingMatrix, indices: &[usize]) -> EmbeddingMatrix {
-    let mut out = EmbeddingMatrix::with_capacity(matrix.dim(), indices.len());
-    for &i in indices {
-        out.push(matrix.row(i));
-    }
-    out
-}
-
 fn overlap(reference: &[Neighbor], hits: &[Neighbor]) -> f32 {
     if reference.is_empty() {
         return 1.0;
@@ -187,7 +179,7 @@ pub fn autotune(
 
     let row_sample = stride_sample(rows.len(), config.sample_rows);
     let query_sample = stride_sample(queries.len(), config.sample_queries);
-    let sample = gather(rows, &row_sample);
+    let sample = rows.select_rows(row_sample.iter().copied());
     let probes: Vec<&[f32]> = query_sample.iter().map(|&i| queries.row(i)).collect();
 
     // Ground-truth-free reference: the exact scan's top-k on the sample.
@@ -242,58 +234,65 @@ pub fn autotune(
     } else {
         1.0
     };
+    let ef_default = HnswParams::default().ef_search;
     for &m in &config.hnsw_ms {
-        let index = HnswIndex::from_source(
-            &sample,
-            HnswConfig {
-                m,
-                metric,
-                seed: config.seed,
-                tier: goal.scan.tier,
-                ..HnswConfig::default()
-            },
-        );
+        let point_at = |ef_search: usize| {
+            goal.clone()
+                .hnsw(HnswParams {
+                    m,
+                    ef_search,
+                    seed: config.seed,
+                    ..HnswParams::default()
+                })
+                .scan(ScanConfig::with_tier(goal.scan.tier))
+        };
+        // Built exactly as a chosen point would be (the beam width is a
+        // query-time knob and does not shape the graph).
+        let BlockerBackend::Hnsw(build) = BlockerBackend::from_point(&point_at(ef_default)) else {
+            unreachable!("an HNSW point maps to the HNSW backend");
+        };
+        let index = HnswIndex::from_source(&sample, build);
         let curve = model.probe_hnsw(&index, probes.iter().copied(), k, &config.ef_grid)?;
         for &ef in &config.ef_grid {
             let recall = probes
                 .iter()
                 .zip(&reference)
                 .map(|(q, r)| {
-                    overlap(
-                        r,
-                        &index.search_params(q, k, &QueryParams::with_ef_search(ef)),
-                    )
+                    let params = QueryParams::with_ef_search(ef);
+                    overlap(r, &index.search_counted(q, k, &params).0)
                 })
                 .sum::<f32>()
                 / probes.len() as f32;
             let est = curve.estimate(ef);
-            let point = goal
-                .clone()
-                .hnsw(HnswParams {
-                    m,
-                    ef_search: ef,
-                    seed: config.seed,
-                    ..HnswParams::default()
-                })
-                .scan(ScanConfig::with_tier(goal.scan.tier));
-            push_trial(point, recall, est.evals * hnsw_scale, est.ns * hnsw_scale);
+            push_trial(
+                point_at(ef),
+                recall,
+                est.evals * hnsw_scale,
+                est.ns * hnsw_scale,
+            );
         }
     }
 
     // --- LSH: one widest build, (tables, probes) swept at query time. ---
     let max_tables = config.lsh_tables.iter().copied().max().unwrap_or(0);
     if max_tables > 0 {
-        let index = HyperplaneLsh::from_source(
-            &sample,
-            LshConfig {
-                planes: config.lsh_planes,
-                tables: max_tables,
-                probes: config.lsh_probes.iter().copied().max().unwrap_or(0),
-                metric,
-                seed: config.seed,
-                tier: goal.scan.tier,
-            },
-        );
+        let point_at = |tables: usize, probes: usize| {
+            goal.clone()
+                .lsh(LshParams {
+                    planes: config.lsh_planes,
+                    tables,
+                    probes,
+                    seed: config.seed,
+                })
+                .scan(ScanConfig::with_tier(goal.scan.tier))
+        };
+        let max_probes = config.lsh_probes.iter().copied().max().unwrap_or(0);
+        let BlockerBackend::Lsh(build) =
+            BlockerBackend::from_point(&point_at(max_tables, max_probes))
+        else {
+            unreachable!("an LSH point maps to the LSH backend");
+        };
+        let index = HyperplaneLsh::from_source(&sample, build);
         // Occupancy (and hence candidate count) is proportional to rows.
         let lsh_scale = full_rows as f64 / sample.len() as f64;
         let rerank_ns = model.calibration.ns_per_row_metric(
@@ -311,7 +310,7 @@ pub fn autotune(
                 let recall = probes
                     .iter()
                     .zip(&reference)
-                    .map(|(q, r)| overlap(r, &index.search_params(q, k, &params)))
+                    .map(|(q, r)| overlap(r, &index.search_counted(q, k, &params).0))
                     .sum::<f32>()
                     / probes.len() as f32;
                 let est = model.lsh(&index, probes.iter().copied(), probe_depth, tables)?;
@@ -319,16 +318,7 @@ pub fn autotune(
                 // the signature-hash term is row-count independent.
                 let est_evals = est.evals * lsh_scale;
                 let est_ns = est.ns + (est_evals - est.evals) * rerank_ns;
-                let point = goal
-                    .clone()
-                    .lsh(LshParams {
-                        planes: config.lsh_planes,
-                        tables,
-                        probes: probe_depth,
-                        seed: config.seed,
-                    })
-                    .scan(ScanConfig::with_tier(goal.scan.tier));
-                push_trial(point, recall, est_evals, est_ns);
+                push_trial(point_at(tables, probe_depth), recall, est_evals, est_ns);
             }
         }
     }
@@ -372,37 +362,7 @@ pub fn measure_point(
         ));
     }
     let params = point.query_params();
-    let index: Box<dyn IndexReader + '_> = if let Some(p) = point.backend.hnsw() {
-        Box::new(HnswIndex::from_source(
-            rows,
-            HnswConfig {
-                m: p.m,
-                ef_construction: p.ef_construction,
-                ef_search: p.ef_search,
-                metric: point.metric,
-                seed: p.seed,
-                tier: point.scan.tier,
-            },
-        ))
-    } else if let Some(p) = point.backend.lsh() {
-        Box::new(HyperplaneLsh::from_source(
-            rows,
-            LshConfig {
-                planes: p.planes,
-                tables: p.tables,
-                probes: p.probes,
-                metric: point.metric,
-                seed: p.seed,
-                tier: point.scan.tier,
-            },
-        ))
-    } else {
-        Box::new(ExactIndex::from_source_scan(
-            rows,
-            point.metric,
-            point.scan,
-        )?)
-    };
+    let index = AnyIndex::build(rows, &BlockerBackend::from_point(point), point.scan)?;
     let mut total = 0u64;
     for q in queries.rows_iter() {
         total += index.search_counted(q, point.k, &params).1;

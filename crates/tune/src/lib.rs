@@ -20,7 +20,7 @@
 //!   against.
 //!
 //! The output type is `er_core::OperatingPoint` — the unified config the
-//! blocking (`top_k_blocking_point`), serving (`ServeConfig::from_point`)
+//! blocking (`TopKConfig::from_point`), serving (`ServeConfig::from_point`)
 //! and pipeline (`Pipeline::resolve_tuned`) layers all accept.
 
 pub mod autotune;

@@ -1,13 +1,13 @@
 //! embeddings4er — end-to-end entity resolution with pre-trained-style
-//! embeddings, reproducing "Pre-trained Embeddings for Entity Resolution:
-//! An Experimental Analysis" (VLDB 2023). See DESIGN.md for the full
-//! system inventory and ROADMAP.md for what has landed.
+//! embeddings, after "Pre-trained Embeddings for Entity Resolution: An
+//! Experimental Analysis" (VLDB 2023). See DESIGN.md for what is built
+//! (and the index of what is not) and ROADMAP.md for what has landed.
 //!
 //! The facade re-exports every subsystem crate and offers a [`prelude`]
 //! plus the paper's Figure 1 pipeline: vectorization ([`vectorize`] /
 //! [`vectorize_matrix`]) over a pre-trained [`ModelZoo`], embedding top-k
-//! blocking ([`block`]) over the ANN indices, and unsupervised matching
-//! ([`Pipeline::resolve`]): Unique Mapping Clustering (or any
+//! blocking ([`Pipeline::block`]) over the ANN indices, and unsupervised
+//! matching ([`Pipeline::resolve`]): Unique Mapping Clustering (or any
 //! [`matching::Clusterer`]) threshold-swept over the scored candidates.
 //! The [`Pipeline`] builder runs every stage over columnar
 //! [`core::EmbeddingMatrix`] storage — each collection embedded exactly
@@ -39,15 +39,13 @@ pub mod pipeline;
 
 pub use pipeline::{vectorize_matrix, BlockOutcome, Pipeline, ResolveConfig, ResolveOutcome};
 
-use er_blocking::TopKConfig;
-use er_core::{Embedding, Entity, EntityId, SerializationMode};
+use er_core::{Embedding, Entity, SerializationMode};
 use er_embed::LanguageModel;
 
 /// Everything needed to drive the pipeline end to end.
 pub mod prelude {
     pub use er_blocking::{
-        dedup_candidates, dedup_scored, top_k_blocking, top_k_blocking_matrix,
-        top_k_blocking_point, top_k_blocking_scored_matrix, BlockerBackend, TopKConfig,
+        dedup_candidates, dedup_scored, top_k_blocking_scored_matrix, BlockerBackend, TopKConfig,
     };
     pub use er_core::pq::PqConfig;
     pub use er_core::rng::rng;
@@ -76,14 +74,15 @@ pub mod prelude {
     pub use er_tune::{autotune, measure_point, CostModel, TuneOutcome, TunerConfig};
 
     pub use crate::{
-        block, vectorize, vectorize_matrix, BlockOutcome, Pipeline, ResolveConfig, ResolveOutcome,
+        vectorize, vectorize_matrix, BlockOutcome, Pipeline, ResolveConfig, ResolveOutcome,
     };
 }
 
 pub use er_embed::{ModelCode, ModelZoo, ZooConfig};
 
 /// Figure 1, stage 1: serialize each entity under `mode` and embed it with
-/// `model`. Output order matches input order.
+/// `model`. Output order matches input order. The sequential reference the
+/// parallel [`vectorize_matrix`] is tested against, bit for bit.
 pub fn vectorize(
     model: &dyn LanguageModel,
     entities: &[Entity],
@@ -93,26 +92,6 @@ pub fn vectorize(
         .iter()
         .map(|e| model.embed(&e.serialize(mode)))
         .collect()
-}
-
-/// Figure 1, stage 2: vectorize both collections under `mode` and run the
-/// embedding top-k blocker — index the right side, query with the left,
-/// return deduplicated `(left id, right id)` candidate pairs. For Dirty ER
-/// pass the same collection twice with `config.dirty = true`.
-///
-/// Thin wrapper over [`Pipeline::block`] (which also returns the
-/// per-stage [`eval::StageReport`], and embeds a shared Dirty-ER
-/// collection once instead of twice); candidates are byte-identical.
-pub fn block(
-    model: &dyn LanguageModel,
-    left: &[Entity],
-    right: &[Entity],
-    mode: &SerializationMode,
-    config: &TopKConfig,
-) -> Vec<(EntityId, EntityId)> {
-    Pipeline::new(model, mode.clone())
-        .block(left, right, config)
-        .candidates()
 }
 
 #[cfg(test)]

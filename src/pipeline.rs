@@ -3,10 +3,8 @@
 //! to the top-k blocker (zero-copy — the index never clones a row), and
 //! record per-stage wall-clock plus item counts in a [`StageReport`].
 //!
-//! [`Pipeline::block`] fixes the Dirty-ER inefficiency of the free
-//! [`crate::block`] function, which vectorized the collection twice when
-//! the same slice was passed as both sides; the free function is now a
-//! thin wrapper over this type, so both emit byte-identical candidates.
+//! Dirty ER passes the same slice as both sides; it is detected by
+//! identity and embedded once, not twice.
 
 use er_blocking::{top_k_blocking_scored_matrix, TopKConfig};
 use er_core::{EmbeddingMatrix, Entity, EntityId, GroundTruth, ScoredPair, SerializationMode};
@@ -26,8 +24,8 @@ pub struct BlockOutcome {
 }
 
 impl BlockOutcome {
-    /// The legacy unscored view: the same candidates, scores projected
-    /// away, in the same order.
+    /// The unscored view: the same candidates, scores projected away, in
+    /// the same order.
     pub fn candidates(&self) -> Vec<(EntityId, EntityId)> {
         self.scored.iter().map(|p| p.id_pair()).collect()
     }
@@ -82,6 +80,19 @@ pub struct Pipeline<'m> {
     mode: SerializationMode,
 }
 
+/// Both collections vectorized once. `right` is `None` for Dirty ER, where
+/// both sides are the same collection and share `left`'s matrix.
+struct Sides {
+    left: EmbeddingMatrix,
+    right: Option<EmbeddingMatrix>,
+}
+
+impl Sides {
+    fn right(&self) -> &EmbeddingMatrix {
+        self.right.as_ref().unwrap_or(&self.left)
+    }
+}
+
 impl<'m> Pipeline<'m> {
     pub fn new(model: &'m dyn LanguageModel, mode: SerializationMode) -> Pipeline<'m> {
         Pipeline { model, mode }
@@ -95,176 +106,70 @@ impl<'m> Pipeline<'m> {
         vectorize_matrix(self.model, entities, &self.mode)
     }
 
-    /// Run vectorize + top-k blocking. For Dirty ER pass the same slice as
-    /// both sides (with `config.dirty = true`): it is detected by identity
+    /// The `vectorize*` stages: each collection embedded exactly once. The
+    /// same slice passed as both sides (Dirty ER) is detected by identity
     /// and embedded once, not twice.
-    pub fn block(&self, left: &[Entity], right: &[Entity], config: &TopKConfig) -> BlockOutcome {
-        let mut report = StageReport::new();
+    fn vectorize_sides(
+        &self,
+        left: &[Entity],
+        right: &[Entity],
+        report: &mut StageReport,
+    ) -> Sides {
         let shared = left.as_ptr() == right.as_ptr() && left.len() == right.len();
-        let left_matrix = report.time(
-            if shared {
-                "vectorize"
-            } else {
-                "vectorize-left"
-            },
-            || {
-                let m = self.vectorize(left);
+        let mut stage = |name: &str, entities: &[Entity]| {
+            report.time(name, || {
+                let m = self.vectorize(entities);
                 let rows = m.len();
                 (m, rows)
-            },
-        );
-        let right_matrix = if shared {
-            None
-        } else {
-            Some(report.time("vectorize-right", || {
-                let m = self.vectorize(right);
-                let rows = m.len();
-                (m, rows)
-            }))
+            })
         };
+        if shared {
+            Sides {
+                left: stage("vectorize", left),
+                right: None,
+            }
+        } else {
+            Sides {
+                left: stage("vectorize-left", left),
+                right: Some(stage("vectorize-right", right)),
+            }
+        }
+    }
+
+    /// The `block` stage over already-vectorized sides.
+    fn block_sides(
+        left: &[Entity],
+        right: &[Entity],
+        sides: &Sides,
+        config: &TopKConfig,
+        report: &mut StageReport,
+    ) -> Vec<ScoredPair> {
         let left_ids: Vec<EntityId> = left.iter().map(|e| e.id).collect();
         let right_ids: Vec<EntityId> = right.iter().map(|e| e.id).collect();
-        let scored = report.time("block", || {
+        report.time("block", || {
             let c = top_k_blocking_scored_matrix(
                 &left_ids,
-                &left_matrix,
+                &sides.left,
                 &right_ids,
-                right_matrix.as_ref().unwrap_or(&left_matrix),
+                sides.right(),
                 config,
             );
             let pairs = c.len();
             (c, pairs)
-        });
-        BlockOutcome { scored, report }
+        })
     }
 
-    /// Vectorize + top-k blocking driven by a unified
-    /// [`er_core::OperatingPoint`] instead of a legacy [`TopKConfig`] —
-    /// the redesigned entry point ([`er_blocking::top_k_blocking_point`]'s
-    /// pipeline twin). Fails (typed `Config` error) when the point fails
-    /// validation.
-    pub fn block_point(
-        &self,
+    /// The block → sweep → match tail shared by [`Pipeline::resolve`] and
+    /// [`Pipeline::resolve_tuned`], over already-vectorized sides.
+    fn resolve_sides(
         left: &[Entity],
         right: &[Entity],
-        point: &er_core::OperatingPoint,
-    ) -> er_core::Result<BlockOutcome> {
-        let config = TopKConfig::from_point(point)?;
-        Ok(self.block(left, right, &config))
-    }
-
-    /// The autotuned [`Pipeline::resolve`]: vectorize both collections
-    /// once, run the `er-tune` autotuner on the embedded matrices to pick
-    /// the cheapest [`er_core::OperatingPoint`] meeting `goal`'s recall
-    /// target, then block and match with the chosen point. The matching
-    /// stage mirrors [`Pipeline::resolve`] with the paper defaults
-    /// (Unique Mapping Clustering over the Fig. 15 δ grid); the report
-    /// gains a `tune` stage (items = trials swept) between vectorization
-    /// and blocking.
-    pub fn resolve_tuned(
-        &self,
-        left: &[Entity],
-        right: &[Entity],
-        gt: &GroundTruth,
-        goal: &er_core::OperatingPoint,
-        tuner: &er_tune::TunerConfig,
-    ) -> er_core::Result<(ResolveOutcome, er_tune::TuneOutcome)> {
-        let mut report = StageReport::new();
-        let shared = left.as_ptr() == right.as_ptr() && left.len() == right.len();
-        let left_matrix = report.time(
-            if shared {
-                "vectorize"
-            } else {
-                "vectorize-left"
-            },
-            || {
-                let m = self.vectorize(left);
-                let rows = m.len();
-                (m, rows)
-            },
-        );
-        let right_matrix = if shared {
-            None
-        } else {
-            Some(report.time("vectorize-right", || {
-                let m = self.vectorize(right);
-                let rows = m.len();
-                (m, rows)
-            }))
-        };
-        let right_ref = right_matrix.as_ref().unwrap_or(&left_matrix);
-        let tune = report.time("tune", || {
-            let outcome = er_tune::autotune(
-                &left_matrix,
-                right_ref,
-                goal,
-                tuner,
-                &er_tune::CostModel::builtin(),
-            );
-            let trials = outcome.as_ref().map(|t| t.trials.len()).unwrap_or(0);
-            (outcome, trials)
-        })?;
-        let config = TopKConfig::from_point(&tune.chosen)?;
-        let left_ids: Vec<EntityId> = left.iter().map(|e| e.id).collect();
-        let right_ids: Vec<EntityId> = right.iter().map(|e| e.id).collect();
-        let candidates = report.time("block", || {
-            let c = top_k_blocking_scored_matrix(
-                &left_ids,
-                &left_matrix,
-                &right_ids,
-                right_ref,
-                &config,
-            );
-            let pairs = c.len();
-            (c, pairs)
-        });
-        let sweep = report.time("sweep", || {
-            let sweep = ThresholdSweep::run_with(
-                &candidates,
-                gt,
-                Clusterer::UniqueMapping,
-                &ThresholdSweep::paper_deltas(),
-            );
-            let points = sweep.points.len();
-            (sweep, points)
-        });
-        let best_delta = sweep.best().map(|p| p.delta).unwrap_or(0.0);
-        let matches = report.time("match", || {
-            let matches = Clusterer::UniqueMapping.cluster(&candidates, best_delta);
-            let count = matches.len();
-            (matches, count)
-        });
-        let report_json = report.to_json().to_string();
-        Ok((
-            ResolveOutcome {
-                matches,
-                candidates,
-                sweep,
-                best_delta,
-                report,
-                report_json,
-            },
-            tune,
-        ))
-    }
-
-    /// Run the full Figure 1 pipeline: vectorize → block → threshold-swept
-    /// unsupervised matching, evaluated against `gt` at every δ. The
-    /// returned matches are the clusterer's output at the sweep's best-F1
-    /// δ, and the report gains `sweep` and `match` stages on top of the
-    /// blocking stages (`sweep` items = δ grid points, `match` items =
-    /// matches at the best δ).
-    pub fn resolve(
-        &self,
-        left: &[Entity],
-        right: &[Entity],
+        sides: &Sides,
         gt: &GroundTruth,
         config: &ResolveConfig,
+        mut report: StageReport,
     ) -> ResolveOutcome {
-        let BlockOutcome {
-            scored: candidates,
-            mut report,
-        } = self.block(left, right, &config.blocking);
+        let candidates = Pipeline::block_sides(left, right, sides, &config.blocking, &mut report);
         let sweep = report.time("sweep", || {
             let deltas = config
                 .deltas
@@ -289,6 +194,71 @@ impl<'m> Pipeline<'m> {
             report,
             report_json,
         }
+    }
+
+    /// Run vectorize + top-k blocking. For Dirty ER pass the same slice as
+    /// both sides (with `config.dirty = true`): it is detected by identity
+    /// and embedded once, not twice. To block under a unified
+    /// [`er_core::OperatingPoint`], pass `&TopKConfig::from_point(&point)?`.
+    pub fn block(&self, left: &[Entity], right: &[Entity], config: &TopKConfig) -> BlockOutcome {
+        let mut report = StageReport::new();
+        let sides = self.vectorize_sides(left, right, &mut report);
+        let scored = Pipeline::block_sides(left, right, &sides, config, &mut report);
+        BlockOutcome { scored, report }
+    }
+
+    /// Run the full Figure 1 pipeline: vectorize → block → threshold-swept
+    /// unsupervised matching, evaluated against `gt` at every δ. The
+    /// returned matches are the clusterer's output at the sweep's best-F1
+    /// δ, and the report gains `sweep` and `match` stages on top of the
+    /// blocking stages (`sweep` items = δ grid points, `match` items =
+    /// matches at the best δ).
+    pub fn resolve(
+        &self,
+        left: &[Entity],
+        right: &[Entity],
+        gt: &GroundTruth,
+        config: &ResolveConfig,
+    ) -> ResolveOutcome {
+        let mut report = StageReport::new();
+        let sides = self.vectorize_sides(left, right, &mut report);
+        Pipeline::resolve_sides(left, right, &sides, gt, config, report)
+    }
+
+    /// The autotuned [`Pipeline::resolve`]: vectorize both collections
+    /// once, run the `er-tune` autotuner on the embedded matrices to pick
+    /// the cheapest [`er_core::OperatingPoint`] meeting `goal`'s recall
+    /// target, then block and match with the chosen point exactly as
+    /// [`Pipeline::resolve`] does under the paper defaults (Unique Mapping
+    /// Clustering over the Fig. 15 δ grid); the report gains a `tune`
+    /// stage (items = trials swept) between vectorization and blocking.
+    pub fn resolve_tuned(
+        &self,
+        left: &[Entity],
+        right: &[Entity],
+        gt: &GroundTruth,
+        goal: &er_core::OperatingPoint,
+        tuner: &er_tune::TunerConfig,
+    ) -> er_core::Result<(ResolveOutcome, er_tune::TuneOutcome)> {
+        let mut report = StageReport::new();
+        let sides = self.vectorize_sides(left, right, &mut report);
+        let tune = report.time("tune", || {
+            let outcome = er_tune::autotune(
+                &sides.left,
+                sides.right(),
+                goal,
+                tuner,
+                &er_tune::CostModel::builtin(),
+            );
+            let trials = outcome.as_ref().map(|t| t.trials.len()).unwrap_or(0);
+            (outcome, trials)
+        })?;
+        let config = ResolveConfig {
+            blocking: TopKConfig::from_point(&tune.chosen)?,
+            ..ResolveConfig::default()
+        };
+        let outcome = Pipeline::resolve_sides(left, right, &sides, gt, &config, report);
+        Ok((outcome, tune))
     }
 }
 
@@ -346,6 +316,22 @@ mod tests {
     use er_embed::{ModelCode, ModelZoo, ZooConfig};
     use er_index::Metric;
 
+    /// The oracle: the sequential reference vectorizer feeding the one
+    /// blocker directly — both sides embedded, whether shared or not.
+    fn sequential_block(
+        model: &dyn LanguageModel,
+        left: &[Entity],
+        right: &[Entity],
+        mode: &SerializationMode,
+        config: &TopKConfig,
+    ) -> Vec<ScoredPair> {
+        let embed = |entities: &[Entity]| {
+            EmbeddingMatrix::from_embeddings(&crate::vectorize(model, entities, mode))
+        };
+        let ids = |entities: &[Entity]| entities.iter().map(|e| e.id).collect::<Vec<_>>();
+        top_k_blocking_scored_matrix(&ids(left), &embed(left), &ids(right), &embed(right), config)
+    }
+
     fn entities(n: u32, salt: &str) -> Vec<Entity> {
         (0..n)
             .map(|i| {
@@ -394,8 +380,8 @@ mod tests {
             ..TopKConfig::default()
         };
         let outcome = Pipeline::new(model.as_ref(), mode.clone()).block(&left, &right, &config);
-        let legacy = crate::block(model.as_ref(), &left, &right, &mode, &config);
-        assert_eq!(outcome.candidates(), legacy);
+        let oracle = sequential_block(model.as_ref(), &left, &right, &mode, &config);
+        assert_eq!(outcome.scored, oracle);
         let stages: Vec<&str> = outcome
             .report
             .stages()
@@ -432,9 +418,9 @@ mod tests {
             .map(|s| s.stage.as_str())
             .collect();
         assert_eq!(stages, vec!["vectorize", "block"]);
-        // And the candidates still equal the double-embedding legacy path.
-        let legacy = crate::block(model.as_ref(), &collection, &collection, &mode, &config);
-        assert_eq!(outcome.candidates(), legacy);
+        // And the candidates still equal the double-embedding oracle.
+        let oracle = sequential_block(model.as_ref(), &collection, &collection, &mode, &config);
+        assert_eq!(outcome.scored, oracle);
         assert!(outcome.scored.iter().all(|p| p.left < p.right));
     }
 

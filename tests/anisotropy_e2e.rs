@@ -28,13 +28,9 @@ fn run_d1() -> AnisotropyRun {
     let ds = CleanCleanDataset::generate(DatasetId::D1, 42);
     let candidates_of = |code: ModelCode| {
         let model = zoo.get(code);
-        block(
-            model.as_ref(),
-            &ds.left,
-            &ds.right,
-            &SerializationMode::SchemaAgnostic,
-            &k10_exact(),
-        )
+        Pipeline::new(model.as_ref(), SerializationMode::SchemaAgnostic)
+            .block(&ds.left, &ds.right, &k10_exact())
+            .candidates()
     };
     let ft_candidates = candidates_of(ModelCode::FT);
     let bt_candidates = candidates_of(ModelCode::BT);

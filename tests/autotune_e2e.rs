@@ -43,8 +43,9 @@ fn tuned_run(id: DatasetId) -> TunedRun {
 fn blocking_recall(run: &TunedRun, point: &OperatingPoint) -> f32 {
     let left_ids: Vec<EntityId> = run.ds.left.iter().map(|e| e.id).collect();
     let right_ids: Vec<EntityId> = run.ds.right.iter().map(|e| e.id).collect();
-    let scored = top_k_blocking_point(&left_ids, &run.queries, &right_ids, &run.rows, point)
-        .expect("blocks");
+    let config = TopKConfig::from_point(point).expect("valid point");
+    let scored =
+        top_k_blocking_scored_matrix(&left_ids, &run.queries, &right_ids, &run.rows, &config);
     let candidates: Vec<(EntityId, EntityId)> = scored.iter().map(|p| p.id_pair()).collect();
     Metrics::of_candidates(&candidates, &run.ds.ground_truth).recall as f32
 }

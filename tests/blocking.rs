@@ -11,13 +11,9 @@ fn d1_candidates(
 ) -> (CleanCleanDataset, Vec<(EntityId, EntityId)>) {
     let ds = CleanCleanDataset::generate(DatasetId::D1, 42);
     let model = zoo.get(ModelCode::FT);
-    let candidates = block(
-        model.as_ref(),
-        &ds.left,
-        &ds.right,
-        &SerializationMode::SchemaAgnostic,
-        config,
-    );
+    let candidates = Pipeline::new(model.as_ref(), SerializationMode::SchemaAgnostic)
+        .block(&ds.left, &ds.right, config)
+        .candidates();
     (ds, candidates)
 }
 
@@ -70,17 +66,20 @@ fn batched_blocking_queries_match_sequential_search() {
     let ds = CleanCleanDataset::generate(DatasetId::D1, 42);
     let model = zoo.get(ModelCode::FT);
     let mode = SerializationMode::SchemaAgnostic;
-    let left = vectorize(model.as_ref(), &ds.left, &mode);
-    let right = vectorize(model.as_ref(), &ds.right, &mode);
-    let index = HnswIndex::build(
+    let left = vectorize_matrix(model.as_ref(), &ds.left, &mode);
+    let right = vectorize_matrix(model.as_ref(), &ds.right, &mode);
+    let index = HnswIndex::from_matrix(
         &right,
         HnswConfig {
             metric: Metric::Cosine,
             ..HnswConfig::default()
         },
     );
-    let sequential: Vec<_> = left.iter().map(|q| index.search(q, 10)).collect();
-    assert_eq!(index.search_batch(&left, 10), sequential);
+    let sequential: Vec<_> = left
+        .rows_iter()
+        .map(|q| index.search_slice(q, 10))
+        .collect();
+    assert_eq!(index.search_batch_rows(&left, 10), sequential);
 }
 
 #[test]

@@ -24,14 +24,14 @@ fn noisy_duplicate_retrieves_its_clean_record() {
         restaurant(1, "ocean breeze sushi", "77 harbor road"),
         restaurant(2, "casa verde tacos", "9 elm avenue"),
     ];
-    let vectors = vectorize(model.as_ref(), &right, &SerializationMode::SchemaAgnostic);
-    let index = ExactIndex::build(&vectors);
+    let vectors = vectorize_matrix(model.as_ref(), &right, &SerializationMode::SchemaAgnostic);
+    let index = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
 
     // The left record is a typo'd duplicate of right#0; FastText's subword
     // buckets must still place it nearest its clean counterpart.
     let query = restaurant(100, "goldn palace gril", "123 main street");
     let q = model.embed(&query.serialize(&SerializationMode::SchemaAgnostic));
-    let hits = index.search(&q, 1);
+    let hits = index.search_slice(q.as_slice(), 1);
     assert_eq!(hits.len(), 1);
     assert_eq!(
         hits[0].index, 0,

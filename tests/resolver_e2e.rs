@@ -98,8 +98,17 @@ fn incremental_hnsw_over_a_shuffled_order_stays_within_the_recall_bound() {
 fn n_shard_exact_resolver_answers_bit_identically_to_one_shard() {
     let (corpus, queries) = d1_embeddings();
     let backend = BlockerBackend::Exact(Metric::Cosine);
-    let single = ShardedIndex::new(corpus.dim(), 1, backend.clone());
-    let sharded = ShardedIndex::new(corpus.dim(), 5, backend);
+    let shards = |n: usize| {
+        ShardedIndex::new(
+            corpus.dim(),
+            n,
+            backend.clone(),
+            ScanConfig::default(),
+            CompactionPolicy::default(),
+        )
+        .unwrap()
+    };
+    let (single, sharded) = (shards(1), shards(5));
     for (i, row) in corpus.rows_iter().enumerate() {
         single.insert(EntityId(i as u32), row).unwrap();
         sharded.insert(EntityId(i as u32), row).unwrap();
