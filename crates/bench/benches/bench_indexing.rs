@@ -5,15 +5,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use embeddings4er::prelude::Pipeline;
-use er_blocking::{BlockerBackend, TopKConfig};
 use er_core::rng::rng;
-use er_core::{EmbeddingMatrix, QueryParams, SerializationMode};
+use er_core::{
+    BlockerBackend, EmbeddingMatrix, HnswConfig, LshConfig, OperatingPoint, QueryParams,
+    SerializationMode,
+};
 use er_datasets::{CleanCleanDataset, DatasetId};
 use er_embed::{ModelCode, ModelZoo, ZooConfig};
 use er_index::exact::ExactIndex;
-use er_index::hnsw::{HnswConfig, HnswIndex};
-use er_index::lsh::{HyperplaneLsh, LshConfig};
-use er_index::{IndexReader, Metric, NnIndex};
+use er_index::{HnswIndex, HyperplaneLsh, IndexReader, Metric, NnIndex};
 use rand::Rng;
 use std::hint::black_box;
 
@@ -135,14 +135,14 @@ fn bench_pipeline_block_d1(c: &mut Criterion) {
     let zoo = ModelZoo::pretrain(None, &ZooConfig::tiny(), 42);
     let model = zoo.get(ModelCode::FT);
     let ds = CleanCleanDataset::generate(DatasetId::D1, 42);
-    let config = TopKConfig {
+    let config = OperatingPoint {
         k: 10,
         backend: BlockerBackend::Hnsw(HnswConfig {
             metric: Metric::Cosine,
             ..HnswConfig::default()
         }),
         dirty: false,
-        ..TopKConfig::default()
+        ..OperatingPoint::default()
     };
     let pipeline = Pipeline::new(model.as_ref(), SerializationMode::SchemaAgnostic);
     let mut group = c.benchmark_group("pipeline_block_d1_e2e");

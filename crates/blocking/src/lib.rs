@@ -3,13 +3,19 @@
 //! blocker, token-overlap blocking).
 //!
 //! Ships row 12 complete: the embedding top-k blocker
-//! ([`top_k_blocking_scored_matrix`]) over the `er-index` backends (exact /
-//! HNSW / LSH) plus the redundant-pair dedup. The DeepBlocker-style Auto-Encoder (row 13) and token-overlap
-//! blocking (row 14) land with the matching-SotA PR.
+//! ([`top_k_blocking_scored_matrix`], configured by an
+//! `er_core::OperatingPoint`) over the `er-index` backends (exact / HNSW /
+//! LSH) plus the redundant-pair dedup. The DeepBlocker-style Auto-Encoder
+//! (row 13) and token-overlap blocking (row 14) land with the
+//! matching-SotA PR.
 
 pub mod topk;
 
-pub use topk::{top_k_blocking_scored_matrix, BlockerBackend, TopKConfig};
+pub use topk::top_k_blocking_scored_matrix;
+// `TopKConfig` is the blocker's historical config name, now an alias of
+// the `OperatingPoint` it takes; kept only because the `bench_e2e` harness
+// still spells it (and `BlockerBackend`) through this crate.
+pub use er_core::{BlockerBackend, OperatingPoint as TopKConfig};
 
 use er_core::{EntityId, ScoredPair};
 

@@ -15,118 +15,12 @@
 //! point; the unscored view is `.map(|p| p.id_pair())` at the call site.
 
 use crate::dedup_scored;
-use er_core::{EmbeddingMatrix, EntityId, OperatingPoint, ScanConfig, ScoredPair};
+use er_core::{EmbeddingMatrix, EntityId, OperatingPoint, ScoredPair};
 use er_index::{AnyIndex, NnIndex};
 
-// The backend choice lives beside the one constructor that consumes it
-// (`er_index::AnyIndex::build`); re-exported so `er_blocking::BlockerBackend`
-// keeps naming it.
-pub use er_index::BlockerBackend;
-
-/// Top-k blocking configuration.
-///
-/// Construct it either as a struct literal or through the builder:
-/// `TopKConfig::new(10).backend(BlockerBackend::Exact(Metric::Cosine)).dirty(true)`.
-#[derive(Debug, Clone)]
-pub struct TopKConfig {
-    /// Neighbours kept per query entity (the paper sweeps k ∈ {1, 5, 10}).
-    pub k: usize,
-    pub backend: BlockerBackend,
-    /// Dirty ER: both sides are the same collection, so pairs are
-    /// order-normalized and self-pairs dropped (see
-    /// [`crate::dedup_candidates`]).
-    pub dirty: bool,
-    /// Kernel tier / quantization for the *Exact* backend's scan (HNSW and
-    /// LSH carry their own `tier` in their configs). The default is the
-    /// pre-tier behavior: `Reference` kernels, no quantization — candidate
-    /// scores stay bit-identical to the seed pipeline.
-    pub scan: ScanConfig,
-}
-
-impl TopKConfig {
-    /// Start a builder with the given `k` and the default backend
-    /// (HNSW/cosine) and dirty flag (`false`).
-    pub fn new(k: usize) -> TopKConfig {
-        TopKConfig {
-            k,
-            ..TopKConfig::default()
-        }
-    }
-
-    /// Choose the index backend.
-    pub fn backend(mut self, backend: BlockerBackend) -> TopKConfig {
-        self.backend = backend;
-        self
-    }
-
-    /// Mark both sides as the same collection (Dirty ER).
-    pub fn dirty(mut self, dirty: bool) -> TopKConfig {
-        self.dirty = dirty;
-        self
-    }
-
-    /// Choose the Exact backend's kernel tier / quantization.
-    pub fn scan(mut self, scan: ScanConfig) -> TopKConfig {
-        self.scan = scan;
-        self
-    }
-}
-
-impl Default for TopKConfig {
-    fn default() -> Self {
-        TopKConfig {
-            k: 10,
-            backend: BlockerBackend::default(),
-            dirty: false,
-            scan: ScanConfig::default(),
-        }
-    }
-}
-
-impl TopKConfig {
-    /// Derive a blocking config from a unified [`OperatingPoint`].
-    /// Validates the point first, so a self-contradictory configuration
-    /// (e.g. a quantized scan on an approximate backend) surfaces as a
-    /// typed `ErError::Config` instead of silently misconfiguring a
-    /// backend.
-    pub fn from_point(point: &OperatingPoint) -> er_core::Result<TopKConfig> {
-        point.validate()?;
-        Ok(TopKConfig {
-            k: point.k,
-            backend: BlockerBackend::from_point(point),
-            dirty: point.dirty,
-            scan: point.scan,
-        })
-    }
-}
-
-/// Lift a blocking config into the unified [`OperatingPoint`]. Total
-/// (never fails): every constructible `TopKConfig` has a unified form. For
-/// approximate backends the point's scan tier is the *backend's* tier — the
-/// one that actually ranks — and any quantization set on the `scan` field
-/// (which no approximate index can honour) is dropped.
-impl From<&TopKConfig> for OperatingPoint {
-    fn from(config: &TopKConfig) -> OperatingPoint {
-        let scan = match &config.backend {
-            BlockerBackend::Exact(_) => config.scan,
-            BlockerBackend::Hnsw(c) => ScanConfig::with_tier(c.tier),
-            BlockerBackend::Lsh(c) => ScanConfig::with_tier(c.tier),
-        };
-        OperatingPoint {
-            k: config.k,
-            metric: config.backend.metric(),
-            backend: config.backend.params(),
-            scan,
-            dirty: config.dirty,
-            recall_target: None,
-            budget_ns: None,
-        }
-    }
-}
-
 /// Run top-k blocking over columnar storage: index `right` (borrowed,
-/// zero-copy) with the configured backend, batch-query it with every row
-/// of `left`, and return the deduplicated candidate pairs, each carrying
+/// zero-copy) with the point's backend (and its `scan`, for Exact),
+/// batch-query it with every row of `left`, and return the deduplicated candidate pairs, each carrying
 /// the similarity the matchers consume, threaded from the index hit via
 /// [`er_index::Metric::hit_similarity`].
 ///
@@ -145,16 +39,16 @@ impl From<&TopKConfig> for OperatingPoint {
 /// score. For Dirty ER pass the same collection as both sides.
 ///
 /// Panics when [`AnyIndex::build`] rejects the config (a degenerate
-/// backend config, quantization on an approximate backend, a PQ layout not
+/// backend config, a scan on an approximate backend, a PQ layout not
 /// dividing the dimension): that is a construction bug in the caller's
-/// config, not a data error — [`TopKConfig::from_point`] reports the same
-/// rules as a typed error up front.
+/// config, not a data error — [`OperatingPoint::validate`] reports the
+/// same rules as a typed error up front.
 pub fn top_k_blocking_scored_matrix(
     left_ids: &[EntityId],
     left: &EmbeddingMatrix,
     right_ids: &[EntityId],
     right: &EmbeddingMatrix,
-    config: &TopKConfig,
+    config: &OperatingPoint,
 ) -> Vec<ScoredPair> {
     assert_eq!(left_ids.len(), left.len(), "left ids/vectors differ");
     assert_eq!(right_ids.len(), right.len(), "right ids/vectors differ");
@@ -185,7 +79,7 @@ pub fn top_k_blocking_scored_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_core::{HnswParams, LshParams};
+    use er_core::{BlockerBackend, LshConfig};
     use er_index::{HnswConfig, Metric};
 
     fn ids(n: u32) -> Vec<EntityId> {
@@ -208,7 +102,7 @@ mod tests {
     fn candidates(
         left: &EmbeddingMatrix,
         right: &EmbeddingMatrix,
-        config: &TopKConfig,
+        config: &OperatingPoint,
     ) -> Vec<(EntityId, EntityId)> {
         let (left_ids, right_ids) = (ids(left.len() as u32), ids(right.len() as u32));
         top_k_blocking_scored_matrix(&left_ids, left, &right_ids, right, config)
@@ -217,8 +111,8 @@ mod tests {
             .collect()
     }
 
-    fn exact_euclidean(k: usize) -> TopKConfig {
-        TopKConfig::new(k).backend(BlockerBackend::Exact(Metric::Euclidean))
+    fn exact_euclidean(k: usize) -> OperatingPoint {
+        OperatingPoint::new(k).backend(BlockerBackend::Exact(Metric::Euclidean))
     }
 
     #[test]
@@ -257,23 +151,26 @@ mod tests {
         let (left, right) = clustered();
         let empty = EmbeddingMatrix::new(2);
         assert!(candidates(&left, &right, &exact_euclidean(0)).is_empty());
-        assert!(candidates(&empty, &right, &TopKConfig::default()).is_empty());
-        assert!(candidates(&left, &empty, &TopKConfig::default()).is_empty());
+        assert!(candidates(&empty, &right, &OperatingPoint::default()).is_empty());
+        assert!(candidates(&left, &empty, &OperatingPoint::default()).is_empty());
     }
 
     #[test]
     fn builder_matches_struct_literal_construction() {
-        let built = TopKConfig::new(3)
+        let built = OperatingPoint::new(3)
             .backend(BlockerBackend::Exact(Metric::Cosine))
             .dirty(true);
-        assert_eq!(built.k, 3);
-        assert!(built.dirty);
-        assert!(matches!(
-            built.backend,
-            BlockerBackend::Exact(Metric::Cosine)
-        ));
+        assert_eq!(
+            built,
+            OperatingPoint {
+                k: 3,
+                backend: BlockerBackend::Exact(Metric::Cosine),
+                dirty: true,
+                ..OperatingPoint::default()
+            }
+        );
         // Defaults: HNSW under cosine, clean-clean.
-        let defaulted = TopKConfig::new(7);
+        let defaulted = OperatingPoint::new(7);
         assert_eq!(defaulted.k, 7);
         assert!(!defaulted.dirty);
         assert!(
@@ -285,7 +182,7 @@ mod tests {
     #[test]
     fn cosine_scores_are_bit_identical_to_the_kernel() {
         let (left, right) = clustered();
-        let config = TopKConfig::new(3).backend(BlockerBackend::Exact(Metric::Cosine));
+        let config = OperatingPoint::new(3).backend(BlockerBackend::Exact(Metric::Cosine));
         let scored = top_k_blocking_scored_matrix(&ids(3), &left, &ids(3), &right, &config);
         assert!(!scored.is_empty());
         for p in scored {
@@ -298,76 +195,24 @@ mod tests {
     }
 
     #[test]
-    fn operating_point_round_trips_through_the_legacy_config() {
-        let point = OperatingPoint::default()
-            .k(7)
-            .metric(Metric::Euclidean)
-            .hnsw(HnswParams {
-                m: 8,
-                ef_search: 32,
-                ..HnswParams::default()
-            })
-            .dirty(true);
-        let config = TopKConfig::from_point(&point).unwrap();
-        assert_eq!(config.k, 7);
-        assert!(config.dirty);
-        match &config.backend {
-            BlockerBackend::Hnsw(c) => {
-                assert_eq!(c.m, 8);
-                assert_eq!(c.ef_search, 32);
-                assert_eq!(c.metric, Metric::Euclidean);
-            }
-            other => panic!("expected HNSW, got {other:?}"),
-        }
-        // And back: the lifted point carries the same knobs (tuning goals
-        // are not part of the legacy struct, so they reset to None).
-        let lifted = OperatingPoint::from(&config);
-        assert_eq!(lifted.k, point.k);
-        assert_eq!(lifted.metric, point.metric);
-        assert_eq!(lifted.backend, point.backend);
-        assert_eq!(lifted.dirty, point.dirty);
-    }
-
-    #[test]
-    fn invalid_operating_point_is_a_typed_config_error() {
-        let bad = OperatingPoint::default().scan(ScanConfig {
-            quant: er_core::Quantization::Int8 { rerank: 8 },
-            ..ScanConfig::default()
-        });
-        let err = TopKConfig::from_point(&bad).unwrap_err();
-        assert!(matches!(err, er_core::ErError::Config(_)), "{err}");
-    }
-
-    #[test]
     fn every_point_backend_blocks_with_finite_scores() {
         let (left, right) = clustered();
         for point in [
-            OperatingPoint::default().k(2),
-            OperatingPoint::default().k(2).exact(),
-            OperatingPoint::default().k(2).lsh(LshParams {
+            OperatingPoint::new(2),
+            OperatingPoint::new(2).exact(),
+            OperatingPoint::new(2).backend(BlockerBackend::Lsh(LshConfig {
                 tables: 4,
-                ..LshParams::default()
-            }),
+                ..LshConfig::default()
+            })),
         ] {
-            let config = TopKConfig::from_point(&point).unwrap();
-            let scored = top_k_blocking_scored_matrix(&ids(3), &left, &ids(3), &right, &config);
-            assert!(!scored.is_empty(), "{:?}", config.backend);
+            let scored = top_k_blocking_scored_matrix(&ids(3), &left, &ids(3), &right, &point);
+            assert!(!scored.is_empty(), "{:?}", point.backend);
             assert!(
                 scored.iter().all(|p| p.score.is_finite()),
                 "{:?}",
-                config.backend
+                point.backend
             );
         }
-    }
-
-    #[test]
-    fn default_point_matches_the_default_legacy_config() {
-        // The unified default and the legacy default describe the same run
-        // (compared in canonical JSON: `BackendParams::Hnsw` and
-        // `HnswWith(defaults)` render identically).
-        let from_default_config = OperatingPoint::from(&TopKConfig::default());
-        let default_point = OperatingPoint::default();
-        assert_eq!(from_default_config.to_json(), default_point.to_json());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! candidate-list contract, and agreement between the batch and
 //! sequential search paths.
 
-use er_blocking::{top_k_blocking_scored_matrix, BlockerBackend, TopKConfig};
+use er_blocking::top_k_blocking_scored_matrix;
 use er_core::rng::rng;
+use er_core::{BlockerBackend, OperatingPoint};
 use er_core::{EmbeddingMatrix, EntityId, GroundTruth};
 use er_eval::Metrics;
 use er_index::{HnswConfig, LshConfig, Metric};
@@ -45,7 +46,7 @@ fn planted(
 fn block(
     left: &EmbeddingMatrix,
     right: &EmbeddingMatrix,
-    config: &TopKConfig,
+    config: &OperatingPoint,
 ) -> Vec<(EntityId, EntityId)> {
     let ids = |n: usize| (0..n as u32).map(EntityId).collect::<Vec<_>>();
     top_k_blocking_scored_matrix(&ids(left.len()), left, &ids(right.len()), right, config)
@@ -71,11 +72,11 @@ fn every_backend_recovers_planted_duplicates() {
     ];
     for backend in backends {
         let label = format!("{backend:?}");
-        let config = TopKConfig {
+        let config = OperatingPoint {
             k: 10,
             backend,
             dirty: false,
-            ..TopKConfig::default()
+            ..OperatingPoint::default()
         };
         let candidates = block(&left, &right, &config);
         let m = Metrics::of_candidates(&candidates, &gt);
@@ -101,11 +102,11 @@ fn blocker_candidate_lists_are_deterministic() {
         }),
         BlockerBackend::Lsh(LshConfig::default()),
     ] {
-        let config = TopKConfig {
+        let config = OperatingPoint {
             k: 5,
             backend,
             dirty: false,
-            ..TopKConfig::default()
+            ..OperatingPoint::default()
         };
         let a = block(&left, &right, &config);
         let b = block(&left, &right, &config);
@@ -116,7 +117,7 @@ fn blocker_candidate_lists_are_deterministic() {
     // Different index seeds are allowed to block differently (and with this
     // jitter they do for HNSW at k=1 or LSH generally) — but determinism
     // per seed is the contract; just assert both seeds yield valid output.
-    let reseeded = TopKConfig {
+    let reseeded = OperatingPoint {
         k: 5,
         backend: BlockerBackend::Hnsw(HnswConfig {
             metric: Metric::Cosine,
@@ -124,7 +125,7 @@ fn blocker_candidate_lists_are_deterministic() {
             ..HnswConfig::default()
         }),
         dirty: false,
-        ..TopKConfig::default()
+        ..OperatingPoint::default()
     };
     let c = block(&left, &right, &reseeded);
     assert!(!c.is_empty());
@@ -133,14 +134,14 @@ fn blocker_candidate_lists_are_deterministic() {
 #[test]
 fn candidate_set_is_far_smaller_than_cross_product() {
     let (left, right, gt) = planted(150, 150, 100, 12, 0.05, 33);
-    let config = TopKConfig {
+    let config = OperatingPoint {
         k: 10,
         backend: BlockerBackend::Hnsw(HnswConfig {
             metric: Metric::Cosine,
             ..HnswConfig::default()
         }),
         dirty: false,
-        ..TopKConfig::default()
+        ..OperatingPoint::default()
     };
     let candidates = block(&left, &right, &config);
     let cross = 150 * 150;

@@ -7,7 +7,8 @@
 //! [`VectorSource`] seam), the shared distance kernels ([`kernels`]),
 //! evaluation primitives ([`GroundTruth`], [`ScoredPair`]), the shared
 //! distance [`Metric`] and scan knobs ([`ScanConfig`], [`Quantization`]),
-//! the unified retrieval configuration ([`OperatingPoint`] with its
+//! the unified retrieval configuration ([`OperatingPoint`] holding a
+//! [`BlockerBackend`] with its [`HnswConfig`] / [`LshConfig`], plus the
 //! runtime [`QueryParams`] slice — the `er-tune` autotuner's output type),
 //! the workspace error type ([`ErError`]), a portable seeded RNG
 //! ([`rng::rng`]), a
@@ -40,7 +41,7 @@ pub use journal::{JournalContents, JournalHeader, JournalRecord};
 pub use kernels::KernelTier;
 pub use matrix::{EmbeddingMatrix, VectorSource, VectorStore};
 pub use metric::Metric;
-pub use operating_point::{BackendParams, HnswParams, LshParams, OperatingPoint, QueryParams};
+pub use operating_point::{BlockerBackend, HnswConfig, LshConfig, OperatingPoint, QueryParams};
 pub use pq::{PqCodebook, PqCodes, PqConfig};
 pub use quant::{QuantizedMatrix, QuantizedQuery};
 pub use scan::{Quantization, ScanConfig};

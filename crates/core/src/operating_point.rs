@@ -1,17 +1,21 @@
 //! The unified operating point: every retrieval knob of the workspace —
-//! `k`, metric, backend choice and its parameters, scan tier/quantization,
-//! Dirty-ER mode — composed into **one** config type, plus the tuning
-//! goals (`recall_target`, `budget_ns`) the `er-tune` autotuner optimizes
-//! against.
+//! `k`, the backend with its parameters and metric, the Exact scan's
+//! tier/quantization, Dirty-ER mode — composed into **one** config type,
+//! plus the tuning goals (`recall_target`, `budget_ns`) the `er-tune`
+//! autotuner optimizes against.
 //!
-//! Before this type, the same run was configured through five structs
-//! (`TopKConfig`, `ScanConfig`, `HnswConfig`, `LshConfig`, `ServeConfig`)
-//! that could silently disagree — e.g. a `ServeConfig.scan` quantized while
-//! the blocker's `TopKConfig.scan` was not. An [`OperatingPoint`] is the
-//! single source of truth: `er-blocking`, the `Pipeline` facade and the
-//! `er-serve` `Resolver` all accept one directly (`From` impls derive the
-//! legacy structs), and [`OperatingPoint::validate`] rejects
-//! self-contradictory settings with a typed [`ErError::Config`].
+//! There is one vocabulary: [`BlockerBackend`] with its [`HnswConfig`] /
+//! [`LshConfig`] is what the indices are built and persisted with, and an
+//! [`OperatingPoint`] holds it directly. `er-blocking`, the `Pipeline`
+//! facade, the `er-serve` `ServeConfig` and `er-tune` all take these
+//! values as they are — nothing translates between config types.
+//!
+//! Each field means one thing: `scan` configures the Exact scan only,
+//! while an HNSW or LSH kernel tier lives in its own config (which is
+//! what the index persists). [`BlockerBackend::validate`] states the
+//! backend rules once, including "a non-default `scan` only on Exact",
+//! and [`OperatingPoint::validate`] rejects self-contradictory settings
+//! with a typed [`ErError::Config`].
 //!
 //! Query-time parameters (HNSW beam width, LSH probes/tables) are carried
 //! separately in [`QueryParams`] so the tuner can sweep them against one
@@ -24,11 +28,10 @@ use crate::kernels::KernelTier;
 use crate::metric::Metric;
 use crate::scan::{Quantization, ScanConfig};
 
-/// HNSW graph parameters, decoupled from `er_index::HnswConfig` (which
-/// additionally carries the metric and tier — here those are fields of the
-/// enclosing [`OperatingPoint`], stated exactly once).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HnswParams {
+/// HNSW graph parameters (the paper sweeps `ef_search` in its FAISS
+/// configuration ablation).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HnswConfig {
     /// Max links per node on layers ≥ 1 (layer 0 allows `2·m`).
     pub m: usize,
     /// Beam width while inserting.
@@ -36,25 +39,33 @@ pub struct HnswParams {
     /// Beam width while querying (raised to `k` when `k` is larger).
     /// A *runtime* parameter: sweeping it never rebuilds the graph.
     pub ef_search: usize,
+    pub metric: Metric,
     /// Seed for the level-sampling stream.
     pub seed: u64,
+    /// Kernel tier every graph distance runs on. `Reference` (the default)
+    /// keeps builds bit-identical to the pre-tier index; `Lanes` speeds up
+    /// construction and search, with the usual ≤-tolerance contract. The
+    /// tier is persisted: a loaded graph searches with the tier it was
+    /// built with.
+    pub tier: KernelTier,
 }
 
-impl Default for HnswParams {
+impl Default for HnswConfig {
     fn default() -> Self {
-        HnswParams {
+        HnswConfig {
             m: 16,
             ef_construction: 100,
             ef_search: 64,
+            metric: Metric::Euclidean,
             seed: 42,
+            tier: KernelTier::Reference,
         }
     }
 }
 
-/// Hyperplane-LSH parameters, decoupled from `er_index::LshConfig` the
-/// same way as [`HnswParams`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LshParams {
+/// Hyperplane-LSH parameters.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LshConfig {
     /// Hyperplanes (signature bits) per table, at most 64.
     pub planes: usize,
     /// Independent tables; more tables ⇒ higher recall. A *runtime*
@@ -66,104 +77,101 @@ pub struct LshParams {
     /// Extra buckets probed per table by flipping the lowest-margin bits.
     /// A *runtime* parameter: probing never rebuilds the tables.
     pub probes: usize,
+    /// Metric used for the exact re-ranking of gathered candidates.
+    pub metric: Metric,
     /// Seed for the hyperplane streams.
     pub seed: u64,
+    /// Kernel tier for the signature dots and the candidate re-ranking.
+    /// Signatures are sign bits, so they rarely change across tiers, but
+    /// the tier is part of the build contract and is persisted with the
+    /// index: a loaded index probes with the same tier it hashed with.
+    pub tier: KernelTier,
 }
 
-impl Default for LshParams {
+impl Default for LshConfig {
     fn default() -> Self {
-        LshParams {
+        LshConfig {
             planes: 12,
             tables: 8,
             probes: 2,
+            // Hyperplane sketches approximate angles, so cosine is the
+            // native re-ranking metric.
+            metric: Metric::Cosine,
             seed: 42,
+            tier: KernelTier::Reference,
         }
     }
 }
 
-/// Which index backend serves the queries, with its parameters. The
-/// metric and scan tier live on the enclosing [`OperatingPoint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendParams {
-    /// Brute-force scan — exact, O(rows) per query.
-    Exact,
+/// Which index serves the k-NN queries, with its parameters and metric.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BlockerBackend {
+    /// Brute-force scan under the given metric — exact, O(rows) per query.
+    Exact(Metric),
     /// HNSW graph (the scalable default).
-    #[default]
-    Hnsw,
-    /// HNSW with explicit parameters.
-    HnswWith(HnswParams),
-    /// Hyperplane LSH with default parameters.
-    Lsh,
-    /// Hyperplane LSH with explicit parameters.
-    LshWith(LshParams),
+    Hnsw(HnswConfig),
+    /// Hyperplane LSH with multi-table probing.
+    Lsh(LshConfig),
 }
 
-impl BackendParams {
-    /// Resolved HNSW parameters (defaults for the parameterless variant);
-    /// `None` for non-HNSW backends.
-    pub fn hnsw(&self) -> Option<HnswParams> {
-        match self {
-            BackendParams::Hnsw => Some(HnswParams::default()),
-            BackendParams::HnswWith(p) => Some(*p),
-            _ => None,
-        }
+impl Default for BlockerBackend {
+    /// HNSW under cosine — the paper's blocking setting over raw
+    /// embeddings, on the scalable index.
+    fn default() -> Self {
+        BlockerBackend::Hnsw(HnswConfig {
+            metric: Metric::Cosine,
+            ..HnswConfig::default()
+        })
     }
+}
 
-    /// Resolved LSH parameters; `None` for non-LSH backends.
-    pub fn lsh(&self) -> Option<LshParams> {
+impl BlockerBackend {
+    /// The metric the backend's index is built with.
+    pub fn metric(&self) -> Metric {
         match self {
-            BackendParams::Lsh => Some(LshParams::default()),
-            BackendParams::LshWith(p) => Some(*p),
-            _ => None,
+            BlockerBackend::Exact(metric) => *metric,
+            BlockerBackend::Hnsw(config) => config.metric,
+            BlockerBackend::Lsh(config) => config.metric,
         }
     }
 
     /// Short stable name, used by [`OperatingPoint::to_json`] and reports.
     pub fn name(&self) -> &'static str {
         match self {
-            BackendParams::Exact => "exact",
-            BackendParams::Hnsw | BackendParams::HnswWith(_) => "hnsw",
-            BackendParams::Lsh | BackendParams::LshWith(_) => "lsh",
+            BlockerBackend::Exact(_) => "exact",
+            BlockerBackend::Hnsw(_) => "hnsw",
+            BlockerBackend::Lsh(_) => "lsh",
         }
     }
 
-    /// The backend rules, stated once for every path that builds an index
-    /// — [`OperatingPoint::validate`] and `er_index::AnyIndex::build` both
-    /// call this, so a degenerate config is the same typed
-    /// [`ErError::Config`] whether it arrives as a point or as a legacy
-    /// config struct: quantized scans only rank on `Exact`, HNSW needs
-    /// `m >= 2` and non-zero beams, LSH signatures are `u64` bitmasks over
-    /// at least one table.
-    pub fn validate(&self, quant: &Quantization) -> Result<()> {
-        let fail = |msg: String| Err(ErError::Config(msg));
-        if !matches!(quant, Quantization::None) && !matches!(self, BackendParams::Exact) {
-            return fail(format!(
-                "backend config: quantized scans only apply to the Exact \
-                 backend, not {}",
+    /// The backend rules, stated once for every path that builds or loads
+    /// an index — [`OperatingPoint::validate`], `er_index::AnyIndex::build`
+    /// and the `er_index::persist` loaders all call this: `scan` (tier and
+    /// quantization) only configures `Exact`, so any other backend must
+    /// leave it at its default; HNSW needs `m >= 2` and non-zero beams;
+    /// LSH signatures are `u64` bitmasks over at least one table.
+    pub fn validate(&self, scan: &ScanConfig) -> Result<()> {
+        let fail = |msg: String| Err(ErError::Config(format!("backend config: {msg}")));
+        match self {
+            BlockerBackend::Exact(_) => Ok(()),
+            _ if *scan != ScanConfig::default() => fail(format!(
+                "a scan tier or quantization only applies to the Exact backend; \
+                 {} carries its tier in its own config",
                 self.name()
-            ));
+            )),
+            BlockerBackend::Hnsw(c) if c.m < 2 => fail(format!("HNSW needs m >= 2, got {}", c.m)),
+            BlockerBackend::Hnsw(c) if c.ef_construction == 0 || c.ef_search == 0 => {
+                fail("HNSW beam widths must be >= 1".to_string())
+            }
+            BlockerBackend::Lsh(c) if !(1..=64).contains(&c.planes) => fail(format!(
+                "LSH signatures are u64 bitmasks, need 1 <= planes <= 64, got {}",
+                c.planes
+            )),
+            BlockerBackend::Lsh(c) if c.tables == 0 => {
+                fail("LSH needs at least one table".to_string())
+            }
+            _ => Ok(()),
         }
-        if let Some(p) = self.hnsw() {
-            if p.m < 2 {
-                return fail(format!("backend config: HNSW needs m >= 2, got {}", p.m));
-            }
-            if p.ef_construction == 0 || p.ef_search == 0 {
-                return fail("backend config: HNSW beam widths must be >= 1".to_string());
-            }
-        }
-        if let Some(p) = self.lsh() {
-            if !(1..=64).contains(&p.planes) {
-                return fail(format!(
-                    "backend config: LSH signatures are u64 bitmasks, \
-                     need 1 <= planes <= 64, got {}",
-                    p.planes
-                ));
-            }
-            if p.tables == 0 {
-                return fail("backend config: LSH needs at least one table".to_string());
-            }
-        }
-        Ok(())
     }
 }
 
@@ -201,20 +209,22 @@ impl QueryParams {
 
 /// One retrieval configuration for the whole stack — see the module docs.
 ///
-/// Build one with the builder (`OperatingPoint::recall_target(0.95)
-/// .budget(500_000.0).k(10)`) or field-by-field; validate with
-/// [`OperatingPoint::validate`] before handing it to a backend.
+/// Build one with the builder (`OperatingPoint::new(10).backend(..)`, or
+/// `OperatingPoint::recall_target(0.95).budget(500_000.0)` as a tuning
+/// goal) or field-by-field; validate with [`OperatingPoint::validate`]
+/// before handing it to a backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
-    /// Neighbours kept per query entity.
+    /// Neighbours kept per query entity (the paper sweeps k ∈ {1, 5, 10}).
     pub k: usize,
-    /// The distance every backend minimizes and every score derives from.
-    pub metric: Metric,
-    pub backend: BackendParams,
-    /// Kernel tier + quantization. The tier applies to *every* backend;
-    /// quantization only to `Exact` (validation rejects the rest).
+    /// The index backend with its parameters; its metric is the distance
+    /// every backend minimizes and every score derives from.
+    pub backend: BlockerBackend,
+    /// Kernel tier + quantization of the *Exact* scan. Must stay at its
+    /// default on HNSW/LSH, whose tier lives in their own config.
     pub scan: ScanConfig,
-    /// Dirty ER: both sides are the same collection.
+    /// Dirty ER: both sides are the same collection, so pairs are
+    /// order-normalized and self-pairs dropped.
     pub dirty: bool,
     /// Tuning goal: the fraction of the exact-scan top-k the chosen
     /// configuration must retrieve (`None`: no constraint).
@@ -231,8 +241,7 @@ impl Default for OperatingPoint {
     fn default() -> Self {
         OperatingPoint {
             k: 10,
-            metric: Metric::Cosine,
-            backend: BackendParams::Hnsw,
+            backend: BlockerBackend::default(),
             scan: ScanConfig::default(),
             dirty: false,
             recall_target: None,
@@ -242,6 +251,15 @@ impl Default for OperatingPoint {
 }
 
 impl OperatingPoint {
+    /// Start a builder with the given `k` and the default backend
+    /// (HNSW/cosine): `OperatingPoint::new(10).backend(..).dirty(true)`.
+    pub fn new(k: usize) -> OperatingPoint {
+        OperatingPoint {
+            k,
+            ..OperatingPoint::default()
+        }
+    }
+
     /// Start a builder from a recall target — the autotuner's entry point:
     /// `OperatingPoint::recall_target(0.95).budget(250_000.0)`.
     pub fn recall_target(target: f32) -> OperatingPoint {
@@ -262,39 +280,35 @@ impl OperatingPoint {
         self
     }
 
+    /// Set the metric of the current backend.
     pub fn metric(mut self, metric: Metric) -> OperatingPoint {
-        self.metric = metric;
+        match &mut self.backend {
+            BlockerBackend::Exact(m) => *m = metric,
+            BlockerBackend::Hnsw(c) => c.metric = metric,
+            BlockerBackend::Lsh(c) => c.metric = metric,
+        }
         self
     }
 
-    /// Use the exact brute-force backend.
+    /// Use the exact brute-force backend under the current metric.
     pub fn exact(mut self) -> OperatingPoint {
-        self.backend = BackendParams::Exact;
+        self.backend = BlockerBackend::Exact(self.backend.metric());
         self
     }
 
-    /// Use the HNSW backend with explicit parameters.
-    pub fn hnsw(mut self, params: HnswParams) -> OperatingPoint {
-        self.backend = BackendParams::HnswWith(params);
+    /// Choose the index backend.
+    pub fn backend(mut self, backend: BlockerBackend) -> OperatingPoint {
+        self.backend = backend;
         self
     }
 
-    /// Use the LSH backend with explicit parameters.
-    pub fn lsh(mut self, params: LshParams) -> OperatingPoint {
-        self.backend = BackendParams::LshWith(params);
-        self
-    }
-
+    /// Choose the Exact backend's kernel tier / quantization.
     pub fn scan(mut self, scan: ScanConfig) -> OperatingPoint {
         self.scan = scan;
         self
     }
 
-    pub fn tier(mut self, tier: KernelTier) -> OperatingPoint {
-        self.scan.tier = tier;
-        self
-    }
-
+    /// Mark both sides as the same collection (Dirty ER).
     pub fn dirty(mut self, dirty: bool) -> OperatingPoint {
         self.dirty = dirty;
         self
@@ -303,19 +317,23 @@ impl OperatingPoint {
     /// The runtime query-parameter slice of this point — what a search
     /// against an already-built index needs to honor it.
     pub fn query_params(&self) -> QueryParams {
-        QueryParams {
-            ef_search: self.backend.hnsw().map(|p| p.ef_search),
-            probes: self.backend.lsh().map(|p| p.probes),
-            tables: self.backend.lsh().map(|p| p.tables),
+        match &self.backend {
+            BlockerBackend::Exact(_) => QueryParams::default(),
+            BlockerBackend::Hnsw(c) => QueryParams::with_ef_search(c.ef_search),
+            BlockerBackend::Lsh(c) => QueryParams {
+                probes: Some(c.probes),
+                tables: Some(c.tables),
+                ef_search: None,
+            },
         }
     }
 
     /// Reject self-contradictory settings with a typed
     /// [`ErError::Config`]: the backend rules of
-    /// [`BackendParams::validate`] plus the tuning goals' ranges.
+    /// [`BlockerBackend::validate`] plus the tuning goals' ranges.
     pub fn validate(&self) -> Result<()> {
         let fail = |msg: String| Err(ErError::Config(msg));
-        self.backend.validate(&self.scan.quant)?;
+        self.backend.validate(&self.scan)?;
         if let Some(t) = self.recall_target {
             if !(t > 0.0 && t <= 1.0) {
                 return fail(format!(
@@ -335,9 +353,10 @@ impl OperatingPoint {
 
     /// Canonical JSON rendering — stable field order, so two points are
     /// equal iff their JSON is byte-identical (the autotuner-determinism
-    /// contract is pinned on this).
+    /// contract is pinned on this). `scan.tier` is the tier that actually
+    /// ranks: the Exact scan's, or the HNSW/LSH config's.
     pub fn to_json(&self) -> String {
-        let metric = match self.metric {
+        let metric = match self.backend.metric() {
             Metric::Euclidean => "euclidean",
             Metric::Cosine => "cosine",
         };
@@ -359,35 +378,40 @@ impl OperatingPoint {
             ("metric".into(), Json::from_str_value(metric)),
             ("backend".into(), Json::from_str_value(self.backend.name())),
         ];
-        if let Some(p) = self.backend.hnsw() {
-            fields.push((
-                "hnsw".into(),
-                Json::Obj(vec![
-                    ("m".into(), Json::from_usize(p.m)),
-                    (
-                        "ef_construction".into(),
-                        Json::from_usize(p.ef_construction),
-                    ),
-                    ("ef_search".into(), Json::from_usize(p.ef_search)),
-                    ("seed".into(), Json::from_u64(p.seed)),
-                ]),
-            ));
-        }
-        if let Some(p) = self.backend.lsh() {
-            fields.push((
-                "lsh".into(),
-                Json::Obj(vec![
-                    ("planes".into(), Json::from_usize(p.planes)),
-                    ("tables".into(), Json::from_usize(p.tables)),
-                    ("probes".into(), Json::from_usize(p.probes)),
-                    ("seed".into(), Json::from_u64(p.seed)),
-                ]),
-            ));
-        }
+        let tier = match &self.backend {
+            BlockerBackend::Exact(_) => self.scan.tier,
+            BlockerBackend::Hnsw(c) => {
+                fields.push((
+                    "hnsw".into(),
+                    Json::Obj(vec![
+                        ("m".into(), Json::from_usize(c.m)),
+                        (
+                            "ef_construction".into(),
+                            Json::from_usize(c.ef_construction),
+                        ),
+                        ("ef_search".into(), Json::from_usize(c.ef_search)),
+                        ("seed".into(), Json::from_u64(c.seed)),
+                    ]),
+                ));
+                c.tier
+            }
+            BlockerBackend::Lsh(c) => {
+                fields.push((
+                    "lsh".into(),
+                    Json::Obj(vec![
+                        ("planes".into(), Json::from_usize(c.planes)),
+                        ("tables".into(), Json::from_usize(c.tables)),
+                        ("probes".into(), Json::from_usize(c.probes)),
+                        ("seed".into(), Json::from_u64(c.seed)),
+                    ]),
+                ));
+                c.tier
+            }
+        };
         fields.push((
             "scan".into(),
             Json::Obj(vec![
-                ("tier".into(), Json::from_str_value(self.scan.tier.name())),
+                ("tier".into(), Json::from_str_value(tier.name())),
                 ("quant".into(), quant),
             ]),
         ));
@@ -406,61 +430,78 @@ impl OperatingPoint {
 mod tests {
     use super::*;
 
+    fn lsh_tables(tables: usize) -> BlockerBackend {
+        BlockerBackend::Lsh(LshConfig {
+            tables,
+            ..LshConfig::default()
+        })
+    }
+
     #[test]
     fn builder_composes_goals_and_knobs() {
         let op = OperatingPoint::recall_target(0.95)
             .budget(250_000.0)
             .k(5)
+            .backend(lsh_tables(4))
             .metric(Metric::Euclidean)
-            .lsh(LshParams {
-                tables: 4,
-                ..LshParams::default()
-            })
             .dirty(true);
         assert_eq!(op.k, 5);
-        assert_eq!(op.metric, Metric::Euclidean);
+        assert_eq!(op.backend.metric(), Metric::Euclidean);
         assert_eq!(op.recall_target, Some(0.95));
         assert_eq!(op.budget_ns, Some(250_000.0));
         assert!(op.dirty);
-        assert_eq!(op.backend.lsh().unwrap().tables, 4);
+        assert!(matches!(&op.backend, BlockerBackend::Lsh(c) if c.tables == 4));
         assert!(op.validate().is_ok());
+        // `exact()` keeps the metric the backend carried.
+        assert_eq!(op.exact().backend, BlockerBackend::Exact(Metric::Euclidean));
     }
 
     #[test]
     fn default_mirrors_the_blocker_defaults() {
         let op = OperatingPoint::default();
-        assert_eq!(op.k, 10);
-        assert_eq!(op.metric, Metric::Cosine);
-        assert_eq!(op.backend.hnsw(), Some(HnswParams::default()));
+        assert_eq!(op, OperatingPoint::new(10));
+        assert_eq!(op.backend.metric(), Metric::Cosine);
+        assert!(matches!(&op.backend, BlockerBackend::Hnsw(c) if c.m == 16 && c.ef_search == 64));
         assert_eq!(op.scan, ScanConfig::default());
         assert!(!op.dirty);
         assert!(op.validate().is_ok());
     }
 
     #[test]
-    fn quantization_on_approximate_backends_is_a_config_error() {
-        let op = OperatingPoint::default().scan(ScanConfig {
-            tier: KernelTier::Reference,
-            quant: Quantization::Int8 { rerank: 32 },
-        });
-        let err = op.validate().unwrap_err();
-        assert!(matches!(err, ErError::Config(_)), "{err}");
-        // The same scan on the Exact backend is fine.
-        assert!(op.exact().validate().is_ok());
+    fn a_scan_on_approximate_backends_is_a_config_error() {
+        // Quantization and a kernel tier alike: HNSW/LSH carry their tier
+        // in their own config, so a non-default scan would be ignored.
+        for scan in [
+            ScanConfig {
+                tier: KernelTier::Reference,
+                quant: Quantization::Int8 { rerank: 32 },
+            },
+            ScanConfig::with_tier(KernelTier::Lanes),
+        ] {
+            for backend in [BlockerBackend::default(), lsh_tables(8)] {
+                let op = OperatingPoint::default().backend(backend).scan(scan);
+                let err = op.validate().unwrap_err();
+                assert!(matches!(err, ErError::Config(_)), "{err}");
+                // The same scan on the Exact backend is fine.
+                assert!(op.exact().validate().is_ok());
+            }
+        }
     }
 
     #[test]
     fn degenerate_parameters_are_rejected() {
-        let bad_m = OperatingPoint::default().hnsw(HnswParams {
+        let bad_m = OperatingPoint::default().backend(BlockerBackend::Hnsw(HnswConfig {
             m: 1,
-            ..HnswParams::default()
-        });
+            ..HnswConfig::default()
+        }));
         assert!(matches!(bad_m.validate(), Err(ErError::Config(_))));
-        let bad_planes = OperatingPoint::default().lsh(LshParams {
+        let bad_planes = OperatingPoint::default().backend(BlockerBackend::Lsh(LshConfig {
             planes: 65,
-            ..LshParams::default()
-        });
+            ..LshConfig::default()
+        }));
         assert!(matches!(bad_planes.validate(), Err(ErError::Config(_))));
+        let no_tables = OperatingPoint::default().backend(lsh_tables(0));
+        assert!(matches!(no_tables.validate(), Err(ErError::Config(_))));
         let bad_target = OperatingPoint::recall_target(1.5);
         assert!(matches!(bad_target.validate(), Err(ErError::Config(_))));
         let bad_budget = OperatingPoint::default().budget(0.0);
@@ -469,10 +510,10 @@ mod tests {
 
     #[test]
     fn query_params_surface_only_the_active_backend() {
-        let hnsw = OperatingPoint::default().hnsw(HnswParams {
+        let hnsw = OperatingPoint::default().backend(BlockerBackend::Hnsw(HnswConfig {
             ef_search: 32,
-            ..HnswParams::default()
-        });
+            ..HnswConfig::default()
+        }));
         assert_eq!(
             hnsw.query_params(),
             QueryParams {
@@ -481,11 +522,11 @@ mod tests {
                 tables: None
             }
         );
-        let lsh = OperatingPoint::default().lsh(LshParams {
+        let lsh = OperatingPoint::default().backend(BlockerBackend::Lsh(LshConfig {
             probes: 3,
             tables: 6,
-            ..LshParams::default()
-        });
+            ..LshConfig::default()
+        }));
         assert_eq!(
             lsh.query_params(),
             QueryParams {

@@ -1,99 +1,14 @@
-//! The backend choice as data ([`BlockerBackend`]) and the one index type
-//! erased over it ([`AnyIndex`]) — how the blocker, the serving shards and
-//! the tuner all turn "a backend + a matrix" into something searchable,
-//! through the single validating constructor [`AnyIndex::build`].
+//! The one index type erased over the backend choice ([`AnyIndex`]) — how
+//! the blocker, the serving shards and the tuner all turn "a
+//! [`BlockerBackend`] + a matrix" into something searchable, through the
+//! single validating constructor [`AnyIndex::build`].
 
 use crate::{
-    ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, IndexReader, LshConfig, Metric, MutableIndex,
-    Neighbor, NnIndex, ScanConfig,
+    ExactIndex, HnswIndex, HyperplaneLsh, IndexReader, Metric, MutableIndex, Neighbor, NnIndex,
+    ScanConfig,
 };
 use er_core::binary::{self, kind};
-use er_core::{
-    BackendParams, ErError, HnswParams, LshParams, OperatingPoint, QueryParams, Result,
-    VectorSource,
-};
-
-/// Which index serves the k-NN queries.
-#[derive(Debug, Clone)]
-pub enum BlockerBackend {
-    /// Brute-force scan under the given metric — exact, O(|left|·|right|).
-    Exact(Metric),
-    /// HNSW graph (the scalable default; seed/metric live in the config).
-    Hnsw(HnswConfig),
-    /// Hyperplane LSH with multi-table probing.
-    Lsh(LshConfig),
-}
-
-impl BlockerBackend {
-    /// The backend a unified [`OperatingPoint`] describes: the point's
-    /// single `metric` and `scan.tier` feed every backend config, which is
-    /// what closes the "two scans disagree" footgun. Does not validate —
-    /// [`AnyIndex::build`] (or [`OperatingPoint::validate`]) does.
-    pub fn from_point(point: &OperatingPoint) -> BlockerBackend {
-        if let Some(p) = point.backend.hnsw() {
-            BlockerBackend::Hnsw(HnswConfig {
-                m: p.m,
-                ef_construction: p.ef_construction,
-                ef_search: p.ef_search,
-                metric: point.metric,
-                seed: p.seed,
-                tier: point.scan.tier,
-            })
-        } else if let Some(p) = point.backend.lsh() {
-            BlockerBackend::Lsh(LshConfig {
-                planes: p.planes,
-                tables: p.tables,
-                probes: p.probes,
-                metric: point.metric,
-                seed: p.seed,
-                tier: point.scan.tier,
-            })
-        } else {
-            BlockerBackend::Exact(point.metric)
-        }
-    }
-
-    /// The point-level parameters of this backend — the inverse of
-    /// [`BlockerBackend::from_point`], and what the shared validation rules
-    /// ([`BackendParams::validate`]) are stated over.
-    pub fn params(&self) -> BackendParams {
-        match self {
-            BlockerBackend::Exact(_) => BackendParams::Exact,
-            BlockerBackend::Hnsw(c) => BackendParams::HnswWith(HnswParams {
-                m: c.m,
-                ef_construction: c.ef_construction,
-                ef_search: c.ef_search,
-                seed: c.seed,
-            }),
-            BlockerBackend::Lsh(c) => BackendParams::LshWith(LshParams {
-                planes: c.planes,
-                tables: c.tables,
-                probes: c.probes,
-                seed: c.seed,
-            }),
-        }
-    }
-
-    /// The metric the backend's index will be built with.
-    pub fn metric(&self) -> Metric {
-        match self {
-            BlockerBackend::Exact(metric) => *metric,
-            BlockerBackend::Hnsw(config) => config.metric,
-            BlockerBackend::Lsh(config) => config.metric,
-        }
-    }
-}
-
-impl Default for BlockerBackend {
-    /// HNSW under cosine — the paper's blocking setting over raw
-    /// embeddings, on the scalable index.
-    fn default() -> Self {
-        BlockerBackend::Hnsw(HnswConfig {
-            metric: Metric::Cosine,
-            ..HnswConfig::default()
-        })
-    }
-}
+use er_core::{BlockerBackend, ErError, QueryParams, Result, VectorSource};
 
 /// One index of any backend, owning its matrix (a serving shard) or
 /// borrowing it (the batch blocker). All three variants share the
@@ -113,9 +28,9 @@ impl<'a> AnyIndex<'a> {
     /// `tier` in their configs).
     ///
     /// Errors instead of panicking on a config no index can honour: a
-    /// degenerate HNSW/LSH config or quantization on a non-Exact backend is
-    /// a typed [`ErError::Config`] (the rules of
-    /// [`BackendParams::validate`]); a PQ scan that cannot train — an empty
+    /// degenerate HNSW/LSH config or a non-default scan on a non-Exact
+    /// backend is a typed [`ErError::Config`] (the rules of
+    /// [`BlockerBackend::validate`]); a PQ scan that cannot train — an empty
     /// store, so a streaming service must start on `Int8` or `None`, or
     /// `subspaces` not dividing the dimension — is the [`ErError::Model`]
     /// of [`ExactIndex::from_source_scan`].
@@ -124,7 +39,7 @@ impl<'a> AnyIndex<'a> {
         backend: &BlockerBackend,
         scan: ScanConfig,
     ) -> Result<AnyIndex<'a>> {
-        backend.params().validate(&scan.quant)?;
+        backend.validate(&scan)?;
         Ok(match backend {
             BlockerBackend::Exact(metric) => {
                 AnyIndex::Exact(ExactIndex::from_source_scan(source, *metric, scan)?)

@@ -30,7 +30,7 @@
 use crate::store::{owned_mut, push_row, Ranked, Tombstones};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::rng::{derive, DetRng};
-use er_core::{EmbeddingMatrix, QueryParams, VectorSource, VectorStore};
+use er_core::{EmbeddingMatrix, HnswConfig, QueryParams, VectorSource, VectorStore};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,40 +38,6 @@ use std::collections::BinaryHeap;
 /// Levels are capped so a pathological RNG draw cannot allocate an
 /// unbounded tower (16 layers already covers ~M^16 nodes).
 pub(crate) const MAX_LEVEL: usize = 16;
-
-/// Tunables of the graph (the paper sweeps `ef_search` in its FAISS
-/// configuration ablation; see `bench_indexing`).
-#[derive(Debug, Clone)]
-pub struct HnswConfig {
-    /// Max links per node on layers ≥ 1 (layer 0 allows `2·M`).
-    pub m: usize,
-    /// Beam width while inserting.
-    pub ef_construction: usize,
-    /// Beam width while querying (raised to `k` when `k` is larger).
-    pub ef_search: usize,
-    pub metric: Metric,
-    /// Seed for the level-sampling stream.
-    pub seed: u64,
-    /// Kernel tier every graph distance runs on. `Reference` (the default)
-    /// keeps builds bit-identical to the pre-tier index; `Lanes` speeds up
-    /// construction and search, with the usual ≤-tolerance contract. The
-    /// tier is persisted: a loaded graph searches with the tier it was
-    /// built with.
-    pub tier: er_core::KernelTier,
-}
-
-impl Default for HnswConfig {
-    fn default() -> Self {
-        HnswConfig {
-            m: 16,
-            ef_construction: 100,
-            ef_search: 64,
-            metric: Metric::Euclidean,
-            seed: 42,
-            tier: er_core::KernelTier::Reference,
-        }
-    }
-}
 
 /// A graph candidate: `(distance to the query, node id)`, ties broken on
 /// the id so every heap and neighbour comparison is deterministic.

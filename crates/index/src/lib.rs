@@ -24,19 +24,19 @@ pub mod any;
 pub mod exact;
 pub mod hnsw;
 pub mod lsh;
-pub mod metric;
 pub mod persist;
 mod store;
 
-pub use any::{AnyIndex, BlockerBackend};
+pub use any::AnyIndex;
 pub use exact::{ExactIndex, Quantization, ScanConfig};
-pub use hnsw::{HnswConfig, HnswIndex};
-pub use lsh::{HyperplaneLsh, LshConfig};
-pub use metric::Metric;
+pub use hnsw::HnswIndex;
+pub use lsh::HyperplaneLsh;
 pub use store::Ranked;
-// The runtime query-parameter overrides every `IndexReader` accepts (part
-// of the `er_core::OperatingPoint` redesign).
-pub use er_core::QueryParams;
+// The metric, the backend configs and the runtime query-parameter
+// overrides every `IndexReader` accepts live in er-core beside
+// `OperatingPoint`, which holds them; re-exported so `er_index::{Metric,
+// BlockerBackend, HnswConfig, ..}` keep naming them.
+pub use er_core::{BlockerBackend, HnswConfig, LshConfig, Metric, QueryParams};
 
 use er_core::EmbeddingMatrix;
 

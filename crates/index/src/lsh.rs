@@ -18,42 +18,11 @@
 use crate::store::{owned_mut, push_row, rerank, Tombstones};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::rng::derive;
-use er_core::{EmbeddingMatrix, ErError, KernelTier, QueryParams, VectorSource, VectorStore};
+use er_core::{
+    EmbeddingMatrix, ErError, KernelTier, LshConfig, QueryParams, VectorSource, VectorStore,
+};
 use rand::{Rng, RngCore};
 use std::collections::HashMap;
-
-#[derive(Debug, Clone)]
-pub struct LshConfig {
-    /// Hyperplanes (signature bits) per table, at most 64.
-    pub planes: usize,
-    /// Number of independent tables; more tables ⇒ higher recall.
-    pub tables: usize,
-    /// Extra buckets probed per table by flipping the lowest-margin bits.
-    pub probes: usize,
-    /// Metric used for the exact re-ranking of gathered candidates.
-    pub metric: Metric,
-    pub seed: u64,
-    /// Kernel tier for the signature dots and the candidate re-ranking.
-    /// Signatures are sign bits, so they rarely change across tiers, but
-    /// the tier is part of the build contract and is persisted with the
-    /// index: a loaded index probes with the same tier it hashed with.
-    pub tier: KernelTier,
-}
-
-impl Default for LshConfig {
-    fn default() -> Self {
-        LshConfig {
-            planes: 12,
-            tables: 8,
-            probes: 2,
-            // Hyperplane sketches approximate angles, so cosine is the
-            // native re-ranking metric.
-            metric: Metric::Cosine,
-            seed: 42,
-            tier: KernelTier::Reference,
-        }
-    }
-}
 
 #[derive(Debug, Clone)]
 pub(crate) struct Table {

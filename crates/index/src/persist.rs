@@ -79,12 +79,9 @@ fn tier_from_code(code: u8) -> Result<KernelTier> {
 }
 
 /// A stored config that breaks the backend rules every build enforces
-/// (`BackendParams::validate`) can only come from a damaged file.
+/// ([`BlockerBackend::validate`]) can only come from a damaged file.
 fn config_in_range(backend: BlockerBackend) -> Result<()> {
-    backend
-        .params()
-        .validate(&Quantization::None)
-        .map_err(corrupt)
+    backend.validate(&ScanConfig::default()).map_err(corrupt)
 }
 
 fn tombstones_to_bytes(tombstones: &Tombstones) -> Vec<u8> {

@@ -28,8 +28,13 @@
 //!   journal (`er_core::journal` layout) before it is applied, and
 //!   [`Resolver::checkpoint`] folds the journals into an atomic
 //!   epoch-stamped ERBF save. Crash recovery replays exactly the
-//!   committed journal prefix. [`Resolver::save`] / [`Resolver::load`]
-//!   remain as journal-free point-in-time exports.
+//!   committed journal prefix, under the layout the save records — a
+//!   caller asking for another one gets an `ErError::Config`.
+//!   [`Resolver::save`] / [`Resolver::load`] remain as journal-free
+//!   point-in-time exports.
+//! * Configuration — [`ServeConfig`] is serving layout (shard count,
+//!   compaction policy) around the same `BlockerBackend` and `ScanConfig`
+//!   values an `er_core::OperatingPoint` holds.
 //! * Compaction — tombstoned rows are reclaimed automatically once a
 //!   shard crosses its [`CompactionPolicy`] threshold (or manually via
 //!   [`Resolver::compact`]), with live top-k answers unchanged;
@@ -46,7 +51,7 @@ pub mod shard;
 pub mod snapshot;
 mod wal;
 
-pub use resolver::{unified_operating_point, Resolver, ServeConfig};
+pub use resolver::{Resolver, ServeConfig};
 // The backend-erased index moved down beside its constructor
 // (`er_index::AnyIndex::build`); re-exported under its serving name.
 pub use er_index::AnyIndex;

@@ -37,7 +37,7 @@ use er_core::binary::{self, kind, BinReader, BinWriter};
 use er_core::journal::parse_journal;
 use er_core::{Embedding, Entity, EntityId, ErError, Result, SerializationMode};
 use er_embed::LanguageModel;
-use er_index::{AnyIndex, BlockerBackend, ScanConfig};
+use er_index::{AnyIndex, BlockerBackend, NnIndex, ScanConfig};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -54,9 +54,11 @@ fn journal_file(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.jrnl"))
 }
 
-/// How a [`Resolver`] is laid out: shard count, index backend, and the
-/// compaction policy.
-#[derive(Debug, Clone)]
+/// How a [`Resolver`] is laid out: shard count, index backend, Exact scan
+/// and compaction policy. The backend and scan are the same two values an
+/// [`er_core::OperatingPoint`] holds, so serving a point is
+/// `ServeConfig::new().backend(p.backend.clone()).scan(p.scan)`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of hash shards (each an independent index).
     pub shards: usize,
@@ -104,52 +106,6 @@ impl ServeConfig {
         self.compaction = compaction;
         self
     }
-
-    /// Derive a serving config from a unified [`er_core::OperatingPoint`]
-    /// — the single-source-of-truth path: the point's backend and scan
-    /// feed both this config and any `TopKConfig` derived from the same
-    /// point, so the two can never silently disagree. Shard count and
-    /// compaction policy keep their defaults (chain the builder:
-    /// `ServeConfig::from_point(&op)?.shards(8)`). Validates the point
-    /// (typed [`ErError::Config`] on contradictions).
-    pub fn from_point(point: &er_core::OperatingPoint) -> Result<ServeConfig> {
-        let blocking = er_blocking::TopKConfig::from_point(point)?;
-        Ok(ServeConfig::default()
-            .backend(blocking.backend)
-            .scan(blocking.scan))
-    }
-}
-
-/// Reconcile a blocking config and a serving config that are supposed to
-/// describe the same run into one [`er_core::OperatingPoint`] — the fix
-/// for the config-duplication footgun where `TopKConfig.scan` and
-/// `ServeConfig.scan` (or the two backends) silently disagreed. Agreement
-/// is judged on the unified form: both configs are lifted and must render
-/// the identical canonical JSON (k is taken from the blocking side — the
-/// serving side has no k). On disagreement this returns a typed
-/// [`ErError::Config`] naming both forms instead of letting one config
-/// win silently.
-pub fn unified_operating_point(
-    blocking: &er_blocking::TopKConfig,
-    serve: &ServeConfig,
-) -> Result<er_core::OperatingPoint> {
-    let from_blocking = er_core::OperatingPoint::from(blocking);
-    let serve_as_blocking = er_blocking::TopKConfig {
-        k: blocking.k,
-        backend: serve.backend.clone(),
-        dirty: blocking.dirty,
-        scan: serve.scan,
-    };
-    let from_serve = er_core::OperatingPoint::from(&serve_as_blocking);
-    if from_blocking.to_json() != from_serve.to_json() {
-        return Err(ErError::Config(format!(
-            "blocking and serving configs disagree: blocking resolves to \
-             {} but serving to {}",
-            from_blocking.to_json(),
-            from_serve.to_json()
-        )));
-    }
-    Ok(from_blocking)
 }
 
 impl Default for ServeConfig {
@@ -160,6 +116,16 @@ impl Default for ServeConfig {
             scan: ScanConfig::default(),
             compaction: CompactionPolicy::default(),
         }
+    }
+}
+
+/// A shard index's row width, and its scan when it is an Exact index (the
+/// approximate backends carry their tier in their config).
+fn shard_shape(index: &AnyIndex) -> (usize, ScanConfig) {
+    match index {
+        AnyIndex::Exact(i) => (i.matrix().dim(), i.scan_config()),
+        AnyIndex::Hnsw(i) => (i.matrix().dim(), ScanConfig::default()),
+        AnyIndex::Lsh(i) => (i.matrix().dim(), ScanConfig::default()),
     }
 }
 
@@ -220,26 +186,16 @@ impl<'m> Resolver<'m> {
         })
     }
 
-    /// [`Resolver::new`] from a unified [`er_core::OperatingPoint`] —
-    /// e.g. the point an `er-tune` autotune run chose. Equivalent to
-    /// `Resolver::new(model, mode, ServeConfig::from_point(&point)?)`.
-    pub fn with_point(
-        model: &'m dyn LanguageModel,
-        mode: SerializationMode,
-        point: &er_core::OperatingPoint,
-    ) -> Result<Resolver<'m>> {
-        Resolver::new(model, mode, ServeConfig::from_point(point)?)
-    }
-
     /// Open (or create) a **durable** resolver in `dir`.
     ///
-    /// If `dir` holds a save, it is loaded and `mode`/`config` are
-    /// ignored — the saved layout (mode, shard count, backend, compaction
-    /// policy) is authoritative, which is what makes journal replay
-    /// deterministic. Then each shard's journal is examined: records newer
-    /// than the save are replayed, torn tails are truncated, stale
-    /// journals (older epoch) are discarded, and appends resume where the
-    /// committed history ends.
+    /// If `dir` holds a save, it is loaded, and its layout (mode, shard
+    /// count, backend, Exact scan, compaction policy) must equal `mode` and
+    /// `config` — journal replay is only deterministic under the layout
+    /// that wrote the journals, so a disagreeing caller gets a typed
+    /// [`ErError::Config`] naming both. Then each shard's journal is
+    /// examined: records newer than the save are replayed, torn tails are
+    /// truncated, stale journals (older epoch) are discarded, and appends
+    /// resume where the committed history ends.
     pub fn open(
         dir: impl AsRef<Path>,
         model: &'m dyn LanguageModel,
@@ -250,7 +206,16 @@ impl<'m> Resolver<'m> {
         std::fs::create_dir_all(dir)?;
         let save_path = dir.join(SAVE_FILE);
         let mut resolver = if save_path.exists() {
-            Resolver::from_bytes(&std::fs::read(&save_path)?, model)?
+            let saved = Resolver::from_bytes(&std::fs::read(&save_path)?, model)?;
+            let layout = saved.layout();
+            if saved.mode != mode || layout != config {
+                return Err(ErError::Config(format!(
+                    "{} was saved as {:?} under {layout:?}, not {mode:?} under {config:?}",
+                    dir.display(),
+                    saved.mode
+                )));
+            }
+            saved
         } else {
             Resolver::new(model, mode, config)?
         };
@@ -425,6 +390,18 @@ impl<'m> Resolver<'m> {
         &self.mode
     }
 
+    /// The layout this resolver runs — what [`Resolver::open`] holds a
+    /// caller's config to when a save exists.
+    fn layout(&self) -> ServeConfig {
+        let snaps = self.index.snapshots();
+        ServeConfig {
+            shards: snaps.len(),
+            backend: self.index.backend().clone(),
+            scan: shard_shape(snaps[0].index()).1,
+            compaction: self.index.compaction_policy(),
+        }
+    }
+
     fn serialize_snapshots(&self, snaps: &[Arc<SegmentSnapshot>], epoch: u64) -> Vec<u8> {
         let mut meta = BinWriter::new();
         meta.put_usize(self.index.dim());
@@ -490,14 +467,31 @@ impl<'m> Resolver<'m> {
             )));
         }
         let mut shards_reader = BinReader::new(binary::section(&sections, tag::SHARDS, "shards")?);
-        let mut snapshots = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
+        let mut snapshots: Vec<SegmentSnapshot> = Vec::with_capacity(shard_count);
+        for i in 0..shard_count {
             let ids: Vec<EntityId> = shards_reader
                 .get_u32_vec()?
                 .into_iter()
                 .map(EntityId)
                 .collect();
             let index = AnyIndex::from_bytes(shards_reader.get_bytes()?)?;
+            // Every shard must hold META's row width (kernels only
+            // debug-assert lengths) and share shard 0's backend.
+            let rows_dim = shard_shape(&index).0;
+            if !index.is_empty() && rows_dim != dim {
+                return Err(ErError::Corrupt(format!(
+                    "shard {i} stores {rows_dim}-d rows, the resolver {dim}-d"
+                )));
+            }
+            if let Some(first) = snapshots.first() {
+                if index.backend() != first.index.backend() {
+                    return Err(ErError::Corrupt(format!(
+                        "shard {i} runs {:?}, shard 0 {:?}",
+                        index.backend(),
+                        first.index.backend()
+                    )));
+                }
+            }
             snapshots.push(SegmentSnapshot::from_parts(index, ids)?);
         }
         if shards_reader.remaining() != 0 {
@@ -519,5 +513,86 @@ impl<'m> Resolver<'m> {
     /// the durable flow, use [`Resolver::open`] on the directory).
     pub fn load(path: impl AsRef<Path>, model: &'m dyn LanguageModel) -> Result<Resolver<'m>> {
         Resolver::from_bytes(&std::fs::read(path)?, model)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use er_core::pq::PqConfig;
+    use er_core::{HnswConfig, KernelTier, LshConfig, Metric, Quantization};
+    use er_embed::{ModelCode, ModelZoo, ZooConfig};
+
+    #[test]
+    fn the_saved_layout_rebuilds_every_config_new_accepts() {
+        let zoo = ModelZoo::pretrain(None, &ZooConfig::tiny(), 42);
+        let model = zoo.get(ModelCode::FT).as_ref();
+        let lanes = KernelTier::Lanes;
+        let backends = [
+            BlockerBackend::Exact(Metric::Cosine),
+            BlockerBackend::Exact(Metric::Euclidean),
+            BlockerBackend::default(),
+            BlockerBackend::Hnsw(HnswConfig {
+                m: 4,
+                ef_search: 8,
+                tier: lanes,
+                ..HnswConfig::default()
+            }),
+            BlockerBackend::Lsh(LshConfig::default()),
+            BlockerBackend::Lsh(LshConfig {
+                tables: 3,
+                metric: Metric::Euclidean,
+                tier: lanes,
+                ..LshConfig::default()
+            }),
+        ];
+        let pq = PqConfig::default();
+        let scans = [
+            ScanConfig::default(),
+            ScanConfig::with_tier(lanes),
+            ScanConfig {
+                tier: lanes,
+                quant: Quantization::Int8 { rerank: 5 },
+            },
+            ScanConfig {
+                tier: lanes,
+                quant: Quantization::Pq {
+                    config: pq,
+                    rerank: 5,
+                },
+            },
+        ];
+        let mut accepted = 0;
+        for backend in &backends {
+            for scan in scans {
+                for compaction in [CompactionPolicy::default(), CompactionPolicy::never()] {
+                    for shards in [1, 3] {
+                        let config = ServeConfig {
+                            shards,
+                            backend: backend.clone(),
+                            scan,
+                            compaction,
+                        };
+                        let mode = SerializationMode::SchemaAgnostic;
+                        let Ok(resolver) = Resolver::new(model, mode, config.clone()) else {
+                            continue;
+                        };
+                        for id in 0..12u32 {
+                            let text = format!("record {id}");
+                            resolver
+                                .insert(&Entity::new(EntityId(id), vec![("t".into(), text)]))
+                                .unwrap();
+                        }
+                        resolver.delete(EntityId(3)).unwrap();
+                        let back = Resolver::from_bytes(&resolver.to_bytes(), model).unwrap();
+                        assert_eq!(back.layout(), config);
+                        accepted += 1;
+                    }
+                }
+            }
+        }
+        // Every backend on its default scan, plus the Exact backends'
+        // Lanes and Int8 scans (PQ cannot train on an empty shard).
+        assert_eq!(accepted, (6 + 2 * 2) * 2 * 2);
     }
 }

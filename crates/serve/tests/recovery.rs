@@ -7,10 +7,10 @@
 //! newer than the save refuse to load, and journal replay re-derives
 //! automatic compactions deterministically.
 
-use er_blocking::BlockerBackend;
+use er_core::KernelTier;
 use er_core::{Embedding, Entity, EntityId, ErError, SerializationMode};
 use er_embed::{LanguageModel, ModelCode};
-use er_index::Metric;
+use er_index::{BlockerBackend, Metric, ScanConfig};
 use er_serve::{CompactionPolicy, Resolver, ServeConfig};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -417,5 +417,46 @@ fn replay_rederives_automatic_compaction_bit_identically() {
     // (row layout after compaction) must match bit-for-bit.
     let resolver = Resolver::open(&dir, &model, SerializationMode::SchemaAgnostic, config).unwrap();
     assert_eq!(resolver.to_bytes(), bytes_live);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn reopening_under_a_different_layout_is_a_config_error() {
+    // Journal replay is only deterministic under the layout that wrote the
+    // journals, so a caller asking for another one is told, not ignored.
+    let model = TrigramModel { dim: 16 };
+    let dir = fresh_dir("layout");
+    let mode = SerializationMode::SchemaAgnostic;
+    let saved = ServeConfig::new().shards(2);
+    {
+        let resolver = Resolver::open(&dir, &model, mode.clone(), saved.clone()).unwrap();
+        for op in 0..6 {
+            apply_op(&resolver, op);
+        }
+        resolver.checkpoint().unwrap();
+    }
+    let exact_lanes = saved
+        .clone()
+        .backend(BlockerBackend::Exact(Metric::Cosine))
+        .scan(ScanConfig::with_tier(KernelTier::Lanes));
+    let schema_based = SerializationMode::SchemaBased("name".into());
+    for (what, mode, config) in [
+        ("backend", mode.clone(), exact_lanes),
+        ("shards", mode.clone(), saved.clone().shards(3)),
+        (
+            "compaction",
+            mode.clone(),
+            saved.clone().compaction(CompactionPolicy::never()),
+        ),
+        ("mode", schema_based, saved.clone()),
+    ] {
+        match Resolver::open(&dir, &model, mode, config) {
+            Err(ErError::Config(_)) => {}
+            other => panic!("{what}: expected Config, got {:?}", other.map(|r| r.len())),
+        }
+    }
+    // The creating layout still reopens, with every record.
+    let resolver = Resolver::open(&dir, &model, mode, saved).unwrap();
+    assert_eq!(resolver.len(), 6);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -2,10 +2,9 @@
 //! mutations with queries legal in between, shard/merge equivalence, and
 //! whole-service persistence.
 
-use er_blocking::BlockerBackend;
 use er_core::{Embedding, Entity, EntityId, ErError, SerializationMode};
 use er_embed::{LanguageModel, ModelCode};
-use er_index::{ExactIndex, HnswConfig, LshConfig, Metric, NnIndex, ScanConfig};
+use er_index::{BlockerBackend, ExactIndex, HnswConfig, LshConfig, Metric, NnIndex, ScanConfig};
 use er_serve::{CompactionPolicy, Resolver, ServeConfig, ShardedIndex};
 use rand::Rng;
 use std::time::Duration;
@@ -452,49 +451,63 @@ fn int8_service_with_full_rerank_matches_the_f32_service_bitwise() {
     assert!(matches!(err, Err(ErError::Model(_))));
 }
 
+/// A container whose shards disagree with META (another row width) or
+/// with each other (another backend) is corrupt: loading it `Ok` would
+/// hand queries to kernels whose length check is only a `debug_assert`.
 #[test]
-fn operating_point_is_the_single_source_of_truth_for_both_configs() {
-    use er_blocking::TopKConfig;
-    use er_core::{KernelTier as Tier, OperatingPoint, Quantization, ScanConfig as Scan};
-    use er_serve::unified_operating_point;
+fn shards_that_disagree_with_meta_or_with_each_other_are_corrupt() {
+    use er_core::binary::{self, kind, BinReader, BinWriter};
+    const META: u32 = 1;
+    const SHARDS: u32 = 2;
+    // The (META, SHARDS) section bodies of a two-shard save.
+    let save = |dim: usize, backend: BlockerBackend| -> (Vec<u8>, Vec<u8>) {
+        let model = TrigramModel { dim };
+        let config = ServeConfig::new().shards(2).backend(backend);
+        let resolver = Resolver::new(&model, SerializationMode::SchemaAgnostic, config).unwrap();
+        for id in 0..8u32 {
+            resolver
+                .insert(&entity(id, &format!("hostile record {id}")))
+                .unwrap();
+        }
+        let bytes = resolver.to_bytes();
+        let (_, sections) = binary::read_container_epoch(&bytes, kind::RESOLVER).unwrap();
+        let body = |tag, name| binary::section(&sections, tag, name).unwrap().to_vec();
+        (body(META, "meta"), body(SHARDS, "shards"))
+    };
+    let container = |meta: &[u8], shards: &[u8]| {
+        binary::write_container_epoch(
+            kind::RESOLVER,
+            0,
+            &[(META, meta.to_vec()), (SHARDS, shards.to_vec())],
+        )
+    };
+    let model = TrigramModel { dim: 48 };
+    let exact = BlockerBackend::Exact(Metric::Cosine);
+    let (meta, exact_shards) = save(48, exact.clone());
+    assert!(Resolver::from_bytes(&container(&meta, &exact_shards), &model).is_ok());
 
-    // Derived from one point, blocking and serving configs always agree.
-    let point = OperatingPoint::default().k(5).exact().tier(Tier::Lanes);
-    let blocking = TopKConfig::from_point(&point).unwrap();
-    let serve = ServeConfig::from_point(&point).unwrap();
-    let unified = unified_operating_point(&blocking, &serve).unwrap();
-    assert_eq!(unified.to_json(), point.clone().k(5).to_json());
-
-    // The historical footgun: same pipeline run, two hand-built configs
-    // whose scans silently disagree — now a typed Config error.
-    let hand_blocking = TopKConfig::new(5).backend(BlockerBackend::Exact(Metric::Cosine));
-    let hand_serve = ServeConfig::new()
-        .backend(BlockerBackend::Exact(Metric::Cosine))
-        .scan(Scan {
-            tier: Tier::Reference,
-            quant: Quantization::Int8 { rerank: 20 },
-        });
-    let err = unified_operating_point(&hand_blocking, &hand_serve).unwrap_err();
-    assert!(matches!(err, ErError::Config(_)), "{err}");
-
-    // Disagreeing backends are caught the same way.
-    let lsh_serve = ServeConfig::new().backend(BlockerBackend::Lsh(LshConfig::default()));
-    let err = unified_operating_point(&hand_blocking, &lsh_serve).unwrap_err();
-    assert!(matches!(err, ErError::Config(_)), "{err}");
-
-    // A resolver built from the point serves the same backend the blocker
-    // ranks with.
-    let model = TrigramModel { dim: 16 };
-    let resolver = Resolver::with_point(&model, SerializationMode::SchemaAgnostic, &point).unwrap();
-    assert!(resolver.is_empty());
-    // An invalid point is rejected with the same typed error.
-    let bad = OperatingPoint::default().scan(Scan {
-        tier: Tier::Reference,
-        quant: Quantization::Int8 { rerank: 8 },
-    });
+    // 48-d META over the shards of an 8-d save.
+    let (_, narrow_shards) = save(8, exact);
     assert!(matches!(
-        Resolver::with_point(&model, SerializationMode::SchemaAgnostic, &bad),
-        Err(ErError::Config(_))
+        Resolver::from_bytes(&container(&meta, &narrow_shards), &model),
+        Err(ErError::Corrupt(_))
+    ));
+
+    // Shard 0 of the exact save beside shard 1 of an HNSW save.
+    let (_, hnsw_shards) = save(48, BlockerBackend::default());
+    let mut mixed = BinWriter::new();
+    for (i, body) in [&exact_shards, &hnsw_shards].into_iter().enumerate() {
+        let mut r = BinReader::new(body);
+        for _ in 0..i {
+            r.get_u32_vec().unwrap();
+            r.get_bytes().unwrap();
+        }
+        mixed.put_u32_slice(&r.get_u32_vec().unwrap());
+        mixed.put_bytes(r.get_bytes().unwrap());
+    }
+    assert!(matches!(
+        Resolver::from_bytes(&container(&meta, &mixed.into_bytes()), &model),
+        Err(ErError::Corrupt(_))
     ));
 }
 
@@ -567,14 +580,20 @@ fn degenerate_backend_configs_are_typed_errors_not_panics() {
             "ShardedIndex::new: {label}"
         );
     }
-    // Quantization on an approximate backend is the same typed error.
-    let quantized = ServeConfig::new().scan(ScanConfig {
-        quant: er_index::Quantization::Int8 { rerank: 8 },
-        ..ScanConfig::default()
-    });
-    assert!(matches!(
-        Resolver::new(&model, mode, quantized),
-        Err(ErError::Config(_))
-    ));
+    // A scan — quantization or a kernel tier — on an approximate backend
+    // is the same typed error: HNSW and LSH carry their tier in their own
+    // config, so the scan would be silently ignored.
+    for scan in [
+        ScanConfig {
+            quant: er_index::Quantization::Int8 { rerank: 8 },
+            ..ScanConfig::default()
+        },
+        ScanConfig::with_tier(er_core::KernelTier::Lanes),
+    ] {
+        assert!(matches!(
+            Resolver::new(&model, mode.clone(), ServeConfig::new().scan(scan)),
+            Err(ErError::Config(_))
+        ));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,10 +19,9 @@
 //! builds (the CI `serve-durability` job); a small smoke version runs
 //! everywhere.
 
-use er_blocking::BlockerBackend;
 use er_core::binary::fnv1a64;
 use er_core::EntityId;
-use er_index::{Metric, ScanConfig};
+use er_index::{BlockerBackend, Metric, ScanConfig};
 use er_serve::{search_snapshots, CompactionPolicy, ShardedIndex};
 use rand::prelude::*;
 use std::collections::HashMap;

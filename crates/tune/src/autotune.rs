@@ -31,12 +31,10 @@
 use crate::calibrate::CostTier;
 use crate::cost::CostModel;
 use er_core::{
-    EmbeddingMatrix, ErError, HnswParams, LshParams, OperatingPoint, QueryParams, Result,
-    ScanConfig,
+    BlockerBackend, EmbeddingMatrix, ErError, HnswConfig, LshConfig, OperatingPoint, QueryParams,
+    Result, ScanConfig,
 };
-use er_index::{
-    AnyIndex, BlockerBackend, ExactIndex, HnswIndex, HyperplaneLsh, IndexReader, Neighbor, NnIndex,
-};
+use er_index::{AnyIndex, ExactIndex, HnswIndex, HyperplaneLsh, IndexReader, Neighbor, NnIndex};
 
 /// What the tuner sweeps and how it samples. The defaults mirror the
 /// paper's parameter ranges scaled to the repo's dataset sizes.
@@ -107,10 +105,9 @@ pub struct TuneOutcome {
 impl TuneOutcome {
     /// The trial the chosen point came from.
     pub fn chosen_trial(&self) -> &Trial {
-        let chosen_json = self.chosen.to_json();
         self.trials
             .iter()
-            .find(|t| t.point.to_json() == chosen_json)
+            .find(|t| t.point == self.chosen)
             .expect("chosen point is always one of the trials")
     }
 }
@@ -145,8 +142,9 @@ fn overlap(reference: &[Neighbor], hits: &[Neighbor]) -> f32 {
 /// cheapest estimated configuration whose proxy recall meets the target.
 ///
 /// The `goal` carries intent (k, metric, target, budget, dirty); its
-/// backend field is ignored — choosing the backend is the tuner's job.
-/// A goal without a recall target defaults to 0.95. When no trial is
+/// backend is read for the metric only — choosing the backend is the
+/// tuner's job — and its `scan.tier` is the kernel tier every trial ranks
+/// on. A goal without a recall target defaults to 0.95. When no trial is
 /// feasible the exact Reference scan (proxy recall 1.0) is chosen, so the
 /// tuner always returns a valid point.
 pub fn autotune(
@@ -172,7 +170,8 @@ pub fn autotune(
         return Err(ErError::Config("autotune needs k >= 1".into()));
     }
     let k = goal.k;
-    let metric = goal.metric;
+    let metric = goal.backend.metric();
+    let tier = goal.scan.tier;
     let target = goal.recall_target.unwrap_or(0.95);
     let dim = rows.dim();
     let full_rows = rows.len();
@@ -234,24 +233,20 @@ pub fn autotune(
     } else {
         1.0
     };
-    let ef_default = HnswParams::default().ef_search;
+    let mut build = HnswConfig::default();
+    (build.seed, build.metric, build.tier) = (config.seed, metric, tier);
     for &m in &config.hnsw_ms {
+        // One graph per `m`, built as a chosen point would build it: the
+        // beam width is a query-time knob and does not shape the graph.
+        build.m = m;
+        let index = HnswIndex::from_source(&sample, build.clone());
         let point_at = |ef_search: usize| {
+            let mut trial = build.clone();
+            trial.ef_search = ef_search;
             goal.clone()
-                .hnsw(HnswParams {
-                    m,
-                    ef_search,
-                    seed: config.seed,
-                    ..HnswParams::default()
-                })
-                .scan(ScanConfig::with_tier(goal.scan.tier))
+                .backend(BlockerBackend::Hnsw(trial))
+                .scan(ScanConfig::default())
         };
-        // Built exactly as a chosen point would be (the beam width is a
-        // query-time knob and does not shape the graph).
-        let BlockerBackend::Hnsw(build) = BlockerBackend::from_point(&point_at(ef_default)) else {
-            unreachable!("an HNSW point maps to the HNSW backend");
-        };
-        let index = HnswIndex::from_source(&sample, build);
         let curve = model.probe_hnsw(&index, probes.iter().copied(), k, &config.ef_grid)?;
         for &ef in &config.ef_grid {
             let recall = probes
@@ -276,30 +271,24 @@ pub fn autotune(
     // --- LSH: one widest build, (tables, probes) swept at query time. ---
     let max_tables = config.lsh_tables.iter().copied().max().unwrap_or(0);
     if max_tables > 0 {
-        let point_at = |tables: usize, probes: usize| {
-            goal.clone()
-                .lsh(LshParams {
-                    planes: config.lsh_planes,
-                    tables,
-                    probes,
-                    seed: config.seed,
-                })
-                .scan(ScanConfig::with_tier(goal.scan.tier))
-        };
         let max_probes = config.lsh_probes.iter().copied().max().unwrap_or(0);
-        let BlockerBackend::Lsh(build) =
-            BlockerBackend::from_point(&point_at(max_tables, max_probes))
-        else {
-            unreachable!("an LSH point maps to the LSH backend");
+        let mut build = LshConfig::default();
+        (build.planes, build.tables, build.probes) = (config.lsh_planes, max_tables, max_probes);
+        (build.seed, build.metric, build.tier) = (config.seed, metric, tier);
+        let index = HyperplaneLsh::from_source(&sample, build.clone());
+        let point_at = |tables: usize, probes: usize| {
+            let mut trial = build.clone();
+            (trial.tables, trial.probes) = (tables, probes);
+            goal.clone()
+                .backend(BlockerBackend::Lsh(trial))
+                .scan(ScanConfig::default())
         };
-        let index = HyperplaneLsh::from_source(&sample, build);
         // Occupancy (and hence candidate count) is proportional to rows.
         let lsh_scale = full_rows as f64 / sample.len() as f64;
-        let rerank_ns = model.calibration.ns_per_row_metric(
-            CostTier::of_kernel(goal.scan.tier),
-            metric,
-            dim,
-        )?;
+        let rerank_ns =
+            model
+                .calibration
+                .ns_per_row_metric(CostTier::of_kernel(tier), metric, dim)?;
         for &tables in &config.lsh_tables {
             for &probe_depth in &config.lsh_probes {
                 let params = QueryParams {
@@ -362,7 +351,7 @@ pub fn measure_point(
         ));
     }
     let params = point.query_params();
-    let index = AnyIndex::build(rows, &BlockerBackend::from_point(point), point.scan)?;
+    let index = AnyIndex::build(rows, &point.backend, point.scan)?;
     let mut total = 0u64;
     for q in queries.rows_iter() {
         total += index.search_counted(q, point.k, &params).1;

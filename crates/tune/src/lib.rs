@@ -20,8 +20,9 @@
 //!   against.
 //!
 //! The output type is `er_core::OperatingPoint` — the unified config the
-//! blocking (`TopKConfig::from_point`), serving (`ServeConfig::from_point`)
-//! and pipeline (`Pipeline::resolve_tuned`) layers all accept.
+//! blocker (`top_k_blocking_scored_matrix`) and the pipeline
+//! (`Pipeline::resolve_tuned`) take as is, and whose `backend` and `scan`
+//! an `er_serve::ServeConfig` holds.
 
 pub mod autotune;
 pub mod calibrate;

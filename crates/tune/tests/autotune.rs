@@ -80,7 +80,7 @@ fn chosen_point_meets_the_proxy_target_and_beats_the_exact_scan() {
     );
     // The goal's intent fields survive into the chosen point.
     assert_eq!(outcome.chosen.k, goal.k);
-    assert_eq!(outcome.chosen.metric, goal.metric);
+    assert_eq!(outcome.chosen.backend.metric(), goal.backend.metric());
     assert_eq!(outcome.chosen.recall_target, Some(0.9));
 }
 

@@ -78,7 +78,7 @@ fn main() {
     ];
     let pipeline = Pipeline::new(ft.as_ref(), SerializationMode::SchemaAgnostic);
     for (name, backend) in backends {
-        let config = TopKConfig::new(10).backend(backend);
+        let config = OperatingPoint::new(10).backend(backend);
         let outcome = pipeline.block(&ds.left, &ds.right, &config);
         let metrics = Metrics::of_candidates(&outcome.candidates(), &ds.ground_truth);
         println!(
@@ -95,7 +95,7 @@ fn main() {
     // top-10 blocking, then Unique Mapping Clustering threshold-swept
     // over the paper's δ grid (Fig. 15) against the ground truth.
     let config = ResolveConfig {
-        blocking: TopKConfig::new(10).backend(BlockerBackend::Exact(Metric::Cosine)),
+        blocking: OperatingPoint::new(10).backend(BlockerBackend::Exact(Metric::Cosine)),
         ..ResolveConfig::default()
     };
     let outcome = pipeline.resolve(&ds.left, &ds.right, &ds.ground_truth, &config);

@@ -44,30 +44,27 @@ use er_embed::LanguageModel;
 
 /// Everything needed to drive the pipeline end to end.
 pub mod prelude {
-    pub use er_blocking::{
-        dedup_candidates, dedup_scored, top_k_blocking_scored_matrix, BlockerBackend, TopKConfig,
-    };
+    pub use er_blocking::{dedup_candidates, dedup_scored, top_k_blocking_scored_matrix};
     pub use er_core::pq::PqConfig;
     pub use er_core::rng::rng;
     pub use er_core::{
-        sort_by_id_pair, sort_by_score_desc, BackendParams, Embedding, EmbeddingMatrix, Entity,
-        EntityId, ErError, GroundTruth, HnswParams, KernelTier, LshParams, OperatingPoint,
+        sort_by_id_pair, sort_by_score_desc, BlockerBackend, Embedding, EmbeddingMatrix, Entity,
+        EntityId, ErError, GroundTruth, HnswConfig, KernelTier, LshConfig, OperatingPoint,
         QueryParams, Result, ScoredPair, SerializationMode,
     };
     pub use er_datasets::{CleanCleanDataset, DatasetId, DatasetProfile};
     pub use er_embed::{AnyModel, LanguageModel, ModelCode, ModelZoo, ZooConfig};
     pub use er_eval::{pearson, Metrics, StageReport};
     pub use er_index::{
-        ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, IndexReader, LshConfig, Metric,
-        MutableIndex, Neighbor, NnIndex, Quantization, ScanConfig,
+        ExactIndex, HnswIndex, HyperplaneLsh, IndexReader, Metric, MutableIndex, Neighbor, NnIndex,
+        Quantization, ScanConfig,
     };
     pub use er_matching::{
         best_match_clustering, connected_components_clustering, kiraly_clustering,
         unique_mapping_clustering, Clusterer, SweepPoint, ThresholdSweep,
     };
     pub use er_serve::{
-        unified_operating_point, CompactionPolicy, Hit, Resolver, SegmentSnapshot, ServeConfig,
-        ShardStats, ShardedIndex,
+        CompactionPolicy, Hit, Resolver, SegmentSnapshot, ServeConfig, ShardStats, ShardedIndex,
     };
     pub use er_text::corpus::synthetic_corpus;
     pub use er_text::{normalize, tokenize, Corpus};

@@ -6,8 +6,10 @@
 //! Dirty ER passes the same slice as both sides; it is detected by
 //! identity and embedded once, not twice.
 
-use er_blocking::{top_k_blocking_scored_matrix, TopKConfig};
-use er_core::{EmbeddingMatrix, Entity, EntityId, GroundTruth, ScoredPair, SerializationMode};
+use er_blocking::top_k_blocking_scored_matrix;
+use er_core::{
+    EmbeddingMatrix, Entity, EntityId, GroundTruth, OperatingPoint, ScoredPair, SerializationMode,
+};
 use er_embed::LanguageModel;
 use er_eval::StageReport;
 use er_matching::{Clusterer, ThresholdSweep};
@@ -35,7 +37,7 @@ impl BlockOutcome {
 /// unsupervised matching stage swept over a δ grid.
 #[derive(Debug, Clone)]
 pub struct ResolveConfig {
-    pub blocking: TopKConfig,
+    pub blocking: OperatingPoint,
     /// The clusterer run at every δ (UMC is the paper's default, §4.3).
     pub clusterer: Clusterer,
     /// δ grid for the threshold sweep; `None` means the paper's
@@ -46,7 +48,7 @@ pub struct ResolveConfig {
 impl Default for ResolveConfig {
     fn default() -> Self {
         ResolveConfig {
-            blocking: TopKConfig::default(),
+            blocking: OperatingPoint::default(),
             clusterer: Clusterer::UniqueMapping,
             deltas: None,
         }
@@ -141,7 +143,7 @@ impl<'m> Pipeline<'m> {
         left: &[Entity],
         right: &[Entity],
         sides: &Sides,
-        config: &TopKConfig,
+        config: &OperatingPoint,
         report: &mut StageReport,
     ) -> Vec<ScoredPair> {
         let left_ids: Vec<EntityId> = left.iter().map(|e| e.id).collect();
@@ -196,11 +198,16 @@ impl<'m> Pipeline<'m> {
         }
     }
 
-    /// Run vectorize + top-k blocking. For Dirty ER pass the same slice as
-    /// both sides (with `config.dirty = true`): it is detected by identity
-    /// and embedded once, not twice. To block under a unified
-    /// [`er_core::OperatingPoint`], pass `&TopKConfig::from_point(&point)?`.
-    pub fn block(&self, left: &[Entity], right: &[Entity], config: &TopKConfig) -> BlockOutcome {
+    /// Run vectorize + top-k blocking under `config`'s `k`, backend and
+    /// scan. For Dirty ER pass the same slice as both sides (with
+    /// `config.dirty = true`): it is detected by identity and embedded
+    /// once, not twice.
+    pub fn block(
+        &self,
+        left: &[Entity],
+        right: &[Entity],
+        config: &OperatingPoint,
+    ) -> BlockOutcome {
         let mut report = StageReport::new();
         let sides = self.vectorize_sides(left, right, &mut report);
         let scored = Pipeline::block_sides(left, right, &sides, config, &mut report);
@@ -227,7 +234,7 @@ impl<'m> Pipeline<'m> {
 
     /// The autotuned [`Pipeline::resolve`]: vectorize both collections
     /// once, run the `er-tune` autotuner on the embedded matrices to pick
-    /// the cheapest [`er_core::OperatingPoint`] meeting `goal`'s recall
+    /// the cheapest [`OperatingPoint`] meeting `goal`'s recall
     /// target, then block and match with the chosen point exactly as
     /// [`Pipeline::resolve`] does under the paper defaults (Unique Mapping
     /// Clustering over the Fig. 15 δ grid); the report gains a `tune`
@@ -237,7 +244,7 @@ impl<'m> Pipeline<'m> {
         left: &[Entity],
         right: &[Entity],
         gt: &GroundTruth,
-        goal: &er_core::OperatingPoint,
+        goal: &OperatingPoint,
         tuner: &er_tune::TunerConfig,
     ) -> er_core::Result<(ResolveOutcome, er_tune::TuneOutcome)> {
         let mut report = StageReport::new();
@@ -254,7 +261,7 @@ impl<'m> Pipeline<'m> {
             (outcome, trials)
         })?;
         let config = ResolveConfig {
-            blocking: TopKConfig::from_point(&tune.chosen)?,
+            blocking: tune.chosen.clone(),
             ..ResolveConfig::default()
         };
         let outcome = Pipeline::resolve_sides(left, right, &sides, gt, &config, report);
@@ -311,8 +318,7 @@ fn embed_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_blocking::BlockerBackend;
-    use er_core::Embedding;
+    use er_core::{BlockerBackend, Embedding};
     use er_embed::{ModelCode, ModelZoo, ZooConfig};
     use er_index::Metric;
 
@@ -323,7 +329,7 @@ mod tests {
         left: &[Entity],
         right: &[Entity],
         mode: &SerializationMode,
-        config: &TopKConfig,
+        config: &OperatingPoint,
     ) -> Vec<ScoredPair> {
         let embed = |entities: &[Entity]| {
             EmbeddingMatrix::from_embeddings(&crate::vectorize(model, entities, mode))
@@ -373,12 +379,7 @@ mod tests {
         let left = entities(20, "left");
         let right = entities(18, "right");
         let mode = SerializationMode::SchemaAgnostic;
-        let config = TopKConfig {
-            k: 3,
-            backend: BlockerBackend::Exact(Metric::Cosine),
-            dirty: false,
-            ..TopKConfig::default()
-        };
+        let config = OperatingPoint::new(3).backend(BlockerBackend::Exact(Metric::Cosine));
         let outcome = Pipeline::new(model.as_ref(), mode.clone()).block(&left, &right, &config);
         let oracle = sequential_block(model.as_ref(), &left, &right, &mode, &config);
         assert_eq!(outcome.scored, oracle);
@@ -402,12 +403,9 @@ mod tests {
         let model = zoo.get(ModelCode::WC);
         let collection = entities(16, "dirty");
         let mode = SerializationMode::SchemaAgnostic;
-        let config = TopKConfig {
-            k: 2,
-            backend: BlockerBackend::Exact(Metric::Cosine),
-            dirty: true,
-            ..TopKConfig::default()
-        };
+        let config = OperatingPoint::new(2)
+            .backend(BlockerBackend::Exact(Metric::Cosine))
+            .dirty(true);
         let pipeline = Pipeline::new(model.as_ref(), mode.clone());
         let outcome = pipeline.block(&collection, &collection, &config);
         // One vectorize stage, not two.
@@ -434,7 +432,7 @@ mod tests {
         let right = entities(12, "alpha");
         let gt = GroundTruth::clean_clean((0..12).map(|i| (EntityId(i), EntityId(i))));
         let config = ResolveConfig {
-            blocking: TopKConfig::new(3).backend(BlockerBackend::Exact(Metric::Cosine)),
+            blocking: OperatingPoint::new(3).backend(BlockerBackend::Exact(Metric::Cosine)),
             ..ResolveConfig::default()
         };
         let pipeline = Pipeline::new(model.as_ref(), SerializationMode::SchemaAgnostic);

@@ -10,8 +10,8 @@
 
 use embeddings4er::prelude::*;
 
-fn k10_exact() -> TopKConfig {
-    TopKConfig::new(10).backend(BlockerBackend::Exact(Metric::Cosine))
+fn k10_exact() -> OperatingPoint {
+    OperatingPoint::new(10).backend(BlockerBackend::Exact(Metric::Cosine))
 }
 
 struct AnisotropyRun {

@@ -43,9 +43,8 @@ fn tuned_run(id: DatasetId) -> TunedRun {
 fn blocking_recall(run: &TunedRun, point: &OperatingPoint) -> f32 {
     let left_ids: Vec<EntityId> = run.ds.left.iter().map(|e| e.id).collect();
     let right_ids: Vec<EntityId> = run.ds.right.iter().map(|e| e.id).collect();
-    let config = TopKConfig::from_point(point).expect("valid point");
     let scored =
-        top_k_blocking_scored_matrix(&left_ids, &run.queries, &right_ids, &run.rows, &config);
+        top_k_blocking_scored_matrix(&left_ids, &run.queries, &right_ids, &run.rows, point);
     let candidates: Vec<(EntityId, EntityId)> = scored.iter().map(|p| p.id_pair()).collect();
     Metrics::of_candidates(&candidates, &run.ds.ground_truth).recall as f32
 }
@@ -74,9 +73,7 @@ fn check_dataset(id: DatasetId) {
 
     // Cost: measured full-width distance evaluations of the chosen point
     // must not exceed the default global config's measured scan count.
-    let default_point = OperatingPoint::from(&TopKConfig::default())
-        .k(chosen.k)
-        .metric(chosen.metric);
+    let default_point = OperatingPoint::new(chosen.k).metric(chosen.backend.metric());
     let (chosen_evals, _) = measure_point(&run.queries, &run.rows, chosen).expect("measures");
     let (default_evals, _) =
         measure_point(&run.queries, &run.rows, &default_point).expect("measures");
@@ -120,7 +117,7 @@ fn resolve_tuned_matches_resolve_under_the_chosen_point() {
     assert_eq!(outcome.report.items_of("tune"), tune.trials.len());
 
     let config = ResolveConfig {
-        blocking: TopKConfig::from_point(&tune.chosen).expect("valid point"),
+        blocking: tune.chosen.clone(),
         ..ResolveConfig::default()
     };
     let plain = pipeline.resolve(&ds.left, &ds.right, &ds.ground_truth, &config);

@@ -7,7 +7,7 @@ use embeddings4er::prelude::*;
 
 fn d1_candidates(
     zoo: &ModelZoo,
-    config: &TopKConfig,
+    config: &OperatingPoint,
 ) -> (CleanCleanDataset, Vec<(EntityId, EntityId)>) {
     let ds = CleanCleanDataset::generate(DatasetId::D1, 42);
     let model = zoo.get(ModelCode::FT);
@@ -17,8 +17,8 @@ fn d1_candidates(
     (ds, candidates)
 }
 
-fn hnsw_config() -> TopKConfig {
-    TopKConfig::new(10).backend(BlockerBackend::Hnsw(HnswConfig {
+fn hnsw_config() -> OperatingPoint {
+    OperatingPoint::new(10).backend(BlockerBackend::Hnsw(HnswConfig {
         metric: Metric::Cosine,
         ..HnswConfig::default()
     }))
@@ -86,7 +86,7 @@ fn batched_blocking_queries_match_sequential_search() {
 fn exact_backend_is_at_least_as_complete_as_hnsw() {
     let zoo = ModelZoo::pretrain(None, &ZooConfig::tiny(), 42);
     let (ds, hnsw) = d1_candidates(&zoo, &hnsw_config());
-    let exact_config = TopKConfig::new(10).backend(BlockerBackend::Exact(Metric::Cosine));
+    let exact_config = OperatingPoint::new(10).backend(BlockerBackend::Exact(Metric::Cosine));
     let (_, exact) = d1_candidates(&zoo, &exact_config);
     let pc_hnsw = Metrics::of_candidates(&hnsw, &ds.ground_truth).recall;
     let pc_exact = Metrics::of_candidates(&exact, &ds.ground_truth).recall;

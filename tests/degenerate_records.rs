@@ -39,7 +39,7 @@ fn empty_record_flows_through_sweep_and_umc_without_nans() {
             &ds.right,
             &ds.ground_truth,
             &ResolveConfig {
-                blocking: TopKConfig::new(10).backend(BlockerBackend::Exact(Metric::Cosine)),
+                blocking: OperatingPoint::new(10).backend(BlockerBackend::Exact(Metric::Cosine)),
                 ..ResolveConfig::default()
             },
         );

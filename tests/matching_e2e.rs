@@ -11,7 +11,7 @@ use embeddings4er::prelude::*;
 
 fn resolve_config() -> ResolveConfig {
     ResolveConfig {
-        blocking: TopKConfig::new(10).backend(BlockerBackend::Exact(Metric::Cosine)),
+        blocking: OperatingPoint::new(10).backend(BlockerBackend::Exact(Metric::Cosine)),
         ..ResolveConfig::default()
     }
 }

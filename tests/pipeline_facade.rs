@@ -14,7 +14,7 @@ fn pre_refactor_block(
     left: &[Entity],
     right: &[Entity],
     mode: &SerializationMode,
-    config: &TopKConfig,
+    config: &OperatingPoint,
 ) -> Vec<(EntityId, EntityId)> {
     let left_vectors = vectorize(model, left, mode);
     let right_vectors = vectorize(model, right, mode);
@@ -32,15 +32,15 @@ fn pre_refactor_block(
     .collect()
 }
 
-fn d1_config() -> TopKConfig {
-    TopKConfig {
+fn d1_config() -> OperatingPoint {
+    OperatingPoint {
         k: 10,
         backend: BlockerBackend::Hnsw(HnswConfig {
             metric: Metric::Cosine,
             ..HnswConfig::default()
         }),
         dirty: false,
-        ..TopKConfig::default()
+        ..OperatingPoint::default()
     }
 }
 
@@ -103,7 +103,7 @@ fn dirty_er_pipeline_embeds_once_and_matches_the_double_embed_oracle() {
         shifted
     }));
     let mode = SerializationMode::SchemaAgnostic;
-    let config = TopKConfig {
+    let config = OperatingPoint {
         dirty: true,
         ..d1_config()
     };
