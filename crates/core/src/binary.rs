@@ -1,10 +1,9 @@
-//! Compact binary persistence — the serving-path companion of [`crate::json`].
-//!
-//! The JSON codec keeps the model zoo human-inspectable; the indices the
-//! `er-serve` Resolver persists are pure float/integer payloads where JSON
-//! would triple the size and burn the load path on text parsing. This
-//! module defines the one binary container every persisted artifact
-//! (matrix, index, resolver) shares:
+//! Compact binary persistence: the one format for everything the system
+//! persists. Model weights, indices and the `er-serve` Resolver are pure
+//! float/integer payloads, where a text format would triple the size and
+//! burn the load path on float parsing ([`crate::json`] is for configs and
+//! reports). This module defines the one binary container every persisted
+//! artifact (model zoo, matrix, index, resolver) shares:
 //!
 //! ```text
 //! file    := header payload
@@ -57,6 +56,8 @@ pub mod kind {
     pub const HNSW_INDEX: u16 = 3;
     pub const LSH_INDEX: u16 = 4;
     pub const RESOLVER: u16 = 5;
+    /// A pre-trained model zoo (`er_embed::ModelZoo`'s cache).
+    pub const MODEL: u16 = 6;
 }
 
 /// FNV-1a 64 over raw bytes (the byte twin of `er_text::ngram::fnv1a`,

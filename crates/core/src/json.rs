@@ -1,8 +1,10 @@
-//! Dependency-free JSON reader/writer for model persistence.
+//! Dependency-free JSON reader/writer for configs and reports.
 //!
 //! The container this workspace builds in has no crates.io access, so
-//! `serde`/`serde_json` are unavailable; the zoo cache (DESIGN.md inventory
-//! row 27) is small enough that a hand-rolled value type suffices.
+//! `serde`/`serde_json` are unavailable; operating points, stage reports,
+//! calibration tables and the zoo cache key are small enough that a
+//! hand-rolled value type suffices. Persisted weights and indices use the
+//! binary container in [`crate::binary`] instead.
 //!
 //! Finite `f32` values round-trip **bit-exactly**: they are written with
 //! Rust's shortest-round-trip `Display` and re-parsed with
@@ -10,9 +12,8 @@
 //! floats have no JSON number representation (`NaN` bare would be an
 //! invalid token), so [`Json::from_f32`] writes them as the string
 //! sentinels `"NaN"` / `"inf"` / `"-inf"` — still valid JSON — and
-//! [`Json::as_f32`] maps exactly those three strings back. A degenerate
-//! (diverged) trained model therefore saves a cache that *re-loads*,
-//! rather than one that can never be parsed again; any other string where
+//! [`Json::as_f32`] maps exactly those three strings back, so a report
+//! holding a non-finite measurement still re-loads; any other string where
 //! a number is expected is a clear [`ErError::Parse`].
 
 use crate::error::{ErError, Result};
@@ -60,10 +61,6 @@ impl Json {
 
     pub fn from_str_value(v: &str) -> Json {
         Json::Str(v.to_string())
-    }
-
-    pub fn from_f32_slice(vs: &[f32]) -> Json {
-        Json::Arr(vs.iter().map(|&v| Json::from_f32(v)).collect())
     }
 
     // ---- accessors -------------------------------------------------------
@@ -133,10 +130,6 @@ impl Json {
             Json::Obj(fields) => Ok(fields),
             other => Err(ErError::Parse(format!("expected object, got {other:?}"))),
         }
-    }
-
-    pub fn as_f32_vec(&self) -> Result<Vec<f32>> {
-        self.as_arr()?.iter().map(Json::as_f32).collect()
     }
 
     // ---- writer ----------------------------------------------------------
@@ -481,12 +474,19 @@ mod tests {
     #[test]
     fn non_finite_f32s_round_trip_via_sentinels() {
         // NaN / ±Inf cannot be JSON numbers; they must survive a full
-        // write → parse → read cycle as the string sentinels, so a
-        // degenerate trained model still produces a loadable cache.
-        let json = Json::from_f32_slice(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5]);
+        // write → parse → read cycle as the string sentinels, so a report
+        // holding one still loads.
+        let values = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5];
+        let json = Json::Arr(values.iter().map(|&v| Json::from_f32(v)).collect());
         let text = json.to_string();
         assert_eq!(text, r#"["NaN","inf","-inf",1.5]"#);
-        let back = Json::parse(&text).unwrap().as_f32_vec().unwrap();
+        let parsed = Json::parse(&text).unwrap();
+        let back: Vec<f32> = parsed
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_f32().unwrap())
+            .collect();
         assert!(back[0].is_nan());
         assert_eq!(back[1], f32::INFINITY);
         assert_eq!(back[2], f32::NEG_INFINITY);

@@ -6,33 +6,19 @@
 //! gradients flow into every component, and — crucially for the paper's
 //! Fig. 3 findings — an **out-of-vocabulary word still embeds** through the
 //! buckets of its n-grams, so typo'd tokens land near their clean form
-//! where GloVe collapses to zero.
+//! where GloVe collapses to zero. The released weights are a
+//! [`StaticModel`] with subwords.
 
 use crate::sgns::{decayed_lr, sgns_step, NegTable};
+use crate::static_model::Subwords;
 use crate::vocab::Vocab;
 use crate::word2vec::SgnsParams;
-use crate::{mean_pool, LanguageModel, ModelCode};
-use er_core::json::Json;
+use crate::{ModelCode, StaticModel};
 use er_core::rng::derive;
-use er_core::{Embedding, ErError, Result};
 use er_text::ngram::hashed_ngrams;
-use er_text::{tokenize, Corpus};
+use er_text::Corpus;
 use rand::Rng;
-use std::time::{Duration, Instant};
-
-#[derive(Debug, Clone)]
-pub struct FastText {
-    vocab: Vocab,
-    dim: usize,
-    nmin: usize,
-    nmax: usize,
-    buckets: usize,
-    /// Per-token vectors, `vocab.len() * dim`.
-    word_vecs: Vec<f32>,
-    /// Subword bucket vectors, `buckets * dim`.
-    bucket_vecs: Vec<f32>,
-    init_ns: u64,
-}
+use std::time::Instant;
 
 #[derive(Debug, Clone)]
 pub struct FastTextParams {
@@ -42,8 +28,14 @@ pub struct FastTextParams {
     pub buckets: usize,
 }
 
-impl FastText {
-    pub fn train(corpus: &Corpus, vocab: Vocab, params: &FastTextParams, seed: u64) -> FastText {
+impl StaticModel {
+    /// Train FastText (**FT**) on `corpus` over `vocab`.
+    pub fn fasttext(
+        corpus: &Corpus,
+        vocab: Vocab,
+        params: &FastTextParams,
+        seed: u64,
+    ) -> StaticModel {
         let start = Instant::now();
         let dim = params.sgns.dim;
         let mut rng = derive(seed, "fasttext");
@@ -130,123 +122,29 @@ impl FastText {
             }
         }
 
-        FastText {
-            vocab,
-            dim,
+        let subwords = Subwords {
             nmin: params.nmin,
             nmax: params.nmax,
             buckets: params.buckets,
-            word_vecs,
-            bucket_vecs,
-            init_ns: start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
-    }
-
-    /// A single token's vector: word vector averaged with its subword
-    /// buckets when in-vocabulary, subword buckets alone otherwise. Only
-    /// tokens with no characters at all have no representation.
-    pub fn token_vector(&self, token: &str) -> Option<Embedding> {
-        if token.is_empty() {
-            return None;
-        }
-        let grams = hashed_ngrams(token, self.nmin, self.nmax, self.buckets);
-        let mut v = vec![0.0f32; self.dim];
-        let mut parts = 0.0f32;
-        if let Some(id) = self.vocab.id(token) {
-            let row = &self.word_vecs[id as usize * self.dim..(id as usize + 1) * self.dim];
-            for (vd, wd) in v.iter_mut().zip(row) {
-                *vd += wd;
-            }
-            parts += 1.0;
-        }
-        for &g in &grams {
-            let row = &self.bucket_vecs[g as usize * self.dim..(g as usize + 1) * self.dim];
-            for (vd, bd) in v.iter_mut().zip(row) {
-                *vd += bd;
-            }
-            parts += 1.0;
-        }
-        if parts == 0.0 {
-            return None;
-        }
-        for vd in v.iter_mut() {
-            *vd /= parts;
-        }
-        Some(Embedding(v))
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("vocab".into(), self.vocab.to_json()),
-            ("dim".into(), Json::from_usize(self.dim)),
-            ("nmin".into(), Json::from_usize(self.nmin)),
-            ("nmax".into(), Json::from_usize(self.nmax)),
-            ("buckets".into(), Json::from_usize(self.buckets)),
-            ("word_vectors".into(), Json::from_f32_slice(&self.word_vecs)),
-            (
-                "bucket_vectors".into(),
-                Json::from_f32_slice(&self.bucket_vecs),
-            ),
-        ])
-    }
-
-    pub fn from_json(json: &Json, init_ns: u64) -> Result<FastText> {
-        let vocab = Vocab::from_json(json.expect("vocab")?)?;
-        let dim = json.expect("dim")?.as_usize()?;
-        let nmin = json.expect("nmin")?.as_usize()?;
-        let nmax = json.expect("nmax")?.as_usize()?;
-        let buckets = json.expect("buckets")?.as_usize()?;
-        let word_vecs = json.expect("word_vectors")?.as_f32_vec()?;
-        let bucket_vecs = json.expect("bucket_vectors")?.as_f32_vec()?;
-        crate::check_matrix_shape("FastText words", &word_vecs, vocab.len(), dim)?;
-        crate::check_matrix_shape("FastText buckets", &bucket_vecs, buckets, dim)?;
-        if nmin < 1 || nmin > nmax {
-            return Err(ErError::Parse(format!("bad n-gram range {nmin}..={nmax}")));
-        }
-        Ok(FastText {
+            vectors: bucket_vecs,
+        };
+        let init_ns = start.elapsed().as_nanos() as u64;
+        StaticModel::new(
+            ModelCode::FT,
             vocab,
             dim,
-            nmin,
-            nmax,
-            buckets,
             word_vecs,
-            bucket_vecs,
+            Some(subwords),
             init_ns,
-        })
-    }
-
-    pub(crate) fn init_ns(&self) -> u64 {
-        self.init_ns
-    }
-}
-
-impl LanguageModel for FastText {
-    fn code(&self) -> ModelCode {
-        ModelCode::FT
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn init_time(&self) -> Duration {
-        Duration::from_nanos(self.init_ns)
-    }
-
-    fn embed(&self, text: &str) -> Embedding {
-        let tokens = tokenize(text);
-        let vecs: Vec<Embedding> = tokens.iter().filter_map(|t| self.token_vector(t)).collect();
-        mean_pool(vecs.iter().map(Embedding::as_slice), self.dim)
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LanguageModel;
+    use er_core::Embedding;
 
     fn toy_params() -> FastTextParams {
         FastTextParams {
@@ -277,7 +175,7 @@ mod tests {
     fn oov_words_still_embed_via_subwords() {
         let corpus = toy_corpus();
         let vocab = Vocab::build(&corpus, 1);
-        let model = FastText::train(&corpus, vocab, &toy_params(), 13);
+        let model = StaticModel::fasttext(&corpus, vocab, &toy_params(), 13);
         assert!(model.vocab().id("restaurnat").is_none(), "typo must be OOV");
         let typo = model.embed("restaurnat");
         assert_ne!(typo, Embedding::zeros(16), "subword fallback must fire");
@@ -287,14 +185,5 @@ mod tests {
             "typo should stay near clean form, got {}",
             clean.cosine(&typo)
         );
-    }
-
-    #[test]
-    fn json_round_trip_preserves_embeddings() {
-        let corpus = toy_corpus();
-        let vocab = Vocab::build(&corpus, 1);
-        let model = FastText::train(&corpus, vocab, &toy_params(), 13);
-        let back = FastText::from_json(&model.to_json(), model.init_ns()).unwrap();
-        assert_eq!(model.embed("golden kamera"), back.embed("golden kamera"));
     }
 }

@@ -5,28 +5,18 @@
 //! weighted symmetric co-occurrence counts, weighted least squares on
 //! `w·c̃ + b + b̃ − ln X`, the `min(1, (X/x_max)^α)` weighting, per-parameter
 //! AdaGrad, and the released vectors being `w + c̃`. Unlike FastText, GloVe
-//! has **no subword fallback**: OOV tokens (typos included) contribute
-//! nothing, and an all-OOV sentence embeds to the zero vector — the
-//! brittleness the paper's Fig. 3 contrasts against FastText.
+//! has **no subword fallback** (a [`StaticModel`] without subwords): OOV
+//! tokens (typos included) contribute nothing, and an all-OOV sentence
+//! embeds to the zero vector — the brittleness the paper's Fig. 3
+//! contrasts against FastText.
 
 use crate::vocab::Vocab;
-use crate::{mean_pool, LanguageModel, ModelCode};
-use er_core::json::Json;
+use crate::{ModelCode, StaticModel};
 use er_core::rng::derive;
-use er_core::{Embedding, Result};
-use er_text::{tokenize, Corpus};
+use er_text::Corpus;
 use rand::prelude::*;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
-
-#[derive(Debug, Clone)]
-pub struct Glove {
-    vocab: Vocab,
-    dim: usize,
-    /// Released vectors `w + c̃`, `vocab.len() * dim`, row-major.
-    vectors: Vec<f32>,
-    init_ns: u64,
-}
+use std::time::Instant;
 
 #[derive(Debug, Clone)]
 pub struct GloveParams {
@@ -38,8 +28,9 @@ pub struct GloveParams {
     pub alpha: f32,
 }
 
-impl Glove {
-    pub fn train(corpus: &Corpus, vocab: Vocab, params: &GloveParams, seed: u64) -> Glove {
+impl StaticModel {
+    /// Train GloVe (**GE**) on `corpus` over `vocab`.
+    pub fn glove(corpus: &Corpus, vocab: Vocab, params: &GloveParams, seed: u64) -> StaticModel {
         let start = Instant::now();
         let dim = params.dim;
         let mut rng = derive(seed, "glove");
@@ -115,72 +106,16 @@ impl Glove {
         }
 
         let vectors: Vec<f32> = w.iter().zip(&c).map(|(p, q)| p + q).collect();
-        Glove {
-            vocab,
-            dim,
-            vectors,
-            init_ns: start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
-    }
-
-    pub fn token_vector(&self, token: &str) -> Option<&[f32]> {
-        self.vocab
-            .id(token)
-            .map(|id| &self.vectors[id as usize * self.dim..(id as usize + 1) * self.dim])
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("vocab".into(), self.vocab.to_json()),
-            ("dim".into(), Json::from_usize(self.dim)),
-            ("vectors".into(), Json::from_f32_slice(&self.vectors)),
-        ])
-    }
-
-    pub fn from_json(json: &Json, init_ns: u64) -> Result<Glove> {
-        let vocab = Vocab::from_json(json.expect("vocab")?)?;
-        let dim = json.expect("dim")?.as_usize()?;
-        let vectors = json.expect("vectors")?.as_f32_vec()?;
-        crate::check_matrix_shape("Glove", &vectors, vocab.len(), dim)?;
-        Ok(Glove {
-            vocab,
-            dim,
-            vectors,
-            init_ns,
-        })
-    }
-
-    pub(crate) fn init_ns(&self) -> u64 {
-        self.init_ns
-    }
-}
-
-impl LanguageModel for Glove {
-    fn code(&self) -> ModelCode {
-        ModelCode::GE
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn init_time(&self) -> Duration {
-        Duration::from_nanos(self.init_ns)
-    }
-
-    fn embed(&self, text: &str) -> Embedding {
-        let tokens = tokenize(text);
-        mean_pool(tokens.iter().filter_map(|t| self.token_vector(t)), self.dim)
+        let init_ns = start.elapsed().as_nanos() as u64;
+        StaticModel::new(ModelCode::GE, vocab, dim, vectors, None, init_ns)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LanguageModel;
+    use er_core::Embedding;
 
     fn toy_params() -> GloveParams {
         GloveParams {
@@ -208,7 +143,7 @@ mod tests {
     fn cooccurring_words_end_up_closer() {
         let corpus = toy_corpus();
         let vocab = Vocab::build(&corpus, 1);
-        let model = Glove::train(&corpus, vocab, &toy_params(), 11);
+        let model = StaticModel::glove(&corpus, vocab, &toy_params(), 11);
         let alpha = model.embed("alpha");
         let beta = model.embed("beta");
         let gamma = model.embed("gamma");
@@ -224,18 +159,9 @@ mod tests {
     fn oov_tokens_fall_back_to_zero() {
         let corpus = toy_corpus();
         let vocab = Vocab::build(&corpus, 1);
-        let model = Glove::train(&corpus, vocab, &toy_params(), 11);
+        let model = StaticModel::glove(&corpus, vocab, &toy_params(), 11);
         // The typo'd word is out of the global dictionary: zero vector.
         assert_eq!(model.embed("alhpa"), Embedding::zeros(16));
         assert_eq!(model.embed(""), Embedding::zeros(16));
-    }
-
-    #[test]
-    fn json_round_trip_preserves_embeddings() {
-        let corpus = toy_corpus();
-        let vocab = Vocab::build(&corpus, 1);
-        let model = Glove::train(&corpus, vocab, &toy_params(), 11);
-        let back = Glove::from_json(&model.to_json(), model.init_ns()).unwrap();
-        assert_eq!(model.embed("alpha ocean"), back.embed("alpha ocean"));
     }
 }

@@ -1,34 +1,39 @@
 //! er-embed — the language-model zoo (DESIGN.md inventory rows 3–9).
 //!
-//! The three **static** models are implemented from scratch — Word2Vec
+//! The three **static** models are trained from scratch — Word2Vec
 //! (SGNS), GloVe (co-occurrence + AdaGrad) and FastText (char-n-gram SGNS
-//! over hashed buckets) — alongside the first **dynamic** model: a
-//! from-scratch [`Transformer`] encoder pre-trained with a genuine
-//! masked-language-model objective ([`mlm::pretrain_bt`]) over the
-//! `er-tensor` autograd engine, registered as paper model **BT**. All are
-//! unified behind the [`LanguageModel`] trait and pre-trained
-//! deterministically by [`ModelZoo::pretrain`]. The remaining transformer
-//! variants (AT/RA/DT/XT) and the SBERT family (ST/S5/SA/SM) land in later
-//! PRs; their [`ModelCode`]s are already defined so the benchmark suite
-//! can enumerate the full roster.
+//! over hashed buckets) — and all three release one inference artifact, a
+//! [`StaticModel`] word-vector table (with subword buckets for FastText).
+//! Beside them sits the first **dynamic** model: a from-scratch
+//! [`Transformer`] encoder pre-trained with a genuine masked-language-model
+//! objective ([`mlm::pretrain_bt`]) over the `er-tensor` autograd engine,
+//! registered as paper model **BT**. All are unified behind the
+//! [`LanguageModel`] trait, pre-trained deterministically by
+//! [`ModelZoo::pretrain`] and cached as one ERBF container of raw f32
+//! weights. The remaining transformer variants (AT/RA/DT/XT) and the SBERT
+//! family (ST/S5/SA/SM) land in later PRs; their [`ModelCode`]s are
+//! already defined so the benchmark suite can enumerate the full roster.
 
-pub mod fasttext;
-pub mod glove;
+mod fasttext;
+mod glove;
 pub mod mlm;
 mod sgns;
+mod static_model;
 pub mod transformer;
 pub mod vocab;
-pub mod word2vec;
+mod word2vec;
 pub mod zoo;
 
-pub use fasttext::{FastText, FastTextParams};
-pub use glove::{Glove, GloveParams};
+pub use fasttext::FastTextParams;
+pub use glove::GloveParams;
 pub use mlm::MlmParams;
+pub use static_model::StaticModel;
 pub use transformer::{Transformer, TransformerConfig};
 pub use vocab::Vocab;
-pub use word2vec::{SgnsParams, Word2Vec};
+pub use word2vec::SgnsParams;
 pub use zoo::{AnyModel, ModelZoo, ZooConfig};
 
+use er_core::binary::BinReader;
 use er_core::{Embedding, ErError, Result};
 use std::time::Duration;
 
@@ -141,6 +146,12 @@ pub trait LanguageModel: Send + Sync {
     fn init_time(&self) -> Duration;
     fn embed(&self, text: &str) -> Embedding;
 
+    /// FNV-1a over the model's saved config, vocab and weight bytes (never
+    /// its init time), computed once when the model is trained or loaded.
+    /// Equal fingerprints mean the same embedding space: a saved resolver
+    /// refuses to reopen under a model with another one.
+    fn fingerprint(&self) -> u64;
+
     /// Embed `text` directly into a caller-provided row of length
     /// [`LanguageModel::dim`] — the hook the columnar
     /// `er_core::EmbeddingMatrix` pipeline fills rows through without an
@@ -175,17 +186,27 @@ pub(crate) fn mean_pool<'a>(vecs: impl Iterator<Item = &'a [f32]>, dim: usize) -
     Embedding(sum)
 }
 
-/// Validate a flat row-major matrix loaded from JSON against its declared
-/// shape, so corrupt caches fail loudly instead of panicking on slicing.
-pub(crate) fn check_matrix_shape(name: &str, data: &[f32], rows: usize, dim: usize) -> Result<()> {
-    if dim == 0 || data.len() != rows * dim {
-        return Err(ErError::Parse(format!(
-            "{name}: expected {rows}x{dim} = {} weights, got {}",
-            rows * dim,
+pub(crate) fn corrupt(what: impl std::fmt::Display) -> ErError {
+    ErError::Corrupt(what.to_string())
+}
+
+/// The model code a saved model body starts with.
+pub(crate) fn read_code(r: &mut BinReader) -> Result<ModelCode> {
+    ModelCode::parse(&r.get_str()?).map_err(corrupt)
+}
+
+/// A `rows × cols` weight matrix of raw little-endian f32s, checked
+/// against the shape the saved config implies. The read itself is bounded
+/// by the bytes present, so a hostile shape cannot allocate past them.
+pub(crate) fn read_matrix(r: &mut BinReader, rows: usize, cols: usize) -> Result<Vec<f32>> {
+    let data = r.get_f32_vec()?;
+    if rows.checked_mul(cols) != Some(data.len()) {
+        return Err(corrupt(format!(
+            "expected a {rows}x{cols} weight matrix, got {} weights",
             data.len()
         )));
     }
-    Ok(())
+    Ok(data)
 }
 
 #[cfg(test)]
@@ -207,12 +228,5 @@ mod tests {
         let pooled = mean_pool([a.as_slice(), b.as_slice()].into_iter(), 2);
         assert_eq!(pooled, Embedding(vec![2.0, 4.0]));
         assert_eq!(mean_pool(std::iter::empty(), 2), Embedding::zeros(2));
-    }
-
-    #[test]
-    fn matrix_shape_check_rejects_mismatch() {
-        assert!(check_matrix_shape("t", &[0.0; 6], 2, 3).is_ok());
-        assert!(check_matrix_shape("t", &[0.0; 5], 2, 3).is_err());
-        assert!(check_matrix_shape("t", &[], 2, 0).is_err());
     }
 }

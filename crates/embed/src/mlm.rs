@@ -103,8 +103,8 @@ pub fn pretrain(
             g.backward(loss);
 
             let mut grads: Vec<Tensor> = bound
-                .ordered_vars()
-                .iter()
+                .list()
+                .into_iter()
                 .map(|&v| g.grad(v).clone())
                 .collect();
             clip_grad_norm(&mut grads, params.clip);
@@ -113,7 +113,7 @@ pub fn pretrain(
         }
     }
 
-    model.set_init_ns(start.elapsed().as_nanos() as u64);
+    model.seal(start.elapsed().as_nanos() as u64);
     model
 }
 
@@ -152,8 +152,8 @@ mod tests {
         let a = pretrain_bt(&corpus, vocab.clone(), &tiny_params(), 42);
         let b = pretrain_bt(&corpus, vocab, &tiny_params(), 42);
         assert_eq!(
-            a.to_json().to_string(),
-            b.to_json().to_string(),
+            a.fingerprint(),
+            b.fingerprint(),
             "same seed must give bit-identical weights"
         );
         for (x, y) in a.param_tensors().iter().zip(b.param_tensors()) {
@@ -167,7 +167,7 @@ mod tests {
         let vocab = Vocab::build(&corpus, 1).with_special(MASK_TOKEN);
         let a = pretrain_bt(&corpus, vocab.clone(), &tiny_params(), 1);
         let b = pretrain_bt(&corpus, vocab, &tiny_params(), 2);
-        assert_ne!(a.to_json().to_string(), b.to_json().to_string());
+        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

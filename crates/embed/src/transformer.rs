@@ -13,13 +13,13 @@
 //!
 //! Like the static models, everything is deterministic: weights come from
 //! one seed-derived RNG stream (in declaration order), the forward pass is
-//! sequential f32 arithmetic, and JSON persistence round-trips the weights
-//! bit-exactly in the fixed [`Transformer::param_tensors`] order.
+//! sequential f32 arithmetic, and the zoo cache stores the weights as raw
+//! f32 runs in the fixed [`Transformer::param_tensors`] order.
 
 use crate::vocab::Vocab;
-use crate::{LanguageModel, ModelCode};
-use er_core::json::Json;
-use er_core::{Embedding, ErError, Result};
+use crate::{corrupt, read_code, read_matrix, LanguageModel, ModelCode};
+use er_core::binary::{fnv1a64, BinReader, BinWriter};
+use er_core::{Embedding, Result};
 use er_tensor::{Graph, Tensor, Var};
 use er_text::tokenize;
 use rand::RngCore;
@@ -51,94 +51,140 @@ impl TransformerConfig {
         self.dim / self.heads
     }
 
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("dim".into(), Json::from_usize(self.dim)),
-            ("layers".into(), Json::from_usize(self.layers)),
-            ("heads".into(), Json::from_usize(self.heads)),
-            ("ffn".into(), Json::from_usize(self.ffn)),
-            ("max_len".into(), Json::from_usize(self.max_len)),
-        ])
-    }
-
-    pub fn from_json(json: &Json) -> Result<TransformerConfig> {
-        Ok(TransformerConfig {
-            dim: json.expect("dim")?.as_usize()?,
-            layers: json.expect("layers")?.as_usize()?,
-            heads: json.expect("heads")?.as_usize()?,
-            ffn: json.expect("ffn")?.as_usize()?,
-            max_len: json.expect("max_len")?.as_usize()?,
-        })
+    fn fields(&self) -> [usize; 5] {
+        [self.dim, self.layers, self.heads, self.ffn, self.max_len]
     }
 }
 
 /// One pre-LN encoder block's parameters.
 #[derive(Debug, Clone)]
-struct EncoderLayer {
-    ln1_gamma: Tensor,
-    ln1_beta: Tensor,
+struct EncoderLayer<T> {
+    ln1_gamma: T,
+    ln1_beta: T,
     /// Per-head projections, each `dim × head_dim`.
-    wq: Vec<Tensor>,
-    wk: Vec<Tensor>,
-    wv: Vec<Tensor>,
-    wo: Tensor,
-    ln2_gamma: Tensor,
-    ln2_beta: Tensor,
-    w1: Tensor,
-    b1: Tensor,
-    w2: Tensor,
-    b2: Tensor,
+    wq: Vec<T>,
+    wk: Vec<T>,
+    wv: Vec<T>,
+    wo: T,
+    ln2_gamma: T,
+    ln2_beta: T,
+    w1: T,
+    b1: T,
+    w2: T,
+    b2: T,
 }
 
 /// Initialization scale for weight matrices (BERT's 0.02).
 const INIT_SCALE: f32 = 0.02;
 
-impl EncoderLayer {
-    fn init(config: &TransformerConfig, rng: &mut impl RngCore) -> EncoderLayer {
-        let (d, h, hd, f) = (config.dim, config.heads, config.head_dim(), config.ffn);
-        EncoderLayer {
-            ln1_gamma: ones(1, d),
-            ln1_beta: Tensor::zeros(1, d),
-            wq: (0..h)
-                .map(|_| Tensor::randn(d, hd, INIT_SCALE, rng))
-                .collect(),
-            wk: (0..h)
-                .map(|_| Tensor::randn(d, hd, INIT_SCALE, rng))
-                .collect(),
-            wv: (0..h)
-                .map(|_| Tensor::randn(d, hd, INIT_SCALE, rng))
-                .collect(),
-            wo: Tensor::randn(d, d, INIT_SCALE, rng),
-            ln2_gamma: ones(1, d),
-            ln2_beta: Tensor::zeros(1, d),
-            w1: Tensor::randn(d, f, INIT_SCALE, rng),
-            b1: Tensor::zeros(1, f),
-            w2: Tensor::randn(f, d, INIT_SCALE, rng),
-            b2: Tensor::zeros(1, d),
-        }
-    }
+/// How a fresh parameter starts: layer-norm gains at 1, biases at 0,
+/// matrices random at scale [`INIT_SCALE`]. Loading and binding ignore it.
+#[derive(Clone, Copy)]
+enum Init {
+    Ones,
+    Zeros,
+    Random,
+}
 
-    fn zeroed(config: &TransformerConfig) -> EncoderLayer {
+impl<T> EncoderLayer<T> {
+    fn build(
+        config: &TransformerConfig,
+        make: &mut impl FnMut(usize, usize, Init) -> Result<T>,
+    ) -> Result<EncoderLayer<T>> {
         let (d, h, hd, f) = (config.dim, config.heads, config.head_dim(), config.ffn);
-        EncoderLayer {
-            ln1_gamma: Tensor::zeros(1, d),
-            ln1_beta: Tensor::zeros(1, d),
-            wq: (0..h).map(|_| Tensor::zeros(d, hd)).collect(),
-            wk: (0..h).map(|_| Tensor::zeros(d, hd)).collect(),
-            wv: (0..h).map(|_| Tensor::zeros(d, hd)).collect(),
-            wo: Tensor::zeros(d, d),
-            ln2_gamma: Tensor::zeros(1, d),
-            ln2_beta: Tensor::zeros(1, d),
-            w1: Tensor::zeros(d, f),
-            b1: Tensor::zeros(1, f),
-            w2: Tensor::zeros(f, d),
-            b2: Tensor::zeros(1, d),
-        }
+        Ok(EncoderLayer {
+            ln1_gamma: make(1, d, Init::Ones)?,
+            ln1_beta: make(1, d, Init::Zeros)?,
+            wq: (0..h)
+                .map(|_| make(d, hd, Init::Random))
+                .collect::<Result<_>>()?,
+            wk: (0..h)
+                .map(|_| make(d, hd, Init::Random))
+                .collect::<Result<_>>()?,
+            wv: (0..h)
+                .map(|_| make(d, hd, Init::Random))
+                .collect::<Result<_>>()?,
+            wo: make(d, d, Init::Random)?,
+            ln2_gamma: make(1, d, Init::Ones)?,
+            ln2_beta: make(1, d, Init::Zeros)?,
+            w1: make(d, f, Init::Random)?,
+            b1: make(1, f, Init::Zeros)?,
+            w2: make(f, d, Init::Random)?,
+            b2: make(1, d, Init::Zeros)?,
+        })
     }
 }
 
 fn ones(rows: usize, cols: usize) -> Tensor {
     Tensor::from_rows(rows, cols, &vec![1.0; rows * cols])
+}
+
+/// Every parameter of the encoder — weight tensors in a [`Transformer`],
+/// graph handles once bound into a [`Graph`] — in the one fixed order that
+/// [`Params::build`] creates them in and [`Params::list`] returns them in:
+/// the order shared by the optimizer, the zoo cache and the RNG stream.
+#[derive(Debug, Clone)]
+pub(crate) struct Params<T> {
+    /// Token embedding table, `vocab.len() × dim`. Also the (weight-tied)
+    /// MLM output head.
+    pub(crate) token_embed: T,
+    layers: Vec<EncoderLayer<T>>,
+    final_gamma: T,
+    final_beta: T,
+}
+
+/// `Var` handles for every parameter of a [`Transformer`] bound into one
+/// [`Graph`].
+pub(crate) type BoundTransformer = Params<Var>;
+
+impl<T> Params<T> {
+    /// Every parameter from `make(rows, cols, init)`, called in order.
+    fn build(
+        config: &TransformerConfig,
+        vocab_len: usize,
+        make: &mut impl FnMut(usize, usize, Init) -> Result<T>,
+    ) -> Result<Params<T>> {
+        let d = config.dim;
+        Ok(Params {
+            token_embed: make(vocab_len, d, Init::Random)?,
+            layers: (0..config.layers)
+                .map(|_| EncoderLayer::build(config, make))
+                .collect::<Result<_>>()?,
+            final_gamma: make(1, d, Init::Ones)?,
+            final_beta: make(1, d, Init::Zeros)?,
+        })
+    }
+
+    /// Every parameter, in [`Params::build`] order.
+    pub(crate) fn list(&self) -> Vec<&T> {
+        let mut out = vec![&self.token_embed];
+        for l in &self.layers {
+            out.extend([&l.ln1_gamma, &l.ln1_beta]);
+            out.extend(l.wq.iter().chain(&l.wk).chain(&l.wv));
+            out.extend([&l.wo, &l.ln2_gamma, &l.ln2_beta, &l.w1, &l.b1, &l.w2, &l.b2]);
+        }
+        out.extend([&self.final_gamma, &self.final_beta]);
+        out
+    }
+
+    fn list_mut(&mut self) -> Vec<&mut T> {
+        let mut out = vec![&mut self.token_embed];
+        for l in &mut self.layers {
+            out.extend([&mut l.ln1_gamma, &mut l.ln1_beta]);
+            out.extend(l.wq.iter_mut().chain(&mut l.wk).chain(&mut l.wv));
+            out.extend([
+                &mut l.wo,
+                &mut l.ln2_gamma,
+                &mut l.ln2_beta,
+                &mut l.w1,
+                &mut l.b1,
+                &mut l.w2,
+                &mut l.b2,
+            ]);
+        }
+        out.extend([&mut self.final_gamma, &mut self.final_beta]);
+        out
+    }
 }
 
 /// The encoder plus its vocabulary; the first *dynamic* model in the zoo.
@@ -147,47 +193,11 @@ pub struct Transformer {
     code: ModelCode,
     vocab: Vocab,
     config: TransformerConfig,
-    /// Token embedding table, `vocab.len() × dim`. Also the (weight-tied)
-    /// MLM output head.
-    token_embed: Tensor,
-    layers: Vec<EncoderLayer>,
-    final_gamma: Tensor,
-    final_beta: Tensor,
+    params: Params<Tensor>,
     init_ns: u64,
-}
-
-/// `Var` handles for every parameter of a [`Transformer`] bound into one
-/// [`Graph`], in [`Transformer::param_tensors`] order.
-pub(crate) struct BoundTransformer {
-    pub token_embed: Var,
-    ordered: Vec<Var>,
-    layers: Vec<BoundLayer>,
-    final_gamma: Var,
-    final_beta: Var,
-}
-
-struct BoundLayer {
-    ln1_gamma: Var,
-    ln1_beta: Var,
-    wq: Vec<Var>,
-    wk: Vec<Var>,
-    wv: Vec<Var>,
-    wo: Var,
-    ln2_gamma: Var,
-    ln2_beta: Var,
-    w1: Var,
-    b1: Var,
-    w2: Var,
-    b2: Var,
-}
-
-impl BoundTransformer {
-    /// Every parameter `Var`, in the same order as
-    /// [`Transformer::param_tensors`] — grads read from these line up with
-    /// the optimizer's parameter slice.
-    pub fn ordered_vars(&self) -> &[Var] {
-        &self.ordered
-    }
+    /// FNV-1a over the saved config, vocab and weights (see
+    /// [`LanguageModel::fingerprint`]), refreshed by [`Transformer::seal`].
+    fingerprint: u64,
 }
 
 impl Transformer {
@@ -199,39 +209,24 @@ impl Transformer {
         config: TransformerConfig,
         rng: &mut impl RngCore,
     ) -> Transformer {
-        let d = config.dim;
-        let token_embed = Tensor::randn(vocab.len(), d, INIT_SCALE, rng);
-        let layers = (0..config.layers)
-            .map(|_| EncoderLayer::init(&config, rng))
-            .collect();
-        Transformer {
+        let params = Params::build(&config, vocab.len(), &mut |rows, cols, init| {
+            Ok(match init {
+                Init::Ones => ones(rows, cols),
+                Init::Zeros => Tensor::zeros(rows, cols),
+                Init::Random => Tensor::randn(rows, cols, INIT_SCALE, rng),
+            })
+        })
+        .expect("fresh initialization reads nothing that can fail");
+        let mut model = Transformer {
             code,
             vocab,
-            token_embed,
-            final_gamma: ones(1, d),
-            final_beta: Tensor::zeros(1, d),
-            layers,
             config,
+            params,
             init_ns: 0,
-        }
-    }
-
-    /// All-zero weights in the right shapes — the loading skeleton
-    /// [`Transformer::from_json`] fills in.
-    fn zeroed(code: ModelCode, vocab: Vocab, config: TransformerConfig) -> Transformer {
-        let d = config.dim;
-        Transformer {
-            code,
-            token_embed: Tensor::zeros(vocab.len(), d),
-            layers: (0..config.layers)
-                .map(|_| EncoderLayer::zeroed(&config))
-                .collect(),
-            final_gamma: Tensor::zeros(1, d),
-            final_beta: Tensor::zeros(1, d),
-            vocab,
-            config,
-            init_ns: 0,
-        }
+            fingerprint: 0,
+        };
+        model.seal(0);
+        model
     }
 
     pub fn vocab(&self) -> &Vocab {
@@ -242,104 +237,34 @@ impl Transformer {
         &self.config
     }
 
-    pub(crate) fn set_init_ns(&mut self, ns: u64) {
-        self.init_ns = ns;
-    }
-
-    pub(crate) fn init_ns(&self) -> u64 {
-        self.init_ns
+    /// Record the training time and fingerprint the final weights — once,
+    /// after the last update, so no query or save hashes them again.
+    pub(crate) fn seal(&mut self, init_ns: u64) {
+        self.init_ns = init_ns;
+        let mut w = BinWriter::new();
+        self.to_writer(&mut w);
+        self.fingerprint = fnv1a64(&w.into_bytes());
     }
 
     /// Every parameter tensor in one fixed order — the contract shared by
-    /// the optimizer, JSON persistence and `BoundTransformer::ordered_vars`.
+    /// the optimizer, the zoo cache and graph binding.
     pub fn param_tensors(&self) -> Vec<&Tensor> {
-        let mut out = vec![&self.token_embed];
-        for l in &self.layers {
-            out.push(&l.ln1_gamma);
-            out.push(&l.ln1_beta);
-            out.extend(l.wq.iter());
-            out.extend(l.wk.iter());
-            out.extend(l.wv.iter());
-            out.push(&l.wo);
-            out.push(&l.ln2_gamma);
-            out.push(&l.ln2_beta);
-            out.push(&l.w1);
-            out.push(&l.b1);
-            out.push(&l.w2);
-            out.push(&l.b2);
-        }
-        out.push(&self.final_gamma);
-        out.push(&self.final_beta);
-        out
+        self.params.list()
     }
 
-    /// Mutable view in [`Transformer::param_tensors`] order.
-    pub fn param_tensors_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut out: Vec<&mut Tensor> = vec![&mut self.token_embed];
-        for l in &mut self.layers {
-            out.push(&mut l.ln1_gamma);
-            out.push(&mut l.ln1_beta);
-            out.extend(l.wq.iter_mut());
-            out.extend(l.wk.iter_mut());
-            out.extend(l.wv.iter_mut());
-            out.push(&mut l.wo);
-            out.push(&mut l.ln2_gamma);
-            out.push(&mut l.ln2_beta);
-            out.push(&mut l.w1);
-            out.push(&mut l.b1);
-            out.push(&mut l.w2);
-            out.push(&mut l.b2);
-        }
-        out.push(&mut self.final_gamma);
-        out.push(&mut self.final_beta);
-        out
+    /// Mutable view in [`Transformer::param_tensors`] order (training only:
+    /// call [`Transformer::seal`] after the last update).
+    pub(crate) fn param_tensors_mut(&mut self) -> Vec<&mut Tensor> {
+        self.params.list_mut()
     }
 
     /// Copy every parameter into `g` as leaves and hand back the `Var`s.
     pub(crate) fn bind(&self, g: &mut Graph) -> BoundTransformer {
-        let token_embed = g.param(&self.token_embed);
-        let mut ordered = vec![token_embed];
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for l in &self.layers {
-            let bound = BoundLayer {
-                ln1_gamma: g.param(&l.ln1_gamma),
-                ln1_beta: g.param(&l.ln1_beta),
-                wq: l.wq.iter().map(|t| g.param(t)).collect(),
-                wk: l.wk.iter().map(|t| g.param(t)).collect(),
-                wv: l.wv.iter().map(|t| g.param(t)).collect(),
-                wo: g.param(&l.wo),
-                ln2_gamma: g.param(&l.ln2_gamma),
-                ln2_beta: g.param(&l.ln2_beta),
-                w1: g.param(&l.w1),
-                b1: g.param(&l.b1),
-                w2: g.param(&l.w2),
-                b2: g.param(&l.b2),
-            };
-            ordered.push(bound.ln1_gamma);
-            ordered.push(bound.ln1_beta);
-            ordered.extend(bound.wq.iter().copied());
-            ordered.extend(bound.wk.iter().copied());
-            ordered.extend(bound.wv.iter().copied());
-            ordered.push(bound.wo);
-            ordered.push(bound.ln2_gamma);
-            ordered.push(bound.ln2_beta);
-            ordered.push(bound.w1);
-            ordered.push(bound.b1);
-            ordered.push(bound.w2);
-            ordered.push(bound.b2);
-            layers.push(bound);
-        }
-        let final_gamma = g.param(&self.final_gamma);
-        let final_beta = g.param(&self.final_beta);
-        ordered.push(final_gamma);
-        ordered.push(final_beta);
-        BoundTransformer {
-            token_embed,
-            ordered,
-            layers,
-            final_gamma,
-            final_beta,
-        }
+        let mut tensors = self.param_tensors().into_iter();
+        Params::build(&self.config, self.vocab.len(), &mut |_, _, _| {
+            Ok(g.param(tensors.next().expect("bind walks param_tensors")))
+        })
+        .expect("binding reads nothing that can fail")
     }
 
     /// Run the encoder over a (non-empty, pre-truncated) id sequence inside
@@ -402,49 +327,57 @@ impl Transformer {
         Embedding(g.value(pooled).data().to_vec())
     }
 
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("code".into(), Json::from_str_value(self.code.as_str())),
-            ("config".into(), self.config.to_json()),
-            ("vocab".into(), self.vocab.to_json()),
-            (
-                "params".into(),
-                Json::Arr(
-                    self.param_tensors()
-                        .iter()
-                        .map(|t| Json::from_f32_slice(t.data()))
-                        .collect(),
-                ),
-            ),
-        ])
+    /// Code, config, vocab and every parameter as a raw little-endian f32
+    /// run — the bytes a zoo cache stores and the fingerprint covers.
+    pub(crate) fn to_writer(&self, w: &mut BinWriter) {
+        w.put_str(self.code.as_str());
+        for v in self.config.fields() {
+            w.put_usize(v);
+        }
+        self.vocab.to_writer(w);
+        for t in self.param_tensors() {
+            w.put_f32_slice(t.data());
+        }
     }
 
-    pub fn from_json(json: &Json, init_ns: u64) -> Result<Transformer> {
-        let code = ModelCode::parse(json.expect("code")?.as_str()?)?;
-        let config = TransformerConfig::from_json(json.expect("config")?)?;
-        let vocab = Vocab::from_json(json.expect("vocab")?)?;
-        let mut model = Transformer::zeroed(code, vocab, config);
-        model.init_ns = init_ns;
-        let arrays = json.expect("params")?.as_arr()?;
-        let mut params = model.param_tensors_mut();
-        if arrays.len() != params.len() {
-            return Err(ErError::Parse(format!(
-                "Transformer: expected {} parameter tensors, got {}",
-                params.len(),
-                arrays.len()
-            )));
+    /// Inverse of [`Transformer::to_writer`] over one whole body. The
+    /// config is validated first and each tensor is checked against the
+    /// shape it implies as it is read, so a damaged cache is
+    /// `ErError::Corrupt` — never a panic, and never an allocation larger
+    /// than the bytes present.
+    pub(crate) fn from_bytes(body: &[u8], init_ns: u64) -> Result<Transformer> {
+        let mut r = BinReader::new(body);
+        let code = read_code(&mut r)?;
+        let mut field = || r.get_usize();
+        let config = TransformerConfig {
+            dim: field()?,
+            layers: field()?,
+            heads: field()?,
+            ffn: field()?,
+            max_len: field()?,
+        };
+        if config.fields().contains(&0) || !config.dim.is_multiple_of(config.heads) {
+            return Err(corrupt(format!("{code}: invalid config {config:?}")));
         }
-        for (i, (param, array)) in params.iter_mut().zip(arrays).enumerate() {
-            let values = array.as_f32_vec()?;
-            crate::check_matrix_shape(
-                &format!("Transformer param {i}"),
-                &values,
-                param.rows(),
-                param.cols(),
-            )?;
-            param.data_mut().copy_from_slice(&values);
+        let vocab = Vocab::from_reader(&mut r)?;
+        let params = Params::build(&config, vocab.len(), &mut |rows, cols, _| {
+            Ok(Tensor::from_rows(
+                rows,
+                cols,
+                &read_matrix(&mut r, rows, cols)?,
+            ))
+        })?;
+        if r.remaining() != 0 {
+            return Err(corrupt(format!("{code}: trailing bytes after the weights")));
         }
-        Ok(model)
+        Ok(Transformer {
+            code,
+            vocab,
+            config,
+            params,
+            init_ns,
+            fingerprint: fnv1a64(body),
+        })
     }
 }
 
@@ -459,6 +392,10 @@ impl LanguageModel for Transformer {
 
     fn init_time(&self) -> Duration {
         Duration::from_nanos(self.init_ns)
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     fn embed(&self, text: &str) -> Embedding {
@@ -566,16 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_bit_identical() {
-        let t = toy();
-        let back = Transformer::from_json(&t.to_json(), t.init_ns()).unwrap();
-        assert_eq!(t.to_json().to_string(), back.to_json().to_string());
-        let a = t.embed("golden garden");
-        let b = back.embed("golden garden");
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn param_order_is_stable_between_accessors_and_bind() {
         let mut t = toy();
         let shapes: Vec<(usize, usize)> = t
@@ -592,8 +519,8 @@ mod tests {
         let mut g = Graph::new();
         let bound = t.bind(&mut g);
         let bound_shapes: Vec<(usize, usize)> = bound
-            .ordered_vars()
-            .iter()
+            .list()
+            .into_iter()
             .map(|&v| (g.value(v).rows(), g.value(v).cols()))
             .collect();
         assert_eq!(shapes, bound_shapes);

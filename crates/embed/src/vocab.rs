@@ -4,8 +4,8 @@
 //! tiebreak, so vocabulary construction is deterministic for a fixed
 //! corpus regardless of hash-map iteration order.
 
-use er_core::json::Json;
-use er_core::{ErError, Result};
+use er_core::binary::{BinReader, BinWriter};
+use er_core::Result;
 use er_text::Corpus;
 use std::collections::HashMap;
 
@@ -29,8 +29,13 @@ impl Vocab {
             freq.into_iter().filter(|&(_, c)| c >= min_count).collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
 
-        let tokens: Vec<String> = ranked.iter().map(|(t, _)| t.to_string()).collect();
-        let counts: Vec<u32> = ranked.iter().map(|&(_, c)| c).collect();
+        Vocab::from_parts(
+            ranked.iter().map(|(t, _)| t.to_string()).collect(),
+            ranked.iter().map(|&(_, c)| c).collect(),
+        )
+    }
+
+    fn from_parts(tokens: Vec<String>, counts: Vec<u32>) -> Vocab {
         let index = tokens
             .iter()
             .enumerate()
@@ -46,7 +51,7 @@ impl Vocab {
     /// Append a reserved special token (e.g. `er_text::MASK_TOKEN`) with
     /// count 0, after all frequency-ranked entries so every real token
     /// keeps its id. No-op if the token is already present. Special tokens
-    /// survive the JSON round-trip like any other entry.
+    /// are saved like any other entry.
     pub fn with_special(mut self, token: &str) -> Vocab {
         if self.index.contains_key(token) {
             return self;
@@ -88,59 +93,28 @@ impl Vocab {
         sentence.iter().filter_map(|t| self.id(t)).collect()
     }
 
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "tokens".into(),
-                Json::Arr(
-                    self.tokens
-                        .iter()
-                        .map(|t| Json::from_str_value(t))
-                        .collect(),
-                ),
-            ),
-            (
-                "counts".into(),
-                Json::Arr(
-                    self.counts
-                        .iter()
-                        .map(|&c| Json::from_u64(c as u64))
-                        .collect(),
-                ),
-            ),
-        ])
+    /// The string table in id order, then the counts.
+    pub(crate) fn to_writer(&self, w: &mut BinWriter) {
+        w.put_usize(self.tokens.len());
+        for token in &self.tokens {
+            w.put_str(token);
+        }
+        w.put_u32_slice(&self.counts);
     }
 
-    pub fn from_json(json: &Json) -> Result<Vocab> {
-        let tokens: Vec<String> = json
-            .expect("tokens")?
-            .as_arr()?
-            .iter()
-            .map(|t| t.as_str().map(str::to_string))
-            .collect::<Result<_>>()?;
-        let counts: Vec<u32> = json
-            .expect("counts")?
-            .as_arr()?
-            .iter()
-            .map(|c| c.as_u64().map(|v| v as u32))
-            .collect::<Result<_>>()?;
-        if tokens.len() != counts.len() {
-            return Err(ErError::Parse(format!(
-                "vocab has {} tokens but {} counts",
-                tokens.len(),
+    /// Inverse of [`Vocab::to_writer`]; every read is bounded by the bytes
+    /// present, so a hostile token count fails as `ErError::Corrupt`.
+    pub(crate) fn from_reader(r: &mut BinReader) -> Result<Vocab> {
+        let len = r.get_usize()?;
+        let tokens = (0..len).map(|_| r.get_str()).collect::<Result<Vec<_>>>()?;
+        let counts = r.get_u32_vec()?;
+        if counts.len() != len {
+            return Err(crate::corrupt(format!(
+                "vocab has {len} tokens but {} counts",
                 counts.len()
             )));
         }
-        let index = tokens
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i as u32))
-            .collect();
-        Ok(Vocab {
-            tokens,
-            counts,
-            index,
-        })
+        Ok(Vocab::from_parts(tokens, counts))
     }
 }
 
@@ -185,14 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let c = corpus_of(&["x y z x"]);
-        let v = Vocab::build(&c, 1);
-        let back = Vocab::from_json(&v.to_json()).unwrap();
-        assert_eq!(v, back);
-    }
-
-    #[test]
     fn special_token_appends_after_ranked_entries() {
         let c = corpus_of(&["a a b"]);
         let v = Vocab::build(&c, 1);
@@ -203,10 +169,8 @@ mod tests {
         let mask_id = v.id(er_text::MASK_TOKEN).unwrap();
         assert_eq!(mask_id as usize, v.len() - 1);
         assert_eq!(v.count(mask_id), 0);
-        // Idempotent, and survives persistence.
+        // Idempotent.
         let again = v.clone().with_special(er_text::MASK_TOKEN);
         assert_eq!(v, again);
-        let back = Vocab::from_json(&v.to_json()).unwrap();
-        assert_eq!(v, back);
     }
 }

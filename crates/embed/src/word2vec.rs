@@ -3,28 +3,16 @@
 //!
 //! Mechanics preserved from word2vec.c: dynamic window shrinking, the
 //! unigram^0.75 negative table, linear learning-rate decay, uniform
-//! ±0.5/dim input init with zero-initialized output vectors. Sentence
-//! embeddings are mean-pooled token vectors; OOV tokens are skipped and
-//! all-OOV sentences embed to the zero vector.
+//! ±0.5/dim input init with zero-initialized output vectors. The input
+//! vectors are the released weights, a [`StaticModel`] without subwords.
 
 use crate::sgns::{decayed_lr, sgns_step, NegTable};
 use crate::vocab::Vocab;
-use crate::{mean_pool, LanguageModel, ModelCode};
-use er_core::json::Json;
+use crate::{ModelCode, StaticModel};
 use er_core::rng::derive;
-use er_core::{Embedding, Result};
-use er_text::{tokenize, Corpus};
+use er_text::Corpus;
 use rand::Rng;
-use std::time::{Duration, Instant};
-
-#[derive(Debug, Clone)]
-pub struct Word2Vec {
-    vocab: Vocab,
-    dim: usize,
-    /// Input vectors, `vocab.len() * dim`, row-major — the released weights.
-    vectors: Vec<f32>,
-    init_ns: u64,
-}
+use std::time::Instant;
 
 /// SGNS hyper-parameters (shared with FastText).
 #[derive(Debug, Clone)]
@@ -36,8 +24,9 @@ pub struct SgnsParams {
     pub lr: f32,
 }
 
-impl Word2Vec {
-    pub fn train(corpus: &Corpus, vocab: Vocab, params: &SgnsParams, seed: u64) -> Word2Vec {
+impl StaticModel {
+    /// Train Word2Vec (**WC**) on `corpus` over `vocab`.
+    pub fn word2vec(corpus: &Corpus, vocab: Vocab, params: &SgnsParams, seed: u64) -> StaticModel {
         let start = Instant::now();
         let dim = params.dim;
         let mut rng = derive(seed, "word2vec");
@@ -87,72 +76,16 @@ impl Word2Vec {
             }
         }
 
-        Word2Vec {
-            vocab,
-            dim,
-            vectors: in_vecs,
-            init_ns: start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
-    }
-
-    pub fn token_vector(&self, token: &str) -> Option<&[f32]> {
-        self.vocab
-            .id(token)
-            .map(|id| &self.vectors[id as usize * self.dim..(id as usize + 1) * self.dim])
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("vocab".into(), self.vocab.to_json()),
-            ("dim".into(), Json::from_usize(self.dim)),
-            ("vectors".into(), Json::from_f32_slice(&self.vectors)),
-        ])
-    }
-
-    pub fn from_json(json: &Json, init_ns: u64) -> Result<Word2Vec> {
-        let vocab = Vocab::from_json(json.expect("vocab")?)?;
-        let dim = json.expect("dim")?.as_usize()?;
-        let vectors = json.expect("vectors")?.as_f32_vec()?;
-        crate::check_matrix_shape("Word2Vec", &vectors, vocab.len(), dim)?;
-        Ok(Word2Vec {
-            vocab,
-            dim,
-            vectors,
-            init_ns,
-        })
-    }
-
-    pub(crate) fn init_ns(&self) -> u64 {
-        self.init_ns
-    }
-}
-
-impl LanguageModel for Word2Vec {
-    fn code(&self) -> ModelCode {
-        ModelCode::WC
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn init_time(&self) -> Duration {
-        Duration::from_nanos(self.init_ns)
-    }
-
-    fn embed(&self, text: &str) -> Embedding {
-        let tokens = tokenize(text);
-        mean_pool(tokens.iter().filter_map(|t| self.token_vector(t)), self.dim)
+        let init_ns = start.elapsed().as_nanos() as u64;
+        StaticModel::new(ModelCode::WC, vocab, dim, in_vecs, None, init_ns)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LanguageModel;
+    use er_core::Embedding;
 
     fn toy_params() -> SgnsParams {
         SgnsParams {
@@ -181,7 +114,7 @@ mod tests {
     fn cooccurring_words_end_up_closer() {
         let corpus = toy_corpus();
         let vocab = Vocab::build(&corpus, 1);
-        let model = Word2Vec::train(&corpus, vocab, &toy_params(), 7);
+        let model = StaticModel::word2vec(&corpus, vocab, &toy_params(), 7);
         let alpha = model.embed("alpha");
         let beta = model.embed("beta");
         let gamma = model.embed("gamma");
@@ -197,19 +130,8 @@ mod tests {
     fn oov_sentences_embed_to_zeros() {
         let corpus = toy_corpus();
         let vocab = Vocab::build(&corpus, 1);
-        let model = Word2Vec::train(&corpus, vocab, &toy_params(), 7);
+        let model = StaticModel::word2vec(&corpus, vocab, &toy_params(), 7);
         assert_eq!(model.embed("zzz qqq"), Embedding::zeros(16));
         assert_eq!(model.embed(""), Embedding::zeros(16));
-    }
-
-    #[test]
-    fn json_round_trip_preserves_embeddings() {
-        let corpus = toy_corpus();
-        let vocab = Vocab::build(&corpus, 1);
-        let model = Word2Vec::train(&corpus, vocab, &toy_params(), 7);
-        let back = Word2Vec::from_json(&model.to_json(), model.init_ns()).unwrap();
-        let a = model.embed("alpha beta ocean");
-        let b = back.embed("alpha beta ocean");
-        assert_eq!(a, b);
     }
 }

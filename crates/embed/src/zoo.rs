@@ -1,18 +1,20 @@
 //! The model zoo: one entry point that pre-trains every implemented model
-//! on the deterministic synthetic corpus, with an optional JSON weight
-//! cache so repeated runs (and the benchmark suite) skip training.
+//! on the deterministic synthetic corpus, with an optional on-disk cache so
+//! repeated runs (and the benchmark suite) skip training.
 //!
 //! Determinism contract: `ModelZoo::pretrain(None, &config, seed)` is
 //! byte-identical across runs for a fixed `(config, seed)` — each model
-//! trains from its own seed-derived RNG stream, and persistence uses
-//! shortest-round-trip float formatting so save/load is bit-exact.
+//! trains from its own seed-derived RNG stream. The cache is one ERBF
+//! `kind::MODEL` container whose weights are raw little-endian f32 runs,
+//! read back with `from_le_bytes`: save/load is bit-exact and a load parses
+//! no floats.
 
-use crate::fasttext::{FastText, FastTextParams};
-use crate::glove::{Glove, GloveParams};
 use crate::mlm::{self, MlmParams};
 use crate::transformer::{Transformer, TransformerConfig};
-use crate::word2vec::{SgnsParams, Word2Vec};
-use crate::{LanguageModel, ModelCode, Vocab};
+use crate::{
+    FastTextParams, GloveParams, LanguageModel, ModelCode, SgnsParams, StaticModel, Vocab,
+};
+use er_core::binary::{self, fnv1a64, kind, BinReader, BinWriter};
 use er_core::json::Json;
 use er_core::rng::rng;
 use er_core::{Embedding, ErError, Result};
@@ -168,120 +170,54 @@ impl Default for ZooConfig {
 /// LanguageModel` so models can be persisted and compared exactly.)
 #[derive(Debug, Clone)]
 pub enum AnyModel {
-    Word2Vec(Word2Vec),
-    Glove(Glove),
-    FastText(FastText),
+    /// WC, GE or FT.
+    Static(StaticModel),
+    /// BT.
     Transformer(Transformer),
 }
 
 impl AnyModel {
+    fn inner(&self) -> &dyn LanguageModel {
+        match self {
+            AnyModel::Static(m) => m,
+            AnyModel::Transformer(m) => m,
+        }
+    }
+
     /// Whether `token` is in the model's trained vocabulary (FastText can
     /// still *embed* tokens for which this is false, via subword buckets).
     pub fn knows_token(&self, token: &str) -> bool {
-        match self {
-            AnyModel::Word2Vec(m) => m.vocab().id(token).is_some(),
-            AnyModel::Glove(m) => m.vocab().id(token).is_some(),
-            AnyModel::FastText(m) => m.vocab().id(token).is_some(),
-            AnyModel::Transformer(m) => m.vocab().id(token).is_some(),
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            AnyModel::Word2Vec(_) => "Word2Vec",
-            AnyModel::Glove(_) => "Glove",
-            AnyModel::FastText(_) => "FastText",
-            AnyModel::Transformer(_) => "Transformer",
-        }
-    }
-
-    fn weights_json(&self) -> Json {
-        match self {
-            AnyModel::Word2Vec(m) => m.to_json(),
-            AnyModel::Glove(m) => m.to_json(),
-            AnyModel::FastText(m) => m.to_json(),
-            AnyModel::Transformer(m) => m.to_json(),
-        }
-    }
-
-    fn init_ns(&self) -> u64 {
-        match self {
-            AnyModel::Word2Vec(m) => m.init_ns(),
-            AnyModel::Glove(m) => m.init_ns(),
-            AnyModel::FastText(m) => m.init_ns(),
-            AnyModel::Transformer(m) => m.init_ns(),
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("code".into(), Json::from_str_value(self.code().as_str())),
-            ("kind".into(), Json::from_str_value(self.kind())),
-            ("init_ns".into(), Json::from_u64(self.init_ns())),
-            ("model".into(), self.weights_json()),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<AnyModel> {
-        let kind = json.expect("kind")?.as_str()?;
-        let init_ns = json.expect("init_ns")?.as_u64()?;
-        let weights = json.expect("model")?;
-        match kind {
-            "Word2Vec" => Ok(AnyModel::Word2Vec(Word2Vec::from_json(weights, init_ns)?)),
-            "Glove" => Ok(AnyModel::Glove(Glove::from_json(weights, init_ns)?)),
-            "FastText" => Ok(AnyModel::FastText(FastText::from_json(weights, init_ns)?)),
-            "Transformer" => Ok(AnyModel::Transformer(Transformer::from_json(
-                weights, init_ns,
-            )?)),
-            other => Err(ErError::Parse(format!("unknown model kind {other:?}"))),
-        }
+        let vocab = match self {
+            AnyModel::Static(m) => m.vocab(),
+            AnyModel::Transformer(m) => m.vocab(),
+        };
+        vocab.id(token).is_some()
     }
 }
 
 impl LanguageModel for AnyModel {
     fn code(&self) -> ModelCode {
-        match self {
-            AnyModel::Word2Vec(m) => m.code(),
-            AnyModel::Glove(m) => m.code(),
-            AnyModel::FastText(m) => m.code(),
-            AnyModel::Transformer(m) => m.code(),
-        }
+        self.inner().code()
     }
 
     fn dim(&self) -> usize {
-        match self {
-            AnyModel::Word2Vec(m) => m.dim(),
-            AnyModel::Glove(m) => m.dim(),
-            AnyModel::FastText(m) => m.dim(),
-            AnyModel::Transformer(m) => m.dim(),
-        }
+        self.inner().dim()
     }
 
     fn init_time(&self) -> Duration {
-        match self {
-            AnyModel::Word2Vec(m) => m.init_time(),
-            AnyModel::Glove(m) => m.init_time(),
-            AnyModel::FastText(m) => m.init_time(),
-            AnyModel::Transformer(m) => m.init_time(),
-        }
+        self.inner().init_time()
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.inner().fingerprint()
     }
 
     fn embed(&self, text: &str) -> Embedding {
-        match self {
-            AnyModel::Word2Vec(m) => m.embed(text),
-            AnyModel::Glove(m) => m.embed(text),
-            AnyModel::FastText(m) => m.embed(text),
-            AnyModel::Transformer(m) => m.embed(text),
-        }
+        self.inner().embed(text)
     }
 
     fn embed_into(&self, text: &str, out: &mut [f32]) {
-        match self {
-            AnyModel::Word2Vec(m) => m.embed_into(text, out),
-            AnyModel::Glove(m) => m.embed_into(text, out),
-            AnyModel::FastText(m) => m.embed_into(text, out),
-            AnyModel::Transformer(m) => m.embed_into(text, out),
-        }
+        self.inner().embed_into(text, out)
     }
 }
 
@@ -294,7 +230,14 @@ pub struct ModelZoo {
     seed: u64,
 }
 
-const ZOO_FORMAT: u64 = 1;
+/// Section tags of a zoo cache: the header (scale, seed, each model's
+/// init time), then one section per model in roster order, tagged with its
+/// family.
+mod tag {
+    pub const ZOO: u32 = 1;
+    pub const STATIC: u32 = 2;
+    pub const TRANSFORMER: u32 = 3;
+}
 
 impl ModelZoo {
     /// Load the zoo from `cache_dir` if a cache for this exact
@@ -302,12 +245,9 @@ impl ModelZoo {
     /// save them back. `None` always trains in memory.
     pub fn pretrain(cache_dir: Option<&Path>, config: &ZooConfig, seed: u64) -> ModelZoo {
         if let Some(dir) = cache_dir {
-            let path = dir.join(format!("{}.json", config.cache_stem(seed)));
+            let path = dir.join(format!("{}.erbf", config.cache_stem(seed)));
             if path.is_file() {
-                match std::fs::read_to_string(&path)
-                    .map_err(ErError::from)
-                    .and_then(|text| ModelZoo::from_json_str(&text))
-                {
+                match ModelZoo::load(&path) {
                     Ok(zoo) => return zoo,
                     Err(e) => eprintln!(
                         "warning: ignoring unreadable zoo cache {}: {e}",
@@ -332,7 +272,7 @@ impl ModelZoo {
         let vocab = Vocab::build(&corpus, config.min_count);
         assert!(!vocab.is_empty(), "zoo corpus produced an empty vocabulary");
 
-        let w2v = Word2Vec::train(
+        let w2v = StaticModel::word2vec(
             &corpus,
             vocab.clone(),
             &SgnsParams {
@@ -344,7 +284,7 @@ impl ModelZoo {
             },
             seed,
         );
-        let glove = Glove::train(
+        let glove = StaticModel::glove(
             &corpus,
             vocab.clone(),
             &GloveParams {
@@ -357,7 +297,7 @@ impl ModelZoo {
             },
             seed,
         );
-        let ft = FastText::train(
+        let ft = StaticModel::fasttext(
             &corpus,
             vocab.clone(),
             &FastTextParams {
@@ -398,9 +338,9 @@ impl ModelZoo {
 
         ModelZoo {
             models: vec![
-                Arc::new(AnyModel::Word2Vec(w2v)),
-                Arc::new(AnyModel::Glove(glove)),
-                Arc::new(AnyModel::FastText(ft)),
+                Arc::new(AnyModel::Static(w2v)),
+                Arc::new(AnyModel::Static(glove)),
+                Arc::new(AnyModel::Static(ft)),
                 Arc::new(AnyModel::Transformer(bt)),
             ],
             scale: config.scale.clone(),
@@ -440,44 +380,80 @@ impl ModelZoo {
         self.seed
     }
 
-    /// FNV-1a over every model's weight payload (timings excluded), for
-    /// cheap bit-identity assertions across runs and round-trips.
+    /// FNV-1a over the models' fingerprints in roster order (timings
+    /// excluded), for cheap bit-identity assertions across runs and
+    /// round-trips.
     pub fn fingerprint(&self) -> u64 {
-        let weights = Json::Arr(self.models.iter().map(|m| m.weights_json()).collect());
-        fnv1a(weights.to_string().as_bytes())
+        let bytes: Vec<u8> = self
+            .models
+            .iter()
+            .flat_map(|m| m.fingerprint().to_le_bytes())
+            .collect();
+        fnv1a64(&bytes)
     }
 
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("format".into(), Json::from_u64(ZOO_FORMAT)),
-            ("scale".into(), Json::from_str_value(&self.scale)),
-            ("seed".into(), Json::from_u64(self.seed)),
-            (
-                "models".into(),
-                Json::Arr(self.models.iter().map(|m| m.to_json()).collect()),
-            ),
-        ])
+    /// One `kind::MODEL` container: the header, then each model's code,
+    /// config, vocab string table and raw f32 weights.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut head = BinWriter::new();
+        head.put_str(&self.scale);
+        head.put_u64(self.seed);
+        let init_ns: Vec<u64> = self
+            .models
+            .iter()
+            .map(|m| m.init_time().as_nanos() as u64)
+            .collect();
+        head.put_u64_slice(&init_ns);
+        let mut sections = vec![(tag::ZOO, head.into_bytes())];
+        for model in &self.models {
+            let mut w = BinWriter::new();
+            let tag = match model.as_ref() {
+                AnyModel::Static(m) => {
+                    m.to_writer(&mut w);
+                    tag::STATIC
+                }
+                AnyModel::Transformer(m) => {
+                    m.to_writer(&mut w);
+                    tag::TRANSFORMER
+                }
+            };
+            sections.push((tag, w.into_bytes()));
+        }
+        binary::write_container(kind::MODEL, &sections)
     }
 
-    pub fn from_json_str(text: &str) -> Result<ModelZoo> {
-        let json = Json::parse(text)?;
-        let format = json.expect("format")?.as_u64()?;
-        if format != ZOO_FORMAT {
-            return Err(ErError::Parse(format!(
-                "zoo cache format {format} unsupported (expected {ZOO_FORMAT})"
+    /// Inverse of [`ModelZoo::to_bytes`]: every config is validated and
+    /// every weight matrix checked against the shape it implies, so a
+    /// damaged cache is `ErError::Corrupt` — never a panic.
+    fn from_bytes(bytes: &[u8]) -> Result<ModelZoo> {
+        let sections = binary::read_container(bytes, kind::MODEL)?;
+        let [(tag::ZOO, head), bodies @ ..] = sections.as_slice() else {
+            return Err(ErError::Corrupt("zoo cache lacks its header".into()));
+        };
+        let mut head = BinReader::new(head);
+        let scale = head.get_str()?;
+        let seed = head.get_u64()?;
+        let init_ns = head.get_u64_vec()?;
+        if bodies.is_empty() || init_ns.len() != bodies.len() || head.remaining() != 0 {
+            return Err(ErError::Corrupt(format!(
+                "zoo header lists {} models, the cache holds {}",
+                init_ns.len(),
+                bodies.len()
             )));
         }
-        let scale = json.expect("scale")?.as_str()?.to_string();
-        let seed = json.expect("seed")?.as_u64()?;
-        let models = json
-            .expect("models")?
-            .as_arr()?
+        let models = bodies
             .iter()
-            .map(|m| AnyModel::from_json(m).map(Arc::new))
-            .collect::<Result<Vec<_>>>()?;
-        if models.is_empty() {
-            return Err(ErError::Parse("zoo cache holds no models".into()));
-        }
+            .zip(init_ns)
+            .map(|(&(tag, body), ns)| {
+                Ok(Arc::new(match tag {
+                    tag::STATIC => AnyModel::Static(StaticModel::from_bytes(body, ns)?),
+                    tag::TRANSFORMER => AnyModel::Transformer(Transformer::from_bytes(body, ns)?),
+                    other => {
+                        return Err(ErError::Corrupt(format!("unknown model section {other}")))
+                    }
+                }))
+            })
+            .collect::<Result<_>>()?;
         Ok(ModelZoo {
             models,
             scale,
@@ -489,12 +465,12 @@ impl ModelZoo {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        std::fs::write(path, self.to_json().to_string())?;
+        std::fs::write(path, self.to_bytes())?;
         Ok(())
     }
 
     pub fn load(path: &Path) -> Result<ModelZoo> {
-        ModelZoo::from_json_str(&std::fs::read_to_string(path)?)
+        ModelZoo::from_bytes(&std::fs::read(path)?)
     }
 }
 
@@ -561,5 +537,77 @@ mod tests {
             m.embed_into(text, &mut row);
             assert_eq!(row, e.as_slice(), "{} embed_into diverged", m.code());
         }
+    }
+
+    /// `bytes` with model section `model` (0 = WC … 3 = BT) edited, then
+    /// re-sealed under a valid checksum: damage only the decoder can see.
+    fn edited(bytes: &[u8], model: usize, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut sections: Vec<(u32, Vec<u8>)> = binary::read_container(bytes, kind::MODEL)
+            .unwrap()
+            .into_iter()
+            .map(|(tag, body)| (tag, body.to_vec()))
+            .collect();
+        edit(&mut sections[model + 1].1);
+        binary::write_container(kind::MODEL, &sections)
+    }
+
+    #[test]
+    fn damaged_caches_are_corrupt_errors_not_panics() {
+        let bytes = ModelZoo::train_all(&ZooConfig::tiny(), 42).to_bytes();
+        // A model body opens with its code (8-byte length + 2 letters), then
+        // its config: BT's dim, layers, heads, ffn, max_len; a static
+        // model's dim, subword flag (1 byte), nmin, nmax, buckets.
+        let (wc, ft, bt) = (0, 2, 3);
+        let at = |offset: usize, value: u64| {
+            move |body: &mut Vec<u8>| body[offset..offset + 8].copy_from_slice(&value.to_le_bytes())
+        };
+        let cases = [
+            ("BT heads 0", edited(&bytes, bt, at(26, 0))),
+            ("BT heads not dividing dim", edited(&bytes, bt, at(26, 3))),
+            ("BT dim 0", edited(&bytes, bt, at(10, 0))),
+            ("BT layers 0", edited(&bytes, bt, at(18, 0))),
+            (
+                "BT layers past the bytes",
+                edited(&bytes, bt, at(18, 1 << 40)),
+            ),
+            ("BT ffn 0", edited(&bytes, bt, at(34, 0))),
+            ("BT max_len 0", edited(&bytes, bt, at(42, 0))),
+            ("FT dim 0", edited(&bytes, ft, at(10, 0))),
+            ("FT dim off its weights", edited(&bytes, ft, at(10, 47))),
+            ("FT nmin > nmax", edited(&bytes, ft, at(19, 6))),
+            ("FT buckets 0", edited(&bytes, ft, at(35, 0))),
+            (
+                "FT buckets off its weights",
+                edited(&bytes, ft, at(35, 1 << 40)),
+            ),
+            ("WC unknown subword flag", edited(&bytes, wc, |b| b[18] = 7)),
+            (
+                "WC unknown code",
+                edited(&bytes, wc, |b| b[8..10].copy_from_slice(b"ZZ")),
+            ),
+            ("WC trailing byte", edited(&bytes, wc, |b| b.push(0))),
+        ];
+        for (what, damaged) in &cases {
+            assert!(
+                matches!(ModelZoo::from_bytes(damaged), Err(ErError::Corrupt(_))),
+                "{what} must be Corrupt"
+            );
+        }
+        // Truncation at every section boundary, and a flipped bit.
+        let mut cut = binary::HEADER_LEN;
+        for (_, body) in binary::read_container(&bytes, kind::MODEL).unwrap() {
+            assert!(matches!(
+                ModelZoo::from_bytes(&bytes[..cut]),
+                Err(ErError::Corrupt(_))
+            ));
+            cut += 12 + body.len();
+        }
+        assert_eq!(cut, bytes.len());
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 1;
+        assert!(matches!(
+            ModelZoo::from_bytes(&flipped),
+            Err(ErError::Corrupt(_))
+        ));
     }
 }

@@ -13,7 +13,7 @@ const PAIRS: usize = 10;
 /// Pick trained vocabulary words and typo them until the typo is OOV.
 fn typo_pairs(ft: &AnyModel, n: usize) -> Vec<(String, String)> {
     let zoo_vocab = match ft {
-        AnyModel::FastText(m) => m.vocab(),
+        AnyModel::Static(m) if ft.code() == ModelCode::FT => m.vocab(),
         _ => panic!("expected the FastText model"),
     };
     let mut r = rng(0xE4);

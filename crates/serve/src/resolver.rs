@@ -20,7 +20,13 @@
 //!   is applied; on reopen, the journal tail newer than the save is
 //!   replayed, so a crash loses at most a torn (uncommitted) record.
 //!   [`Resolver::checkpoint`] folds the journals into a fresh save and
-//!   advances the epoch.
+//!   advances the epoch. A fresh directory gets its epoch-0 save before
+//!   its first journal.
+//!
+//! **Model rule**: a save records the model's code and fingerprint, and
+//! loading it under any other model is `ErError::Model` — the rows would
+//! be answered in another embedding space. Journals carry no model
+//! identity; they are only ever replayed over a save, which does.
 //!
 //! **Epoch rule**: the save's epoch counts completed checkpoints; each
 //! journal's header names the epoch it extends. On open, a journal at the
@@ -44,6 +50,9 @@ use std::sync::{Arc, Mutex};
 mod tag {
     pub const META: u32 = 1;
     pub const SHARDS: u32 = 2;
+    /// The model's code and fingerprint. Saves written before this section
+    /// existed lack it and are held to the embedding dimension alone.
+    pub const MODEL: u32 = 3;
 }
 
 /// File names inside a durable resolver directory.
@@ -52,6 +61,14 @@ const SAVE_TMP: &str = "resolver.erbf.tmp";
 
 fn journal_file(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.jrnl"))
+}
+
+/// Replace the directory's save atomically: temp file, then rename.
+fn write_save(dir: &Path, bytes: &[u8]) -> Result<()> {
+    let tmp = dir.join(SAVE_TMP);
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, dir.join(SAVE_FILE))?;
+    Ok(())
 }
 
 /// How a [`Resolver`] is laid out: shard count, index backend, Exact scan
@@ -188,14 +205,17 @@ impl<'m> Resolver<'m> {
 
     /// Open (or create) a **durable** resolver in `dir`.
     ///
-    /// If `dir` holds a save, it is loaded, and its layout (mode, shard
-    /// count, backend, Exact scan, compaction policy) must equal `mode` and
-    /// `config` — journal replay is only deterministic under the layout
-    /// that wrote the journals, so a disagreeing caller gets a typed
-    /// [`ErError::Config`] naming both. Then each shard's journal is
-    /// examined: records newer than the save are replayed, torn tails are
-    /// truncated, stale journals (older epoch) are discarded, and appends
-    /// resume where the committed history ends.
+    /// If `dir` holds a save, it is loaded under `model` (another model
+    /// than the one it was saved under is [`ErError::Model`]), and its
+    /// layout (mode, shard count, backend, Exact scan, compaction policy)
+    /// must equal `mode` and `config` — journal replay is only
+    /// deterministic under the layout that wrote the journals, so a
+    /// disagreeing caller gets a typed [`ErError::Config`] naming both.
+    /// Otherwise the empty epoch-0 save is written first, so the model's
+    /// identity is on disk before any journal is. Then each shard's journal
+    /// is examined: records newer than the save are replayed, torn tails
+    /// are truncated, stale journals (older epoch) are discarded, and
+    /// appends resume where the committed history ends.
     pub fn open(
         dir: impl AsRef<Path>,
         model: &'m dyn LanguageModel,
@@ -217,7 +237,9 @@ impl<'m> Resolver<'m> {
             }
             saved
         } else {
-            Resolver::new(model, mode, config)?
+            let fresh = Resolver::new(model, mode, config)?;
+            write_save(dir, &fresh.to_bytes())?;
+            fresh
         };
         resolver.dir = Some(dir.to_path_buf());
         resolver.recover_journals()?;
@@ -285,11 +307,7 @@ impl<'m> Resolver<'m> {
         let mut epoch = self.epoch.lock().expect("resolver epoch lock poisoned");
         let next = *epoch + 1;
         self.index.checkpoint_with(next, |snaps| {
-            let bytes = self.serialize_snapshots(snaps, next);
-            let tmp = dir.join(SAVE_TMP);
-            std::fs::write(&tmp, bytes)?;
-            std::fs::rename(&tmp, dir.join(SAVE_FILE))?;
-            Ok(())
+            write_save(dir, &self.serialize_snapshots(snaps, next))
         })?;
         *epoch = next;
         Ok(())
@@ -416,21 +434,26 @@ impl<'m> Resolver<'m> {
             shards.put_u32_slice(&ids);
             shards.put_bytes(&snap.index.to_bytes());
         }
+        let mut identity = BinWriter::new();
+        identity.put_str(self.model.code().as_str());
+        identity.put_u64(self.model.fingerprint());
         binary::write_container_epoch(
             kind::RESOLVER,
             epoch,
             &[
                 (tag::META, meta.into_bytes()),
                 (tag::SHARDS, shards.into_bytes()),
+                (tag::MODEL, identity.into_bytes()),
             ],
         )
     }
 
     /// Serialize into one `kind::RESOLVER` container: serving metadata +
-    /// every shard's id history and nested index container, stamped with
-    /// the current epoch. The shard set is taken under all writer locks,
-    /// so the bytes are a mutually consistent point-in-time copy —
-    /// deterministic for a given mutation history.
+    /// every shard's id history and nested index container + the model's
+    /// code and fingerprint, stamped with the current epoch. The shard set
+    /// is taken under all writer locks, so the bytes are a mutually
+    /// consistent point-in-time copy — deterministic for a given mutation
+    /// history.
     pub fn to_bytes(&self) -> Vec<u8> {
         let snaps = self.index.consistent_snapshots();
         self.serialize_snapshots(&snaps, self.epoch())
@@ -443,9 +466,11 @@ impl<'m> Resolver<'m> {
         Ok(std::fs::write(path, self.to_bytes())?)
     }
 
-    /// Inverse of [`Resolver::to_bytes`]. The model is not part of the
-    /// bytes (the zoo cache persists models); it must match the saved
-    /// embedding dimension.
+    /// Inverse of [`Resolver::to_bytes`]. The model's weights are not part
+    /// of the bytes (the zoo cache persists them), but its identity is:
+    /// `model` must carry the saved code and fingerprint, else
+    /// [`ErError::Model`] names both. A save without that section (written
+    /// before it existed) is held to the embedding dimension alone.
     pub fn from_bytes(bytes: &[u8], model: &'m dyn LanguageModel) -> Result<Resolver<'m>> {
         let (epoch, sections) = binary::read_container_epoch(bytes, kind::RESOLVER)?;
         let mut meta = BinReader::new(binary::section(&sections, tag::META, "meta")?);
@@ -458,6 +483,18 @@ impl<'m> Resolver<'m> {
         };
         if shard_count == 0 {
             return Err(ErError::Corrupt("resolver with zero shards".into()));
+        }
+        if let Some((_, identity)) = sections.iter().find(|(t, _)| *t == tag::MODEL) {
+            let mut r = BinReader::new(identity);
+            let (code, fingerprint) = (r.get_str()?, r.get_u64()?);
+            if code != model.code().as_str() || fingerprint != model.fingerprint() {
+                return Err(ErError::Model(format!(
+                    "resolver was saved under model {code} (fingerprint {fingerprint:016x}), \
+                     not {} ({:016x})",
+                    model.code(),
+                    model.fingerprint()
+                )));
+            }
         }
         if model.dim() != dim {
             return Err(ErError::Model(format!(

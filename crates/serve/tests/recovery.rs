@@ -5,11 +5,13 @@
 //! surfaces as typed [`ErError::Corrupt`], never as garbage state or a
 //! panic. Epoch rules are pinned: stale journals are discarded, journals
 //! newer than the save refuse to load, and journal replay re-derives
-//! automatic compactions deterministically.
+//! automatic compactions deterministically. A directory reopened under
+//! another model than the one that wrote it is an [`ErError::Model`].
 
+use er_core::binary::{self, kind};
 use er_core::KernelTier;
 use er_core::{Embedding, Entity, EntityId, ErError, SerializationMode};
-use er_embed::{LanguageModel, ModelCode};
+use er_embed::{LanguageModel, ModelCode, ModelZoo, ZooConfig};
 use er_index::{BlockerBackend, Metric, ScanConfig};
 use er_serve::{CompactionPolicy, Resolver, ServeConfig};
 use std::path::{Path, PathBuf};
@@ -32,6 +34,10 @@ impl LanguageModel for TrigramModel {
 
     fn init_time(&self) -> Duration {
         Duration::ZERO
+    }
+
+    fn fingerprint(&self) -> u64 {
+        0x7269_6772_616d
     }
 
     fn embed(&self, text: &str) -> Embedding {
@@ -459,4 +465,60 @@ fn reopening_under_a_different_layout_is_a_config_error() {
     let resolver = Resolver::open(&dir, &model, mode, saved).unwrap();
     assert_eq!(resolver.len(), 6);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn reopening_under_a_different_model_is_a_model_error() {
+    // WC, GE and FT are all 48-d: only the saved fingerprint tells a
+    // FastText save from a GloVe one.
+    let config = ZooConfig::tiny();
+    let zoo = ModelZoo::pretrain(None, &config, 42);
+    let (ft, ge) = (
+        zoo.get(ModelCode::FT).as_ref(),
+        zoo.get(ModelCode::GE).as_ref(),
+    );
+    let mode = SerializationMode::SchemaAgnostic;
+    let (saved, crashed) = (fresh_dir("model_saved"), fresh_dir("model_crashed"));
+    for (dir, checkpoint) in [(&saved, true), (&crashed, false)] {
+        let resolver = Resolver::open(dir, ft, mode.clone(), ServeConfig::new()).unwrap();
+        for op in 0..6 {
+            apply_op(&resolver, op);
+        }
+        if checkpoint {
+            resolver.checkpoint().unwrap();
+        }
+        // Without a checkpoint, a crash leaves the epoch-0 save beside the
+        // journals.
+    }
+    let bytes = std::fs::read(saved.join("resolver.erbf")).unwrap();
+    assert!(matches!(
+        Resolver::from_bytes(&bytes, ge),
+        Err(ErError::Model(_))
+    ));
+    for dir in [&saved, &crashed] {
+        match Resolver::open(dir, ge, mode.clone(), ServeConfig::new()) {
+            Err(ErError::Model(msg)) => {
+                assert!(msg.contains("FT") && msg.contains("GE"), "{msg}")
+            }
+            other => panic!("expected Model, got {:?}", other.map(|r| r.len())),
+        }
+    }
+
+    // A save from before the MODEL section existed keeps the dim-only check.
+    let (epoch, sections) = binary::read_container_epoch(&bytes, kind::RESOLVER).unwrap();
+    let without_model: Vec<(u32, Vec<u8>)> = sections[..2]
+        .iter()
+        .map(|&(tag, body)| (tag, body.to_vec()))
+        .collect();
+    let legacy = binary::write_container_epoch(kind::RESOLVER, epoch, &without_model);
+    assert_eq!(Resolver::from_bytes(&legacy, ge).unwrap().len(), 6);
+
+    // A zoo re-pretrained from the same seed is the same model.
+    let again = ModelZoo::pretrain(None, &config, 42);
+    for dir in [&saved, &crashed] {
+        let ft = again.get(ModelCode::FT).as_ref();
+        let resolver = Resolver::open(dir, ft, mode.clone(), ServeConfig::new()).unwrap();
+        assert_eq!(resolver.len(), 6);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }

@@ -29,6 +29,10 @@ impl LanguageModel for TrigramModel {
         Duration::ZERO
     }
 
+    fn fingerprint(&self) -> u64 {
+        0x7269_6772_616d
+    }
+
     fn embed(&self, text: &str) -> Embedding {
         let mut v = vec![0.0f32; self.dim];
         let chars: Vec<char> = text.chars().collect();

@@ -3,10 +3,11 @@
 //! is checked against the outputs themselves rather than against a
 //! hand-written equivalence test per feature.
 //!
-//! Rows: the canonical `OperatingPoint::to_json` bytes, the autotuner's
-//! chosen point and trial list, blocking candidates with their score bits,
-//! and the `Resolver` save bytes after a seeded write stream. The digests
-//! are identical in debug and release builds.
+//! Rows: every tiny-zoo model's embedding bits on D1 and on a probe list,
+//! the canonical `OperatingPoint::to_json` bytes, the autotuner's chosen
+//! point and trial list, blocking candidates with their score bits, and
+//! the `Resolver` save bytes after a seeded write stream. The digests are
+//! identical in debug and release builds.
 //!
 //! A constant may only change in a PR that names it and says why. To
 //! regenerate the tables, run
@@ -60,6 +61,52 @@ fn embedded(ds: &CleanCleanDataset) -> (EmbeddingMatrix, EmbeddingMatrix) {
 }
 
 const METRICS: [(&str, Metric); 2] = [("cosine", Metric::Cosine), ("euclidean", Metric::Euclidean)];
+
+const EMBEDDINGS: &[(&str, u64)] = &[
+    ("WC_d1", 0x392421ccf563c782),
+    ("WC_probes", 0xe8e91a6adeb134e6),
+    ("GE_d1", 0x8d2031be9dd33251),
+    ("GE_probes", 0x4985bde8113d603c),
+    ("FT_d1", 0x9b4f76eb1ae092ab),
+    ("FT_probes", 0x7a25ef5f8ec18d99),
+    ("BT_d1", 0x4c7584f58975b67f),
+    ("BT_probes", 0xa90f3cde10023a25),
+];
+
+/// Typo'd tokens (FastText's subword-only path), all-OOV text and the
+/// empty string (the zero vector every model shares).
+const PROBES: [&str; 5] = [
+    "restaurnat downtwon",
+    "golden restaurant goldne restaurnat",
+    "zzqx vvkjw",
+    "",
+    ".,;",
+];
+
+fn embedding_bits(model: &AnyModel, texts: impl Iterator<Item = String>) -> u64 {
+    let mut bytes = Vec::new();
+    for text in texts {
+        for x in model.embed(&text).as_slice() {
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn embeddings_of_every_tiny_zoo_model() {
+    let ds = CleanCleanDataset::generate(DatasetId::D1, 42);
+    let mode = SerializationMode::SchemaAgnostic;
+    let mut got = Vec::new();
+    for model in zoo().models() {
+        let records = ds.left.iter().chain(&ds.right).map(|e| e.serialize(&mode));
+        let code = model.code();
+        got.push((format!("{code}_d1"), embedding_bits(model, records)));
+        let probes = PROBES.iter().map(|p| p.to_string());
+        got.push((format!("{code}_probes"), embedding_bits(model, probes)));
+    }
+    check("EMBEDDINGS", &got, EMBEDDINGS);
+}
 
 const POINT_JSON: &[(&str, u64)] = &[
     ("default", 0x59b129575bd5b3db),
@@ -253,8 +300,8 @@ fn blocking_candidates_and_scores_on_d1() {
 }
 
 const RESOLVER_BYTES: &[(&str, u64)] = &[
-    ("serve_default", 0x5fb02231590c68a9),
-    ("exact_lanes", 0x92939d51900ee242),
+    ("serve_default", 0xc698a4ebf9cdd936),
+    ("exact_lanes", 0xad57a0c88c79ced2),
 ];
 
 /// Insert every D1 record (right side at its ids, left side offset past
