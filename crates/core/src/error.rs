@@ -21,6 +21,14 @@ pub enum ErError {
 
 pub type Result<T> = std::result::Result<T, ErError>;
 
+impl ErError {
+    /// An [`ErError::Corrupt`] carrying `what` — the one constructor every
+    /// decoder reports damaged bytes through.
+    pub fn corrupt(what: impl fmt::Display) -> ErError {
+        ErError::Corrupt(what.to_string())
+    }
+}
+
 impl fmt::Display for ErError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -19,7 +19,7 @@
 //! including its length field — fails loudly with [`ErError::Corrupt`].
 //! `epoch` ties the journal to the checkpoint it extends: replay is only
 //! valid when the journal epoch equals the epoch stamped in the ERBF save
-//! (see [`crate::binary::read_container_epoch`]).
+//! (see [`crate::binary::Container::epoch`]).
 //!
 //! **Commit rule.** A record is *committed* once all of its bytes are on
 //! disk. [`parse_journal`] stops cleanly at a torn tail (a record whose
@@ -100,14 +100,11 @@ pub fn record_to_bytes(rec: &JournalRecord) -> Vec<u8> {
         }
     }
     let body = w.into_bytes();
-    let len = (body.len() as u32).to_le_bytes();
     let mut framed = Vec::with_capacity(4 + body.len() + 8);
-    framed.extend_from_slice(&len);
+    framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
     framed.extend_from_slice(&body);
-    let mut summed = Vec::with_capacity(4 + body.len());
-    summed.extend_from_slice(&len);
-    summed.extend_from_slice(&body);
-    framed.extend_from_slice(&fnv1a64(&summed).to_le_bytes());
+    let sum = fnv1a64(&framed);
+    framed.extend_from_slice(&sum.to_le_bytes());
     framed
 }
 
@@ -124,91 +121,80 @@ pub struct JournalContents {
     pub committed_bytes: usize,
 }
 
-fn corrupt(what: impl std::fmt::Display) -> ErError {
-    ErError::Corrupt(what.to_string())
-}
-
 /// Decode a journal file into its longest committed prefix.
 ///
 /// Torn tails (truncated header, truncated final record) terminate the scan
 /// cleanly; a *complete* record whose checksum or body does not decode is a
 /// typed [`ErError::Corrupt`] — flipped bits never replay as garbage.
 pub fn parse_journal(bytes: &[u8]) -> Result<JournalContents> {
-    if bytes.len() < JOURNAL_HEADER_LEN {
+    let Some(header) = bytes.get(..JOURNAL_HEADER_LEN) else {
         return Ok(JournalContents {
             header: None,
             records: Vec::new(),
             committed_bytes: 0,
         });
+    };
+    let mut h = BinReader::new(header);
+    if h.get_array()? != JOURNAL_MAGIC {
+        return Err(ErError::corrupt("bad magic (not a JRNL journal)"));
     }
-    if bytes[0..4] != JOURNAL_MAGIC {
-        return Err(corrupt("bad magic (not a JRNL journal)"));
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
+    let version = h.get_u16()?;
     if version != JOURNAL_VERSION {
-        return Err(corrupt(format!(
+        return Err(ErError::corrupt(format!(
             "journal version {version} unsupported (expected {JOURNAL_VERSION})"
         )));
     }
-    let shard = u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes"));
-    let epoch = u64::from_le_bytes(bytes[10..18].try_into().expect("8 bytes"));
-
+    let header = JournalHeader {
+        shard: h.get_u32()?,
+        epoch: h.get_u64()?,
+    };
     let mut records = Vec::new();
     let mut pos = JOURNAL_HEADER_LEN;
-    while bytes.len() - pos >= 4 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        // A record needs its length prefix, body, and checksum on disk to be
-        // committed. Anything shorter is a torn tail: stop, don't error.
-        let Some(total) = len.checked_add(12) else {
-            break;
-        };
-        if bytes.len() - pos < total {
-            break;
-        }
-        let summed = &bytes[pos..pos + 4 + len];
-        let stored = u64::from_le_bytes(
-            bytes[pos + 4 + len..pos + total]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        if fnv1a64(summed) != stored {
-            return Err(corrupt(format!(
+    while let Some(record) = committed_record(&bytes[pos..]) {
+        let (summed, stored) = record.split_at(record.len() - 8);
+        if fnv1a64(summed) != BinReader::new(stored).get_u64()? {
+            return Err(ErError::corrupt(format!(
                 "journal record checksum mismatch at offset {pos}"
             )));
         }
-        let mut r = BinReader::new(&summed[4..]);
-        let op = r.get_u8()?;
-        let id = r.get_u32()?;
-        let rec = match op {
-            OP_INSERT => JournalRecord::Insert {
-                id,
-                row: r.get_f32_vec()?,
-            },
-            OP_UPSERT => JournalRecord::Upsert {
-                id,
-                row: r.get_f32_vec()?,
-            },
-            OP_DELETE => JournalRecord::Delete { id },
-            other => {
-                return Err(corrupt(format!(
-                    "unknown journal op {other} at offset {pos}"
-                )))
-            }
-        };
-        if r.remaining() != 0 {
-            return Err(corrupt(format!(
-                "{} trailing bytes inside the journal record at offset {pos}",
-                r.remaining()
-            )));
-        }
-        records.push(rec);
-        pos += total;
+        records.push(
+            record_from_body(&summed[4..])
+                .map_err(|e| ErError::corrupt(format!("journal record at offset {pos}: {e}")))?,
+        );
+        pos += record.len();
     }
     Ok(JournalContents {
-        header: Some(JournalHeader { shard, epoch }),
+        header: Some(header),
         records,
         committed_bytes: pos,
     })
+}
+
+/// The record at the front of `rest` when its length prefix, body and
+/// checksum are all on disk — JRNL's commit rule. Anything shorter is a
+/// torn tail: `None` stops the scan without an error.
+fn committed_record(rest: &[u8]) -> Option<&[u8]> {
+    let len = BinReader::new(rest).get_u32().ok()? as usize;
+    rest.get(..len.checked_add(12)?)
+}
+
+fn record_from_body(body: &[u8]) -> Result<JournalRecord> {
+    let mut r = BinReader::new(body);
+    let (op, id) = (r.get_u8()?, r.get_u32()?);
+    let rec = match op {
+        OP_INSERT => JournalRecord::Insert {
+            id,
+            row: r.get_f32_vec()?,
+        },
+        OP_UPSERT => JournalRecord::Upsert {
+            id,
+            row: r.get_f32_vec()?,
+        },
+        OP_DELETE => JournalRecord::Delete { id },
+        other => return Err(ErError::corrupt(format!("unknown journal op {other}"))),
+    };
+    r.finish()?;
+    Ok(rec)
 }
 
 #[cfg(test)]

@@ -186,27 +186,9 @@ pub(crate) fn mean_pool<'a>(vecs: impl Iterator<Item = &'a [f32]>, dim: usize) -
     Embedding(sum)
 }
 
-pub(crate) fn corrupt(what: impl std::fmt::Display) -> ErError {
-    ErError::Corrupt(what.to_string())
-}
-
 /// The model code a saved model body starts with.
 pub(crate) fn read_code(r: &mut BinReader) -> Result<ModelCode> {
-    ModelCode::parse(&r.get_str()?).map_err(corrupt)
-}
-
-/// A `rows × cols` weight matrix of raw little-endian f32s, checked
-/// against the shape the saved config implies. The read itself is bounded
-/// by the bytes present, so a hostile shape cannot allocate past them.
-pub(crate) fn read_matrix(r: &mut BinReader, rows: usize, cols: usize) -> Result<Vec<f32>> {
-    let data = r.get_f32_vec()?;
-    if rows.checked_mul(cols) != Some(data.len()) {
-        return Err(corrupt(format!(
-            "expected a {rows}x{cols} weight matrix, got {} weights",
-            data.len()
-        )));
-    }
-    Ok(data)
+    ModelCode::parse(&r.get_str()?).map_err(ErError::corrupt)
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@
 //! release is this one type.
 
 use crate::vocab::Vocab;
-use crate::{corrupt, mean_pool, read_code, read_matrix, LanguageModel, ModelCode};
+use crate::{mean_pool, read_code, LanguageModel, ModelCode};
 use er_core::binary::{fnv1a64, BinReader, BinWriter};
-use er_core::{Embedding, Result};
+use er_core::{Embedding, ErError, Result};
 use er_text::ngram::hashed_ngrams;
 use er_text::tokenize;
 use std::time::Duration;
@@ -144,32 +144,30 @@ impl StaticModel {
         let shape = match r.get_u8()? {
             0 => None,
             1 => Some((r.get_usize()?, r.get_usize()?, r.get_usize()?)),
-            other => return Err(corrupt(format!("unknown subword flag {other}"))),
+            other => return Err(ErError::corrupt(format!("unknown subword flag {other}"))),
         };
         if dim == 0 {
-            return Err(corrupt(format!("{code}: dim must be at least 1")));
+            return Err(ErError::corrupt(format!("{code}: dim must be at least 1")));
         }
         if let Some((nmin, nmax, buckets)) = shape {
             if nmin == 0 || nmin > nmax || buckets == 0 {
-                return Err(corrupt(format!(
+                return Err(ErError::corrupt(format!(
                     "{code}: bad subword config n = {nmin}..={nmax} over {buckets} buckets"
                 )));
             }
         }
         let vocab = Vocab::from_reader(&mut r)?;
-        let vectors = read_matrix(&mut r, vocab.len(), dim)?;
+        let vectors = r.get_matrix(vocab.len(), dim)?;
         let subwords = match shape {
             None => None,
             Some((nmin, nmax, buckets)) => Some(Subwords {
                 nmin,
                 nmax,
                 buckets,
-                vectors: read_matrix(&mut r, buckets, dim)?,
+                vectors: r.get_matrix(buckets, dim)?,
             }),
         };
-        if r.remaining() != 0 {
-            return Err(corrupt(format!("{code}: trailing bytes after the weights")));
-        }
+        r.finish()?;
         Ok(StaticModel {
             code,
             vocab,

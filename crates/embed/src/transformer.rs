@@ -17,9 +17,9 @@
 //! f32 runs in the fixed [`Transformer::param_tensors`] order.
 
 use crate::vocab::Vocab;
-use crate::{corrupt, read_code, read_matrix, LanguageModel, ModelCode};
+use crate::{read_code, LanguageModel, ModelCode};
 use er_core::binary::{fnv1a64, BinReader, BinWriter};
-use er_core::{Embedding, Result};
+use er_core::{Embedding, ErError, Result};
 use er_tensor::{Graph, Tensor, Var};
 use er_text::tokenize;
 use rand::RngCore;
@@ -357,19 +357,15 @@ impl Transformer {
             max_len: field()?,
         };
         if config.fields().contains(&0) || !config.dim.is_multiple_of(config.heads) {
-            return Err(corrupt(format!("{code}: invalid config {config:?}")));
+            return Err(ErError::corrupt(format!(
+                "{code}: invalid config {config:?}"
+            )));
         }
         let vocab = Vocab::from_reader(&mut r)?;
         let params = Params::build(&config, vocab.len(), &mut |rows, cols, _| {
-            Ok(Tensor::from_rows(
-                rows,
-                cols,
-                &read_matrix(&mut r, rows, cols)?,
-            ))
+            Ok(Tensor::from_rows(rows, cols, &r.get_matrix(rows, cols)?))
         })?;
-        if r.remaining() != 0 {
-            return Err(corrupt(format!("{code}: trailing bytes after the weights")));
-        }
+        r.finish()?;
         Ok(Transformer {
             code,
             vocab,

@@ -102,18 +102,13 @@ impl Vocab {
         w.put_u32_slice(&self.counts);
     }
 
-    /// Inverse of [`Vocab::to_writer`]; every read is bounded by the bytes
-    /// present, so a hostile token count fails as `ErError::Corrupt`.
+    /// Inverse of [`Vocab::to_writer`]; the token count is bounded by the
+    /// bytes present (each token has an 8-byte length prefix), so a hostile
+    /// count fails as `ErError::Corrupt`.
     pub(crate) fn from_reader(r: &mut BinReader) -> Result<Vocab> {
-        let len = r.get_usize()?;
+        let len = r.get_len(8)?;
         let tokens = (0..len).map(|_| r.get_str()).collect::<Result<Vec<_>>>()?;
-        let counts = r.get_u32_vec()?;
-        if counts.len() != len {
-            return Err(crate::corrupt(format!(
-                "vocab has {len} tokens but {} counts",
-                counts.len()
-            )));
-        }
+        let counts = r.get_u32s(len)?;
         Ok(Vocab::from_parts(tokens, counts))
     }
 }

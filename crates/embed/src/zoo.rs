@@ -419,28 +419,26 @@ impl ModelZoo {
             };
             sections.push((tag, w.into_bytes()));
         }
-        binary::write_container(kind::MODEL, &sections)
+        binary::write_container(kind::MODEL, 0, &sections)
     }
 
     /// Inverse of [`ModelZoo::to_bytes`]: every config is validated and
     /// every weight matrix checked against the shape it implies, so a
     /// damaged cache is `ErError::Corrupt` — never a panic.
     fn from_bytes(bytes: &[u8]) -> Result<ModelZoo> {
-        let sections = binary::read_container(bytes, kind::MODEL)?;
-        let [(tag::ZOO, head), bodies @ ..] = sections.as_slice() else {
-            return Err(ErError::Corrupt("zoo cache lacks its header".into()));
+        let container = binary::read_container(bytes, kind::MODEL)?;
+        let [(tag::ZOO, head), bodies @ ..] = container.sections.as_slice() else {
+            return Err(ErError::corrupt("zoo cache lacks its header"));
         };
+        if bodies.is_empty() {
+            return Err(ErError::corrupt("zoo cache holds no models"));
+        }
+        // One init time per model section.
         let mut head = BinReader::new(head);
         let scale = head.get_str()?;
         let seed = head.get_u64()?;
-        let init_ns = head.get_u64_vec()?;
-        if bodies.is_empty() || init_ns.len() != bodies.len() || head.remaining() != 0 {
-            return Err(ErError::Corrupt(format!(
-                "zoo header lists {} models, the cache holds {}",
-                init_ns.len(),
-                bodies.len()
-            )));
-        }
+        let init_ns = head.get_u64s(bodies.len())?;
+        head.finish()?;
         let models = bodies
             .iter()
             .zip(init_ns)
@@ -449,7 +447,7 @@ impl ModelZoo {
                     tag::STATIC => AnyModel::Static(StaticModel::from_bytes(body, ns)?),
                     tag::TRANSFORMER => AnyModel::Transformer(Transformer::from_bytes(body, ns)?),
                     other => {
-                        return Err(ErError::Corrupt(format!("unknown model section {other}")))
+                        return Err(ErError::corrupt(format!("unknown model section {other}")))
                     }
                 }))
             })
@@ -544,11 +542,12 @@ mod tests {
     fn edited(bytes: &[u8], model: usize, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut sections: Vec<(u32, Vec<u8>)> = binary::read_container(bytes, kind::MODEL)
             .unwrap()
+            .sections
             .into_iter()
             .map(|(tag, body)| (tag, body.to_vec()))
             .collect();
         edit(&mut sections[model + 1].1);
-        binary::write_container(kind::MODEL, &sections)
+        binary::write_container(kind::MODEL, 0, &sections)
     }
 
     #[test]
@@ -593,9 +592,20 @@ mod tests {
                 "{what} must be Corrupt"
             );
         }
+        // A section count the checksum does not cover, sized to abort an
+        // unchecked allocation.
+        let mut count_bomb = bytes.clone();
+        count_bomb[11] ^= 0x80;
+        assert!(matches!(
+            ModelZoo::from_bytes(&count_bomb),
+            Err(ErError::Corrupt(_))
+        ));
         // Truncation at every section boundary, and a flipped bit.
         let mut cut = binary::HEADER_LEN;
-        for (_, body) in binary::read_container(&bytes, kind::MODEL).unwrap() {
+        for (_, body) in binary::read_container(&bytes, kind::MODEL)
+            .unwrap()
+            .sections
+        {
             assert!(matches!(
                 ModelZoo::from_bytes(&bytes[..cut]),
                 Err(ErError::Corrupt(_))

@@ -96,7 +96,7 @@ impl AnyIndex<'static> {
             kind::EXACT_INDEX => Ok(AnyIndex::Exact(ExactIndex::from_bytes(bytes)?)),
             kind::HNSW_INDEX => Ok(AnyIndex::Hnsw(HnswIndex::from_bytes(bytes)?)),
             kind::LSH_INDEX => Ok(AnyIndex::Lsh(HyperplaneLsh::from_bytes(bytes)?)),
-            other => Err(ErError::Corrupt(format!(
+            other => Err(ErError::corrupt(format!(
                 "shard container holds kind {other}, expected an index kind"
             ))),
         }

@@ -105,7 +105,8 @@ impl<'a> ExactIndex<'a> {
         let matrix = self.store.matrix();
         let tier = self.scan.tier;
         let query_norm = self.metric.query_norm_tier(tier, query);
-        let mut heap: BinaryHeap<Hit> = BinaryHeap::with_capacity(k + 1);
+        // Capacity is capped by the live rows: `k` is caller input.
+        let mut heap: BinaryHeap<Hit> = BinaryHeap::with_capacity(k.min(self.live_count()) + 1);
         let mut evals = 0u64;
         for (idx, row) in matrix.rows_iter().enumerate() {
             if self.tombstones.is_deleted(idx) {
@@ -123,7 +124,8 @@ impl<'a> ExactIndex<'a> {
     /// Quantized first pass: rank every live row by its approximate
     /// distance and keep the best `r`.
     fn search_approx(&self, query: &[f32], r: usize) -> Vec<Neighbor> {
-        let mut heap: BinaryHeap<Hit> = BinaryHeap::with_capacity(r + 1);
+        // `r` may come from a file-borne rerank budget: cap it like `k`.
+        let mut heap: BinaryHeap<Hit> = BinaryHeap::with_capacity(r.min(self.live_count()) + 1);
         match &self.quant {
             QuantState::None => unreachable!("search_approx without quantized storage"),
             QuantState::Int8(qm) => {

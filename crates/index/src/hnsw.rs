@@ -273,7 +273,8 @@ impl<'a> HnswIndex<'a> {
     ) -> Vec<Cand> {
         visited.iter_mut().for_each(|v| *v = false);
         let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-        let mut results: BinaryHeap<Cand> = BinaryHeap::with_capacity(ef + 1);
+        // `ef` is at least the caller's `k`: cap the capacity by the nodes.
+        let mut results: BinaryHeap<Cand> = BinaryHeap::with_capacity(ef.min(visited.len()) + 1);
         for &e in entries {
             if !std::mem::replace(&mut visited[e.id as usize], true) {
                 frontier.push(Reverse(e));

@@ -25,18 +25,21 @@
 //! persisted).
 //!
 //! Every malformed input — bad magic, wrong kind, flipped bit, truncation,
-//! out-of-range ids, mismatched section shapes — surfaces as a typed
-//! [`ErError::Corrupt`], never a panic.
+//! trailing bytes, a missing or extra section, out-of-range ids, mismatched
+//! section shapes — surfaces as a typed [`ErError::Corrupt`], never a
+//! panic: the length, shape and section-end rules are
+//! [`er_core::binary::BinReader`]'s, and this module keeps only the
+//! semantic ones (link ids below the row count, the entry point and layer
+//! counts in range, a config [`BlockerBackend::validate`] accepts).
 
 use crate::exact::{QuantState, Quantization, ScanConfig};
 use crate::lsh::Table;
 use crate::store::Tombstones;
 use crate::{BlockerBackend, ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metric};
-use er_core::binary::{self, kind, BinReader, BinWriter};
+use er_core::binary::{self, kind, BinWriter, Container};
 use er_core::pq::PqConfig;
-use er_core::{ErError, KernelTier, Result, VectorStore};
+use er_core::{EmbeddingMatrix, ErError, KernelTier, Result, VectorStore};
 use std::collections::HashMap;
-use std::path::Path;
 
 /// Section tags shared by the three index containers (disjoint use is
 /// keyed by the container `kind`).
@@ -55,10 +58,6 @@ mod tag {
     pub const PQ_CODES: u32 = 9;
 }
 
-fn corrupt(what: impl std::fmt::Display) -> ErError {
-    ErError::Corrupt(what.to_string())
-}
-
 fn metric_code(metric: Metric) -> u8 {
     match metric {
         Metric::Euclidean => 0,
@@ -70,18 +69,29 @@ fn metric_from_code(code: u8) -> Result<Metric> {
     match code {
         0 => Ok(Metric::Euclidean),
         1 => Ok(Metric::Cosine),
-        other => Err(corrupt(format!("unknown metric code {other}"))),
+        other => Err(ErError::corrupt(format!("unknown metric code {other}"))),
     }
 }
 
 fn tier_from_code(code: u8) -> Result<KernelTier> {
-    KernelTier::from_code(code).ok_or_else(|| corrupt(format!("unknown kernel tier code {code}")))
+    KernelTier::from_code(code)
+        .ok_or_else(|| ErError::corrupt(format!("unknown kernel tier code {code}")))
 }
 
 /// A stored config that breaks the backend rules every build enforces
 /// ([`BlockerBackend::validate`]) can only come from a damaged file.
 fn config_in_range(backend: BlockerBackend) -> Result<()> {
-    backend.validate(&ScanConfig::default()).map_err(corrupt)
+    backend
+        .validate(&ScanConfig::default())
+        .map_err(ErError::corrupt)
+}
+
+/// The MATRIX section every index container opens with.
+fn matrix_section(c: &mut Container) -> Result<EmbeddingMatrix> {
+    let mut r = c.section(tag::MATRIX, "matrix")?;
+    let matrix = binary::matrix_from_reader(&mut r)?;
+    r.finish()?;
+    Ok(matrix)
 }
 
 fn tombstones_to_bytes(tombstones: &Tombstones) -> Vec<u8> {
@@ -90,22 +100,12 @@ fn tombstones_to_bytes(tombstones: &Tombstones) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Read the tombstone bitmap and require it to cover exactly `rows` rows.
-fn tombstones_from(sections: &[(u32, &[u8])], rows: usize) -> Result<Tombstones> {
-    let body = binary::section(sections, tag::TOMBSTONES, "tombstones")?;
-    let deleted = BinReader::new(body).get_bitmap()?;
-    if deleted.len() != rows {
-        return Err(corrupt(format!(
-            "tombstone map covers {} rows, matrix has {rows}",
-            deleted.len()
-        )));
-    }
-    Ok(Tombstones::from_flags(deleted))
-}
-
-fn matrix_section(sections: &[(u32, &[u8])]) -> Result<er_core::EmbeddingMatrix> {
-    let body = binary::section(sections, tag::MATRIX, "matrix")?;
-    binary::matrix_from_reader(&mut BinReader::new(body))
+/// The TOMBSTONES section: a bitmap over exactly `rows` rows.
+fn tombstones_section(c: &mut Container, rows: usize) -> Result<Tombstones> {
+    let mut r = c.section(tag::TOMBSTONES, "tombstones")?;
+    let flags = r.get_bitmap(rows)?;
+    r.finish()?;
+    Ok(Tombstones::from_flags(flags))
 }
 
 impl ExactIndex<'_> {
@@ -156,12 +156,7 @@ impl ExactIndex<'_> {
                 sections.push((tag::PQ_CODES, w.into_bytes()));
             }
         }
-        binary::write_container(kind::EXACT_INDEX, &sections)
-    }
-
-    /// Write [`ExactIndex::to_bytes`] to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        Ok(std::fs::write(path, self.to_bytes())?)
+        binary::write_container(kind::EXACT_INDEX, 0, &sections)
     }
 }
 
@@ -169,9 +164,10 @@ impl ExactIndex<'static> {
     /// Inverse of [`ExactIndex::to_bytes`]: an owned index whose searches
     /// are bit-identical to the saved one's.
     pub fn from_bytes(bytes: &[u8]) -> Result<ExactIndex<'static>> {
-        let sections = binary::read_container(bytes, kind::EXACT_INDEX)?;
-        let matrix = matrix_section(&sections)?;
-        let mut meta = BinReader::new(binary::section(&sections, tag::META, "meta")?);
+        let mut c = binary::read_container(bytes, kind::EXACT_INDEX)?;
+        let matrix = matrix_section(&mut c)?;
+        let (rows, dim) = (matrix.len(), matrix.dim());
+        let mut meta = c.section(tag::META, "meta")?;
         let metric = metric_from_code(meta.get_u8()?)?;
         let tier = tier_from_code(meta.get_u8()?)?;
         let quant_cfg = match meta.get_u8()? {
@@ -188,51 +184,35 @@ impl ExactIndex<'static> {
                     seed: meta.get_u64()?,
                 },
             },
-            other => return Err(corrupt(format!("unknown quantization code {other}"))),
+            other => {
+                return Err(ErError::corrupt(format!(
+                    "unknown quantization code {other}"
+                )))
+            }
         };
+        meta.finish()?;
+        let tombstones = tombstones_section(&mut c, rows)?;
         let quant = match quant_cfg {
             Quantization::None => QuantState::None,
             Quantization::Int8 { .. } => {
-                let body = binary::section(&sections, tag::QUANT, "quantized matrix")?;
-                let qm =
-                    binary::quantized_from_reader(&mut BinReader::new(body)).map_err(corrupt)?;
-                if qm.dim() != matrix.dim() || qm.len() != matrix.len() {
-                    return Err(corrupt(format!(
-                        "quantized matrix is {}×{}, f32 matrix is {}×{}",
-                        qm.len(),
-                        qm.dim(),
-                        matrix.len(),
-                        matrix.dim()
-                    )));
-                }
+                let mut r = c.section(tag::QUANT, "quantized matrix")?;
+                let qm = binary::quantized_from_reader(&mut r, rows, dim)?;
+                r.finish()?;
                 QuantState::Int8(qm)
             }
             Quantization::Pq { .. } => {
-                let body = binary::section(&sections, tag::CODEBOOK, "PQ codebook")?;
-                let book =
-                    binary::codebook_from_reader(&mut BinReader::new(body)).map_err(corrupt)?;
-                if book.dim() != matrix.dim() {
-                    return Err(corrupt(format!(
-                        "PQ codebook dim {} does not match matrix dim {}",
-                        book.dim(),
-                        matrix.dim()
-                    )));
-                }
-                let body = binary::section(&sections, tag::PQ_CODES, "PQ codes")?;
-                let codes = binary::pq_codes_from_reader(&mut BinReader::new(body), &book)
-                    .map_err(corrupt)?;
-                if codes.len() != matrix.len() {
-                    return Err(corrupt(format!(
-                        "PQ codes cover {} rows, matrix has {}",
-                        codes.len(),
-                        matrix.len()
-                    )));
-                }
+                let mut r = c.section(tag::CODEBOOK, "PQ codebook")?;
+                let book = binary::codebook_from_reader(&mut r, dim)?;
+                r.finish()?;
+                let mut r = c.section(tag::PQ_CODES, "PQ codes")?;
+                let codes = binary::pq_codes_from_reader(&mut r, &book, rows)?;
+                r.finish()?;
                 QuantState::Pq { book, codes }
             }
         };
+        c.finish()?;
         Ok(ExactIndex {
-            tombstones: tombstones_from(&sections, matrix.len())?,
+            tombstones,
             store: VectorStore::Owned(matrix),
             metric,
             scan: ScanConfig {
@@ -241,11 +221,6 @@ impl ExactIndex<'static> {
             },
             quant,
         })
-    }
-
-    /// Load from a file written by [`ExactIndex::save`].
-    pub fn load(path: impl AsRef<Path>) -> Result<ExactIndex<'static>> {
-        ExactIndex::from_bytes(&std::fs::read(path)?)
     }
 }
 
@@ -275,6 +250,7 @@ impl HnswIndex<'_> {
         }
         binary::write_container(
             kind::HNSW_INDEX,
+            0,
             &[
                 (tag::MATRIX, matrix.into_bytes()),
                 (tag::META, meta.into_bytes()),
@@ -282,11 +258,6 @@ impl HnswIndex<'_> {
                 (tag::GRAPH, graph.into_bytes()),
             ],
         )
-    }
-
-    /// Write [`HnswIndex::to_bytes`] to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        Ok(std::fs::write(path, self.to_bytes())?)
     }
 }
 
@@ -296,10 +267,10 @@ impl HnswIndex<'static> {
     /// saved index's left off (so `insert_row` after a reload draws the
     /// same levels the original would have).
     pub fn from_bytes(bytes: &[u8]) -> Result<HnswIndex<'static>> {
-        let sections = binary::read_container(bytes, kind::HNSW_INDEX)?;
-        let matrix = matrix_section(&sections)?;
+        let mut c = binary::read_container(bytes, kind::HNSW_INDEX)?;
+        let matrix = matrix_section(&mut c)?;
         let n = matrix.len();
-        let mut meta = BinReader::new(binary::section(&sections, tag::META, "meta")?);
+        let mut meta = c.section(tag::META, "meta")?;
         let config = HnswConfig {
             m: meta.get_usize()?,
             ef_construction: meta.get_usize()?,
@@ -308,26 +279,23 @@ impl HnswIndex<'static> {
             metric: metric_from_code(meta.get_u8()?)?,
             tier: tier_from_code(meta.get_u8()?)?,
         };
-        config_in_range(BlockerBackend::Hnsw(config.clone()))?;
         let entry = meta.get_u32()?;
         let max_level = meta.get_usize()?;
+        meta.finish()?;
+        config_in_range(BlockerBackend::Hnsw(config.clone()))?;
         if n > 0 && (entry as usize >= n || max_level > crate::hnsw::MAX_LEVEL) {
-            return Err(corrupt(format!(
+            return Err(ErError::corrupt(format!(
                 "HNSW entry {entry} / max level {max_level} out of range for {n} nodes"
             )));
         }
-        let mut graph = BinReader::new(binary::section(&sections, tag::GRAPH, "graph")?);
-        let nodes = graph.get_usize()?;
-        if nodes != n {
-            return Err(corrupt(format!(
-                "HNSW graph has {nodes} nodes, matrix has {n} rows"
-            )));
-        }
-        let mut neighbors = Vec::with_capacity(nodes);
-        for node in 0..nodes {
-            let layer_count = graph.get_usize()?;
+        let tombstones = tombstones_section(&mut c, n)?;
+        let mut graph = c.section(tag::GRAPH, "graph")?;
+        graph.expect_len(n)?;
+        let mut neighbors = Vec::with_capacity(n);
+        for node in 0..n {
+            let layer_count = graph.get_len(8)?;
             if layer_count == 0 || layer_count > crate::hnsw::MAX_LEVEL + 1 {
-                return Err(corrupt(format!(
+                return Err(ErError::corrupt(format!(
                     "HNSW node {node} claims {layer_count} layers"
                 )));
             }
@@ -335,7 +303,7 @@ impl HnswIndex<'static> {
             for _ in 0..layer_count {
                 let links = graph.get_u32_vec()?;
                 if let Some(&bad) = links.iter().find(|&&id| id as usize >= n) {
-                    return Err(corrupt(format!(
+                    return Err(ErError::corrupt(format!(
                         "HNSW node {node} links to out-of-range node {bad}"
                     )));
                 }
@@ -343,21 +311,17 @@ impl HnswIndex<'static> {
             }
             neighbors.push(layers);
         }
-        let level_rng = HnswIndex::level_rng_after(config.seed, n);
+        graph.finish()?;
+        c.finish()?;
         Ok(HnswIndex {
-            tombstones: tombstones_from(&sections, n)?,
+            tombstones,
             store: VectorStore::Owned(matrix),
             neighbors,
             entry,
             max_level,
+            level_rng: HnswIndex::level_rng_after(config.seed, n),
             config,
-            level_rng,
         })
-    }
-
-    /// Load from a file written by [`HnswIndex::save`].
-    pub fn load(path: impl AsRef<Path>) -> Result<HnswIndex<'static>> {
-        HnswIndex::from_bytes(&std::fs::read(path)?)
     }
 }
 
@@ -387,6 +351,7 @@ impl HyperplaneLsh<'_> {
         }
         binary::write_container(
             kind::LSH_INDEX,
+            0,
             &[
                 (tag::MATRIX, matrix.into_bytes()),
                 (tag::META, meta.into_bytes()),
@@ -396,11 +361,6 @@ impl HyperplaneLsh<'_> {
             ],
         )
     }
-
-    /// Write [`HyperplaneLsh::to_bytes`] to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        Ok(std::fs::write(path, self.to_bytes())?)
-    }
 }
 
 impl HyperplaneLsh<'static> {
@@ -408,11 +368,10 @@ impl HyperplaneLsh<'static> {
     /// from the stored signatures in id order (float-free), everything
     /// else is read back verbatim.
     pub fn from_bytes(bytes: &[u8]) -> Result<HyperplaneLsh<'static>> {
-        let sections = binary::read_container(bytes, kind::LSH_INDEX)?;
-        let matrix = matrix_section(&sections)?;
-        let n = matrix.len();
-        let dim = matrix.dim();
-        let mut meta = BinReader::new(binary::section(&sections, tag::META, "meta")?);
+        let mut c = binary::read_container(bytes, kind::LSH_INDEX)?;
+        let matrix = matrix_section(&mut c)?;
+        let (n, dim) = (matrix.len(), matrix.dim());
+        let mut meta = c.section(tag::META, "meta")?;
         let config = LshConfig {
             planes: meta.get_usize()?,
             tables: meta.get_usize()?,
@@ -421,49 +380,39 @@ impl HyperplaneLsh<'static> {
             metric: metric_from_code(meta.get_u8()?)?,
             tier: tier_from_code(meta.get_u8()?)?,
         };
+        meta.finish()?;
         config_in_range(BlockerBackend::Lsh(config.clone()))?;
-        let mut planes =
-            BinReader::new(binary::section(&sections, tag::HYPERPLANES, "hyperplanes")?);
-        let mut sigs = BinReader::new(binary::section(&sections, tag::SIGNATURES, "signatures")?);
-        let mut tables = Vec::with_capacity(config.tables);
-        for t in 0..config.tables {
-            let mut hyperplanes = Vec::with_capacity(config.planes);
-            for p in 0..config.planes {
-                let plane = planes.get_f32_vec()?;
-                if plane.len() != dim {
-                    return Err(corrupt(format!(
-                        "LSH table {t} plane {p} has {} components, dim is {dim}",
-                        plane.len()
-                    )));
-                }
-                hyperplanes.push(plane);
-            }
-            let signatures = sigs.get_u64_vec()?;
-            if signatures.len() != n {
-                return Err(corrupt(format!(
-                    "LSH table {t} has {} signatures, matrix has {n} rows",
-                    signatures.len()
-                )));
-            }
+        let tombstones = tombstones_section(&mut c, n)?;
+        // Each table holds `planes` length-prefixed hyperplanes.
+        let mut planes = c.section(tag::HYPERPLANES, "hyperplanes")?;
+        let tables = planes.bound(config.tables, 8 * config.planes)?;
+        let hyperplanes = (0..tables)
+            .map(|_| {
+                (0..config.planes)
+                    .map(|_| planes.get_matrix(1, dim))
+                    .collect::<Result<Vec<_>>>()
+            })
+            .collect::<Result<Vec<_>>>()?;
+        planes.finish()?;
+        let mut sigs = c.section(tag::SIGNATURES, "signatures")?;
+        let mut tables = Vec::with_capacity(tables);
+        for hyperplanes in hyperplanes {
             let mut table = Table {
                 hyperplanes,
                 buckets: HashMap::new(),
-                signatures,
+                signatures: sigs.get_u64s(n)?,
             };
             table.rebuild_buckets();
             tables.push(table);
         }
+        sigs.finish()?;
+        c.finish()?;
         Ok(HyperplaneLsh {
-            tombstones: tombstones_from(&sections, n)?,
+            tombstones,
             store: VectorStore::Owned(matrix),
             tables,
             config,
         })
-    }
-
-    /// Load from a file written by [`HyperplaneLsh::save`].
-    pub fn load(path: impl AsRef<Path>) -> Result<HyperplaneLsh<'static>> {
-        HyperplaneLsh::from_bytes(&std::fs::read(path)?)
     }
 }
 

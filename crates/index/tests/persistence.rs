@@ -125,34 +125,42 @@ proptest! {
     }
 }
 
+/// The bytes survive a trip through the filesystem: an index container is
+/// written with `std::fs` and loaded back with `from_bytes`.
 #[test]
 fn save_and_load_round_trip_through_the_filesystem() {
-    let dir = std::env::temp_dir().join("er_index_persist_test");
+    let dir = std::env::temp_dir().join(format!("er_index_persist_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let vs = vectors(20, 6, 31);
     let queries = vectors(5, 6, 32);
+    let through_disk = |name: &str, bytes: Vec<u8>| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        std::fs::read(&path).unwrap()
+    };
 
     let exact = ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Cosine);
-    let path = dir.join("exact.erbf");
-    exact.save(&path).unwrap();
-    assert_same_hits(&exact, &ExactIndex::load(&path).unwrap(), &queries, 5);
+    let bytes = through_disk("exact.erbf", exact.to_bytes());
+    assert_same_hits(
+        &exact,
+        &ExactIndex::from_bytes(&bytes).unwrap(),
+        &queries,
+        5,
+    );
 
     let hnsw = HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
-    let path = dir.join("hnsw.erbf");
-    hnsw.save(&path).unwrap();
-    assert_same_hits(&hnsw, &HnswIndex::load(&path).unwrap(), &queries, 5);
+    let bytes = through_disk("hnsw.erbf", hnsw.to_bytes());
+    assert_same_hits(&hnsw, &HnswIndex::from_bytes(&bytes).unwrap(), &queries, 5);
 
     let lsh =
         HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
-    let path = dir.join("lsh.erbf");
-    lsh.save(&path).unwrap();
-    assert_same_hits(&lsh, &HyperplaneLsh::load(&path).unwrap(), &queries, 5);
-
-    // Loading a missing file is an Io error, not a panic or Corrupt.
-    assert!(matches!(
-        ExactIndex::load(dir.join("absent.erbf")),
-        Err(ErError::Io(_))
-    ));
+    let bytes = through_disk("lsh.erbf", lsh.to_bytes());
+    assert_same_hits(
+        &lsh,
+        &HyperplaneLsh::from_bytes(&bytes).unwrap(),
+        &queries,
+        5,
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -368,4 +376,73 @@ fn quantized_round_trip_after_streaming_inserts() {
     let queries = vectors(4, 8, 48);
     assert_same_hits(&index, &back, &queries, 6);
     assert_eq!(index.to_bytes(), back.to_bytes());
+}
+
+/// `bytes` re-sealed after `edit` changed its sections: damage that only
+/// the decoders behind the checksum can see.
+fn resealed(bytes: &[u8], edit: impl FnOnce(&mut Vec<(u32, Vec<u8>)>)) -> Vec<u8> {
+    use er_core::binary;
+    let kind = binary::peek_kind(bytes).unwrap();
+    let container = binary::read_container(bytes, kind).unwrap();
+    let mut sections: Vec<(u32, Vec<u8>)> = container
+        .sections
+        .iter()
+        .map(|&(tag, body)| (tag, body.to_vec()))
+        .collect();
+    edit(&mut sections);
+    binary::write_container(kind, container.epoch, &sections)
+}
+
+/// A `section_count` the checksum does not cover, an LSH table count in a
+/// re-sealed META, and one trailing byte in any section: each used to
+/// abort the process or load silently, and is a typed `Corrupt` error.
+#[test]
+fn length_bombs_and_trailing_bytes_in_index_files_are_corrupt() {
+    use er_index::AnyIndex;
+    let vs = EmbeddingMatrix::from_embeddings(&vectors(12, 8, 51));
+    let exact = |quant| {
+        ExactIndex::from_source_scan(
+            vs.clone(),
+            Metric::Cosine,
+            ScanConfig {
+                tier: KernelTier::Lanes,
+                quant,
+            },
+        )
+        .unwrap()
+        .to_bytes()
+    };
+    let files = [
+        exact(Quantization::None),
+        exact(Quantization::Int8 { rerank: 6 }),
+        exact(Quantization::Pq {
+            config: pq8(),
+            rerank: 6,
+        }),
+        HnswIndex::from_source(vs.clone(), HnswConfig::default()).to_bytes(),
+        HyperplaneLsh::from_source(vs.clone(), LshConfig::default()).to_bytes(),
+    ];
+    let corrupt = |bytes: &[u8]| matches!(AnyIndex::from_bytes(bytes), Err(ErError::Corrupt(_)));
+    for file in &files {
+        assert!(AnyIndex::from_bytes(&resealed(file, |_| {})).is_ok());
+        let mut count_bomb = file.clone();
+        count_bomb[11] ^= 0x80;
+        assert!(corrupt(&count_bomb), "section_count bomb");
+        let sections =
+            er_core::binary::read_container(file, er_core::binary::peek_kind(file).unwrap())
+                .unwrap()
+                .sections
+                .len();
+        for section in 0..sections {
+            let long = resealed(file, |s| s[section].1.push(0));
+            assert!(corrupt(&long), "trailing byte in section {section}");
+        }
+        let duplicated = resealed(file, |s| s.push(s[1].clone()));
+        assert!(corrupt(&duplicated), "duplicated META section");
+    }
+    // LSH META: planes, then tables.
+    let tables_bomb = resealed(&files[4], |s| {
+        s[1].1[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    });
+    assert!(corrupt(&tables_bomb), "LSH tables bomb");
 }

@@ -160,7 +160,7 @@ fn mode_from_reader(r: &mut BinReader) -> Result<SerializationMode> {
     match r.get_u8()? {
         0 => Ok(SerializationMode::SchemaAgnostic),
         1 => Ok(SerializationMode::SchemaBased(r.get_str()?)),
-        other => Err(ErError::Corrupt(format!(
+        other => Err(ErError::corrupt(format!(
             "unknown serialization mode code {other}"
         ))),
     }
@@ -437,7 +437,7 @@ impl<'m> Resolver<'m> {
         let mut identity = BinWriter::new();
         identity.put_str(self.model.code().as_str());
         identity.put_u64(self.model.fingerprint());
-        binary::write_container_epoch(
+        binary::write_container(
             kind::RESOLVER,
             epoch,
             &[
@@ -472,8 +472,9 @@ impl<'m> Resolver<'m> {
     /// [`ErError::Model`] names both. A save without that section (written
     /// before it existed) is held to the embedding dimension alone.
     pub fn from_bytes(bytes: &[u8], model: &'m dyn LanguageModel) -> Result<Resolver<'m>> {
-        let (epoch, sections) = binary::read_container_epoch(bytes, kind::RESOLVER)?;
-        let mut meta = BinReader::new(binary::section(&sections, tag::META, "meta")?);
+        let mut c = binary::read_container(bytes, kind::RESOLVER)?;
+        let epoch = c.epoch;
+        let mut meta = c.section(tag::META, "meta")?;
         let dim = meta.get_usize()?;
         let shard_count = meta.get_usize()?;
         let mode = mode_from_reader(&mut meta)?;
@@ -481,12 +482,43 @@ impl<'m> Resolver<'m> {
             max_deleted_fraction: meta.get_f32()?,
             min_stored: meta.get_usize()?,
         };
+        meta.finish()?;
         if shard_count == 0 {
-            return Err(ErError::Corrupt("resolver with zero shards".into()));
+            return Err(ErError::corrupt("resolver with zero shards"));
         }
-        if let Some((_, identity)) = sections.iter().find(|(t, _)| *t == tag::MODEL) {
-            let mut r = BinReader::new(identity);
-            let (code, fingerprint) = (r.get_str()?, r.get_u64()?);
+        // Each shard is an id-run prefix, a nested-container prefix and at
+        // least a container header.
+        let mut shards = c.section(tag::SHARDS, "shards")?;
+        let shard_count = shards.bound(shard_count, 16 + binary::HEADER_LEN)?;
+        let mut snapshots: Vec<SegmentSnapshot> = Vec::with_capacity(shard_count);
+        for i in 0..shard_count {
+            let ids: Vec<EntityId> = shards.get_u32_vec()?.into_iter().map(EntityId).collect();
+            let index = AnyIndex::from_bytes(shards.get_bytes()?)?;
+            // Every shard must hold META's row width (kernels only
+            // debug-assert lengths) and share shard 0's backend.
+            let rows_dim = shard_shape(&index).0;
+            if !index.is_empty() && rows_dim != dim {
+                return Err(ErError::corrupt(format!(
+                    "shard {i} stores {rows_dim}-d rows, the resolver {dim}-d"
+                )));
+            }
+            if let Some(first) = snapshots.first() {
+                if index.backend() != first.index.backend() {
+                    return Err(ErError::corrupt(format!(
+                        "shard {i} runs {:?}, shard 0 {:?}",
+                        index.backend(),
+                        first.index.backend()
+                    )));
+                }
+            }
+            snapshots.push(SegmentSnapshot::from_parts(index, ids)?);
+        }
+        shards.finish()?;
+        // Saves written before the MODEL section existed end here.
+        if c.next_is(tag::MODEL) {
+            let mut identity = c.section(tag::MODEL, "model")?;
+            let (code, fingerprint) = (identity.get_str()?, identity.get_u64()?);
+            identity.finish()?;
             if code != model.code().as_str() || fingerprint != model.fingerprint() {
                 return Err(ErError::Model(format!(
                     "resolver was saved under model {code} (fingerprint {fingerprint:016x}), \
@@ -496,45 +528,12 @@ impl<'m> Resolver<'m> {
                 )));
             }
         }
+        c.finish()?;
         if model.dim() != dim {
             return Err(ErError::Model(format!(
                 "resolver was saved over {dim}-d embeddings, model {} emits {}-d",
                 model.code(),
                 model.dim()
-            )));
-        }
-        let mut shards_reader = BinReader::new(binary::section(&sections, tag::SHARDS, "shards")?);
-        let mut snapshots: Vec<SegmentSnapshot> = Vec::with_capacity(shard_count);
-        for i in 0..shard_count {
-            let ids: Vec<EntityId> = shards_reader
-                .get_u32_vec()?
-                .into_iter()
-                .map(EntityId)
-                .collect();
-            let index = AnyIndex::from_bytes(shards_reader.get_bytes()?)?;
-            // Every shard must hold META's row width (kernels only
-            // debug-assert lengths) and share shard 0's backend.
-            let rows_dim = shard_shape(&index).0;
-            if !index.is_empty() && rows_dim != dim {
-                return Err(ErError::Corrupt(format!(
-                    "shard {i} stores {rows_dim}-d rows, the resolver {dim}-d"
-                )));
-            }
-            if let Some(first) = snapshots.first() {
-                if index.backend() != first.index.backend() {
-                    return Err(ErError::Corrupt(format!(
-                        "shard {i} runs {:?}, shard 0 {:?}",
-                        index.backend(),
-                        first.index.backend()
-                    )));
-                }
-            }
-            snapshots.push(SegmentSnapshot::from_parts(index, ids)?);
-        }
-        if shards_reader.remaining() != 0 {
-            return Err(ErError::Corrupt(format!(
-                "{} trailing bytes after the last shard",
-                shards_reader.remaining()
             )));
         }
         Ok(Resolver {

@@ -228,7 +228,7 @@ pub fn search_snapshots(snaps: &[Arc<SegmentSnapshot>], query: &[f32], k: usize)
         })
     };
     let mut heap: BinaryHeap<_> = (0..per_shard.len()).filter_map(|s| head(s, 0)).collect();
-    let mut merged = Vec::with_capacity(k);
+    let mut merged = Vec::with_capacity(k.min(per_shard.iter().map(Vec::len).sum()));
     while merged.len() < k {
         let Some(Reverse(Ranked { dist, id })) = heap.pop() else {
             break;

@@ -287,9 +287,13 @@ fn flipping_save_file_bits_is_corrupt_never_garbage() {
     }
     let save_path = dir.join("resolver.erbf");
     let save = std::fs::read(&save_path).unwrap();
-    for pos in (0..save.len()).step_by(7) {
+    // Every bit of the header — including `section_count`, which the
+    // checksum does not cover — then a strided sweep over the payload.
+    let header_bits = (0..binary::HEADER_LEN * 8).map(|bit| (bit / 8, 1u8 << (bit % 8)));
+    let strided = (0..save.len()).step_by(7).map(|pos| (pos, 0x10));
+    for (pos, mask) in header_bits.chain(strided) {
         let mut bytes = save.clone();
-        bytes[pos] ^= 0x10;
+        bytes[pos] ^= mask;
         std::fs::write(&save_path, &bytes).unwrap();
         match Resolver::open(
             &dir,
@@ -298,8 +302,8 @@ fn flipping_save_file_bits_is_corrupt_never_garbage() {
             single_shard_exact(),
         ) {
             Err(ErError::Corrupt(_)) => {}
-            Err(e) => panic!("save flip at {pos}: expected Corrupt, got {e}"),
-            Ok(_) => panic!("save flip at {pos} loaded silently"),
+            Err(e) => panic!("save flip {mask:#04x} at {pos}: expected Corrupt, got {e}"),
+            Ok(_) => panic!("save flip {mask:#04x} at {pos} loaded silently"),
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -505,12 +509,12 @@ fn reopening_under_a_different_model_is_a_model_error() {
     }
 
     // A save from before the MODEL section existed keeps the dim-only check.
-    let (epoch, sections) = binary::read_container_epoch(&bytes, kind::RESOLVER).unwrap();
-    let without_model: Vec<(u32, Vec<u8>)> = sections[..2]
+    let container = binary::read_container(&bytes, kind::RESOLVER).unwrap();
+    let without_model: Vec<(u32, Vec<u8>)> = container.sections[..2]
         .iter()
         .map(|&(tag, body)| (tag, body.to_vec()))
         .collect();
-    let legacy = binary::write_container_epoch(kind::RESOLVER, epoch, &without_model);
+    let legacy = binary::write_container(kind::RESOLVER, container.epoch, &without_model);
     assert_eq!(Resolver::from_bytes(&legacy, ge).unwrap().len(), 6);
 
     // A zoo re-pretrained from the same seed is the same model.

@@ -474,12 +474,14 @@ fn shards_that_disagree_with_meta_or_with_each_other_are_corrupt() {
                 .unwrap();
         }
         let bytes = resolver.to_bytes();
-        let (_, sections) = binary::read_container_epoch(&bytes, kind::RESOLVER).unwrap();
-        let body = |tag, name| binary::section(&sections, tag, name).unwrap().to_vec();
-        (body(META, "meta"), body(SHARDS, "shards"))
+        let sections = binary::read_container(&bytes, kind::RESOLVER)
+            .unwrap()
+            .sections;
+        assert_eq!((sections[0].0, sections[1].0), (META, SHARDS));
+        (sections[0].1.to_vec(), sections[1].1.to_vec())
     };
     let container = |meta: &[u8], shards: &[u8]| {
-        binary::write_container_epoch(
+        binary::write_container(
             kind::RESOLVER,
             0,
             &[(META, meta.to_vec()), (SHARDS, shards.to_vec())],
@@ -600,4 +602,109 @@ fn degenerate_backend_configs_are_typed_errors_not_panics() {
         ));
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `bytes` re-sealed after `edit` changed its sections: damage that only
+/// the decoders behind the checksum can see.
+fn resealed(bytes: &[u8], edit: impl FnOnce(&mut Vec<(u32, Vec<u8>)>)) -> Vec<u8> {
+    use er_core::binary::{self, kind};
+    let container = binary::read_container(bytes, kind::RESOLVER).unwrap();
+    let mut sections: Vec<(u32, Vec<u8>)> = container
+        .sections
+        .iter()
+        .map(|&(tag, body)| (tag, body.to_vec()))
+        .collect();
+    edit(&mut sections);
+    binary::write_container(kind::RESOLVER, container.epoch, &sections)
+}
+
+/// Length fields the checksum does not vouch for (`section_count` in the
+/// header) or that a re-sealed file carries (META's shard count) used to
+/// size allocations unchecked and abort the process; a trailing byte in a
+/// section used to load silently. All are typed `Corrupt` errors.
+#[test]
+fn length_bombs_and_trailing_bytes_in_a_save_are_corrupt() {
+    let model = TrigramModel { dim: 16 };
+    let config = ServeConfig::new()
+        .shards(2)
+        .backend(BlockerBackend::Exact(Metric::Cosine));
+    let resolver = Resolver::new(&model, SerializationMode::SchemaAgnostic, config).unwrap();
+    for id in 0..6u32 {
+        resolver
+            .insert(&entity(id, &format!("record {id}")))
+            .unwrap();
+    }
+    let bytes = resolver.to_bytes();
+    let corrupt = |bytes: &[u8]| {
+        matches!(
+            Resolver::from_bytes(bytes, &model),
+            Err(ErError::Corrupt(_))
+        )
+    };
+    assert!(Resolver::from_bytes(&resealed(&bytes, |_| {}), &model).is_ok());
+
+    let mut count_bomb = bytes.clone();
+    count_bomb[11] ^= 0x80;
+    assert!(corrupt(&count_bomb), "section_count bomb");
+    let shard_bomb = resealed(&bytes, |s| {
+        s[0].1[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    });
+    assert!(corrupt(&shard_bomb), "shard_count bomb");
+    for section in 0..3 {
+        let long = resealed(&bytes, |s| s[section].1.push(0));
+        assert!(corrupt(&long), "trailing byte in section {section}");
+    }
+    let duplicated = resealed(&bytes, |s| s.push(s[2].clone()));
+    assert!(corrupt(&duplicated), "duplicated MODEL section");
+}
+
+/// A huge `k` is capped by the live rows instead of sizing a buffer: the
+/// answer equals the `k = live` answer on every backend, through the
+/// index and through the resolver.
+#[test]
+fn huge_k_answers_like_k_equal_to_the_live_rows() {
+    use er_core::{EmbeddingMatrix, Quantization};
+    use er_index::{AnyIndex, IndexReader, MutableIndex};
+    let int8 = ScanConfig {
+        quant: Quantization::Int8 { rerank: 1 << 40 },
+        ..ScanConfig::default()
+    };
+    let setups = [
+        (BlockerBackend::Exact(Metric::Cosine), ScanConfig::default()),
+        (BlockerBackend::Exact(Metric::Euclidean), int8),
+        (BlockerBackend::default(), ScanConfig::default()),
+        (
+            BlockerBackend::Lsh(LshConfig::default()),
+            ScanConfig::default(),
+        ),
+    ];
+    let rows = random_rows(30, 8, 5);
+    let flat = rows.concat();
+    for (backend, scan) in setups {
+        let matrix = EmbeddingMatrix::from_flat(8, flat.clone()).unwrap();
+        let mut index = AnyIndex::build(matrix, &backend, scan).unwrap();
+        index.delete_row(4);
+        let live = index.live_count();
+        for q in &rows[..5] {
+            let want = index.search_slice(q, live);
+            for k in [1 << 40, usize::MAX] {
+                assert_eq!(index.search_slice(q, k), want, "{backend:?} k = {k}");
+            }
+        }
+
+        let model = TrigramModel { dim: 16 };
+        let config = ServeConfig::new().shards(3).backend(backend).scan(scan);
+        let resolver = Resolver::new(&model, SerializationMode::SchemaAgnostic, config).unwrap();
+        for id in 0..20u32 {
+            resolver
+                .insert(&entity(id, &format!("record {id}")))
+                .unwrap();
+        }
+        resolver.delete(EntityId(7)).unwrap();
+        let probe = entity(99, "record 1");
+        let want = resolver.query(&probe, resolver.len());
+        for k in [1 << 40, usize::MAX] {
+            assert_eq!(resolver.query(&probe, k), want);
+        }
+    }
 }

@@ -5,9 +5,10 @@
 //!
 //! Rows: every tiny-zoo model's embedding bits on D1 and on a probe list,
 //! the canonical `OperatingPoint::to_json` bytes, the autotuner's chosen
-//! point and trial list, blocking candidates with their score bits, and
-//! the `Resolver` save bytes after a seeded write stream. The digests are
-//! identical in debug and release builds.
+//! point and trial list, blocking candidates with their score bits, the
+//! PQ index container bytes on D1, and the `Resolver` save bytes (four
+//! backend/scan layouts) and per-shard journal bytes after a seeded write
+//! stream. The digests are identical in debug and release builds.
 //!
 //! A constant may only change in a PR that names it and says why. To
 //! regenerate the tables, run
@@ -299,9 +300,39 @@ fn blocking_candidates_and_scores_on_d1() {
     check("BLOCKING", &got, BLOCKING);
 }
 
+const INDEX_BYTES: &[(&str, u64)] = &[
+    ("exact_pq_cosine", 0x3f492313003cc055),
+    ("exact_pq_euclidean", 0x88e21dc4e22b1da7),
+];
+
+/// PQ needs a trained codebook, so it cannot be served from an empty
+/// resolver; its container is pinned over D1's right-hand matrix instead.
+#[test]
+fn pq_index_bytes_on_d1() {
+    let (_, right) = embedded(&CleanCleanDataset::generate(DatasetId::D1, 42));
+    let scan = ScanConfig {
+        tier: KernelTier::Lanes,
+        quant: Quantization::Pq {
+            config: PqConfig::default(),
+            rerank: 50,
+        },
+    };
+    let mut got = Vec::new();
+    for (metric_name, metric) in METRICS {
+        let index = ExactIndex::from_source_scan(&right, metric, scan).expect("PQ trains on D1");
+        got.push((
+            format!("exact_pq_{metric_name}"),
+            fnv1a64(&index.to_bytes()),
+        ));
+    }
+    check("INDEX_BYTES", &got, INDEX_BYTES);
+}
+
 const RESOLVER_BYTES: &[(&str, u64)] = &[
     ("serve_default", 0xc698a4ebf9cdd936),
     ("exact_lanes", 0xad57a0c88c79ced2),
+    ("lsh_default", 0x783aba9d62aef7fa),
+    ("exact_int8", 0xf595702c136e4c75),
 ];
 
 /// Insert every D1 record (right side at its ids, left side offset past
@@ -342,6 +373,19 @@ fn resolver_bytes_after_a_seeded_write_stream() {
                 .backend(BlockerBackend::Exact(Metric::Cosine))
                 .scan(ScanConfig::with_tier(KernelTier::Lanes)),
         ),
+        (
+            "lsh_default",
+            ServeConfig::new().backend(BlockerBackend::Lsh(LshConfig::default())),
+        ),
+        (
+            "exact_int8",
+            ServeConfig::new()
+                .backend(BlockerBackend::Exact(Metric::Cosine))
+                .scan(ScanConfig {
+                    tier: KernelTier::Lanes,
+                    quant: Quantization::Int8 { rerank: 40 },
+                }),
+        ),
     ];
     let mut got = Vec::new();
     for (name, config) in configs {
@@ -351,4 +395,37 @@ fn resolver_bytes_after_a_seeded_write_stream() {
         got.push((name.to_string(), fnv1a64(&resolver.to_bytes())));
     }
     check("RESOLVER_BYTES", &got, RESOLVER_BYTES);
+}
+
+const JOURNAL_BYTES: &[(&str, u64)] = &[
+    ("shard_0", 0x6932b34ce0f256ec),
+    ("shard_1", 0xdec63fbbb4f9b520),
+    ("shard_2", 0x1540f2be1da40c03),
+    ("shard_3", 0x0b39df17189192c4),
+];
+
+/// Each shard's JRNL file after the same write stream on a durable
+/// resolver — the stream crosses automatic compaction, which must leave
+/// the journal untouched.
+#[test]
+fn journal_bytes_after_a_seeded_write_stream() {
+    let dir = std::env::temp_dir().join(format!("er-golden-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let resolver = Resolver::open(
+        &dir,
+        fasttext(),
+        SerializationMode::SchemaAgnostic,
+        ServeConfig::new(),
+    )
+    .expect("fresh durable resolver");
+    write_stream(&resolver);
+    let got: Vec<(String, u64)> = (0..resolver.shard_sizes().len())
+        .map(|i| {
+            let bytes = std::fs::read(dir.join(format!("shard-{i}.jrnl"))).expect("journal");
+            (format!("shard_{i}"), fnv1a64(&bytes))
+        })
+        .collect();
+    drop(resolver);
+    let _ = std::fs::remove_dir_all(&dir);
+    check("JOURNAL_BYTES", &got, JOURNAL_BYTES);
 }
