@@ -165,27 +165,6 @@ pub trait LanguageModel: Send + Sync {
     }
 }
 
-/// Mean-pool a set of token vectors into one sentence embedding; an empty
-/// set (all tokens OOV, or empty text) pools to the zero vector.
-pub(crate) fn mean_pool<'a>(vecs: impl Iterator<Item = &'a [f32]>, dim: usize) -> Embedding {
-    let mut sum = vec![0.0f32; dim];
-    let mut n = 0usize;
-    for v in vecs {
-        debug_assert_eq!(v.len(), dim);
-        for (s, x) in sum.iter_mut().zip(v) {
-            *s += x;
-        }
-        n += 1;
-    }
-    if n > 0 {
-        let inv = 1.0 / n as f32;
-        for s in sum.iter_mut() {
-            *s *= inv;
-        }
-    }
-    Embedding(sum)
-}
-
 /// The model code a saved model body starts with.
 pub(crate) fn read_code(r: &mut BinReader) -> Result<ModelCode> {
     ModelCode::parse(&r.get_str()?).map_err(ErError::corrupt)
@@ -201,14 +180,5 @@ mod tests {
             assert_eq!(ModelCode::parse(&code.to_string()).unwrap(), code);
         }
         assert!(ModelCode::parse("ZZ").is_err());
-    }
-
-    #[test]
-    fn mean_pool_averages_and_handles_empty() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32, 6.0];
-        let pooled = mean_pool([a.as_slice(), b.as_slice()].into_iter(), 2);
-        assert_eq!(pooled, Embedding(vec![2.0, 4.0]));
-        assert_eq!(mean_pool(std::iter::empty(), 2), Embedding::zeros(2));
     }
 }

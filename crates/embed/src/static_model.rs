@@ -11,11 +11,11 @@
 //! release is this one type.
 
 use crate::vocab::Vocab;
-use crate::{mean_pool, read_code, LanguageModel, ModelCode};
+use crate::{read_code, LanguageModel, ModelCode};
 use er_core::binary::{fnv1a64, BinReader, BinWriter};
 use er_core::{Embedding, ErError, Result};
-use er_text::ngram::hashed_ngrams;
-use er_text::tokenize;
+use er_text::ngram::for_each_hashed_ngram;
+use er_text::{normalize, tokens};
 use std::time::Duration;
 
 /// FastText's subword table: one row per hash bucket of the padded char
@@ -81,36 +81,33 @@ impl StaticModel {
             .map(|id| &self.vectors[id as usize * self.dim..(id as usize + 1) * self.dim])
     }
 
-    /// A single token's FastText vector: word vector averaged with its
-    /// subword buckets when in-vocabulary, subword buckets alone otherwise.
-    /// Only tokens with no characters at all have no representation.
-    fn subword_vector(&self, sub: &Subwords, token: &str) -> Option<Embedding> {
-        if token.is_empty() {
-            return None;
-        }
-        let grams = hashed_ngrams(token, sub.nmin, sub.nmax, sub.buckets);
-        let mut v = vec![0.0f32; self.dim];
+    /// Build `token`'s FastText vector in `v`: its word vector (when
+    /// in-vocabulary) and its n-gram bucket rows summed in that order, then
+    /// divided by their count. Returns `false`, with `v` unspecified, when
+    /// the token has no part at all (OOV and shorter than every n-gram).
+    fn subword_vector_into(&self, sub: &Subwords, token: &str, v: &mut [f32]) -> bool {
+        let dim = self.dim;
+        v.fill(0.0);
         let mut parts = 0.0f32;
+        let mut add = |row: &[f32]| {
+            for (vd, rd) in v.iter_mut().zip(row) {
+                *vd += rd;
+            }
+            parts += 1.0;
+        };
         if let Some(row) = self.word_vector(token) {
-            for (vd, wd) in v.iter_mut().zip(row) {
-                *vd += wd;
-            }
-            parts += 1.0;
+            add(row);
         }
-        for &g in &grams {
-            let row = &sub.vectors[g as usize * self.dim..(g as usize + 1) * self.dim];
-            for (vd, bd) in v.iter_mut().zip(row) {
-                *vd += bd;
-            }
-            parts += 1.0;
-        }
+        for_each_hashed_ngram(token, sub.nmin, sub.nmax, sub.buckets, |g| {
+            add(&sub.vectors[g as usize * dim..(g as usize + 1) * dim]);
+        });
         if parts == 0.0 {
-            return None;
+            return false;
         }
         for vd in v.iter_mut() {
             *vd /= parts;
         }
-        Some(Embedding(v))
+        true
     }
 
     /// Code, config, vocab and weights (raw little-endian f32 runs) — the
@@ -198,16 +195,95 @@ impl LanguageModel for StaticModel {
     }
 
     fn embed(&self, text: &str) -> Embedding {
-        let tokens = tokenize(text);
-        match &self.subwords {
-            None => mean_pool(tokens.iter().filter_map(|t| self.word_vector(t)), self.dim),
-            Some(sub) => {
-                let vecs: Vec<Embedding> = tokens
-                    .iter()
-                    .filter_map(|t| self.subword_vector(sub, t))
-                    .collect();
-                mean_pool(vecs.iter().map(Embedding::as_slice), self.dim)
+        let mut v = vec![0.0f32; self.dim];
+        self.embed_into(text, &mut v);
+        Embedding(v)
+    }
+
+    /// The one inference body: the mean of the record's token vectors
+    /// (in-vocabulary word rows, or FastText's per-token subword vectors),
+    /// summed into `out` in token order and scaled by `1 / n`. A record
+    /// with no such token embeds to the zero vector. Besides the normalized
+    /// string, only FastText's one scratch row is allocated.
+    fn embed_into(&self, text: &str, out: &mut [f32]) {
+        debug_assert_eq!(out.len(), self.dim, "embed_into row/dim mismatch");
+        out.fill(0.0);
+        let normalized = normalize(text);
+        let mut scratch = match self.subwords {
+            Some(_) => vec![0.0f32; self.dim],
+            None => Vec::new(),
+        };
+        let mut n = 0usize;
+        for token in tokens(&normalized) {
+            let v = match &self.subwords {
+                None => self.word_vector(token),
+                Some(sub) => self
+                    .subword_vector_into(sub, token, &mut scratch)
+                    .then_some(scratch.as_slice()),
+            };
+            let Some(v) = v else { continue };
+            for (s, x) in out.iter_mut().zip(v) {
+                *s += x;
+            }
+            n += 1;
+        }
+        if n > 0 {
+            let inv = 1.0 / n as f32;
+            for s in out.iter_mut() {
+                *s *= inv;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use er_text::Corpus;
+
+    /// Vocabulary `a` → `[1, 2]`, `b` → `[3, 6]`, with FastText buckets
+    /// when `subwords` is given.
+    fn toy(subwords: Option<Subwords>) -> StaticModel {
+        let mut corpus = Corpus::new();
+        corpus.push_text("a b");
+        let vocab = Vocab::build(&corpus, 1);
+        let code = if subwords.is_some() {
+            ModelCode::FT
+        } else {
+            ModelCode::WC
+        };
+        StaticModel::new(code, vocab, 2, vec![1.0, 2.0, 3.0, 6.0], subwords, 0)
+    }
+
+    #[test]
+    fn embed_is_the_mean_of_token_vectors_and_oov_is_skipped() {
+        let wc = toy(None);
+        assert_eq!(wc.embed("a b"), Embedding(vec![2.0, 4.0]));
+        assert_eq!(wc.embed("B, zz; a"), Embedding(vec![2.0, 4.0]));
+        assert_eq!(wc.embed("zz"), Embedding::zeros(2));
+        let mut row = [f32::NAN; 2];
+        wc.embed_into("", &mut row);
+        assert_eq!(
+            row,
+            [0.0, 0.0],
+            "no token pools to zeros, whatever the row held"
+        );
+
+        // One bucket row `[4, 4]`: every gram of every word lands on it.
+        let one_bucket = |nmin, nmax| Subwords {
+            nmin,
+            nmax,
+            buckets: 1,
+            vectors: vec![4.0, 4.0],
+        };
+        // `a` = (word + gram `<a>`) / 2; OOV `zz` = (`<zz` + `zz>`) / 2.
+        let ft = toy(Some(one_bucket(3, 3)));
+        assert_eq!(ft.embed("a"), Embedding(vec![2.5, 3.0]));
+        assert_eq!(ft.embed("a zz"), Embedding(vec![3.25, 3.5]));
+        // With 4-grams only, `<a>` has no gram: `a` is its word vector and
+        // OOV `z` has no part at all, so it is skipped like a WC miss.
+        let ft = toy(Some(one_bucket(4, 4)));
+        assert_eq!(ft.embed("a z"), Embedding(vec![1.0, 2.0]));
+        assert_eq!(ft.embed("z"), Embedding::zeros(2));
     }
 }

@@ -528,12 +528,35 @@ mod tests {
     #[test]
     fn embed_into_matches_embed_for_every_model() {
         let zoo = ModelZoo::train_all(&ZooConfig::tiny(), 7);
+        // The root golden ledger's probe lists: typos, all-OOV and empty
+        // text, then multibyte, short, digit and one 300-char token.
+        let long = "zürich".repeat(50);
+        let texts = [
+            "golden palace grill main street",
+            "restaurnat downtwon",
+            "golden restaurant goldne restaurnat",
+            "zzqx vvkjw",
+            "",
+            ".,;",
+            "Café Zürich naïve",
+            "東京 ñandú",
+            "a b cd",
+            "7 2mp 1080",
+            "golden café restaurant",
+            &long,
+        ];
         for m in zoo.models() {
-            let text = "golden palace grill main street";
-            let e = m.embed(text);
-            let mut row = vec![f32::NAN; m.dim()];
-            m.embed_into(text, &mut row);
-            assert_eq!(row, e.as_slice(), "{} embed_into diverged", m.code());
+            for text in texts {
+                let e = m.embed(text);
+                let mut row = vec![f32::NAN; m.dim()];
+                m.embed_into(text, &mut row);
+                assert_eq!(
+                    row,
+                    e.as_slice(),
+                    "{} embed_into diverged on {text:?}",
+                    m.code()
+                );
+            }
         }
     }
 

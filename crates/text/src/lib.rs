@@ -10,4 +10,4 @@ pub mod tokenize;
 
 pub use corpus::Corpus;
 pub use normalize::normalize;
-pub use tokenize::{tokenize, MASK_TOKEN};
+pub use tokenize::{tokenize, tokens, MASK_TOKEN};

@@ -11,13 +11,15 @@ use crate::normalize::normalize;
 /// append it as a special entry (`er_embed::Vocab::with_special`).
 pub const MASK_TOKEN: &str = "[mask]";
 
+/// The words of an already-[`normalize`]d string, borrowed from it — the
+/// one split rule behind [`tokenize`].
+pub fn tokens(normalized: &str) -> impl Iterator<Item = &str> {
+    normalized.split(' ').filter(|t| !t.is_empty())
+}
+
 /// Tokenize into normalized lowercase words.
 pub fn tokenize(text: &str) -> Vec<String> {
-    normalize(text)
-        .split(' ')
-        .filter(|t| !t.is_empty())
-        .map(str::to_string)
-        .collect()
+    tokens(&normalize(text)).map(String::from).collect()
 }
 
 #[cfg(test)]

@@ -3,12 +3,13 @@
 //! is checked against the outputs themselves rather than against a
 //! hand-written equivalence test per feature.
 //!
-//! Rows: every tiny-zoo model's embedding bits on D1 and on a probe list,
-//! the canonical `OperatingPoint::to_json` bytes, the autotuner's chosen
-//! point and trial list, blocking candidates with their score bits, the
-//! PQ index container bytes on D1, and the `Resolver` save bytes (four
-//! backend/scan layouts) and per-shard journal bytes after a seeded write
-//! stream. The digests are identical in debug and release builds.
+//! Rows: every tiny-zoo model's embedding bits on D1, on a probe list and
+//! on a char-boundary probe list, the canonical `OperatingPoint::to_json`
+//! bytes, the autotuner's chosen point and trial list, blocking candidates
+//! with their score bits, the PQ index container bytes on D1, and the
+//! `Resolver` save bytes (four backend/scan layouts) and per-shard journal
+//! bytes after a seeded write stream. The digests are identical in debug
+//! and release builds.
 //!
 //! A constant may only change in a PR that names it and says why. To
 //! regenerate the tables, run
@@ -66,12 +67,16 @@ const METRICS: [(&str, Metric); 2] = [("cosine", Metric::Cosine), ("euclidean", 
 const EMBEDDINGS: &[(&str, u64)] = &[
     ("WC_d1", 0x392421ccf563c782),
     ("WC_probes", 0xe8e91a6adeb134e6),
+    ("WC_unicode", 0xbc1ef9414b31dde6),
     ("GE_d1", 0x8d2031be9dd33251),
     ("GE_probes", 0x4985bde8113d603c),
+    ("GE_unicode", 0xd9ed0ec11415053c),
     ("FT_d1", 0x9b4f76eb1ae092ab),
     ("FT_probes", 0x7a25ef5f8ec18d99),
+    ("FT_unicode", 0x4f3465f6cada00b2),
     ("BT_d1", 0x4c7584f58975b67f),
     ("BT_probes", 0xa90f3cde10023a25),
+    ("BT_unicode", 0xd93009275b43ce25),
 ];
 
 /// Typo'd tokens (FastText's subword-only path), all-OOV text and the
@@ -83,6 +88,23 @@ const PROBES: [&str; 5] = [
     "",
     ".,;",
 ];
+
+/// Char-boundary probes for the n-gram hasher: multibyte and CJK tokens,
+/// one- and two-char tokens, digit runs, in-vocabulary words beside a
+/// multibyte OOV one (so WC/GE pool something), plus one 300-char token
+/// (built in [`unicode_probes`]) far longer than any n-gram.
+const UNICODE_PROBES: [&str; 5] = [
+    "Café Zürich naïve",
+    "東京 ñandú",
+    "a b cd",
+    "7 2mp 1080",
+    "golden café restaurant",
+];
+
+fn unicode_probes() -> impl Iterator<Item = String> {
+    let long = "zürich".repeat(50);
+    UNICODE_PROBES.iter().map(|p| p.to_string()).chain([long])
+}
 
 fn embedding_bits(model: &AnyModel, texts: impl Iterator<Item = String>) -> u64 {
     let mut bytes = Vec::new();
@@ -105,6 +127,10 @@ fn embeddings_of_every_tiny_zoo_model() {
         got.push((format!("{code}_d1"), embedding_bits(model, records)));
         let probes = PROBES.iter().map(|p| p.to_string());
         got.push((format!("{code}_probes"), embedding_bits(model, probes)));
+        got.push((
+            format!("{code}_unicode"),
+            embedding_bits(model, unicode_probes()),
+        ));
     }
     check("EMBEDDINGS", &got, EMBEDDINGS);
 }
