@@ -6,8 +6,9 @@
 //! The native storage is the columnar [`EmbeddingMatrix`]:
 //! [`top_k_blocking_scored_matrix`] builds the chosen index *borrowing*
 //! the right side (zero-copy), batch-queries it with the left side's rows
-//! via [`NnIndex::search_batch_rows`] (fanning out over a scoped-thread
-//! worker pool while staying bit-identical to sequential search), and
+//! via [`NnIndex::search_batch_rows`] (query chunks on scoped threads
+//! once a chunk's predicted scan outweighs the spawn, bit-identical to
+//! sequential search either way), and
 //! threads each hit's similarity outward as a [`ScoredPair`] — the
 //! scored-candidate contract the matchers consume (see
 //! [`er_index::Metric::hit_similarity`]: cosine scores are bit-identical to

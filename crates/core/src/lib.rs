@@ -16,7 +16,9 @@
 //! the checksummed little-endian binary container ([`binary`]) the
 //! serving path persists matrices, indices and resolvers with, and the
 //! write-ahead journal record codec ([`journal`]) that makes serving
-//! mutations crash-durable between checkpoints.
+//! mutations crash-durable between checkpoints, and the cost-gated
+//! fan-out ([`par::fill_chunks`]) every batch of independent work runs
+//! through.
 
 pub mod binary;
 pub mod entity;
@@ -27,6 +29,7 @@ pub mod kernels;
 pub mod matrix;
 pub mod metric;
 pub mod operating_point;
+pub mod par;
 pub mod pq;
 pub mod quant;
 pub mod rng;

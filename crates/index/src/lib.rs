@@ -38,6 +38,7 @@ pub use store::Ranked;
 // BlockerBackend, HnswConfig, ..}` keep naming them.
 pub use er_core::{BlockerBackend, HnswConfig, LshConfig, Metric, QueryParams};
 
+use er_core::par::{self, SCAN_NS_PER_ELEMENT};
 use er_core::EmbeddingMatrix;
 
 /// One search hit: the position of a stored vector and its distance from
@@ -145,42 +146,32 @@ pub trait NnIndex {
     fn search_slice(&self, query: &[f32], k: usize) -> Vec<Neighbor>;
 
     /// Batched search over the rows of an [`EmbeddingMatrix`] — the
-    /// pipeline's query path — parallelized across a scoped-thread worker
-    /// pool (no crates.io, so no rayon — plain `std::thread::scope`).
+    /// pipeline's query path — split into contiguous chunks of queries by
+    /// [`er_core::par::fill_chunks`] (no crates.io, so no rayon — plain
+    /// `std::thread::scope`).
     ///
-    /// Queries are split into contiguous chunks, one per worker, and the
-    /// per-chunk results are reassembled in input order, so the output is
-    /// *identical* to calling [`NnIndex::search_slice`] sequentially —
-    /// blocking an entire dataset saturates cores without sacrificing
-    /// determinism.
+    /// A chunk runs on its own scoped thread only when its predicted scan
+    /// (queries × stored rows × dim × [`er_core::par::SCAN_NS_PER_ELEMENT`])
+    /// costs more than the spawn; every query's answer lands in its own
+    /// slot, so the output is *identical* to calling
+    /// [`NnIndex::search_slice`] sequentially — blocking an entire dataset
+    /// saturates cores without sacrificing determinism.
     fn search_batch_rows(&self, queries: &EmbeddingMatrix, k: usize) -> Vec<Vec<Neighbor>>
     where
         Self: Sync + Sized,
     {
-        let n = queries.len();
-        let search_one = |i: usize| self.search_slice(queries.row(i), k);
-        let workers = std::thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(1)
-            .min(n);
-        if workers <= 1 {
-            return (0..n).map(search_one).collect();
-        }
-        let chunk = n.div_ceil(workers);
-        let search_one = &search_one;
-        let mut out = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk)
-                .map(|start| {
-                    let end = (start + chunk).min(n);
-                    scope.spawn(move || (start..end).map(search_one).collect::<Vec<_>>())
-                })
-                .collect();
-            for handle in handles {
-                out.extend(handle.join().expect("search worker panicked"));
-            }
-        });
+        let row_ns = (self.len() * queries.dim()) as f64 * SCAN_NS_PER_ELEMENT;
+        let mut out = vec![Vec::new(); queries.len()];
+        par::fill_chunks(
+            &mut out,
+            1,
+            |chunk| chunk.len() as f64 * row_ns,
+            |chunk, slots| {
+                for (i, slot) in chunk.zip(slots) {
+                    *slot = self.search_slice(queries.row(i), k);
+                }
+            },
+        );
         out
     }
 }

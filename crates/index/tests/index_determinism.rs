@@ -95,33 +95,39 @@ fn same_seed_builds_bit_identical_lsh_signatures() {
 #[test]
 fn search_batch_matches_sequential_search() {
     let vectors = EmbeddingMatrix::from_embeddings(&random_vectors(400, 12, 26));
-    let queries = EmbeddingMatrix::from_embeddings(&random_vectors(67, 12, 27));
-    let sequential = |index: &dyn NnIndex| -> Vec<Vec<Neighbor>> {
-        queries
-            .rows_iter()
-            .map(|q| index.search_slice(q, 10))
-            .collect()
-    };
-    for metric in [Metric::Euclidean, Metric::Cosine] {
-        let hnsw = HnswIndex::from_matrix(
-            &vectors,
-            HnswConfig {
-                metric,
-                ..HnswConfig::default()
-            },
-        );
-        assert_eq!(hnsw.search_batch_rows(&queries, 10), sequential(&hnsw));
+    // The batch fans out only when each chunk's predicted scan (queries ×
+    // 400 rows × 12 dims × 0.25 ns) beats the 47 µs spawn: 67 queries stay
+    // inline, 240 cross the gate on up to 4 cores (≥ 60 queries, 72 µs).
+    for n_queries in [67, 240] {
+        let queries = EmbeddingMatrix::from_embeddings(&random_vectors(n_queries, 12, 27));
+        let sequential = |index: &dyn NnIndex| -> Vec<Vec<Neighbor>> {
+            queries
+                .rows_iter()
+                .map(|q| index.search_slice(q, 10))
+                .collect()
+        };
+        for metric in [Metric::Euclidean, Metric::Cosine] {
+            let hnsw = HnswIndex::from_matrix(
+                &vectors,
+                HnswConfig {
+                    metric,
+                    ..HnswConfig::default()
+                },
+            );
+            assert_eq!(hnsw.search_batch_rows(&queries, 10), sequential(&hnsw));
+        }
+        let lsh = HyperplaneLsh::from_matrix(&vectors, LshConfig::default());
+        assert_eq!(lsh.search_batch_rows(&queries, 10), sequential(&lsh));
+        let exact = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
+        assert_eq!(exact.search_batch_rows(&queries, 10), sequential(&exact));
     }
-    let lsh = HyperplaneLsh::from_matrix(&vectors, LshConfig::default());
-    assert_eq!(lsh.search_batch_rows(&queries, 10), sequential(&lsh));
-    let exact = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
-    assert_eq!(exact.search_batch_rows(&queries, 10), sequential(&exact));
 
     // Degenerate batch shapes.
+    let exact = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
     assert!(exact
         .search_batch_rows(&EmbeddingMatrix::new(12), 10)
         .is_empty());
-    let one = queries.select_rows([0]);
+    let one = vectors.select_rows([0]);
     assert_eq!(exact.search_batch_rows(&one, 10).len(), 1);
 }
 

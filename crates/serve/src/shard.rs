@@ -28,6 +28,7 @@ use crate::wal::JournalWriter;
 use crate::Hit;
 use er_core::binary::fnv1a64;
 use er_core::journal::JournalRecord;
+use er_core::par::{self, SCAN_NS_PER_ELEMENT};
 use er_core::{EmbeddingMatrix, EntityId, ErError, Result};
 use er_index::{AnyIndex, BlockerBackend, Metric, Neighbor, NnIndex, Ranked, ScanConfig};
 use std::cmp::Reverse;
@@ -189,10 +190,15 @@ impl Shard {
     }
 }
 
-/// Scatter-gather top-k over an explicit set of per-shard snapshots: fan
-/// the query out across the shards on scoped threads (one per shard,
-/// mirroring `search_batch`), then k-way merge the per-shard sorted lists
-/// with a `BinaryHeap` that preserves the `(distance, id)` total order.
+/// Scatter-gather top-k over an explicit set of per-shard snapshots: search
+/// every shard, then k-way merge the per-shard sorted lists with a
+/// `BinaryHeap` that preserves the `(distance, id)` total order.
+///
+/// The shards are searched through [`er_core::par::fill_chunks`]: on scoped
+/// threads only when every worker's shards are predicted to cost more than
+/// a thread spawn (live rows × dim × [`SCAN_NS_PER_ELEMENT`]), otherwise
+/// inline on the caller's thread. Small shards therefore skip the spawn;
+/// the answer is the same either way.
 ///
 /// Public so callers holding a pinned snapshot set (from
 /// [`ShardedIndex::snapshots`]) can re-run queries against exactly that
@@ -201,21 +207,20 @@ pub fn search_snapshots(snaps: &[Arc<SegmentSnapshot>], query: &[f32], k: usize)
     if k == 0 {
         return Vec::new();
     }
-    let per_shard: Vec<Vec<Hit>> = if snaps.len() == 1 {
-        vec![snaps[0].search(query, k)]
-    } else {
-        let mut out = Vec::with_capacity(snaps.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = snaps
-                .iter()
-                .map(|snap| scope.spawn(move || snap.search(query, k)))
-                .collect();
-            for handle in handles {
-                out.push(handle.join().expect("shard search worker panicked"));
+    let mut per_shard: Vec<Vec<Hit>> = vec![Vec::new(); snaps.len()];
+    par::fill_chunks(
+        &mut per_shard,
+        1,
+        |shards| {
+            let rows: usize = snaps[shards].iter().map(|s| s.live_count()).sum();
+            (rows * query.len()) as f64 * SCAN_NS_PER_ELEMENT
+        },
+        |shards, slots| {
+            for (snap, slot) in snaps[shards].iter().zip(slots) {
+                *slot = snap.search(query, k);
             }
-        });
-        out
-    };
+        },
+    );
     // Each heap entry is the current head of one shard's sorted list,
     // ordered by the global `(distance, id)` contract (an id lives on
     // exactly one shard, so the trailing position never decides).

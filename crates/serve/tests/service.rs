@@ -180,6 +180,76 @@ fn scatter_gather_exact_is_bit_identical_to_single_index() {
     }
 }
 
+/// The same contract on shards big enough to be searched on scoped
+/// threads. `search_snapshots` fans out only when every worker's predicted
+/// scan — live rows × dim × `SCAN_NS_PER_ELEMENT` (0.25 ns) — beats the
+/// 47 µs spawn+join: at 64-d that is > 47 000 / (64 × 0.25) ≈ 2 938 live
+/// rows per shard. 8 000 rows over 2 shards put ≈ 4 000 (≈ 64 µs
+/// predicted) on each, so on a machine with ≥ 2 cores this runs the
+/// threaded branch that every smaller test here skips. The second case
+/// keeps one shard above the gate and cuts the other to 500 rows
+/// (8 µs), so the smallest chunk sends the query back inline.
+#[test]
+fn shards_above_the_fan_out_gate_answer_like_one_exact_index() {
+    use er_core::KernelTier;
+
+    const GATE_ROWS: usize = 2_938;
+    let dim = 64;
+    let rows = random_rows(8_000, dim, 43);
+    let queries = random_rows(12, dim, 44);
+    let lanes = |shards: usize, metric: Metric| {
+        ShardedIndex::new(
+            dim,
+            shards,
+            BlockerBackend::Exact(metric),
+            ScanConfig::with_tier(KernelTier::Lanes),
+            CompactionPolicy::default(),
+        )
+        .unwrap()
+    };
+    // Routing is a pure function of the id, so a probe index tells which
+    // ids land on shard 0.
+    let probe = lanes(2, Metric::Cosine);
+    for (i, row) in rows.iter().enumerate() {
+        probe.insert(EntityId(i as u32), row).unwrap();
+    }
+    let on_shard_0 = probe.snapshots()[0].clone();
+    let all: Vec<usize> = (0..rows.len()).collect();
+    let mut mixed: Vec<usize> = all
+        .iter()
+        .copied()
+        .filter(|&i| on_shard_0.contains(EntityId(i as u32)))
+        .collect();
+    mixed.extend(
+        all.iter()
+            .copied()
+            .filter(|&i| !on_shard_0.contains(EntityId(i as u32)))
+            .take(500),
+    );
+
+    for (ids, both_above) in [(all, true), (mixed, false)] {
+        for metric in [Metric::Euclidean, Metric::Cosine] {
+            let (single, sharded) = (lanes(1, metric), lanes(2, metric));
+            for &i in &ids {
+                single.insert(EntityId(i as u32), &rows[i]).unwrap();
+                sharded.insert(EntityId(i as u32), &rows[i]).unwrap();
+            }
+            let sizes = sharded.shard_sizes();
+            assert!(sizes[0] > GATE_ROWS, "{sizes:?}");
+            assert_eq!(sizes[1] > GATE_ROWS, both_above, "{sizes:?}");
+            for q in &queries {
+                let expect = single.search_ids(q, 10);
+                let got = sharded.search_ids(q, 10);
+                assert_eq!(got.len(), 10);
+                for (g, e) in got.iter().zip(&expect) {
+                    assert_eq!(g.id, e.id, "{sizes:?}, {metric:?}");
+                    assert_eq!(g.distance.to_bits(), e.distance.to_bits());
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn sharding_routes_deterministically_and_covers_all_shards() {
     let sharded = exact_shards(4, 5, Metric::Euclidean);

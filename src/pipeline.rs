@@ -8,7 +8,8 @@
 
 use er_blocking::top_k_blocking_scored_matrix;
 use er_core::{
-    EmbeddingMatrix, Entity, EntityId, GroundTruth, OperatingPoint, ScoredPair, SerializationMode,
+    par, EmbeddingMatrix, Entity, EntityId, GroundTruth, OperatingPoint, ScoredPair,
+    SerializationMode,
 };
 use er_embed::LanguageModel;
 use er_eval::StageReport;
@@ -271,8 +272,12 @@ impl<'m> Pipeline<'m> {
 
 /// Serialize and embed every entity into a fresh [`EmbeddingMatrix`],
 /// fanning the rows out over `available_parallelism` scoped threads in
-/// contiguous chunks. Each row is written independently, so the result is
-/// bit-identical to the sequential loop regardless of thread count.
+/// contiguous chunks through [`er_core::par::fill_chunks`]. Embedding is
+/// not priced — per-record cost spans two orders of magnitude from the
+/// static models to the transformers — so the prediction is unbounded and
+/// any batch of ≥ 2 records fans out. Each row is written independently,
+/// so the result is bit-identical to the sequential loop regardless of
+/// thread count.
 pub fn vectorize_matrix(
     model: &dyn LanguageModel,
     entities: &[Entity],
@@ -283,36 +288,17 @@ pub fn vectorize_matrix(
         return EmbeddingMatrix::new(dim);
     }
     let mut data = vec![0.0f32; entities.len() * dim];
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(entities.len());
-    let chunk_rows = entities.len().div_ceil(workers);
-    if workers <= 1 {
-        embed_chunk(model, entities, mode, &mut data, dim);
-    } else {
-        std::thread::scope(|scope| {
-            for (entity_chunk, data_chunk) in entities
-                .chunks(chunk_rows)
-                .zip(data.chunks_mut(chunk_rows * dim))
-            {
-                scope.spawn(move || embed_chunk(model, entity_chunk, mode, data_chunk, dim));
+    par::fill_chunks(
+        &mut data,
+        dim,
+        |_| f64::INFINITY,
+        |chunk, rows| {
+            for (entity, row) in entities[chunk].iter().zip(rows.chunks_exact_mut(dim)) {
+                model.embed_into(&entity.serialize(mode), row);
             }
-        });
-    }
+        },
+    );
     EmbeddingMatrix::from_flat(dim, data).expect("matrix sized as rows x dim")
-}
-
-fn embed_chunk(
-    model: &dyn LanguageModel,
-    entities: &[Entity],
-    mode: &SerializationMode,
-    data: &mut [f32],
-    dim: usize,
-) {
-    for (entity, row) in entities.iter().zip(data.chunks_exact_mut(dim)) {
-        model.embed_into(&entity.serialize(mode), row);
-    }
 }
 
 #[cfg(test)]
@@ -370,6 +356,46 @@ mod tests {
             );
         }
         assert!(vectorize_matrix(model.as_ref(), &[], &mode).is_empty());
+    }
+
+    /// A model that records which thread embedded each text.
+    struct ThreadTracer(std::sync::Mutex<Vec<std::thread::ThreadId>>);
+
+    impl LanguageModel for ThreadTracer {
+        fn code(&self) -> ModelCode {
+            ModelCode::BT
+        }
+        fn dim(&self) -> usize {
+            1
+        }
+        fn init_time(&self) -> std::time::Duration {
+            std::time::Duration::ZERO
+        }
+        fn embed(&self, _: &str) -> Embedding {
+            self.0.lock().unwrap().push(std::thread::current().id());
+            Embedding(vec![1.0])
+        }
+        fn fingerprint(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_two_record_batch_still_fans_out() {
+        // Embedding is never priced, so however cheap a batch looks it is
+        // spread over the cores, as a slow model needs.
+        let tracer = ThreadTracer(Default::default());
+        let matrix = vectorize_matrix(
+            &tracer,
+            &entities(2, "pair"),
+            &SerializationMode::SchemaAgnostic,
+        );
+        assert_eq!(matrix.len(), 2);
+        let caller = std::thread::current().id();
+        let threads = tracer.0.into_inner().unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(threads.len(), 2);
+        assert_eq!(threads.iter().all(|&t| t != caller), cores >= 2);
     }
 
     #[test]
