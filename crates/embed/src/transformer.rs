@@ -1,5 +1,6 @@
 //! From-scratch transformer encoder over the `er-tensor` autograd engine
-//! (paper model **BT**; DESIGN.md inventory row 6).
+//! (paper model **BT**; DESIGN.md inventory row 6), with a tape-free
+//! inference path.
 //!
 //! Architecture (a miniature BERT, sized per DESIGN §1's 64-d budget):
 //! token embeddings + fixed sinusoidal positional encodings, then
@@ -15,13 +16,29 @@
 //! one seed-derived RNG stream (in declaration order), the forward pass is
 //! sequential f32 arithmetic, and the zoo cache stores the weights as raw
 //! f32 runs in the fixed [`Transformer::param_tensors`] order.
+//!
+//! Two forward passes compute the same floats. MLM training binds the
+//! weights into a [`Graph`] ([`Transformer::bind`] + [`Transformer::encode`])
+//! so it can run backward. Inference (`embed_into`) reads the weights in
+//! place, with no tape and no gradient storage: each layer's per-head Q/K/V
+//! projections are packed side by side into one `dim × 3·dim` matrix, and
+//! the positional encodings are one `max_len × dim` table. Both tables are
+//! derived from the weights by [`Transformer::seal`] and on cache load, and
+//! never saved, so the cache bytes and the fingerprint do not see them.
+//! Every activation of one call lives in one scratch vector. Both passes
+//! use `er-tensor`'s shared op bodies (`ops`, `tensor::matmul_into`) in the
+//! same order, and packing leaves each output column's k-sum unchanged, so
+//! inference reproduces the tape bit for bit (pinned by the
+//! `inference_matches_the_tape_bit_for_bit` tests below).
 
 use crate::vocab::Vocab;
 use crate::{read_code, LanguageModel, ModelCode};
 use er_core::binary::{fnv1a64, BinReader, BinWriter};
-use er_core::{Embedding, ErError, Result};
+use er_core::{kernels, Embedding, ErError, Result};
+use er_tensor::ops::{gelu_scalar, layer_norm_rows, mean_rows_into, softmax_rows};
+use er_tensor::tensor::matmul_into;
 use er_tensor::{Graph, Tensor, Var};
-use er_text::tokenize;
+use er_text::{normalize, tokens};
 use rand::RngCore;
 use std::time::Duration;
 
@@ -187,6 +204,43 @@ impl<T> Params<T> {
     }
 }
 
+/// Inference-only tables derived from the config and weights. Built by
+/// [`Transformer::seal`] and [`Transformer::from_bytes`] — before any
+/// embed — and never saved.
+#[derive(Debug, Clone)]
+struct Derived {
+    /// Per layer, one `dim × 3·dim` matrix: every head's `wq` side by side,
+    /// then every head's `wk`, then every head's `wv`.
+    qkv: Vec<Tensor>,
+    /// `positional_encoding(max_len, dim)`.
+    pe: Tensor,
+}
+
+impl Derived {
+    fn build(config: &TransformerConfig, params: &Params<Tensor>) -> Derived {
+        let (d, hd) = (config.dim, config.head_dim());
+        let qkv = params
+            .layers
+            .iter()
+            .map(|l| {
+                let mut packed = Tensor::zeros(d, 3 * d);
+                let rows = packed.data_mut().chunks_exact_mut(3 * d);
+                for (r, prow) in rows.enumerate() {
+                    let heads = l.wq.iter().chain(&l.wk).chain(&l.wv);
+                    for (slot, w) in prow.chunks_exact_mut(hd).zip(heads) {
+                        slot.copy_from_slice(w.row(r));
+                    }
+                }
+                packed
+            })
+            .collect();
+        Derived {
+            qkv,
+            pe: positional_encoding(config.max_len, d),
+        }
+    }
+}
+
 /// The encoder plus its vocabulary; the first *dynamic* model in the zoo.
 #[derive(Debug, Clone)]
 pub struct Transformer {
@@ -194,6 +248,7 @@ pub struct Transformer {
     vocab: Vocab,
     config: TransformerConfig,
     params: Params<Tensor>,
+    derived: Derived,
     init_ns: u64,
     /// FNV-1a over the saved config, vocab and weights (see
     /// [`LanguageModel::fingerprint`]), refreshed by [`Transformer::seal`].
@@ -222,6 +277,11 @@ impl Transformer {
             vocab,
             config,
             params,
+            // Filled by `seal` below.
+            derived: Derived {
+                qkv: Vec::new(),
+                pe: Tensor::zeros(0, 0),
+            },
             init_ns: 0,
             fingerprint: 0,
         };
@@ -237,10 +297,12 @@ impl Transformer {
         &self.config
     }
 
-    /// Record the training time and fingerprint the final weights — once,
-    /// after the last update, so no query or save hashes them again.
+    /// Record the training time, fingerprint the final weights and rebuild
+    /// the inference tables — once, after the last update, so no query or
+    /// save hashes or packs them again.
     pub(crate) fn seal(&mut self, init_ns: u64) {
         self.init_ns = init_ns;
+        self.derived = Derived::build(&self.config, &self.params);
         let mut w = BinWriter::new();
         self.to_writer(&mut w);
         self.fingerprint = fnv1a64(&w.into_bytes());
@@ -258,7 +320,8 @@ impl Transformer {
         self.params.list_mut()
     }
 
-    /// Copy every parameter into `g` as leaves and hand back the `Var`s.
+    /// Copy every parameter into `g` as leaves and hand back the `Var`s
+    /// (MLM training; inference reads the weights in place).
     pub(crate) fn bind(&self, g: &mut Graph) -> BoundTransformer {
         let mut tensors = self.param_tensors().into_iter();
         Params::build(&self.config, self.vocab.len(), &mut |_, _, _| {
@@ -305,26 +368,91 @@ impl Transformer {
         g.layer_norm(x, bound.final_gamma, bound.final_beta)
     }
 
-    /// Vocabulary-encode `text` (OOV dropped, like the static models) and
-    /// truncate to `max_len` — the inference-side tokenization.
-    fn encode_ids(&self, text: &str) -> Vec<u32> {
-        let tokens = tokenize(text);
-        let mut ids = self.vocab.encode(&tokens);
-        ids.truncate(self.config.max_len);
+    /// Vocabulary ids of `text`'s tokens (OOV dropped, like the static
+    /// models), truncated to `max_len` — the inference-side tokenization.
+    /// Allocates the normalized string and the id list, nothing else.
+    fn token_ids(&self, text: &str) -> Vec<u32> {
+        let normalized = normalize(text);
+        let mut ids = Vec::with_capacity(self.config.max_len);
+        ids.extend(
+            tokens(&normalized)
+                .filter_map(|t| self.vocab.id(t))
+                .take(self.config.max_len),
+        );
         ids
     }
 
-    /// Mean-pooled final hidden states for an id sequence. Empty → zeros
-    /// (the all-OOV contract every zoo model shares).
-    fn pool_ids(&self, ids: &[u32]) -> Embedding {
-        if ids.is_empty() {
-            return Embedding::zeros(self.config.dim);
+    /// The tape-free inference body: [`Transformer::encode`]'s forward pass
+    /// over a (non-empty, pre-truncated) id sequence, mean-pooled into
+    /// `out`, with the same float expressions in the same order. Weights
+    /// are borrowed; every activation lives in one scratch vector.
+    fn forward_into(&self, ids: &[u32], out: &mut [f32]) {
+        debug_assert!(!ids.is_empty() && ids.len() <= self.config.max_len);
+        let (n, d, f) = (ids.len(), self.config.dim, self.config.ffn);
+        let hd = self.config.head_dim();
+        let scale = 1.0 / (hd as f32).sqrt();
+        let mut arena = vec![0.0f32; n * (6 * d + n + 2 * hd + f)];
+        let (x, rest) = arena.split_at_mut(n * d);
+        let (h, rest) = rest.split_at_mut(n * d);
+        let (qkv, rest) = rest.split_at_mut(n * 3 * d);
+        let (cat, rest) = rest.split_at_mut(n * d);
+        let (scores, rest) = rest.split_at_mut(n * n);
+        let (v, rest) = rest.split_at_mut(n * hd);
+        let (head, ffn) = rest.split_at_mut(n * hd);
+
+        let pe = self.derived.pe.data().chunks_exact(d);
+        for ((xr, &id), per) in x.chunks_exact_mut(d).zip(ids).zip(pe) {
+            let embedded = self.params.token_embed.row(id as usize);
+            for ((xv, &e), &p) in xr.iter_mut().zip(embedded).zip(per) {
+                *xv = e + p;
+            }
         }
-        let mut g = Graph::new();
-        let bound = self.bind(&mut g);
-        let hidden = self.encode(&mut g, &bound, ids);
-        let pooled = g.mean_pool(hidden);
-        Embedding(g.value(pooled).data().to_vec())
+        for (l, packed) in self.params.layers.iter().zip(&self.derived.qkv) {
+            // x ← x + MHA(LN(x)), all heads' q|k|v from one product.
+            layer_norm_rows(x, l.ln1_gamma.data(), l.ln1_beta.data(), h);
+            matmul_into(h, n, d, packed.data(), 3 * d, qkv);
+            for hi in 0..l.wq.len() {
+                let (q0, k0, v0) = (hi * hd, d + hi * hd, 2 * d + hi * hd);
+                for (srow, qrow) in scores.chunks_exact_mut(n).zip(qkv.chunks_exact(3 * d)) {
+                    let q = &qrow[q0..q0 + hd];
+                    for (s, krow) in srow.iter_mut().zip(qkv.chunks_exact(3 * d)) {
+                        *s = kernels::dot(q, &krow[k0..k0 + hd]) * scale;
+                    }
+                }
+                softmax_rows(scores, n);
+                for (vr, row) in v.chunks_exact_mut(hd).zip(qkv.chunks_exact(3 * d)) {
+                    vr.copy_from_slice(&row[v0..v0 + hd]);
+                }
+                matmul_into(scores, n, n, v, hd, head);
+                for (cr, hr) in cat.chunks_exact_mut(d).zip(head.chunks_exact(hd)) {
+                    cr[q0..q0 + hd].copy_from_slice(hr);
+                }
+            }
+            matmul_into(cat, n, d, l.wo.data(), d, h);
+            for (xv, &p) in x.iter_mut().zip(h.iter()) {
+                *xv += p;
+            }
+            // x ← x + FFN(LN(x)), biases added where the tape adds them.
+            layer_norm_rows(x, l.ln2_gamma.data(), l.ln2_beta.data(), h);
+            matmul_into(h, n, d, l.w1.data(), f, ffn);
+            for row in ffn.chunks_exact_mut(f) {
+                for (a, &b) in row.iter_mut().zip(l.b1.data()) {
+                    *a = gelu_scalar(*a + b);
+                }
+            }
+            matmul_into(ffn, n, f, l.w2.data(), d, cat);
+            for (xr, fr) in x.chunks_exact_mut(d).zip(cat.chunks_exact(d)) {
+                for ((xv, &fv), &b) in xr.iter_mut().zip(fr).zip(l.b2.data()) {
+                    *xv += fv + b;
+                }
+            }
+        }
+        let (gamma, beta) = (
+            self.params.final_gamma.data(),
+            self.params.final_beta.data(),
+        );
+        layer_norm_rows(x, gamma, beta, h);
+        mean_rows_into(h, n, out);
     }
 
     /// Code, config, vocab and every parameter as a raw little-endian f32
@@ -344,7 +472,9 @@ impl Transformer {
     /// config is validated first and each tensor is checked against the
     /// shape it implies as it is read, so a damaged cache is
     /// `ErError::Corrupt` — never a panic, and never an allocation larger
-    /// than the bytes present.
+    /// than the bytes present. `max_len` sizes no saved tensor, only the
+    /// derived positional table (`max_len × dim`), so a config whose table
+    /// would outgrow the weights it came with is `Corrupt` too.
     pub(crate) fn from_bytes(body: &[u8], init_ns: u64) -> Result<Transformer> {
         let mut r = BinReader::new(body);
         let code = read_code(&mut r)?;
@@ -366,7 +496,15 @@ impl Transformer {
             Ok(Tensor::from_rows(rows, cols, &r.get_matrix(rows, cols)?))
         })?;
         r.finish()?;
+        let weights: usize = params.list().iter().map(|t| t.data().len()).sum();
+        if config.max_len > weights / config.dim {
+            return Err(ErError::corrupt(format!(
+                "{code}: max_len {} exceeds the {weights} weights present",
+                config.max_len
+            )));
+        }
         Ok(Transformer {
+            derived: Derived::build(&config, &params),
             code,
             vocab,
             config,
@@ -395,20 +533,24 @@ impl LanguageModel for Transformer {
     }
 
     fn embed(&self, text: &str) -> Embedding {
-        self.pool_ids(&self.encode_ids(text))
+        let mut v = vec![0.0f32; self.config.dim];
+        self.embed_into(text, &mut v);
+        Embedding(v)
     }
 
+    /// Mean-pooled final hidden states of `text`'s in-vocabulary tokens,
+    /// through the tape-free forward pass; a record with none embeds to
+    /// the zero vector (the all-OOV contract every zoo model shares).
+    /// Allocates the normalized string, the id list and one scratch
+    /// vector.
     fn embed_into(&self, text: &str, out: &mut [f32]) {
-        let ids = self.encode_ids(text);
+        debug_assert_eq!(out.len(), self.config.dim, "embed_into row/dim mismatch");
+        let ids = self.token_ids(text);
         if ids.is_empty() {
             out.fill(0.0);
             return;
         }
-        let mut g = Graph::new();
-        let bound = self.bind(&mut g);
-        let hidden = self.encode(&mut g, &bound, &ids);
-        let pooled = g.mean_pool(hidden);
-        out.copy_from_slice(g.value(pooled).data());
+        self.forward_into(&ids, out);
     }
 }
 
@@ -445,6 +587,133 @@ mod tests {
             max_len: 6,
         };
         Transformer::init(ModelCode::BT, vocab, config, &mut rng(5))
+    }
+
+    /// A model at the fast zoo's BT shape (64-d, 4 heads, 2 layers, ffn
+    /// 128, max_len 16) over the words `w0 … w23`.
+    fn fast_shape() -> Transformer {
+        let mut c = Corpus::new();
+        c.push_text(&(0..24).map(|i| format!("w{i} ")).collect::<String>());
+        let vocab = Vocab::build(&c, 1).with_special(er_text::MASK_TOKEN);
+        let config = TransformerConfig {
+            dim: 64,
+            layers: 2,
+            heads: 4,
+            ffn: 128,
+            max_len: 16,
+        };
+        Transformer::init(ModelCode::BT, vocab, config, &mut rng(9))
+    }
+
+    /// Overwrite every weight with seeded noise at `scale` — biases and
+    /// layer-norm parameters included, so every term of the forward pass
+    /// is live — and reseal.
+    fn randomize(t: &mut Transformer, scale: f32, seed: u64) {
+        let mut r = rng(seed);
+        for p in t.param_tensors_mut() {
+            *p = Tensor::randn(p.rows(), p.cols(), scale, &mut r);
+        }
+        t.seal(0);
+    }
+
+    /// The taped oracle: `encode` + `mean_pool` inside a fresh `Graph`.
+    fn taped(t: &Transformer, ids: &[u32]) -> Vec<f32> {
+        if ids.is_empty() {
+            return vec![0.0; t.config.dim];
+        }
+        let mut g = Graph::new();
+        let bound = t.bind(&mut g);
+        let hidden = t.encode(&mut g, &bound, ids);
+        let pooled = g.mean_pool(hidden);
+        g.value(pooled).data().to_vec()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `embed` and `embed_into` agree with the tape bit for bit on `texts`.
+    fn assert_matches_tape(t: &Transformer, texts: &[String]) {
+        for text in texts {
+            let want = bits(&taped(t, &t.token_ids(text)));
+            let got = t.embed(text);
+            assert!(got.is_finite(), "embed({text:?}) is not finite");
+            assert_eq!(bits(got.as_slice()), want, "embed({text:?})");
+            let mut row = vec![f32::NAN; t.config.dim];
+            t.embed_into(text, &mut row);
+            assert_eq!(bits(&row), want, "embed_into({text:?})");
+        }
+    }
+
+    /// One token, a repeated token, exactly `max_len` tokens, more than
+    /// `max_len` (truncation), all-OOV and empty, over `words`.
+    fn edge_inputs(words: &[&str], max_len: usize) -> Vec<String> {
+        let run = |n: usize| -> String {
+            (0..n)
+                .map(|i| words[i % words.len()])
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        vec![
+            words[0].to_string(),
+            format!("{0} {0} {0}", words[1]),
+            run(max_len),
+            run(max_len + 5),
+            "zzz qqq www".to_string(),
+            String::new(),
+        ]
+    }
+
+    #[test]
+    fn inference_matches_the_tape_bit_for_bit_on_the_toy_model() {
+        let t = toy();
+        let words = ["golden", "palace", "grill", "downtown", "royal", "cafe"];
+        let mut texts = edge_inputs(&words, t.config.max_len);
+        texts.push("Royal  GARDEN, cafe — uptown!".to_string());
+        assert_matches_tape(&t, &texts);
+    }
+
+    #[test]
+    fn inference_matches_the_tape_bit_for_bit_at_the_fast_zoo_shape() {
+        let mut t = fast_shape();
+        let words: Vec<String> = (0..24).map(|i| format!("w{i}")).collect();
+        let words: Vec<&str> = words.iter().map(String::as_str).collect();
+        let mut texts = edge_inputs(&words, t.config.max_len);
+        texts.push("w3 unknown w17 w3 w0 w22 w9".to_string());
+        // At init (0.02-scale matrices, unit gains, zero biases), then with
+        // every weight random; at scale 1.5 some attention probabilities
+        // underflow to exactly zero, which exercises the product's
+        // zero-skip.
+        assert_matches_tape(&t, &texts);
+        for (scale, seed) in [(0.5, 17), (1.5, 18)] {
+            randomize(&mut t, scale, seed);
+            assert_matches_tape(&t, &texts);
+        }
+    }
+
+    #[test]
+    fn edited_and_resealed_weights_reach_inference() {
+        let mut t = toy();
+        let text = "golden palace grill downtown";
+        let before = t.embed(text);
+        randomize(&mut t, 0.3, 23);
+        let after = t.embed(text);
+        assert_ne!(before, after, "seal must rebuild the inference tables");
+        assert_matches_tape(&t, &[text.to_string()]);
+    }
+
+    #[test]
+    fn cache_load_rejects_a_positional_table_larger_than_the_weights() {
+        let mut t = toy();
+        let mut w = BinWriter::new();
+        t.to_writer(&mut w);
+        let loaded = Transformer::from_bytes(&w.into_bytes(), 0).expect("round trip");
+        assert_eq!(loaded.embed("royal garden"), t.embed("royal garden"));
+        t.config.max_len = 1 << 40;
+        let mut w = BinWriter::new();
+        t.to_writer(&mut w);
+        let err = Transformer::from_bytes(&w.into_bytes(), 0).unwrap_err();
+        assert!(matches!(err, ErError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //! assert_eq!(g.grad(wv).rows(), 2);
 //! ```
 
+use crate::ops::{
+    gelu_scalar, layer_norm_rows, mean_rows_into, row_moments, softmax_rows, GELU_COEFF,
+    SQRT_2_OVER_PI,
+};
 use crate::tensor::{matmul, matmul_nt, Tensor};
-
-/// Numerical floor inside layer-norm's `1/√(σ² + ε)`.
-pub const LAYER_NORM_EPS: f32 = 1e-5;
 
 /// Handle to one node of a [`Graph`]. Cheap to copy; only meaningful for
 /// the graph that created it.
@@ -191,28 +192,21 @@ impl Graph {
     /// cannot overflow.
     pub fn softmax(&mut self, a: Var) -> Var {
         let mut value = self.value(a).clone();
-        softmax_rows(&mut value);
+        let cols = value.cols();
+        softmax_rows(value.data_mut(), cols);
         self.push(value, Op::Softmax(a))
     }
 
     /// Row-wise layer normalization: `γ ⊙ (x − μ)/√(σ² + ε) + β` with
-    /// `gamma`/`beta` as `1×d` rows and [`LAYER_NORM_EPS`].
+    /// `gamma`/`beta` as `1×d` rows and [`crate::LAYER_NORM_EPS`].
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var) -> Var {
         let (vx, vg, vb) = (self.value(x), self.value(gamma), self.value(beta));
         assert_eq!(vg.rows(), 1, "layer_norm: gamma must be 1×d");
         assert_eq!(vb.rows(), 1, "layer_norm: beta must be 1×d");
         assert_eq!(vx.cols(), vg.cols(), "layer_norm gamma width mismatch");
         assert_eq!(vx.cols(), vb.cols(), "layer_norm beta width mismatch");
-        let cols = vx.cols();
-        let mut value = Tensor::zeros(vx.rows(), cols);
-        for r in 0..vx.rows() {
-            let row = vx.row(r);
-            let (mean, inv_std) = row_moments(row);
-            for (c, &xc) in row.iter().enumerate() {
-                let xhat = (xc - mean) * inv_std;
-                value.set(r, c, vg.get(0, c) * xhat + vb.get(0, c));
-            }
-        }
+        let mut value = Tensor::zeros(vx.rows(), vx.cols());
+        layer_norm_rows(vx.data(), vg.data(), vb.data(), value.data_mut());
         self.push(value, Op::LayerNorm { x, gamma, beta })
     }
 
@@ -268,14 +262,8 @@ impl Graph {
     /// Column-wise mean over rows: `(n×d) → (1×d)` — sentence pooling.
     pub fn mean_pool(&mut self, a: Var) -> Var {
         let va = self.value(a);
-        assert!(va.rows() > 0, "mean_pool of an empty tensor");
-        let inv = 1.0 / va.rows() as f32;
         let mut value = Tensor::zeros(1, va.cols());
-        for r in 0..va.rows() {
-            for (acc, &x) in value.data_mut().iter_mut().zip(va.row(r)) {
-                *acc += x * inv;
-            }
-        }
+        mean_rows_into(va.data(), va.rows(), value.data_mut());
         self.push(value, Op::MeanPool(a))
     }
 
@@ -493,7 +481,8 @@ impl Graph {
                     let g = grad.get(0, 0) / targets.len().max(1) as f32;
                     // dlogits = (softmax(z) − onehot(t)) · g, per row.
                     let mut probs = self.value(logits).clone();
-                    softmax_rows(&mut probs);
+                    let cols = probs.cols();
+                    softmax_rows(probs.data_mut(), cols);
                     let lg = &mut self.nodes[logits.0].grad;
                     for (r, t) in targets.into_iter().enumerate() {
                         for c in 0..probs.cols() {
@@ -522,40 +511,6 @@ fn elementwise_product(a: &Tensor, b: &Tensor) -> Tensor {
         *x *= y;
     }
     out
-}
-
-/// `(mean, 1/√(σ² + ε))` of one row — shared by layer-norm forward and
-/// backward so both see bit-identical statistics.
-fn row_moments(row: &[f32]) -> (f32, f32) {
-    let n = row.len() as f32;
-    let mean = row.iter().sum::<f32>() / n;
-    let var = row.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / n;
-    (mean, 1.0 / (var + LAYER_NORM_EPS).sqrt())
-}
-
-/// In-place row-wise softmax with max subtraction.
-fn softmax_rows(t: &mut Tensor) {
-    let cols = t.cols();
-    for r in 0..t.rows() {
-        let row = &mut t.data_mut()[r * cols..(r + 1) * cols];
-        let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-        let mut z = 0.0f32;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            z += *x;
-        }
-        for x in row.iter_mut() {
-            *x /= z;
-        }
-    }
-}
-
-const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-const GELU_COEFF: f32 = 0.044_715;
-
-/// GELU, tanh approximation: `0.5x(1 + tanh(√(2/π)(x + 0.044715x³)))`.
-fn gelu_scalar(x: f32) -> f32 {
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x)).tanh())
 }
 
 /// Analytic derivative of [`gelu_scalar`].
@@ -615,6 +570,16 @@ mod tests {
         let loss = g.sum(y);
         g.backward(loss);
         assert_eq!(g.grad(x).data(), &[2.0, 2.0]);
+    }
+
+    #[test]
+    fn zero_width_rows_pass_through_the_row_ops() {
+        let mut g = Graph::new();
+        let x = g.constant(Tensor::zeros(3, 0));
+        let y = g.softmax(x);
+        let empty = g.constant(Tensor::zeros(1, 0));
+        let z = g.layer_norm(y, empty, empty);
+        assert_eq!((g.value(z).rows(), g.value(z).cols()), (3, 0));
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! er-tensor — tensor + reverse-mode autograd engine (DESIGN.md inventory
 //! row 1: "Substrate for all neural models").
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! - [`tensor`]: dense row-major 2-D [`Tensor`] storage plus the matmul
-//!   kernels ([`tensor::matmul`], [`tensor::matmul_nt`]).
+//!   kernels ([`tensor::matmul`], [`tensor::matmul_nt`]) and the slice-level
+//!   body they share with inference ([`tensor::matmul_into`]).
+//! - [`ops`]: the forward float bodies of layer-norm, softmax, GELU and
+//!   mean-pool on plain slices — one definition, called by the tape and by
+//!   `er-embed`'s tape-free transformer inference alike.
 //! - [`autograd`]: a tape-based reverse-mode [`Graph`] over those tensors
 //!   with the transformer op set (matmul, add/mul, softmax, layer-norm,
 //!   GELU, gather, mean-pool, cross-entropy, …).
@@ -27,10 +31,12 @@
 //! miscompilation the debug run can't see.
 
 pub mod autograd;
+pub mod ops;
 pub mod optim;
 pub mod tensor;
 
-pub use autograd::{Graph, Var, LAYER_NORM_EPS};
+pub use autograd::{Graph, Var};
+pub use ops::LAYER_NORM_EPS;
 pub use optim::{clip_grad_norm, Adam, Sgd};
 pub use tensor::Tensor;
 

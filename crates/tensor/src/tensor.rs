@@ -81,25 +81,37 @@ impl Tensor {
     }
 }
 
-/// `a (m x k) * b (k x n)`, with the k-loop innermost-but-one so rows of
-/// `b` stream sequentially through cache.
+/// `a (m x k) * b (k x n)`; see [`matmul_into`] for the loop order.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.cols, b.rows, "matmul shape mismatch");
     let mut out = Tensor::zeros(a.rows, b.cols);
-    for i in 0..a.rows {
-        for kk in 0..a.cols {
-            let aik = a.data[i * a.cols + kk];
+    matmul_into(&a.data, a.rows, a.cols, &b.data, b.cols, &mut out.data);
+    out
+}
+
+/// `out (m x n) = a (m x k) * b (k x n)` over row-major slices, with the
+/// k-loop innermost-but-one so rows of `b` stream sequentially through
+/// cache, and zero entries of `a` skipped. Each output element is its
+/// k-sum taken in order from zero, so splitting `b` by columns (or packing
+/// several `b`s side by side) leaves every output bit unchanged.
+pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "matmul lhs shape mismatch");
+    assert_eq!(b.len(), k * n, "matmul rhs shape mismatch");
+    assert_eq!(out.len(), m * n, "matmul output shape mismatch");
+    out.fill(0.0);
+    if k == 0 || n == 0 {
+        return;
+    }
+    for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (&aik, brow) in arow.iter().zip(b.chunks_exact(n)) {
             if aik == 0.0 {
                 continue;
             }
-            let brow = &b.data[kk * b.cols..(kk + 1) * b.cols];
-            let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += aik * bv;
             }
         }
     }
-    out
 }
 
 /// `a (m x k) * bᵀ` for `b (n x k)` — the attention-score shape, computed
