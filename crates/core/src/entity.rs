@@ -177,15 +177,22 @@ impl GroundTruth {
     }
 
     pub fn contains(&self, left: EntityId, right: EntityId) -> bool {
+        self.pairs.contains(&self.normalize(left, right))
+    }
+
+    /// A predicted pair in this ground truth's convention: as-is for
+    /// Clean-Clean, `(min, max)` for Dirty ER — the key evaluators
+    /// deduplicate predictions on, so `(a, b)` and `(b, a)` count once.
+    pub fn normalize(&self, left: EntityId, right: EntityId) -> (EntityId, EntityId) {
         if self.dirty && left > right {
-            self.pairs.contains(&(right, left))
+            (right, left)
         } else {
-            self.pairs.contains(&(left, right))
+            (left, right)
         }
     }
 
-    /// Whether this ground truth is order-free (Dirty ER). Evaluators use
-    /// it to normalize predicted pairs the same way the stored pairs were.
+    /// Whether this ground truth is order-free (Dirty ER), so that `(a, b)`
+    /// and `(b, a)` name one pair.
     pub fn is_dirty(&self) -> bool {
         self.dirty
     }

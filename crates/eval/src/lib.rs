@@ -76,13 +76,7 @@ impl Metrics {
     ) -> Metrics {
         let unique: BTreeSet<(EntityId, EntityId)> = predicted
             .into_iter()
-            .map(|(l, r)| {
-                if gt.is_dirty() && l > r {
-                    (r, l)
-                } else {
-                    (l, r)
-                }
-            })
+            .map(|(l, r)| gt.normalize(l, r))
             .collect();
         let tp = unique.iter().filter(|(l, r)| gt.contains(*l, *r)).count();
         let fp = unique.len() - tp;

@@ -5,10 +5,23 @@
 //! turns "UMC with some threshold" into a concrete, reproducible
 //! configuration — the paper reads its headline unsupervised-matching
 //! numbers off exactly this curve.
+//!
+//! UMC is swept in one pass. Its acceptance list at a δ is a prefix of its
+//! acceptance list at any lower δ: the candidates scoring ≥ δ are a prefix
+//! of the `total_cmp` score-descending order, and greedy acceptance over a
+//! prefix makes the same `seen` decisions as over the whole list. So UMC
+//! runs once, at the grid's smallest δ; one walk over its acceptance list
+//! records prefix counts of distinct (order-normalised) pairs and of true
+//! positives; and each δ is a `partition_point` on that list. The sweep
+//! costs one sort plus O(pairs + grid · log pairs), and every point is
+//! bit-identical to clustering and scoring that δ on its own. The other
+//! clusterers — Kiraly has no prefix property — run once per δ.
 
 use crate::clusterers::Clusterer;
+use crate::umc::unique_mapping_clustering;
 use er_core::{GroundTruth, ScoredPair};
 use er_eval::Metrics;
+use std::collections::HashSet;
 
 /// One evaluated operating point of the sweep.
 #[derive(Debug, Clone)]
@@ -26,7 +39,7 @@ pub struct SweepPoint {
 pub struct ThresholdSweep {
     /// Which clusterer produced the curve.
     pub clusterer: Clusterer,
-    /// One point per δ, in ascending-δ order.
+    /// One point per δ of the grid, in the caller's grid order.
     pub points: Vec<SweepPoint>,
 }
 
@@ -56,31 +69,35 @@ impl ThresholdSweep {
         clusterer: Clusterer,
         deltas: &[f32],
     ) -> ThresholdSweep {
-        let points = deltas
-            .iter()
-            .map(|&delta| {
-                let matches = clusterer.cluster(pairs, delta);
-                let metrics = Metrics::of_pairs(&matches, gt);
-                SweepPoint {
-                    delta,
-                    matches,
-                    metrics,
-                }
-            })
-            .collect();
+        let points = if clusterer == Clusterer::UniqueMapping {
+            umc_points(pairs, gt, deltas)
+        } else {
+            deltas
+                .iter()
+                .map(|&delta| {
+                    let matches = clusterer.cluster(pairs, delta);
+                    let metrics = Metrics::of_pairs(&matches, gt);
+                    SweepPoint {
+                        delta,
+                        matches,
+                        metrics,
+                    }
+                })
+                .collect()
+        };
         ThresholdSweep { clusterer, points }
     }
 
-    /// The best-F1 operating point; the *lowest* δ wins ties, matching the
-    /// paper's preference for recall when F1 is indifferent. `None` only
-    /// for an empty grid.
+    /// The best-F1 operating point; ties break toward the smaller δ (by
+    /// `f32::total_cmp`), matching the paper's preference for recall when
+    /// F1 is indifferent, whatever the grid order. `None` only for an
+    /// empty grid.
     pub fn best(&self) -> Option<&SweepPoint> {
-        self.points.iter().reduce(|best, point| {
-            if point.metrics.f1 > best.metrics.f1 {
-                point
-            } else {
-                best
-            }
+        self.points.iter().max_by(|a, b| {
+            a.metrics
+                .f1
+                .total_cmp(&b.metrics.f1)
+                .then_with(|| b.delta.total_cmp(&a.delta))
         })
     }
 
@@ -89,6 +106,41 @@ impl ThresholdSweep {
     pub fn f1_curve(&self) -> Vec<f64> {
         self.points.iter().map(|p| p.metrics.f1).collect()
     }
+}
+
+/// UMC's sweep points, read off one acceptance list (see the module doc).
+fn umc_points(pairs: &[ScoredPair], gt: &GroundTruth, deltas: &[f32]) -> Vec<SweepPoint> {
+    // `f32::min` skips NaN, so a grid with no real δ folds to NaN, at which
+    // UMC — like `score >= NaN` — accepts nothing.
+    let floor = deltas.iter().copied().fold(f32::NAN, f32::min);
+    let accepted = unique_mapping_clustering(pairs, floor);
+    // `counts[i]` = (distinct normalised pairs, true positives) among
+    // `accepted[..i]`: `Metrics::of_pairs`' dedup, one prefix at a time.
+    // UMC's output is one-to-one, so its pairs are distinct; only Dirty ER
+    // can accept a pair and its mirror, which count once.
+    let mut seen = HashSet::new();
+    let mut counts = Vec::with_capacity(accepted.len() + 1);
+    let (mut unique, mut tp) = (0, 0);
+    counts.push((unique, tp));
+    for p in &accepted {
+        if !gt.is_dirty() || seen.insert(gt.normalize(p.left, p.right)) {
+            unique += 1;
+            tp += usize::from(gt.contains(p.left, p.right));
+        }
+        counts.push((unique, tp));
+    }
+    deltas
+        .iter()
+        .map(|&delta| {
+            let len = accepted.partition_point(|p| p.score >= delta);
+            let (unique, tp) = counts[len];
+            SweepPoint {
+                delta,
+                matches: accepted[..len].to_vec(),
+                metrics: Metrics::from_counts(tp, unique - tp, gt.len() - tp),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -126,6 +178,20 @@ mod tests {
         assert_eq!(best.metrics.f1, 1.0);
         // F1 is perfect on [0.35, 0.79]: decoys gone, matches kept. The
         // tie-break picks the lowest such δ on the grid.
+        assert!((best.delta - 0.35).abs() < 1e-6, "{}", best.delta);
+    }
+
+    #[test]
+    fn best_breaks_ties_on_the_smaller_delta_whatever_the_grid_order() {
+        let (pairs, gt) = fixture();
+        let mut deltas = ThresholdSweep::paper_deltas();
+        deltas.reverse();
+        let sweep = ThresholdSweep::run_with(&pairs, &gt, Clusterer::UniqueMapping, &deltas);
+        // Points follow the caller's grid order...
+        assert_eq!(sweep.points[0].delta, 0.95);
+        // ...but the tie over F1 = 1 on [0.35, 0.79] still goes to 0.35.
+        let best = sweep.best().expect("non-empty grid");
+        assert_eq!(best.metrics.f1, 1.0);
         assert!((best.delta - 0.35).abs() < 1e-6, "{}", best.delta);
     }
 

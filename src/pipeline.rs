@@ -182,9 +182,15 @@ impl<'m> Pipeline<'m> {
             let points = sweep.points.len();
             (sweep, points)
         });
-        let best_delta = sweep.best().map(|p| p.delta).unwrap_or(0.0);
+        let best = sweep.best();
+        let best_delta = best.map(|p| p.delta).unwrap_or(0.0);
+        // The sweep already clustered at the best δ; only an empty grid
+        // falls back to clustering at δ = 0.
         let matches = report.time("match", || {
-            let matches = config.clusterer.cluster(&candidates, best_delta);
+            let matches = match best {
+                Some(point) => point.matches.clone(),
+                None => config.clusterer.cluster(&candidates, best_delta),
+            };
             let count = matches.len();
             (matches, count)
         });

@@ -6,7 +6,9 @@
 //! Rows: every tiny-zoo model's embedding bits on D1, on a probe list and
 //! on a char-boundary probe list, the canonical `OperatingPoint::to_json`
 //! bytes, the autotuner's chosen point and trial list, blocking candidates
-//! with their score bits, the PQ index container bytes on D1, and the
+//! with their score bits, `search_counted` eval counts per query, UMC and
+//! Kiraly threshold sweeps (Clean-Clean and Dirty ER) with their match and
+//! metric bits, the PQ index container bytes on D1, and the
 //! `Resolver` save bytes (four backend/scan layouts) and per-shard journal
 //! bytes after a seeded write stream. The digests are identical in debug
 //! and release builds.
@@ -16,6 +18,7 @@
 //! `GOLDEN_PRINT=1 cargo test --test golden -- --nocapture`.
 
 use embeddings4er::core::binary::fnv1a64;
+use embeddings4er::index::AnyIndex;
 use embeddings4er::prelude::*;
 use rand::Rng;
 use std::sync::OnceLock;
@@ -273,57 +276,193 @@ const BLOCKING: &[(&str, u64)] = &[
     ("lsh_default_euclidean", 0xaded4cd6417f4b92),
 ];
 
+/// The five D1 blocking points the `BLOCKING` and `EVALS` rows pin:
+/// Exact at three scan tiers, HNSW and LSH at their defaults.
+fn d1_points(metric: Metric) -> [(&'static str, OperatingPoint); 5] {
+    let exact = |tier, quant| {
+        OperatingPoint::new(10)
+            .backend(BlockerBackend::Exact(metric))
+            .scan(ScanConfig { tier, quant })
+    };
+    [
+        (
+            "exact_reference",
+            exact(KernelTier::Reference, Quantization::None),
+        ),
+        ("exact_lanes", exact(KernelTier::Lanes, Quantization::None)),
+        (
+            "exact_int8",
+            exact(KernelTier::Lanes, Quantization::Int8 { rerank: 40 }),
+        ),
+        (
+            "hnsw_default",
+            OperatingPoint::new(10).backend(BlockerBackend::Hnsw(HnswConfig {
+                metric,
+                ..HnswConfig::default()
+            })),
+        ),
+        (
+            "lsh_default",
+            OperatingPoint::new(10).backend(BlockerBackend::Lsh(LshConfig {
+                metric,
+                ..LshConfig::default()
+            })),
+        ),
+    ]
+}
+
+fn ids(entities: &[Entity]) -> Vec<EntityId> {
+    entities.iter().map(|e| e.id).collect()
+}
+
+fn scored_pair_bytes(bytes: &mut Vec<u8>, pairs: &[ScoredPair]) {
+    for p in pairs {
+        bytes.extend_from_slice(&p.left.0.to_le_bytes());
+        bytes.extend_from_slice(&p.right.0.to_le_bytes());
+        bytes.extend_from_slice(&p.score.to_bits().to_le_bytes());
+    }
+}
+
 #[test]
 fn blocking_candidates_and_scores_on_d1() {
     let ds = CleanCleanDataset::generate(DatasetId::D1, 42);
     let (left, right) = embedded(&ds);
-    let left_ids: Vec<EntityId> = ds.left.iter().map(|e| e.id).collect();
-    let right_ids: Vec<EntityId> = ds.right.iter().map(|e| e.id).collect();
+    let (left_ids, right_ids) = (ids(&ds.left), ids(&ds.right));
     let mut got = Vec::new();
     for (metric_name, metric) in METRICS {
-        let exact = |tier, quant| {
-            OperatingPoint::new(10)
-                .backend(BlockerBackend::Exact(metric))
-                .scan(ScanConfig { tier, quant })
-        };
-        let configs = [
-            (
-                "exact_reference",
-                exact(KernelTier::Reference, Quantization::None),
-            ),
-            ("exact_lanes", exact(KernelTier::Lanes, Quantization::None)),
-            (
-                "exact_int8",
-                exact(KernelTier::Lanes, Quantization::Int8 { rerank: 40 }),
-            ),
-            (
-                "hnsw_default",
-                OperatingPoint::new(10).backend(BlockerBackend::Hnsw(HnswConfig {
-                    metric,
-                    ..HnswConfig::default()
-                })),
-            ),
-            (
-                "lsh_default",
-                OperatingPoint::new(10).backend(BlockerBackend::Lsh(LshConfig {
-                    metric,
-                    ..LshConfig::default()
-                })),
-            ),
-        ];
-        for (name, config) in configs {
+        for (name, config) in d1_points(metric) {
             let scored =
                 top_k_blocking_scored_matrix(&left_ids, &left, &right_ids, &right, &config);
             let mut bytes = Vec::new();
-            for p in &scored {
-                bytes.extend_from_slice(&p.left.0.to_le_bytes());
-                bytes.extend_from_slice(&p.right.0.to_le_bytes());
-                bytes.extend_from_slice(&p.score.to_bits().to_le_bytes());
-            }
+            scored_pair_bytes(&mut bytes, &scored);
             got.push((format!("{name}_{metric_name}"), fnv1a64(&bytes)));
         }
     }
     check("BLOCKING", &got, BLOCKING);
+}
+
+const EVALS: &[(&str, u64)] = &[
+    ("exact_reference_cosine", 0x14fcb095695551a5),
+    ("exact_lanes_cosine", 0x14fcb095695551a5),
+    ("exact_int8_cosine", 0x5269a77b82c41125),
+    ("hnsw_default_cosine", 0x17adf1f2e65a7fa5),
+    ("lsh_default_cosine", 0xca874fdaaf487066),
+    ("exact_reference_euclidean", 0x14fcb095695551a5),
+    ("exact_lanes_euclidean", 0x14fcb095695551a5),
+    ("exact_int8_euclidean", 0x5269a77b82c41125),
+    ("hnsw_default_euclidean", 0x8273675375a44199),
+    ("lsh_default_euclidean", 0xca874fdaaf487066),
+];
+
+/// Per-query distance-evaluation counts of `search_counted` for every left
+/// record of D1 against the right-hand index, under each blocking point's
+/// own query parameters.
+#[test]
+fn search_counted_evals_on_d1() {
+    let (left, right) = embedded(&CleanCleanDataset::generate(DatasetId::D1, 42));
+    let mut got = Vec::new();
+    for (metric_name, metric) in METRICS {
+        for (name, config) in d1_points(metric) {
+            let index = AnyIndex::build(&right, &config.backend, config.scan).expect("builds");
+            let params = config.query_params();
+            let mut bytes = Vec::new();
+            for i in 0..left.len() {
+                let (_, evals) = index.search_counted(left.row(i), config.k, &params);
+                bytes.extend_from_slice(&evals.to_le_bytes());
+            }
+            got.push((format!("{name}_{metric_name}"), fnv1a64(&bytes)));
+        }
+    }
+    check("EVALS", &got, EVALS);
+}
+
+const SWEEP: &[(&str, u64)] = &[
+    ("umc_cosine", 0x5e89b3ca9dcf019e),
+    ("kiraly_cosine", 0x8c0834c6bc79b7f2),
+    ("umc_euclidean", 0xbffc43050fe7b83c),
+    ("kiraly_euclidean", 0x5dbf15399be144b0),
+    ("umc_dirty_cosine", 0x7303c427cbb4f91e),
+    ("kiraly_dirty_cosine", 0x85bad2799323b8ea),
+];
+
+/// Fold a threshold sweep: per point, the δ bits, every match's ids and
+/// score bits, and the precision/recall/F1 bits.
+fn sweep_bits(sweep: &ThresholdSweep) -> u64 {
+    let mut bytes = Vec::new();
+    for point in &sweep.points {
+        bytes.extend_from_slice(&point.delta.to_bits().to_le_bytes());
+        scored_pair_bytes(&mut bytes, &point.matches);
+        let m = &point.metrics;
+        for x in [m.precision, m.recall, m.f1] {
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+    fnv1a64(&bytes)
+}
+
+/// UMC and Kiraly swept over the paper grid on D1's exact-`Reference`
+/// candidates, for both metrics, plus a Dirty-ER case: D1's two sides as
+/// one collection (right ids shifted past the left ones) blocked against
+/// itself without order normalisation, self-pairs dropped, so mirrored
+/// `(a, b)` / `(b, a)` candidates reach the clusterer and the dirty
+/// ground truth's order-free scoring.
+#[test]
+fn threshold_sweeps_on_d1_candidates() {
+    let ds = CleanCleanDataset::generate(DatasetId::D1, 42);
+    let (left, right) = embedded(&ds);
+    let (left_ids, right_ids) = (ids(&ds.left), ids(&ds.right));
+    let deltas = ThresholdSweep::paper_deltas();
+    let clusterers = [
+        ("umc", Clusterer::UniqueMapping),
+        ("kiraly", Clusterer::Kiraly),
+    ];
+    let reference = |metric| {
+        OperatingPoint::new(10)
+            .backend(BlockerBackend::Exact(metric))
+            .scan(ScanConfig::with_tier(KernelTier::Reference))
+    };
+    let mut got = Vec::new();
+    for (metric_name, metric) in METRICS {
+        let scored =
+            top_k_blocking_scored_matrix(&left_ids, &left, &right_ids, &right, &reference(metric));
+        for (name, clusterer) in clusterers {
+            let sweep = ThresholdSweep::run_with(&scored, &ds.ground_truth, clusterer, &deltas);
+            got.push((format!("{name}_{metric_name}"), sweep_bits(&sweep)));
+        }
+    }
+    let offset = ds.left.len() as u32;
+    let shift = |id: EntityId| EntityId(id.0 + offset);
+    let mut all = ds.left.clone();
+    all.extend(
+        ds.right
+            .iter()
+            .map(|e| Entity::new(shift(e.id), e.attributes.clone())),
+    );
+    let all_ids = ids(&all);
+    let matrix = Pipeline::new(fasttext(), SerializationMode::SchemaAgnostic).vectorize(&all);
+    let scored: Vec<ScoredPair> = top_k_blocking_scored_matrix(
+        &all_ids,
+        &matrix,
+        &all_ids,
+        &matrix,
+        &reference(Metric::Cosine),
+    )
+    .into_iter()
+    .filter(|p| p.left != p.right)
+    .collect();
+    let gt = GroundTruth::dirty(ds.ground_truth.iter().map(|(l, r)| (l, shift(r))));
+    for (name, clusterer) in clusterers {
+        let sweep = ThresholdSweep::run_with(&scored, &gt, clusterer, &deltas);
+        let matches = &sweep.points[0].matches;
+        assert!(
+            matches
+                .iter()
+                .any(|p| matches.iter().any(|q| q.id_pair() == (p.right, p.left))),
+            "{name}: the dirty row must accept mirrored matches"
+        );
+        got.push((format!("{name}_dirty_cosine"), sweep_bits(&sweep)));
+    }
+    check("SWEEP", &got, SWEEP);
 }
 
 const INDEX_BYTES: &[(&str, u64)] = &[

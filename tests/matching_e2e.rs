@@ -42,8 +42,8 @@ fn umc_sweep_on_d1_reaches_f1_080_at_its_best_delta() {
         best.delta
     );
     assert_eq!(best.delta, outcome.best_delta);
-    // resolve's matches are the clusterer re-run at the best δ; UMC is
-    // deterministic, so they equal the sweep point's matches exactly.
+    // resolve's matches are the best sweep point's matches, taken from the
+    // sweep rather than clustered a second time.
     assert_eq!(outcome.matches, best.matches);
     // Clean-Clean UMC output is one-to-one: no entity matched twice.
     let mut lefts: Vec<_> = outcome.matches.iter().map(|p| p.left).collect();
