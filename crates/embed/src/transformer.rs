@@ -18,12 +18,12 @@
 //! f32 runs in the fixed [`Transformer::param_tensors`] order.
 //!
 //! Two forward passes compute the same floats. MLM training binds the
-//! weights into a [`Graph`] ([`Transformer::bind`] + [`Transformer::encode`])
+//! weights into a [`Graph`] (`Transformer::bind` + `Transformer::encode`)
 //! so it can run backward. Inference (`embed_into`) reads the weights in
 //! place, with no tape and no gradient storage: each layer's per-head Q/K/V
 //! projections are packed side by side into one `dim × 3·dim` matrix, and
 //! the positional encodings are one `max_len × dim` table. Both tables are
-//! derived from the weights by [`Transformer::seal`] and on cache load, and
+//! derived from the weights by `Transformer::seal` and on cache load, and
 //! never saved, so the cache bytes and the fingerprint do not see them.
 //! Every activation of one call lives in one scratch vector. Both passes
 //! use `er-tensor`'s shared op bodies (`ops`, `tensor::matmul_into`) in the

@@ -1,6 +1,6 @@
 //! Sweep statistics (DESIGN.md inventory row 25). The paper's Fig. 2
 //! argues clusterer choice barely matters by showing the per-δ F1 curves
-//! of UMC, Connected Components and Kiraly are strongly *correlated* —
+//! of UMC, Exact Clustering and Kiraly are strongly *correlated* —
 //! this module ships the Pearson coefficient that check runs on.
 
 /// Pearson correlation coefficient of two equal-length samples.

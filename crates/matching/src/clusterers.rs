@@ -1,17 +1,17 @@
-//! Alternative clusterers for the generality check of the paper's Fig. 2:
-//! the qualitative conclusions of the threshold sweep hold across
-//! Connected Components, Best Match, UMC and the Kiraly approximation,
-//! whose F1 curves are strongly correlated over δ.
+//! The clusterers a threshold sweep can run: Unique Mapping Clustering,
+//! the paper's default, and the Kiraly approximation. The paper's Fig. 2
+//! generality check compares UMC, Exact Clustering and Kiraly and finds
+//! their per-δ F1 curves strongly correlated; Exact Clustering is not
+//! built here.
 //!
-//! All clusterers share one bipartite contract: input is a scored
+//! Both clusterers share one bipartite contract: input is a scored
 //! candidate list over a Clean-Clean dataset (left and right ids are
-//! separate namespaces), output is the matched pairs in canonical
-//! `(left, right)` order — except UMC, which reports in acceptance order.
+//! separate namespaces), output is the matched pairs — UMC's in
+//! acceptance order, Kiraly's in canonical `(left, right)` order.
 
 use crate::kiraly::kiraly_clustering;
 use crate::umc::unique_mapping_clustering;
-use er_core::{sort_by_id_pair, EntityId, ScoredPair};
-use std::collections::HashMap;
+use er_core::ScoredPair;
 
 /// The clusterer a threshold sweep (or [`Clusterer::cluster`] caller)
 /// runs at each δ.
@@ -20,11 +20,6 @@ pub enum Clusterer {
     /// Unique Mapping Clustering — the paper's default (§4.3).
     #[default]
     UniqueMapping,
-    /// Transitive closure over the surviving candidates: every cross-side
-    /// pair inside a connected component is a match.
-    ConnectedComponents,
-    /// Each left entity matches its best-scoring surviving candidate.
-    BestMatch,
     /// Kiraly's linear-time 3/2-approximation of maximum stable marriage.
     Kiraly,
 }
@@ -34,199 +29,24 @@ impl Clusterer {
     pub fn cluster(&self, pairs: &[ScoredPair], delta: f32) -> Vec<ScoredPair> {
         match self {
             Clusterer::UniqueMapping => unique_mapping_clustering(pairs, delta),
-            Clusterer::ConnectedComponents => connected_components_clustering(pairs, delta),
-            Clusterer::BestMatch => best_match_clustering(pairs, delta),
             Clusterer::Kiraly => kiraly_clustering(pairs, delta),
         }
     }
 }
 
-/// Union-find over the bipartite node space: left id `l` maps to node
-/// `2·l`, right id `r` to `2·r + 1`, so the two namespaces never collide.
-struct UnionFind {
-    parent: HashMap<u64, u64>,
-}
-
-impl UnionFind {
-    fn new() -> UnionFind {
-        UnionFind {
-            parent: HashMap::new(),
-        }
-    }
-
-    fn find(&mut self, node: u64) -> u64 {
-        let mut root = node;
-        while let Some(&p) = self.parent.get(&root) {
-            if p == root {
-                break;
-            }
-            root = p;
-        }
-        // Path compression.
-        let mut cur = node;
-        while let Some(&p) = self.parent.get(&cur) {
-            if p == root {
-                break;
-            }
-            self.parent.insert(cur, root);
-            cur = p;
-        }
-        self.parent.entry(node).or_insert(root);
-        root
-    }
-
-    fn union(&mut self, a: u64, b: u64) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        // Deterministic root choice: the smaller node id wins.
-        let (keep, merge) = if ra <= rb { (ra, rb) } else { (rb, ra) };
-        self.parent.insert(merge, keep);
-    }
-}
-
-/// Connected-Components clustering: keep candidates scoring ≥ `delta`,
-/// take the transitive closure, and emit every cross-side pair that falls
-/// inside one component. A pair that was itself a surviving candidate
-/// keeps its own score; a pair implied only by transitivity carries the
-/// weakest surviving score of its component (the strength of the chain
-/// that connected it).
-pub fn connected_components_clustering(pairs: &[ScoredPair], delta: f32) -> Vec<ScoredPair> {
-    let surviving: Vec<ScoredPair> = pairs.iter().filter(|p| p.score >= delta).copied().collect();
-    let mut uf = UnionFind::new();
-    for p in &surviving {
-        uf.union(u64::from(p.left.0) * 2, u64::from(p.right.0) * 2 + 1);
-    }
-    // Component root -> (left ids, right ids, weakest surviving score).
-    let mut components: HashMap<u64, (Vec<EntityId>, Vec<EntityId>, f32)> = HashMap::new();
-    let mut direct: HashMap<(EntityId, EntityId), f32> = HashMap::new();
-    for p in &surviving {
-        let root = uf.find(u64::from(p.left.0) * 2);
-        let entry = components
-            .entry(root)
-            .or_insert_with(|| (Vec::new(), Vec::new(), p.score));
-        entry.0.push(p.left);
-        entry.1.push(p.right);
-        if p.score < entry.2 {
-            entry.2 = p.score;
-        }
-        let key = p.id_pair();
-        let existing = direct.entry(key).or_insert(p.score);
-        if p.score > *existing {
-            *existing = p.score;
-        }
-    }
-    let mut matches = Vec::new();
-    for (lefts, rights, floor) in components.into_values() {
-        let mut lefts = lefts;
-        let mut rights = rights;
-        lefts.sort_unstable();
-        lefts.dedup();
-        rights.sort_unstable();
-        rights.dedup();
-        for &l in &lefts {
-            for &r in &rights {
-                let score = direct.get(&(l, r)).copied().unwrap_or(floor);
-                matches.push(ScoredPair::new(l, r, score));
-            }
-        }
-    }
-    sort_by_id_pair(&mut matches);
-    matches
-}
-
-/// Best-Match clustering: each left entity matches its highest-scoring
-/// surviving candidate (ties broken toward the smaller right id). Right
-/// entities may be matched several times — the one-sided greedy baseline
-/// UMC's 1–1 constraint improves on.
-pub fn best_match_clustering(pairs: &[ScoredPair], delta: f32) -> Vec<ScoredPair> {
-    let mut best: HashMap<EntityId, ScoredPair> = HashMap::new();
-    for p in pairs.iter().filter(|p| p.score >= delta) {
-        match best.get(&p.left) {
-            Some(held) if held.cmp_score_desc(p).is_le() => {}
-            _ => {
-                best.insert(p.left, *p);
-            }
-        }
-    }
-    let mut matches: Vec<ScoredPair> = best.into_values().collect();
-    sort_by_id_pair(&mut matches);
-    matches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_core::EntityId;
 
     fn pair(l: u32, r: u32, s: f32) -> ScoredPair {
         ScoredPair::new(EntityId(l), EntityId(r), s)
     }
 
     #[test]
-    fn connected_components_close_transitively() {
-        // l0—r0 and l1—r0 chain l0, l1, r0 into one component; l1—r1 pulls
-        // r1 in too, so all four cross pairs are matches.
-        let pairs = vec![pair(0, 0, 0.9), pair(1, 0, 0.8), pair(1, 1, 0.7)];
-        let matches = connected_components_clustering(&pairs, 0.0);
-        assert_eq!(
-            matches.iter().map(|p| p.id_pair()).collect::<Vec<_>>(),
-            vec![
-                (EntityId(0), EntityId(0)),
-                (EntityId(0), EntityId(1)),
-                (EntityId(1), EntityId(0)),
-                (EntityId(1), EntityId(1)),
-            ]
-        );
-        // Direct candidates keep their score; the implied (0,1) pair gets
-        // the component floor 0.7.
-        assert_eq!(matches[0].score, 0.9);
-        assert_eq!(matches[1].score, 0.7);
-    }
-
-    #[test]
-    fn connected_components_respect_delta() {
-        let pairs = vec![pair(0, 0, 0.9), pair(1, 0, 0.2)];
-        let matches = connected_components_clustering(&pairs, 0.5);
-        assert_eq!(matches, vec![pair(0, 0, 0.9)]);
-    }
-
-    #[test]
-    fn separate_components_stay_separate() {
-        let pairs = vec![pair(0, 0, 0.9), pair(5, 5, 0.8)];
-        let matches = connected_components_clustering(&pairs, 0.0);
-        assert_eq!(matches.len(), 2, "no cross-component pairs");
-    }
-
-    #[test]
-    fn best_match_keeps_one_pair_per_left() {
-        let pairs = vec![
-            pair(0, 0, 0.6),
-            pair(0, 1, 0.9),
-            pair(1, 1, 0.7),
-            pair(1, 2, 0.7), // tie: smaller right id (1) wins
-        ];
-        let matches = best_match_clustering(&pairs, 0.0);
-        assert_eq!(matches, vec![pair(0, 1, 0.9), pair(1, 1, 0.7)]);
-    }
-
-    #[test]
-    fn best_match_is_permutation_independent() {
-        let pairs = vec![pair(0, 2, 0.5), pair(0, 1, 0.5), pair(0, 3, 0.4)];
-        let mut reversed = pairs.clone();
-        reversed.reverse();
-        let a = best_match_clustering(&pairs, 0.0);
-        assert_eq!(a, best_match_clustering(&reversed, 0.0));
-        assert_eq!(a, vec![pair(0, 1, 0.5)]);
-    }
-
-    #[test]
     fn clusterer_enum_dispatches_to_every_algorithm() {
         let pairs = vec![pair(0, 0, 0.9), pair(1, 0, 0.8), pair(1, 1, 0.7)];
-        for clusterer in [
-            Clusterer::UniqueMapping,
-            Clusterer::ConnectedComponents,
-            Clusterer::BestMatch,
-            Clusterer::Kiraly,
-        ] {
+        for clusterer in [Clusterer::UniqueMapping, Clusterer::Kiraly] {
             let matches = clusterer.cluster(&pairs, 0.0);
             assert!(!matches.is_empty(), "{clusterer:?}");
             assert!(matches.iter().all(|p| p.score >= 0.7), "{clusterer:?}");

@@ -1,17 +1,13 @@
-//! er-matching — matching algorithms (DESIGN.md inventory rows 15–21:
-//! Unique Mapping Clustering + threshold sweep, the clustering family,
-//! ZeroER, the supervised matchers, and the string-similarity library).
+//! er-matching — unsupervised matching on the scored-candidate contract
+//! (DESIGN.md inventory rows 14–15).
 //!
-//! This PR ships the unsupervised matching layer on the scored-candidate
-//! contract: every matcher consumes the `Vec<ScoredPair>` the blocker
-//! produced — the similarity threaded out of the index, bit-identical to
+//! Every matcher consumes the `Vec<ScoredPair>` the blocker produced —
+//! the similarity threaded out of the index, bit-identical to
 //! [`similarity::cosine`] for cosine backends — and never re-scores a
 //! pair. [`unique_mapping_clustering`] is the paper's default (§4.3);
-//! [`Clusterer`] adds Connected Components, Best Match and the Kiraly
-//! stable-marriage approximation for the Fig. 2 generality check; and
-//! [`ThresholdSweep`] drives any of them across the δ grid of Fig. 15.
-//! ZeroER and the supervised matchers (rows 17–20) build on the same
-//! contract in a later PR.
+//! [`Clusterer`] adds the Kiraly stable-marriage approximation, one of
+//! the three clusterers of the paper's Fig. 2 generality check; and
+//! [`ThresholdSweep`] drives either across the δ grid of Fig. 15.
 
 pub mod clusterers;
 pub mod kiraly;
@@ -19,7 +15,7 @@ pub mod similarity;
 pub mod threshold;
 pub mod umc;
 
-pub use clusterers::{best_match_clustering, connected_components_clustering, Clusterer};
+pub use clusterers::Clusterer;
 pub use kiraly::kiraly_clustering;
 pub use threshold::{SweepPoint, ThresholdSweep};
 pub use umc::unique_mapping_clustering;

@@ -1,19 +1,15 @@
-//! Similarities used as ZeroER features and matching baselines: string
-//! similarities over raw attribute text, and embedding similarities over
-//! the vectors the blocking stage already computed. String functions
-//! return values in `[0, 1]`, higher = more similar.
+//! Embedding similarities over the vectors the blocking stage already
+//! computed.
 //!
-//! The embedding similarities are thin delegates to [`er_core::kernels`] —
-//! the same functions `er_index::Metric` runs its searches on — so a
-//! matcher scoring a candidate pair gets the bit-identical cosine the
-//! blocker ranked it by (`similarity = 1 − distance`, no kernel drift).
-//! Before the kernel module, cosine/dot lived once here and once in
-//! `er-index`; these wrappers are now the only er-matching entry points.
+//! They are thin delegates to [`er_core::kernels`] — the same functions
+//! `er_index::Metric` runs its searches on — so a matcher scoring a
+//! candidate pair gets the bit-identical cosine the blocker ranked it by
+//! (`similarity = 1 − distance`, no kernel drift). Before the kernel
+//! module, cosine/dot lived once here and once in `er-index`; these
+//! wrappers are now the only er-matching entry points.
 
 use er_core::kernels::KernelTier;
 use er_core::Embedding;
-use er_text::tokenize;
-use std::collections::BTreeSet;
 
 /// Dot product of two embedding vectors (unbounded; a raw model-space
 /// feature). The `Reference` tier of [`dot_tier`].
@@ -51,141 +47,6 @@ pub fn cosine_slices(a: &[f32], b: &[f32]) -> f32 {
 /// Slice form of [`cosine_tier`].
 pub fn cosine_slices_tier(tier: KernelTier, a: &[f32], b: &[f32]) -> f32 {
     tier.cosine(a, b)
-}
-
-/// Token-set Jaccard similarity over normalized word tokens.
-pub fn jaccard(a: &str, b: &str) -> f64 {
-    let sa: BTreeSet<String> = tokenize(a).into_iter().collect();
-    let sb: BTreeSet<String> = tokenize(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    let union = sa.len() + sb.len() - inter;
-    if union == 0 {
-        return 1.0;
-    }
-    inter as f64 / union as f64
-}
-
-/// Levenshtein distance normalized into a similarity:
-/// `1 - dist / max_len`. Computed over chars with a two-row DP.
-pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
-    let av: Vec<char> = a.chars().collect();
-    let bv: Vec<char> = b.chars().collect();
-    let max_len = av.len().max(bv.len());
-    if max_len == 0 {
-        return 1.0;
-    }
-    let mut prev: Vec<usize> = (0..=bv.len()).collect();
-    let mut curr = vec![0usize; bv.len() + 1];
-    for (i, &ca) in av.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, &cb) in bv.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            curr[j + 1] = sub.min(prev[j + 1] + 1).min(curr[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    1.0 - prev[bv.len()] as f64 / max_len as f64
-}
-
-/// Jaro similarity over chars: the classic record-linkage measure built
-/// from matching characters within half the longer length and the
-/// transposition count.
-fn jaro(a: &[char], b: &[char]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_taken = vec![false; b.len()];
-    let mut a_matched = Vec::with_capacity(a.len());
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_taken[j] && b[j] == ca {
-                b_taken[j] = true;
-                a_matched.push(ca);
-                break;
-            }
-        }
-    }
-    let m = a_matched.len();
-    if m == 0 {
-        return 0.0;
-    }
-    let b_matched: Vec<char> = b
-        .iter()
-        .zip(&b_taken)
-        .filter(|(_, &taken)| taken)
-        .map(|(&c, _)| c)
-        .collect();
-    let transpositions = a_matched
-        .iter()
-        .zip(&b_matched)
-        .filter(|(x, y)| x != y)
-        .count()
-        / 2;
-    let m = m as f64;
-    let t = transpositions as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
-}
-
-/// Jaro–Winkler similarity: Jaro boosted by up to 4 chars of common
-/// prefix with the standard scaling factor p = 0.1 — the measure Table
-/// 5(b)'s ZeroER feature set uses for short, typo-prone attributes.
-pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let av: Vec<char> = a.chars().collect();
-    let bv: Vec<char> = b.chars().collect();
-    let j = jaro(&av, &bv);
-    let prefix = av
-        .iter()
-        .zip(&bv)
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
-    j + prefix as f64 * 0.1 * (1.0 - j)
-}
-
-/// Symmetrized Monge–Elkan similarity: tokenize both strings, score each
-/// token of one side by its best [`jaro_winkler`] partner on the other,
-/// average, and take the mean of both directions (plain Monge–Elkan is
-/// asymmetric; the mean keeps the feature symmetric like the rest of the
-/// set).
-pub fn monge_elkan(a: &str, b: &str) -> f64 {
-    let ta = tokenize(a);
-    let tb = tokenize(b);
-    if ta.is_empty() && tb.is_empty() {
-        return 1.0;
-    }
-    if ta.is_empty() || tb.is_empty() {
-        return 0.0;
-    }
-    (monge_elkan_directed(&ta, &tb) + monge_elkan_directed(&tb, &ta)) / 2.0
-}
-
-fn monge_elkan_directed(from: &[String], to: &[String]) -> f64 {
-    let total: f64 = from
-        .iter()
-        .map(|x| to.iter().map(|y| jaro_winkler(x, y)).fold(0.0f64, f64::max))
-        .sum();
-    total / from.len() as f64
-}
-
-/// The ZeroER-style string feature vector of a candidate pair:
-/// `[jaccard, levenshtein_sim, jaro_winkler, monge_elkan]` — the mixed
-/// token/edit/hybrid set of Table 5(b), each in `[0, 1]`.
-pub fn feature_vector(a: &str, b: &str) -> Vec<f64> {
-    vec![
-        jaccard(a, b),
-        levenshtein_sim(a, b),
-        jaro_winkler(a, b),
-        monge_elkan(a, b),
-    ]
 }
 
 #[cfg(test)]
@@ -256,79 +117,5 @@ mod tests {
         }
         let zero = Embedding(vec![0.0; 4]);
         assert_eq!(cosine(&zero, &vectors[0]), 0.0);
-    }
-
-    #[test]
-    fn jaccard_counts_shared_tokens() {
-        assert_eq!(jaccard("golden palace grill", "golden palace grill"), 1.0);
-        // {golden, palace} over {golden, palace, grill, diner}
-        assert!((jaccard("golden palace grill", "golden palace diner") - 0.5).abs() < 1e-12);
-        assert_eq!(jaccard("", ""), 1.0);
-        assert_eq!(jaccard("abc", ""), 0.0);
-    }
-
-    #[test]
-    fn levenshtein_counts_edits() {
-        assert_eq!(levenshtein_sim("kitten", "kitten"), 1.0);
-        // kitten -> sitting: 3 edits over max len 7
-        assert!((levenshtein_sim("kitten", "sitting") - (1.0 - 3.0 / 7.0)).abs() < 1e-12);
-        assert_eq!(levenshtein_sim("", ""), 1.0);
-        assert_eq!(levenshtein_sim("ab", ""), 0.0);
-    }
-
-    #[test]
-    fn jaro_winkler_matches_the_textbook_fixtures() {
-        assert_eq!(jaro_winkler("martha", "martha"), 1.0);
-        assert_eq!(jaro_winkler("", ""), 1.0);
-        assert_eq!(jaro_winkler("abc", ""), 0.0);
-        // The classic pair: jaro(martha, marhta) = 0.944…, prefix 3 ⇒
-        // jw = 0.944 + 3·0.1·(1−0.944) = 0.9611….
-        let jw = jaro_winkler("martha", "marhta");
-        assert!((jw - 0.9611111111).abs() < 1e-6, "{jw}");
-        // DIXON/DICKSONX: jaro = 0.7667, prefix 2 ⇒ jw = 0.8133….
-        let jw = jaro_winkler("dixon", "dicksonx");
-        assert!((jw - 0.8133333333).abs() < 1e-6, "{jw}");
-        // Prefix boost caps at 4 chars and vanishes for disjoint strings.
-        assert_eq!(jaro_winkler("abc", "xyz"), 0.0);
-    }
-
-    #[test]
-    fn monge_elkan_forgives_token_reordering_and_typos() {
-        // Same tokens, different order: every token finds itself.
-        assert_eq!(
-            monge_elkan("golden palace grill", "grill golden palace"),
-            1.0
-        );
-        // One typo in one token keeps the score high.
-        let me = monge_elkan("golden palace grill", "golden palace gril");
-        assert!(me > 0.95, "{me}");
-        // Symmetry (plain Monge–Elkan is not symmetric; ours averages).
-        let a = "golden palace grill downtown";
-        let b = "palace grill";
-        assert_eq!(monge_elkan(a, b), monge_elkan(b, a));
-        assert_eq!(monge_elkan("", ""), 1.0);
-        assert_eq!(monge_elkan("abc", ""), 0.0);
-    }
-
-    #[test]
-    fn feature_vector_packs_the_four_features_in_order() {
-        let a = "golden palace grill";
-        let b = "goldn palace gril";
-        let fv = feature_vector(a, b);
-        assert_eq!(fv.len(), 4);
-        assert_eq!(fv[0], jaccard(a, b));
-        assert_eq!(fv[1], levenshtein_sim(a, b));
-        assert_eq!(fv[2], jaro_winkler(a, b));
-        assert_eq!(fv[3], monge_elkan(a, b));
-        assert!(fv.iter().all(|v| (0.0..=1.0).contains(v)), "{fv:?}");
-    }
-
-    #[test]
-    fn typo_keeps_high_levenshtein_but_kills_jaccard() {
-        // The contrast ZeroER's mixed feature set exists for.
-        let a = "springfield";
-        let b = "springfeild";
-        assert!(levenshtein_sim(a, b) > 0.8);
-        assert_eq!(jaccard(a, b), 0.0);
     }
 }

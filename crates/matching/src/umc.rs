@@ -15,7 +15,7 @@
 use er_core::{sort_by_score_desc, EntityId, ScoredPair};
 
 /// A growable bitset over dense [`EntityId`]s — the two "seen" sets of
-/// UMC's greedy pass, and the bookkeeping of the other clusterers.
+/// UMC's greedy pass.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IdBitset {
     words: Vec<u64>,

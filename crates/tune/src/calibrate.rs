@@ -1,23 +1,22 @@
-//! Calibration tables: nanoseconds-per-row microbench cells in the
-//! `BENCH_kernels.json` format, keyed by `(cost tier, metric, dim)`.
+//! Calibration tables: nanoseconds-per-row scan cells keyed by
+//! `(cost tier, metric, dim)`.
 //!
 //! The cost model prices a query as *distance evaluations × ns-per-row*,
-//! so everything hinges on knowing what one row costs on this machine.
-//! That number comes from the committed kernel microbenchmark snapshot:
-//! [`Calibration::from_json`] parses a `BENCH_kernels.json` document
-//! (`bench_kernels --check` keeps it honest in CI), and
-//! [`Calibration::builtin`] carries the snapshot's cells compiled in, so
-//! the tuner works without touching the filesystem.
+//! so everything hinges on knowing what one row costs. That number is
+//! frozen data: [`Calibration::builtin`] carries the compiled-in
+//! `BUILTIN` table (its doc says where the cells were measured), so the
+//! tuner works without touching the filesystem. `bench_e2e --traced`
+//! reports today's 48-d `core.scan_ns_per_row.{reference,lanes,int8}`
+//! beside it, which is where drift shows.
 //!
 //! Lookups interpolate linearly between the two bracketing benched
 //! dimensions; outside the benched range the nearest cell is scaled by
 //! the dim ratio (row cost is linear in dim for every kernel here).
 
-use er_core::json::Json;
 use er_core::{ErError, KernelTier, Metric, Quantization, Result, ScanConfig};
 
 /// The kernel a scan's *first pass* runs on — [`KernelTier`] widened with
-/// the quantized tiers, matching the `tier` column of `BENCH_kernels.json`.
+/// the quantized tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostTier {
     Reference,
@@ -27,23 +26,13 @@ pub enum CostTier {
 }
 
 impl CostTier {
-    /// The `BENCH_kernels.json` tier name.
+    /// The tier's lower-case name, as error messages print it.
     pub fn name(self) -> &'static str {
         match self {
             CostTier::Reference => "reference",
             CostTier::Lanes => "lanes",
             CostTier::Int8 => "int8",
             CostTier::Pq => "pq",
-        }
-    }
-
-    pub fn from_name(name: &str) -> Option<CostTier> {
-        match name {
-            "reference" => Some(CostTier::Reference),
-            "lanes" => Some(CostTier::Lanes),
-            "int8" => Some(CostTier::Int8),
-            "pq" => Some(CostTier::Pq),
-            _ => None,
         }
     }
 
@@ -66,7 +55,7 @@ impl CostTier {
     }
 }
 
-/// The `BENCH_kernels.json` metric column name for a [`Metric`].
+/// The calibration metric name for a [`Metric`].
 pub fn metric_name(metric: Metric) -> &'static str {
     match metric {
         Metric::Euclidean => "sqeuclidean",
@@ -74,7 +63,7 @@ pub fn metric_name(metric: Metric) -> &'static str {
     }
 }
 
-/// One microbench cell: what one row of a `dim`-dimensional scan costs
+/// One calibration cell: what one row of a `dim`-dimensional scan costs
 /// under `(tier, metric)` on the benched machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
@@ -93,8 +82,12 @@ pub struct Calibration {
     cells: Vec<Cell>,
 }
 
-/// The committed `BENCH_kernels.json` snapshot, compiled in. Regenerate
-/// with `cargo run --release --bin bench_kernels` if the numbers drift.
+/// Frozen ns-per-row cells. They were recorded once, at commit bff992d, by
+/// the since-deleted `bench_kernels` binary: a full scan of 12 000 seeded
+/// random rows per cell, 4 queries, best of 5 repetitions, on an AVX2
+/// (`x86-64-v3`) build. Golden `AUTOTUNE` pins them, because its trials
+/// digest folds every trial's estimated ns; changing a cell is a named
+/// re-pin of that row.
 const BUILTIN: &[(CostTier, &str, usize, f64)] = &[
     (CostTier::Reference, "dot", 48, 23.868397),
     (CostTier::Reference, "cosine", 48, 25.780834),
@@ -135,7 +128,7 @@ const BUILTIN: &[(CostTier, &str, usize, f64)] = &[
 ];
 
 impl Calibration {
-    /// The compiled-in copy of the committed kernel snapshot.
+    /// The compiled-in `BUILTIN` table.
     pub fn builtin() -> Calibration {
         Calibration {
             cells: BUILTIN
@@ -148,55 +141,6 @@ impl Calibration {
                 })
                 .collect(),
         }
-    }
-
-    /// Parse a `BENCH_kernels.json` document (the `cells` array; other
-    /// fields are ignored). Cells with an unknown tier or metric name are
-    /// skipped — forward compatibility with new bench columns.
-    pub fn from_json(doc: &Json) -> Result<Calibration> {
-        let cells_json = doc
-            .get("cells")
-            .and_then(|c| c.as_arr().ok())
-            .ok_or_else(|| ErError::Config("calibration document has no cells array".into()))?;
-        let mut cells = Vec::new();
-        for cell in cells_json {
-            let tier = cell.get("tier").and_then(|v| v.as_str().ok());
-            let metric = cell.get("metric").and_then(|v| v.as_str().ok());
-            let dim = cell.get("dim").and_then(|v| v.as_usize().ok());
-            let ns = cell.get("ns_per_row").and_then(|v| v.as_f32().ok());
-            let (Some(tier), Some(metric), Some(dim), Some(ns)) = (tier, metric, dim, ns) else {
-                return Err(ErError::Config(format!(
-                    "malformed calibration cell: {cell}"
-                )));
-            };
-            let Some(tier) = CostTier::from_name(tier) else {
-                continue;
-            };
-            let metric = match metric {
-                "dot" => "dot",
-                "cosine" => "cosine",
-                "sqeuclidean" => "sqeuclidean",
-                _ => continue,
-            };
-            if ns <= 0.0 || dim == 0 {
-                return Err(ErError::Config(format!(
-                    "degenerate calibration cell: tier={} metric={metric} dim={dim} ns={ns}",
-                    tier.name()
-                )));
-            }
-            cells.push(Cell {
-                tier,
-                metric,
-                dim,
-                ns_per_row: ns as f64,
-            });
-        }
-        if cells.is_empty() {
-            return Err(ErError::Config(
-                "calibration document has no usable cells".into(),
-            ));
-        }
-        Ok(Calibration { cells })
     }
 
     pub fn cells(&self) -> &[Cell] {
@@ -250,31 +194,49 @@ impl Calibration {
 mod tests {
     use super::*;
 
+    const TIERS: [CostTier; 4] = [
+        CostTier::Reference,
+        CostTier::Lanes,
+        CostTier::Int8,
+        CostTier::Pq,
+    ];
+
     #[test]
-    fn builtin_round_trips_through_the_bench_json_format() {
-        let builtin = Calibration::builtin();
-        // Render a minimal BENCH_kernels-shaped document and parse it back.
-        let cells: Vec<Json> = builtin
-            .cells()
-            .iter()
-            .map(|c| {
-                Json::Obj(vec![
-                    ("tier".into(), Json::from_str_value(c.tier.name())),
-                    ("metric".into(), Json::from_str_value(c.metric)),
-                    ("dim".into(), Json::from_usize(c.dim)),
-                    ("ns_per_row".into(), Json::from_f32(c.ns_per_row as f32)),
-                ])
-            })
-            .collect();
-        let doc = Json::Obj(vec![("cells".into(), Json::Arr(cells))]);
-        let parsed = Calibration::from_json(&doc).expect("parses");
-        assert_eq!(parsed.cells().len(), builtin.cells().len());
-        for (a, b) in parsed.cells().iter().zip(builtin.cells()) {
-            assert_eq!(a.tier, b.tier);
-            assert_eq!(a.metric, b.metric);
-            assert_eq!(a.dim, b.dim);
-            // from_f32 narrows; allow the f32 round-trip wobble.
-            assert!((a.ns_per_row - b.ns_per_row).abs() < 1e-3);
+    fn builtin_has_every_tier_metric_and_benched_dim() {
+        let cal = Calibration::builtin();
+        assert_eq!(cal.cells().len(), TIERS.len() * 3 * 3);
+        for tier in TIERS {
+            for metric in ["dot", "cosine", "sqeuclidean"] {
+                for dim in [48, 64, 96] {
+                    let cell = cal
+                        .cells()
+                        .iter()
+                        .find(|c| c.tier == tier && c.metric == metric && c.dim == dim);
+                    let ns = cell.map(|c| c.ns_per_row);
+                    assert!(
+                        ns.is_some_and(|ns| ns.is_finite() && ns > 0.0),
+                        "{}/{metric}/{dim}: {ns:?}",
+                        tier.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_and_metric_prices_any_dim() {
+        let cal = Calibration::builtin();
+        for tier in TIERS {
+            for metric in [Metric::Cosine, Metric::Euclidean] {
+                for dim in [1, 48, 56, 96, 300] {
+                    let ns = cal.ns_per_row_metric(tier, metric, dim);
+                    assert!(
+                        ns.as_ref().is_ok_and(|ns| ns.is_finite() && *ns > 0.0),
+                        "{}/{metric:?}/{dim}: {ns:?}",
+                        tier.name()
+                    );
+                }
+            }
         }
     }
 
@@ -314,14 +276,10 @@ mod tests {
     }
 
     #[test]
-    fn missing_cells_and_malformed_documents_are_typed_errors() {
+    fn missing_cells_are_typed_errors() {
         let cal = Calibration::builtin();
         assert!(matches!(
             cal.ns_per_row(CostTier::Reference, "hamming", 64),
-            Err(ErError::Config(_))
-        ));
-        assert!(matches!(
-            Calibration::from_json(&Json::Obj(vec![])),
             Err(ErError::Config(_))
         ));
     }

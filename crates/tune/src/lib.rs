@@ -3,9 +3,9 @@
 //! The paper hand-picks blocking parameters globally; this crate chooses
 //! them per dataset. Three pieces:
 //!
-//! * [`Calibration`] — ns-per-row microbench cells in the
-//!   `BENCH_kernels.json` format (compiled-in snapshot via
-//!   [`Calibration::builtin`], or parsed from a fresh bench run).
+//! * [`Calibration`] — frozen ns-per-row scan cells per (tier, metric,
+//!   dim), compiled in ([`Calibration::builtin`]); they were measured
+//!   once on a 12k-row scan and golden `AUTOTUNE` pins them.
 //! * [`CostModel`] — per-backend query-cost estimators: exact scans
 //!   analytically (`rows × ns_per_row(dim, tier, quant)`), HNSW from
 //!   measured distance-evaluation counts at anchor beam widths

@@ -60,8 +60,7 @@ pub mod prelude {
         Quantization, ScanConfig,
     };
     pub use er_matching::{
-        best_match_clustering, connected_components_clustering, kiraly_clustering,
-        unique_mapping_clustering, Clusterer, SweepPoint, ThresholdSweep,
+        kiraly_clustering, unique_mapping_clustering, Clusterer, SweepPoint, ThresholdSweep,
     };
     pub use er_serve::{
         CompactionPolicy, Hit, Resolver, SegmentSnapshot, ServeConfig, ShardStats, ShardedIndex,

@@ -225,16 +225,23 @@ const AUTOTUNE: &[(&str, u64)] = &[
     ("D1_cosine_trials", 0x5f6bb0102252e111),
     ("D1_euclidean_chosen", 0xbb8498e55b76818e),
     ("D1_euclidean_trials", 0x6be69fc4d11f69dc),
+    ("D3_cosine_chosen", 0x394254edbb3bd575),
+    ("D3_cosine_trials", 0x22bf5d028161d343),
+    ("D3_euclidean_chosen", 0xbb8498e55b76818e),
+    ("D3_euclidean_trials", 0x1b9cc95f4b5926ae),
     ("D7_cosine_chosen", 0x8bfcbc086d793a15),
     ("D7_cosine_trials", 0x7e630a5d9fc70fb8),
     ("D7_euclidean_chosen", 0xbb8498e55b76818e),
     ("D7_euclidean_trials", 0x23fa5011ee2716dc),
 ];
 
+/// The tuner's recall-0.9 goal on D1, D3 and D7 for both metrics. Every
+/// Euclidean goal picks Exact `Lanes` with an int8 scan (re-rank 40); D3
+/// is the one cosine goal that picks it too, the other two stay f32.
 #[test]
 fn autotune_chosen_point_and_trials() {
     let mut got = Vec::new();
-    for id in [DatasetId::D1, DatasetId::D7] {
+    for id in [DatasetId::D1, DatasetId::D3, DatasetId::D7] {
         let (queries, rows) = embedded(&CleanCleanDataset::generate(id, 42));
         for (metric_name, metric) in METRICS {
             let goal = OperatingPoint::recall_target(0.9).metric(metric);
