@@ -18,11 +18,12 @@
 //!   scatter-gather with a `BinaryHeap` k-way merge that preserves the
 //!   `(distance, id)` total order. An N-shard exact search is
 //!   bit-identical to a single exact index over the same records.
-//! * Snapshot-swap concurrency — each shard publishes an immutable
-//!   [`SegmentSnapshot`] readers pin with one `Arc` clone; the writer
-//!   mutates a standby copy and swaps it in, so queries never block
-//!   writes and never observe a half-applied mutation (`crate::snapshot`
-//!   has the full contract).
+//! * One published manifest — the index publishes every shard's immutable
+//!   [`SegmentSnapshot`] together in one [`Manifest`], which a query pins
+//!   with one `Arc` clone; each shard's writer mutates a standby copy and
+//!   swaps it into the manifest, so queries never block writes and see
+//!   exactly a committed prefix of the index-wide write order
+//!   (`crate::shard` has the full contract).
 //! * Durability — [`Resolver::open`] binds the service to a directory:
 //!   every committed mutation is appended to a per-shard write-ahead
 //!   journal (`er_core::journal` layout) before it is applied, and
@@ -55,7 +56,7 @@ pub use resolver::{Resolver, ServeConfig};
 // The backend-erased index moved down beside its constructor
 // (`er_index::AnyIndex::build`); re-exported under its serving name.
 pub use er_index::AnyIndex;
-pub use shard::{search_snapshots, ShardedIndex};
+pub use shard::{search_snapshots, Manifest, ShardedIndex};
 pub use snapshot::{CompactionPolicy, SegmentSnapshot, ShardStats};
 
 use er_core::EntityId;

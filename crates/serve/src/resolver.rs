@@ -6,8 +6,8 @@
 //! through the batch pipeline or the streaming service). Mutations —
 //! [`Resolver::insert`], [`Resolver::upsert`], [`Resolver::delete`] — take
 //! `&self` and are legal at any point, including while other threads
-//! query: each shard publishes immutable snapshots that queries pin at
-//! their start (see `crate::snapshot`).
+//! query: the index publishes one manifest of immutable shard snapshots
+//! that a query pins at its start (see `crate::shard`).
 //!
 //! Persistence comes in two flavours:
 //!
@@ -376,7 +376,7 @@ impl<'m> Resolver<'m> {
 
     /// Live records across all shards.
     pub fn len(&self) -> usize {
-        self.index.shard_sizes().iter().sum()
+        self.index.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -451,12 +451,11 @@ impl<'m> Resolver<'m> {
     /// Serialize into one `kind::RESOLVER` container: serving metadata +
     /// every shard's id history and nested index container + the model's
     /// code and fingerprint, stamped with the current epoch. The shard set
-    /// is taken under all writer locks, so the bytes are a mutually
-    /// consistent point-in-time copy — deterministic for a given mutation
-    /// history.
+    /// is one committed manifest, so the bytes are a mutually consistent
+    /// point-in-time copy — deterministic for a given mutation history —
+    /// and an export does not block writers.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let snaps = self.index.consistent_snapshots();
-        self.serialize_snapshots(&snaps, self.epoch())
+        self.serialize_snapshots(&self.index.snapshots(), self.epoch())
     }
 
     /// Write [`Resolver::to_bytes`] to a file — a point-in-time **export**

@@ -1,19 +1,24 @@
-//! Hash-sharded vector storage with snapshot-swap concurrency and
+//! Hash-sharded vector storage with one published manifest and
 //! scatter-gather top-k queries.
 //!
 //! [`ShardedIndex`] fronts N independent [`er_index::MutableIndex`]
 //! backends. Records are routed to a shard by an FNV-1a hash of their
 //! [`EntityId`] (stable across runs and across save/load).
 //!
-//! **Snapshot-swap**: each shard keeps two [`SegmentSnapshot`]s — a
-//! *published* side that readers clone an `Arc` of (the only reader lock is
-//! the clone itself) and a *standby* side owned by the writer. A mutation
-//! catches the standby up from the op backlog, probes for no-ops, appends
-//! to the write-ahead journal (if attached), applies to the standby, and
-//! swaps the sides. Readers never block writers and never observe a
-//! half-applied op; a query runs against whatever snapshot was committed
-//! when it started. Lock order is always writer → published, so the paths
-//! cannot deadlock.
+//! **One manifest**: the index publishes every shard's committed
+//! [`SegmentSnapshot`] together, in one [`Manifest`] behind one mutex. A
+//! reader pins all shards with that one lock and one `Arc` clone, held
+//! only for the clone. Each shard's writer owns a *standby* snapshot behind
+//! its own mutex, the other side of a left-right pair with the shard's
+//! manifest slot, kept in step through an op backlog so that a write costs
+//! O(row) rather than a shard clone. A mutation catches the standby up,
+//! probes for no-ops, appends to the write-ahead journal (if attached),
+//! applies to the standby, then swaps it into its manifest slot and bumps
+//! the manifest's `seq` under the publish lock. A query therefore sees
+//! exactly a committed prefix of the index-wide write order: never a
+//! half-applied op, and never one shard's later write without another
+//! shard's earlier one. Readers never block writers. Lock order is always
+//! writer → published, so the paths cannot deadlock.
 //!
 //! **Merge contract**: hits are globally ordered by
 //! `(distance.total_cmp, EntityId)`. Each shard's list is put into that
@@ -30,163 +35,66 @@ use er_core::binary::fnv1a64;
 use er_core::journal::JournalRecord;
 use er_core::par::{self, SCAN_NS_PER_ELEMENT};
 use er_core::{EmbeddingMatrix, EntityId, ErError, Result};
-use er_index::{AnyIndex, BlockerBackend, Metric, Neighbor, NnIndex, Ranked, ScanConfig};
+use er_index::{AnyIndex, BlockerBackend, Ranked, ScanConfig};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
-/// The writer's half of a shard: the standby snapshot, the ops it is
-/// missing (applied to the published side but not yet here), and the
-/// write-ahead journal.
+/// One committed state of the whole index: every shard's snapshot after
+/// the first `seq` effective writes of the index-wide write order. Derefs
+/// to the per-shard snapshots, in shard order.
+#[derive(Debug, Clone)]
+pub struct Manifest {
+    seq: u64,
+    shards: Box<[Arc<SegmentSnapshot>]>,
+}
+
+impl Manifest {
+    /// How many effective writes, index-wide, this manifest includes — the
+    /// committed state a reader can name. No-ops publish nothing and do
+    /// not count.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+impl Deref for Manifest {
+    type Target = [Arc<SegmentSnapshot>];
+
+    fn deref(&self) -> &[Arc<SegmentSnapshot>] {
+        &self.shards
+    }
+}
+
+/// One shard's writer: the standby snapshot, the ops it is missing
+/// (published but not yet applied here), and the write-ahead journal.
 #[derive(Debug)]
 struct WriterState {
     standby: Arc<SegmentSnapshot>,
-    /// Ops applied to the published side since the standby was last caught
-    /// up. At most one publish behind, so this holds at most the ops of
-    /// one commit — drained at the start of the next.
+    /// Ops published since the standby was last caught up. At most one
+    /// publish behind, so this holds at most the ops of one commit —
+    /// drained at the start of the next.
     backlog: Vec<WriteOp>,
     journal: Option<JournalWriter>,
     journal_len: u64,
 }
 
-/// One shard of the serving core: a published snapshot readers clone
-/// lock-free, and a writer side that mutates a standby copy and swaps it
-/// in. See the module docs for the concurrency contract.
-#[derive(Debug)]
-pub(crate) struct Shard {
-    /// The committed snapshot. Readers hold this lock only long enough to
-    /// clone the `Arc`; the writer only long enough to swap two pointers.
-    published: Mutex<Arc<SegmentSnapshot>>,
-    writer: Mutex<WriterState>,
-}
-
-impl Shard {
-    /// An empty shard. Every shard is built from the same backend config —
-    /// including the seed, which is safe because shards hold disjoint
-    /// records, so no cross-shard draw ever compares two streams.
-    fn new(backend: &BlockerBackend, dim: usize, scan: ScanConfig) -> Result<Shard> {
-        Ok(Shard::from_snapshot(SegmentSnapshot::from_index(
-            AnyIndex::build(EmbeddingMatrix::new(dim), backend, scan)?,
-        )))
-    }
-
-    pub(crate) fn from_snapshot(snapshot: SegmentSnapshot) -> Shard {
-        let arc = Arc::new(snapshot);
-        Shard {
-            published: Mutex::new(Arc::clone(&arc)),
-            writer: Mutex::new(WriterState {
-                standby: arc,
-                backlog: Vec::new(),
-                journal: None,
-                journal_len: 0,
-            }),
-        }
-    }
-
-    /// The committed snapshot — the reader entry point. The returned `Arc`
-    /// stays valid (and immutable) for as long as the caller holds it,
-    /// regardless of concurrent writes.
-    pub(crate) fn load(&self) -> Arc<SegmentSnapshot> {
-        Arc::clone(
-            &self
-                .published
-                .lock()
-                .expect("shard published lock poisoned"),
-        )
-    }
-
+impl WriterState {
     /// Bring the standby up to date with the published side by applying
     /// the backlog. `Arc::make_mut` clones the payload only when a
-    /// straggler reader still holds the snapshot from two publishes ago.
-    fn catch_up(w: &mut WriterState, policy: &CompactionPolicy) -> Result<()> {
-        if w.backlog.is_empty() {
+    /// straggler reader still holds a manifest from before the last
+    /// publish of this shard.
+    fn catch_up(&mut self, policy: &CompactionPolicy) -> Result<()> {
+        if self.backlog.is_empty() {
             return Ok(());
         }
-        let backlog = std::mem::take(&mut w.backlog);
-        let standby = Arc::make_mut(&mut w.standby);
+        let backlog = std::mem::take(&mut self.backlog);
+        let standby = Arc::make_mut(&mut self.standby);
         for op in &backlog {
             standby.apply(op, policy)?;
         }
         Ok(())
-    }
-
-    /// The single mutation path: catch up, probe for no-ops (which are
-    /// neither journaled nor published), journal, apply to the standby,
-    /// swap the sides. `journal: false` is used for replay (the record is
-    /// already on disk).
-    pub(crate) fn write(
-        &self,
-        op: WriteOp,
-        policy: &CompactionPolicy,
-        journal: bool,
-    ) -> Result<bool> {
-        let mut w = self.writer.lock().expect("shard writer lock poisoned");
-        Shard::catch_up(&mut w, policy)?;
-        // No-op probe on the caught-up standby: an insert of a live id, a
-        // delete of an absent one, or a compaction with nothing to reclaim
-        // changes no state, so it must not reach the journal (replay would
-        // then diverge from the live no-op) or publish a new version.
-        match &op {
-            WriteOp::Record(JournalRecord::Insert { id, .. })
-                if w.standby.contains(EntityId(*id)) =>
-            {
-                return Ok(false)
-            }
-            WriteOp::Record(JournalRecord::Delete { id }) if !w.standby.contains(EntityId(*id)) => {
-                return Ok(false)
-            }
-            WriteOp::Compact if w.standby.stored() == w.standby.live_count() => return Ok(true),
-            _ => {}
-        }
-        // A compaction is never journaled: it is logically invisible —
-        // recovery re-derives any *automatic* compaction deterministically
-        // inside `SegmentSnapshot::apply`, and a crash merely loses a
-        // manual one (an optimization, never data).
-        if let (true, WriteOp::Record(rec), Some(j)) = (journal, &op, w.journal.as_mut()) {
-            j.append(rec)?;
-            w.journal_len += 1;
-        }
-        let out = Arc::make_mut(&mut w.standby).apply(&op, policy)?;
-        {
-            let mut slot = self
-                .published
-                .lock()
-                .expect("shard published lock poisoned");
-            std::mem::swap(&mut *slot, &mut w.standby);
-        }
-        w.backlog.push(op);
-        Ok(out)
-    }
-
-    pub(crate) fn stats(&self) -> ShardStats {
-        let snap = self.load();
-        let journal_len = self
-            .writer
-            .lock()
-            .expect("shard writer lock poisoned")
-            .journal_len;
-        let stored = snap.stored();
-        let live = snap.live_count();
-        let tombstoned = stored - live;
-        ShardStats {
-            live,
-            tombstoned,
-            deleted_fraction: if stored == 0 {
-                0.0
-            } else {
-                tombstoned as f32 / stored as f32
-            },
-            journal_len,
-        }
-    }
-
-    /// Attach (or replace) the shard's write-ahead journal. `journal_len`
-    /// is the number of records already committed in the file (non-zero
-    /// when resuming after recovery).
-    pub(crate) fn set_journal(&self, journal: JournalWriter, journal_len: u64) {
-        let mut w = self.writer.lock().expect("shard writer lock poisoned");
-        w.journal = Some(journal);
-        w.journal_len = journal_len;
     }
 }
 
@@ -200,7 +108,7 @@ impl Shard {
 /// inline on the caller's thread. Small shards therefore skip the spawn;
 /// the answer is the same either way.
 ///
-/// Public so callers holding a pinned snapshot set (from
+/// Public so callers holding a pinned [`Manifest`] (from
 /// [`ShardedIndex::snapshots`]) can re-run queries against exactly that
 /// committed state, regardless of concurrent writes.
 pub fn search_snapshots(snaps: &[Arc<SegmentSnapshot>], query: &[f32], k: usize) -> Vec<Hit> {
@@ -245,15 +153,20 @@ pub fn search_snapshots(snaps: &[Arc<SegmentSnapshot>], query: &[f32], k: usize)
     merged
 }
 
-/// N hash-routed shards behind one `NnIndex`-shaped query surface.
+/// N hash-routed shards behind one published [`Manifest`].
 ///
 /// The vector-level half of the `er-serve` Resolver: callers hand it
 /// `(EntityId, row)` pairs; embedding happens a layer up. All mutation
 /// methods take `&self` — each shard serializes its own writes internally
-/// while readers proceed lock-free on published snapshots.
+/// while readers proceed lock-free on the published manifest.
 #[derive(Debug)]
 pub struct ShardedIndex {
-    shards: Vec<Shard>,
+    /// The committed manifest. Readers hold this lock only long enough to
+    /// clone the `Arc`; a writer only long enough to swap one slot.
+    published: Mutex<Arc<Manifest>>,
+    /// One writer per shard, each behind its own lock: writes to different
+    /// shards prepare in parallel and meet only at the publish.
+    writers: Box<[Mutex<WriterState>]>,
     backend: BlockerBackend,
     dim: usize,
     policy: CompactionPolicy,
@@ -265,7 +178,9 @@ impl ShardedIndex {
     /// scan config no index can honour (see [`AnyIndex::build`]: degenerate
     /// HNSW/LSH parameters and quantization on a non-Exact backend are
     /// [`ErError::Config`]; PQ, which cannot train on an empty shard, is
-    /// [`ErError::Model`]).
+    /// [`ErError::Model`]). Every shard is built from the same backend
+    /// config — including the seed, which is safe because shards hold
+    /// disjoint records, so no cross-shard draw ever compares two streams.
     pub fn new(
         dim: usize,
         shards: usize,
@@ -276,18 +191,18 @@ impl ShardedIndex {
         if shards == 0 {
             return Err(ErError::Model("need at least one shard".into()));
         }
-        let shards = (0..shards)
-            .map(|_| Shard::new(&backend, dim, scan))
+        let snapshots = (0..shards)
+            .map(|_| {
+                let index = AnyIndex::build(EmbeddingMatrix::new(dim), &backend, scan)?;
+                Ok(SegmentSnapshot::from_index(index))
+            })
             .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedIndex {
-            shards,
-            backend,
-            dim,
-            policy,
-        })
+        ShardedIndex::from_snapshots(snapshots, dim, policy)
     }
 
-    /// Rebuild from per-shard snapshots — the load path.
+    /// Rebuild from per-shard snapshots — the load path. They are published
+    /// as manifest 0, each shared with its shard's writer as the standby
+    /// until the first write diverges them.
     pub(crate) fn from_snapshots(
         snapshots: Vec<SegmentSnapshot>,
         dim: usize,
@@ -297,8 +212,21 @@ impl ShardedIndex {
             .first()
             .map(|s| s.index.backend())
             .ok_or_else(|| ErError::Corrupt("sharded index with zero shards".into()))?;
+        let shards: Box<[Arc<SegmentSnapshot>]> = snapshots.into_iter().map(Arc::new).collect();
+        let writers = shards
+            .iter()
+            .map(|snap| {
+                Mutex::new(WriterState {
+                    standby: Arc::clone(snap),
+                    backlog: Vec::new(),
+                    journal: None,
+                    journal_len: 0,
+                })
+            })
+            .collect();
         Ok(ShardedIndex {
-            shards: snapshots.into_iter().map(Shard::from_snapshot).collect(),
+            published: Mutex::new(Arc::new(Manifest { seq: 0, shards })),
+            writers,
             backend,
             dim,
             policy,
@@ -309,37 +237,54 @@ impl ShardedIndex {
     /// bytes, mod shard count. Pure and stable — the routing survives
     /// save/load and is the same on every machine.
     pub fn shard_of(&self, id: EntityId) -> usize {
-        (fnv1a64(&id.0.to_le_bytes()) % self.shards.len() as u64) as usize
+        (fnv1a64(&id.0.to_le_bytes()) % self.writers.len() as u64) as usize
     }
 
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.writers.len()
     }
 
     /// Live rows per shard (the observability hook the bench reports).
     pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.load().live_count()).collect()
+        self.snapshots().iter().map(|s| s.live_count()).collect()
+    }
+
+    /// Live records across all shards.
+    pub fn len(&self) -> usize {
+        self.snapshots().iter().map(|s| s.live_count()).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Per-shard stats: live/tombstoned counts, deleted fraction, and
     /// journal length since the last checkpoint.
     pub fn stats(&self) -> Vec<ShardStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
-    }
-
-    /// Hash-skew factor: the largest shard's live count over the mean
-    /// (1.0 = perfectly balanced; `1.0` for an empty index). FNV-1a keeps
-    /// this near 1 for uniformly drawn ids; a factor much above ~2 with
-    /// many records signals adversarial or degenerate id patterns.
-    pub fn skew(&self) -> f32 {
-        let sizes = self.shard_sizes();
-        let total: usize = sizes.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let mean = total as f32 / sizes.len() as f32;
-        let max = sizes.iter().copied().max().unwrap_or(0) as f32;
-        max / mean
+        let manifest = self.snapshots();
+        manifest
+            .iter()
+            .zip(self.writers.iter())
+            .map(|(snap, writer)| {
+                let journal_len = writer
+                    .lock()
+                    .expect("shard writer lock poisoned")
+                    .journal_len;
+                let stored = snap.stored();
+                let live = snap.live_count();
+                let tombstoned = stored - live;
+                ShardStats {
+                    live,
+                    tombstoned,
+                    deleted_fraction: if stored == 0 {
+                        0.0
+                    } else {
+                        tombstoned as f32 / stored as f32
+                    },
+                    journal_len,
+                }
+            })
+            .collect()
     }
 
     pub fn backend(&self) -> &BlockerBackend {
@@ -355,10 +300,9 @@ impl ShardedIndex {
         self.policy
     }
 
-    /// Whether `id` is currently live (in the latest committed snapshot of
-    /// its shard).
+    /// Whether `id` is currently live (in the committed manifest).
     pub fn contains(&self, id: EntityId) -> bool {
-        self.shards[self.shard_of(id)].load().contains(id)
+        self.snapshots()[self.shard_of(id)].contains(id)
     }
 
     fn check_dim(&self, row: &[f32]) -> Result<()> {
@@ -372,43 +316,80 @@ impl ShardedIndex {
         Ok(())
     }
 
+    /// The single mutation path: catch the shard's standby up, probe for
+    /// no-ops (which are neither journaled nor published), journal, apply
+    /// to the standby, and publish it. `journal: false` is used for replay
+    /// (the record is already on disk).
+    fn write(&self, shard: usize, op: WriteOp, journal: bool) -> Result<bool> {
+        let mut w = self.writers[shard]
+            .lock()
+            .expect("shard writer lock poisoned");
+        w.catch_up(&self.policy)?;
+        // No-op probe on the caught-up standby: an insert of a live id, a
+        // delete of an absent one, or a compaction with nothing to reclaim
+        // changes no state, so it must not reach the journal (replay would
+        // then diverge from the live no-op) or publish a new manifest.
+        match &op {
+            WriteOp::Record(JournalRecord::Insert { id, .. })
+                if w.standby.contains(EntityId(*id)) =>
+            {
+                return Ok(false)
+            }
+            WriteOp::Record(JournalRecord::Delete { id }) if !w.standby.contains(EntityId(*id)) => {
+                return Ok(false)
+            }
+            WriteOp::Compact if w.standby.stored() == w.standby.live_count() => return Ok(true),
+            _ => {}
+        }
+        // A compaction is never journaled: it is logically invisible —
+        // recovery re-derives any *automatic* compaction deterministically
+        // inside `SegmentSnapshot::apply`, and a crash merely loses a
+        // manual one (an optimization, never data).
+        if let (true, WriteOp::Record(rec), Some(j)) = (journal, &op, w.journal.as_mut()) {
+            j.append(rec)?;
+            w.journal_len += 1;
+        }
+        let out = Arc::make_mut(&mut w.standby).apply(&op, &self.policy)?;
+        {
+            let mut published = self.published.lock().expect("manifest lock poisoned");
+            // In place unless a reader holds the current manifest: that
+            // reader keeps its copy, and this publish makes a new one.
+            let manifest = Arc::make_mut(&mut published);
+            std::mem::swap(&mut manifest.shards[shard], &mut w.standby);
+            manifest.seq += 1;
+        }
+        w.backlog.push(op);
+        Ok(out)
+    }
+
     /// Insert a new record. Returns `Ok(false)` (and stores, journals,
     /// and publishes nothing) if the id is already live — use
     /// [`ShardedIndex::upsert`] to replace.
     pub fn insert(&self, id: EntityId, row: &[f32]) -> Result<bool> {
         self.check_dim(row)?;
-        self.shards[self.shard_of(id)].write(
-            WriteOp::Record(JournalRecord::Insert {
-                id: id.0,
-                row: row.to_vec(),
-            }),
-            &self.policy,
-            true,
-        )
+        let op = JournalRecord::Insert {
+            id: id.0,
+            row: row.to_vec(),
+        };
+        self.write(self.shard_of(id), WriteOp::Record(op), true)
     }
 
     /// Insert, replacing any live record with the same id (the old row is
     /// tombstoned first). Returns whether a record was replaced.
     pub fn upsert(&self, id: EntityId, row: &[f32]) -> Result<bool> {
         self.check_dim(row)?;
-        self.shards[self.shard_of(id)].write(
-            WriteOp::Record(JournalRecord::Upsert {
-                id: id.0,
-                row: row.to_vec(),
-            }),
-            &self.policy,
-            true,
-        )
+        let op = JournalRecord::Upsert {
+            id: id.0,
+            row: row.to_vec(),
+        };
+        self.write(self.shard_of(id), WriteOp::Record(op), true)
     }
 
     /// Tombstone a record. Returns `Ok(false)` when the id is not live.
     /// (Errors are I/O failures appending to the write-ahead journal.)
     pub fn delete(&self, id: EntityId) -> Result<bool> {
-        self.shards[self.shard_of(id)].write(
-            WriteOp::Record(JournalRecord::Delete { id: id.0 }),
-            &self.policy,
-            true,
-        )
+        let op = JournalRecord::Delete { id: id.0 };
+        self.write(self.shard_of(id), WriteOp::Record(op), true)
     }
 
     /// Manually compact every shard, dropping tombstoned rows. Live top-k
@@ -416,7 +397,7 @@ impl ShardedIndex {
     /// costs storage, never data, and automatic compactions are re-derived
     /// deterministically during replay.
     pub fn compact(&self) -> Result<()> {
-        for shard in 0..self.shards.len() {
+        for shard in 0..self.shard_count() {
             self.compact_shard(shard)?;
         }
         Ok(())
@@ -424,45 +405,33 @@ impl ShardedIndex {
 
     /// Manually compact one shard (see [`ShardedIndex::compact`]).
     pub fn compact_shard(&self, shard: usize) -> Result<()> {
-        self.shards[shard].write(WriteOp::Compact, &self.policy, false)?;
+        self.write(shard, WriteOp::Compact, false)?;
         Ok(())
     }
 
-    /// The latest committed snapshot of every shard. Not mutually
-    /// consistent across shards (each may advance independently), but each
-    /// is individually immutable — pin the set and use
-    /// [`search_snapshots`] for repeatable queries.
-    pub fn snapshots(&self) -> Vec<Arc<SegmentSnapshot>> {
-        self.shards.iter().map(|s| s.load()).collect()
-    }
-
-    /// A mutually consistent snapshot set: all shard writers are held
-    /// while the published sides are read, so no shard can advance
-    /// in between.
-    pub(crate) fn consistent_snapshots(&self) -> Vec<Arc<SegmentSnapshot>> {
-        let _writers: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.writer.lock().expect("shard writer lock poisoned"))
-            .collect();
-        self.shards.iter().map(|s| s.load()).collect()
+    /// The committed manifest: every shard's snapshot at one point of the
+    /// index-wide write order, pinned with one `Arc` clone and immutable
+    /// for as long as the caller holds it — use [`search_snapshots`] on it
+    /// for repeatable queries.
+    pub fn snapshots(&self) -> Arc<Manifest> {
+        Arc::clone(&self.published.lock().expect("manifest lock poisoned"))
     }
 
     /// Checkpoint: under every shard's writer lock (taken in index order),
-    /// hand the mutually consistent snapshot set to `write` (which
-    /// persists it), then reset all journals to `epoch_next`. Writes are
-    /// blocked for the duration; readers are not.
+    /// hand the committed manifest to `write` (which persists it), then
+    /// reset all journals to `epoch_next`. The writer locks pair the save
+    /// with the journal reset, so writes are blocked for the duration;
+    /// readers are not.
     pub(crate) fn checkpoint_with<F>(&self, epoch_next: u64, write: F) -> Result<()>
     where
         F: FnOnce(&[Arc<SegmentSnapshot>]) -> Result<()>,
     {
         let mut writers: Vec<_> = self
-            .shards
+            .writers
             .iter()
-            .map(|s| s.writer.lock().expect("shard writer lock poisoned"))
+            .map(|w| w.lock().expect("shard writer lock poisoned"))
             .collect();
-        let snaps: Vec<Arc<SegmentSnapshot>> = self.shards.iter().map(|s| s.load()).collect();
-        write(&snaps)?;
+        write(&self.snapshots())?;
         for (i, w) in writers.iter_mut().enumerate() {
             if let Some(j) = w.journal.as_mut() {
                 j.reset(i as u32, epoch_next)?;
@@ -486,46 +455,29 @@ impl ShardedIndex {
                     self.shard_of(id)
                 )));
             }
-            self.shards[shard].write(WriteOp::Record(rec), &self.policy, false)?;
+            self.write(shard, WriteOp::Record(rec), false)?;
         }
         Ok(())
     }
 
-    /// Attach a write-ahead journal to `shard`. See [`Shard::set_journal`].
+    /// Attach (or replace) the write-ahead journal of `shard`.
+    /// `journal_len` is the number of records already committed in the
+    /// file (non-zero when resuming after recovery).
     pub(crate) fn attach_journal(&self, shard: usize, journal: JournalWriter, journal_len: u64) {
-        self.shards[shard].set_journal(journal, journal_len);
-    }
-}
-
-/// The `NnIndex`-shaped query surface: `Neighbor.index` carries the
-/// **entity id** (`EntityId.0 as usize`), not a row position — sharding
-/// has no global row space. `len()` counts live records.
-impl NnIndex for ShardedIndex {
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.load().live_count()).sum()
+        let mut w = self.writers[shard]
+            .lock()
+            .expect("shard writer lock poisoned");
+        w.journal = Some(journal);
+        w.journal_len = journal_len;
     }
 
-    fn metric(&self) -> Metric {
-        self.backend.metric()
-    }
-
-    fn search_slice(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_ids(query, k)
-            .into_iter()
-            .map(|h| Neighbor::new(h.id.0 as usize, h.distance))
-            .collect()
-    }
-}
-
-impl ShardedIndex {
-    /// Scatter-gather top-k over the latest committed snapshots: see
-    /// [`search_snapshots`]. Each query pins the snapshot set once at the
+    /// Scatter-gather top-k over the committed manifest: see
+    /// [`search_snapshots`]. Each query pins the manifest once at the
     /// start, so concurrent writes cannot tear it.
     pub fn search_ids(&self, query: &[f32], k: usize) -> Vec<Hit> {
         if k == 0 {
             return Vec::new();
         }
-        let snaps = self.snapshots();
-        search_snapshots(&snaps, query, k)
+        search_snapshots(&self.snapshots(), query, k)
     }
 }

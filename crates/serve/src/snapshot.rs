@@ -1,14 +1,14 @@
-//! The immutable unit of the snapshot-swap serving core.
+//! The immutable unit of the serving core.
 //!
 //! A [`SegmentSnapshot`] is one shard's complete, self-consistent state:
-//! the index (with its tombstone bitmap), the row ↔ id maps, and a version
-//! counter. Snapshots are **immutable once published** — readers clone an
-//! `Arc<SegmentSnapshot>` out of the shard's published slot and search it
-//! lock-free for as long as they like, while the writer mutates its own
+//! the index (with its tombstone bitmap) and the row ↔ id maps. Snapshots
+//! are **immutable once published** — readers reach them through the
+//! index's one published [`crate::Manifest`] and search them lock-free for
+//! as long as they hold it, while each shard's writer mutates its own
 //! *standby* copy (via `Arc::make_mut`, which only physically clones when
-//! a straggler reader still holds the standby from two publishes ago) and
-//! swaps it in. Every mutation therefore observes an atomic all-or-nothing
-//! transition: no torn reads, ever.
+//! a straggler reader still holds that copy in an older manifest) and
+//! swaps it into the manifest. Every mutation is therefore an atomic
+//! all-or-nothing transition: no torn reads, ever.
 //!
 //! The same `apply_*` functions run on the live write path and during
 //! journal replay, and the auto-compaction check runs *inside* them — so a
@@ -82,7 +82,7 @@ pub struct ShardStats {
 /// the [`JournalRecord`] itself, so the journaled write path and replay
 /// hand the same value around without re-packing the row) or a manual
 /// compaction. The writer applies ops to its standby side and keeps them
-/// in a backlog to catch the other side up after the swap.
+/// in a backlog to catch the other side up after the publish.
 #[derive(Debug, Clone)]
 pub(crate) enum WriteOp {
     Record(JournalRecord),
@@ -100,10 +100,6 @@ pub struct SegmentSnapshot {
     pub(crate) ids: Vec<EntityId>,
     /// Live entity id → its row.
     pub(crate) rows: HashMap<EntityId, usize>,
-    /// Ops applied since the shard was created — every published snapshot
-    /// has a distinct version, so a reader can tell which committed state
-    /// it observed.
-    pub(crate) version: u64,
 }
 
 impl SegmentSnapshot {
@@ -112,7 +108,6 @@ impl SegmentSnapshot {
             index,
             ids: Vec::new(),
             rows: HashMap::new(),
-            version: 0,
         }
     }
 
@@ -139,12 +134,7 @@ impl SegmentSnapshot {
                 )));
             }
         }
-        Ok(SegmentSnapshot {
-            index,
-            ids,
-            rows,
-            version: 0,
-        })
+        Ok(SegmentSnapshot { index, ids, rows })
     }
 
     /// Live (searchable) records in this snapshot.
@@ -160,11 +150,6 @@ impl SegmentSnapshot {
     /// Whether `id` is live in this snapshot.
     pub fn contains(&self, id: EntityId) -> bool {
         self.rows.contains_key(&id)
-    }
-
-    /// Ops applied to this shard when the snapshot was committed.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// The underlying index (read-only).
@@ -209,7 +194,6 @@ impl SegmentSnapshot {
     /// bit-identical states. Returns what the op's public API reports
     /// (insert: stored; upsert: replaced; delete: existed).
     pub(crate) fn apply(&mut self, op: &WriteOp, policy: &CompactionPolicy) -> Result<bool> {
-        self.version += 1;
         match op {
             WriteOp::Record(JournalRecord::Insert { id, row }) => {
                 let id = EntityId(*id);

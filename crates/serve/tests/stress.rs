@@ -1,19 +1,28 @@
-//! Concurrency stress for the snapshot-swap serving core (ISSUE 8): N
+//! Concurrency stress for the serving core's one published manifest: N
 //! scoped reader threads query while one writer inserts, deletes, upserts
 //! and compacts. The pinned invariants:
 //!
-//! 1. **Committed states only** — every snapshot a reader observes carries
-//!    a `(version, live-id-set)` pair the writer actually committed; a
-//!    half-applied op or a torn live set is a failure.
-//! 2. **Monotonicity** — successive loads of one shard never go backwards
-//!    in version.
-//! 3. **Pinned-snapshot repeatability** — re-running a query against a
-//!    pinned snapshot set returns bit-identical hits regardless of
-//!    concurrent churn (snapshots are immutable once published).
-//! 4. **Quiescent equivalence** — after the churn, scatter-gather search
+//! 1. **Committed prefixes only** — every manifest a reader pins names its
+//!    `seq`, and its per-shard live-id sets must equal the state the writer
+//!    committed after exactly `seq` effective ops. A half-applied op, or a
+//!    torn cross-shard set (one shard's later write without another
+//!    shard's earlier one), is a failure.
+//! 2. **Monotonicity** — successive pins by one reader never go backwards
+//!    in `seq`.
+//! 3. **Real time** — a pin's `seq` lies inside the reader's invoke/return
+//!    window, read from the writer's commit counter: `lo ≤ seq ≤ hi + 1`,
+//!    where the `+ 1` is the op the writer has published but not yet
+//!    counted.
+//! 4. **Pinned-manifest repeatability** — re-running a query against a
+//!    pinned manifest returns bit-identical hits regardless of concurrent
+//!    churn (snapshots are immutable once published).
+//! 5. **Quiescent equivalence** — after the churn, scatter-gather search
 //!    is bit-identical to a serially rebuilt index over the same live
 //!    records (neither concurrency nor compaction history affects
 //!    answers).
+//!
+//! Together, 1–3 check linearizability of the read path directly: the
+//! writer's commit log names the one state each `seq` may show.
 //!
 //! The heavy run is wall-clock-bounded by op count and gated to release
 //! builds (the CI `serve-durability` job); a small smoke version runs
@@ -25,7 +34,7 @@ use er_index::{BlockerBackend, Metric, ScanConfig};
 use er_serve::{search_snapshots, CompactionPolicy, ShardedIndex};
 use rand::prelude::*;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -46,9 +55,11 @@ fn live_set_hash(ids: &[EntityId]) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// One observation a reader made: which shard, which version, and the
-/// hash of the live-id set it saw.
-type Observation = (usize, u64, u64);
+/// The hash of every shard's live-id set, in shard order.
+type LiveSets = [u64; SHARDS];
+
+/// One pin a reader made: its manifest's `seq` and the live sets it saw.
+type Observation = (u64, LiveSets);
 
 fn run_churn(ops: usize, readers: usize, dim: usize) {
     let index = ShardedIndex::new(
@@ -63,15 +74,15 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
     )
     .unwrap();
 
-    // version → live-set hash, per shard. The writer records every state
-    // it commits; readers validate their observations against it after
-    // the churn (a reader may observe a state moments before the writer
-    // records it, so validation is deferred, not inline).
-    let committed: Vec<Mutex<HashMap<u64, u64>>> =
-        (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-    for shard in &committed {
-        shard.lock().unwrap().insert(0, live_set_hash(&[]));
-    }
+    // The writer's commit log: entry `n` is every shard's live set after
+    // its `n`-th effective op (entry 0 is the empty index). Readers
+    // validate their observations against it after the churn (a reader
+    // may pin a state moments before the writer logs it, so validation is
+    // deferred, not inline).
+    let history: Mutex<Vec<LiveSets>> = Mutex::new(vec![[live_set_hash(&[]); SHARDS]]);
+    // Effective ops the writer has published *and* logged. It publishes op
+    // `n + 1` only after storing `n` here.
+    let counted = AtomicU64::new(0);
     let done = AtomicBool::new(false);
     let observations: Mutex<Vec<Observation>> = Mutex::new(Vec::new());
     // Live (id, generation) at quiescence, filled in by the writer.
@@ -84,20 +95,25 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
         scope.spawn(|| {
             let mut rng = er_core::rng::rng(97);
             let mut generation: HashMap<u32, u32> = HashMap::new();
-            // Writer-side mirror of each shard's committed (version, live
-            // set) — the sole mutator can track this exactly. Versions
-            // advance once per *effective* op; no-ops never publish.
-            let mut versions = vec![0u64; SHARDS];
+            // Writer-side mirror of each shard's live set — the sole
+            // mutator can track this exactly. Only *effective* ops commit;
+            // no-ops publish nothing.
             let mut shard_live: Vec<Vec<EntityId>> = vec![Vec::new(); SHARDS];
+            let mut sets = [live_set_hash(&[]); SHARDS];
             let mut live: HashMap<u32, u32> = HashMap::new();
-            let record = |shard: usize, versions: &mut Vec<u64>, ids: &[EntityId]| {
-                versions[shard] += 1;
+            let mut commit = |shard: usize, ids: &[EntityId]| {
                 let mut sorted = ids.to_vec();
                 sorted.sort_unstable_by_key(|id| id.0);
-                committed[shard]
-                    .lock()
-                    .unwrap()
-                    .insert(versions[shard], live_set_hash(&sorted));
+                sets[shard] = live_set_hash(&sorted);
+                let mut log = history.lock().unwrap();
+                log.push(sets);
+                let n = log.len() as u64 - 1;
+                assert_eq!(
+                    index.snapshots().seq(),
+                    n,
+                    "the manifest's seq must count exactly the effective ops"
+                );
+                counted.store(n, Ordering::SeqCst);
             };
             for op in 0..ops {
                 let id = rng.gen_range(0..200u32);
@@ -109,14 +125,14 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
                         if index.insert(EntityId(id), &row_for(id, gen, dim)).unwrap() {
                             live.insert(id, gen);
                             shard_live[shard].push(EntityId(id));
-                            record(shard, &mut versions, &shard_live[shard]);
+                            commit(shard, &shard_live[shard]);
                         }
                     }
                     4 | 5 => {
                         if index.delete(EntityId(id)).unwrap() {
                             live.remove(&id);
                             shard_live[shard].retain(|e| e.0 != id);
-                            record(shard, &mut versions, &shard_live[shard]);
+                            commit(shard, &shard_live[shard]);
                         }
                     }
                     _ => {
@@ -126,18 +142,18 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
                         if live.insert(id, *gen).is_none() {
                             shard_live[shard].push(EntityId(id));
                         }
-                        record(shard, &mut versions, &shard_live[shard]);
+                        commit(shard, &shard_live[shard]);
                     }
                 }
                 if op % 97 == 96 {
                     // Manual compaction of one shard, interleaved with the
-                    // churn. Effective (publishes a version) only when
+                    // churn. Effective (publishes a manifest) only when
                     // tombstones exist — the sole mutator can check that
                     // race-free.
                     let target = op % SHARDS;
                     if index.stats()[target].tombstoned > 0 {
                         index.compact_shard(target).unwrap();
-                        record(target, &mut versions, &shard_live[target]);
+                        commit(target, &shard_live[target]);
                     }
                 }
             }
@@ -147,34 +163,43 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
 
         for reader in 0..readers {
             let observations = &observations;
+            let counted = &counted;
             let done = &done;
             let index = &index;
             scope.spawn(move || {
                 let mut rng = er_core::rng::rng(1000 + reader as u64);
                 let mut local: Vec<Observation> = Vec::new();
-                let mut last_version = [0u64; SHARDS];
+                let mut last_seq = 0u64;
                 let mut passes = 0usize;
                 // At least one pass even if the writer already finished
                 // (release builds can drain the op budget in microseconds).
                 while passes == 0 || !done.load(Ordering::Acquire) {
                     passes += 1;
-                    let snaps = index.snapshots();
-                    for (shard, snap) in snaps.iter().enumerate() {
-                        assert!(
-                            snap.version() >= last_version[shard],
-                            "shard {shard} went backwards: {} after {}",
-                            snap.version(),
-                            last_version[shard]
-                        );
-                        last_version[shard] = snap.version();
+                    let lo = counted.load(Ordering::SeqCst);
+                    let manifest = index.snapshots();
+                    let hi = counted.load(Ordering::SeqCst);
+                    let seq = manifest.seq();
+                    assert!(
+                        lo <= seq && seq <= hi + 1,
+                        "pinned seq {seq} outside the pin's window [{lo}, {}]",
+                        hi + 1
+                    );
+                    assert!(
+                        seq >= last_seq,
+                        "seq went backwards: {seq} after {last_seq}"
+                    );
+                    last_seq = seq;
+                    let mut sets = [0u64; SHARDS];
+                    for (set, snap) in sets.iter_mut().zip(manifest.iter()) {
                         let ids = snap.live_ids();
                         assert_eq!(snap.live_count(), ids.len(), "tombstone bookkeeping tore");
-                        local.push((shard, snap.version(), live_set_hash(&ids)));
+                        *set = live_set_hash(&ids);
                     }
-                    // Pinned-snapshot repeatability under churn.
+                    local.push((seq, sets));
+                    // Pinned-manifest repeatability under churn.
                     let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-                    let first = search_snapshots(&snaps, &query, 5);
-                    let second = search_snapshots(&snaps, &query, 5);
+                    let first = search_snapshots(&manifest, &query, 5);
+                    let second = search_snapshots(&manifest, &query, 5);
                     assert_eq!(first.len(), second.len());
                     for (a, b) in first.iter().zip(&second) {
                         assert_eq!(a.id, b.id);
@@ -189,20 +214,22 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
         }
     });
 
-    // Deferred validation: every state any reader observed must be one
-    // the writer committed.
+    // Deferred validation: every manifest any reader pinned must show
+    // exactly the committed prefix its `seq` names.
     let observations = observations.into_inner().unwrap();
+    let history = history.into_inner().unwrap();
     assert!(!observations.is_empty());
-    for (shard, version, hash) in &observations {
-        let map = committed[*shard].lock().unwrap();
-        let expected = map.get(version).unwrap_or_else(|| {
-            panic!("shard {shard} exposed version {version}, which was never committed")
-        });
-        assert_eq!(
-            expected, hash,
-            "shard {shard} version {version}: observed live set differs from \
-             the committed one"
-        );
+    for (seq, sets) in &observations {
+        let expected = history
+            .get(*seq as usize)
+            .unwrap_or_else(|| panic!("a reader pinned seq {seq}, which was never committed"));
+        for shard in 0..SHARDS {
+            assert_eq!(
+                expected[shard], sets[shard],
+                "seq {seq}: shard {shard}'s observed live set is not the one \
+                 committed at that point of the write order"
+            );
+        }
     }
 
     // Quiescent equivalence: scatter-gather over the churned (and
