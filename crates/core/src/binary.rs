@@ -469,12 +469,6 @@ impl<'a> Container<'a> {
         }
     }
 
-    /// Whether the next section carries `tag` — how a decoder reads an
-    /// optional trailing section.
-    pub fn next_is(&self, tag: u32) -> bool {
-        self.sections.get(self.next).is_some_and(|&(t, _)| t == tag)
-    }
-
     /// End of the container: every section must have been taken.
     pub fn finish(self) -> Result<()> {
         match self.sections.get(self.next) {
@@ -699,7 +693,6 @@ mod tests {
         // Sections come out in file order only.
         assert!(matches!(back.section(2, "third"), Err(ErError::Corrupt(_))));
         back.section(1, "first").unwrap().get_u8().unwrap();
-        assert!(back.next_is(7));
         back.section(7, "second").unwrap().finish().unwrap();
         assert_eq!(back.section(2, "third").unwrap().get_u8().unwrap(), 9);
         back.finish().unwrap();

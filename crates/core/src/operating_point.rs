@@ -1,8 +1,8 @@
 //! The unified operating point: every retrieval knob of the workspace —
 //! `k`, the backend with its parameters and metric, the Exact scan's
 //! tier/quantization, Dirty-ER mode — composed into **one** config type,
-//! plus the tuning goals (`recall_target`, `budget_ns`) the `er-tune`
-//! autotuner optimizes against.
+//! plus the tuning goal (`recall_target`) the `er-tune` autotuner
+//! optimizes against.
 //!
 //! There is one vocabulary: [`BlockerBackend`] with its [`HnswConfig`] /
 //! [`LshConfig`] is what the indices are built and persisted with, and an
@@ -198,20 +198,13 @@ impl QueryParams {
             ..QueryParams::default()
         }
     }
-
-    pub fn with_probes(probes: usize) -> QueryParams {
-        QueryParams {
-            probes: Some(probes),
-            ..QueryParams::default()
-        }
-    }
 }
 
 /// One retrieval configuration for the whole stack — see the module docs.
 ///
 /// Build one with the builder (`OperatingPoint::new(10).backend(..)`, or
-/// `OperatingPoint::recall_target(0.95).budget(500_000.0)` as a tuning
-/// goal) or field-by-field; validate with [`OperatingPoint::validate`]
+/// `OperatingPoint::recall_target(0.95)` as a tuning goal) or
+/// field-by-field; validate with [`OperatingPoint::validate`]
 /// before handing it to a backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
@@ -229,10 +222,6 @@ pub struct OperatingPoint {
     /// Tuning goal: the fraction of the exact-scan top-k the chosen
     /// configuration must retrieve (`None`: no constraint).
     pub recall_target: Option<f32>,
-    /// Tuning goal: estimated per-query budget in nanoseconds (`None`: no
-    /// budget — the tuner picks the cheapest point meeting the recall
-    /// target).
-    pub budget_ns: Option<f64>,
 }
 
 impl Default for OperatingPoint {
@@ -245,7 +234,6 @@ impl Default for OperatingPoint {
             scan: ScanConfig::default(),
             dirty: false,
             recall_target: None,
-            budget_ns: None,
         }
     }
 }
@@ -261,18 +249,12 @@ impl OperatingPoint {
     }
 
     /// Start a builder from a recall target — the autotuner's entry point:
-    /// `OperatingPoint::recall_target(0.95).budget(250_000.0)`.
+    /// `OperatingPoint::recall_target(0.95).metric(Metric::Cosine)`.
     pub fn recall_target(target: f32) -> OperatingPoint {
         OperatingPoint {
             recall_target: Some(target),
             ..OperatingPoint::default()
         }
-    }
-
-    /// Per-query cost budget in estimated nanoseconds.
-    pub fn budget(mut self, budget_ns: f64) -> OperatingPoint {
-        self.budget_ns = Some(budget_ns);
-        self
     }
 
     pub fn k(mut self, k: usize) -> OperatingPoint {
@@ -330,25 +312,15 @@ impl OperatingPoint {
 
     /// Reject self-contradictory settings with a typed
     /// [`ErError::Config`]: the backend rules of
-    /// [`BlockerBackend::validate`] plus the tuning goals' ranges.
+    /// [`BlockerBackend::validate`] plus the recall target's range.
     pub fn validate(&self) -> Result<()> {
-        let fail = |msg: String| Err(ErError::Config(msg));
         self.backend.validate(&self.scan)?;
-        if let Some(t) = self.recall_target {
-            if !(t > 0.0 && t <= 1.0) {
-                return fail(format!(
-                    "operating point: recall target must be in (0, 1], got {t}"
-                ));
-            }
+        match self.recall_target {
+            Some(t) if !(t > 0.0 && t <= 1.0) => Err(ErError::Config(format!(
+                "operating point: recall target must be in (0, 1], got {t}"
+            ))),
+            _ => Ok(()),
         }
-        if let Some(b) = self.budget_ns {
-            if b.is_nan() || b <= 0.0 {
-                return fail(format!(
-                    "operating point: budget must be positive nanoseconds, got {b}"
-                ));
-            }
-        }
-        Ok(())
     }
 
     /// Canonical JSON rendering — stable field order, so two points are
@@ -419,9 +391,6 @@ impl OperatingPoint {
         if let Some(t) = self.recall_target {
             fields.push(("recall_target".into(), Json::from_f32(t)));
         }
-        if let Some(b) = self.budget_ns {
-            fields.push(("budget_ns".into(), Json::from_f32(b as f32)));
-        }
         Json::Obj(fields).to_string()
     }
 }
@@ -440,7 +409,6 @@ mod tests {
     #[test]
     fn builder_composes_goals_and_knobs() {
         let op = OperatingPoint::recall_target(0.95)
-            .budget(250_000.0)
             .k(5)
             .backend(lsh_tables(4))
             .metric(Metric::Euclidean)
@@ -448,7 +416,6 @@ mod tests {
         assert_eq!(op.k, 5);
         assert_eq!(op.backend.metric(), Metric::Euclidean);
         assert_eq!(op.recall_target, Some(0.95));
-        assert_eq!(op.budget_ns, Some(250_000.0));
         assert!(op.dirty);
         assert!(matches!(&op.backend, BlockerBackend::Lsh(c) if c.tables == 4));
         assert!(op.validate().is_ok());
@@ -504,8 +471,6 @@ mod tests {
         assert!(matches!(no_tables.validate(), Err(ErError::Config(_))));
         let bad_target = OperatingPoint::recall_target(1.5);
         assert!(matches!(bad_target.validate(), Err(ErError::Config(_))));
-        let bad_budget = OperatingPoint::default().budget(0.0);
-        assert!(matches!(bad_budget.validate(), Err(ErError::Config(_))));
     }
 
     #[test]

@@ -27,10 +27,10 @@ pub mod zoo;
 pub use fasttext::FastTextParams;
 pub use glove::GloveParams;
 pub use mlm::MlmParams;
+pub use sgns::SgnsParams;
 pub use static_model::StaticModel;
 pub use transformer::{Transformer, TransformerConfig};
 pub use vocab::Vocab;
-pub use word2vec::SgnsParams;
 pub use zoo::{AnyModel, ModelZoo, ZooConfig};
 
 use er_core::binary::BinReader;

@@ -1,26 +1,46 @@
-//! Shared skip-gram-with-negative-sampling machinery (Mikolov et al. 2013),
-//! used by both Word2Vec and FastText.
+//! Skip-gram with negative sampling (Mikolov et al. 2013): the one trainer
+//! behind Word2Vec and FastText.
+//!
+//! Mechanics preserved from word2vec.c: dynamic window shrinking, the
+//! unigram^0.75 negative table, linear learning-rate decay, uniform
+//! ±0.5/dim input init with zero-initialized output vectors. FastText
+//! (Bojanowski et al. 2017) is the same loop with a word's input
+//! represented as the average of its word vector and its hashed n-gram
+//! bucket vectors, the gradient flowing into every component; Word2Vec is
+//! FastText with no buckets.
 
+use crate::vocab::Vocab;
 use er_core::rng::DetRng;
+use er_text::Corpus;
 use rand::Rng;
+
+/// SGNS hyper-parameters (shared by Word2Vec and FastText).
+#[derive(Debug, Clone)]
+pub struct SgnsParams {
+    pub dim: usize,
+    pub window: usize,
+    pub negatives: usize,
+    pub epochs: usize,
+    pub lr: f32,
+}
 
 /// Numerically safe logistic function (inputs clamped to ±8, where the
 /// gradient is effectively zero anyway).
 #[inline]
-pub(crate) fn sigmoid(x: f32) -> f32 {
+fn sigmoid(x: f32) -> f32 {
     let x = x.clamp(-8.0, 8.0);
     1.0 / (1.0 + (-x).exp())
 }
 
 /// Unigram^0.75 negative-sampling table (word2vec's distribution).
-pub(crate) struct NegTable {
+struct NegTable {
     table: Vec<u32>,
 }
 
 impl NegTable {
     const SIZE: usize = 1 << 16;
 
-    pub fn build(counts: &[u32]) -> NegTable {
+    fn build(counts: &[u32]) -> NegTable {
         assert!(!counts.is_empty(), "cannot build table over empty vocab");
         let weights: Vec<f64> = counts.iter().map(|&c| (c as f64).powf(0.75)).collect();
         let total: f64 = weights.iter().sum();
@@ -39,7 +59,7 @@ impl NegTable {
     }
 
     #[inline]
-    pub fn sample(&self, rng: &mut DetRng) -> u32 {
+    fn sample(&self, rng: &mut DetRng) -> u32 {
         self.table[rng.gen_range(0..self.table.len())]
     }
 }
@@ -47,14 +67,14 @@ impl NegTable {
 /// Linearly decaying learning rate, floored at 10% of the initial rate
 /// (word2vec.c's schedule).
 #[inline]
-pub(crate) fn decayed_lr(lr0: f32, progress: f32) -> f32 {
+fn decayed_lr(lr0: f32, progress: f32) -> f32 {
     lr0 * (1.0 - progress).max(0.1)
 }
 
 /// One SGNS update for an input representation `h` against `target`'s
 /// output vector, accumulating the input gradient in `grad_h`.
 #[inline]
-pub(crate) fn sgns_step(
+fn sgns_step(
     h: &[f32],
     grad_h: &mut [f32],
     out_vecs: &mut [f32],
@@ -70,6 +90,102 @@ pub(crate) fn sgns_step(
         grad_h[d] += g * out[d];
         out[d] += g * h[d];
     }
+}
+
+/// Train on `corpus` over `vocab` with draws from `rng`, and return the
+/// input vectors: `vocab.len()` word rows and `buckets` subword-bucket
+/// rows, both row-major.
+///
+/// `grams[w]` lists word `w`'s bucket ids. A centre word's input is the
+/// mean of its word row and those bucket rows, and each component receives
+/// the input gradient divided by the part count. With no buckets every
+/// part count is 1, and `h / 1.0` and `g * 1.0` are exact in IEEE-754, so
+/// the word rows train bit-identically to plain Word2Vec; the draw order
+/// (word init, bucket init, then per centre one window and per context
+/// its negatives) does not depend on the buckets either.
+pub(crate) fn train(
+    corpus: &Corpus,
+    vocab: &Vocab,
+    params: &SgnsParams,
+    grams: &[Vec<u32>],
+    buckets: usize,
+    mut rng: DetRng,
+) -> (Vec<f32>, Vec<f32>) {
+    let dim = params.dim;
+    let mut init = |rows: usize| -> Vec<f32> {
+        (0..rows * dim)
+            .map(|_| (rng.gen_range(0.0f32..1.0) - 0.5) / dim as f32)
+            .collect()
+    };
+    let mut word_vecs = init(vocab.len());
+    let mut bucket_vecs = init(buckets);
+    let mut out_vecs = vec![0.0f32; vocab.len() * dim];
+    let table = NegTable::build(vocab.counts());
+
+    let encoded: Vec<Vec<u32>> = corpus.sentences().iter().map(|s| vocab.encode(s)).collect();
+    let total_tokens: usize = encoded.iter().map(Vec::len).sum::<usize>().max(1) * params.epochs;
+    let mut processed = 0usize;
+    let mut h = vec![0.0f32; dim];
+    let mut grad_h = vec![0.0f32; dim];
+
+    for _epoch in 0..params.epochs {
+        for sentence in &encoded {
+            for (i, &center) in sentence.iter().enumerate() {
+                processed += 1;
+                let lr = decayed_lr(params.lr, processed as f32 / total_tokens as f32);
+                let span = rng.gen_range(1..=params.window);
+                let lo = i.saturating_sub(span);
+                let hi = (i + span).min(sentence.len() - 1);
+
+                let center = center as usize;
+                let word = center * dim..(center + 1) * dim;
+                let grams = &grams[center];
+                let parts = (1 + grams.len()) as f32;
+
+                for (j, &ctx) in sentence.iter().enumerate().take(hi + 1).skip(lo) {
+                    if j == i {
+                        continue;
+                    }
+                    let context = ctx as usize;
+
+                    // h = average of the word vector and its bucket vectors.
+                    h.copy_from_slice(&word_vecs[word.clone()]);
+                    for &g in grams {
+                        let row = &bucket_vecs[g as usize * dim..(g as usize + 1) * dim];
+                        for (hd, bd) in h.iter_mut().zip(row) {
+                            *hd += bd;
+                        }
+                    }
+                    for hd in h.iter_mut() {
+                        *hd /= parts;
+                    }
+
+                    grad_h.fill(0.0);
+                    sgns_step(&h, &mut grad_h, &mut out_vecs, context, 1.0, lr);
+                    for _ in 0..params.negatives {
+                        let neg = table.sample(&mut rng) as usize;
+                        if neg == context {
+                            continue;
+                        }
+                        sgns_step(&h, &mut grad_h, &mut out_vecs, neg, 0.0, lr);
+                    }
+
+                    // Distribute the input gradient over all components.
+                    let scale = 1.0 / parts;
+                    for (wd, g) in word_vecs[word.clone()].iter_mut().zip(&grad_h) {
+                        *wd += g * scale;
+                    }
+                    for &gid in grams {
+                        let row = &mut bucket_vecs[gid as usize * dim..(gid as usize + 1) * dim];
+                        for (bd, g) in row.iter_mut().zip(&grad_h) {
+                            *bd += g * scale;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (word_vecs, bucket_vecs)
 }
 
 #[cfg(test)]

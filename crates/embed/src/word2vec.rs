@@ -1,83 +1,26 @@
 //! Word2Vec: skip-gram with negative sampling, trained from scratch
 //! (paper model **WC**; DESIGN.md inventory row 3).
 //!
-//! Mechanics preserved from word2vec.c: dynamic window shrinking, the
-//! unigram^0.75 negative table, linear learning-rate decay, uniform
-//! ±0.5/dim input init with zero-initialized output vectors. The input
-//! vectors are the released weights, a [`StaticModel`] without subwords.
+//! The shared SGNS loop (`sgns.rs`) with no subword buckets. The
+//! input vectors are the released weights, a [`StaticModel`] without
+//! subwords.
 
-use crate::sgns::{decayed_lr, sgns_step, NegTable};
+use crate::sgns::{self, SgnsParams};
 use crate::vocab::Vocab;
 use crate::{ModelCode, StaticModel};
 use er_core::rng::derive;
 use er_text::Corpus;
-use rand::Rng;
 use std::time::Instant;
-
-/// SGNS hyper-parameters (shared with FastText).
-#[derive(Debug, Clone)]
-pub struct SgnsParams {
-    pub dim: usize,
-    pub window: usize,
-    pub negatives: usize,
-    pub epochs: usize,
-    pub lr: f32,
-}
 
 impl StaticModel {
     /// Train Word2Vec (**WC**) on `corpus` over `vocab`.
     pub fn word2vec(corpus: &Corpus, vocab: Vocab, params: &SgnsParams, seed: u64) -> StaticModel {
         let start = Instant::now();
-        let dim = params.dim;
-        let mut rng = derive(seed, "word2vec");
-
-        let mut in_vecs: Vec<f32> = (0..vocab.len() * dim)
-            .map(|_| (rng.gen_range(0.0f32..1.0) - 0.5) / dim as f32)
-            .collect();
-        let mut out_vecs = vec![0.0f32; vocab.len() * dim];
-        let table = NegTable::build(vocab.counts());
-
-        let encoded: Vec<Vec<u32>> = corpus.sentences().iter().map(|s| vocab.encode(s)).collect();
-        let total_tokens: usize =
-            encoded.iter().map(Vec::len).sum::<usize>().max(1) * params.epochs;
-        let mut processed = 0usize;
-        let mut grad_h = vec![0.0f32; dim];
-        let mut h_buf = vec![0.0f32; dim];
-
-        for _epoch in 0..params.epochs {
-            for sentence in &encoded {
-                for (i, &center) in sentence.iter().enumerate() {
-                    processed += 1;
-                    let lr = decayed_lr(params.lr, processed as f32 / total_tokens as f32);
-                    let span = rng.gen_range(1..=params.window);
-                    let lo = i.saturating_sub(span);
-                    let hi = (i + span).min(sentence.len() - 1);
-                    for (j, &ctx) in sentence.iter().enumerate().take(hi + 1).skip(lo) {
-                        if j == i {
-                            continue;
-                        }
-                        let context = ctx as usize;
-                        let h_row = center as usize * dim..(center as usize + 1) * dim;
-                        grad_h.fill(0.0);
-                        h_buf.copy_from_slice(&in_vecs[h_row.clone()]);
-                        sgns_step(&h_buf, &mut grad_h, &mut out_vecs, context, 1.0, lr);
-                        for _ in 0..params.negatives {
-                            let neg = table.sample(&mut rng) as usize;
-                            if neg == context {
-                                continue;
-                            }
-                            sgns_step(&h_buf, &mut grad_h, &mut out_vecs, neg, 0.0, lr);
-                        }
-                        for (w, g) in in_vecs[h_row].iter_mut().zip(&grad_h) {
-                            *w += g;
-                        }
-                    }
-                }
-            }
-        }
-
+        let no_grams = vec![Vec::new(); vocab.len()];
+        let rng = derive(seed, "word2vec");
+        let (in_vecs, _) = sgns::train(corpus, &vocab, params, &no_grams, 0, rng);
         let init_ns = start.elapsed().as_nanos() as u64;
-        StaticModel::new(ModelCode::WC, vocab, dim, in_vecs, None, init_ns)
+        StaticModel::new(ModelCode::WC, vocab, params.dim, in_vecs, None, init_ns)
     }
 }
 

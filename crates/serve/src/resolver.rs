@@ -318,11 +318,6 @@ impl<'m> Resolver<'m> {
         *self.epoch.lock().expect("resolver epoch lock poisoned")
     }
 
-    /// The durable directory, when opened via [`Resolver::open`].
-    pub fn durable_dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
     /// Embed an entity exactly as the batch pipeline would: serialize
     /// under the resolver's mode, then run the model.
     pub fn embed(&self, entity: &Entity) -> Embedding {
@@ -468,8 +463,8 @@ impl<'m> Resolver<'m> {
     /// Inverse of [`Resolver::to_bytes`]. The model's weights are not part
     /// of the bytes (the zoo cache persists them), but its identity is:
     /// `model` must carry the saved code and fingerprint, else
-    /// [`ErError::Model`] names both. A save without that section (written
-    /// before it existed) is held to the embedding dimension alone.
+    /// [`ErError::Model`] names both. A save without that section is
+    /// [`ErError::Corrupt`].
     pub fn from_bytes(bytes: &[u8], model: &'m dyn LanguageModel) -> Result<Resolver<'m>> {
         let mut c = binary::read_container(bytes, kind::RESOLVER)?;
         let epoch = c.epoch;
@@ -513,19 +508,16 @@ impl<'m> Resolver<'m> {
             snapshots.push(SegmentSnapshot::from_parts(index, ids)?);
         }
         shards.finish()?;
-        // Saves written before the MODEL section existed end here.
-        if c.next_is(tag::MODEL) {
-            let mut identity = c.section(tag::MODEL, "model")?;
-            let (code, fingerprint) = (identity.get_str()?, identity.get_u64()?);
-            identity.finish()?;
-            if code != model.code().as_str() || fingerprint != model.fingerprint() {
-                return Err(ErError::Model(format!(
-                    "resolver was saved under model {code} (fingerprint {fingerprint:016x}), \
-                     not {} ({:016x})",
-                    model.code(),
-                    model.fingerprint()
-                )));
-            }
+        let mut identity = c.section(tag::MODEL, "model")?;
+        let (code, fingerprint) = (identity.get_str()?, identity.get_u64()?);
+        identity.finish()?;
+        if code != model.code().as_str() || fingerprint != model.fingerprint() {
+            return Err(ErError::Model(format!(
+                "resolver was saved under model {code} (fingerprint {fingerprint:016x}), \
+                 not {} ({:016x})",
+                model.code(),
+                model.fingerprint()
+            )));
         }
         c.finish()?;
         if model.dim() != dim {

@@ -508,14 +508,19 @@ fn reopening_under_a_different_model_is_a_model_error() {
         }
     }
 
-    // A save from before the MODEL section existed keeps the dim-only check.
+    // A save without the MODEL section names no model and opens under none.
     let container = binary::read_container(&bytes, kind::RESOLVER).unwrap();
     let without_model: Vec<(u32, Vec<u8>)> = container.sections[..2]
         .iter()
         .map(|&(tag, body)| (tag, body.to_vec()))
         .collect();
-    let legacy = binary::write_container(kind::RESOLVER, container.epoch, &without_model);
-    assert_eq!(Resolver::from_bytes(&legacy, ge).unwrap().len(), 6);
+    let unnamed = binary::write_container(kind::RESOLVER, container.epoch, &without_model);
+    for model in [ge, ft] {
+        assert!(matches!(
+            Resolver::from_bytes(&unnamed, model),
+            Err(ErError::Corrupt(_))
+        ));
+    }
 
     // A zoo re-pretrained from the same seed is the same model.
     let again = ModelZoo::pretrain(None, &config, 42);

@@ -533,8 +533,9 @@ fn shards_that_disagree_with_meta_or_with_each_other_are_corrupt() {
     use er_core::binary::{self, kind, BinReader, BinWriter};
     const META: u32 = 1;
     const SHARDS: u32 = 2;
-    // The (META, SHARDS) section bodies of a two-shard save.
-    let save = |dim: usize, backend: BlockerBackend| -> (Vec<u8>, Vec<u8>) {
+    const MODEL: u32 = 3;
+    // The (META, SHARDS, MODEL) section bodies of a two-shard save.
+    let save = |dim: usize, backend: BlockerBackend| -> [Vec<u8>; 3] {
         let model = TrigramModel { dim };
         let config = ServeConfig::new().shards(2).backend(backend);
         let resolver = Resolver::new(&model, SerializationMode::SchemaAgnostic, config).unwrap();
@@ -547,30 +548,38 @@ fn shards_that_disagree_with_meta_or_with_each_other_are_corrupt() {
         let sections = binary::read_container(&bytes, kind::RESOLVER)
             .unwrap()
             .sections;
-        assert_eq!((sections[0].0, sections[1].0), (META, SHARDS));
-        (sections[0].1.to_vec(), sections[1].1.to_vec())
+        let tags: Vec<u32> = sections.iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(tags, [META, SHARDS, MODEL]);
+        let bodies: Vec<Vec<u8>> = sections.iter().map(|&(_, body)| body.to_vec()).collect();
+        bodies.try_into().unwrap()
     };
+    let model = TrigramModel { dim: 48 };
+    let exact = BlockerBackend::Exact(Metric::Cosine);
+    let [meta, exact_shards, identity] = save(48, exact.clone());
+    // Spliced saves keep the 48-d save's MODEL section, so only the
+    // shards can disagree.
     let container = |meta: &[u8], shards: &[u8]| {
         binary::write_container(
             kind::RESOLVER,
             0,
-            &[(META, meta.to_vec()), (SHARDS, shards.to_vec())],
+            &[
+                (META, meta.to_vec()),
+                (SHARDS, shards.to_vec()),
+                (MODEL, identity.clone()),
+            ],
         )
     };
-    let model = TrigramModel { dim: 48 };
-    let exact = BlockerBackend::Exact(Metric::Cosine);
-    let (meta, exact_shards) = save(48, exact.clone());
     assert!(Resolver::from_bytes(&container(&meta, &exact_shards), &model).is_ok());
 
     // 48-d META over the shards of an 8-d save.
-    let (_, narrow_shards) = save(8, exact);
+    let [_, narrow_shards, _] = save(8, exact);
     assert!(matches!(
         Resolver::from_bytes(&container(&meta, &narrow_shards), &model),
         Err(ErError::Corrupt(_))
     ));
 
     // Shard 0 of the exact save beside shard 1 of an HNSW save.
-    let (_, hnsw_shards) = save(48, BlockerBackend::default());
+    let [_, hnsw_shards, _] = save(48, BlockerBackend::default());
     let mut mixed = BinWriter::new();
     for (i, body) in [&exact_shards, &hnsw_shards].into_iter().enumerate() {
         let mut r = BinReader::new(body);

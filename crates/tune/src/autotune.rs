@@ -24,8 +24,8 @@
 //! is exactly 1 and estimates are pure measurements.
 //!
 //! Determinism: sampling is stride-based (no RNG), trial order is fixed,
-//! and index builds take their seed from [`TunerConfig::seed`] — the same
-//! inputs always yield a byte-identical chosen point (pinned by
+//! and every trial index is built from one fixed seed — the same inputs
+//! always yield a byte-identical chosen point (pinned by
 //! `tests/autotune.rs`).
 
 use crate::calibrate::CostTier;
@@ -36,43 +36,27 @@ use er_core::{
 };
 use er_index::{AnyIndex, ExactIndex, HnswIndex, HyperplaneLsh, IndexReader, Neighbor, NnIndex};
 
-/// What the tuner sweeps and how it samples. The defaults mirror the
-/// paper's parameter ranges scaled to the repo's dataset sizes.
-#[derive(Debug, Clone)]
-pub struct TunerConfig {
-    /// Max rows sampled (stride-sampled, deterministic) to build trial
-    /// indices over.
-    pub sample_rows: usize,
-    /// Max queries sampled to score recall proxies with.
-    pub sample_queries: usize,
-    /// HNSW graph degrees to build (one build each).
-    pub hnsw_ms: Vec<usize>,
-    /// HNSW beam widths, swept at query time against each build.
-    pub ef_grid: Vec<usize>,
-    /// LSH table counts, swept at query time against one widest build.
-    pub lsh_tables: Vec<usize>,
-    /// LSH multi-probe depths, swept at query time.
-    pub lsh_probes: Vec<usize>,
-    /// Hyperplanes per LSH table.
-    pub lsh_planes: usize,
-    /// Seed for every trial index build.
-    pub seed: u64,
-}
-
-impl Default for TunerConfig {
-    fn default() -> Self {
-        TunerConfig {
-            sample_rows: 256,
-            sample_queries: 64,
-            hnsw_ms: vec![8, 16],
-            ef_grid: vec![16, 32, 64, 128],
-            lsh_tables: vec![4, 8, 16],
-            lsh_probes: vec![0, 2],
-            lsh_planes: 12,
-            seed: 42,
-        }
-    }
-}
+// What the tuner sweeps and how it samples: the paper's parameter ranges
+// scaled to the repo's dataset sizes. Golden `AUTOTUNE` pins the outcome
+// of exactly this grid.
+/// Max rows sampled (stride-sampled, deterministic) to build trial indices
+/// over.
+const SAMPLE_ROWS: usize = 256;
+/// Max queries sampled to score recall proxies with.
+const SAMPLE_QUERIES: usize = 64;
+/// HNSW graph degrees to build (one build each).
+const HNSW_MS: [usize; 2] = [8, 16];
+/// HNSW beam widths, swept at query time against each build.
+const EF_GRID: [usize; 4] = [16, 32, 64, 128];
+/// LSH table counts, swept at query time against one build at the last
+/// (widest) count.
+const LSH_TABLES: [usize; 3] = [4, 8, 16];
+/// LSH multi-probe depths, swept at query time; the build holds the last.
+const LSH_PROBES: [usize; 2] = [0, 2];
+/// Hyperplanes per LSH table.
+const LSH_PLANES: usize = 12;
+/// Seed for every trial index build.
+const SEED: u64 = 42;
 
 /// One swept configuration with its proxy recall and estimated full-
 /// collection cost.
@@ -86,7 +70,7 @@ pub struct Trial {
     pub est_evals: f64,
     /// Estimated nanoseconds per query on the full collection.
     pub est_ns: f64,
-    /// Whether the trial meets the recall target (and budget, if set).
+    /// Whether the trial meets the recall target.
     pub feasible: bool,
 }
 
@@ -96,9 +80,9 @@ pub struct Trial {
 pub struct TuneOutcome {
     pub chosen: OperatingPoint,
     pub trials: Vec<Trial>,
-    /// Rows actually sampled (≤ `TunerConfig::sample_rows`).
+    /// Rows actually sampled (≤ `SAMPLE_ROWS` = 256).
     pub sample_rows: usize,
-    /// Queries actually sampled (≤ `TunerConfig::sample_queries`).
+    /// Queries actually sampled (≤ `SAMPLE_QUERIES` = 64).
     pub sample_queries: usize,
 }
 
@@ -136,23 +120,38 @@ fn overlap(reference: &[Neighbor], hits: &[Neighbor]) -> f32 {
     shared as f32 / reference.len() as f32
 }
 
+/// The recall proxy: mean overlap of `search`'s top-k with the exact-scan
+/// `reference` top-k over the sampled `probes`.
+fn proxy_recall(
+    probes: &[&[f32]],
+    reference: &[Vec<Neighbor>],
+    search: impl Fn(&[f32]) -> Vec<Neighbor>,
+) -> f32 {
+    probes
+        .iter()
+        .zip(reference)
+        .map(|(q, r)| overlap(r, &search(q)))
+        .sum::<f32>()
+        / probes.len() as f32
+}
+
 /// Tune `(backend, parameters, scan)` for searching `rows` with `queries`
-/// under the goal's `k`, `metric`, `recall_target` and optional
-/// `budget_ns`: sweep the [`TunerConfig`] grid on a sample and return the
-/// cheapest estimated configuration whose proxy recall meets the target.
+/// under the goal's `k`, `metric` and `recall_target`: sweep a fixed grid
+/// on a sample, price each trial with [`CostModel::builtin`], and return
+/// the cheapest estimated configuration whose proxy recall meets the
+/// target.
 ///
-/// The `goal` carries intent (k, metric, target, budget, dirty); its
+/// The `goal` carries intent (k, metric, target, dirty); its
 /// backend is read for the metric only — choosing the backend is the
 /// tuner's job — and its `scan.tier` is the kernel tier every trial ranks
-/// on. A goal without a recall target defaults to 0.95. When no trial is
-/// feasible the exact Reference scan (proxy recall 1.0) is chosen, so the
-/// tuner always returns a valid point.
+/// on. A goal without a recall target defaults to 0.95. The exact
+/// Reference trial ranks exactly like the reference (proxy recall 1.0), so
+/// every target in (0, 1] has a feasible trial; any other target is a
+/// typed [`ErError::Config`].
 pub fn autotune(
     queries: &EmbeddingMatrix,
     rows: &EmbeddingMatrix,
     goal: &OperatingPoint,
-    config: &TunerConfig,
-    model: &CostModel,
 ) -> Result<TuneOutcome> {
     if rows.is_empty() || queries.is_empty() {
         return Err(ErError::Config(
@@ -175,9 +174,10 @@ pub fn autotune(
     let target = goal.recall_target.unwrap_or(0.95);
     let dim = rows.dim();
     let full_rows = rows.len();
+    let model = CostModel::builtin();
 
-    let row_sample = stride_sample(rows.len(), config.sample_rows);
-    let query_sample = stride_sample(queries.len(), config.sample_queries);
+    let row_sample = stride_sample(rows.len(), SAMPLE_ROWS);
+    let query_sample = stride_sample(queries.len(), SAMPLE_QUERIES);
     let sample = rows.select_rows(row_sample.iter().copied());
     let probes: Vec<&[f32]> = query_sample.iter().map(|&i| queries.row(i)).collect();
 
@@ -190,17 +190,12 @@ pub fn autotune(
 
     let mut trials: Vec<Trial> = Vec::new();
     let mut push_trial = |point: OperatingPoint, recall: f32, est_evals: f64, est_ns: f64| {
-        let feasible = recall >= target
-            && goal
-                .budget_ns
-                .map(|budget| est_ns <= budget)
-                .unwrap_or(true);
         trials.push(Trial {
             point,
             recall,
             est_evals,
             est_ns,
-            feasible,
+            feasible: recall >= target,
         });
     };
 
@@ -215,12 +210,7 @@ pub fn autotune(
     ];
     for scan in exact_scans {
         let index = ExactIndex::from_source_scan(&sample, metric, scan)?;
-        let recall = probes
-            .iter()
-            .zip(&reference)
-            .map(|(q, r)| overlap(r, &index.search_slice(q, k)))
-            .sum::<f32>()
-            / probes.len() as f32;
+        let recall = proxy_recall(&probes, &reference, |q| index.search_slice(q, k));
         let est = model.exact(full_rows, dim, metric, &scan, k)?;
         let point = goal.clone().exact().scan(scan);
         push_trial(point, recall, est.evals, est.ns);
@@ -234,8 +224,8 @@ pub fn autotune(
         1.0
     };
     let mut build = HnswConfig::default();
-    (build.seed, build.metric, build.tier) = (config.seed, metric, tier);
-    for &m in &config.hnsw_ms {
+    (build.seed, build.metric, build.tier) = (SEED, metric, tier);
+    for m in HNSW_MS {
         // One graph per `m`, built as a chosen point would build it: the
         // beam width is a query-time knob and does not shape the graph.
         build.m = m;
@@ -247,17 +237,12 @@ pub fn autotune(
                 .backend(BlockerBackend::Hnsw(trial))
                 .scan(ScanConfig::default())
         };
-        let curve = model.probe_hnsw(&index, probes.iter().copied(), k, &config.ef_grid)?;
-        for &ef in &config.ef_grid {
-            let recall = probes
-                .iter()
-                .zip(&reference)
-                .map(|(q, r)| {
-                    let params = QueryParams::with_ef_search(ef);
-                    overlap(r, &index.search_counted(q, k, &params).0)
-                })
-                .sum::<f32>()
-                / probes.len() as f32;
+        let curve = model.probe_hnsw(&index, probes.iter().copied(), k, &EF_GRID)?;
+        for ef in EF_GRID {
+            let params = QueryParams::with_ef_search(ef);
+            let recall = proxy_recall(&probes, &reference, |q| {
+                index.search_counted(q, k, &params).0
+            });
             let est = curve.estimate(ef);
             push_trial(
                 point_at(ef),
@@ -269,53 +254,46 @@ pub fn autotune(
     }
 
     // --- LSH: one widest build, (tables, probes) swept at query time. ---
-    let max_tables = config.lsh_tables.iter().copied().max().unwrap_or(0);
-    if max_tables > 0 {
-        let max_probes = config.lsh_probes.iter().copied().max().unwrap_or(0);
-        let mut build = LshConfig::default();
-        (build.planes, build.tables, build.probes) = (config.lsh_planes, max_tables, max_probes);
-        (build.seed, build.metric, build.tier) = (config.seed, metric, tier);
-        let index = HyperplaneLsh::from_source(&sample, build.clone());
-        let point_at = |tables: usize, probes: usize| {
-            let mut trial = build.clone();
-            (trial.tables, trial.probes) = (tables, probes);
-            goal.clone()
-                .backend(BlockerBackend::Lsh(trial))
-                .scan(ScanConfig::default())
-        };
-        // Occupancy (and hence candidate count) is proportional to rows.
-        let lsh_scale = full_rows as f64 / sample.len() as f64;
-        let rerank_ns =
-            model
-                .calibration
-                .ns_per_row_metric(CostTier::of_kernel(tier), metric, dim)?;
-        for &tables in &config.lsh_tables {
-            for &probe_depth in &config.lsh_probes {
-                let params = QueryParams {
-                    probes: Some(probe_depth),
-                    tables: Some(tables),
-                    ef_search: None,
-                };
-                let recall = probes
-                    .iter()
-                    .zip(&reference)
-                    .map(|(q, r)| overlap(r, &index.search_counted(q, k, &params).0))
-                    .sum::<f32>()
-                    / probes.len() as f32;
-                let est = model.lsh(&index, probes.iter().copied(), probe_depth, tables)?;
-                // Scale the re-ranked candidates to the full collection;
-                // the signature-hash term is row-count independent.
-                let est_evals = est.evals * lsh_scale;
-                let est_ns = est.ns + (est_evals - est.evals) * rerank_ns;
-                push_trial(point_at(tables, probe_depth), recall, est_evals, est_ns);
-            }
+    let mut build = LshConfig::default();
+    // The build holds the widest grid values; narrower ones are queried.
+    (build.planes, build.tables, build.probes) = (LSH_PLANES, LSH_TABLES[2], LSH_PROBES[1]);
+    (build.seed, build.metric, build.tier) = (SEED, metric, tier);
+    let index = HyperplaneLsh::from_source(&sample, build.clone());
+    let point_at = |tables: usize, probes: usize| {
+        let mut trial = build.clone();
+        (trial.tables, trial.probes) = (tables, probes);
+        goal.clone()
+            .backend(BlockerBackend::Lsh(trial))
+            .scan(ScanConfig::default())
+    };
+    // Occupancy (and hence candidate count) is proportional to rows.
+    let lsh_scale = full_rows as f64 / sample.len() as f64;
+    let rerank_ns = model
+        .calibration
+        .ns_per_row_metric(CostTier::of_kernel(tier), metric, dim)?;
+    for tables in LSH_TABLES {
+        for probe_depth in LSH_PROBES {
+            let params = QueryParams {
+                probes: Some(probe_depth),
+                tables: Some(tables),
+                ef_search: None,
+            };
+            let recall = proxy_recall(&probes, &reference, |q| {
+                index.search_counted(q, k, &params).0
+            });
+            let est = model.lsh(&index, probes.iter().copied(), probe_depth, tables)?;
+            // Scale the re-ranked candidates to the full collection; the
+            // signature-hash term is row-count independent.
+            let est_evals = est.evals * lsh_scale;
+            let est_ns = est.ns + (est_evals - est.evals) * rerank_ns;
+            push_trial(point_at(tables, probe_depth), recall, est_evals, est_ns);
         }
     }
 
     // Cheapest feasible trial wins; strict comparison keeps the earliest
-    // trial on ties, so the outcome is deterministic. The exact Reference
-    // scan (always recall 1.0, modulo tie-ordering noise) is the fallback
-    // when nothing is feasible.
+    // trial on ties, so the outcome is deterministic. Only an out-of-range
+    // target leaves nothing feasible; it falls back to the exact Reference
+    // scan and fails `validate`.
     let chosen = trials
         .iter()
         .filter(|t| t.feasible)
@@ -380,26 +358,25 @@ mod tests {
         let mut one = EmbeddingMatrix::new(4);
         one.push(&[1.0, 0.0, 0.0, 0.0]);
         let goal = OperatingPoint::recall_target(0.9);
-        let model = CostModel::builtin();
-        let config = TunerConfig::default();
         assert!(matches!(
-            autotune(&one, &empty, &goal, &config, &model),
+            autotune(&one, &empty, &goal),
             Err(ErError::Config(_))
         ));
         assert!(matches!(
-            autotune(&empty, &one, &goal, &config, &model),
+            autotune(&empty, &one, &goal),
             Err(ErError::Config(_))
         ));
         let mut wide = EmbeddingMatrix::new(8);
         wide.push(&[0.0; 8]);
         assert!(matches!(
-            autotune(&wide, &one, &goal, &config, &model),
+            autotune(&wide, &one, &goal),
             Err(ErError::Config(_))
         ));
-        let zero_k = goal.clone().k(0);
-        assert!(matches!(
-            autotune(&one, &one, &zero_k, &config, &model),
-            Err(ErError::Config(_))
-        ));
+        for bad in [goal.clone().k(0), OperatingPoint::recall_target(1.5)] {
+            assert!(matches!(
+                autotune(&one, &one, &bad),
+                Err(ErError::Config(_))
+            ));
+        }
     }
 }

@@ -45,17 +45,15 @@ pub struct CostEstimate {
 /// formulas.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    pub calibration: Calibration,
+    pub(crate) calibration: Calibration,
 }
 
 impl CostModel {
-    pub fn new(calibration: Calibration) -> CostModel {
-        CostModel { calibration }
-    }
-
     /// The compiled-in calibration snapshot.
     pub fn builtin() -> CostModel {
-        CostModel::new(Calibration::builtin())
+        CostModel {
+            calibration: Calibration::builtin(),
+        }
     }
 
     /// Exact scan over `rows` live rows of width `dim`: analytic.

@@ -28,6 +28,6 @@ pub mod autotune;
 pub mod calibrate;
 pub mod cost;
 
-pub use autotune::{autotune, measure_point, Trial, TuneOutcome, TunerConfig};
+pub use autotune::{autotune, measure_point, Trial, TuneOutcome};
 pub use calibrate::{metric_name, Calibration, Cell, CostTier};
 pub use cost::{CostEstimate, CostModel, HnswCostModel};

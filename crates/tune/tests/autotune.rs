@@ -5,7 +5,7 @@
 use er_core::{EmbeddingMatrix, Metric, OperatingPoint, SerializationMode};
 use er_datasets::{CleanCleanDataset, DatasetId};
 use er_embed::{LanguageModel, ModelCode, ModelZoo, ZooConfig};
-use er_tune::{autotune, measure_point, CostModel, TunerConfig};
+use er_tune::{autotune, measure_point};
 
 fn embed(id: DatasetId) -> (EmbeddingMatrix, EmbeddingMatrix) {
     let ds = CleanCleanDataset::generate(id, 42);
@@ -26,11 +26,9 @@ fn embed(id: DatasetId) -> (EmbeddingMatrix, EmbeddingMatrix) {
 fn same_seed_and_sample_choose_a_byte_identical_point() {
     let (queries, rows) = embed(DatasetId::D1);
     let goal = OperatingPoint::recall_target(0.9).metric(Metric::Cosine);
-    let config = TunerConfig::default();
-    let model = CostModel::builtin();
 
-    let first = autotune(&queries, &rows, &goal, &config, &model).expect("tunes");
-    let second = autotune(&queries, &rows, &goal, &config, &model).expect("tunes");
+    let first = autotune(&queries, &rows, &goal).expect("tunes");
+    let second = autotune(&queries, &rows, &goal).expect("tunes");
     assert_eq!(
         first.chosen.to_json(),
         second.chosen.to_json(),
@@ -47,7 +45,7 @@ fn same_seed_and_sample_choose_a_byte_identical_point() {
     // Fully independent inputs (fresh dataset, fresh zoo pretrain)
     // reproduce the same choice too — nothing ambient leaks in.
     let (queries2, rows2) = embed(DatasetId::D1);
-    let third = autotune(&queries2, &rows2, &goal, &config, &model).expect("tunes");
+    let third = autotune(&queries2, &rows2, &goal).expect("tunes");
     assert_eq!(first.chosen.to_json(), third.chosen.to_json());
 }
 
@@ -55,14 +53,7 @@ fn same_seed_and_sample_choose_a_byte_identical_point() {
 fn chosen_point_meets_the_proxy_target_and_beats_the_exact_scan() {
     let (queries, rows) = embed(DatasetId::D1);
     let goal = OperatingPoint::recall_target(0.9).metric(Metric::Cosine);
-    let outcome = autotune(
-        &queries,
-        &rows,
-        &goal,
-        &TunerConfig::default(),
-        &CostModel::builtin(),
-    )
-    .expect("tunes");
+    let outcome = autotune(&queries, &rows, &goal).expect("tunes");
 
     let chosen = outcome.chosen_trial();
     assert!(
@@ -90,14 +81,7 @@ fn chosen_estimate_matches_the_measured_twin_within_margin() {
     // trial's estimate must agree with a from-scratch measured build.
     let (queries, rows) = embed(DatasetId::D7);
     let goal = OperatingPoint::recall_target(0.9).metric(Metric::Cosine);
-    let outcome = autotune(
-        &queries,
-        &rows,
-        &goal,
-        &TunerConfig::default(),
-        &CostModel::builtin(),
-    )
-    .expect("tunes");
+    let outcome = autotune(&queries, &rows, &goal).expect("tunes");
     let (_, measured_per_query) =
         measure_point(&queries, &rows, &outcome.chosen).expect("measures");
     let est = outcome.chosen_trial().est_evals;
@@ -106,25 +90,4 @@ fn chosen_estimate_matches_the_measured_twin_within_margin() {
         error <= 0.25,
         "chosen point: estimated {est:.1} vs measured {measured_per_query:.1} evals/query"
     );
-}
-
-#[test]
-fn an_unreachable_budget_falls_back_to_the_exact_reference_scan() {
-    let (queries, rows) = embed(DatasetId::D1);
-    // A budget no real configuration can meet: nothing is feasible, so
-    // the tuner returns the always-correct exact Reference scan.
-    let goal = OperatingPoint::recall_target(0.9)
-        .metric(Metric::Cosine)
-        .budget(1e-6);
-    let outcome = autotune(
-        &queries,
-        &rows,
-        &goal,
-        &TunerConfig::default(),
-        &CostModel::builtin(),
-    )
-    .expect("tunes");
-    assert!(outcome.trials.iter().all(|t| !t.feasible));
-    assert_eq!(outcome.chosen.backend.name(), "exact");
-    assert_eq!(outcome.chosen.scan, er_core::ScanConfig::default());
 }

@@ -37,6 +37,11 @@ pub use er_tune as tune;
 
 pub mod pipeline;
 
+/// README.md's examples, compiled (and, unless `no_run`, run) as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use pipeline::{vectorize_matrix, BlockOutcome, Pipeline, ResolveConfig, ResolveOutcome};
 
 use er_core::{Embedding, Entity, SerializationMode};
@@ -67,7 +72,7 @@ pub mod prelude {
     };
     pub use er_text::corpus::synthetic_corpus;
     pub use er_text::{normalize, tokenize, Corpus};
-    pub use er_tune::{autotune, measure_point, CostModel, TuneOutcome, TunerConfig};
+    pub use er_tune::{autotune, measure_point, CostModel, TuneOutcome};
 
     pub use crate::{
         vectorize, vectorize_matrix, BlockOutcome, Pipeline, ResolveConfig, ResolveOutcome,

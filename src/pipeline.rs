@@ -35,15 +35,13 @@ impl BlockOutcome {
 }
 
 /// Configuration of a full [`Pipeline::resolve`] run: blocking plus the
-/// unsupervised matching stage swept over a δ grid.
+/// unsupervised matching stage swept over the paper's δ grid
+/// ([`ThresholdSweep::paper_deltas`], Fig. 15).
 #[derive(Debug, Clone)]
 pub struct ResolveConfig {
     pub blocking: OperatingPoint,
     /// The clusterer run at every δ (UMC is the paper's default, §4.3).
     pub clusterer: Clusterer,
-    /// δ grid for the threshold sweep; `None` means the paper's
-    /// 0.05..=0.95 grid of Fig. 15.
-    pub deltas: Option<Vec<f32>>,
 }
 
 impl Default for ResolveConfig {
@@ -51,7 +49,6 @@ impl Default for ResolveConfig {
         ResolveConfig {
             blocking: OperatingPoint::default(),
             clusterer: Clusterer::UniqueMapping,
-            deltas: None,
         }
     }
 }
@@ -70,10 +67,6 @@ pub struct ResolveOutcome {
     /// The best-F1 threshold of the sweep (lowest δ wins ties).
     pub best_delta: f32,
     pub report: StageReport,
-    /// [`StageReport::to_json`] rendered to text — the machine-readable
-    /// twin of `report`, ready to write next to a `BENCH_*.json` snapshot
-    /// without the caller depending on `er-eval`'s JSON plumbing.
-    pub report_json: String,
 }
 
 /// A configured vectorize → index → block run: one model, one
@@ -174,34 +167,25 @@ impl<'m> Pipeline<'m> {
     ) -> ResolveOutcome {
         let candidates = Pipeline::block_sides(left, right, sides, &config.blocking, &mut report);
         let sweep = report.time("sweep", || {
-            let deltas = config
-                .deltas
-                .clone()
-                .unwrap_or_else(ThresholdSweep::paper_deltas);
+            let deltas = ThresholdSweep::paper_deltas();
             let sweep = ThresholdSweep::run_with(&candidates, gt, config.clusterer, &deltas);
             let points = sweep.points.len();
             (sweep, points)
         });
-        let best = sweep.best();
-        let best_delta = best.map(|p| p.delta).unwrap_or(0.0);
-        // The sweep already clustered at the best δ; only an empty grid
-        // falls back to clustering at δ = 0.
+        let best = sweep.best().expect("the paper's δ grid is not empty");
+        let best_delta = best.delta;
+        // The sweep already clustered at the best δ.
         let matches = report.time("match", || {
-            let matches = match best {
-                Some(point) => point.matches.clone(),
-                None => config.clusterer.cluster(&candidates, best_delta),
-            };
+            let matches = best.matches.clone();
             let count = matches.len();
             (matches, count)
         });
-        let report_json = report.to_json().to_string();
         ResolveOutcome {
             matches,
             candidates,
             sweep,
             best_delta,
             report,
-            report_json,
         }
     }
 
@@ -252,18 +236,11 @@ impl<'m> Pipeline<'m> {
         right: &[Entity],
         gt: &GroundTruth,
         goal: &OperatingPoint,
-        tuner: &er_tune::TunerConfig,
     ) -> er_core::Result<(ResolveOutcome, er_tune::TuneOutcome)> {
         let mut report = StageReport::new();
         let sides = self.vectorize_sides(left, right, &mut report);
         let tune = report.time("tune", || {
-            let outcome = er_tune::autotune(
-                &sides.left,
-                sides.right(),
-                goal,
-                tuner,
-                &er_tune::CostModel::builtin(),
-            );
+            let outcome = er_tune::autotune(&sides.left, sides.right(), goal);
             let trials = outcome.as_ref().map(|t| t.trials.len()).unwrap_or(0);
             (outcome, trials)
         })?;
@@ -497,9 +474,8 @@ mod tests {
         // Identical serializations embed identically: resolve must find
         // every i ↔ i pair at the best δ.
         assert_eq!(best.metrics.f1, 1.0);
-        // The serialized report is the report, rendered.
-        assert_eq!(outcome.report_json, outcome.report.to_json().to_string());
-        let parsed = er_core::json::Json::parse(&outcome.report_json).unwrap();
+        // The rendered report parses back to the same stages.
+        let parsed = er_core::json::Json::parse(&outcome.report.to_json().to_string()).unwrap();
         let stage_names: Vec<String> = parsed
             .expect("stages")
             .unwrap()

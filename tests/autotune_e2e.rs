@@ -24,14 +24,7 @@ fn tuned_run(id: DatasetId) -> TunedRun {
     let queries = pipeline.vectorize(&ds.left);
     let rows = pipeline.vectorize(&ds.right);
     let goal = OperatingPoint::recall_target(TARGET).metric(Metric::Cosine);
-    let outcome = autotune(
-        &queries,
-        &rows,
-        &goal,
-        &TunerConfig::default(),
-        &CostModel::builtin(),
-    )
-    .expect("tunes");
+    let outcome = autotune(&queries, &rows, &goal).expect("tunes");
     TunedRun {
         ds,
         queries,
@@ -105,13 +98,7 @@ fn resolve_tuned_matches_resolve_under_the_chosen_point() {
     let pipeline = Pipeline::new(model.as_ref(), SerializationMode::SchemaAgnostic);
     let goal = OperatingPoint::recall_target(TARGET).metric(Metric::Cosine);
     let (outcome, tune) = pipeline
-        .resolve_tuned(
-            &ds.left,
-            &ds.right,
-            &ds.ground_truth,
-            &goal,
-            &TunerConfig::default(),
-        )
+        .resolve_tuned(&ds.left, &ds.right, &ds.ground_truth, &goal)
         .expect("resolves");
     assert!(outcome.report.get("tune").is_some(), "missing tune stage");
     assert_eq!(outcome.report.items_of("tune"), tune.trials.len());

@@ -152,7 +152,7 @@ const POINT_JSON: &[(&str, u64)] = &[
     ("exact_euclidean", 0xe6c1f608f83feeec),
     ("hnsw_euclidean", 0x5adbde1bb09dc10e),
     ("dirty", 0x03dac933a268fc00),
-    ("goals", 0xada7d572178c8952),
+    ("goals", 0xbde44dce4437b6ee),
 ];
 
 #[test]
@@ -208,10 +208,7 @@ fn operating_point_json() {
         ("exact_euclidean", point().exact().metric(Metric::Euclidean)),
         ("hnsw_euclidean", point().metric(Metric::Euclidean)),
         ("dirty", point().k(5).dirty(true)),
-        (
-            "goals",
-            OperatingPoint::recall_target(0.95).budget(250_000.0).k(7),
-        ),
+        ("goals", OperatingPoint::recall_target(0.95).k(7)),
     ];
     let got: Vec<(String, u64)> = points
         .iter()
@@ -245,14 +242,7 @@ fn autotune_chosen_point_and_trials() {
         let (queries, rows) = embedded(&CleanCleanDataset::generate(id, 42));
         for (metric_name, metric) in METRICS {
             let goal = OperatingPoint::recall_target(0.9).metric(metric);
-            let outcome = autotune(
-                &queries,
-                &rows,
-                &goal,
-                &TunerConfig::default(),
-                &CostModel::builtin(),
-            )
-            .expect("tunes");
+            let outcome = autotune(&queries, &rows, &goal).expect("tunes");
             let mut trials = Vec::new();
             for t in &outcome.trials {
                 trials.extend_from_slice(t.point.to_json().as_bytes());
