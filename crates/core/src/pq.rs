@@ -305,6 +305,19 @@ impl PqCodes {
         &self.codes
     }
 
+    /// The code rows `rows`, in order, with their reconstructed-row norms
+    /// copied verbatim — compaction's float-free copy, like
+    /// [`crate::EmbeddingMatrix::select_rows`].
+    pub fn select_rows(&self, rows: impl IntoIterator<Item = usize>) -> PqCodes {
+        let mut out = PqCodes::new(self.subspaces);
+        for i in rows {
+            out.codes.extend_from_slice(self.row(i));
+            out.norms.push(self.norms[i]);
+            out.sq_norms.push(self.sq_norms[i]);
+        }
+        out
+    }
+
     /// Reassemble from persisted codes; the reconstructed-row norms are
     /// recomputed deterministically from the codebook.
     pub fn from_parts(codebook: &PqCodebook, codes: Vec<u8>) -> Result<PqCodes> {

@@ -262,6 +262,22 @@ impl QuantizedMatrix {
         self.norms[i]
     }
 
+    /// A new quantized matrix of the given rows, in order, with their codes,
+    /// affine maps and derived statistics copied verbatim — compaction's
+    /// float-free copy, like [`EmbeddingMatrix::select_rows`].
+    pub fn select_rows(&self, rows: impl IntoIterator<Item = usize>) -> QuantizedMatrix {
+        let mut out = QuantizedMatrix::new(self.dim);
+        for i in rows {
+            out.codes.extend_from_slice(self.row_codes(i));
+            out.scales.push(self.scales[i]);
+            out.zeros.push(self.zeros[i]);
+            out.code_sums.push(self.code_sums[i]);
+            out.norms.push(self.norms[i]);
+            out.sq_norms.push(self.sq_norms[i]);
+        }
+        out
+    }
+
     /// Reassemble from persisted codes and affine parameters (the ERBF load
     /// path). The derived statistics (code sums, dequantized norms) are
     /// recomputed deterministically from the codes, so only the codes and

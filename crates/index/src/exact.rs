@@ -1,7 +1,8 @@
-//! Exact k-NN by brute-force scan with a bounded max-heap — the ground
-//! truth every approximate index is measured against. The scan walks the
-//! contiguous rows of an [`EmbeddingMatrix`] with precomputed row norms,
-//! so a cosine pass reads each stored vector exactly once.
+//! Exact k-NN by brute-force scan — the ground truth every approximate
+//! index is measured against. The scan walks the contiguous rows of an
+//! [`EmbeddingMatrix`] with precomputed row norms, so a cosine pass reads
+//! each stored vector exactly once, and keeps the best `k` with the one
+//! bounded top-k selector every exact pass shares (`store::top_k`).
 //!
 //! The scan has tiers (see [`ScanConfig`]): the f32 pass can run on the
 //! bit-exact `Reference` kernels or the unrolled `Lanes` kernels, and the
@@ -9,32 +10,37 @@
 //! PQ) that ranks *approximate* distances and then re-ranks the best `R`
 //! candidates with the exact f32 kernels. The re-ranked prefix carries
 //! exact distances, so with `R ≥` live rows the output is bit-identical to
-//! the pure exact scan.
+//! the pure exact scan. The index holds the quantization as one value —
+//! the re-rank budget, the PQ config and the companion codes together —
+//! and derives its [`ScanConfig`] from it.
 
-use crate::store::{owned_mut, push_row, rerank, Ranked, Tombstones};
+use crate::store::{owned_mut, push_row, rerank, top_k, Tombstones};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
-use er_core::pq::{PqCodebook, PqCodes};
+use er_core::pq::{PqCodebook, PqCodes, PqConfig};
 use er_core::quant::QuantizedMatrix;
-use er_core::{EmbeddingMatrix, QueryParams, VectorSource, VectorStore};
-use std::collections::BinaryHeap;
+use er_core::{EmbeddingMatrix, KernelTier, QueryParams, VectorSource, VectorStore};
 
 // `ScanConfig` / `Quantization` moved down into er-core with the
 // `OperatingPoint` redesign; re-exported here so existing
 // `er_index::{ScanConfig, Quantization}` imports keep compiling.
 pub use er_core::{Quantization, ScanConfig};
 
-/// The quantized companion storage of an [`ExactIndex`], kept in sync with
-/// the f32 matrix on inserts.
+/// The quantized first pass of an [`ExactIndex`]: its re-rank budget, its
+/// configuration and the companion codes it ranks with, one value.
 #[derive(Debug, Clone)]
-pub(crate) enum QuantState {
+pub(crate) enum Quant {
     None,
-    Int8(QuantizedMatrix),
-    Pq { book: PqCodebook, codes: PqCodes },
+    Int8 {
+        rerank: usize,
+        codes: QuantizedMatrix,
+    },
+    Pq {
+        rerank: usize,
+        config: PqConfig,
+        book: PqCodebook,
+        codes: PqCodes,
+    },
 }
-
-/// The scan's bounded max-heap entry: the worst of the current top-k sits
-/// on top, ready for eviction.
-type Hit = Ranked<usize>;
 
 #[derive(Debug, Clone)]
 pub struct ExactIndex<'a> {
@@ -43,8 +49,9 @@ pub struct ExactIndex<'a> {
     /// Deleted rows stay in the matrix (ids are stable) but the scan
     /// skips them.
     pub(crate) tombstones: Tombstones,
-    pub(crate) scan: ScanConfig,
-    pub(crate) quant: QuantState,
+    /// The f32 kernel tier of the exact scan and the re-rank.
+    pub(crate) tier: KernelTier,
+    pub(crate) quant: Quant,
 }
 
 impl<'a> ExactIndex<'a> {
@@ -70,19 +77,27 @@ impl<'a> ExactIndex<'a> {
     ) -> er_core::Result<ExactIndex<'a>> {
         let store = source.into_store();
         let quant = match scan.quant {
-            Quantization::None => QuantState::None,
-            Quantization::Int8 { .. } => QuantState::Int8(store.matrix().quantize()),
-            Quantization::Pq { config, .. } => {
+            Quantization::None => Quant::None,
+            Quantization::Int8 { rerank } => Quant::Int8 {
+                rerank,
+                codes: store.matrix().quantize(),
+            },
+            Quantization::Pq { config, rerank } => {
                 let book = PqCodebook::train(store.matrix(), &config)?;
                 let codes = book.encode(store.matrix());
-                QuantState::Pq { book, codes }
+                Quant::Pq {
+                    rerank,
+                    config,
+                    book,
+                    codes,
+                }
             }
         };
         Ok(ExactIndex {
             tombstones: Tombstones::new(store.len()),
             store,
             metric,
-            scan,
+            tier: scan.tier,
             quant,
         })
     }
@@ -94,101 +109,61 @@ impl<'a> ExactIndex<'a> {
 
     /// The scan configuration this index ranks with.
     pub fn scan_config(&self) -> ScanConfig {
-        self.scan
+        let quant = match self.quant {
+            Quant::None => Quantization::None,
+            Quant::Int8 { rerank, .. } => Quantization::Int8 { rerank },
+            Quant::Pq { rerank, config, .. } => Quantization::Pq { config, rerank },
+        };
+        ScanConfig {
+            tier: self.tier,
+            quant,
+        }
     }
 
-    /// The exact f32 top-k scan on the configured kernel tier, ignoring any
-    /// quantized storage — the re-rank pass and the ground-truth scan.
-    /// Returns the hits plus the number of full-width distance evaluations
-    /// (one per live row).
-    fn search_exact(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
-        let matrix = self.store.matrix();
-        let tier = self.scan.tier;
-        let query_norm = self.metric.query_norm_tier(tier, query);
-        // Capacity is capped by the live rows: `k` is caller input.
-        let mut heap: BinaryHeap<Hit> = BinaryHeap::with_capacity(k.min(self.live_count()) + 1);
-        let mut evals = 0u64;
-        for (idx, row) in matrix.rows_iter().enumerate() {
-            if self.tombstones.is_deleted(idx) {
-                continue;
-            }
-            let dist =
-                self.metric
-                    .distance_prenorm_tier(tier, query, query_norm, row, matrix.norm(idx));
-            evals += 1;
-            push_bounded(&mut heap, k, dist, idx);
-        }
-        (drain_sorted(heap), evals)
+    /// The live row ids in ascending order — what every scan pass feeds
+    /// the selector.
+    fn live_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.store.len()).filter(|&i| !self.tombstones.is_deleted(i))
     }
 
     /// Quantized first pass: rank every live row by its approximate
-    /// distance and keep the best `r`.
-    fn search_approx(&self, query: &[f32], r: usize) -> Vec<Neighbor> {
-        // `r` may come from a file-borne rerank budget: cap it like `k`.
-        let mut heap: BinaryHeap<Hit> = BinaryHeap::with_capacity(r.min(self.live_count()) + 1);
-        match &self.quant {
-            QuantState::None => unreachable!("search_approx without quantized storage"),
-            QuantState::Int8(qm) => {
-                let qq = qm.quantize_query(query);
-                for idx in 0..qm.len() {
-                    if self.tombstones.is_deleted(idx) {
-                        continue;
-                    }
-                    let dist = match self.metric {
-                        Metric::Euclidean => qm.squared_euclidean(&qq, idx),
-                        Metric::Cosine => 1.0 - qm.cosine(&qq, idx),
-                    };
-                    push_bounded(&mut heap, r, dist, idx);
-                }
+    /// distance and keep the best `max(rerank, k)`; `None` for the pure
+    /// f32 scan.
+    fn first_pass(&self, query: &[f32], k: usize) -> Option<Vec<Neighbor>> {
+        Some(match &self.quant {
+            Quant::None => return None,
+            Quant::Int8 { rerank, codes } => {
+                let qq = codes.quantize_query(query);
+                let dist = |i| match self.metric {
+                    Metric::Euclidean => codes.squared_euclidean(&qq, i),
+                    Metric::Cosine => 1.0 - codes.cosine(&qq, i),
+                };
+                top_k((*rerank).max(k), self.live_rows().map(|i| (i, dist(i))))
             }
-            QuantState::Pq { book, codes } => {
+            Quant::Pq {
+                rerank,
+                book,
+                codes,
+                ..
+            } => {
+                let r = (*rerank).max(k);
                 let k_cents = book.centroids();
+                let rows = self.live_rows();
                 match self.metric {
                     Metric::Euclidean => {
                         let table = book.l2_tables(query);
-                        for idx in 0..codes.len() {
-                            if self.tombstones.is_deleted(idx) {
-                                continue;
-                            }
-                            let dist = codes.adc_sum(&table, k_cents, idx);
-                            push_bounded(&mut heap, r, dist, idx);
-                        }
+                        top_k(r, rows.map(|i| (i, codes.adc_sum(&table, k_cents, i))))
                     }
                     Metric::Cosine => {
                         let table = book.dot_tables(query);
                         let query_norm = er_core::kernels::norm(query);
-                        for idx in 0..codes.len() {
-                            if self.tombstones.is_deleted(idx) {
-                                continue;
-                            }
-                            let dist = 1.0 - codes.cosine(&table, k_cents, idx, query_norm);
-                            push_bounded(&mut heap, r, dist, idx);
-                        }
+                        let dist = |i| 1.0 - codes.cosine(&table, k_cents, i, query_norm);
+                        top_k(r, rows.map(|i| (i, dist(i))))
                     }
                 }
             }
-        }
-        drain_sorted(heap)
+        })
     }
-}
-
-/// Keep the best `k` `(dist, idx)` pairs in a bounded max-heap.
-#[inline]
-fn push_bounded(heap: &mut BinaryHeap<Hit>, k: usize, dist: f32, idx: usize) {
-    if heap.len() < k {
-        heap.push(Hit { dist, id: idx });
-    } else if dist < heap.peek().expect("non-empty").dist {
-        heap.pop();
-        heap.push(Hit { dist, id: idx });
-    }
-}
-
-/// Heap → neighbors sorted by `(distance, index)` — [`Ranked`]'s order.
-fn drain_sorted(heap: BinaryHeap<Hit>) -> Vec<Neighbor> {
-    heap.into_sorted_vec()
-        .into_iter()
-        .map(|h| Neighbor::new(h.id, h.dist))
-        .collect()
 }
 
 impl NnIndex for ExactIndex<'_> {
@@ -228,24 +203,21 @@ impl IndexReader for ExactIndex<'_> {
         if k == 0 || self.live_count() == 0 {
             return (Vec::new(), 0);
         }
-        let rerank_budget = match self.scan.quant {
-            Quantization::None => return self.search_exact(query, k),
-            Quantization::Int8 { rerank } | Quantization::Pq { rerank, .. } => rerank,
-        };
-        // Quantized first pass over the best R = max(rerank, k) rows, then
-        // an exact re-rank: every returned distance comes from the f32
-        // kernels, the quantized codes only choose *which* rows compete.
-        let candidates = self.search_approx(query, rerank_budget.max(k));
-        let evals = candidates.len() as u64;
-        let hits = rerank(
-            self.store.matrix(),
-            self.metric,
-            self.scan.tier,
-            query,
-            candidates.into_iter().map(|c| c.index),
-            k,
-        );
-        (hits, evals)
+        let matrix = self.store.matrix();
+        match self.first_pass(query, k) {
+            // Quantized first pass, then an exact re-rank: every returned
+            // distance comes from the f32 kernels, the quantized codes only
+            // choose *which* rows compete.
+            Some(candidates) => {
+                let evals = candidates.len() as u64;
+                let ids = candidates.into_iter().map(|c| c.index);
+                (rerank(matrix, self.metric, self.tier, query, ids, k), evals)
+            }
+            None => {
+                let hits = rerank(matrix, self.metric, self.tier, query, self.live_rows(), k);
+                (hits, self.live_count() as u64)
+            }
+        }
     }
 }
 
@@ -257,17 +229,17 @@ impl MutableIndex for ExactIndex<'_> {
             row,
             "ExactIndex::insert_row",
         )?;
-        // Keep the quantized companion storage in sync.
+        // Keep the quantized companion storage in step.
         match &mut self.quant {
-            QuantState::None => {}
-            QuantState::Int8(qm) => {
-                if qm.is_empty() && qm.dim() != row.len() {
+            Quant::None => {}
+            Quant::Int8 { codes, .. } => {
+                if codes.is_empty() && codes.dim() != row.len() {
                     // The empty index adopted this row's dimension above.
-                    *qm = QuantizedMatrix::new(row.len());
+                    *codes = QuantizedMatrix::new(row.len());
                 }
-                qm.push_row(row);
+                codes.push_row(row);
             }
-            QuantState::Pq { book, codes } => book.encode_row(row, codes),
+            Quant::Pq { book, codes, .. } => book.encode_row(row, codes),
         }
         Ok(id)
     }
@@ -285,32 +257,13 @@ impl MutableIndex for ExactIndex<'_> {
         if self.tombstones.count() == 0 {
             return Ok(keep);
         }
+        let rows = || keep.iter().map(|&old| old as usize);
         let matrix = owned_mut(&mut self.store, "ExactIndex::compact")?;
-        *matrix = matrix.select_rows(keep.iter().map(|&old| old as usize));
+        *matrix = matrix.select_rows(rows());
         match &mut self.quant {
-            QuantState::None => {}
-            QuantState::Int8(qm) => {
-                let dim = qm.dim();
-                let mut codes = Vec::with_capacity(keep.len() * dim);
-                let mut scales = Vec::with_capacity(keep.len());
-                let mut zeros = Vec::with_capacity(keep.len());
-                for &old in &keep {
-                    let o = old as usize;
-                    codes.extend_from_slice(&qm.codes()[o * dim..(o + 1) * dim]);
-                    scales.push(qm.scales()[o]);
-                    zeros.push(qm.zeros()[o]);
-                }
-                *qm = QuantizedMatrix::from_parts(dim, codes, scales, zeros)?;
-            }
-            QuantState::Pq { book, codes } => {
-                let m = book.subspaces();
-                let mut kept = Vec::with_capacity(keep.len() * m);
-                for &old in &keep {
-                    let o = old as usize;
-                    kept.extend_from_slice(&codes.codes()[o * m..(o + 1) * m]);
-                }
-                *codes = PqCodes::from_parts(book, kept)?;
-            }
+            Quant::None => {}
+            Quant::Int8 { codes, .. } => *codes = codes.select_rows(rows()),
+            Quant::Pq { codes, .. } => *codes = codes.select_rows(rows()),
         }
         self.tombstones = Tombstones::new(keep.len());
         Ok(keep)

@@ -32,11 +32,11 @@
 //! semantic ones (link ids below the row count, the entry point and layer
 //! counts in range, a config [`BlockerBackend::validate`] accepts).
 
-use crate::exact::{QuantState, Quantization, ScanConfig};
+use crate::exact::{Quant, Quantization, ScanConfig};
 use crate::lsh::Table;
 use crate::store::Tombstones;
 use crate::{BlockerBackend, ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metric};
-use er_core::binary::{self, kind, BinWriter, Container};
+use er_core::binary::{self, kind, BinReader, BinWriter, Container};
 use er_core::pq::PqConfig;
 use er_core::{EmbeddingMatrix, ErError, KernelTier, Result, VectorStore};
 use std::collections::HashMap;
@@ -86,12 +86,23 @@ fn config_in_range(backend: BlockerBackend) -> Result<()> {
         .map_err(ErError::corrupt)
 }
 
+/// The next section, which must carry `tag`, decoded by `f` to its last
+/// byte.
+fn decode<'a, T>(
+    c: &mut Container<'a>,
+    tag: u32,
+    name: &str,
+    f: impl FnOnce(&mut BinReader<'a>) -> Result<T>,
+) -> Result<T> {
+    let mut r = c.section(tag, name)?;
+    let out = f(&mut r)?;
+    r.finish()?;
+    Ok(out)
+}
+
 /// The MATRIX section every index container opens with.
 fn matrix_section(c: &mut Container) -> Result<EmbeddingMatrix> {
-    let mut r = c.section(tag::MATRIX, "matrix")?;
-    let matrix = binary::matrix_from_reader(&mut r)?;
-    r.finish()?;
-    Ok(matrix)
+    decode(c, tag::MATRIX, "matrix", binary::matrix_from_reader)
 }
 
 fn tombstones_to_bytes(tombstones: &Tombstones) -> Vec<u8> {
@@ -102,9 +113,7 @@ fn tombstones_to_bytes(tombstones: &Tombstones) -> Vec<u8> {
 
 /// The TOMBSTONES section: a bitmap over exactly `rows` rows.
 fn tombstones_section(c: &mut Container, rows: usize) -> Result<Tombstones> {
-    let mut r = c.section(tag::TOMBSTONES, "tombstones")?;
-    let flags = r.get_bitmap(rows)?;
-    r.finish()?;
+    let flags = decode(c, tag::TOMBSTONES, "tombstones", |r| r.get_bitmap(rows))?;
     Ok(Tombstones::from_flags(flags))
 }
 
@@ -116,8 +125,8 @@ impl ExactIndex<'_> {
         binary::matrix_to_writer(&mut matrix, self.store.matrix());
         let mut meta = BinWriter::new();
         meta.put_u8(metric_code(self.metric));
-        meta.put_u8(self.scan.tier.code());
-        match self.scan.quant {
+        meta.put_u8(self.tier.code());
+        match self.scan_config().quant {
             Quantization::None => meta.put_u8(0),
             Quantization::Int8 { rerank } => {
                 meta.put_u8(1);
@@ -141,13 +150,13 @@ impl ExactIndex<'_> {
         // must see the codes the build produced, not re-quantize (the
         // codebook in particular is a trained artifact).
         match &self.quant {
-            QuantState::None => {}
-            QuantState::Int8(qm) => {
+            Quant::None => {}
+            Quant::Int8 { codes, .. } => {
                 let mut w = BinWriter::new();
-                binary::quantized_to_writer(&mut w, qm);
+                binary::quantized_to_writer(&mut w, codes);
                 sections.push((tag::QUANT, w.into_bytes()));
             }
-            QuantState::Pq { book, codes } => {
+            Quant::Pq { book, codes, .. } => {
                 let mut w = BinWriter::new();
                 binary::codebook_to_writer(&mut w, book);
                 sections.push((tag::CODEBOOK, w.into_bytes()));
@@ -170,20 +179,39 @@ impl ExactIndex<'static> {
         let mut meta = c.section(tag::META, "meta")?;
         let metric = metric_from_code(meta.get_u8()?)?;
         let tier = tier_from_code(meta.get_u8()?)?;
-        let quant_cfg = match meta.get_u8()? {
-            0 => Quantization::None,
-            1 => Quantization::Int8 {
+        // META ends with the quantization; its companion sections follow
+        // TOMBSTONES.
+        let quant = meta.get_u8()?;
+        let tombstones = tombstones_section(&mut c, rows)?;
+        let quant = match quant {
+            0 => Quant::None,
+            1 => Quant::Int8 {
                 rerank: meta.get_usize()?,
+                codes: decode(&mut c, tag::QUANT, "quantized matrix", |r| {
+                    binary::quantized_from_reader(r, rows, dim)
+                })?,
             },
-            2 => Quantization::Pq {
-                rerank: meta.get_usize()?,
-                config: PqConfig {
+            2 => {
+                let rerank = meta.get_usize()?;
+                let config = PqConfig {
                     subspaces: meta.get_usize()?,
                     centroids: meta.get_usize()?,
                     iters: meta.get_usize()?,
                     seed: meta.get_u64()?,
-                },
-            },
+                };
+                let book = decode(&mut c, tag::CODEBOOK, "PQ codebook", |r| {
+                    binary::codebook_from_reader(r, dim)
+                })?;
+                let codes = decode(&mut c, tag::PQ_CODES, "PQ codes", |r| {
+                    binary::pq_codes_from_reader(r, &book, rows)
+                })?;
+                Quant::Pq {
+                    rerank,
+                    config,
+                    book,
+                    codes,
+                }
+            }
             other => {
                 return Err(ErError::corrupt(format!(
                     "unknown quantization code {other}"
@@ -191,34 +219,12 @@ impl ExactIndex<'static> {
             }
         };
         meta.finish()?;
-        let tombstones = tombstones_section(&mut c, rows)?;
-        let quant = match quant_cfg {
-            Quantization::None => QuantState::None,
-            Quantization::Int8 { .. } => {
-                let mut r = c.section(tag::QUANT, "quantized matrix")?;
-                let qm = binary::quantized_from_reader(&mut r, rows, dim)?;
-                r.finish()?;
-                QuantState::Int8(qm)
-            }
-            Quantization::Pq { .. } => {
-                let mut r = c.section(tag::CODEBOOK, "PQ codebook")?;
-                let book = binary::codebook_from_reader(&mut r, dim)?;
-                r.finish()?;
-                let mut r = c.section(tag::PQ_CODES, "PQ codes")?;
-                let codes = binary::pq_codes_from_reader(&mut r, &book, rows)?;
-                r.finish()?;
-                QuantState::Pq { book, codes }
-            }
-        };
         c.finish()?;
         Ok(ExactIndex {
             tombstones,
             store: VectorStore::Owned(matrix),
             metric,
-            scan: ScanConfig {
-                tier,
-                quant: quant_cfg,
-            },
+            tier,
             quant,
         })
     }

@@ -1,10 +1,11 @@
 //! The plumbing all three backends share: the tombstone set, the checked
-//! append into an owned store, the `(distance, id)` heap entry, and the
-//! exact re-rank of a candidate list.
+//! append into an owned store, the `(distance, id)` heap entry, the one
+//! bounded top-k selector, and the exact re-rank of a candidate list.
 
 use crate::{Metric, Neighbor};
 use er_core::{EmbeddingMatrix, ErError, KernelTier, Result, VectorStore};
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// A `(distance, id)` pair with a total, deterministic order: primary by
 /// distance (`f32::total_cmp`), ties by id. `BinaryHeap<Ranked<T>>` is a
@@ -139,9 +140,41 @@ pub(crate) fn push_row(
     Ok(matrix.len() - 1)
 }
 
-/// Exact distances from `query` to the candidate rows on `tier`, sorted by
-/// `(distance, index)` and cut to the best `k` — the second pass of every
-/// backend that gathers candidates cheaply first (quantized scan, LSH).
+/// The best `k` of `(id, distance)` pairs, sorted by `(distance, id)`:
+/// the one top-k selector of every exact pass (the f32 scan, the int8 and
+/// PQ first passes, the re-rank). A bounded max-heap admits and evicts in
+/// [`Ranked`] order, its own order, so a `+NaN` distance ranks last and
+/// never shadows a finite one. The hot path is one float compare against
+/// the cached worst entry; `Ranked` decides only ties and NaN.
+pub(crate) fn top_k(k: usize, mut hits: impl Iterator<Item = (usize, f32)>) -> Vec<Neighbor> {
+    // `k` is caller input: cap the capacity by what the iterator can yield.
+    let cap = hits.size_hint().1.map_or(k, |n| n.min(k));
+    let mut heap = BinaryHeap::with_capacity(cap);
+    heap.extend(hits.by_ref().take(k).map(|(id, dist)| Ranked { dist, id }));
+    if let Some(top) = heap.peek() {
+        let mut worst = top.dist;
+        for (id, dist) in hits {
+            if dist > worst {
+                continue;
+            }
+            // Neither `>` nor `<` is a tie or a NaN: the heap's order decides.
+            let hit = Ranked { dist, id };
+            if dist < worst || hit < *heap.peek().expect("full") {
+                *heap.peek_mut().expect("full") = hit;
+                worst = heap.peek().expect("full").dist;
+            }
+        }
+    }
+    heap.into_sorted_vec()
+        .into_iter()
+        .map(|h| Neighbor::new(h.id, h.dist))
+        .collect()
+}
+
+/// Exact distances from `query` to the candidate rows on `tier`, cut to
+/// the best `k` by [`top_k`] — the exact scan (every live row) and the
+/// second pass of every backend that gathers candidates cheaply first
+/// (quantized scan, LSH).
 pub(crate) fn rerank(
     matrix: &EmbeddingMatrix,
     metric: Metric,
@@ -151,23 +184,9 @@ pub(crate) fn rerank(
     k: usize,
 ) -> Vec<Neighbor> {
     let query_norm = metric.query_norm_tier(tier, query);
-    let mut hits: Vec<Neighbor> = candidates
-        .map(|i| {
-            let dist = metric.distance_prenorm_tier(
-                tier,
-                query,
-                query_norm,
-                matrix.row(i),
-                matrix.norm(i),
-            );
-            Neighbor::new(i, dist)
-        })
-        .collect();
-    hits.sort_by(|a, b| {
-        a.distance
-            .total_cmp(&b.distance)
-            .then_with(|| a.index.cmp(&b.index))
-    });
-    hits.truncate(k);
-    hits
+    let dist = |row, norm| metric.distance_prenorm_tier(tier, query, query_norm, row, norm);
+    top_k(
+        k,
+        candidates.map(|i| (i, dist(matrix.row(i), matrix.norm(i)))),
+    )
 }

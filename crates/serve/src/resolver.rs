@@ -50,8 +50,8 @@ use std::sync::{Arc, Mutex};
 mod tag {
     pub const META: u32 = 1;
     pub const SHARDS: u32 = 2;
-    /// The model's code and fingerprint. Saves written before this section
-    /// existed lack it and are held to the embedding dimension alone.
+    /// The model's code and fingerprint. Every save carries it; a save
+    /// without it is corrupt.
     pub const MODEL: u32 = 3;
 }
 
@@ -480,9 +480,30 @@ impl<'m> Resolver<'m> {
         if shard_count == 0 {
             return Err(ErError::corrupt("resolver with zero shards"));
         }
+        // The model is checked before the shards are decoded: a save opened
+        // under the wrong model fails without paying for its graphs.
+        let mut shards = c.section(tag::SHARDS, "shards")?;
+        let mut identity = c.section(tag::MODEL, "model")?;
+        let (code, fingerprint) = (identity.get_str()?, identity.get_u64()?);
+        identity.finish()?;
+        if code != model.code().as_str() || fingerprint != model.fingerprint() {
+            return Err(ErError::Model(format!(
+                "resolver was saved under model {code} (fingerprint {fingerprint:016x}), \
+                 not {} ({:016x})",
+                model.code(),
+                model.fingerprint()
+            )));
+        }
+        c.finish()?;
+        if model.dim() != dim {
+            return Err(ErError::Model(format!(
+                "resolver was saved over {dim}-d embeddings, model {} emits {}-d",
+                model.code(),
+                model.dim()
+            )));
+        }
         // Each shard is an id-run prefix, a nested-container prefix and at
         // least a container header.
-        let mut shards = c.section(tag::SHARDS, "shards")?;
         let shard_count = shards.bound(shard_count, 16 + binary::HEADER_LEN)?;
         let mut snapshots: Vec<SegmentSnapshot> = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
@@ -508,25 +529,6 @@ impl<'m> Resolver<'m> {
             snapshots.push(SegmentSnapshot::from_parts(index, ids)?);
         }
         shards.finish()?;
-        let mut identity = c.section(tag::MODEL, "model")?;
-        let (code, fingerprint) = (identity.get_str()?, identity.get_u64()?);
-        identity.finish()?;
-        if code != model.code().as_str() || fingerprint != model.fingerprint() {
-            return Err(ErError::Model(format!(
-                "resolver was saved under model {code} (fingerprint {fingerprint:016x}), \
-                 not {} ({:016x})",
-                model.code(),
-                model.fingerprint()
-            )));
-        }
-        c.finish()?;
-        if model.dim() != dim {
-            return Err(ErError::Model(format!(
-                "resolver was saved over {dim}-d embeddings, model {} emits {}-d",
-                model.code(),
-                model.dim()
-            )));
-        }
         Ok(Resolver {
             model,
             mode,

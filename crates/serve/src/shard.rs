@@ -305,12 +305,21 @@ impl ShardedIndex {
         self.snapshots()[self.shard_of(id)].contains(id)
     }
 
-    fn check_dim(&self, row: &[f32]) -> Result<()> {
+    /// The write-path guard: a row of the index's dimension with only
+    /// finite components, checked before anything is journaled or
+    /// published (one NaN row would otherwise sit in every later answer).
+    fn check_row(&self, row: &[f32]) -> Result<()> {
         if self.dim != 0 && row.len() != self.dim {
             return Err(ErError::Model(format!(
                 "er-serve: record has {} components, index stores {}-dim vectors",
                 row.len(),
                 self.dim
+            )));
+        }
+        if let Some(bad) = row.iter().position(|x| !x.is_finite()) {
+            return Err(ErError::Model(format!(
+                "er-serve: record component {bad} is {}, vectors must be finite",
+                row[bad]
             )));
         }
         Ok(())
@@ -366,7 +375,7 @@ impl ShardedIndex {
     /// and publishes nothing) if the id is already live — use
     /// [`ShardedIndex::upsert`] to replace.
     pub fn insert(&self, id: EntityId, row: &[f32]) -> Result<bool> {
-        self.check_dim(row)?;
+        self.check_row(row)?;
         let op = JournalRecord::Insert {
             id: id.0,
             row: row.to_vec(),
@@ -377,7 +386,7 @@ impl ShardedIndex {
     /// Insert, replacing any live record with the same id (the old row is
     /// tombstoned first). Returns whether a record was replaced.
     pub fn upsert(&self, id: EntityId, row: &[f32]) -> Result<bool> {
-        self.check_dim(row)?;
+        self.check_row(row)?;
         let op = JournalRecord::Upsert {
             id: id.0,
             row: row.to_vec(),

@@ -737,6 +737,31 @@ fn length_bombs_and_trailing_bytes_in_a_save_are_corrupt() {
     assert!(corrupt(&duplicated), "duplicated MODEL section");
 }
 
+/// The model is checked before the shards are decoded: a save whose shard
+/// bytes are garbage (re-sealed, so the outer checksum holds) is a `Model`
+/// error under the wrong model and `Corrupt` only under the right one.
+#[test]
+fn the_model_is_checked_before_the_shards_are_decoded() {
+    let model = TrigramModel { dim: 24 };
+    let resolver = Resolver::new(
+        &model,
+        SerializationMode::SchemaAgnostic,
+        ServeConfig::new().shards(2),
+    )
+    .unwrap();
+    for id in 0..6u32 {
+        resolver
+            .insert(&entity(id, &format!("record {id}")))
+            .unwrap();
+    }
+    let garbage = resealed(&resolver.to_bytes(), |s| s[1].1 = vec![0xab; 64]);
+    let wrong = TrigramModel { dim: 16 };
+    let err = Resolver::from_bytes(&garbage, &wrong);
+    assert!(matches!(err, Err(ErError::Model(_))), "{:?}", err.err());
+    let err = Resolver::from_bytes(&garbage, &model);
+    assert!(matches!(err, Err(ErError::Corrupt(_))), "{:?}", err.err());
+}
+
 /// A huge `k` is capped by the live rows instead of sizing a buffer: the
 /// answer equals the `k = live` answer on every backend, through the
 /// index and through the resolver.
@@ -786,4 +811,56 @@ fn huge_k_answers_like_k_equal_to_the_live_rows() {
             assert_eq!(resolver.query(&probe, k), want);
         }
     }
+}
+
+/// A NaN or ±∞ row is a typed `Model` error at the write path, before
+/// anything is journaled or published: the index, its journals and every
+/// later answer are as if the write never happened. Through the resolver
+/// too, whose writes take the same path.
+#[test]
+fn non_finite_rows_are_rejected_before_the_journal() {
+    let dir = std::env::temp_dir().join(format!("er-serve-non-finite-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let model = TrigramModel { dim: 2 };
+    let config = ServeConfig::new()
+        .shards(2)
+        .backend(BlockerBackend::Exact(Metric::Euclidean));
+    let resolver = Resolver::open(&dir, &model, SerializationMode::SchemaAgnostic, config).unwrap();
+    let index = resolver.index();
+    // The motivating probe: a NaN row written first used to sit on top of
+    // its shard's heap and push the true neighbours out.
+    let first = index.insert(EntityId(7), &[f32::NAN, 0.0]);
+    assert!(matches!(first, Err(ErError::Model(_))), "{first:?}");
+    for i in 0..5u32 {
+        assert!(index.insert(EntityId(i), &[i as f32, 0.0]).unwrap());
+    }
+    let before = (index.len(), index.stats());
+    let journaled: Vec<u64> = before.1.iter().map(|s| s.journal_len).collect();
+    assert_eq!(journaled.iter().sum::<u64>(), 5);
+    let want = index.search_ids(&[3.9, 0.0], 2);
+    let ids: Vec<EntityId> = want.iter().map(|h| h.id).collect();
+    assert_eq!(ids, [EntityId(4), EntityId(3)]);
+
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        for row in [[bad, 0.0], [0.0, bad]] {
+            for id in [EntityId(2), EntityId(9)] {
+                let insert = index.insert(id, &row);
+                assert!(matches!(insert, Err(ErError::Model(_))), "{insert:?}");
+                let upsert = index.upsert(id, &row);
+                assert!(matches!(upsert, Err(ErError::Model(_))), "{upsert:?}");
+            }
+        }
+    }
+    assert_eq!((index.len(), index.stats()), before);
+    assert_eq!(index.search_ids(&[3.9, 0.0], 2), want);
+    drop(resolver);
+
+    // Nothing reached the journals: a reopen replays exactly the five rows.
+    let config = ServeConfig::new()
+        .shards(2)
+        .backend(BlockerBackend::Exact(Metric::Euclidean));
+    let reopened = Resolver::open(&dir, &model, SerializationMode::SchemaAgnostic, config).unwrap();
+    assert_eq!(reopened.len(), 5);
+    assert_eq!(reopened.index().search_ids(&[3.9, 0.0], 2), want);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -209,8 +209,13 @@ pub fn autotune(
         },
     ];
     for scan in exact_scans {
-        let index = ExactIndex::from_source_scan(&sample, metric, scan)?;
-        let recall = proxy_recall(&probes, &reference, |q| index.search_slice(q, k));
+        // The Reference scan is the reference itself: recall 1.0, no rerun.
+        let recall = if scan == ScanConfig::default() {
+            1.0
+        } else {
+            let index = ExactIndex::from_source_scan(&sample, metric, scan)?;
+            proxy_recall(&probes, &reference, |q| index.search_slice(q, k))
+        };
         let est = model.exact(full_rows, dim, metric, &scan, k)?;
         let point = goal.clone().exact().scan(scan);
         push_trial(point, recall, est.evals, est.ns);
