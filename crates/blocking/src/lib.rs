@@ -9,7 +9,7 @@
 //! (row 13) and token-overlap blocking (row 14) land with the
 //! matching-SotA PR.
 
-pub mod topk;
+mod topk;
 
 pub use topk::top_k_blocking_scored_matrix;
 // `TopKConfig` is the blocker's historical config name, now an alias of
@@ -17,39 +17,13 @@ pub use topk::top_k_blocking_scored_matrix;
 // still spells it (and `BlockerBackend`) through this crate.
 pub use er_core::{BlockerBackend, OperatingPoint as TopKConfig};
 
-use er_core::{EntityId, ScoredPair};
+use er_core::ScoredPair;
 
-/// Deduplicate candidate pairs produced by redundancy-positive blocking
-/// (k-NN from both sides, multiple blocks). Order-normalizes each pair for
-/// Dirty ER when `dirty` is set, drops self-pairs, and returns a sorted,
-/// unique candidate list.
-pub fn dedup_candidates(
-    pairs: impl IntoIterator<Item = (EntityId, EntityId)>,
-    dirty: bool,
-) -> Vec<(EntityId, EntityId)> {
-    let mut out: Vec<(EntityId, EntityId)> = pairs
-        .into_iter()
-        .filter_map(|(a, b)| {
-            if dirty {
-                match a.0.cmp(&b.0) {
-                    std::cmp::Ordering::Less => Some((a, b)),
-                    std::cmp::Ordering::Equal => None,
-                    std::cmp::Ordering::Greater => Some((b, a)),
-                }
-            } else {
-                Some((a, b))
-            }
-        })
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// The scored twin of [`dedup_candidates`]: order-normalize for Dirty ER,
-/// drop self-pairs, sort by `(left, right)` and keep one entry per id
-/// pair. Safe to apply to blocker output because every blocker similarity
-/// is bitwise symmetric in its endpoints (see
+/// Deduplicate scored candidate pairs produced by redundancy-positive
+/// blocking (k-NN from both sides, multiple blocks): order-normalize for
+/// Dirty ER, drop self-pairs, sort by `(left, right)` and keep one entry
+/// per id pair. Safe to apply to blocker output because every blocker
+/// similarity is bitwise symmetric in its endpoints (see
 /// `er_index::Metric::hit_similarity`), so flipping a pair never changes
 /// its score.
 pub fn dedup_scored(pairs: impl IntoIterator<Item = ScoredPair>, dirty: bool) -> Vec<ScoredPair> {
@@ -75,6 +49,19 @@ pub fn dedup_scored(pairs: impl IntoIterator<Item = ScoredPair>, dirty: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_core::EntityId;
+
+    /// [`dedup_scored`] over unit-scored pairs, projected to id pairs.
+    fn dedup_candidates(
+        pairs: impl IntoIterator<Item = (EntityId, EntityId)>,
+        dirty: bool,
+    ) -> Vec<(EntityId, EntityId)> {
+        let scored = pairs.into_iter().map(|(a, b)| ScoredPair::new(a, b, 1.0));
+        dedup_scored(scored, dirty)
+            .iter()
+            .map(|p| p.id_pair())
+            .collect()
+    }
 
     #[test]
     fn dirty_mode_normalizes_direction_and_drops_self_pairs() {
@@ -132,27 +119,6 @@ mod tests {
                 (EntityId(9), EntityId(1)),
             ]
         );
-    }
-
-    #[test]
-    fn scored_dedup_matches_unscored_dedup_on_the_id_pairs() {
-        let raw = [
-            (EntityId(2), EntityId(1)),
-            (EntityId(1), EntityId(2)),
-            (EntityId(3), EntityId(3)),
-            (EntityId(1), EntityId(4)),
-            (EntityId(1), EntityId(4)),
-        ];
-        let scored: Vec<ScoredPair> = raw
-            .iter()
-            .map(|&(a, b)| ScoredPair::new(a, b, 0.25 * (a.0 + b.0) as f32))
-            .collect();
-        for dirty in [false, true] {
-            let plain = dedup_candidates(raw.iter().copied(), dirty);
-            let rich = dedup_scored(scored.iter().copied(), dirty);
-            let projected: Vec<(EntityId, EntityId)> = rich.iter().map(|p| p.id_pair()).collect();
-            assert_eq!(projected, plain, "dirty={dirty}");
-        }
     }
 
     #[test]

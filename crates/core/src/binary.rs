@@ -54,7 +54,7 @@ use crate::{EmbeddingMatrix, ErError, Result};
 pub const MAGIC: [u8; 4] = *b"ERBF";
 /// Container layout version; bump on any incompatible change.
 /// Version 2 widened the header with the journal-epoch field.
-pub const VERSION: u16 = 2;
+pub(crate) const VERSION: u16 = 2;
 /// Fixed header size in bytes (magic + version + kind + section_count +
 /// epoch + payload_len + checksum).
 pub const HEADER_LEN: usize = 36;
@@ -149,12 +149,12 @@ impl BinWriter {
     }
 
     /// Length-prefixed i8 run (int8 quantization codes).
-    pub fn put_i8_slice(&mut self, vs: &[i8]) {
+    pub(crate) fn put_i8_slice(&mut self, vs: &[i8]) {
         self.put_run(vs.iter().map(|v| v.to_le_bytes()));
     }
 
     /// Length-prefixed u8 run (PQ codes).
-    pub fn put_u8_slice(&mut self, vs: &[u8]) {
+    pub(crate) fn put_u8_slice(&mut self, vs: &[u8]) {
         self.put_usize(vs.len());
         self.buf.extend_from_slice(vs);
     }
@@ -223,7 +223,7 @@ impl<'a> BinReader<'a> {
     }
 
     /// `N` raw bytes — a magic number or a fixed-width scalar.
-    pub fn get_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+    pub(crate) fn get_array<const N: usize>(&mut self) -> Result<[u8; N]> {
         let mut out = [0u8; N];
         out.copy_from_slice(self.take(N)?);
         Ok(out)
@@ -233,7 +233,7 @@ impl<'a> BinReader<'a> {
         Ok(u8::from_le_bytes(self.get_array()?))
     }
 
-    pub fn get_u16(&mut self) -> Result<u16> {
+    pub(crate) fn get_u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(self.get_array()?))
     }
 
@@ -301,7 +301,7 @@ impl<'a> BinReader<'a> {
     }
 
     /// A length-prefixed f32 run of any length.
-    pub fn get_f32_vec(&mut self) -> Result<Vec<f32>> {
+    pub(crate) fn get_f32_vec(&mut self) -> Result<Vec<f32>> {
         let len = self.get_len(4)?;
         self.run(len, f32::from_le_bytes)
     }
@@ -519,12 +519,12 @@ pub fn matrix_to_writer(w: &mut BinWriter, m: &EmbeddingMatrix) {
 
 /// Deserialize a matrix written by [`matrix_to_writer`]: one pass over the
 /// byte buffer straight into the final buffers, norms trusted bit-for-bit
-/// via [`EmbeddingMatrix::from_parts`] (no `kernels::norm` calls).
+/// via `EmbeddingMatrix::from_parts` (no `kernels::norm` calls).
 pub fn matrix_from_reader(r: &mut BinReader) -> Result<EmbeddingMatrix> {
     let dim = r.get_usize()?;
     let data = r.get_f32_vec()?;
     let norms = r.get_matrix(data.len().checked_div(dim).unwrap_or(0), 1)?;
-    EmbeddingMatrix::from_parts(dim, data, norms).map_err(ErError::corrupt)
+    EmbeddingMatrix::from_parts(dim, data, norms)
 }
 
 /// Serialize an int8-quantized matrix: dim, codes, and the per-row affine
@@ -549,7 +549,7 @@ pub fn quantized_from_reader(
     let codes = r.get_i8s(rows * dim)?;
     let scales = r.get_matrix(rows, 1)?;
     let zeros = r.get_matrix(rows, 1)?;
-    QuantizedMatrix::from_parts(dim, codes, scales, zeros).map_err(ErError::corrupt)
+    QuantizedMatrix::from_parts(dim, codes, scales, zeros)
 }
 
 /// Serialize a PQ codebook: shape header + flat centroid floats verbatim.
@@ -566,7 +566,7 @@ pub fn codebook_from_reader(r: &mut BinReader, dim: usize) -> Result<PqCodebook>
     let subspaces = r.get_usize()?;
     let centroids = r.get_usize()?;
     let data = r.get_matrix(centroids, dim)?;
-    PqCodebook::from_parts(dim, subspaces, centroids, data).map_err(ErError::corrupt)
+    PqCodebook::from_parts(dim, subspaces, centroids, data)
 }
 
 /// Serialize PQ codes (one byte per subspace per row). Reconstructed-row
@@ -579,7 +579,7 @@ pub fn pq_codes_to_writer(w: &mut BinWriter, codes: &PqCodes) {
 /// are typed errors.
 pub fn pq_codes_from_reader(r: &mut BinReader, book: &PqCodebook, rows: usize) -> Result<PqCodes> {
     let codes = r.get_u8s(rows * book.subspaces())?;
-    PqCodes::from_parts(book, codes).map_err(ErError::corrupt)
+    PqCodes::from_parts(book, codes)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ impl Entity {
     }
 
     /// Attribute value by name, if present.
-    pub fn attribute(&self, name: &str) -> Option<&str> {
+    pub(crate) fn attribute(&self, name: &str) -> Option<&str> {
         self.attributes
             .iter()
             .find(|(n, _)| n == name)
@@ -122,7 +122,7 @@ impl ScoredPair {
     /// makes it total over every f32 (NaN included), and the tiebreak makes
     /// sorts independent of input permutation — the determinism UMC's
     /// greedy acceptance and the threshold sweep rely on.
-    pub fn cmp_score_desc(&self, other: &ScoredPair) -> std::cmp::Ordering {
+    pub(crate) fn cmp_score_desc(&self, other: &ScoredPair) -> std::cmp::Ordering {
         other
             .score
             .total_cmp(&self.score)

@@ -6,9 +6,9 @@ use std::fmt;
 pub enum ErError {
     /// Filesystem / IO failures (model cache, result files).
     Io(String),
-    /// Malformed persisted data (JSON parse, schema mismatch).
+    /// Malformed JSON text (the `er_core::json` reader).
     Parse(String),
-    /// Model misuse (unknown model code, dimension mismatch).
+    /// Model or caller misuse (dimension mismatch, a non-finite row).
     Model(String),
     /// Binary persistence integrity failure (bad magic/version/checksum,
     /// truncated payload) — see `er_core::binary`.

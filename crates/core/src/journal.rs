@@ -32,9 +32,9 @@ use crate::binary::{fnv1a64, BinReader, BinWriter};
 use crate::{ErError, Result};
 
 /// File magic: "JouRNaL".
-pub const JOURNAL_MAGIC: [u8; 4] = *b"JRNL";
+pub(crate) const JOURNAL_MAGIC: [u8; 4] = *b"JRNL";
 /// Journal layout version; bump on any incompatible change.
-pub const JOURNAL_VERSION: u16 = 1;
+pub(crate) const JOURNAL_VERSION: u16 = 1;
 /// Fixed header size in bytes (magic + version + shard + epoch).
 pub const JOURNAL_HEADER_LEN: usize = 18;
 

@@ -29,7 +29,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 
 /// `Σ aᵢ²` — the dot of a slice with itself.
 #[inline]
-pub fn squared_norm(a: &[f32]) -> f32 {
+pub(crate) fn squared_norm(a: &[f32]) -> f32 {
     dot(a, a)
 }
 
@@ -100,7 +100,7 @@ fn reduce_lanes(acc: [f32; LANES]) -> f32 {
 /// partial chunk continues the same assignment), then lanes reduce in the
 /// fixed tree order of `reduce_lanes`.
 #[inline]
-pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot_lanes: dimension mismatch");
     let mut acc = [0.0f32; LANES];
     let main = a.len() - a.len() % LANES;
@@ -120,7 +120,7 @@ pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
 /// 8-lane squared Euclidean distance; same lane assignment and reduction
 /// order as [`dot_lanes`].
 #[inline]
-pub fn squared_euclidean_lanes(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn squared_euclidean_lanes(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(
         a.len(),
         b.len(),
@@ -145,7 +145,7 @@ pub fn squared_euclidean_lanes(a: &[f32], b: &[f32]) -> f32 {
 
 /// `Σ aᵢ²` via the 8-lane kernel.
 #[inline]
-pub fn squared_norm_lanes(a: &[f32]) -> f32 {
+pub(crate) fn squared_norm_lanes(a: &[f32]) -> f32 {
     dot_lanes(a, a)
 }
 
@@ -227,7 +227,7 @@ impl KernelTier {
     }
 
     /// Stable lowercase name, used in bench output and persisted headers.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             KernelTier::Reference => "reference",
             KernelTier::Lanes => "lanes",

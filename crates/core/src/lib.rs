@@ -11,40 +11,36 @@
 //! [`BlockerBackend`] with its [`HnswConfig`] / [`LshConfig`], plus the
 //! runtime [`QueryParams`] slice — the `er-tune` autotuner's output type),
 //! the workspace error type ([`ErError`]), a portable seeded RNG
-//! ([`rng::rng`]), a
-//! dependency-free JSON reader/writer ([`json`]) used for model persistence,
-//! the checksummed little-endian binary container ([`binary`]) the
-//! serving path persists matrices, indices and resolvers with, and the
-//! write-ahead journal record codec ([`journal`]) that makes serving
-//! mutations crash-durable between checkpoints, and the cost-gated
-//! fan-out ([`par::fill_chunks`]) every batch of independent work runs
-//! through.
+//! ([`rng::rng`]), a dependency-free JSON reader/writer ([`json`]) for
+//! reports and the zoo's cache key, the checksummed little-endian binary
+//! container ([`binary`]) the serving path persists matrices, indices and
+//! resolvers with, and the write-ahead journal record codec ([`journal`])
+//! that makes serving mutations crash-durable between checkpoints, and the
+//! cost-gated fan-out ([`par::fill_chunks`]) every batch of independent
+//! work runs through.
 
 pub mod binary;
-pub mod entity;
-pub mod error;
+mod entity;
+mod error;
 pub mod journal;
 pub mod json;
 pub mod kernels;
-pub mod matrix;
-pub mod metric;
-pub mod operating_point;
+mod matrix;
+mod metric;
+mod operating_point;
 pub mod par;
 pub mod pq;
 pub mod quant;
 pub mod rng;
-pub mod scan;
+mod scan;
 
 pub use entity::{
     sort_by_id_pair, sort_by_score_desc, Embedding, Entity, EntityId, GroundTruth, ScoredPair,
     SerializationMode,
 };
 pub use error::{ErError, Result};
-pub use journal::{JournalContents, JournalHeader, JournalRecord};
 pub use kernels::KernelTier;
 pub use matrix::{EmbeddingMatrix, VectorSource, VectorStore};
 pub use metric::Metric;
 pub use operating_point::{BlockerBackend, HnswConfig, LshConfig, OperatingPoint, QueryParams};
-pub use pq::{PqCodebook, PqCodes, PqConfig};
-pub use quant::{QuantizedMatrix, QuantizedQuery};
 pub use scan::{Quantization, ScanConfig};

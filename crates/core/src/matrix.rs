@@ -47,12 +47,12 @@ impl EmbeddingMatrix {
     /// of `dim`-sized rows (a `dim` of 0 only admits the empty buffer).
     pub fn from_flat(dim: usize, data: Vec<f32>) -> Result<EmbeddingMatrix> {
         if dim == 0 && !data.is_empty() {
-            return Err(ErError::Parse(
+            return Err(ErError::Model(
                 "EmbeddingMatrix: non-empty data with dim 0".into(),
             ));
         }
         if dim != 0 && !data.len().is_multiple_of(dim) {
-            return Err(ErError::Parse(format!(
+            return Err(ErError::Model(format!(
                 "EmbeddingMatrix: {} floats is not a multiple of dim {dim}",
                 data.len()
             )));
@@ -65,14 +65,18 @@ impl EmbeddingMatrix {
     /// norms** — the binary-persistence load path (`er_core::binary`),
     /// which must reconstitute the exact bits the build cached instead of
     /// re-deriving them. Validates shape only; the norms are trusted.
-    pub fn from_parts(dim: usize, data: Vec<f32>, norms: Vec<f32>) -> Result<EmbeddingMatrix> {
+    pub(crate) fn from_parts(
+        dim: usize,
+        data: Vec<f32>,
+        norms: Vec<f32>,
+    ) -> Result<EmbeddingMatrix> {
         if dim == 0 && !data.is_empty() {
-            return Err(ErError::Parse(
-                "EmbeddingMatrix: non-empty data with dim 0".into(),
+            return Err(ErError::corrupt(
+                "EmbeddingMatrix: non-empty data with dim 0",
             ));
         }
         if data.len() != dim * norms.len() {
-            return Err(ErError::Parse(format!(
+            return Err(ErError::corrupt(format!(
                 "EmbeddingMatrix: {} floats with dim {dim} needs {} norms, got {}",
                 data.len(),
                 data.len().checked_div(dim).unwrap_or(0),
@@ -148,7 +152,7 @@ impl EmbeddingMatrix {
     }
 
     /// All precomputed row norms, in row order.
-    pub fn norms(&self) -> &[f32] {
+    pub(crate) fn norms(&self) -> &[f32] {
         &self.norms
     }
 
@@ -292,8 +296,12 @@ mod tests {
         let ok = EmbeddingMatrix::from_flat(2, vec![1.0, 0.0, 3.0, 4.0]).unwrap();
         assert_eq!(ok.len(), 2);
         assert_eq!(ok.norms(), &[1.0, 5.0]);
-        assert!(EmbeddingMatrix::from_flat(3, vec![1.0; 4]).is_err());
-        assert!(EmbeddingMatrix::from_flat(0, vec![1.0]).is_err());
+        for bad in [
+            EmbeddingMatrix::from_flat(3, vec![1.0; 4]),
+            EmbeddingMatrix::from_flat(0, vec![1.0]),
+        ] {
+            assert!(matches!(bad, Err(ErError::Model(_))), "{bad:?}");
+        }
         assert!(EmbeddingMatrix::from_flat(0, vec![]).unwrap().is_empty());
     }
 

@@ -34,17 +34,11 @@ pub enum Metric {
 impl Metric {
     /// Distance between two embeddings; lower is closer for both variants.
     pub fn distance(&self, a: &Embedding, b: &Embedding) -> f32 {
-        self.distance_slices(a.as_slice(), b.as_slice())
+        self.distance_slices_tier(KernelTier::Reference, a.as_slice(), b.as_slice())
     }
 
-    /// Slice form of [`Metric::distance`], for raw [`crate::EmbeddingMatrix`]
-    /// rows. Always the bit-exact Reference tier.
-    #[inline]
-    pub fn distance_slices(&self, a: &[f32], b: &[f32]) -> f32 {
-        self.distance_slices_tier(KernelTier::Reference, a, b)
-    }
-
-    /// [`Metric::distance_slices`] computed with an explicit kernel tier.
+    /// Slice form of [`Metric::distance`], for raw
+    /// [`crate::EmbeddingMatrix`] rows, computed with an explicit kernel tier.
     /// `Reference` is bit-exact; `Lanes` is the unrolled kernel (same
     /// ≤-tolerance contract as [`KernelTier`]).
     #[inline]
@@ -55,16 +49,11 @@ impl Metric {
         }
     }
 
-    /// Distance with caller-cached norms — the hot path of every index scan
-    /// over an [`crate::EmbeddingMatrix`], whose row norms are precomputed.
-    /// Norms are ignored for Euclidean; for cosine, passing the true norms
-    /// makes this bit-identical to [`Metric::distance_slices`].
-    #[inline]
-    pub fn distance_prenorm(&self, a: &[f32], a_norm: f32, b: &[f32], b_norm: f32) -> f32 {
-        self.distance_prenorm_tier(KernelTier::Reference, a, a_norm, b, b_norm)
-    }
-
-    /// [`Metric::distance_prenorm`] computed with an explicit kernel tier.
+    /// Distance with caller-cached norms, computed with an explicit kernel
+    /// tier — the hot path of every index scan over an
+    /// [`crate::EmbeddingMatrix`], whose row norms are precomputed. Norms
+    /// are ignored for Euclidean; for cosine, passing the true norms makes
+    /// the `Reference` tier bit-identical to [`Metric::distance`].
     /// The cached row norms stay Reference-computed in every tier (they are
     /// part of the persistence contract); only the per-row accumulation
     /// changes, so the zero-vector convention (distance 1.0 under cosine)
@@ -84,14 +73,9 @@ impl Metric {
         }
     }
 
-    /// The query norm needed by [`Metric::distance_prenorm`]: computed once
-    /// per query, or skipped entirely (0.0) when the metric ignores norms.
-    #[inline]
-    pub fn query_norm(&self, query: &[f32]) -> f32 {
-        self.query_norm_tier(KernelTier::Reference, query)
-    }
-
-    /// [`Metric::query_norm`] computed with an explicit kernel tier.
+    /// The query norm needed by [`Metric::distance_prenorm_tier`], computed
+    /// with an explicit kernel tier: once per query, or skipped entirely
+    /// (0.0) when the metric ignores norms.
     #[inline]
     pub fn query_norm_tier(&self, tier: KernelTier, query: &[f32]) -> f32 {
         match self {
@@ -177,9 +161,10 @@ mod tests {
         for metric in [Metric::Euclidean, Metric::Cosine] {
             for (x, y) in [(&a, &b), (&a, &c), (&b, &c), (&a, &z), (&z, &z)] {
                 let fresh = metric.distance(x, y);
-                let cached = metric.distance_prenorm(
+                let cached = metric.distance_prenorm_tier(
+                    KernelTier::Reference,
                     x.as_slice(),
-                    metric.query_norm(x.as_slice()),
+                    metric.query_norm_tier(KernelTier::Reference, x.as_slice()),
                     y.as_slice(),
                     y.norm(),
                 );

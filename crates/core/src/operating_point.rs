@@ -136,7 +136,7 @@ impl BlockerBackend {
     }
 
     /// Short stable name, used by [`OperatingPoint::to_json`] and reports.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             BlockerBackend::Exact(_) => "exact",
             BlockerBackend::Hnsw(_) => "hnsw",

@@ -58,14 +58,13 @@ pub struct PqCodebook {
 }
 
 /// Encoded rows: one `u8` per subspace per row, plus the norms of the
-/// reconstructed rows (needed for cosine denominators and Euclidean
-/// expansions without touching the original floats).
+/// reconstructed rows (the cosine denominators, without touching the
+/// original floats).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PqCodes {
     subspaces: usize,
     codes: Vec<u8>,
     norms: Vec<f32>,
-    sq_norms: Vec<f32>,
 }
 
 impl PqCodebook {
@@ -108,49 +107,49 @@ impl PqCodebook {
 
     /// Centroid `c` of subspace `j`.
     #[inline]
-    pub fn centroid(&self, j: usize, c: usize) -> &[f32] {
+    pub(crate) fn centroid(&self, j: usize, c: usize) -> &[f32] {
         let sub_dim = self.sub_dim();
         let at = (j * self.centroids + c) * sub_dim;
         &self.data[at..at + sub_dim]
     }
 
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
-    pub fn subspaces(&self) -> usize {
+    pub(crate) fn subspaces(&self) -> usize {
         self.subspaces
     }
     /// Centroids per subspace (`k`, after clamping at train time).
     pub fn centroids(&self) -> usize {
         self.centroids
     }
-    pub fn sub_dim(&self) -> usize {
+    pub(crate) fn sub_dim(&self) -> usize {
         self.dim / self.subspaces
     }
     /// Flat centroid storage, for persistence.
-    pub fn data(&self) -> &[f32] {
+    pub(crate) fn data(&self) -> &[f32] {
         &self.data
     }
 
     /// Reassemble from persisted fields (the ERBF load path).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         dim: usize,
         subspaces: usize,
         centroids: usize,
         data: Vec<f32>,
     ) -> Result<PqCodebook> {
         if subspaces == 0 || !dim.is_multiple_of(subspaces) {
-            return Err(ErError::Parse(format!(
+            return Err(ErError::corrupt(format!(
                 "PqCodebook: {subspaces} subspaces does not divide dim {dim}"
             )));
         }
         if centroids == 0 || centroids > 256 {
-            return Err(ErError::Parse(format!(
+            return Err(ErError::corrupt(format!(
                 "PqCodebook: centroid count {centroids} out of range 1..=256"
             )));
         }
         if data.len() != subspaces * centroids * (dim / subspaces) {
-            return Err(ErError::Parse(format!(
+            return Err(ErError::corrupt(format!(
                 "PqCodebook: {} floats does not match {subspaces}×{centroids}×{}",
                 data.len(),
                 dim / subspaces
@@ -201,7 +200,6 @@ impl PqCodebook {
         );
         self.encode_into(row, &mut codes.codes);
         let rec = self.reconstruct_codes(&codes.codes[codes.codes.len() - self.subspaces..]);
-        codes.sq_norms.push(kernels::squared_norm(&rec));
         codes.norms.push(kernels::norm(&rec));
     }
 
@@ -212,11 +210,6 @@ impl PqCodebook {
             out.extend_from_slice(self.centroid(j, c as usize));
         }
         out
-    }
-
-    /// Reconstruct row `i` of `codes` — what the ADC tables "see".
-    pub fn reconstruct(&self, codes: &PqCodes, i: usize) -> Vec<f32> {
-        self.reconstruct_codes(codes.row(i))
     }
 
     /// ADC table of partial dots: `table[j*k + c] = ⟨q_j, centroid_{j,c}⟩`.
@@ -251,7 +244,7 @@ impl PqCodebook {
 
 impl PqCodes {
     /// Empty code storage for `subspaces`-byte rows.
-    pub fn new(subspaces: usize) -> PqCodes {
+    pub(crate) fn new(subspaces: usize) -> PqCodes {
         PqCodes {
             subspaces,
             ..PqCodes::default()
@@ -260,7 +253,7 @@ impl PqCodes {
 
     /// Code row `i`.
     #[inline]
-    pub fn row(&self, i: usize) -> &[u8] {
+    pub(crate) fn row(&self, i: usize) -> &[u8] {
         &self.codes[i * self.subspaces..(i + 1) * self.subspaces]
     }
 
@@ -287,21 +280,8 @@ impl PqCodes {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.norms.len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.norms.is_empty()
-    }
-    pub fn subspaces(&self) -> usize {
-        self.subspaces
-    }
-    /// Norm of the reconstructed row `i`.
-    pub fn norm(&self, i: usize) -> f32 {
-        self.norms[i]
-    }
     /// Flat code storage, for persistence.
-    pub fn codes(&self) -> &[u8] {
+    pub(crate) fn codes(&self) -> &[u8] {
         &self.codes
     }
 
@@ -313,17 +293,16 @@ impl PqCodes {
         for i in rows {
             out.codes.extend_from_slice(self.row(i));
             out.norms.push(self.norms[i]);
-            out.sq_norms.push(self.sq_norms[i]);
         }
         out
     }
 
     /// Reassemble from persisted codes; the reconstructed-row norms are
     /// recomputed deterministically from the codebook.
-    pub fn from_parts(codebook: &PqCodebook, codes: Vec<u8>) -> Result<PqCodes> {
+    pub(crate) fn from_parts(codebook: &PqCodebook, codes: Vec<u8>) -> Result<PqCodes> {
         let m = codebook.subspaces();
         if !codes.len().is_multiple_of(m) {
-            return Err(ErError::Parse(format!(
+            return Err(ErError::corrupt(format!(
                 "PqCodes: {} codes is not a multiple of {m} subspaces",
                 codes.len()
             )));
@@ -332,7 +311,7 @@ impl PqCodes {
             .iter()
             .find(|&&c| (c as usize) >= codebook.centroids())
         {
-            return Err(ErError::Parse(format!(
+            return Err(ErError::corrupt(format!(
                 "PqCodes: code {c} out of range for {} centroids",
                 codebook.centroids()
             )));
@@ -341,19 +320,12 @@ impl PqCodes {
             subspaces: m,
             codes,
             norms: Vec::new(),
-            sq_norms: Vec::new(),
         };
         for i in 0..out.codes.len() / m {
             let rec = codebook.reconstruct_codes(out.row(i));
-            out.sq_norms.push(kernels::squared_norm(&rec));
             out.norms.push(kernels::norm(&rec));
         }
         Ok(out)
-    }
-
-    /// Squared norm of the reconstructed row `i`.
-    pub fn sq_norm(&self, i: usize) -> f32 {
-        self.sq_norms[i]
     }
 }
 
@@ -484,7 +456,7 @@ mod tests {
         let l2s = book.l2_tables(&query);
         let k = book.centroids();
         for i in 0..m.len() {
-            let rec = book.reconstruct(&codes, i);
+            let rec = book.reconstruct_codes(codes.row(i));
             let want_dot = kernels::dot(&query, &rec);
             let want_l2 = kernels::squared_euclidean(&query, &rec);
             assert!((codes.adc_sum(&dots, k, i) - want_dot).abs() < 1e-4);
@@ -507,7 +479,7 @@ mod tests {
         assert_eq!(book.centroids(), 5);
         let codes = book.encode(&m);
         for i in 0..m.len() {
-            let rec = book.reconstruct(&codes, i);
+            let rec = book.reconstruct_codes(codes.row(i));
             let err = kernels::squared_euclidean(&rec, m.row(i));
             assert!(err < 1e-8, "row {i} reconstruction error {err}");
         }
@@ -554,10 +526,14 @@ mod tests {
         let codes = book.encode(&m);
         let back = PqCodes::from_parts(&book, codes.codes().to_vec()).unwrap();
         assert_eq!(codes, back);
-        assert!(PqCodes::from_parts(&book, vec![0, 1, 2]).is_err(), "ragged");
-        assert!(
-            PqCodes::from_parts(&book, vec![0, 1, 2, 200]).is_err(),
-            "out of range"
-        );
+        for (what, codes) in [
+            ("ragged", vec![0, 1, 2]),
+            ("out of range", vec![0, 1, 2, 200]),
+        ] {
+            assert!(
+                matches!(PqCodes::from_parts(&book, codes), Err(ErError::Corrupt(_))),
+                "{what}"
+            );
+        }
     }
 }

@@ -99,23 +99,10 @@ fn quantize_into(row: &[f32], codes: &mut Vec<i8>) -> (f32, f32, i32) {
     (scale, zero, sum)
 }
 
-/// Integer dot of two code rows with an `i32` accumulator. Integer adds are
-/// associative, so the compiler is free to vectorise this reduction — the
-/// result is identical in any order.
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len(), "dot_i8: dimension mismatch");
-    let mut acc = 0i32;
-    for (&x, &y) in a.iter().zip(b) {
-        acc += (x as i32) * (y as i32);
-    }
-    acc
-}
-
-/// The scan's hot loop: widened query codes against a stored `i8` row.
-/// Identical result to [`dot_i8`] on the same code values (integer adds
-/// are order-free), but the `i16` side lets SSE2 multiply-add eight
-/// products per instruction instead of sign-extending both operands.
+/// The scan's hot loop: widened query codes against a stored `i8` row,
+/// with an `i32` accumulator. Integer adds are associative, so the result
+/// is identical in any order, and the `i16` side lets SSE2 multiply-add
+/// eight products per instruction instead of sign-extending both operands.
 #[inline]
 fn dot_query(q: &[i16], row: &[i8]) -> i32 {
     debug_assert_eq!(q.len(), row.len(), "dot_query: dimension mismatch");
@@ -191,7 +178,7 @@ impl QuantizedMatrix {
     /// Approximate `⟨q, rowᵢ⟩` — the exact dot of the dequantized vectors
     /// (up to float rounding) via the affine expansion.
     #[inline]
-    pub fn dot(&self, q: &QuantizedQuery, i: usize) -> f32 {
+    pub(crate) fn dot(&self, q: &QuantizedQuery, i: usize) -> f32 {
         let codes = self.row_codes(i);
         let int_dot = dot_query(&q.codes, codes) as f32;
         let d = self.dim as f32;
@@ -221,7 +208,7 @@ impl QuantizedMatrix {
     }
 
     /// Reconstruct row `i` as f32 — what the approximate kernels "see".
-    pub fn dequantize_row(&self, i: usize) -> Vec<f32> {
+    pub(crate) fn dequantize_row(&self, i: usize) -> Vec<f32> {
         let (scale, zero) = (self.scales[i], self.zeros[i]);
         self.row_codes(i)
             .iter()
@@ -231,7 +218,7 @@ impl QuantizedMatrix {
 
     /// The `i8` codes of row `i`.
     #[inline]
-    pub fn row_codes(&self, i: usize) -> &[i8] {
+    pub(crate) fn row_codes(&self, i: usize) -> &[i8] {
         &self.codes[i * self.dim..(i + 1) * self.dim]
     }
 
@@ -239,27 +226,19 @@ impl QuantizedMatrix {
         self.dim
     }
 
-    pub fn len(&self) -> usize {
-        self.scales.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.scales.is_empty()
     }
 
     // Flat accessors for binary persistence (`er_core::binary`).
-    pub fn codes(&self) -> &[i8] {
+    pub(crate) fn codes(&self) -> &[i8] {
         &self.codes
     }
-    pub fn scales(&self) -> &[f32] {
+    pub(crate) fn scales(&self) -> &[f32] {
         &self.scales
     }
-    pub fn zeros(&self) -> &[f32] {
+    pub(crate) fn zeros(&self) -> &[f32] {
         &self.zeros
-    }
-    /// Norm of the dequantized row `i`.
-    pub fn norm(&self, i: usize) -> f32 {
-        self.norms[i]
     }
 
     /// A new quantized matrix of the given rows, in order, with their codes,
@@ -282,21 +261,21 @@ impl QuantizedMatrix {
     /// path). The derived statistics (code sums, dequantized norms) are
     /// recomputed deterministically from the codes, so only the codes and
     /// the affine maps are stored.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         dim: usize,
         codes: Vec<i8>,
         scales: Vec<f32>,
         zeros: Vec<f32>,
     ) -> Result<QuantizedMatrix> {
         if scales.len() != zeros.len() {
-            return Err(ErError::Parse(format!(
+            return Err(ErError::corrupt(format!(
                 "QuantizedMatrix: {} scales but {} zero points",
                 scales.len(),
                 zeros.len()
             )));
         }
         if codes.len() != dim * scales.len() {
-            return Err(ErError::Parse(format!(
+            return Err(ErError::corrupt(format!(
                 "QuantizedMatrix: {} codes is not {} rows × dim {dim}",
                 codes.len(),
                 scales.len()
@@ -435,8 +414,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q, back);
-        assert!(QuantizedMatrix::from_parts(8, vec![0; 7], vec![0.0], vec![0.0]).is_err());
-        assert!(QuantizedMatrix::from_parts(8, vec![0; 8], vec![0.0], vec![]).is_err());
+        for bad in [
+            QuantizedMatrix::from_parts(8, vec![0; 7], vec![0.0], vec![0.0]),
+            QuantizedMatrix::from_parts(8, vec![0; 8], vec![0.0], vec![]),
+        ] {
+            assert!(matches!(bad, Err(ErError::Corrupt(_))), "{bad:?}");
+        }
     }
 
     #[test]

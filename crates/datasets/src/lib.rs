@@ -51,7 +51,7 @@ impl DatasetId {
         DatasetId::D10,
     ];
 
-    pub fn domain(&self) -> Domain {
+    pub(crate) fn domain(&self) -> Domain {
         match self {
             DatasetId::D1 => Domain::Restaurants,
             DatasetId::D2 | DatasetId::D3 | DatasetId::D10 => Domain::Products,

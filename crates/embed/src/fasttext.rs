@@ -19,7 +19,7 @@ use er_text::Corpus;
 use std::time::Instant;
 
 #[derive(Debug, Clone)]
-pub struct FastTextParams {
+pub(crate) struct FastTextParams {
     pub sgns: SgnsParams,
     pub nmin: usize,
     pub nmax: usize,
@@ -28,7 +28,7 @@ pub struct FastTextParams {
 
 impl StaticModel {
     /// Train FastText (**FT**) on `corpus` over `vocab`.
-    pub fn fasttext(
+    pub(crate) fn fasttext(
         corpus: &Corpus,
         vocab: Vocab,
         params: &FastTextParams,

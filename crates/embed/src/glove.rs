@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 #[derive(Debug, Clone)]
-pub struct GloveParams {
+pub(crate) struct GloveParams {
     pub dim: usize,
     pub window: usize,
     pub epochs: usize,
@@ -30,7 +30,12 @@ pub struct GloveParams {
 
 impl StaticModel {
     /// Train GloVe (**GE**) on `corpus` over `vocab`.
-    pub fn glove(corpus: &Corpus, vocab: Vocab, params: &GloveParams, seed: u64) -> StaticModel {
+    pub(crate) fn glove(
+        corpus: &Corpus,
+        vocab: Vocab,
+        params: &GloveParams,
+        seed: u64,
+    ) -> StaticModel {
         let start = Instant::now();
         let dim = params.dim;
         let mut rng = derive(seed, "glove");

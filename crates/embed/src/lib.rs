@@ -4,32 +4,28 @@
 //! (SGNS), GloVe (co-occurrence + AdaGrad) and FastText (char-n-gram SGNS
 //! over hashed buckets) — and all three release one inference artifact, a
 //! [`StaticModel`] word-vector table (with subword buckets for FastText).
-//! Beside them sits the first **dynamic** model: a from-scratch
+//! Beside them sits one **dynamic** model: a from-scratch
 //! [`Transformer`] encoder pre-trained with a genuine masked-language-model
-//! objective ([`mlm::pretrain_bt`]) over the `er-tensor` autograd engine,
+//! objective (`mlm::pretrain_bt`) over the `er-tensor` autograd engine,
 //! registered as paper model **BT**. All are unified behind the
 //! [`LanguageModel`] trait, pre-trained deterministically by
 //! [`ModelZoo::pretrain`] and cached as one ERBF container of raw f32
-//! weights. The remaining transformer variants (AT/RA/DT/XT) and the SBERT
-//! family (ST/S5/SA/SM) land in later PRs; their [`ModelCode`]s are
-//! already defined so the benchmark suite can enumerate the full roster.
+//! weights. [`ModelCode`] names these four and nothing else: the paper's
+//! other transformers (AT/RA/DT/XT) and the SBERT family (ST/S5/SA/SM) are
+//! not built here, so no caller can ask the zoo for an absent model.
 
 mod fasttext;
 mod glove;
-pub mod mlm;
+mod mlm;
 mod sgns;
 mod static_model;
-pub mod transformer;
-pub mod vocab;
+mod transformer;
+mod vocab;
 mod word2vec;
-pub mod zoo;
+mod zoo;
 
-pub use fasttext::FastTextParams;
-pub use glove::GloveParams;
-pub use mlm::MlmParams;
-pub use sgns::SgnsParams;
 pub use static_model::StaticModel;
-pub use transformer::{Transformer, TransformerConfig};
+pub use transformer::Transformer;
 pub use vocab::Vocab;
 pub use zoo::{AnyModel, ModelZoo, ZooConfig};
 
@@ -37,7 +33,10 @@ use er_core::binary::BinReader;
 use er_core::{Embedding, ErError, Result};
 use std::time::Duration;
 
-/// The 12 language models of the paper's Table 3, by two-letter code.
+/// The language models this crate builds, by their two-letter code in the
+/// paper's Table 3. The paper's other eight (AT, RA, DT, XT and the SBERT
+/// family ST/S5/SA/SM) are not implemented, so they have no code here
+/// (DESIGN.md §1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ModelCode {
     /// Word2Vec (static).
@@ -46,47 +45,13 @@ pub enum ModelCode {
     GE,
     /// FastText (static).
     FT,
-    /// BERT (transformer, MLM pre-trained — the first dynamic model).
+    /// BERT (transformer, MLM pre-trained).
     BT,
-    /// AlBERT (transformer, later PR).
-    AT,
-    /// RoBERTa (transformer, later PR).
-    RA,
-    /// DistilBERT (transformer, later PR).
-    DT,
-    /// XLNet (transformer, later PR).
-    XT,
-    /// S-MPNet (SentenceBERT, later PR).
-    ST,
-    /// S-GTR-T5 (SentenceBERT, later PR).
-    S5,
-    /// S-DistilRoBERTa (SentenceBERT, later PR).
-    SA,
-    /// S-MiniLM (SentenceBERT, later PR).
-    SM,
 }
 
 impl ModelCode {
-    pub const ALL: [ModelCode; 12] = [
-        ModelCode::WC,
-        ModelCode::GE,
-        ModelCode::FT,
-        ModelCode::BT,
-        ModelCode::AT,
-        ModelCode::RA,
-        ModelCode::DT,
-        ModelCode::XT,
-        ModelCode::ST,
-        ModelCode::S5,
-        ModelCode::SA,
-        ModelCode::SM,
-    ];
-
-    /// The static subset implemented by this crate.
-    pub const STATIC: [ModelCode; 3] = [ModelCode::WC, ModelCode::GE, ModelCode::FT];
-
-    /// The dynamic (transformer) subset implemented so far.
-    pub const DYNAMIC: [ModelCode; 1] = [ModelCode::BT];
+    /// The zoo's roster, in cache order: the static models, then BT.
+    pub const ALL: [ModelCode; 4] = [ModelCode::WC, ModelCode::GE, ModelCode::FT, ModelCode::BT];
 
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -94,14 +59,6 @@ impl ModelCode {
             ModelCode::GE => "GE",
             ModelCode::FT => "FT",
             ModelCode::BT => "BT",
-            ModelCode::AT => "AT",
-            ModelCode::RA => "RA",
-            ModelCode::DT => "DT",
-            ModelCode::XT => "XT",
-            ModelCode::ST => "ST",
-            ModelCode::S5 => "S5",
-            ModelCode::SA => "SA",
-            ModelCode::SM => "SM",
         }
     }
 
@@ -111,23 +68,16 @@ impl ModelCode {
             ModelCode::GE => "GloVe",
             ModelCode::FT => "FastText",
             ModelCode::BT => "BERT",
-            ModelCode::AT => "AlBERT",
-            ModelCode::RA => "RoBERTa",
-            ModelCode::DT => "DistilBERT",
-            ModelCode::XT => "XLNet",
-            ModelCode::ST => "S-MPNet",
-            ModelCode::S5 => "S-GTR-T5",
-            ModelCode::SA => "S-DistilRoBERTa",
-            ModelCode::SM => "S-MiniLM",
         }
     }
 
-    pub fn parse(s: &str) -> Result<ModelCode> {
+    /// The code a saved model body names; anything else is damaged bytes.
+    pub(crate) fn parse(s: &str) -> Result<ModelCode> {
         ModelCode::ALL
             .iter()
             .copied()
             .find(|c| c.as_str() == s)
-            .ok_or_else(|| ErError::Parse(format!("unknown model code {s:?}")))
+            .ok_or_else(|| ErError::corrupt(format!("unknown model code {s:?}")))
     }
 }
 
@@ -167,7 +117,7 @@ pub trait LanguageModel: Send + Sync {
 
 /// The model code a saved model body starts with.
 pub(crate) fn read_code(r: &mut BinReader) -> Result<ModelCode> {
-    ModelCode::parse(&r.get_str()?).map_err(ErError::corrupt)
+    ModelCode::parse(&r.get_str()?)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use rand::Rng;
 
 /// MLM pre-training hyper-parameters.
 #[derive(Debug, Clone)]
-pub struct MlmParams {
+pub(crate) struct MlmParams {
     pub config: TransformerConfig,
     pub epochs: usize,
     /// Per-position masking probability (BERT's 0.15).
@@ -34,21 +34,16 @@ pub struct MlmParams {
     pub clip: f32,
 }
 
-/// Pre-train model **BT** on `corpus`. `vocab` must contain
-/// [`MASK_TOKEN`] (build it with [`Vocab::with_special`]).
-pub fn pretrain_bt(corpus: &Corpus, vocab: Vocab, params: &MlmParams, seed: u64) -> Transformer {
-    pretrain(ModelCode::BT, corpus, vocab, params, seed)
-}
-
-/// Pre-train a transformer under `code`, deriving its RNG stream from
-/// `(seed, code)` so each future transformer variant trains differently.
-pub fn pretrain(
-    code: ModelCode,
+/// Pre-train model **BT** on `corpus`, with its RNG stream derived from
+/// `(seed, "mlm-BT")`. `vocab` must contain [`MASK_TOKEN`] (build it with
+/// [`Vocab::with_special`]).
+pub(crate) fn pretrain_bt(
     corpus: &Corpus,
     vocab: Vocab,
     params: &MlmParams,
     seed: u64,
 ) -> Transformer {
+    let code = ModelCode::BT;
     let start = std::time::Instant::now();
     let mask_id = vocab
         .id(MASK_TOKEN)

@@ -16,7 +16,7 @@ use rand::Rng;
 
 /// SGNS hyper-parameters (shared by Word2Vec and FastText).
 #[derive(Debug, Clone)]
-pub struct SgnsParams {
+pub(crate) struct SgnsParams {
     pub dim: usize,
     pub window: usize,
     pub negatives: usize,

@@ -44,7 +44,7 @@ use std::time::Duration;
 
 /// Shape of the encoder. Every field is part of the zoo cache key.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransformerConfig {
+pub(crate) struct TransformerConfig {
     /// Model width (64 per DESIGN §1 — the paper's 768 scaled down).
     pub dim: usize,
     /// Number of encoder blocks.
@@ -58,7 +58,7 @@ pub struct TransformerConfig {
 }
 
 impl TransformerConfig {
-    pub fn head_dim(&self) -> usize {
+    pub(crate) fn head_dim(&self) -> usize {
         assert!(
             self.heads > 0 && self.dim.is_multiple_of(self.heads),
             "heads ({}) must divide dim ({})",
@@ -258,7 +258,7 @@ pub struct Transformer {
 impl Transformer {
     /// Fresh random weights from `rng` (one stream, declaration order):
     /// matrices at scale `INIT_SCALE` (0.02), layer-norm gains at 1, biases 0.
-    pub fn init(
+    pub(crate) fn init(
         code: ModelCode,
         vocab: Vocab,
         config: TransformerConfig,
@@ -289,12 +289,8 @@ impl Transformer {
         model
     }
 
-    pub fn vocab(&self) -> &Vocab {
+    pub(crate) fn vocab(&self) -> &Vocab {
         &self.vocab
-    }
-
-    pub fn config(&self) -> &TransformerConfig {
-        &self.config
     }
 
     /// Record the training time, fingerprint the final weights and rebuild
@@ -310,7 +306,7 @@ impl Transformer {
 
     /// Every parameter tensor in one fixed order — the contract shared by
     /// the optimizer, the zoo cache and graph binding.
-    pub fn param_tensors(&self) -> Vec<&Tensor> {
+    pub(crate) fn param_tensors(&self) -> Vec<&Tensor> {
         self.params.list()
     }
 
@@ -556,7 +552,7 @@ impl LanguageModel for Transformer {
 
 /// Fixed sinusoidal positional encodings (Vaswani et al. 2017):
 /// `pe[p, 2i] = sin(p / 10000^(2i/dim))`, `pe[p, 2i+1] = cos(·)`.
-pub fn positional_encoding(len: usize, dim: usize) -> Tensor {
+pub(crate) fn positional_encoding(len: usize, dim: usize) -> Tensor {
     let mut pe = Tensor::zeros(len, dim);
     for p in 0..len {
         for i in 0..dim {

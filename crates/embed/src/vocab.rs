@@ -18,7 +18,7 @@ pub struct Vocab {
 
 impl Vocab {
     /// Build from a corpus, keeping tokens seen at least `min_count` times.
-    pub fn build(corpus: &Corpus, min_count: u32) -> Vocab {
+    pub(crate) fn build(corpus: &Corpus, min_count: u32) -> Vocab {
         let mut freq: HashMap<&str, u32> = HashMap::new();
         for sentence in corpus.sentences() {
             for token in sentence {
@@ -52,7 +52,7 @@ impl Vocab {
     /// count 0, after all frequency-ranked entries so every real token
     /// keeps its id. No-op if the token is already present. Special tokens
     /// are saved like any other entry.
-    pub fn with_special(mut self, token: &str) -> Vocab {
+    pub(crate) fn with_special(mut self, token: &str) -> Vocab {
         if self.index.contains_key(token) {
             return self;
         }
@@ -63,7 +63,7 @@ impl Vocab {
         self
     }
 
-    pub fn id(&self, token: &str) -> Option<u32> {
+    pub(crate) fn id(&self, token: &str) -> Option<u32> {
         self.index.get(token).copied()
     }
 
@@ -71,11 +71,7 @@ impl Vocab {
         &self.tokens[id as usize]
     }
 
-    pub fn count(&self, id: u32) -> u32 {
-        self.counts[id as usize]
-    }
-
-    pub fn counts(&self) -> &[u32] {
+    pub(crate) fn counts(&self) -> &[u32] {
         &self.counts
     }
 
@@ -89,7 +85,7 @@ impl Vocab {
 
     /// Map a sentence to ids, silently dropping OOV tokens (the static
     /// models' training view of the corpus).
-    pub fn encode(&self, sentence: &[String]) -> Vec<u32> {
+    pub(crate) fn encode(&self, sentence: &[String]) -> Vec<u32> {
         sentence.iter().filter_map(|t| self.id(t)).collect()
     }
 
@@ -133,7 +129,7 @@ mod tests {
         assert_eq!(v.token(0), "b");
         assert_eq!(v.token(1), "a");
         assert_eq!(v.token(2), "c");
-        assert_eq!(v.count(0), 4);
+        assert_eq!(v.counts()[0], 4);
     }
 
     #[test]
@@ -163,7 +159,7 @@ mod tests {
         assert_eq!(v.id("b"), Some(b_id));
         let mask_id = v.id(er_text::MASK_TOKEN).unwrap();
         assert_eq!(mask_id as usize, v.len() - 1);
-        assert_eq!(v.count(mask_id), 0);
+        assert_eq!(v.counts()[mask_id as usize], 0);
         // Idempotent.
         let again = v.clone().with_special(er_text::MASK_TOKEN);
         assert_eq!(v, again);

@@ -14,7 +14,12 @@ use std::time::Instant;
 
 impl StaticModel {
     /// Train Word2Vec (**WC**) on `corpus` over `vocab`.
-    pub fn word2vec(corpus: &Corpus, vocab: Vocab, params: &SgnsParams, seed: u64) -> StaticModel {
+    pub(crate) fn word2vec(
+        corpus: &Corpus,
+        vocab: Vocab,
+        params: &SgnsParams,
+        seed: u64,
+    ) -> StaticModel {
         let start = Instant::now();
         let no_grams = vec![Vec::new(); vocab.len()];
         let rng = derive(seed, "word2vec");

@@ -9,11 +9,12 @@
 //! read back with `from_le_bytes`: save/load is bit-exact and a load parses
 //! no floats.
 
+use crate::fasttext::FastTextParams;
+use crate::glove::GloveParams;
 use crate::mlm::{self, MlmParams};
+use crate::sgns::SgnsParams;
 use crate::transformer::{Transformer, TransformerConfig};
-use crate::{
-    FastTextParams, GloveParams, LanguageModel, ModelCode, SgnsParams, StaticModel, Vocab,
-};
+use crate::{LanguageModel, ModelCode, StaticModel, Vocab};
 use er_core::binary::{self, fnv1a64, kind, BinReader, BinWriter};
 use er_core::json::Json;
 use er_core::rng::rng;
@@ -24,41 +25,45 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Hyper-parameters for one zoo pre-training run.
+/// Hyper-parameters for one zoo pre-training run. The values both presets
+/// share are the private constants below.
 #[derive(Debug, Clone)]
 pub struct ZooConfig {
     /// Human-readable scale label, part of the cache key ("Fast", "Tiny").
     pub scale: String,
     /// Synthetic-corpus size in documents.
     pub corpus_docs: usize,
-    /// Embedding dimension for the static models (paper ratio: 48-d static
-    /// vs 64-d transformer ≈ the paper's 300 vs 768).
-    pub dim: usize,
     pub window: usize,
     pub negatives: usize,
     pub min_count: u32,
     pub w2v_epochs: usize,
     pub glove_epochs: usize,
     pub ft_epochs: usize,
-    pub lr: f32,
-    pub glove_lr: f32,
-    pub x_max: f32,
-    pub alpha: f32,
-    pub nmin: usize,
-    pub nmax: usize,
     pub buckets: usize,
-    /// Transformer (BT) width — 64-d per DESIGN §1 (the paper's 768 scaled
-    /// to the static models' 48).
-    pub bt_dim: usize,
     pub bt_layers: usize,
     pub bt_heads: usize,
     pub bt_ffn: usize,
     pub bt_max_len: usize,
     pub bt_epochs: usize,
-    pub bt_lr: f32,
-    /// MLM per-position masking probability (BERT's 0.15).
-    pub bt_mask_prob: f32,
 }
+
+/// Embedding dimension of the static models (paper ratio: 48-d static vs
+/// 64-d transformer ≈ the paper's 300 vs 768).
+const DIM: usize = 48;
+/// SGNS learning rate (Word2Vec and FastText).
+const LR: f32 = 0.05;
+const GLOVE_LR: f32 = 0.05;
+const X_MAX: f32 = 16.0;
+const ALPHA: f32 = 0.75;
+/// FastText's char-n-gram lengths.
+const NMIN: usize = 3;
+const NMAX: usize = 5;
+/// Transformer (BT) width — 64-d per DESIGN §1 (the paper's 768 scaled to
+/// the static models' 48).
+const BT_DIM: usize = 64;
+const BT_LR: f32 = 1e-3;
+/// MLM per-position masking probability (BERT's 0.15).
+const BT_MASK_PROB: f32 = 0.15;
 
 impl ZooConfig {
     /// The default scale: trains all three static models in seconds on one
@@ -67,28 +72,18 @@ impl ZooConfig {
         ZooConfig {
             scale: "Fast".into(),
             corpus_docs: 96,
-            dim: 48,
             window: 4,
             negatives: 4,
             min_count: 2,
             w2v_epochs: 4,
             glove_epochs: 12,
             ft_epochs: 3,
-            lr: 0.05,
-            glove_lr: 0.05,
-            x_max: 16.0,
-            alpha: 0.75,
-            nmin: 3,
-            nmax: 5,
             buckets: 4096,
-            bt_dim: 64,
             bt_layers: 2,
             bt_heads: 4,
             bt_ffn: 128,
             bt_max_len: 16,
             bt_epochs: 2,
-            bt_lr: 1e-3,
-            bt_mask_prob: 0.15,
         }
     }
 
@@ -98,57 +93,49 @@ impl ZooConfig {
         ZooConfig {
             scale: "Tiny".into(),
             corpus_docs: 24,
-            dim: 48,
             window: 3,
             negatives: 3,
             min_count: 1,
             w2v_epochs: 2,
             glove_epochs: 6,
             ft_epochs: 2,
-            lr: 0.05,
-            glove_lr: 0.05,
-            x_max: 16.0,
-            alpha: 0.75,
-            nmin: 3,
-            nmax: 5,
             buckets: 1024,
-            bt_dim: 64,
             bt_layers: 1,
             bt_heads: 2,
             bt_ffn: 64,
             bt_max_len: 10,
             bt_epochs: 1,
-            bt_lr: 1e-3,
-            bt_mask_prob: 0.15,
         }
     }
 
+    /// The cache key: every hyper-parameter, constants included, in one
+    /// fixed order.
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("scale".into(), Json::from_str_value(&self.scale)),
             ("corpus_docs".into(), Json::from_usize(self.corpus_docs)),
-            ("dim".into(), Json::from_usize(self.dim)),
+            ("dim".into(), Json::from_usize(DIM)),
             ("window".into(), Json::from_usize(self.window)),
             ("negatives".into(), Json::from_usize(self.negatives)),
             ("min_count".into(), Json::from_u64(self.min_count as u64)),
             ("w2v_epochs".into(), Json::from_usize(self.w2v_epochs)),
             ("glove_epochs".into(), Json::from_usize(self.glove_epochs)),
             ("ft_epochs".into(), Json::from_usize(self.ft_epochs)),
-            ("lr".into(), Json::from_f32(self.lr)),
-            ("glove_lr".into(), Json::from_f32(self.glove_lr)),
-            ("x_max".into(), Json::from_f32(self.x_max)),
-            ("alpha".into(), Json::from_f32(self.alpha)),
-            ("nmin".into(), Json::from_usize(self.nmin)),
-            ("nmax".into(), Json::from_usize(self.nmax)),
+            ("lr".into(), Json::from_f32(LR)),
+            ("glove_lr".into(), Json::from_f32(GLOVE_LR)),
+            ("x_max".into(), Json::from_f32(X_MAX)),
+            ("alpha".into(), Json::from_f32(ALPHA)),
+            ("nmin".into(), Json::from_usize(NMIN)),
+            ("nmax".into(), Json::from_usize(NMAX)),
             ("buckets".into(), Json::from_usize(self.buckets)),
-            ("bt_dim".into(), Json::from_usize(self.bt_dim)),
+            ("bt_dim".into(), Json::from_usize(BT_DIM)),
             ("bt_layers".into(), Json::from_usize(self.bt_layers)),
             ("bt_heads".into(), Json::from_usize(self.bt_heads)),
             ("bt_ffn".into(), Json::from_usize(self.bt_ffn)),
             ("bt_max_len".into(), Json::from_usize(self.bt_max_len)),
             ("bt_epochs".into(), Json::from_usize(self.bt_epochs)),
-            ("bt_lr".into(), Json::from_f32(self.bt_lr)),
-            ("bt_mask_prob".into(), Json::from_f32(self.bt_mask_prob)),
+            ("bt_lr".into(), Json::from_f32(BT_LR)),
+            ("bt_mask_prob".into(), Json::from_f32(BT_MASK_PROB)),
         ])
     }
 
@@ -221,11 +208,12 @@ impl LanguageModel for AnyModel {
     }
 }
 
-/// The pre-trained roster, ordered as [`ModelCode::STATIC`] then
-/// [`ModelCode::DYNAMIC`].
+/// The pre-trained roster: one model per [`ModelCode`], in
+/// [`ModelCode::ALL`] order (checked when a cache loads), so
+/// [`ModelZoo::get`] is total.
 #[derive(Debug, Clone)]
 pub struct ModelZoo {
-    models: Vec<Arc<AnyModel>>,
+    models: [Arc<AnyModel>; ModelCode::ALL.len()],
     scale: String,
     seed: u64,
 }
@@ -265,9 +253,9 @@ impl ModelZoo {
         }
     }
 
-    /// Train every implemented model on the synthetic corpus. Sequential by
-    /// design: the evaluation machine exposes a single core (DESIGN.md §1).
-    pub fn train_all(config: &ZooConfig, seed: u64) -> ModelZoo {
+    /// Train every model on the synthetic corpus. Sequential by design: the
+    /// evaluation machine exposes a single core (DESIGN.md §1).
+    fn train_all(config: &ZooConfig, seed: u64) -> ModelZoo {
         let corpus = synthetic_corpus(config.corpus_docs, &mut rng(seed));
         let vocab = Vocab::build(&corpus, config.min_count);
         assert!(!vocab.is_empty(), "zoo corpus produced an empty vocabulary");
@@ -276,11 +264,11 @@ impl ModelZoo {
             &corpus,
             vocab.clone(),
             &SgnsParams {
-                dim: config.dim,
+                dim: DIM,
                 window: config.window,
                 negatives: config.negatives,
                 epochs: config.w2v_epochs,
-                lr: config.lr,
+                lr: LR,
             },
             seed,
         );
@@ -288,12 +276,12 @@ impl ModelZoo {
             &corpus,
             vocab.clone(),
             &GloveParams {
-                dim: config.dim,
+                dim: DIM,
                 window: config.window,
                 epochs: config.glove_epochs,
-                lr: config.glove_lr,
-                x_max: config.x_max,
-                alpha: config.alpha,
+                lr: GLOVE_LR,
+                x_max: X_MAX,
+                alpha: ALPHA,
             },
             seed,
         );
@@ -302,14 +290,14 @@ impl ModelZoo {
             vocab.clone(),
             &FastTextParams {
                 sgns: SgnsParams {
-                    dim: config.dim,
+                    dim: DIM,
                     window: config.window,
                     negatives: config.negatives,
                     epochs: config.ft_epochs,
-                    lr: config.lr,
+                    lr: LR,
                 },
-                nmin: config.nmin,
-                nmax: config.nmax,
+                nmin: NMIN,
+                nmax: NMAX,
                 buckets: config.buckets,
             },
             seed,
@@ -322,22 +310,22 @@ impl ModelZoo {
             vocab.with_special(er_text::MASK_TOKEN),
             &MlmParams {
                 config: TransformerConfig {
-                    dim: config.bt_dim,
+                    dim: BT_DIM,
                     layers: config.bt_layers,
                     heads: config.bt_heads,
                     ffn: config.bt_ffn,
                     max_len: config.bt_max_len,
                 },
                 epochs: config.bt_epochs,
-                mask_prob: config.bt_mask_prob as f64,
-                lr: config.bt_lr,
+                mask_prob: BT_MASK_PROB as f64,
+                lr: BT_LR,
                 clip: 1.0,
             },
             seed,
         );
 
         ModelZoo {
-            models: vec![
+            models: [
                 Arc::new(AnyModel::Static(w2v)),
                 Arc::new(AnyModel::Static(glove)),
                 Arc::new(AnyModel::Static(ft)),
@@ -348,28 +336,14 @@ impl ModelZoo {
         }
     }
 
-    pub fn try_get(&self, code: ModelCode) -> Option<&Arc<AnyModel>> {
-        self.models.iter().find(|m| m.code() == code)
-    }
-
-    /// Fetch a model, panicking with a roster listing if it is not (yet)
-    /// implemented — the remaining dynamic models arrive in later PRs.
+    /// The model for `code`: slot `code as usize`, since the roster is in
+    /// [`ModelCode::ALL`] order.
     pub fn get(&self, code: ModelCode) -> &Arc<AnyModel> {
-        self.try_get(code).unwrap_or_else(|| {
-            panic!(
-                "model {code} ({}) is not in the zoo; available: {:?}",
-                code.full_name(),
-                self.codes()
-            )
-        })
+        &self.models[code as usize]
     }
 
     pub fn models(&self) -> &[Arc<AnyModel>] {
         &self.models
-    }
-
-    pub fn codes(&self) -> Vec<ModelCode> {
-        self.models.iter().map(|m| m.code()).collect()
     }
 
     pub fn scale(&self) -> &str {
@@ -423,37 +397,32 @@ impl ModelZoo {
     }
 
     /// Inverse of [`ModelZoo::to_bytes`]: every config is validated and
-    /// every weight matrix checked against the shape it implies, so a
-    /// damaged cache is `ErError::Corrupt` — never a panic.
+    /// every weight matrix checked against the shape it implies, and the
+    /// sections must be the roster — WC, GE, FT as static models, then BT
+    /// as the transformer — so a damaged or foreign cache is
+    /// `ErError::Corrupt`, never a panic.
     fn from_bytes(bytes: &[u8]) -> Result<ModelZoo> {
         let container = binary::read_container(bytes, kind::MODEL)?;
         let [(tag::ZOO, head), bodies @ ..] = container.sections.as_slice() else {
             return Err(ErError::corrupt("zoo cache lacks its header"));
         };
-        if bodies.is_empty() {
-            return Err(ErError::corrupt("zoo cache holds no models"));
-        }
+        let bodies: &[_; ModelCode::ALL.len()] = bodies.try_into().map_err(|_| {
+            ErError::corrupt(format!(
+                "zoo cache holds {} model sections, the roster has {}",
+                bodies.len(),
+                ModelCode::ALL.len()
+            ))
+        })?;
         // One init time per model section.
         let mut head = BinReader::new(head);
         let scale = head.get_str()?;
         let seed = head.get_u64()?;
         let init_ns = head.get_u64s(bodies.len())?;
         head.finish()?;
-        let models = bodies
-            .iter()
-            .zip(init_ns)
-            .map(|(&(tag, body), ns)| {
-                Ok(Arc::new(match tag {
-                    tag::STATIC => AnyModel::Static(StaticModel::from_bytes(body, ns)?),
-                    tag::TRANSFORMER => AnyModel::Transformer(Transformer::from_bytes(body, ns)?),
-                    other => {
-                        return Err(ErError::corrupt(format!("unknown model section {other}")))
-                    }
-                }))
-            })
-            .collect::<Result<_>>()?;
+        let [wc, ge, ft, bt] = ModelCode::ALL
+            .map(|code| decode_model(code, bodies[code as usize], init_ns[code as usize]));
         Ok(ModelZoo {
-            models,
+            models: [wc?, ge?, ft?, bt?],
             scale,
             seed,
         })
@@ -472,6 +441,31 @@ impl ModelZoo {
     }
 }
 
+/// Decode the cache section of roster slot `code`: its tag must be the
+/// code's family and its body must name the code.
+fn decode_model(code: ModelCode, (tag, body): (u32, &[u8]), init_ns: u64) -> Result<Arc<AnyModel>> {
+    let model = match (code, tag) {
+        (ModelCode::BT, tag::TRANSFORMER) => {
+            AnyModel::Transformer(Transformer::from_bytes(body, init_ns)?)
+        }
+        (ModelCode::WC | ModelCode::GE | ModelCode::FT, tag::STATIC) => {
+            AnyModel::Static(StaticModel::from_bytes(body, init_ns)?)
+        }
+        _ => {
+            return Err(ErError::corrupt(format!(
+                "zoo cache: the {code} section has tag {tag}"
+            )))
+        }
+    };
+    if model.code() != code {
+        return Err(ErError::corrupt(format!(
+            "zoo cache: the {code} section holds {}",
+            model.code()
+        )));
+    }
+    Ok(Arc::new(model))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,10 +473,8 @@ mod tests {
     #[test]
     fn tiny_zoo_trains_statics_plus_bt() {
         let zoo = ModelZoo::train_all(&ZooConfig::tiny(), 42);
-        assert_eq!(
-            zoo.codes(),
-            vec![ModelCode::WC, ModelCode::GE, ModelCode::FT, ModelCode::BT]
-        );
+        let codes: Vec<ModelCode> = zoo.models().iter().map(|m| m.code()).collect();
+        assert_eq!(codes, ModelCode::ALL);
         for m in zoo.models() {
             // Statics are 48-d; the transformer is 64-d (DESIGN §1).
             let expected = if m.code() == ModelCode::BT { 64 } else { 48 };
@@ -491,8 +483,9 @@ mod tests {
             assert_eq!(e.dim(), expected);
             assert!(e.is_finite());
         }
-        assert!(zoo.try_get(ModelCode::BT).is_some());
-        assert!(zoo.try_get(ModelCode::AT).is_none());
+        for code in ModelCode::ALL {
+            assert_eq!(zoo.get(code).code(), code);
+        }
     }
 
     #[test]
@@ -516,13 +509,6 @@ mod tests {
         assert_ne!(fast.cache_stem(1), fast.cache_stem(2));
         assert_ne!(fast.cache_stem(1), tiny.cache_stem(1));
         assert!(fast.cache_stem(42).starts_with("zoo-Fast-"));
-    }
-
-    #[test]
-    #[should_panic(expected = "not in the zoo")]
-    fn get_panics_helpfully_for_future_models() {
-        let zoo = ModelZoo::train_all(&ZooConfig::tiny(), 1);
-        let _ = zoo.get(ModelCode::S5);
     }
 
     #[test]
@@ -606,6 +592,10 @@ mod tests {
             (
                 "WC unknown code",
                 edited(&bytes, wc, |b| b[8..10].copy_from_slice(b"ZZ")),
+            ),
+            (
+                "WC section naming GE",
+                edited(&bytes, wc, |b| b[8..10].copy_from_slice(b"GE")),
             ),
             ("WC trailing byte", edited(&bytes, wc, |b| b.push(0))),
         ];

@@ -13,8 +13,7 @@ use crate::kiraly::kiraly_clustering;
 use crate::umc::unique_mapping_clustering;
 use er_core::ScoredPair;
 
-/// The clusterer a threshold sweep (or [`Clusterer::cluster`] caller)
-/// runs at each δ.
+/// The clusterer a threshold sweep runs at each δ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Clusterer {
     /// Unique Mapping Clustering — the paper's default (§4.3).
@@ -26,7 +25,7 @@ pub enum Clusterer {
 
 impl Clusterer {
     /// Run this clusterer over the candidates at threshold `delta`.
-    pub fn cluster(&self, pairs: &[ScoredPair], delta: f32) -> Vec<ScoredPair> {
+    pub(crate) fn cluster(&self, pairs: &[ScoredPair], delta: f32) -> Vec<ScoredPair> {
         match self {
             Clusterer::UniqueMapping => unique_mapping_clustering(pairs, delta),
             Clusterer::Kiraly => kiraly_clustering(pairs, delta),

@@ -43,7 +43,7 @@ fn displaces(new: &ScoredPair, new_promoted: bool, held: &Held) -> bool {
 /// Kiraly stable-marriage clustering over the candidates scoring ≥
 /// `delta`. Returns a one-to-one matching in canonical `(left, right)`
 /// order.
-pub fn kiraly_clustering(pairs: &[ScoredPair], delta: f32) -> Vec<ScoredPair> {
+pub(crate) fn kiraly_clustering(pairs: &[ScoredPair], delta: f32) -> Vec<ScoredPair> {
     let mut surviving: Vec<ScoredPair> =
         pairs.iter().filter(|p| p.score >= delta).copied().collect();
     // Score-descending total order, so each per-left list comes out ranked

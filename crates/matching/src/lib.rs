@@ -9,13 +9,12 @@
 //! the three clusterers of the paper's Fig. 2 generality check; and
 //! [`ThresholdSweep`] drives either across the δ grid of Fig. 15.
 
-pub mod clusterers;
-pub mod kiraly;
+mod clusterers;
+mod kiraly;
 pub mod similarity;
-pub mod threshold;
-pub mod umc;
+mod threshold;
+mod umc;
 
 pub use clusterers::Clusterer;
-pub use kiraly::kiraly_clustering;
 pub use threshold::{SweepPoint, ThresholdSweep};
 pub use umc::unique_mapping_clustering;

@@ -56,12 +56,6 @@ impl ThresholdSweep {
         (1..=19).map(|i| (i as f64 * 0.05) as f32).collect()
     }
 
-    /// Sweep Unique Mapping Clustering — the paper's default matcher —
-    /// over the paper's δ grid.
-    pub fn run(pairs: &[ScoredPair], gt: &GroundTruth) -> ThresholdSweep {
-        ThresholdSweep::run_with(pairs, gt, Clusterer::UniqueMapping, &Self::paper_deltas())
-    }
-
     /// Sweep an arbitrary clusterer over an arbitrary δ grid.
     pub fn run_with(
         pairs: &[ScoredPair],
@@ -99,12 +93,6 @@ impl ThresholdSweep {
                 .total_cmp(&b.metrics.f1)
                 .then_with(|| b.delta.total_cmp(&a.delta))
         })
-    }
-
-    /// The F1 values in δ order — the curve the Fig. 2 correlation check
-    /// (`er_eval::pearson`) compares across clusterers.
-    pub fn f1_curve(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.metrics.f1).collect()
     }
 }
 
@@ -153,6 +141,12 @@ mod tests {
         ScoredPair::new(EntityId(l), EntityId(r), s)
     }
 
+    /// UMC — the paper's default matcher — over the paper's δ grid.
+    fn umc_sweep(pairs: &[ScoredPair], gt: &GroundTruth) -> ThresholdSweep {
+        let deltas = ThresholdSweep::paper_deltas();
+        ThresholdSweep::run_with(pairs, gt, Clusterer::UniqueMapping, &deltas)
+    }
+
     /// Three true matches at high scores, two decoys at low scores. The
     /// decoys pair otherwise-unmatched entities, so no clusterer can
     /// reject them structurally — only δ filters them out.
@@ -171,7 +165,7 @@ mod tests {
     #[test]
     fn sweeps_the_paper_grid_and_finds_the_best_delta() {
         let (pairs, gt) = fixture();
-        let sweep = ThresholdSweep::run(&pairs, &gt);
+        let sweep = umc_sweep(&pairs, &gt);
         assert_eq!(sweep.points.len(), 19);
         assert_eq!(sweep.clusterer, Clusterer::UniqueMapping);
         let best = sweep.best().expect("non-empty grid");
@@ -221,7 +215,7 @@ mod tests {
     #[test]
     fn match_count_is_monotone_non_increasing_in_delta() {
         let (pairs, gt) = fixture();
-        let sweep = ThresholdSweep::run(&pairs, &gt);
+        let sweep = umc_sweep(&pairs, &gt);
         for w in sweep.points.windows(2) {
             assert!(
                 w[0].matches.len() >= w[1].matches.len(),
@@ -237,14 +231,16 @@ mod tests {
         // The Fig. 2 generality check in miniature: UMC and Kiraly
         // produce near-identical F1 curves on well-separated scores.
         let (pairs, gt) = fixture();
-        let umc = ThresholdSweep::run(&pairs, &gt).f1_curve();
-        let kiraly = ThresholdSweep::run_with(
+        let f1_curve = |sweep: ThresholdSweep| -> Vec<f64> {
+            sweep.points.iter().map(|p| p.metrics.f1).collect()
+        };
+        let umc = f1_curve(umc_sweep(&pairs, &gt));
+        let kiraly = f1_curve(ThresholdSweep::run_with(
             &pairs,
             &gt,
             Clusterer::Kiraly,
             &ThresholdSweep::paper_deltas(),
-        )
-        .f1_curve();
+        ));
         let r = pearson(&umc, &kiraly);
         assert!(r > 0.9, "Kiraly decorrelated from UMC: r = {r}");
     }
@@ -254,7 +250,7 @@ mod tests {
         let (pairs, gt) = fixture();
         let empty_grid = ThresholdSweep::run_with(&pairs, &gt, Clusterer::UniqueMapping, &[]);
         assert!(empty_grid.best().is_none());
-        let no_candidates = ThresholdSweep::run(&[], &gt);
+        let no_candidates = umc_sweep(&[], &gt);
         let best = no_candidates.best().expect("grid is non-empty");
         assert_eq!(best.metrics.f1, 0.0);
         assert!(best.matches.is_empty());

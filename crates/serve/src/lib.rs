@@ -37,8 +37,9 @@
 //!   compaction policy) around the same `BlockerBackend` and `ScanConfig`
 //!   values an `er_core::OperatingPoint` holds.
 //! * Compaction — tombstoned rows are reclaimed automatically once a
-//!   shard crosses its [`CompactionPolicy`] threshold (or manually via
-//!   [`Resolver::compact`]), with live top-k answers unchanged;
+//!   shard crosses its [`CompactionPolicy`] threshold (or manually, one
+//!   shard at a time, via [`ShardedIndex::compact_shard`]), with live
+//!   top-k answers unchanged;
 //!   [`ShardStats`] reports live/tombstoned/journal depth per shard.
 //!
 //! Incremental index mutation itself (HNSW streaming insertion that is

@@ -348,11 +348,6 @@ impl<'m> Resolver<'m> {
         self.index.delete(id)
     }
 
-    /// Manually compact every shard (see [`ShardedIndex::compact`]).
-    pub fn compact(&self) -> Result<()> {
-        self.index.compact()
-    }
-
     /// The `k` nearest live records to `entity` (which need not be
     /// stored): embed, scatter across shards, gather-merge.
     pub fn query(&self, entity: &Entity, k: usize) -> Vec<Hit> {

@@ -296,7 +296,7 @@ impl ShardedIndex {
     }
 
     /// The compaction policy applied after tombstoning ops.
-    pub fn compaction_policy(&self) -> CompactionPolicy {
+    pub(crate) fn compaction_policy(&self) -> CompactionPolicy {
         self.policy
     }
 
@@ -308,16 +308,18 @@ impl ShardedIndex {
     /// The write-path guard: a row of the index's dimension with only
     /// finite components, checked before anything is journaled or
     /// published (one NaN row would otherwise sit in every later answer).
-    fn check_row(&self, row: &[f32]) -> Result<()> {
+    /// A caller's row fails as `ErError::Model`, a replayed journal row as
+    /// `ErError::Corrupt`: `fail` picks the variant.
+    fn check_row(&self, row: &[f32], fail: fn(String) -> ErError) -> Result<()> {
         if self.dim != 0 && row.len() != self.dim {
-            return Err(ErError::Model(format!(
+            return Err(fail(format!(
                 "er-serve: record has {} components, index stores {}-dim vectors",
                 row.len(),
                 self.dim
             )));
         }
         if let Some(bad) = row.iter().position(|x| !x.is_finite()) {
-            return Err(ErError::Model(format!(
+            return Err(fail(format!(
                 "er-serve: record component {bad} is {}, vectors must be finite",
                 row[bad]
             )));
@@ -375,7 +377,7 @@ impl ShardedIndex {
     /// and publishes nothing) if the id is already live — use
     /// [`ShardedIndex::upsert`] to replace.
     pub fn insert(&self, id: EntityId, row: &[f32]) -> Result<bool> {
-        self.check_row(row)?;
+        self.check_row(row, ErError::Model)?;
         let op = JournalRecord::Insert {
             id: id.0,
             row: row.to_vec(),
@@ -386,7 +388,7 @@ impl ShardedIndex {
     /// Insert, replacing any live record with the same id (the old row is
     /// tombstoned first). Returns whether a record was replaced.
     pub fn upsert(&self, id: EntityId, row: &[f32]) -> Result<bool> {
-        self.check_row(row)?;
+        self.check_row(row, ErError::Model)?;
         let op = JournalRecord::Upsert {
             id: id.0,
             row: row.to_vec(),
@@ -401,18 +403,10 @@ impl ShardedIndex {
         self.write(self.shard_of(id), WriteOp::Record(op), true)
     }
 
-    /// Manually compact every shard, dropping tombstoned rows. Live top-k
+    /// Manually compact one shard, dropping tombstoned rows. Live top-k
     /// answers are unchanged. Not journaled: a compaction lost to a crash
     /// costs storage, never data, and automatic compactions are re-derived
     /// deterministically during replay.
-    pub fn compact(&self) -> Result<()> {
-        for shard in 0..self.shard_count() {
-            self.compact_shard(shard)?;
-        }
-        Ok(())
-    }
-
-    /// Manually compact one shard (see [`ShardedIndex::compact`]).
     pub fn compact_shard(&self, shard: usize) -> Result<()> {
         self.write(shard, WriteOp::Compact, false)?;
         Ok(())
@@ -451,10 +445,14 @@ impl ShardedIndex {
     }
 
     /// Re-apply journal records to `shard` without re-journaling them —
-    /// the recovery path. Records route-checked against the shard they
-    /// claim to belong to.
+    /// the recovery path. Records are route-checked against the shard they
+    /// claim to belong to, and their rows pass the write path's
+    /// [`check_row`](Self::check_row).
     pub(crate) fn replay(&self, shard: usize, records: Vec<JournalRecord>) -> Result<()> {
         for rec in records {
+            if let JournalRecord::Insert { row, .. } | JournalRecord::Upsert { row, .. } = &rec {
+                self.check_row(row, ErError::Corrupt)?;
+            }
             let id = EntityId(rec.id());
             if self.shard_of(id) != shard {
                 return Err(ErError::Corrupt(format!(

@@ -46,7 +46,7 @@ impl Default for CompactionPolicy {
 impl CompactionPolicy {
     /// A policy that never triggers — the pre-snapshot behaviour
     /// (tombstones accumulate until a manual
-    /// [`crate::ShardedIndex::compact`]).
+    /// [`crate::ShardedIndex::compact_shard`]).
     pub fn never() -> CompactionPolicy {
         CompactionPolicy {
             max_deleted_fraction: f32::INFINITY,
@@ -56,7 +56,7 @@ impl CompactionPolicy {
 
     /// Whether a shard with `stored` rows of which `live` are not
     /// tombstoned should compact now.
-    pub fn should_compact(&self, live: usize, stored: usize) -> bool {
+    pub(crate) fn should_compact(&self, live: usize, stored: usize) -> bool {
         stored >= self.min_stored
             && stored > 0
             && (stored - live) as f32 / stored as f32 > self.max_deleted_fraction

@@ -5,10 +5,13 @@
 //! surfaces as typed [`ErError::Corrupt`], never as garbage state or a
 //! panic. Epoch rules are pinned: stale journals are discarded, journals
 //! newer than the save refuse to load, and journal replay re-derives
-//! automatic compactions deterministically. A directory reopened under
-//! another model than the one that wrote it is an [`ErError::Model`].
+//! automatic compactions deterministically. A replayed row that is not
+//! finite or not of the index's width is [`ErError::Corrupt`]. A directory
+//! reopened under another model than the one that wrote it is an
+//! [`ErError::Model`].
 
 use er_core::binary::{self, kind};
+use er_core::journal::{header_to_bytes, record_to_bytes, JournalRecord};
 use er_core::KernelTier;
 use er_core::{Embedding, Entity, EntityId, ErError, SerializationMode};
 use er_embed::{LanguageModel, ModelCode, ModelZoo, ZooConfig};
@@ -214,6 +217,43 @@ fn open_with_journal<'m>(
         SerializationMode::SchemaAgnostic,
         single_shard_exact(),
     )
+}
+
+#[test]
+fn a_journal_row_that_is_not_finite_or_of_the_wrong_width_is_corrupt() {
+    let model = TrigramModel { dim: 16 };
+    let dir = fresh_dir("bad_rows");
+    let journal = |second_row: Vec<f32>| {
+        let mut bytes = header_to_bytes(0, 0).to_vec();
+        for (id, row) in [(0, vec![0.5; 16]), (1, second_row)] {
+            bytes.extend(record_to_bytes(&JournalRecord::Insert { id, row }));
+        }
+        bytes
+    };
+    let with = |bad: f32| {
+        let mut row = vec![0.5; 16];
+        row[7] = bad;
+        row
+    };
+    let control = open_with_journal(&dir, &model, &journal(vec![0.25; 16])).map(|r| r.len());
+    assert_eq!(
+        control,
+        Ok(2),
+        "the crafted journal replays when its rows are sound"
+    );
+    for (what, row) in [
+        ("NaN", with(f32::NAN)),
+        ("+inf", with(f32::INFINITY)),
+        ("-inf", with(f32::NEG_INFINITY)),
+        ("15 components", vec![0.5; 15]),
+        ("17 components", vec![0.5; 17]),
+    ] {
+        match open_with_journal(&dir, &model, &journal(row)) {
+            Err(ErError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {:?}", other.map(|r| r.len())),
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -198,7 +198,7 @@ impl Graph {
     }
 
     /// Row-wise layer normalization: `γ ⊙ (x − μ)/√(σ² + ε) + β` with
-    /// `gamma`/`beta` as `1×d` rows and [`crate::LAYER_NORM_EPS`].
+    /// `gamma`/`beta` as `1×d` rows and `ops::LAYER_NORM_EPS`.
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var) -> Var {
         let (vx, vg, vb) = (self.value(x), self.value(gamma), self.value(beta));
         assert_eq!(vg.rows(), 1, "layer_norm: gamma must be 1×d");

@@ -12,8 +12,8 @@
 //! - [`autograd`]: a tape-based reverse-mode [`Graph`] over those tensors
 //!   with the transformer op set (matmul, add/mul, softmax, layer-norm,
 //!   GELU, gather, mean-pool, cross-entropy, …).
-//! - [`optim`]: [`Sgd`] and [`Adam`] over externally-owned parameters,
-//!   plus global-norm gradient clipping.
+//! - `optim`: [`Adam`] over externally-owned parameters, plus global-norm
+//!   gradient clipping ([`clip_grad_norm`]).
 //!
 //! # Grad-check methodology
 //!
@@ -32,12 +32,11 @@
 
 pub mod autograd;
 pub mod ops;
-pub mod optim;
+mod optim;
 pub mod tensor;
 
 pub use autograd::{Graph, Var};
-pub use ops::LAYER_NORM_EPS;
-pub use optim::{clip_grad_norm, Adam, Sgd};
+pub use optim::{clip_grad_norm, Adam};
 pub use tensor::Tensor;
 
 #[cfg(test)]

@@ -6,14 +6,14 @@
 //! (The matrix product's body is [`crate::tensor::matmul_into`].)
 
 /// Numerical floor inside layer-norm's `1/√(σ² + ε)`.
-pub const LAYER_NORM_EPS: f32 = 1e-5;
+pub(crate) const LAYER_NORM_EPS: f32 = 1e-5;
 
 pub(crate) const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 pub(crate) const GELU_COEFF: f32 = 0.044_715;
 
 /// `(mean, 1/√(σ² + ε))` of one row — shared by layer-norm forward and
 /// backward so both see bit-identical statistics.
-pub fn row_moments(row: &[f32]) -> (f32, f32) {
+pub(crate) fn row_moments(row: &[f32]) -> (f32, f32) {
     let n = row.len() as f32;
     let mean = row.iter().sum::<f32>() / n;
     let var = row.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / n;
@@ -21,7 +21,7 @@ pub fn row_moments(row: &[f32]) -> (f32, f32) {
 }
 
 /// Row-wise layer normalization of `x` (rows of `gamma.len()` floats) into
-/// `out`: `γ ⊙ (x − μ)/√(σ² + ε) + β`, statistics from [`row_moments`].
+/// `out`: `γ ⊙ (x − μ)/√(σ² + ε) + β`, statistics from `row_moments`.
 pub fn layer_norm_rows(x: &[f32], gamma: &[f32], beta: &[f32], out: &mut [f32]) {
     let cols = gamma.len();
     assert_eq!(beta.len(), cols, "layer_norm beta width mismatch");

@@ -1,37 +1,13 @@
-//! First-order optimizers over externally-owned parameter [`Tensor`]s.
+//! A first-order optimizer over externally-owned parameter [`Tensor`]s.
 //!
 //! Parameters never live inside a [`Graph`](crate::Graph): each training
 //! step builds a fresh tape, copies the parameters in as leaves, runs
 //! forward + backward, reads the gradients back out, and hands matching
-//! `(params, grads)` slices to an optimizer here. Both optimizers are
-//! pure sequential f32 arithmetic — a fixed parameter order gives
+//! `(params, grads)` slices to [`Adam`]. It is pure sequential f32
+//! arithmetic — a fixed parameter order gives
 //! byte-identical updates on every run.
 
 use crate::tensor::Tensor;
-
-/// Plain stochastic gradient descent: `θ ← θ − lr·g`.
-#[derive(Debug, Clone, Copy)]
-pub struct Sgd {
-    pub lr: f32,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Sgd {
-        Sgd { lr }
-    }
-
-    /// Apply one update. `params[i]` and `grads[i]` must be shape-matched
-    /// and in the same order on every call.
-    pub fn step(&self, params: &mut [&mut Tensor], grads: &[&Tensor]) {
-        assert_eq!(params.len(), grads.len(), "param/grad count mismatch");
-        for (p, g) in params.iter_mut().zip(grads) {
-            debug_assert_eq!((p.rows(), p.cols()), (g.rows(), g.cols()));
-            for (w, &d) in p.data_mut().iter_mut().zip(g.data()) {
-                *w -= self.lr * d;
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba 2015) with bias-corrected first/second moments.
 ///
@@ -63,7 +39,8 @@ impl Adam {
         }
     }
 
-    /// Apply one update. Same ordering contract as [`Sgd::step`].
+    /// Apply one update. `params[i]` and `grads[i]` must be shape-matched
+    /// and in the same order on every call.
     pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[&Tensor]) {
         assert_eq!(params.len(), grads.len(), "param/grad count mismatch");
         if self.m.is_empty() {
@@ -121,18 +98,6 @@ pub fn clip_grad_norm(grads: &mut [Tensor], max_norm: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sgd_descends_a_quadratic() {
-        // f(w) = w², gradient 2w; 100 steps of lr 0.1 from w = 3.
-        let mut w = Tensor::from_rows(1, 1, &[3.0]);
-        let sgd = Sgd::new(0.1);
-        for _ in 0..100 {
-            let g = Tensor::from_rows(1, 1, &[2.0 * w.get(0, 0)]);
-            sgd.step(&mut [&mut w], &[&g]);
-        }
-        assert!(w.get(0, 0).abs() < 1e-6);
-    }
 
     #[test]
     fn adam_descends_a_quadratic() {

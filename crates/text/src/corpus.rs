@@ -43,22 +43,10 @@ impl Corpus {
         }
     }
 
-    pub fn push_sentence(&mut self, tokens: Vec<String>) {
+    pub(crate) fn push_sentence(&mut self, tokens: Vec<String>) {
         if !tokens.is_empty() {
             self.sentences.push(tokens);
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.sentences.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.sentences.is_empty()
-    }
-
-    pub fn token_count(&self) -> usize {
-        self.sentences.iter().map(Vec::len).sum()
     }
 }
 
@@ -369,8 +357,9 @@ mod tests {
     fn scale_tracks_docs() {
         let small = synthetic_corpus(10, &mut rng(1));
         let large = synthetic_corpus(100, &mut rng(1));
-        assert!(large.token_count() > 5 * small.token_count());
-        assert!(!small.is_empty());
+        let tokens = |c: &Corpus| c.sentences().iter().map(Vec::len).sum::<usize>();
+        assert!(tokens(&large) > 5 * tokens(&small));
+        assert!(!small.sentences().is_empty());
     }
 
     #[test]
@@ -436,7 +425,7 @@ mod tests {
         let mut c = Corpus::new();
         c.push_text("Golden Palace, Grill!");
         c.push_text("  ...  ");
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.sentences().len(), 1);
         assert_eq!(c.sentences()[0], vec!["golden", "palace", "grill"]);
     }
 }

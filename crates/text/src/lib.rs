@@ -5,8 +5,8 @@
 
 pub mod corpus;
 pub mod ngram;
-pub mod normalize;
-pub mod tokenize;
+mod normalize;
+mod tokenize;
 
 pub use corpus::Corpus;
 pub use normalize::normalize;

@@ -28,36 +28,12 @@ fn valid_range(nmin: usize, nmax: usize) -> bool {
     nmin >= 1 && nmin <= nmax
 }
 
-/// All padded char n-grams of `word` with n in `[nmin, nmax]`, n outer and
-/// start position inner. The whole padded word is one of them when its
-/// length falls in the range.
-///
-/// This is the readable definition [`for_each_hashed_ngram`] is tested
-/// against. `nmin == 0` or `nmin > nmax` yields no grams.
-pub fn char_ngrams(word: &str, nmin: usize, nmax: usize) -> Vec<String> {
-    if !valid_range(nmin, nmax) {
-        return Vec::new();
-    }
-    let padded: Vec<char> = std::iter::once('<')
-        .chain(word.chars())
-        .chain(std::iter::once('>'))
-        .collect();
-    let mut grams = Vec::new();
-    for n in nmin..=nmax {
-        if padded.len() < n {
-            break;
-        }
-        for start in 0..=(padded.len() - n) {
-            grams.push(padded[start..start + n].iter().collect());
-        }
-    }
-    grams
-}
-
-/// Call `f` with the bucket id (`fnv1a(gram) % buckets`) of every gram of
-/// [`char_ngrams`], in the same order — FastText's float sums depend on
-/// it. Each gram's UTF-8 bytes are hashed in place over the padded word's
-/// char boundaries, so nothing is allocated.
+/// Call `f` with the bucket id (`fnv1a(gram) % buckets`) of every padded
+/// char n-gram of `word` (padded as `<word>`) with n in `[nmin, nmax]`, n
+/// outer and start position inner — FastText's float sums depend on that
+/// order. The whole padded word is one of them when its length falls in
+/// the range. Each gram's UTF-8 bytes are hashed in place over the padded
+/// word's char boundaries, so nothing is allocated.
 ///
 /// `nmin == 0`, `nmin > nmax` or `buckets == 0` yields no grams.
 pub fn for_each_hashed_ngram(
@@ -124,6 +100,30 @@ pub fn hashed_ngrams(word: &str, nmin: usize, nmax: usize, buckets: usize) -> Ve
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// All padded char n-grams of `word` with n in `[nmin, nmax]`, n outer
+    /// and start position inner: the readable definition
+    /// [`for_each_hashed_ngram`] is tested against. `nmin == 0` or
+    /// `nmin > nmax` yields no grams.
+    fn char_ngrams(word: &str, nmin: usize, nmax: usize) -> Vec<String> {
+        if !valid_range(nmin, nmax) {
+            return Vec::new();
+        }
+        let padded: Vec<char> = std::iter::once('<')
+            .chain(word.chars())
+            .chain(std::iter::once('>'))
+            .collect();
+        let mut grams = Vec::new();
+        for n in nmin..=nmax {
+            if padded.len() < n {
+                break;
+            }
+            for start in 0..=(padded.len() - n) {
+                grams.push(padded[start..start + n].iter().collect());
+            }
+        }
+        grams
+    }
 
     /// The definition: [`char_ngrams`] hashed one `String` at a time.
     fn oracle(word: &str, nmin: usize, nmax: usize, buckets: usize) -> Vec<u32> {

@@ -18,7 +18,7 @@ use er_core::{ErError, KernelTier, Metric, Quantization, Result, ScanConfig};
 /// The kernel a scan's *first pass* runs on — [`KernelTier`] widened with
 /// the quantized tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostTier {
+pub(crate) enum CostTier {
     Reference,
     Lanes,
     Int8,
@@ -27,7 +27,7 @@ pub enum CostTier {
 
 impl CostTier {
     /// The tier's lower-case name, as error messages print it.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CostTier::Reference => "reference",
             CostTier::Lanes => "lanes",
@@ -38,7 +38,7 @@ impl CostTier {
 
     /// The tier a [`ScanConfig`]'s first pass runs on: the quantized tier
     /// when quantization is set, the full-width kernel tier otherwise.
-    pub fn of_scan(scan: &ScanConfig) -> CostTier {
+    pub(crate) fn of_scan(scan: &ScanConfig) -> CostTier {
         match scan.quant {
             Quantization::None => CostTier::of_kernel(scan.tier),
             Quantization::Int8 { .. } => CostTier::Int8,
@@ -47,7 +47,7 @@ impl CostTier {
     }
 
     /// The full-width tier (what re-ranking and graph distances run on).
-    pub fn of_kernel(tier: KernelTier) -> CostTier {
+    pub(crate) fn of_kernel(tier: KernelTier) -> CostTier {
         match tier {
             KernelTier::Reference => CostTier::Reference,
             KernelTier::Lanes => CostTier::Lanes,
@@ -56,7 +56,7 @@ impl CostTier {
 }
 
 /// The calibration metric name for a [`Metric`].
-pub fn metric_name(metric: Metric) -> &'static str {
+pub(crate) fn metric_name(metric: Metric) -> &'static str {
     match metric {
         Metric::Euclidean => "sqeuclidean",
         Metric::Cosine => "cosine",
@@ -66,7 +66,7 @@ pub fn metric_name(metric: Metric) -> &'static str {
 /// One calibration cell: what one row of a `dim`-dimensional scan costs
 /// under `(tier, metric)` on the benched machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Cell {
+pub(crate) struct Cell {
     pub tier: CostTier,
     /// `"dot"`, `"cosine"` or `"sqeuclidean"` — kept as the raw bench
     /// name because the hash-cost lookup needs `"dot"`, which has no
@@ -78,7 +78,7 @@ pub struct Cell {
 
 /// A full `(tier, metric, dim)` table of ns-per-row cells.
 #[derive(Debug, Clone)]
-pub struct Calibration {
+pub(crate) struct Calibration {
     cells: Vec<Cell>,
 }
 
@@ -129,7 +129,7 @@ const BUILTIN: &[(CostTier, &str, usize, f64)] = &[
 
 impl Calibration {
     /// The compiled-in `BUILTIN` table.
-    pub fn builtin() -> Calibration {
+    pub(crate) fn builtin() -> Calibration {
         Calibration {
             cells: BUILTIN
                 .iter()
@@ -143,14 +143,10 @@ impl Calibration {
         }
     }
 
-    pub fn cells(&self) -> &[Cell] {
-        &self.cells
-    }
-
     /// Ns-per-row for one stored row under `(tier, metric)` at `dim`:
     /// linear interpolation between the bracketing benched dims, nearest
     /// cell scaled by the dim ratio outside the benched range.
-    pub fn ns_per_row(&self, tier: CostTier, metric: &str, dim: usize) -> Result<f64> {
+    pub(crate) fn ns_per_row(&self, tier: CostTier, metric: &str, dim: usize) -> Result<f64> {
         let mut matching: Vec<&Cell> = self
             .cells
             .iter()
@@ -185,7 +181,12 @@ impl Calibration {
     }
 
     /// Convenience: ns-per-row for a [`Metric`] (not the raw bench name).
-    pub fn ns_per_row_metric(&self, tier: CostTier, metric: Metric, dim: usize) -> Result<f64> {
+    pub(crate) fn ns_per_row_metric(
+        &self,
+        tier: CostTier,
+        metric: Metric,
+        dim: usize,
+    ) -> Result<f64> {
         self.ns_per_row(tier, metric_name(metric), dim)
     }
 }
@@ -204,12 +205,12 @@ mod tests {
     #[test]
     fn builtin_has_every_tier_metric_and_benched_dim() {
         let cal = Calibration::builtin();
-        assert_eq!(cal.cells().len(), TIERS.len() * 3 * 3);
+        assert_eq!(cal.cells.len(), TIERS.len() * 3 * 3);
         for tier in TIERS {
             for metric in ["dot", "cosine", "sqeuclidean"] {
                 for dim in [48, 64, 96] {
                     let cell = cal
-                        .cells()
+                        .cells
                         .iter()
                         .find(|c| c.tier == tier && c.metric == metric && c.dim == dim);
                     let ns = cell.map(|c| c.ns_per_row);

@@ -3,7 +3,7 @@
 //! Every estimate is in the same currency: **full-width distance
 //! evaluations per query** (the `u64` that `IndexReader::search_counted`
 //! reports) and **estimated nanoseconds per query** (evaluations priced by
-//! the [`Calibration`] table, plus each backend's setup terms — the
+//! the `Calibration` table, plus each backend's setup terms — the
 //! quantized first pass for exact scans, the signature dots for LSH).
 //!
 //! - **Exact** is analytic: a pure scan evaluates every live row; a
@@ -41,7 +41,7 @@ pub struct CostEstimate {
     pub ns: f64,
 }
 
-/// The estimator bundle: a [`Calibration`] table plus the per-backend
+/// The estimator bundle: a `Calibration` table plus the per-backend
 /// formulas.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -203,10 +203,6 @@ pub struct HnswCostModel {
 }
 
 impl HnswCostModel {
-    pub fn anchors(&self) -> &[(f64, f64)] {
-        &self.anchors
-    }
-
     /// Predicted cost at beam width `ef`.
     pub fn estimate(&self, ef: usize) -> CostEstimate {
         let evals = self.evals_at(ef as f64);

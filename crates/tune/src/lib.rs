@@ -3,8 +3,8 @@
 //! The paper hand-picks blocking parameters globally; this crate chooses
 //! them per dataset. Three pieces:
 //!
-//! * [`Calibration`] — frozen ns-per-row scan cells per (tier, metric,
-//!   dim), compiled in ([`Calibration::builtin`]); they were measured
+//! * `Calibration` — frozen ns-per-row scan cells per (tier, metric,
+//!   dim), compiled in (`Calibration::builtin`); they were measured
 //!   once on a 12k-row scan and golden `AUTOTUNE` pins them.
 //! * [`CostModel`] — per-backend query-cost estimators: exact scans
 //!   analytically (`rows × ns_per_row(dim, tier, quant)`), HNSW from
@@ -25,9 +25,8 @@
 //! an `er_serve::ServeConfig` holds.
 
 pub mod autotune;
-pub mod calibrate;
+mod calibrate;
 pub mod cost;
 
 pub use autotune::{autotune, measure_point, Trial, TuneOutcome};
-pub use calibrate::{metric_name, Calibration, Cell, CostTier};
 pub use cost::{CostEstimate, CostModel, HnswCostModel};

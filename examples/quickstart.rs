@@ -12,10 +12,8 @@ use embeddings4er::prelude::*;
 fn main() {
     let zoo = ModelZoo::pretrain(None, &ZooConfig::fast(), 42);
     println!(
-        "pre-trained {} models ({} static + {} dynamic) at scale {:?} (seed {})",
-        zoo.models().len(),
-        ModelCode::STATIC.len(),
-        ModelCode::DYNAMIC.len(),
+        "pre-trained {:?} at scale {:?} (seed {})",
+        ModelCode::ALL,
         zoo.scale(),
         zoo.seed()
     );

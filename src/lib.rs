@@ -49,7 +49,7 @@ use er_embed::LanguageModel;
 
 /// Everything needed to drive the pipeline end to end.
 pub mod prelude {
-    pub use er_blocking::{dedup_candidates, dedup_scored, top_k_blocking_scored_matrix};
+    pub use er_blocking::{dedup_scored, top_k_blocking_scored_matrix};
     pub use er_core::pq::PqConfig;
     pub use er_core::rng::rng;
     pub use er_core::{
@@ -64,9 +64,7 @@ pub mod prelude {
         ExactIndex, HnswIndex, HyperplaneLsh, IndexReader, Metric, MutableIndex, Neighbor, NnIndex,
         Quantization, ScanConfig,
     };
-    pub use er_matching::{
-        kiraly_clustering, unique_mapping_clustering, Clusterer, SweepPoint, ThresholdSweep,
-    };
+    pub use er_matching::{unique_mapping_clustering, Clusterer, SweepPoint, ThresholdSweep};
     pub use er_serve::{
         CompactionPolicy, Hit, Resolver, SegmentSnapshot, ServeConfig, ShardStats, ShardedIndex,
     };
