@@ -4,26 +4,26 @@
 //! the paper's Fig. 3 blocking recipe (DeepER lineage, §4.3).
 //!
 //! The native storage is the columnar [`EmbeddingMatrix`]:
-//! [`top_k_blocking_scored_matrix`] builds the chosen index *borrowing*
-//! the right side (zero-copy), batch-queries it with the left side's rows
-//! via [`NnIndex::search_batch_rows`] (query chunks on scoped threads
-//! once a chunk's predicted scan outweighs the spawn, bit-identical to
-//! sequential search either way), and
-//! threads each hit's similarity outward as a [`ScoredPair`] — the
-//! scored-candidate contract the matchers consume (see
-//! [`er_index::Metric::hit_similarity`]: cosine scores are bit-identical to
-//! `er_matching::similarity::cosine`). This is the one blocking entry
-//! point; the unscored view is `.map(|p| p.id_pair())` at the call site.
+//! [`top_k_blocking_scored_matrix`] builds the chosen index over a copy of
+//! the right side (an index owns its rows), batch-queries it with the left
+//! side's rows via [`NnIndex::search_batch_rows`] (query chunks on scoped
+//! threads once a chunk's predicted scan outweighs the spawn, bit-identical
+//! to sequential search either way), and threads each hit's similarity
+//! outward as a [`ScoredPair`] — the scored-candidate contract the matchers
+//! consume (see [`er_index::Metric::hit_similarity`]: cosine scores are
+//! bit-identical to `er_matching::similarity::cosine`). This is the one
+//! blocking entry point; the unscored view is `.map(|p| p.id_pair())` at
+//! the call site.
 
 use crate::dedup_scored;
 use er_core::{EmbeddingMatrix, EntityId, OperatingPoint, ScoredPair};
 use er_index::{AnyIndex, NnIndex};
 
-/// Run top-k blocking over columnar storage: index `right` (borrowed,
-/// zero-copy) with the point's backend (and its `scan`, for Exact),
-/// batch-query it with every row of `left`, and return the deduplicated candidate pairs, each carrying
-/// the similarity the matchers consume, threaded from the index hit via
-/// [`er_index::Metric::hit_similarity`].
+/// Run top-k blocking over columnar storage: index a copy of `right` (one
+/// per call) with the point's backend (and its `scan`, for Exact),
+/// batch-query it with every row of `left`, and return the deduplicated
+/// candidate pairs, each carrying the similarity the matchers consume,
+/// threaded from the index hit via [`er_index::Metric::hit_similarity`].
 ///
 /// For cosine backends the score is recomputed as
 /// `kernels::cosine_prenorm(left row, cached left norm, right row, cached

@@ -3,8 +3,8 @@
 //!
 //! Provides the entity model ([`Entity`], [`EntityId`], [`SerializationMode`]),
 //! the vector type every language model emits ([`Embedding`]), the columnar
-//! collection storage the pipeline trades in ([`EmbeddingMatrix`] with the
-//! [`VectorSource`] seam), the shared distance kernels ([`kernels`]),
+//! collection storage the pipeline trades in and every index owns
+//! ([`EmbeddingMatrix`]), the shared distance kernels ([`kernels`]),
 //! evaluation primitives ([`GroundTruth`], [`ScoredPair`]), the shared
 //! distance [`Metric`] and scan knobs ([`ScanConfig`], [`Quantization`]),
 //! the unified retrieval configuration ([`OperatingPoint`] holding a
@@ -40,7 +40,7 @@ pub use entity::{
 };
 pub use error::{ErError, Result};
 pub use kernels::KernelTier;
-pub use matrix::{EmbeddingMatrix, VectorSource, VectorStore};
+pub use matrix::EmbeddingMatrix;
 pub use metric::Metric;
 pub use operating_point::{BlockerBackend, HnswConfig, LshConfig, OperatingPoint, QueryParams};
 pub use scan::{Quantization, ScanConfig};

@@ -3,10 +3,11 @@
 //!
 //! [`EmbeddingMatrix`] is the storage format of the vectorize → index →
 //! block pipeline: the facade's matrix vectorizer fills it once per
-//! collection, the `er-index` structures borrow it (never clone — see
-//! [`VectorStore`]), and the blocker queries it row by row. Row norms are
-//! precomputed at insertion, so cosine distances against stored rows touch
-//! each row exactly once.
+//! collection, every `er-index` structure owns one (a caller that keeps its
+//! matrix hands over a copy — see the `From<&EmbeddingMatrix>` impl), and
+//! the blocker queries it row by row. Row norms are precomputed at
+//! insertion, so cosine distances against stored rows touch each row
+//! exactly once.
 //!
 //! Conversion from and to `Vec<Embedding>` is bit-exact in both directions:
 //! the matrix is the same floats laid out contiguously, and its cached
@@ -184,64 +185,12 @@ impl EmbeddingMatrix {
     }
 }
 
-/// How an index holds its vectors: either it owns a matrix (the serving
-/// path, which mutates it) or it borrows one built upstream (the batch
-/// pipeline) — the zero-copy contract. Indices never clone or mutate a
-/// borrowed matrix.
-#[derive(Debug, Clone)]
-pub enum VectorStore<'a> {
-    Owned(EmbeddingMatrix),
-    Borrowed(&'a EmbeddingMatrix),
-}
-
-impl VectorStore<'_> {
-    /// The stored matrix, wherever it lives.
-    #[inline]
-    pub fn matrix(&self) -> &EmbeddingMatrix {
-        match self {
-            VectorStore::Owned(m) => m,
-            VectorStore::Borrowed(m) => m,
-        }
-    }
-
-    /// Mutable access — only for an *owned* matrix. Borrowed stores return
-    /// `None`: the zero-copy contract says an index never mutates (or
-    /// clones) a matrix the pipeline lent it, so incremental mutation is
-    /// reserved for indices that own their storage (the `er-serve` path).
-    #[inline]
-    pub fn matrix_mut(&mut self) -> Option<&mut EmbeddingMatrix> {
-        match self {
-            VectorStore::Owned(m) => Some(m),
-            VectorStore::Borrowed(_) => None,
-        }
-    }
-}
-
-impl std::ops::Deref for VectorStore<'_> {
-    type Target = EmbeddingMatrix;
-
-    fn deref(&self) -> &EmbeddingMatrix {
-        self.matrix()
-    }
-}
-
-/// Anything an index can be built from: a matrix handed over (owned) or
-/// lent (borrowed, without copying a float).
-pub trait VectorSource<'a> {
-    fn into_store(self) -> VectorStore<'a>;
-}
-
-/// Zero-copy: the index borrows the caller's matrix.
-impl<'a> VectorSource<'a> for &'a EmbeddingMatrix {
-    fn into_store(self) -> VectorStore<'a> {
-        VectorStore::Borrowed(self)
-    }
-}
-
-/// The index takes ownership of an already-built matrix.
-impl<'a> VectorSource<'a> for EmbeddingMatrix {
-    fn into_store(self) -> VectorStore<'a> {
-        VectorStore::Owned(self)
+/// The copy an index makes of a matrix its caller keeps: an index owns its
+/// rows, so `from_source(&m, ..)` clones `m` (rows and cached norms
+/// verbatim) while `from_source(m, ..)` moves it in without a copy.
+impl From<&EmbeddingMatrix> for EmbeddingMatrix {
+    fn from(matrix: &EmbeddingMatrix) -> EmbeddingMatrix {
+        matrix.clone()
     }
 }
 
@@ -313,12 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn vector_store_derefs_to_the_same_matrix() {
+    fn a_borrowed_matrix_converts_into_an_equal_copy() {
         let matrix = EmbeddingMatrix::from_embeddings(&embeddings());
-        let borrowed = (&matrix).into_store();
-        assert_eq!(borrowed.matrix(), &matrix);
-        assert_eq!(borrowed.row(1), matrix.row(1));
-        let owned = matrix.clone().into_store();
-        assert_eq!(owned.matrix(), &matrix);
+        let copy = EmbeddingMatrix::from(&matrix);
+        assert_eq!(copy, matrix);
+        assert_eq!(copy.norm(1).to_bits(), matrix.norm(1).to_bits());
     }
 }

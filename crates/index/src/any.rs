@@ -8,21 +8,21 @@ use crate::{
     ScanConfig,
 };
 use er_core::binary::{self, kind};
-use er_core::{BlockerBackend, ErError, QueryParams, Result, VectorSource};
+use er_core::{BlockerBackend, EmbeddingMatrix, ErError, QueryParams, Result};
 
-/// One index of any backend, owning its matrix (a serving shard) or
-/// borrowing it (the batch blocker). All three variants share the
-/// [`MutableIndex`] surface and the binary persistence format of
+/// One index of any backend, owning its matrix. All three variants share
+/// the [`MutableIndex`] surface and the binary persistence format of
 /// `er_index::persist`.
 #[derive(Debug, Clone)]
-pub enum AnyIndex<'a> {
-    Exact(ExactIndex<'a>),
-    Hnsw(HnswIndex<'a>),
-    Lsh(HyperplaneLsh<'a>),
+pub enum AnyIndex {
+    Exact(ExactIndex),
+    Hnsw(HnswIndex),
+    Lsh(HyperplaneLsh),
 }
 
-impl<'a> AnyIndex<'a> {
-    /// Build the index `backend` describes over `source` — the one place a
+impl AnyIndex {
+    /// Build the index `backend` describes over `source` (a matrix moved
+    /// in, or a `&EmbeddingMatrix` the index copies) — the one place a
     /// backend choice becomes an index. `scan` configures the Exact
     /// backend's kernel tier / quantization (HNSW and LSH carry their own
     /// `tier` in their configs).
@@ -35,10 +35,10 @@ impl<'a> AnyIndex<'a> {
     /// `subspaces` not dividing the dimension — is the [`ErError::Model`]
     /// of [`ExactIndex::from_source_scan`].
     pub fn build(
-        source: impl VectorSource<'a>,
+        source: impl Into<EmbeddingMatrix>,
         backend: &BlockerBackend,
         scan: ScanConfig,
-    ) -> Result<AnyIndex<'a>> {
+    ) -> Result<AnyIndex> {
         backend.validate(&scan)?;
         Ok(match backend {
             BlockerBackend::Exact(metric) => {
@@ -63,6 +63,15 @@ impl<'a> AnyIndex<'a> {
         }
     }
 
+    /// The stored vectors.
+    pub fn matrix(&self) -> &EmbeddingMatrix {
+        match self {
+            AnyIndex::Exact(i) => i.matrix(),
+            AnyIndex::Hnsw(i) => i.matrix(),
+            AnyIndex::Lsh(i) => i.matrix(),
+        }
+    }
+
     /// Serialize via the backend's own `er_index::persist` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         match self {
@@ -72,26 +81,8 @@ impl<'a> AnyIndex<'a> {
         }
     }
 
-    fn reader(&self) -> &(dyn IndexReader + 'a) {
-        match self {
-            AnyIndex::Exact(i) => i,
-            AnyIndex::Hnsw(i) => i,
-            AnyIndex::Lsh(i) => i,
-        }
-    }
-
-    fn writer(&mut self) -> &mut (dyn MutableIndex + 'a) {
-        match self {
-            AnyIndex::Exact(i) => i,
-            AnyIndex::Hnsw(i) => i,
-            AnyIndex::Lsh(i) => i,
-        }
-    }
-}
-
-impl AnyIndex<'static> {
     /// Dispatch on the container's `kind` header to the right loader.
-    pub fn from_bytes(bytes: &[u8]) -> Result<AnyIndex<'static>> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<AnyIndex> {
         match binary::peek_kind(bytes)? {
             kind::EXACT_INDEX => Ok(AnyIndex::Exact(ExactIndex::from_bytes(bytes)?)),
             kind::HNSW_INDEX => Ok(AnyIndex::Hnsw(HnswIndex::from_bytes(bytes)?)),
@@ -101,9 +92,25 @@ impl AnyIndex<'static> {
             ))),
         }
     }
+
+    fn reader(&self) -> &dyn IndexReader {
+        match self {
+            AnyIndex::Exact(i) => i,
+            AnyIndex::Hnsw(i) => i,
+            AnyIndex::Lsh(i) => i,
+        }
+    }
+
+    fn writer(&mut self) -> &mut dyn MutableIndex {
+        match self {
+            AnyIndex::Exact(i) => i,
+            AnyIndex::Hnsw(i) => i,
+            AnyIndex::Lsh(i) => i,
+        }
+    }
 }
 
-impl NnIndex for AnyIndex<'_> {
+impl NnIndex for AnyIndex {
     fn len(&self) -> usize {
         self.reader().len()
     }
@@ -117,7 +124,7 @@ impl NnIndex for AnyIndex<'_> {
     }
 }
 
-impl IndexReader for AnyIndex<'_> {
+impl IndexReader for AnyIndex {
     fn is_deleted(&self, index: usize) -> bool {
         self.reader().is_deleted(index)
     }
@@ -136,7 +143,7 @@ impl IndexReader for AnyIndex<'_> {
     }
 }
 
-impl MutableIndex for AnyIndex<'_> {
+impl MutableIndex for AnyIndex {
     fn insert_row(&mut self, row: &[f32]) -> Result<usize> {
         self.writer().insert_row(row)
     }
@@ -145,7 +152,7 @@ impl MutableIndex for AnyIndex<'_> {
         self.writer().delete_row(index)
     }
 
-    fn compact(&mut self) -> Result<Vec<u32>> {
+    fn compact(&mut self) -> Vec<u32> {
         self.writer().compact()
     }
 }

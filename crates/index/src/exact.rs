@@ -14,11 +14,11 @@
 //! the re-rank budget, the PQ config and the companion codes together —
 //! and derives its [`ScanConfig`] from it.
 
-use crate::store::{owned_mut, push_row, rerank, top_k, Tombstones};
+use crate::store::{push_row, rerank, top_k, Tombstones};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::pq::{PqCodebook, PqCodes, PqConfig};
 use er_core::quant::QuantizedMatrix;
-use er_core::{EmbeddingMatrix, KernelTier, QueryParams, VectorSource, VectorStore};
+use er_core::{EmbeddingMatrix, KernelTier, QueryParams};
 
 // `ScanConfig` / `Quantization` moved down into er-core with the
 // `OperatingPoint` redesign; re-exported here so existing
@@ -43,8 +43,8 @@ pub(crate) enum Quant {
 }
 
 #[derive(Debug, Clone)]
-pub struct ExactIndex<'a> {
-    pub(crate) store: VectorStore<'a>,
+pub struct ExactIndex {
+    pub(crate) matrix: EmbeddingMatrix,
     pub(crate) metric: Metric,
     /// Deleted rows stay in the matrix (ids are stable) but the scan
     /// skips them.
@@ -54,15 +54,16 @@ pub struct ExactIndex<'a> {
     pub(crate) quant: Quant,
 }
 
-impl<'a> ExactIndex<'a> {
-    /// Zero-copy: borrow a matrix the pipeline already built.
-    pub fn from_matrix(matrix: &'a EmbeddingMatrix, metric: Metric) -> ExactIndex<'a> {
+impl ExactIndex {
+    /// Build over a copy of `matrix` with the default scan: the same index
+    /// as `from_source(matrix, metric)`.
+    pub fn from_matrix(matrix: &EmbeddingMatrix, metric: Metric) -> ExactIndex {
         ExactIndex::from_source(matrix, metric)
     }
 
-    /// The [`VectorSource`] seam: build from anything that yields a
-    /// [`VectorStore`] — a borrowed matrix or an owned one.
-    pub fn from_source(source: impl VectorSource<'a>, metric: Metric) -> ExactIndex<'a> {
+    /// Build with the default scan over `source`: a matrix moved in, or a
+    /// `&EmbeddingMatrix` the index copies (the index owns its rows).
+    pub fn from_source(source: impl Into<EmbeddingMatrix>, metric: Metric) -> ExactIndex {
         ExactIndex::from_source_scan(source, metric, ScanConfig::default())
             .expect("the default scan config cannot fail")
     }
@@ -71,20 +72,20 @@ impl<'a> ExactIndex<'a> {
     /// [`er_core::ErError::Model`]) only for PQ configurations that cannot train —
     /// an empty matrix or `subspaces` not dividing the dimension.
     pub fn from_source_scan(
-        source: impl VectorSource<'a>,
+        source: impl Into<EmbeddingMatrix>,
         metric: Metric,
         scan: ScanConfig,
-    ) -> er_core::Result<ExactIndex<'a>> {
-        let store = source.into_store();
+    ) -> er_core::Result<ExactIndex> {
+        let matrix = source.into();
         let quant = match scan.quant {
             Quantization::None => Quant::None,
             Quantization::Int8 { rerank } => Quant::Int8 {
                 rerank,
-                codes: store.matrix().quantize(),
+                codes: matrix.quantize(),
             },
             Quantization::Pq { config, rerank } => {
-                let book = PqCodebook::train(store.matrix(), &config)?;
-                let codes = book.encode(store.matrix());
+                let book = PqCodebook::train(&matrix, &config)?;
+                let codes = book.encode(&matrix);
                 Quant::Pq {
                     rerank,
                     config,
@@ -94,17 +95,17 @@ impl<'a> ExactIndex<'a> {
             }
         };
         Ok(ExactIndex {
-            tombstones: Tombstones::new(store.len()),
-            store,
+            tombstones: Tombstones::new(matrix.len()),
+            matrix,
             metric,
             tier: scan.tier,
             quant,
         })
     }
 
-    /// The stored vectors (owned or borrowed).
+    /// The stored vectors.
     pub fn matrix(&self) -> &EmbeddingMatrix {
-        self.store.matrix()
+        &self.matrix
     }
 
     /// The scan configuration this index ranks with.
@@ -123,7 +124,7 @@ impl<'a> ExactIndex<'a> {
     /// The live row ids in ascending order — what every scan pass feeds
     /// the selector.
     fn live_rows(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.store.len()).filter(|&i| !self.tombstones.is_deleted(i))
+        (0..self.matrix.len()).filter(|&i| !self.tombstones.is_deleted(i))
     }
 
     /// Quantized first pass: rank every live row by its approximate
@@ -166,9 +167,9 @@ impl<'a> ExactIndex<'a> {
     }
 }
 
-impl NnIndex for ExactIndex<'_> {
+impl NnIndex for ExactIndex {
     fn len(&self) -> usize {
-        self.store.len()
+        self.matrix.len()
     }
 
     fn metric(&self) -> Metric {
@@ -180,7 +181,7 @@ impl NnIndex for ExactIndex<'_> {
     }
 }
 
-impl IndexReader for ExactIndex<'_> {
+impl IndexReader for ExactIndex {
     fn is_deleted(&self, index: usize) -> bool {
         self.tombstones.is_deleted(index)
     }
@@ -203,7 +204,7 @@ impl IndexReader for ExactIndex<'_> {
         if k == 0 || self.live_count() == 0 {
             return (Vec::new(), 0);
         }
-        let matrix = self.store.matrix();
+        let matrix = &self.matrix;
         match self.first_pass(query, k) {
             // Quantized first pass, then an exact re-rank: every returned
             // distance comes from the f32 kernels, the quantized codes only
@@ -221,10 +222,10 @@ impl IndexReader for ExactIndex<'_> {
     }
 }
 
-impl MutableIndex for ExactIndex<'_> {
+impl MutableIndex for ExactIndex {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
         let id = push_row(
-            &mut self.store,
+            &mut self.matrix,
             &mut self.tombstones,
             row,
             "ExactIndex::insert_row",
@@ -252,21 +253,20 @@ impl MutableIndex for ExactIndex<'_> {
     /// quantized companion codes are copied verbatim in stable order, so
     /// every distance the compacted index computes is bit-identical to the
     /// tombstoned original's.
-    fn compact(&mut self) -> er_core::Result<Vec<u32>> {
+    fn compact(&mut self) -> Vec<u32> {
         let keep = self.tombstones.live_rows();
         if self.tombstones.count() == 0 {
-            return Ok(keep);
+            return keep;
         }
         let rows = || keep.iter().map(|&old| old as usize);
-        let matrix = owned_mut(&mut self.store, "ExactIndex::compact")?;
-        *matrix = matrix.select_rows(rows());
+        self.matrix = self.matrix.select_rows(rows());
         match &mut self.quant {
             Quant::None => {}
             Quant::Int8 { codes, .. } => *codes = codes.select_rows(rows()),
             Quant::Pq { codes, .. } => *codes = codes.select_rows(rows()),
         }
         self.tombstones = Tombstones::new(keep.len());
-        Ok(keep)
+        keep
     }
 }
 
@@ -340,17 +340,5 @@ mod tests {
         let hits = euclid.search_slice(&[1.0, 0.0], 3);
         assert_eq!(hits[1].index, 1);
         assert_eq!(hits[2].index, 2);
-    }
-
-    #[test]
-    fn borrowed_matrix_gives_the_same_hits_as_the_owned_copy() {
-        let vectors = points();
-        for metric in [Metric::Euclidean, Metric::Cosine] {
-            let owned = ExactIndex::from_source(vectors.clone(), metric);
-            let borrowed = ExactIndex::from_matrix(&vectors, metric);
-            for q in vectors.rows_iter() {
-                assert_eq!(owned.search_slice(q, 3), borrowed.search_slice(q, 3));
-            }
-        }
     }
 }

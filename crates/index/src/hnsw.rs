@@ -9,10 +9,9 @@
 //! nodes one at a time with a beam of width `ef_construction` and the
 //! heuristic neighbour selection of the paper's Algorithm 4.
 //!
-//! Vectors live in an [`EmbeddingMatrix`] (owned, or borrowed zero-copy via
-//! [`HnswIndex::from_matrix`]); all distance evaluations run over
-//! contiguous rows with precomputed norms, and the query norm is computed
-//! once per search rather than once per comparison.
+//! Vectors live in an [`EmbeddingMatrix`] the index owns; all distance
+//! evaluations run over contiguous rows with precomputed norms, and the
+//! query norm is computed once per search rather than once per comparison.
 //!
 //! Determinism: node levels are the only random choice, drawn from a
 //! dedicated stream of `er_core::rng` seeded by `HnswConfig::seed`; every
@@ -27,10 +26,10 @@
 //! Deletions are tombstones: the node keeps its id and its links (it still
 //! routes searches through the graph) but is masked out of results.
 
-use crate::store::{owned_mut, push_row, Ranked, Tombstones};
+use crate::store::{push_row, Ranked, Tombstones};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::rng::{derive, DetRng};
-use er_core::{EmbeddingMatrix, HnswConfig, QueryParams, VectorSource, VectorStore};
+use er_core::{EmbeddingMatrix, HnswConfig, QueryParams};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -44,8 +43,8 @@ pub(crate) const MAX_LEVEL: usize = 16;
 type Cand = Ranked<u32>;
 
 #[derive(Debug, Clone)]
-pub struct HnswIndex<'a> {
-    pub(crate) store: VectorStore<'a>,
+pub struct HnswIndex {
+    pub(crate) matrix: EmbeddingMatrix,
     /// `neighbors[node][layer]` — adjacency lists, layer 0 first.
     pub(crate) neighbors: Vec<Vec<Vec<u32>>>,
     pub(crate) entry: u32,
@@ -60,25 +59,21 @@ pub struct HnswIndex<'a> {
     pub(crate) tombstones: Tombstones,
 }
 
-impl<'a> HnswIndex<'a> {
-    /// Zero-copy: borrow a matrix the pipeline already built.
-    pub fn from_matrix(matrix: &'a EmbeddingMatrix, config: HnswConfig) -> HnswIndex<'a> {
-        HnswIndex::from_source(matrix, config)
-    }
-
-    /// The [`VectorSource`] seam: build the graph over any vector storage.
+impl HnswIndex {
+    /// Build the graph over `source`: a matrix moved in, or a
+    /// `&EmbeddingMatrix` the index copies (the index owns its rows).
     ///
     /// The batch build *is* the incremental path — one level draw plus one
     /// insert per row — so `insert_row` calls afterwards continue the same
     /// level stream and the graph never depends on which path built it.
-    pub fn from_source(source: impl VectorSource<'a>, config: HnswConfig) -> HnswIndex<'a> {
+    pub fn from_source(source: impl Into<EmbeddingMatrix>, config: HnswConfig) -> HnswIndex {
         assert!(config.m >= 2, "HNSW needs m >= 2");
         assert!(config.ef_construction >= 1 && config.ef_search >= 1);
-        let store = source.into_store();
-        let n = store.len();
+        let matrix = source.into();
+        let n = matrix.len();
         let level_rng = derive(config.seed, "hnsw-levels");
         let mut index = HnswIndex {
-            store,
+            matrix,
             neighbors: Vec::with_capacity(n),
             entry: 0,
             max_level: 0,
@@ -120,9 +115,9 @@ impl<'a> HnswIndex<'a> {
         &self.config
     }
 
-    /// The stored vectors (owned or borrowed).
+    /// The stored vectors.
     pub fn matrix(&self) -> &EmbeddingMatrix {
-        self.store.matrix()
+        &self.matrix
     }
 
     /// The adjacency structure, `[node][layer] -> neighbour ids` — exposed
@@ -138,7 +133,7 @@ impl<'a> HnswIndex<'a> {
     /// Distance from a query row (norm cached by the caller) to a stored row.
     #[inline]
     fn dist(&self, query: &[f32], query_norm: f32, id: u32) -> f32 {
-        let m = self.store.matrix();
+        let m = &self.matrix;
         self.config.metric.distance_prenorm_tier(
             self.config.tier,
             query,
@@ -151,7 +146,7 @@ impl<'a> HnswIndex<'a> {
     /// Distance between two stored rows — both norms come from the cache.
     #[inline]
     fn dist_rows(&self, a: u32, b: u32) -> f32 {
-        let m = self.store.matrix();
+        let m = &self.matrix;
         self.config.metric.distance_prenorm_tier(
             self.config.tier,
             m.row(a as usize),
@@ -170,8 +165,8 @@ impl<'a> HnswIndex<'a> {
         }
         // The inserted row doubles as the query while its links are chosen;
         // copy it out so searches can mutate `self.neighbors` freely.
-        let query: Vec<f32> = self.store.row(id as usize).to_vec();
-        let query_norm = self.store.norm(id as usize);
+        let query: Vec<f32> = self.matrix.row(id as usize).to_vec();
+        let query_norm = self.matrix.norm(id as usize);
         let mut cur = Cand {
             dist: self.dist(&query, query_norm, self.entry),
             id: self.entry,
@@ -361,9 +356,9 @@ impl<'a> HnswIndex<'a> {
     }
 }
 
-impl NnIndex for HnswIndex<'_> {
+impl NnIndex for HnswIndex {
     fn len(&self) -> usize {
-        self.store.len()
+        self.matrix.len()
     }
 
     fn metric(&self) -> Metric {
@@ -375,7 +370,7 @@ impl NnIndex for HnswIndex<'_> {
     }
 }
 
-impl IndexReader for HnswIndex<'_> {
+impl IndexReader for HnswIndex {
     fn is_deleted(&self, index: usize) -> bool {
         self.tombstones.is_deleted(index)
     }
@@ -409,7 +404,7 @@ impl IndexReader for HnswIndex<'_> {
             cur = self.greedy_closest(query, query_norm, cur, layer, &mut evals);
         }
         let ef = params.ef_search.unwrap_or(self.config.ef_search).max(k);
-        let mut visited = vec![false; self.store.len()];
+        let mut visited = vec![false; self.matrix.len()];
         let found = self.search_layer(
             query,
             query_norm,
@@ -429,16 +424,16 @@ impl IndexReader for HnswIndex<'_> {
     }
 }
 
-impl MutableIndex for HnswIndex<'_> {
+impl MutableIndex for HnswIndex {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
         let id = push_row(
-            &mut self.store,
+            &mut self.matrix,
             &mut self.tombstones,
             row,
             "HnswIndex::insert_row",
         )?;
         let level = self.draw_level();
-        let mut visited = vec![false; self.store.len()];
+        let mut visited = vec![false; self.matrix.len()];
         self.insert(id as u32, level, &mut visited);
         Ok(id)
     }
@@ -454,15 +449,16 @@ impl MutableIndex for HnswIndex<'_> {
     /// left positioned after one draw per live row, so later `insert_row`
     /// calls continue exactly like inserts into that fresh build). Row
     /// floats and their cached norms are copied verbatim.
-    fn compact(&mut self) -> er_core::Result<Vec<u32>> {
+    fn compact(&mut self) -> Vec<u32> {
         let keep = self.tombstones.live_rows();
         if self.tombstones.count() == 0 {
-            return Ok(keep);
+            return keep;
         }
-        let live = owned_mut(&mut self.store, "HnswIndex::compact")?
+        let live = self
+            .matrix
             .select_rows(keep.iter().map(|&old| old as usize));
         *self = HnswIndex::from_source(live, self.config.clone());
-        Ok(keep)
+        keep
     }
 }
 
@@ -545,24 +541,6 @@ mod tests {
                 Neighbor::new(id, 0.0),
                 "node {id} unreachable from entry"
             );
-        }
-    }
-
-    #[test]
-    fn borrowed_matrix_builds_the_bit_identical_graph() {
-        let matrix = grid();
-        for metric in [Metric::Euclidean, Metric::Cosine] {
-            let config = HnswConfig {
-                metric,
-                ..HnswConfig::default()
-            };
-            let owned = HnswIndex::from_source(matrix.clone(), config.clone());
-            let borrowed = HnswIndex::from_matrix(&matrix, config);
-            assert_eq!(owned.adjacency(), borrowed.adjacency());
-            assert_eq!(owned.max_level(), borrowed.max_level());
-            for v in matrix.rows_iter() {
-                assert_eq!(owned.search_slice(v, 5), borrowed.search_slice(v, 5));
-            }
         }
     }
 }

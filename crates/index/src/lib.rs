@@ -10,11 +10,10 @@
 //! readers share, [`MutableIndex`] the writer handle with insert, delete
 //! and tombstone-reclaiming [`MutableIndex::compact`].
 //!
-//! Storage is columnar: every index holds an [`er_core::VectorStore`] —
-//! either an [`er_core::EmbeddingMatrix`] it owns (the serving path) or a
-//! matrix it *borrows* from the pipeline (zero-copy; indices never clone
-//! or mutate a borrowed matrix). Distances run over contiguous rows with
-//! precomputed row norms, so a cosine scan touches each stored vector once.
+//! Storage is columnar: every index owns one [`er_core::EmbeddingMatrix`],
+//! moved in or copied from a caller's `&EmbeddingMatrix` at build time.
+//! Distances run over contiguous rows with precomputed row norms, so a
+//! cosine scan touches each stored vector once.
 //!
 //! [`AnyIndex::build`] is the one place a backend choice
 //! ([`BlockerBackend`]) becomes an index, and the one place its config is
@@ -101,12 +100,10 @@ pub trait IndexReader: NnIndex {
 pub trait MutableIndex: IndexReader {
     /// Append one vector, returning its new row id.
     ///
-    /// Fails if the index *borrows* its matrix (zero-copy stores stay
-    /// frozen — see `er_core::VectorStore::matrix_mut`) or on a dimension
-    /// mismatch. An index built over an empty dim-0 store adopts the first
-    /// inserted row's dimension where nothing dimension-dependent was
-    /// precomputed (exact, HNSW); LSH drew its hyperplanes at build time
-    /// and rejects the mismatch instead.
+    /// Fails on a dimension mismatch. An index built over an empty dim-0
+    /// matrix adopts the first inserted row's dimension where nothing
+    /// dimension-dependent was precomputed (exact, HNSW); LSH drew its
+    /// hyperplanes at build time and rejects the mismatch instead.
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize>;
 
     /// Tombstone a row. Returns `false` when the id is out of range or
@@ -122,9 +119,8 @@ pub trait MutableIndex: IndexReader {
     /// incremental insert path so the compacted graph is bit-identical to a
     /// fresh batch build over the live rows in order. Compacting an index
     /// with no tombstones (including an empty one) is a no-op that still
-    /// returns the identity mapping. Fails like [`MutableIndex::insert_row`]
-    /// when the index borrows its matrix.
-    fn compact(&mut self) -> er_core::Result<Vec<u32>>;
+    /// returns the identity mapping.
+    fn compact(&mut self) -> Vec<u32>;
 }
 
 /// A nearest-neighbour index over a fixed set of embeddings. Searches

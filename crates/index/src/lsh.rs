@@ -7,7 +7,7 @@
 //! their bucket in every table, optionally probe the buckets reached by
 //! flipping the lowest-margin signature bits (multi-probe), then exactly
 //! re-rank the gathered candidates under the configured [`Metric`] over
-//! the stored [`EmbeddingMatrix`] (owned, or borrowed zero-copy).
+//! the [`EmbeddingMatrix`] the index owns.
 //!
 //! Determinism: table `t` draws its hyperplanes from the stream
 //! `derive(seed, "lsh-table-{t}")`, so the same seed reproduces identical
@@ -15,12 +15,10 @@
 //! follow it, which makes recall provably non-decreasing in `tables` for a
 //! fixed seed (the candidate union only grows).
 
-use crate::store::{owned_mut, push_row, rerank, Tombstones};
+use crate::store::{push_row, rerank, Tombstones};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::rng::derive;
-use er_core::{
-    EmbeddingMatrix, ErError, KernelTier, LshConfig, QueryParams, VectorSource, VectorStore,
-};
+use er_core::{EmbeddingMatrix, ErError, KernelTier, LshConfig, QueryParams};
 use rand::{Rng, RngCore};
 use std::collections::HashMap;
 
@@ -47,8 +45,8 @@ impl Table {
 }
 
 #[derive(Debug, Clone)]
-pub struct HyperplaneLsh<'a> {
-    pub(crate) store: VectorStore<'a>,
+pub struct HyperplaneLsh {
+    pub(crate) matrix: EmbeddingMatrix,
     pub(crate) tables: Vec<Table>,
     pub(crate) config: LshConfig,
     /// Deleted ids stay hashed in their buckets (ids are stable) but
@@ -64,21 +62,16 @@ fn gaussian(rng: &mut impl RngCore) -> f32 {
     ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32
 }
 
-impl<'a> HyperplaneLsh<'a> {
-    /// Zero-copy: borrow a matrix the pipeline already built.
-    pub fn from_matrix(matrix: &'a EmbeddingMatrix, config: LshConfig) -> HyperplaneLsh<'a> {
-        HyperplaneLsh::from_source(matrix, config)
-    }
-
-    /// The [`VectorSource`] seam: hash any vector storage into the tables.
-    pub fn from_source(source: impl VectorSource<'a>, config: LshConfig) -> HyperplaneLsh<'a> {
+impl HyperplaneLsh {
+    /// Hash `source` into the tables: a matrix moved in, or a
+    /// `&EmbeddingMatrix` the index copies (the index owns its rows).
+    pub fn from_source(source: impl Into<EmbeddingMatrix>, config: LshConfig) -> HyperplaneLsh {
         assert!(
             (1..=64).contains(&config.planes),
             "signatures are u64 bitmasks: 1 <= planes <= 64"
         );
         assert!(config.tables >= 1, "need at least one table");
-        let store = source.into_store();
-        let matrix = store.matrix();
+        let matrix: EmbeddingMatrix = source.into();
         let dim = matrix.dim();
         let tables = (0..config.tables)
             .map(|t| {
@@ -101,8 +94,8 @@ impl<'a> HyperplaneLsh<'a> {
             })
             .collect();
         HyperplaneLsh {
-            tombstones: Tombstones::new(store.len()),
-            store,
+            tombstones: Tombstones::new(matrix.len()),
+            matrix,
             tables,
             config,
         }
@@ -112,9 +105,9 @@ impl<'a> HyperplaneLsh<'a> {
         &self.config
     }
 
-    /// The stored vectors (owned or borrowed).
+    /// The stored vectors.
     pub fn matrix(&self) -> &EmbeddingMatrix {
-        self.store.matrix()
+        &self.matrix
     }
 
     /// Per-table signatures, `[table][vector] -> u64` — exposed so the
@@ -139,7 +132,7 @@ impl<'a> HyperplaneLsh<'a> {
         probes: usize,
         tables: usize,
     ) -> impl Iterator<Item = &'s [u32]> + 's {
-        let tables = if self.store.is_empty() {
+        let tables = if self.matrix.is_empty() {
             0
         } else {
             tables.clamp(1, self.tables.len())
@@ -188,7 +181,7 @@ impl<'a> HyperplaneLsh<'a> {
     /// index *built* with `tables` tables — which is what lets the tuner
     /// sweep both knobs against one build.
     pub fn candidates_slice_with(&self, query: &[f32], probes: usize, tables: usize) -> Vec<u32> {
-        let mut seen = vec![false; self.store.len()];
+        let mut seen = vec![false; self.matrix.len()];
         self.probed_buckets(query, probes, tables)
             .flatten()
             .copied()
@@ -222,9 +215,9 @@ fn signature(
     sig
 }
 
-impl NnIndex for HyperplaneLsh<'_> {
+impl NnIndex for HyperplaneLsh {
     fn len(&self) -> usize {
-        self.store.len()
+        self.matrix.len()
     }
 
     fn metric(&self) -> Metric {
@@ -236,7 +229,7 @@ impl NnIndex for HyperplaneLsh<'_> {
     }
 }
 
-impl IndexReader for HyperplaneLsh<'_> {
+impl IndexReader for HyperplaneLsh {
     fn is_deleted(&self, index: usize) -> bool {
         self.tombstones.is_deleted(index)
     }
@@ -265,7 +258,7 @@ impl IndexReader for HyperplaneLsh<'_> {
         let candidates = self.candidates_slice_with(query, probes, tables);
         let evals = candidates.len() as u64;
         let hits = rerank(
-            self.store.matrix(),
+            &self.matrix,
             self.config.metric,
             self.config.tier,
             query,
@@ -276,20 +269,20 @@ impl IndexReader for HyperplaneLsh<'_> {
     }
 }
 
-impl MutableIndex for HyperplaneLsh<'_> {
+impl MutableIndex for HyperplaneLsh {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
         // No dimension adoption here: the hyperplanes were drawn against
         // the build-time dimension, so a mismatched row cannot be hashed.
-        if self.store.dim() != row.len() {
+        if self.matrix.dim() != row.len() {
             return Err(ErError::Model(format!(
                 "HyperplaneLsh::insert_row: pushed a {}-d row into a {}-d index \
                  (build over `EmbeddingMatrix::new(dim)` for an empty start)",
                 row.len(),
-                self.store.dim()
+                self.matrix.dim()
             )));
         }
         let id = push_row(
-            &mut self.store,
+            &mut self.matrix,
             &mut self.tombstones,
             row,
             "HyperplaneLsh::insert_row",
@@ -312,13 +305,14 @@ impl MutableIndex for HyperplaneLsh<'_> {
     /// verbatim in stable order, and the buckets are rebuilt from the kept
     /// signatures — no dot product is ever recomputed, so candidate sets
     /// and re-ranked distances stay bit-identical.
-    fn compact(&mut self) -> er_core::Result<Vec<u32>> {
+    fn compact(&mut self) -> Vec<u32> {
         let keep = self.tombstones.live_rows();
         if self.tombstones.count() == 0 {
-            return Ok(keep);
+            return keep;
         }
-        let matrix = owned_mut(&mut self.store, "HyperplaneLsh::compact")?;
-        *matrix = matrix.select_rows(keep.iter().map(|&old| old as usize));
+        self.matrix = self
+            .matrix
+            .select_rows(keep.iter().map(|&old| old as usize));
         for table in &mut self.tables {
             table.signatures = keep
                 .iter()
@@ -327,7 +321,7 @@ impl MutableIndex for HyperplaneLsh<'_> {
             table.rebuild_buckets();
         }
         self.tombstones = Tombstones::new(keep.len());
-        Ok(keep)
+        keep
     }
 }
 
@@ -345,7 +339,7 @@ mod tests {
     #[test]
     fn identical_vectors_always_collide() {
         let vectors = random_vectors(20, 8, 1);
-        let lsh = HyperplaneLsh::from_matrix(&vectors, LshConfig::default());
+        let lsh = HyperplaneLsh::from_source(&vectors, LshConfig::default());
         for (id, v) in vectors.rows_iter().enumerate() {
             // A vector is always a candidate for itself (same signature in
             // every table), so search finds it at distance ~0.
@@ -358,7 +352,7 @@ mod tests {
     #[test]
     fn probing_expands_the_candidate_set() {
         let vectors = random_vectors(200, 8, 2);
-        let lsh = HyperplaneLsh::from_matrix(&vectors, LshConfig::default());
+        let lsh = HyperplaneLsh::from_source(&vectors, LshConfig::default());
         let q = [0.3; 8];
         let narrow = lsh.candidates_slice_with(&q, 0, 8).len();
         let wide = lsh.candidates_slice_with(&q, 4, 8).len();
@@ -373,17 +367,6 @@ mod tests {
         let one = EmbeddingMatrix::from_flat(2, vec![1.0, 2.0]).unwrap();
         let one = HyperplaneLsh::from_source(one, LshConfig::default());
         assert!(one.search_slice(&[1.0, 2.0], 0).is_empty());
-    }
-
-    #[test]
-    fn borrowed_matrix_hashes_to_identical_signatures_and_hits() {
-        let matrix = random_vectors(60, 8, 5);
-        let owned = HyperplaneLsh::from_source(matrix.clone(), LshConfig::default());
-        let borrowed = HyperplaneLsh::from_matrix(&matrix, LshConfig::default());
-        assert_eq!(owned.signatures(), borrowed.signatures());
-        for v in matrix.rows_iter() {
-            assert_eq!(owned.search_slice(v, 5), borrowed.search_slice(v, 5));
-        }
     }
 
     #[test]

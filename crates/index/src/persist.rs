@@ -38,7 +38,7 @@ use crate::store::Tombstones;
 use crate::{BlockerBackend, ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metric};
 use er_core::binary::{self, kind, BinReader, BinWriter, Container};
 use er_core::pq::PqConfig;
-use er_core::{EmbeddingMatrix, ErError, KernelTier, Result, VectorStore};
+use er_core::{EmbeddingMatrix, ErError, KernelTier, Result};
 use std::collections::HashMap;
 
 /// Section tags shared by the three index containers (disjoint use is
@@ -117,12 +117,11 @@ fn tombstones_section(c: &mut Container, rows: usize) -> Result<Tombstones> {
     Ok(Tombstones::from_flags(flags))
 }
 
-impl ExactIndex<'_> {
-    /// Serialize into one `kind::EXACT_INDEX` container (works for owned
-    /// *and* borrowed stores — the bytes capture the matrix contents).
+impl ExactIndex {
+    /// Serialize into one `kind::EXACT_INDEX` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut matrix = BinWriter::new();
-        binary::matrix_to_writer(&mut matrix, self.store.matrix());
+        binary::matrix_to_writer(&mut matrix, &self.matrix);
         let mut meta = BinWriter::new();
         meta.put_u8(metric_code(self.metric));
         meta.put_u8(self.tier.code());
@@ -167,12 +166,10 @@ impl ExactIndex<'_> {
         }
         binary::write_container(kind::EXACT_INDEX, 0, &sections)
     }
-}
 
-impl ExactIndex<'static> {
-    /// Inverse of [`ExactIndex::to_bytes`]: an owned index whose searches
-    /// are bit-identical to the saved one's.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ExactIndex<'static>> {
+    /// Inverse of [`ExactIndex::to_bytes`]: an index whose searches are
+    /// bit-identical to the saved one's.
+    pub fn from_bytes(bytes: &[u8]) -> Result<ExactIndex> {
         let mut c = binary::read_container(bytes, kind::EXACT_INDEX)?;
         let matrix = matrix_section(&mut c)?;
         let (rows, dim) = (matrix.len(), matrix.dim());
@@ -222,7 +219,7 @@ impl ExactIndex<'static> {
         c.finish()?;
         Ok(ExactIndex {
             tombstones,
-            store: VectorStore::Owned(matrix),
+            matrix,
             metric,
             tier,
             quant,
@@ -230,13 +227,13 @@ impl ExactIndex<'static> {
     }
 }
 
-impl HnswIndex<'_> {
+impl HnswIndex {
     /// Serialize into one `kind::HNSW_INDEX` container: matrix, config,
     /// entry point, and the full per-node per-layer adjacency — a load
     /// never re-runs construction.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut matrix = BinWriter::new();
-        binary::matrix_to_writer(&mut matrix, self.store.matrix());
+        binary::matrix_to_writer(&mut matrix, &self.matrix);
         let mut meta = BinWriter::new();
         meta.put_usize(self.config.m);
         meta.put_usize(self.config.ef_construction);
@@ -265,14 +262,12 @@ impl HnswIndex<'_> {
             ],
         )
     }
-}
 
-impl HnswIndex<'static> {
-    /// Inverse of [`HnswIndex::to_bytes`]: an owned index with the
+    /// Inverse of [`HnswIndex::to_bytes`]: an index with the
     /// bit-identical graph, whose level stream resumes exactly where the
     /// saved index's left off (so `insert_row` after a reload draws the
     /// same levels the original would have).
-    pub fn from_bytes(bytes: &[u8]) -> Result<HnswIndex<'static>> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<HnswIndex> {
         let mut c = binary::read_container(bytes, kind::HNSW_INDEX)?;
         let matrix = matrix_section(&mut c)?;
         let n = matrix.len();
@@ -321,7 +316,7 @@ impl HnswIndex<'static> {
         c.finish()?;
         Ok(HnswIndex {
             tombstones,
-            store: VectorStore::Owned(matrix),
+            matrix,
             neighbors,
             entry,
             max_level,
@@ -331,13 +326,13 @@ impl HnswIndex<'static> {
     }
 }
 
-impl HyperplaneLsh<'_> {
+impl HyperplaneLsh {
     /// Serialize into one `kind::LSH_INDEX` container: matrix, config,
     /// hyperplanes and signatures verbatim — a load redoes none of the dot
     /// products that produced them.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut matrix = BinWriter::new();
-        binary::matrix_to_writer(&mut matrix, self.store.matrix());
+        binary::matrix_to_writer(&mut matrix, &self.matrix);
         let mut meta = BinWriter::new();
         meta.put_usize(self.config.planes);
         meta.put_usize(self.config.tables);
@@ -367,13 +362,11 @@ impl HyperplaneLsh<'_> {
             ],
         )
     }
-}
 
-impl HyperplaneLsh<'static> {
     /// Inverse of [`HyperplaneLsh::to_bytes`]: bucket maps are rebuilt
     /// from the stored signatures in id order (float-free), everything
     /// else is read back verbatim.
-    pub fn from_bytes(bytes: &[u8]) -> Result<HyperplaneLsh<'static>> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<HyperplaneLsh> {
         let mut c = binary::read_container(bytes, kind::LSH_INDEX)?;
         let matrix = matrix_section(&mut c)?;
         let (n, dim) = (matrix.len(), matrix.dim());
@@ -415,7 +408,7 @@ impl HyperplaneLsh<'static> {
         c.finish()?;
         Ok(HyperplaneLsh {
             tombstones,
-            store: VectorStore::Owned(matrix),
+            matrix,
             tables,
             config,
         })
@@ -498,7 +491,7 @@ mod tests {
             Err(ErError::Corrupt(_))
         ));
         // A graph whose adjacency points past the matrix is rejected.
-        let hnsw = HnswIndex::from_matrix(&vs, HnswConfig::default());
+        let hnsw = HnswIndex::from_source(&vs, HnswConfig::default());
         let bytes = hnsw.to_bytes();
         assert_eq!(binary::peek_kind(&bytes).unwrap(), kind::HNSW_INDEX);
         for cut in [0, 10, bytes.len() / 2, bytes.len() - 1] {

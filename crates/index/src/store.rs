@@ -1,9 +1,9 @@
 //! The plumbing all three backends share: the tombstone set, the checked
-//! append into an owned store, the `(distance, id)` heap entry, the one
+//! append into an index's matrix, the `(distance, id)` heap entry, the one
 //! bounded top-k selector, and the exact re-rank of a candidate list.
 
 use crate::{Metric, Neighbor};
-use er_core::{EmbeddingMatrix, ErError, KernelTier, Result, VectorStore};
+use er_core::{EmbeddingMatrix, ErError, KernelTier, Result};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -102,29 +102,15 @@ impl Tombstones {
     }
 }
 
-/// The matrix of an index that owns its store, or the typed error every
-/// mutation of a borrowed store reports (`who` names the caller).
-pub(crate) fn owned_mut<'s>(
-    store: &'s mut VectorStore<'_>,
-    who: &str,
-) -> Result<&'s mut EmbeddingMatrix> {
-    store.matrix_mut().ok_or_else(|| {
-        ErError::Model(format!(
-            "{who}: the index borrows its matrix; mutation needs an owned store"
-        ))
-    })
-}
-
-/// Append `row` (and its live tombstone slot) to an owned store and return
-/// the new row id. Fails on a borrowed store or a dimension mismatch; a
-/// store built over nothing (dim 0) adopts the first row's dimension.
+/// Append `row` (and its live tombstone slot) to an index's matrix and
+/// return the new row id. Fails on a dimension mismatch; a matrix built
+/// over nothing (dim 0) adopts the first row's dimension.
 pub(crate) fn push_row(
-    store: &mut VectorStore<'_>,
+    matrix: &mut EmbeddingMatrix,
     tombstones: &mut Tombstones,
     row: &[f32],
     who: &str,
 ) -> Result<usize> {
-    let matrix = owned_mut(store, who)?;
     if matrix.is_empty() && matrix.dim() == 0 && !row.is_empty() {
         *matrix = EmbeddingMatrix::new(row.len());
     }

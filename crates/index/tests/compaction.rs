@@ -75,7 +75,7 @@ fn exact_compaction_is_bit_identical_for_both_metrics() {
         let deleted = delete_every_third(&mut index, vs.len());
         let before = distances(&index, &queries, 7);
 
-        let mapping = index.compact().unwrap();
+        let mapping = index.compact();
 
         assert_eq!(index.len(), vs.len() - deleted.len(), "tombstones remain");
         assert_eq!(index.live_count(), index.len());
@@ -124,7 +124,7 @@ fn quantized_exact_compaction_is_bit_identical() {
                     .unwrap();
             delete_every_third(&mut index, vs.len());
             let before = distances(&index, &queries, 6);
-            index.compact().unwrap();
+            index.compact();
             assert_eq!(index.scan_config(), scan, "scan config lost");
             assert_eq!(
                 before,
@@ -152,7 +152,7 @@ fn hnsw_compaction_equals_fresh_batch_build() {
         let deleted = delete_every_third(&mut index, vs.len());
         let before = distances(&index, &queries, 5);
 
-        index.compact().unwrap();
+        index.compact();
 
         // The pinned contract: compaction rebuilds the graph exactly as a
         // fresh batch build over the surviving rows (in order) would.
@@ -184,7 +184,7 @@ fn lsh_compaction_is_bit_identical_for_both_metrics() {
         let mut index = HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), config);
         delete_every_third(&mut index, vs.len());
         let before = distances(&index, &queries, 5);
-        index.compact().unwrap();
+        index.compact();
         // Hyperplanes are kept and signatures filtered verbatim — the
         // candidate sets (hence answers) are exactly the pre-compaction
         // live ones.
@@ -203,9 +203,9 @@ fn compacting_with_no_tombstones_is_an_identity_no_op() {
         HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
     let bytes_before = (exact.to_bytes(), hnsw.to_bytes(), lsh.to_bytes());
     let identity: Vec<u32> = (0..vs.len() as u32).collect();
-    assert_eq!(exact.compact().unwrap(), identity);
-    assert_eq!(hnsw.compact().unwrap(), identity);
-    assert_eq!(lsh.compact().unwrap(), identity);
+    assert_eq!(exact.compact(), identity);
+    assert_eq!(hnsw.compact(), identity);
+    assert_eq!(lsh.compact(), identity);
     // Identity compaction never rebuilds: the bytes (HNSW graph included)
     // are untouched.
     assert_eq!(bytes_before.0, exact.to_bytes());
@@ -223,9 +223,9 @@ fn empty_and_all_tombstoned_compactions_are_panic_free() {
         HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&[]), HnswConfig::default());
     let mut lsh =
         HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&[]), LshConfig::default());
-    assert!(exact.compact().unwrap().is_empty());
-    assert!(hnsw.compact().unwrap().is_empty());
-    assert!(lsh.compact().unwrap().is_empty());
+    assert!(exact.compact().is_empty());
+    assert!(hnsw.compact().is_empty());
+    assert!(lsh.compact().is_empty());
 
     // Everything tombstoned: compaction leaves a valid, searchable,
     // zero-row index.
@@ -240,9 +240,9 @@ fn empty_and_all_tombstoned_compactions_are_panic_free() {
         hnsw.delete_row(i);
         lsh.delete_row(i);
     }
-    assert!(exact.compact().unwrap().is_empty());
-    assert!(hnsw.compact().unwrap().is_empty());
-    assert!(lsh.compact().unwrap().is_empty());
+    assert!(exact.compact().is_empty());
+    assert!(hnsw.compact().is_empty());
+    assert!(lsh.compact().is_empty());
     for q in &vs {
         assert!(exact.search_slice(q.as_slice(), 3).is_empty());
         assert!(hnsw.search_slice(q.as_slice(), 3).is_empty());
@@ -262,7 +262,7 @@ fn compaction_supports_continued_mutation() {
     let extra = vectors(4, 6, 81);
     let mut index = ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Cosine);
     delete_every_third(&mut index, vs.len());
-    index.compact().unwrap();
+    index.compact();
     let base = index.len();
     for (i, e) in extra.iter().enumerate() {
         assert_eq!(index.insert_row(e.as_slice()).unwrap(), base + i);

@@ -176,21 +176,6 @@ fn k_larger_than_live_count_truncates_cleanly() {
 }
 
 #[test]
-fn borrowed_stores_reject_mutation_with_a_typed_error() {
-    let vs = vectors(8, 4, 26);
-    let matrix = EmbeddingMatrix::from_embeddings(&vs);
-    let mut exact = ExactIndex::from_matrix(&matrix, Metric::Euclidean);
-    let mut hnsw = HnswIndex::from_matrix(&matrix, HnswConfig::default());
-    let mut lsh = HyperplaneLsh::from_matrix(&matrix, LshConfig::default());
-    let row = [0.0f32; 4];
-    assert!(matches!(exact.insert_row(&row), Err(ErError::Model(_))));
-    assert!(matches!(hnsw.insert_row(&row), Err(ErError::Model(_))));
-    assert!(matches!(lsh.insert_row(&row), Err(ErError::Model(_))));
-    // Deletion is pure masking and stays legal on borrowed stores.
-    assert!(exact.delete_row(0) && hnsw.delete_row(0) && lsh.delete_row(0));
-}
-
-#[test]
 fn dimension_mismatches_are_typed_errors() {
     let mut exact = ExactIndex::from_source(EmbeddingMatrix::new(4), Metric::Euclidean);
     assert!(matches!(

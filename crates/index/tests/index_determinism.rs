@@ -107,7 +107,7 @@ fn search_batch_matches_sequential_search() {
                 .collect()
         };
         for metric in [Metric::Euclidean, Metric::Cosine] {
-            let hnsw = HnswIndex::from_matrix(
+            let hnsw = HnswIndex::from_source(
                 &vectors,
                 HnswConfig {
                     metric,
@@ -116,7 +116,7 @@ fn search_batch_matches_sequential_search() {
             );
             assert_eq!(hnsw.search_batch_rows(&queries, 10), sequential(&hnsw));
         }
-        let lsh = HyperplaneLsh::from_matrix(&vectors, LshConfig::default());
+        let lsh = HyperplaneLsh::from_source(&vectors, LshConfig::default());
         assert_eq!(lsh.search_batch_rows(&queries, 10), sequential(&lsh));
         let exact = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
         assert_eq!(exact.search_batch_rows(&queries, 10), sequential(&exact));

@@ -80,7 +80,7 @@ fn runtime_ef_search_matches_the_construction_time_setter() {
     let queries = random_vectors(25, 12, 22);
     let matrix = EmbeddingMatrix::from_embeddings(&vectors);
     let build = |ef_search: usize| {
-        HnswIndex::from_matrix(
+        HnswIndex::from_source(
             &matrix,
             HnswConfig {
                 metric: Metric::Cosine,

@@ -136,13 +136,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// A shard index's row width, and its scan when it is an Exact index (the
-/// approximate backends carry their tier in their config).
-fn shard_shape(index: &AnyIndex) -> (usize, ScanConfig) {
+/// A shard index's scan when it is an Exact index (the approximate
+/// backends carry their tier in their config).
+fn shard_scan(index: &AnyIndex) -> ScanConfig {
     match index {
-        AnyIndex::Exact(i) => (i.matrix().dim(), i.scan_config()),
-        AnyIndex::Hnsw(i) => (i.matrix().dim(), ScanConfig::default()),
-        AnyIndex::Lsh(i) => (i.matrix().dim(), ScanConfig::default()),
+        AnyIndex::Exact(i) => i.scan_config(),
+        AnyIndex::Hnsw(_) | AnyIndex::Lsh(_) => ScanConfig::default(),
     }
 }
 
@@ -349,7 +348,9 @@ impl<'m> Resolver<'m> {
     }
 
     /// The `k` nearest live records to `entity` (which need not be
-    /// stored): embed, scatter across shards, gather-merge.
+    /// stored): embed, scatter across shards, gather-merge. An embedding
+    /// with a non-finite component gets no hits (the query rule of
+    /// [`crate::search_snapshots`]).
     pub fn query(&self, entity: &Entity, k: usize) -> Vec<Hit> {
         self.query_embedding(&self.embed(entity), k)
     }
@@ -359,7 +360,9 @@ impl<'m> Resolver<'m> {
         self.query_embedding(&self.model.embed(text), k)
     }
 
-    /// Query with a precomputed embedding.
+    /// Query with a precomputed embedding. One of another width than the
+    /// model's, or with a NaN or ±∞ component, gets no hits (the query
+    /// rule of [`crate::search_snapshots`]).
     pub fn query_embedding(&self, embedding: &Embedding, k: usize) -> Vec<Hit> {
         self.index.search_ids(embedding.as_slice(), k)
     }
@@ -405,7 +408,7 @@ impl<'m> Resolver<'m> {
         ServeConfig {
             shards: snaps.len(),
             backend: self.index.backend().clone(),
-            scan: shard_shape(snaps[0].index()).1,
+            scan: shard_scan(snaps[0].index()),
             compaction: self.index.compaction_policy(),
         }
     }
@@ -506,7 +509,7 @@ impl<'m> Resolver<'m> {
             let index = AnyIndex::from_bytes(shards.get_bytes()?)?;
             // Every shard must hold META's row width (kernels only
             // debug-assert lengths) and share shard 0's backend.
-            let rows_dim = shard_shape(&index).0;
+            let rows_dim = index.matrix().dim();
             if !index.is_empty() && rows_dim != dim {
                 return Err(ErError::corrupt(format!(
                     "shard {i} stores {rows_dim}-d rows, the resolver {dim}-d"

@@ -108,11 +108,20 @@ impl WriterState {
 /// inline on the caller's thread. Small shards therefore skip the spawn;
 /// the answer is the same either way.
 ///
+/// **Query rule**: a query whose width differs from the rows of a shard
+/// holding live records, or with a NaN or ±∞ component, returns no hits —
+/// the read-side mirror of the write path's row check. It has no nearest
+/// rows to name: a NaN distance orders nothing, and a truncated or
+/// overrun dot product answers another question (or panics a kernel).
+/// The check runs once, before the fan-out, and allocates nothing.
+///
 /// Public so callers holding a pinned [`Manifest`] (from
 /// [`ShardedIndex::snapshots`]) can re-run queries against exactly that
 /// committed state, regardless of concurrent writes.
 pub fn search_snapshots(snaps: &[Arc<SegmentSnapshot>], query: &[f32], k: usize) -> Vec<Hit> {
-    if k == 0 {
+    let fits =
+        |s: &Arc<SegmentSnapshot>| s.live_count() == 0 || s.index.matrix().dim() == query.len();
+    if k == 0 || !query.iter().all(|x| x.is_finite()) || !snaps.iter().all(fits) {
         return Vec::new();
     }
     let mut per_shard: Vec<Vec<Hit>> = vec![Vec::new(); snaps.len()];
@@ -479,12 +488,10 @@ impl ShardedIndex {
     }
 
     /// Scatter-gather top-k over the committed manifest: see
-    /// [`search_snapshots`]. Each query pins the manifest once at the
-    /// start, so concurrent writes cannot tear it.
+    /// [`search_snapshots`], whose query rule applies (a wrong-width or
+    /// non-finite query returns no hits). Each query pins the manifest once
+    /// at the start, so concurrent writes cannot tear it.
     pub fn search_ids(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        if k == 0 {
-            return Vec::new();
-        }
         search_snapshots(&self.snapshots(), query, k)
     }
 }

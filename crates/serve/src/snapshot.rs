@@ -94,7 +94,7 @@ pub(crate) enum WriteOp {
 /// One shard's immutable, searchable state. See the module docs.
 #[derive(Debug, Clone)]
 pub struct SegmentSnapshot {
-    pub(crate) index: AnyIndex<'static>,
+    pub(crate) index: AnyIndex,
     /// Row → the entity id inserted at that row (including tombstoned
     /// rows; rebuilt on compaction).
     pub(crate) ids: Vec<EntityId>,
@@ -103,7 +103,7 @@ pub struct SegmentSnapshot {
 }
 
 impl SegmentSnapshot {
-    pub(crate) fn from_index(index: AnyIndex<'static>) -> SegmentSnapshot {
+    pub(crate) fn from_index(index: AnyIndex) -> SegmentSnapshot {
         SegmentSnapshot {
             index,
             ids: Vec::new(),
@@ -114,10 +114,7 @@ impl SegmentSnapshot {
     /// Rebuild the live-id map from the insertion history + tombstones —
     /// the load path. Fails if the history disagrees with the index (two
     /// live rows claiming one id, or a row count mismatch).
-    pub(crate) fn from_parts(
-        index: AnyIndex<'static>,
-        ids: Vec<EntityId>,
-    ) -> Result<SegmentSnapshot> {
+    pub(crate) fn from_parts(index: AnyIndex, ids: Vec<EntityId>) -> Result<SegmentSnapshot> {
         if ids.len() != index.len() {
             return Err(ErError::Corrupt(format!(
                 "shard id history covers {} rows, index stores {}",
@@ -153,7 +150,7 @@ impl SegmentSnapshot {
     }
 
     /// The underlying index (read-only).
-    pub fn index(&self) -> &AnyIndex<'static> {
+    pub fn index(&self) -> &AnyIndex {
         &self.index
     }
 
@@ -167,7 +164,8 @@ impl SegmentSnapshot {
     }
 
     /// Top-k over this snapshot's live records, ordered by the global
-    /// `(distance, id)` merge contract.
+    /// `(distance, id)` merge contract. The query is not checked here: the
+    /// query rule of [`crate::search_snapshots`] is the caller's.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
         let mut hits: Vec<Hit> = self
             .index
@@ -219,7 +217,7 @@ impl SegmentSnapshot {
                 self.ids.push(id);
                 self.rows.insert(id, row_idx);
                 if replaced {
-                    self.maybe_compact(policy)?;
+                    self.maybe_compact(policy);
                 }
                 Ok(replaced)
             }
@@ -229,22 +227,21 @@ impl SegmentSnapshot {
                     None => false,
                 };
                 if existed {
-                    self.maybe_compact(policy)?;
+                    self.maybe_compact(policy);
                 }
                 Ok(existed)
             }
             WriteOp::Compact => {
-                self.compact()?;
+                self.compact();
                 Ok(true)
             }
         }
     }
 
-    fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Result<()> {
+    fn maybe_compact(&mut self, policy: &CompactionPolicy) {
         if policy.should_compact(self.index.live_count(), self.index.len()) {
-            self.compact()?;
+            self.compact();
         }
-        Ok(())
     }
 
     /// Rebuild without tombstoned rows. The index-level
@@ -252,12 +249,11 @@ impl SegmentSnapshot {
     /// new→old mapping, which rebuilds the id history; live top-k answers
     /// are unchanged (bit-identical for exact/LSH, fresh-batch-build
     /// semantics for HNSW).
-    pub(crate) fn compact(&mut self) -> Result<()> {
-        let mapping = self.index.compact()?;
+    pub(crate) fn compact(&mut self) {
+        let mapping = self.index.compact();
         let ids: Vec<EntityId> = mapping.iter().map(|&old| self.ids[old as usize]).collect();
         let rows = ids.iter().enumerate().map(|(row, &id)| (id, row)).collect();
         self.ids = ids;
         self.rows = rows;
-        Ok(())
     }
 }

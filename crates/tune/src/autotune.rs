@@ -182,7 +182,7 @@ pub fn autotune(
     let probes: Vec<&[f32]> = query_sample.iter().map(|&i| queries.row(i)).collect();
 
     // Ground-truth-free reference: the exact scan's top-k on the sample.
-    let exact_ref = ExactIndex::from_matrix(&sample, metric);
+    let exact_ref = ExactIndex::from_source(&sample, metric);
     let reference: Vec<Vec<Neighbor>> = probes
         .iter()
         .map(|q| exact_ref.search_slice(q, k))

@@ -11,7 +11,7 @@
 //! [`matching::Clusterer`]) threshold-swept over the scored candidates.
 //! The [`Pipeline`] builder runs every stage over columnar
 //! [`core::EmbeddingMatrix`] storage — each collection embedded exactly
-//! once, indices borrowing the matrix zero-copy — and returns a
+//! once, each index owning a copy of the side it searches — and returns a
 //! [`eval::StageReport`] of per-stage wall-clock alongside the results.
 //!
 //! ```

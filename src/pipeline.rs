@@ -1,6 +1,6 @@
 //! The Figure 1 pipeline driver: vectorize each collection **exactly
-//! once** into a columnar [`EmbeddingMatrix`], hand the borrowed matrices
-//! to the top-k blocker (zero-copy — the index never clones a row), and
+//! once** into a columnar [`EmbeddingMatrix`], hand both matrices to the
+//! top-k blocker (whose index owns one copy of the right side), and
 //! record per-stage wall-clock plus item counts in a [`StageReport`].
 //!
 //! Dirty ER passes the same slice as both sides; it is detected by

@@ -68,7 +68,7 @@ fn batched_blocking_queries_match_sequential_search() {
     let mode = SerializationMode::SchemaAgnostic;
     let left = vectorize_matrix(model.as_ref(), &ds.left, &mode);
     let right = vectorize_matrix(model.as_ref(), &ds.right, &mode);
-    let index = HnswIndex::from_matrix(
+    let index = HnswIndex::from_source(
         &right,
         HnswConfig {
             metric: Metric::Cosine,
