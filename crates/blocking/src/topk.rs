@@ -11,7 +11,7 @@
 //! to sequential search either way), and threads each hit's similarity
 //! outward as a [`ScoredPair`] — the scored-candidate contract the matchers
 //! consume (see [`er_index::Metric::hit_similarity`]: cosine scores are
-//! bit-identical to `er_matching::similarity::cosine`). This is the one
+//! bit-identical to `er_core::kernels::cosine`). This is the one
 //! blocking entry point; the unscored view is `.map(|p| p.id_pair())` at
 //! the call site.
 
@@ -27,12 +27,15 @@ use er_index::{AnyIndex, NnIndex};
 ///
 /// For cosine backends the score is recomputed as
 /// `kernels::cosine_prenorm(left row, cached left norm, right row, cached
-/// right norm)`, which is bit-identical to
-/// `er_matching::similarity::cosine` on the same rows — subtracting the
-/// hit distance from 1 instead would drift by an ulp whenever `1 − cos`
-/// rounds. Euclidean backends map the (squared) distance monotonically
-/// through `1 / (1 + d)`. Either way downstream matchers never touch the
-/// vectors again: no re-scoring, no kernel drift.
+/// right norm)`, which is bit-identical to `er_core::kernels::cosine` on
+/// the same rows — subtracting the hit distance from 1 instead would drift
+/// by an ulp whenever `1 − cos` rounds. Euclidean backends map the
+/// (squared) distance monotonically through `1 / (1 + d)`. Either way
+/// downstream matchers never touch the vectors again: no re-scoring, no
+/// kernel drift.
+///
+/// A left row the index's query rule turns away — another width than
+/// `right`'s rows, or a NaN or ±∞ component — pairs with nothing.
 ///
 /// Output is deduplicated (order-normalized and self-pair-free when
 /// `config.dirty`) and sorted by `(left, right)`; the similarity is

@@ -6,9 +6,9 @@
 //! behind one enum so the indices and the blocker agree on what a returned
 //! "distance" means: always *lower is closer*.
 //!
-//! All arithmetic lives in [`crate::kernels`] — the same functions
-//! `er_matching::similarity` calls — so a distance computed here is
-//! bit-identical to the similarity the matcher derives from it.
+//! All arithmetic lives in [`crate::kernels`], so a distance computed here
+//! is bit-identical to the similarity the blocker threads to the matchers
+//! ([`Metric::hit_similarity`]).
 //!
 //! Historically this type lived in `er-index`; it moved down into er-core
 //! with the [`crate::OperatingPoint`] redesign (the unified config names a
@@ -91,9 +91,8 @@ impl Metric {
     /// the cached row norms rather than subtracting the hit distance from 1:
     /// `1 − (1 − c)` drifts from `c` by an ulp whenever `1 − c` rounds
     /// (every `c < 0.5`), while the prenorm recomputation is bit-identical
-    /// to [`kernels::cosine`] — and hence to
-    /// `er_matching::similarity::cosine` — because the matrices cache
-    /// exactly `kernels::norm(row)`. Squared Euclidean has no bounded
+    /// to [`kernels::cosine`] because the matrices cache exactly
+    /// `kernels::norm(row)`. Squared Euclidean has no bounded
     /// similarity twin, so it maps the distance monotonically through
     /// `1 / (1 + d)` ∈ (0, 1]. Both forms are symmetric in `(a, b)` at the
     /// bit level, which lets Dirty-ER dedup order-normalize pairs without

@@ -5,9 +5,16 @@
 //! `Reference` tier itself must stay bitwise equal to the pre-tier fold it
 //! replaced (the `zip`/`map`/`sum` expression, kept verbatim below as the
 //! regression oracle).
+//!
+//! It also guards against kernel drift: every public distance entry point
+//! — `Embedding`'s methods, the kernel tiers and `Metric` — must agree
+//! *bitwise* when asked for the same quantity on the same tier. One
+//! kernel, many doors; these tests fail the moment a door grows a private
+//! fold.
 
 use er_core::kernels::{self, KernelTier, LANES};
 use er_core::rng::rng;
+use er_core::{Embedding, Metric};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -185,4 +192,101 @@ fn norm_routes_through_the_tier_squared_norm() {
         kernels::norm(&v).to_bits(),
         pre_pr_dot(&v, &v).sqrt().to_bits()
     );
+}
+
+fn random_embeddings(n: usize, dim: usize, seed: u64) -> Vec<Embedding> {
+    let mut r = rng(seed);
+    (0..n)
+        .map(|_| Embedding((0..dim).map(|_| r.gen_range(-2.0..2.0)).collect()))
+        .collect()
+}
+
+#[test]
+fn every_public_dot_entry_point_agrees_bitwise_per_tier() {
+    // Dims straddle the 8-lane boundary on purpose.
+    for dim in [7usize, 8, 19, 32] {
+        let vs = random_embeddings(6, dim, 0xd01f + dim as u64);
+        for a in &vs {
+            for b in &vs {
+                // The tierless doors are all the Reference tier.
+                let want = KernelTier::Reference.dot(a.as_slice(), b.as_slice());
+                assert_eq!(a.dot(b).to_bits(), want.to_bits(), "dim {dim}");
+                assert_eq!(
+                    kernels::dot(a.as_slice(), b.as_slice()).to_bits(),
+                    want.to_bits()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_public_cosine_entry_point_agrees_bitwise_per_tier() {
+    for dim in [7usize, 8, 19, 32] {
+        let vs = random_embeddings(6, dim, 0xc0 + dim as u64);
+        for a in &vs {
+            for b in &vs {
+                for tier in TIERS {
+                    let want = tier.cosine(a.as_slice(), b.as_slice());
+                    // Metric::Cosine is `1 − cosine` on the same tier, and
+                    // its prenorm fast path takes the tier's own norms.
+                    assert_eq!(
+                        Metric::Cosine
+                            .distance_slices_tier(tier, a.as_slice(), b.as_slice())
+                            .to_bits(),
+                        (1.0 - want).to_bits(),
+                        "Metric::Cosine drifted ({tier:?}, dim {dim})"
+                    );
+                    let (na, nb) = (tier.norm(a.as_slice()), tier.norm(b.as_slice()));
+                    assert_eq!(
+                        Metric::Cosine
+                            .distance_prenorm_tier(tier, a.as_slice(), na, b.as_slice(), nb)
+                            .to_bits(),
+                        (1.0 - want).to_bits()
+                    );
+                }
+                let want = KernelTier::Reference.cosine(a.as_slice(), b.as_slice());
+                assert_eq!(a.cosine(b).to_bits(), want.to_bits());
+                assert_eq!(
+                    Metric::Cosine.distance(a, b).to_bits(),
+                    (1.0 - want).to_bits()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn euclidean_metric_routes_through_the_tier_squared_euclidean() {
+    for dim in [7usize, 9, 24] {
+        let vs = random_embeddings(5, dim, 0xe0c + dim as u64);
+        for a in &vs {
+            for b in &vs {
+                for tier in TIERS {
+                    let want = tier.squared_euclidean(a.as_slice(), b.as_slice());
+                    assert_eq!(
+                        Metric::Euclidean
+                            .distance_slices_tier(tier, a.as_slice(), b.as_slice())
+                            .to_bits(),
+                        want.to_bits(),
+                        "Metric::Euclidean drifted ({tier:?}, dim {dim})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_vectors_score_cosine_zero_through_every_door() {
+    let z = Embedding(vec![0.0; 12]);
+    let v = Embedding((0..12).map(|i| i as f32 - 5.0).collect());
+    for tier in TIERS {
+        assert_eq!(tier.cosine(z.as_slice(), v.as_slice()), 0.0);
+        assert_eq!(
+            Metric::Cosine.distance_slices_tier(tier, z.as_slice(), v.as_slice()),
+            1.0
+        );
+    }
+    assert_eq!(z.cosine(&v), 0.0);
 }

@@ -14,7 +14,7 @@
 //! the re-rank budget, the PQ config and the companion codes together —
 //! and derives its [`ScanConfig`] from it.
 
-use crate::store::{push_row, rerank, top_k, Tombstones};
+use crate::store::{top_k, Rows};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::pq::{PqCodebook, PqCodes, PqConfig};
 use er_core::quant::QuantizedMatrix;
@@ -44,11 +44,9 @@ pub(crate) enum Quant {
 
 #[derive(Debug, Clone)]
 pub struct ExactIndex {
-    pub(crate) matrix: EmbeddingMatrix,
+    /// Deleted rows stay stored (ids are stable) but the scan skips them.
+    pub(crate) rows: Rows,
     pub(crate) metric: Metric,
-    /// Deleted rows stay in the matrix (ids are stable) but the scan
-    /// skips them.
-    pub(crate) tombstones: Tombstones,
     /// The f32 kernel tier of the exact scan and the re-rank.
     pub(crate) tier: KernelTier,
     pub(crate) quant: Quant,
@@ -95,8 +93,7 @@ impl ExactIndex {
             }
         };
         Ok(ExactIndex {
-            tombstones: Tombstones::new(matrix.len()),
-            matrix,
+            rows: Rows::new(matrix),
             metric,
             tier: scan.tier,
             quant,
@@ -105,7 +102,7 @@ impl ExactIndex {
 
     /// The stored vectors.
     pub fn matrix(&self) -> &EmbeddingMatrix {
-        &self.matrix
+        self.rows.matrix()
     }
 
     /// The scan configuration this index ranks with.
@@ -121,12 +118,6 @@ impl ExactIndex {
         }
     }
 
-    /// The live row ids in ascending order — what every scan pass feeds
-    /// the selector.
-    fn live_rows(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.matrix.len()).filter(|&i| !self.tombstones.is_deleted(i))
-    }
-
     /// Quantized first pass: rank every live row by its approximate
     /// distance and keep the best `max(rerank, k)`; `None` for the pure
     /// f32 scan.
@@ -139,7 +130,10 @@ impl ExactIndex {
                     Metric::Euclidean => codes.squared_euclidean(&qq, i),
                     Metric::Cosine => 1.0 - codes.cosine(&qq, i),
                 };
-                top_k((*rerank).max(k), self.live_rows().map(|i| (i, dist(i))))
+                top_k(
+                    (*rerank).max(k),
+                    self.rows.live_rows().map(|i| (i, dist(i))),
+                )
             }
             Quant::Pq {
                 rerank,
@@ -149,7 +143,7 @@ impl ExactIndex {
             } => {
                 let r = (*rerank).max(k);
                 let k_cents = book.centroids();
-                let rows = self.live_rows();
+                let rows = self.rows.live_rows();
                 match self.metric {
                     Metric::Euclidean => {
                         let table = book.l2_tables(query);
@@ -169,7 +163,7 @@ impl ExactIndex {
 
 impl NnIndex for ExactIndex {
     fn len(&self) -> usize {
-        self.matrix.len()
+        self.rows.len()
     }
 
     fn metric(&self) -> Metric {
@@ -183,11 +177,11 @@ impl NnIndex for ExactIndex {
 
 impl IndexReader for ExactIndex {
     fn is_deleted(&self, index: usize) -> bool {
-        self.tombstones.is_deleted(index)
+        self.rows.is_deleted(index)
     }
 
     fn live_count(&self) -> usize {
-        self.tombstones.live()
+        self.rows.live()
     }
 
     /// The scan has no runtime query parameters, so `params` is ignored.
@@ -201,10 +195,10 @@ impl IndexReader for ExactIndex {
         k: usize,
         _params: &QueryParams,
     ) -> (Vec<Neighbor>, u64) {
-        if k == 0 || self.live_count() == 0 {
+        if !self.rows.answers(query, k) {
             return (Vec::new(), 0);
         }
-        let matrix = &self.matrix;
+        let (metric, tier) = (self.metric, self.tier);
         match self.first_pass(query, k) {
             // Quantized first pass, then an exact re-rank: every returned
             // distance comes from the f32 kernels, the quantized codes only
@@ -212,10 +206,11 @@ impl IndexReader for ExactIndex {
             Some(candidates) => {
                 let evals = candidates.len() as u64;
                 let ids = candidates.into_iter().map(|c| c.index);
-                (rerank(matrix, self.metric, self.tier, query, ids, k), evals)
+                (self.rows.rerank(metric, tier, query, ids, k), evals)
             }
             None => {
-                let hits = rerank(matrix, self.metric, self.tier, query, self.live_rows(), k);
+                let live = self.rows.live_rows();
+                let hits = self.rows.rerank(metric, tier, query, live, k);
                 (hits, self.live_count() as u64)
             }
         }
@@ -224,12 +219,7 @@ impl IndexReader for ExactIndex {
 
 impl MutableIndex for ExactIndex {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
-        let id = push_row(
-            &mut self.matrix,
-            &mut self.tombstones,
-            row,
-            "ExactIndex::insert_row",
-        )?;
+        let id = self.rows.push(row, "ExactIndex::insert_row")?;
         // Keep the quantized companion storage in step.
         match &mut self.quant {
             Quant::None => {}
@@ -246,7 +236,7 @@ impl MutableIndex for ExactIndex {
     }
 
     fn delete_row(&mut self, index: usize) -> bool {
-        self.tombstones.delete(index)
+        self.rows.delete(index)
     }
 
     /// Float-free compaction: live rows, their cached norms, and any
@@ -254,18 +244,16 @@ impl MutableIndex for ExactIndex {
     /// every distance the compacted index computes is bit-identical to the
     /// tombstoned original's.
     fn compact(&mut self) -> Vec<u32> {
-        let keep = self.tombstones.live_rows();
-        if self.tombstones.count() == 0 {
-            return keep;
+        let stored = self.len();
+        let keep = self.rows.compact();
+        if keep.len() < stored {
+            let rows = || keep.iter().map(|&old| old as usize);
+            match &mut self.quant {
+                Quant::None => {}
+                Quant::Int8 { codes, .. } => *codes = codes.select_rows(rows()),
+                Quant::Pq { codes, .. } => *codes = codes.select_rows(rows()),
+            }
         }
-        let rows = || keep.iter().map(|&old| old as usize);
-        self.matrix = self.matrix.select_rows(rows());
-        match &mut self.quant {
-            Quant::None => {}
-            Quant::Int8 { codes, .. } => *codes = codes.select_rows(rows()),
-            Quant::Pq { codes, .. } => *codes = codes.select_rows(rows()),
-        }
-        self.tombstones = Tombstones::new(keep.len());
         keep
     }
 }

@@ -26,7 +26,7 @@
 //! Deletions are tombstones: the node keeps its id and its links (it still
 //! routes searches through the graph) but is masked out of results.
 
-use crate::store::{push_row, Ranked, Tombstones};
+use crate::store::{Ranked, Rows};
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::rng::{derive, DetRng};
 use er_core::{EmbeddingMatrix, HnswConfig, QueryParams};
@@ -44,7 +44,9 @@ type Cand = Ranked<u32>;
 
 #[derive(Debug, Clone)]
 pub struct HnswIndex {
-    pub(crate) matrix: EmbeddingMatrix,
+    /// A tombstoned node is masked out of search results while its links
+    /// keep routing.
+    pub(crate) rows: Rows,
     /// `neighbors[node][layer]` — adjacency lists, layer 0 first.
     pub(crate) neighbors: Vec<Vec<Vec<u32>>>,
     pub(crate) entry: u32,
@@ -54,9 +56,6 @@ pub struct HnswIndex {
     /// node — a later `insert_row` continues exactly where the build left
     /// off (and persistence replays the stream to this position on load).
     pub(crate) level_rng: DetRng,
-    /// A tombstoned node is masked out of search results while its links
-    /// keep routing.
-    pub(crate) tombstones: Tombstones,
 }
 
 impl HnswIndex {
@@ -69,24 +68,32 @@ impl HnswIndex {
     pub fn from_source(source: impl Into<EmbeddingMatrix>, config: HnswConfig) -> HnswIndex {
         assert!(config.m >= 2, "HNSW needs m >= 2");
         assert!(config.ef_construction >= 1 && config.ef_search >= 1);
-        let matrix = source.into();
-        let n = matrix.len();
-        let level_rng = derive(config.seed, "hnsw-levels");
         let mut index = HnswIndex {
-            matrix,
-            neighbors: Vec::with_capacity(n),
+            rows: Rows::new(source.into()),
+            neighbors: Vec::new(),
             entry: 0,
             max_level: 0,
+            level_rng: derive(config.seed, "hnsw-levels"),
             config,
-            level_rng,
-            tombstones: Tombstones::new(n),
         };
+        index.build_graph();
+        index
+    }
+
+    /// Build the graph over every stored row from scratch: restart the
+    /// level stream from `config.seed`, then one level draw plus one
+    /// insert per row, in row order.
+    fn build_graph(&mut self) {
+        let n = self.rows.len();
+        self.neighbors = Vec::with_capacity(n);
+        self.entry = 0;
+        self.max_level = 0;
+        self.level_rng = derive(self.config.seed, "hnsw-levels");
         let mut visited = vec![false; n];
         for id in 0..n as u32 {
-            let level = index.draw_level();
-            index.insert(id, level, &mut visited);
+            let level = self.draw_level();
+            self.insert(id, level, &mut visited);
         }
-        index
     }
 
     /// One draw from the level stream: the exponentially-decaying level
@@ -117,7 +124,7 @@ impl HnswIndex {
 
     /// The stored vectors.
     pub fn matrix(&self) -> &EmbeddingMatrix {
-        &self.matrix
+        self.rows.matrix()
     }
 
     /// The adjacency structure, `[node][layer] -> neighbour ids` — exposed
@@ -133,7 +140,7 @@ impl HnswIndex {
     /// Distance from a query row (norm cached by the caller) to a stored row.
     #[inline]
     fn dist(&self, query: &[f32], query_norm: f32, id: u32) -> f32 {
-        let m = &self.matrix;
+        let m = self.rows.matrix();
         self.config.metric.distance_prenorm_tier(
             self.config.tier,
             query,
@@ -146,7 +153,7 @@ impl HnswIndex {
     /// Distance between two stored rows — both norms come from the cache.
     #[inline]
     fn dist_rows(&self, a: u32, b: u32) -> f32 {
-        let m = &self.matrix;
+        let m = self.rows.matrix();
         self.config.metric.distance_prenorm_tier(
             self.config.tier,
             m.row(a as usize),
@@ -165,8 +172,8 @@ impl HnswIndex {
         }
         // The inserted row doubles as the query while its links are chosen;
         // copy it out so searches can mutate `self.neighbors` freely.
-        let query: Vec<f32> = self.matrix.row(id as usize).to_vec();
-        let query_norm = self.matrix.norm(id as usize);
+        let query: Vec<f32> = self.rows.matrix().row(id as usize).to_vec();
+        let query_norm = self.rows.matrix().norm(id as usize);
         let mut cur = Cand {
             dist: self.dist(&query, query_norm, self.entry),
             id: self.entry,
@@ -358,7 +365,7 @@ impl HnswIndex {
 
 impl NnIndex for HnswIndex {
     fn len(&self) -> usize {
-        self.matrix.len()
+        self.rows.len()
     }
 
     fn metric(&self) -> Metric {
@@ -372,11 +379,11 @@ impl NnIndex for HnswIndex {
 
 impl IndexReader for HnswIndex {
     fn is_deleted(&self, index: usize) -> bool {
-        self.tombstones.is_deleted(index)
+        self.rows.is_deleted(index)
     }
 
     fn live_count(&self) -> usize {
-        self.tombstones.live()
+        self.rows.live()
     }
 
     /// Honors `params.ef_search` (the runtime beam width — bit-identical
@@ -389,7 +396,7 @@ impl IndexReader for HnswIndex {
         k: usize,
         params: &QueryParams,
     ) -> (Vec<Neighbor>, u64) {
-        if k == 0 || self.live_count() == 0 {
+        if !self.rows.answers(query, k) {
             return (Vec::new(), 0);
         }
         let query_norm = self.config.metric.query_norm_tier(self.config.tier, query);
@@ -404,7 +411,7 @@ impl IndexReader for HnswIndex {
             cur = self.greedy_closest(query, query_norm, cur, layer, &mut evals);
         }
         let ef = params.ef_search.unwrap_or(self.config.ef_search).max(k);
-        let mut visited = vec![false; self.matrix.len()];
+        let mut visited = vec![false; self.rows.len()];
         let found = self.search_layer(
             query,
             query_norm,
@@ -413,7 +420,7 @@ impl IndexReader for HnswIndex {
             0,
             &mut visited,
             &mut evals,
-            |id| !self.tombstones.is_deleted(id as usize),
+            |id| !self.rows.is_deleted(id as usize),
         );
         let hits = found
             .into_iter()
@@ -426,20 +433,15 @@ impl IndexReader for HnswIndex {
 
 impl MutableIndex for HnswIndex {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
-        let id = push_row(
-            &mut self.matrix,
-            &mut self.tombstones,
-            row,
-            "HnswIndex::insert_row",
-        )?;
+        let id = self.rows.push(row, "HnswIndex::insert_row")?;
         let level = self.draw_level();
-        let mut visited = vec![false; self.matrix.len()];
+        let mut visited = vec![false; self.rows.len()];
         self.insert(id as u32, level, &mut visited);
         Ok(id)
     }
 
     fn delete_row(&mut self, index: usize) -> bool {
-        self.tombstones.delete(index)
+        self.rows.delete(index)
     }
 
     /// Compaction rebuilds the graph from scratch over the live rows — and
@@ -450,14 +452,11 @@ impl MutableIndex for HnswIndex {
     /// calls continue exactly like inserts into that fresh build). Row
     /// floats and their cached norms are copied verbatim.
     fn compact(&mut self) -> Vec<u32> {
-        let keep = self.tombstones.live_rows();
-        if self.tombstones.count() == 0 {
-            return keep;
+        let stored = self.len();
+        let keep = self.rows.compact();
+        if keep.len() < stored {
+            self.build_graph();
         }
-        let live = self
-            .matrix
-            .select_rows(keep.iter().map(|&old| old as usize));
-        *self = HnswIndex::from_source(live, self.config.clone());
         keep
     }
 }

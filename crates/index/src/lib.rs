@@ -10,10 +10,17 @@
 //! readers share, [`MutableIndex`] the writer handle with insert, delete
 //! and tombstone-reclaiming [`MutableIndex::compact`].
 //!
-//! Storage is columnar: every index owns one [`er_core::EmbeddingMatrix`],
-//! moved in or copied from a caller's `&EmbeddingMatrix` at build time.
-//! Distances run over contiguous rows with precomputed row norms, so a
-//! cosine scan touches each stored vector once.
+//! Storage is columnar: every index owns one row store (`store::Rows`) —
+//! an [`er_core::EmbeddingMatrix`], moved in or copied from a caller's
+//! `&EmbeddingMatrix` at build time, and its tombstones. Distances run
+//! over contiguous rows with precomputed row norms, so a cosine scan
+//! touches each stored vector once.
+//!
+//! One query rule, checked by the row store at every backend's
+//! [`IndexReader::search_counted`] (and so under every other search
+//! entry): a search answers only for `k > 0`, at least one live row, a
+//! query as wide as the rows and with every component finite. Any other
+//! query gets no hits, never a panic or a NaN distance.
 //!
 //! [`AnyIndex::build`] is the one place a backend choice
 //! ([`BlockerBackend`]) becomes an index, and the one place its config is
@@ -56,7 +63,7 @@ pub struct Neighbor {
 }
 
 impl Neighbor {
-    pub fn new(index: usize, distance: f32) -> Neighbor {
+    pub(crate) fn new(index: usize, distance: f32) -> Neighbor {
         Neighbor { index, distance }
     }
 }
@@ -83,6 +90,12 @@ pub trait IndexReader: NnIndex {
     /// hits **plus the number of full-width f32 distance evaluations** the
     /// search performed over stored rows — the measured quantity `er-tune`
     /// validates its cost estimates against.
+    ///
+    /// Query rule: no hits and no evals unless `k > 0`, a row is live,
+    /// `query.len()` is the rows' width and every query component is
+    /// finite. [`NnIndex::search_slice`] and
+    /// [`NnIndex::search_batch_rows`] (one row at a time) answer through
+    /// it.
     ///
     /// Contract: with `QueryParams::default()` the hits are bit-identical
     /// to [`NnIndex::search_slice`] (pinned by tests); a param the backend
@@ -151,7 +164,8 @@ pub trait NnIndex {
     /// costs more than the spawn; every query's answer lands in its own
     /// slot, so the output is *identical* to calling
     /// [`NnIndex::search_slice`] sequentially — blocking an entire dataset
-    /// saturates cores without sacrificing determinism.
+    /// saturates cores without sacrificing determinism. A row the query
+    /// rule turns away gets an empty slot; the other rows are unaffected.
     fn search_batch_rows(&self, queries: &EmbeddingMatrix, k: usize) -> Vec<Vec<Neighbor>>
     where
         Self: Sync + Sized,

@@ -15,7 +15,7 @@
 //! follow it, which makes recall provably non-decreasing in `tables` for a
 //! fixed seed (the candidate union only grows).
 
-use crate::store::{push_row, rerank, Tombstones};
+use crate::store::Rows;
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::rng::derive;
 use er_core::{EmbeddingMatrix, ErError, KernelTier, LshConfig, QueryParams};
@@ -46,12 +46,11 @@ impl Table {
 
 #[derive(Debug, Clone)]
 pub struct HyperplaneLsh {
-    pub(crate) matrix: EmbeddingMatrix,
-    pub(crate) tables: Vec<Table>,
-    pub(crate) config: LshConfig,
     /// Deleted ids stay hashed in their buckets (ids are stable) but
     /// candidate gathering skips them.
-    pub(crate) tombstones: Tombstones,
+    pub(crate) rows: Rows,
+    pub(crate) tables: Vec<Table>,
+    pub(crate) config: LshConfig,
 }
 
 /// Standard normal via Box–Muller (the vendored `rand` has no
@@ -94,8 +93,7 @@ impl HyperplaneLsh {
             })
             .collect();
         HyperplaneLsh {
-            tombstones: Tombstones::new(matrix.len()),
-            matrix,
+            rows: Rows::new(matrix),
             tables,
             config,
         }
@@ -107,7 +105,7 @@ impl HyperplaneLsh {
 
     /// The stored vectors.
     pub fn matrix(&self) -> &EmbeddingMatrix {
-        &self.matrix
+        self.rows.matrix()
     }
 
     /// Per-table signatures, `[table][vector] -> u64` — exposed so the
@@ -123,19 +121,20 @@ impl HyperplaneLsh {
     /// per table of the prefix (clamped to the built count), the base
     /// bucket, then the buckets reached by flipping single signature bits,
     /// least-confident (smallest |margin|) first. A probed signature
-    /// nothing hashed to yields an empty bucket. An empty index hashed
-    /// nothing — probing its dim-0 hyperplanes against a real query would
-    /// be a shape mismatch — so it probes nothing.
+    /// nothing hashed to yields an empty bucket. A query the index would
+    /// not answer under the query rule (`Rows::answers`; an index with no
+    /// live rows, a query of another width or with a non-finite
+    /// component) probes nothing.
     fn probed_buckets<'s>(
         &'s self,
         query: &'s [f32],
         probes: usize,
         tables: usize,
     ) -> impl Iterator<Item = &'s [u32]> + 's {
-        let tables = if self.matrix.is_empty() {
-            0
-        } else {
+        let tables = if self.rows.answers(query, 1) {
             tables.clamp(1, self.tables.len())
+        } else {
+            0
         };
         self.tables[..tables].iter().flat_map(move |table| {
             let mut margins = Vec::with_capacity(self.config.planes);
@@ -167,7 +166,7 @@ impl HyperplaneLsh {
             .map(|bucket| {
                 bucket
                     .iter()
-                    .filter(|&&id| !self.tombstones.is_deleted(id as usize))
+                    .filter(|&&id| !self.rows.is_deleted(id as usize))
                     .count()
             })
             .collect()
@@ -181,12 +180,12 @@ impl HyperplaneLsh {
     /// index *built* with `tables` tables — which is what lets the tuner
     /// sweep both knobs against one build.
     pub fn candidates_slice_with(&self, query: &[f32], probes: usize, tables: usize) -> Vec<u32> {
-        let mut seen = vec![false; self.matrix.len()];
+        let mut seen = vec![false; self.rows.len()];
         self.probed_buckets(query, probes, tables)
             .flatten()
             .copied()
             .filter(|&id| {
-                !self.tombstones.is_deleted(id as usize)
+                !self.rows.is_deleted(id as usize)
                     && !std::mem::replace(&mut seen[id as usize], true)
             })
             .collect()
@@ -217,7 +216,7 @@ fn signature(
 
 impl NnIndex for HyperplaneLsh {
     fn len(&self) -> usize {
-        self.matrix.len()
+        self.rows.len()
     }
 
     fn metric(&self) -> Metric {
@@ -231,11 +230,11 @@ impl NnIndex for HyperplaneLsh {
 
 impl IndexReader for HyperplaneLsh {
     fn is_deleted(&self, index: usize) -> bool {
-        self.tombstones.is_deleted(index)
+        self.rows.is_deleted(index)
     }
 
     fn live_count(&self) -> usize {
-        self.tombstones.live()
+        self.rows.live()
     }
 
     /// Honors `params.probes` and `params.tables` (runtime probe settings
@@ -250,15 +249,14 @@ impl IndexReader for HyperplaneLsh {
         k: usize,
         params: &QueryParams,
     ) -> (Vec<Neighbor>, u64) {
-        if k == 0 || self.live_count() == 0 {
+        if !self.rows.answers(query, k) {
             return (Vec::new(), 0);
         }
         let probes = params.probes.unwrap_or(self.config.probes);
         let tables = params.tables.unwrap_or(self.config.tables);
         let candidates = self.candidates_slice_with(query, probes, tables);
         let evals = candidates.len() as u64;
-        let hits = rerank(
-            &self.matrix,
+        let hits = self.rows.rerank(
             self.config.metric,
             self.config.tier,
             query,
@@ -273,20 +271,15 @@ impl MutableIndex for HyperplaneLsh {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
         // No dimension adoption here: the hyperplanes were drawn against
         // the build-time dimension, so a mismatched row cannot be hashed.
-        if self.matrix.dim() != row.len() {
+        if self.matrix().dim() != row.len() {
             return Err(ErError::Model(format!(
                 "HyperplaneLsh::insert_row: pushed a {}-d row into a {}-d index \
                  (build over `EmbeddingMatrix::new(dim)` for an empty start)",
                 row.len(),
-                self.matrix.dim()
+                self.matrix().dim()
             )));
         }
-        let id = push_row(
-            &mut self.matrix,
-            &mut self.tombstones,
-            row,
-            "HyperplaneLsh::insert_row",
-        )?;
+        let id = self.rows.push(row, "HyperplaneLsh::insert_row")?;
         let tier = self.config.tier;
         for table in &mut self.tables {
             let sig = signature(&table.hyperplanes, row, tier, |_| {});
@@ -297,7 +290,7 @@ impl MutableIndex for HyperplaneLsh {
     }
 
     fn delete_row(&mut self, index: usize) -> bool {
-        self.tombstones.delete(index)
+        self.rows.delete(index)
     }
 
     /// Float-free compaction: the hyperplanes are untouched, live rows
@@ -306,21 +299,17 @@ impl MutableIndex for HyperplaneLsh {
     /// signatures — no dot product is ever recomputed, so candidate sets
     /// and re-ranked distances stay bit-identical.
     fn compact(&mut self) -> Vec<u32> {
-        let keep = self.tombstones.live_rows();
-        if self.tombstones.count() == 0 {
-            return keep;
+        let stored = self.len();
+        let keep = self.rows.compact();
+        if keep.len() < stored {
+            for table in &mut self.tables {
+                table.signatures = keep
+                    .iter()
+                    .map(|&old| table.signatures[old as usize])
+                    .collect();
+                table.rebuild_buckets();
+            }
         }
-        self.matrix = self
-            .matrix
-            .select_rows(keep.iter().map(|&old| old as usize));
-        for table in &mut self.tables {
-            table.signatures = keep
-                .iter()
-                .map(|&old| table.signatures[old as usize])
-                .collect();
-            table.rebuild_buckets();
-        }
-        self.tombstones = Tombstones::new(keep.len());
         keep
     }
 }

@@ -34,11 +34,11 @@
 
 use crate::exact::{Quant, Quantization, ScanConfig};
 use crate::lsh::Table;
-use crate::store::Tombstones;
+use crate::store::Rows;
 use crate::{BlockerBackend, ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metric};
 use er_core::binary::{self, kind, BinReader, BinWriter, Container};
 use er_core::pq::PqConfig;
-use er_core::{EmbeddingMatrix, ErError, KernelTier, Result};
+use er_core::{ErError, KernelTier, Result};
 use std::collections::HashMap;
 
 /// Section tags shared by the three index containers (disjoint use is
@@ -100,28 +100,45 @@ fn decode<'a, T>(
     Ok(out)
 }
 
-/// The MATRIX section every index container opens with.
-fn matrix_section(c: &mut Container) -> Result<EmbeddingMatrix> {
-    decode(c, tag::MATRIX, "matrix", binary::matrix_from_reader)
-}
+impl Rows {
+    /// One index container of `kind`: the rows' MATRIX, the backend's
+    /// META, the rows' TOMBSTONES, then the backend's own sections.
+    fn to_container(&self, kind: u16, meta: BinWriter, rest: Vec<(u32, Vec<u8>)>) -> Vec<u8> {
+        let mut matrix = BinWriter::new();
+        binary::matrix_to_writer(&mut matrix, self.matrix());
+        let mut tombstones = BinWriter::new();
+        tombstones.put_bitmap(self.deleted());
+        let mut sections = vec![
+            (tag::MATRIX, matrix.into_bytes()),
+            (tag::META, meta.into_bytes()),
+            (tag::TOMBSTONES, tombstones.into_bytes()),
+        ];
+        sections.extend(rest);
+        binary::write_container(kind, 0, &sections)
+    }
 
-fn tombstones_to_bytes(tombstones: &Tombstones) -> Vec<u8> {
-    let mut w = BinWriter::new();
-    w.put_bitmap(tombstones.flags());
-    w.into_bytes()
-}
-
-/// The TOMBSTONES section: a bitmap over exactly `rows` rows.
-fn tombstones_section(c: &mut Container, rows: usize) -> Result<Tombstones> {
-    let flags = decode(c, tag::TOMBSTONES, "tombstones", |r| r.get_bitmap(rows))?;
-    Ok(Tombstones::from_flags(flags))
+    /// Inverse of [`Rows::to_container`] up to the backend's own
+    /// sections: the rows (MATRIX, then a TOMBSTONES bitmap over exactly
+    /// its rows) and the META section decoded to its last byte by `meta`,
+    /// which sees the row count. The container is left at the backend's
+    /// first own section.
+    fn from_container<'a, M>(
+        bytes: &'a [u8],
+        kind: u16,
+        meta: impl FnOnce(&mut BinReader<'a>, usize) -> Result<M>,
+    ) -> Result<(Container<'a>, Rows, M)> {
+        let mut c = binary::read_container(bytes, kind)?;
+        let matrix = decode(&mut c, tag::MATRIX, "matrix", binary::matrix_from_reader)?;
+        let n = matrix.len();
+        let meta = decode(&mut c, tag::META, "meta", |r| meta(r, n))?;
+        let deleted = decode(&mut c, tag::TOMBSTONES, "tombstones", |r| r.get_bitmap(n))?;
+        Ok((c, Rows::with_deleted(matrix, deleted), meta))
+    }
 }
 
 impl ExactIndex {
     /// Serialize into one `kind::EXACT_INDEX` container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut matrix = BinWriter::new();
-        binary::matrix_to_writer(&mut matrix, &self.matrix);
         let mut meta = BinWriter::new();
         meta.put_u8(metric_code(self.metric));
         meta.put_u8(self.tier.code());
@@ -140,14 +157,10 @@ impl ExactIndex {
                 meta.put_u64(config.seed);
             }
         }
-        let mut sections = vec![
-            (tag::MATRIX, matrix.into_bytes()),
-            (tag::META, meta.into_bytes()),
-            (tag::TOMBSTONES, tombstones_to_bytes(&self.tombstones)),
-        ];
         // The quantized companion storage serializes verbatim — a load
         // must see the codes the build produced, not re-quantize (the
         // codebook in particular is a trained artifact).
+        let mut sections = Vec::new();
         match &self.quant {
             Quant::None => {}
             Quant::Int8 { codes, .. } => {
@@ -164,43 +177,55 @@ impl ExactIndex {
                 sections.push((tag::PQ_CODES, w.into_bytes()));
             }
         }
-        binary::write_container(kind::EXACT_INDEX, 0, &sections)
+        self.rows.to_container(kind::EXACT_INDEX, meta, sections)
     }
 
     /// Inverse of [`ExactIndex::to_bytes`]: an index whose searches are
     /// bit-identical to the saved one's.
     pub fn from_bytes(bytes: &[u8]) -> Result<ExactIndex> {
-        let mut c = binary::read_container(bytes, kind::EXACT_INDEX)?;
-        let matrix = matrix_section(&mut c)?;
-        let (rows, dim) = (matrix.len(), matrix.dim());
-        let mut meta = c.section(tag::META, "meta")?;
-        let metric = metric_from_code(meta.get_u8()?)?;
-        let tier = tier_from_code(meta.get_u8()?)?;
         // META ends with the quantization; its companion sections follow
         // TOMBSTONES.
-        let quant = meta.get_u8()?;
-        let tombstones = tombstones_section(&mut c, rows)?;
+        let (mut c, rows, (metric, tier, quant)) =
+            Rows::from_container(bytes, kind::EXACT_INDEX, |meta, _| {
+                let metric = metric_from_code(meta.get_u8()?)?;
+                let tier = tier_from_code(meta.get_u8()?)?;
+                let quant = match meta.get_u8()? {
+                    0 => Quantization::None,
+                    1 => Quantization::Int8 {
+                        rerank: meta.get_usize()?,
+                    },
+                    2 => Quantization::Pq {
+                        rerank: meta.get_usize()?,
+                        config: PqConfig {
+                            subspaces: meta.get_usize()?,
+                            centroids: meta.get_usize()?,
+                            iters: meta.get_usize()?,
+                            seed: meta.get_u64()?,
+                        },
+                    },
+                    other => {
+                        return Err(ErError::corrupt(format!(
+                            "unknown quantization code {other}"
+                        )))
+                    }
+                };
+                Ok((metric, tier, quant))
+            })?;
+        let (n, dim) = (rows.len(), rows.matrix().dim());
         let quant = match quant {
-            0 => Quant::None,
-            1 => Quant::Int8 {
-                rerank: meta.get_usize()?,
+            Quantization::None => Quant::None,
+            Quantization::Int8 { rerank } => Quant::Int8 {
+                rerank,
                 codes: decode(&mut c, tag::QUANT, "quantized matrix", |r| {
-                    binary::quantized_from_reader(r, rows, dim)
+                    binary::quantized_from_reader(r, n, dim)
                 })?,
             },
-            2 => {
-                let rerank = meta.get_usize()?;
-                let config = PqConfig {
-                    subspaces: meta.get_usize()?,
-                    centroids: meta.get_usize()?,
-                    iters: meta.get_usize()?,
-                    seed: meta.get_u64()?,
-                };
+            Quantization::Pq { config, rerank } => {
                 let book = decode(&mut c, tag::CODEBOOK, "PQ codebook", |r| {
                     binary::codebook_from_reader(r, dim)
                 })?;
                 let codes = decode(&mut c, tag::PQ_CODES, "PQ codes", |r| {
-                    binary::pq_codes_from_reader(r, &book, rows)
+                    binary::pq_codes_from_reader(r, &book, n)
                 })?;
                 Quant::Pq {
                     rerank,
@@ -209,17 +234,10 @@ impl ExactIndex {
                     codes,
                 }
             }
-            other => {
-                return Err(ErError::corrupt(format!(
-                    "unknown quantization code {other}"
-                )))
-            }
         };
-        meta.finish()?;
         c.finish()?;
         Ok(ExactIndex {
-            tombstones,
-            matrix,
+            rows,
             metric,
             tier,
             quant,
@@ -232,8 +250,6 @@ impl HnswIndex {
     /// entry point, and the full per-node per-layer adjacency — a load
     /// never re-runs construction.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut matrix = BinWriter::new();
-        binary::matrix_to_writer(&mut matrix, &self.matrix);
         let mut meta = BinWriter::new();
         meta.put_usize(self.config.m);
         meta.put_usize(self.config.ef_construction);
@@ -251,16 +267,8 @@ impl HnswIndex {
                 graph.put_u32_slice(links);
             }
         }
-        binary::write_container(
-            kind::HNSW_INDEX,
-            0,
-            &[
-                (tag::MATRIX, matrix.into_bytes()),
-                (tag::META, meta.into_bytes()),
-                (tag::TOMBSTONES, tombstones_to_bytes(&self.tombstones)),
-                (tag::GRAPH, graph.into_bytes()),
-            ],
-        )
+        let graph = vec![(tag::GRAPH, graph.into_bytes())];
+        self.rows.to_container(kind::HNSW_INDEX, meta, graph)
     }
 
     /// Inverse of [`HnswIndex::to_bytes`]: an index with the
@@ -268,28 +276,27 @@ impl HnswIndex {
     /// saved index's left off (so `insert_row` after a reload draws the
     /// same levels the original would have).
     pub fn from_bytes(bytes: &[u8]) -> Result<HnswIndex> {
-        let mut c = binary::read_container(bytes, kind::HNSW_INDEX)?;
-        let matrix = matrix_section(&mut c)?;
-        let n = matrix.len();
-        let mut meta = c.section(tag::META, "meta")?;
-        let config = HnswConfig {
-            m: meta.get_usize()?,
-            ef_construction: meta.get_usize()?,
-            ef_search: meta.get_usize()?,
-            seed: meta.get_u64()?,
-            metric: metric_from_code(meta.get_u8()?)?,
-            tier: tier_from_code(meta.get_u8()?)?,
-        };
-        let entry = meta.get_u32()?;
-        let max_level = meta.get_usize()?;
-        meta.finish()?;
-        config_in_range(BlockerBackend::Hnsw(config.clone()))?;
-        if n > 0 && (entry as usize >= n || max_level > crate::hnsw::MAX_LEVEL) {
-            return Err(ErError::corrupt(format!(
-                "HNSW entry {entry} / max level {max_level} out of range for {n} nodes"
-            )));
-        }
-        let tombstones = tombstones_section(&mut c, n)?;
+        let (mut c, rows, (config, entry, max_level)) =
+            Rows::from_container(bytes, kind::HNSW_INDEX, |meta, n| {
+                let config = HnswConfig {
+                    m: meta.get_usize()?,
+                    ef_construction: meta.get_usize()?,
+                    ef_search: meta.get_usize()?,
+                    seed: meta.get_u64()?,
+                    metric: metric_from_code(meta.get_u8()?)?,
+                    tier: tier_from_code(meta.get_u8()?)?,
+                };
+                let entry = meta.get_u32()?;
+                let max_level = meta.get_usize()?;
+                config_in_range(BlockerBackend::Hnsw(config.clone()))?;
+                if n > 0 && (entry as usize >= n || max_level > crate::hnsw::MAX_LEVEL) {
+                    return Err(ErError::corrupt(format!(
+                        "HNSW entry {entry} / max level {max_level} out of range for {n} nodes"
+                    )));
+                }
+                Ok((config, entry, max_level))
+            })?;
+        let n = rows.len();
         let mut graph = c.section(tag::GRAPH, "graph")?;
         graph.expect_len(n)?;
         let mut neighbors = Vec::with_capacity(n);
@@ -315,8 +322,7 @@ impl HnswIndex {
         graph.finish()?;
         c.finish()?;
         Ok(HnswIndex {
-            tombstones,
-            matrix,
+            rows,
             neighbors,
             entry,
             max_level,
@@ -331,8 +337,6 @@ impl HyperplaneLsh {
     /// hyperplanes and signatures verbatim — a load redoes none of the dot
     /// products that produced them.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut matrix = BinWriter::new();
-        binary::matrix_to_writer(&mut matrix, &self.matrix);
         let mut meta = BinWriter::new();
         meta.put_usize(self.config.planes);
         meta.put_usize(self.config.tables);
@@ -350,38 +354,30 @@ impl HyperplaneLsh {
         for table in &self.tables {
             sigs.put_u64_slice(&table.signatures);
         }
-        binary::write_container(
-            kind::LSH_INDEX,
-            0,
-            &[
-                (tag::MATRIX, matrix.into_bytes()),
-                (tag::META, meta.into_bytes()),
-                (tag::TOMBSTONES, tombstones_to_bytes(&self.tombstones)),
-                (tag::HYPERPLANES, planes.into_bytes()),
-                (tag::SIGNATURES, sigs.into_bytes()),
-            ],
-        )
+        let sections = vec![
+            (tag::HYPERPLANES, planes.into_bytes()),
+            (tag::SIGNATURES, sigs.into_bytes()),
+        ];
+        self.rows.to_container(kind::LSH_INDEX, meta, sections)
     }
 
     /// Inverse of [`HyperplaneLsh::to_bytes`]: bucket maps are rebuilt
     /// from the stored signatures in id order (float-free), everything
     /// else is read back verbatim.
     pub fn from_bytes(bytes: &[u8]) -> Result<HyperplaneLsh> {
-        let mut c = binary::read_container(bytes, kind::LSH_INDEX)?;
-        let matrix = matrix_section(&mut c)?;
-        let (n, dim) = (matrix.len(), matrix.dim());
-        let mut meta = c.section(tag::META, "meta")?;
-        let config = LshConfig {
-            planes: meta.get_usize()?,
-            tables: meta.get_usize()?,
-            probes: meta.get_usize()?,
-            seed: meta.get_u64()?,
-            metric: metric_from_code(meta.get_u8()?)?,
-            tier: tier_from_code(meta.get_u8()?)?,
-        };
-        meta.finish()?;
-        config_in_range(BlockerBackend::Lsh(config.clone()))?;
-        let tombstones = tombstones_section(&mut c, n)?;
+        let (mut c, rows, config) = Rows::from_container(bytes, kind::LSH_INDEX, |meta, _| {
+            let config = LshConfig {
+                planes: meta.get_usize()?,
+                tables: meta.get_usize()?,
+                probes: meta.get_usize()?,
+                seed: meta.get_u64()?,
+                metric: metric_from_code(meta.get_u8()?)?,
+                tier: tier_from_code(meta.get_u8()?)?,
+            };
+            config_in_range(BlockerBackend::Lsh(config.clone()))?;
+            Ok(config)
+        })?;
+        let (n, dim) = (rows.len(), rows.matrix().dim());
         // Each table holds `planes` length-prefixed hyperplanes.
         let mut planes = c.section(tag::HYPERPLANES, "hyperplanes")?;
         let tables = planes.bound(config.tables, 8 * config.planes)?;
@@ -407,8 +403,7 @@ impl HyperplaneLsh {
         sigs.finish()?;
         c.finish()?;
         Ok(HyperplaneLsh {
-            tombstones,
-            matrix,
+            rows,
             tables,
             config,
         })

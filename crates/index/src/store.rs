@@ -1,5 +1,5 @@
-//! The plumbing all three backends share: the tombstone set, the checked
-//! append into an index's matrix, the `(distance, id)` heap entry, the one
+//! The plumbing all three backends share: [`Rows`] (the stored rows, their
+//! tombstones and the query rule), the `(distance, id)` heap entry, the one
 //! bounded top-k selector, and the exact re-rank of a candidate list.
 
 use crate::{Metric, Neighbor};
@@ -39,91 +39,142 @@ impl<T: Ord> PartialEq for Ranked<T> {
 
 impl<T: Ord> Eq for Ranked<T> {}
 
-/// Which stored rows are deleted. Row ids are stable: a deleted row keeps
-/// its slot in the matrix (and, for HNSW, its graph links) and is only
-/// masked out of results. One flag per stored row, always.
+/// The rows an index keeps and the one rule for the queries it answers:
+/// the owned matrix and a deletion flag per stored row, one value held by
+/// every backend. Row ids are stable: a deleted row keeps its slot in the
+/// matrix (and, for HNSW, its graph links) and is only masked out of
+/// results, until [`Rows::compact`] drops it.
 #[derive(Debug, Clone)]
-pub(crate) struct Tombstones {
-    flags: Vec<bool>,
-    count: usize,
+pub(crate) struct Rows {
+    matrix: EmbeddingMatrix,
+    deleted: Vec<bool>,
+    deleted_count: usize,
 }
 
-impl Tombstones {
-    /// `rows` live rows.
-    pub(crate) fn new(rows: usize) -> Tombstones {
-        Tombstones {
-            flags: vec![false; rows],
-            count: 0,
+impl Rows {
+    /// `matrix`, every row live.
+    pub(crate) fn new(matrix: EmbeddingMatrix) -> Rows {
+        let deleted = vec![false; matrix.len()];
+        Rows::with_deleted(matrix, deleted)
+    }
+
+    /// `matrix` with one persisted deletion flag per row.
+    pub(crate) fn with_deleted(matrix: EmbeddingMatrix, deleted: Vec<bool>) -> Rows {
+        debug_assert_eq!(deleted.len(), matrix.len());
+        let deleted_count = deleted.iter().filter(|&&d| d).count();
+        Rows {
+            matrix,
+            deleted,
+            deleted_count,
         }
     }
 
-    /// From a persisted deletion bitmap.
-    pub(crate) fn from_flags(flags: Vec<bool>) -> Tombstones {
-        let count = flags.iter().filter(|&&d| d).count();
-        Tombstones { flags, count }
+    /// The stored rows, tombstoned ones included.
+    pub(crate) fn matrix(&self) -> &EmbeddingMatrix {
+        &self.matrix
     }
 
-    /// One flag per stored row — what persistence writes.
-    pub(crate) fn flags(&self) -> &[bool] {
-        &self.flags
+    /// One deletion flag per stored row — what persistence writes.
+    pub(crate) fn deleted(&self) -> &[bool] {
+        &self.deleted
+    }
+
+    /// Stored rows, tombstones included.
+    pub(crate) fn len(&self) -> usize {
+        self.matrix.len()
+    }
+
+    /// Stored rows minus tombstones.
+    pub(crate) fn live(&self) -> usize {
+        self.len() - self.deleted_count
     }
 
     /// Whether `row` is tombstoned (out-of-range rows are not).
     #[inline]
     pub(crate) fn is_deleted(&self, row: usize) -> bool {
-        self.flags.get(row).copied().unwrap_or(false)
+        self.deleted.get(row).copied().unwrap_or(false)
     }
 
-    /// Tombstoned rows.
-    pub(crate) fn count(&self) -> usize {
-        self.count
+    /// The live row ids in ascending order.
+    pub(crate) fn live_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(|&i| !self.deleted[i])
     }
 
-    /// Stored rows minus tombstones.
-    pub(crate) fn live(&self) -> usize {
-        self.flags.len() - self.count
+    /// The query rule of every index, checked at each backend's
+    /// `search_counted` before anything is scored: `k > 0`, at least one
+    /// live row, a query as wide as the rows, and every query component
+    /// finite. Any other query has no nearest rows to name — a NaN
+    /// distance orders nothing, and a truncated or overrun dot product
+    /// answers another question (or panics a kernel) — so it gets no hits.
+    pub(crate) fn answers(&self, query: &[f32], k: usize) -> bool {
+        k > 0
+            && self.live() > 0
+            && query.len() == self.matrix.dim()
+            && query.iter().all(|x| x.is_finite())
+    }
+
+    /// Append `row`, live, and return its new row id. Fails on a
+    /// dimension mismatch; rows built over nothing (dim 0) adopt the first
+    /// row's dimension.
+    pub(crate) fn push(&mut self, row: &[f32], who: &str) -> Result<usize> {
+        if self.matrix.is_empty() && self.matrix.dim() == 0 && !row.is_empty() {
+            self.matrix = EmbeddingMatrix::new(row.len());
+        }
+        if self.matrix.dim() != row.len() {
+            return Err(ErError::Model(format!(
+                "{who}: pushed a {}-d row into a {}-d index",
+                row.len(),
+                self.matrix.dim()
+            )));
+        }
+        self.matrix.push(row);
+        self.deleted.push(false);
+        Ok(self.len() - 1)
     }
 
     /// Tombstone `row`; `false` when out of range or already deleted.
     pub(crate) fn delete(&mut self, row: usize) -> bool {
-        if row >= self.flags.len() || self.flags[row] {
-            return false;
+        match self.deleted.get_mut(row) {
+            Some(flag) if !*flag => {
+                *flag = true;
+                self.deleted_count += 1;
+                true
+            }
+            _ => false,
         }
-        self.flags[row] = true;
-        self.count += 1;
-        true
     }
 
-    /// The live rows in order — the new→old map a compaction returns.
-    pub(crate) fn live_rows(&self) -> Vec<u32> {
-        (0..self.flags.len() as u32)
-            .filter(|&row| !self.flags[row as usize])
-            .collect()
+    /// Drop the tombstoned rows, live rows keeping their order and their
+    /// floats and cached norms verbatim, and return the new→old row map
+    /// (the identity, with nothing copied, when no row is tombstoned).
+    pub(crate) fn compact(&mut self) -> Vec<u32> {
+        let keep: Vec<u32> = self.live_rows().map(|row| row as u32).collect();
+        if self.deleted_count > 0 {
+            let matrix = self
+                .matrix
+                .select_rows(keep.iter().map(|&old| old as usize));
+            *self = Rows::new(matrix);
+        }
+        keep
     }
-}
 
-/// Append `row` (and its live tombstone slot) to an index's matrix and
-/// return the new row id. Fails on a dimension mismatch; a matrix built
-/// over nothing (dim 0) adopts the first row's dimension.
-pub(crate) fn push_row(
-    matrix: &mut EmbeddingMatrix,
-    tombstones: &mut Tombstones,
-    row: &[f32],
-    who: &str,
-) -> Result<usize> {
-    if matrix.is_empty() && matrix.dim() == 0 && !row.is_empty() {
-        *matrix = EmbeddingMatrix::new(row.len());
+    /// Exact distances from `query` to the candidate rows on `tier`, cut
+    /// to the best `k` by [`top_k`] — the exact scan (every live row) and
+    /// the second pass of every backend that gathers candidates cheaply
+    /// first (quantized scan, LSH).
+    pub(crate) fn rerank(
+        &self,
+        metric: Metric,
+        tier: KernelTier,
+        query: &[f32],
+        candidates: impl Iterator<Item = usize>,
+        k: usize,
+    ) -> Vec<Neighbor> {
+        let m = &self.matrix;
+        let query_norm = metric.query_norm_tier(tier, query);
+        let dist = |row, norm| metric.distance_prenorm_tier(tier, query, query_norm, row, norm);
+        top_k(k, candidates.map(|i| (i, dist(m.row(i), m.norm(i)))))
     }
-    if matrix.dim() != row.len() {
-        return Err(ErError::Model(format!(
-            "{who}: pushed a {}-d row into a {}-d index",
-            row.len(),
-            matrix.dim()
-        )));
-    }
-    matrix.push(row);
-    tombstones.flags.push(false);
-    Ok(matrix.len() - 1)
 }
 
 /// The best `k` of `(id, distance)` pairs, sorted by `(distance, id)`:
@@ -155,24 +206,4 @@ pub(crate) fn top_k(k: usize, mut hits: impl Iterator<Item = (usize, f32)>) -> V
         .into_iter()
         .map(|h| Neighbor::new(h.id, h.dist))
         .collect()
-}
-
-/// Exact distances from `query` to the candidate rows on `tier`, cut to
-/// the best `k` by [`top_k`] — the exact scan (every live row) and the
-/// second pass of every backend that gathers candidates cheaply first
-/// (quantized scan, LSH).
-pub(crate) fn rerank(
-    matrix: &EmbeddingMatrix,
-    metric: Metric,
-    tier: KernelTier,
-    query: &[f32],
-    candidates: impl Iterator<Item = usize>,
-    k: usize,
-) -> Vec<Neighbor> {
-    let query_norm = metric.query_norm_tier(tier, query);
-    let dist = |row, norm| metric.distance_prenorm_tier(tier, query, query_norm, row, norm);
-    top_k(
-        k,
-        candidates.map(|i| (i, dist(matrix.row(i), matrix.norm(i)))),
-    )
 }

@@ -3,7 +3,7 @@
 //!
 //! Every matcher consumes the `Vec<ScoredPair>` the blocker produced —
 //! the similarity threaded out of the index, bit-identical to
-//! [`similarity::cosine`] for cosine backends — and never re-scores a
+//! `er_core::kernels::cosine` for cosine backends — and never re-scores a
 //! pair. [`unique_mapping_clustering`] is the paper's default (§4.3);
 //! [`Clusterer`] adds the Kiraly stable-marriage approximation, one of
 //! the three clusterers of the paper's Fig. 2 generality check; and
@@ -11,7 +11,6 @@
 
 mod clusterers;
 mod kiraly;
-pub mod similarity;
 mod threshold;
 mod umc;
 

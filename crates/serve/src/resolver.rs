@@ -349,8 +349,8 @@ impl<'m> Resolver<'m> {
 
     /// The `k` nearest live records to `entity` (which need not be
     /// stored): embed, scatter across shards, gather-merge. An embedding
-    /// with a non-finite component gets no hits (the query rule of
-    /// [`crate::search_snapshots`]).
+    /// with a non-finite component gets no hits (the query rule, see
+    /// [`Resolver::query_embedding`]).
     pub fn query(&self, entity: &Entity, k: usize) -> Vec<Hit> {
         self.query_embedding(&self.embed(entity), k)
     }
@@ -361,8 +361,9 @@ impl<'m> Resolver<'m> {
     }
 
     /// Query with a precomputed embedding. One of another width than the
-    /// model's, or with a NaN or ±∞ component, gets no hits (the query
-    /// rule of [`crate::search_snapshots`]).
+    /// model's, or with a NaN or ±∞ component, gets no hits: the query rule
+    /// every index checks at its search entry
+    /// ([`er_index::IndexReader::search_counted`]).
     pub fn query_embedding(&self, embedding: &Embedding, k: usize) -> Vec<Hit> {
         self.index.search_ids(embedding.as_slice(), k)
     }

@@ -108,22 +108,16 @@ impl WriterState {
 /// inline on the caller's thread. Small shards therefore skip the spawn;
 /// the answer is the same either way.
 ///
-/// **Query rule**: a query whose width differs from the rows of a shard
-/// holding live records, or with a NaN or ±∞ component, returns no hits —
-/// the read-side mirror of the write path's row check. It has no nearest
-/// rows to name: a NaN distance orders nothing, and a truncated or
-/// overrun dot product answers another question (or panics a kernel).
-/// The check runs once, before the fan-out, and allocates nothing.
+/// **Query rule**: every shard answers by its index's query rule, checked
+/// at the index's search entry (`er_index::IndexReader::search_counted`):
+/// a query whose width differs from the shard's rows, or with a NaN or ±∞
+/// component, gets no hits from it, and neither does `k = 0` — the
+/// read-side mirror of the write path's row check.
 ///
 /// Public so callers holding a pinned [`Manifest`] (from
 /// [`ShardedIndex::snapshots`]) can re-run queries against exactly that
 /// committed state, regardless of concurrent writes.
 pub fn search_snapshots(snaps: &[Arc<SegmentSnapshot>], query: &[f32], k: usize) -> Vec<Hit> {
-    let fits =
-        |s: &Arc<SegmentSnapshot>| s.live_count() == 0 || s.index.matrix().dim() == query.len();
-    if k == 0 || !query.iter().all(|x| x.is_finite()) || !snaps.iter().all(fits) {
-        return Vec::new();
-    }
     let mut per_shard: Vec<Vec<Hit>> = vec![Vec::new(); snaps.len()];
     par::fill_chunks(
         &mut per_shard,
@@ -249,7 +243,7 @@ impl ShardedIndex {
         (fnv1a64(&id.0.to_le_bytes()) % self.writers.len() as u64) as usize
     }
 
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.writers.len()
     }
 
@@ -296,11 +290,11 @@ impl ShardedIndex {
             .collect()
     }
 
-    pub fn backend(&self) -> &BlockerBackend {
+    pub(crate) fn backend(&self) -> &BlockerBackend {
         &self.backend
     }
 
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -310,7 +304,7 @@ impl ShardedIndex {
     }
 
     /// Whether `id` is currently live (in the committed manifest).
-    pub fn contains(&self, id: EntityId) -> bool {
+    pub(crate) fn contains(&self, id: EntityId) -> bool {
         self.snapshots()[self.shard_of(id)].contains(id)
     }
 
@@ -488,9 +482,9 @@ impl ShardedIndex {
     }
 
     /// Scatter-gather top-k over the committed manifest: see
-    /// [`search_snapshots`], whose query rule applies (a wrong-width or
-    /// non-finite query returns no hits). Each query pins the manifest once
-    /// at the start, so concurrent writes cannot tear it.
+    /// [`search_snapshots`] for the query rule (a wrong-width or non-finite
+    /// query returns no hits). Each query pins the manifest once at the
+    /// start, so concurrent writes cannot tear it.
     pub fn search_ids(&self, query: &[f32], k: usize) -> Vec<Hit> {
         search_snapshots(&self.snapshots(), query, k)
     }

@@ -140,7 +140,7 @@ impl SegmentSnapshot {
     }
 
     /// Stored rows, tombstones included.
-    pub fn stored(&self) -> usize {
+    pub(crate) fn stored(&self) -> usize {
         self.index.len()
     }
 
@@ -150,7 +150,7 @@ impl SegmentSnapshot {
     }
 
     /// The underlying index (read-only).
-    pub fn index(&self) -> &AnyIndex {
+    pub(crate) fn index(&self) -> &AnyIndex {
         &self.index
     }
 
@@ -164,8 +164,9 @@ impl SegmentSnapshot {
     }
 
     /// Top-k over this snapshot's live records, ordered by the global
-    /// `(distance, id)` merge contract. The query is not checked here: the
-    /// query rule of [`crate::search_snapshots`] is the caller's.
+    /// `(distance, id)` merge contract. The index's query rule applies: a
+    /// query of another width than the rows, or with a NaN or ±∞
+    /// component, gets no hits.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
         let mut hits: Vec<Hit> = self
             .index

@@ -6,7 +6,8 @@
 //! Rows: every tiny-zoo model's embedding bits on D1, on a probe list and
 //! on a char-boundary probe list, the canonical `OperatingPoint::to_json`
 //! bytes, the autotuner's chosen point and trial list, blocking candidates
-//! with their score bits, `search_counted` eval counts per query, UMC and
+//! with their score bits, `search_counted` eval counts per query, the
+//! HNSW beam (links, hits, evals) with and without tombstones, UMC and
 //! Kiraly threshold sweeps (Clean-Clean and Dirty ER) with their match and
 //! metric bits, the PQ index container bytes on D1, and the
 //! `Resolver` save bytes (four backend/scan layouts) and per-shard journal
@@ -371,6 +372,80 @@ fn search_counted_evals_on_d1() {
         }
     }
     check("EVALS", &got, EVALS);
+}
+
+const HNSW_BEAM: &[(&str, u64)] = &[("with_and_without_tombstones", 0x0b581c0b805dfd78)];
+
+/// The HNSW beam over a seeded 12-d fixture, with and without tombstones,
+/// both metrics: the link structure, then per query the eval count and
+/// every hit's row and distance bits of four `(k, ef_search)` settings.
+/// The beam must route through tombstoned nodes (construction links
+/// through them, queries pass them) while never returning them, so a
+/// change to how the mask is applied moves the adjacency after the
+/// post-delete inserts or the eval counts.
+#[test]
+fn hnsw_beam_with_and_without_tombstones() {
+    let mut r = rng(81);
+    let rows: Vec<Embedding> = (0..420)
+        .map(|_| Embedding((0..12).map(|_| r.gen_range(-1.0..1.0)).collect()))
+        .collect();
+    let mut r = rng(82);
+    let queries: Vec<Embedding> = (0..40)
+        .map(|_| Embedding((0..12).map(|_| r.gen_range(-1.0..1.0)).collect()))
+        .collect();
+    let mut bytes: Vec<u8> = Vec::new();
+    for metric in [Metric::Euclidean, Metric::Cosine] {
+        for tombstones in [false, true] {
+            let config = HnswConfig {
+                m: 8,
+                ef_construction: 40,
+                metric,
+                ..HnswConfig::default()
+            };
+            let seed_rows = EmbeddingMatrix::from_embeddings(&rows[..300]);
+            let mut index = HnswIndex::from_source(seed_rows, config);
+            if tombstones {
+                for dead in (0..300).step_by(4) {
+                    assert!(index.delete_row(dead));
+                }
+            }
+            // Inserts continue after the deletes: construction links
+            // through tombstoned nodes.
+            for (i, row) in rows[300..].iter().enumerate() {
+                index.insert_row(row.as_slice()).unwrap();
+                if tombstones && i % 4 == 1 {
+                    assert!(index.delete_row(300 + i));
+                }
+            }
+            assert_eq!(index.len(), 420);
+            assert_eq!(index.live_count(), if tombstones { 315 } else { 420 });
+            for layers in index.adjacency() {
+                bytes.extend((layers.len() as u32).to_le_bytes());
+                for links in layers {
+                    bytes.extend((links.len() as u32).to_le_bytes());
+                    links.iter().for_each(|l| bytes.extend(l.to_le_bytes()));
+                }
+            }
+            for q in &queries {
+                for (k, params) in [
+                    (1, QueryParams::with_ef_search(1)),
+                    (10, QueryParams::default()),
+                    (10, QueryParams::with_ef_search(8)),
+                    (25, QueryParams::with_ef_search(100)),
+                ] {
+                    let (hits, evals) = index.search_counted(q.as_slice(), k, &params);
+                    assert!(hits.iter().all(|h| !index.is_deleted(h.index)));
+                    bytes.extend(evals.to_le_bytes());
+                    for h in hits {
+                        bytes.extend((h.index as u32).to_le_bytes());
+                        bytes.extend(h.distance.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    let got = [("with_and_without_tombstones".to_string(), fnv1a64(&bytes))];
+    check("HNSW_BEAM", &got, HNSW_BEAM);
 }
 
 const SWEEP: &[(&str, u64)] = &[

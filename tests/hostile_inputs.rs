@@ -1,17 +1,21 @@
-//! Hostile inputs against the served query path. Every served query —
-//! `Resolver::query_embedding`, `ShardedIndex::search_ids` and
-//! `search_snapshots` on a pinned manifest — follows one rule: a query of
-//! another width than the stored rows, or with a NaN or ±∞ component,
-//! returns no hits, and so do `k = 0` and an empty index. The table runs
-//! each hostile query under `catch_unwind` against every scan path a shard
-//! can take (Exact on the `Reference` and `Lanes` tiers, HNSW, LSH) on one
-//! and on two shards, so a kernel that panics on a short row or answers
-//! from a truncated dot product fails here by name.
+//! Hostile inputs against every search entry. Every index answers by one
+//! query rule, checked at its search entry: a query of another width than
+//! the stored rows, or with a NaN or ±∞ component, returns no hits, and so
+//! do `k = 0` and an index with no live rows. The served entries
+//! (`Resolver::query_embedding`, `ShardedIndex::search_ids`,
+//! `search_snapshots` on a pinned manifest, `SegmentSnapshot::search`) and
+//! the index-level ones (`search_slice`, `search_counted`,
+//! `search_batch_rows`, `top_k_blocking_scored_matrix`) all reach it. The
+//! tables run each hostile query under `catch_unwind` against every scan
+//! path an index can take (Exact on the `Reference` and `Lanes` tiers,
+//! HNSW, LSH), served on one and on two shards, so a kernel that panics on
+//! a short row or answers from a truncated dot product fails here by name.
 //!
 //! Run it in release too: in debug the kernels' length `debug_assert`s
 //! fire first, and only release shows what the unchecked kernels do.
 
 use embeddings4er::prelude::*;
+use er_index::AnyIndex;
 use er_serve::search_snapshots;
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,7 +50,7 @@ impl LanguageModel for Width {
     }
 }
 
-/// Every scan path a served shard can take.
+/// Every scan path an index can take.
 fn layouts() -> Vec<(&'static str, BlockerBackend, ScanConfig)> {
     let exact = BlockerBackend::Exact(Metric::Cosine);
     vec![
@@ -97,18 +101,22 @@ fn hostile_queries() -> Vec<(&'static str, Vec<f32>)> {
     ]
 }
 
-/// The answers of the three served entry points to one query.
-fn served(resolver: &Resolver, query: &[f32], k: usize) -> [(&'static str, Vec<Hit>); 3] {
+/// The answers of the served entry points to one query. A single
+/// snapshot is searched on the shard that stores `row(3)`, so the valid
+/// control finds at least that row there.
+fn served(resolver: &Resolver, query: &[f32], k: usize) -> [(&'static str, Vec<Hit>); 4] {
     let index = resolver.index();
+    let manifest = index.snapshots();
     [
         (
             "Resolver::query_embedding",
             resolver.query_embedding(&Embedding(query.to_vec()), k),
         ),
         ("ShardedIndex::search_ids", index.search_ids(query, k)),
+        ("search_snapshots", search_snapshots(&manifest, query, k)),
         (
-            "search_snapshots",
-            search_snapshots(&index.snapshots(), query, k),
+            "SegmentSnapshot::search",
+            manifest[index.shard_of(EntityId(3))].search(query, k),
         ),
     ]
 }
@@ -176,5 +184,134 @@ fn hostile_queries_get_no_hits_on_every_layout() {
                 expect_hits(&resolver, &case, &query, 5, 0..=0);
             }
         }
+    }
+}
+
+/// An index of `backend` over `rows(0..ROWS)` (none when `filled` is
+/// false), typed as the blocker and the shards hold it.
+fn index(backend: &BlockerBackend, scan: ScanConfig, filled: bool) -> AnyIndex {
+    let n = if filled { ROWS } else { 0 };
+    let rows = EmbeddingMatrix::from_flat(DIM, (0..n).flat_map(row).collect()).unwrap();
+    AnyIndex::build(rows, backend, scan).expect("valid layout")
+}
+
+/// The answers of the single-query index entries to one query.
+fn index_level(index: &AnyIndex, query: &[f32], k: usize) -> [(&'static str, Vec<Neighbor>); 2] {
+    [
+        ("search_slice", index.search_slice(query, k)),
+        (
+            "search_counted",
+            index.search_counted(query, k, &QueryParams::default()).0,
+        ),
+    ]
+}
+
+/// Run `query` through every single-query index entry under
+/// `catch_unwind` and require a hit count in `want` from each, all live
+/// rows at finite distances.
+fn expect_neighbors(
+    index: &AnyIndex,
+    case: &str,
+    query: &[f32],
+    k: usize,
+    want: RangeInclusive<usize>,
+) {
+    let answers = catch_unwind(AssertUnwindSafe(|| index_level(index, query, k)))
+        .unwrap_or_else(|_| panic!("{case}: an index search panicked"));
+    for (entry, hits) in answers {
+        assert!(want.contains(&hits.len()), "{case} via {entry}: {hits:?}");
+        assert!(
+            hits.iter()
+                .all(|h| h.distance.is_finite() && h.index < ROWS as usize),
+            "{case} via {entry}: {hits:?}"
+        );
+    }
+}
+
+#[test]
+fn hostile_queries_get_no_hits_from_any_index_entry() {
+    for (name, backend, scan) in layouts() {
+        let empty = index(&backend, scan, false);
+        expect_neighbors(&empty, &format!("{name}, empty"), &row(3), 5, 0..=0);
+        for (what, query) in hostile_queries() {
+            let case = format!("{name}, empty index, {what} query");
+            expect_neighbors(&empty, &case, &query, 5, 0..=0);
+        }
+
+        let index = index(&backend, scan, true);
+        expect_neighbors(&index, &format!("{name}, valid"), &row(3), 5, 1..=5);
+        expect_neighbors(&index, &format!("{name}, k = 0"), &row(3), 0, 0..=0);
+        for (what, query) in hostile_queries() {
+            let case = format!("{name}, {what} query");
+            expect_neighbors(&index, &case, &query, 5, 0..=0);
+        }
+    }
+}
+
+#[test]
+fn search_batch_rows_turns_away_only_the_hostile_rows() {
+    // Valid rows at even slots, one non-finite row between each pair.
+    let mut queries = EmbeddingMatrix::new(DIM);
+    let hostile: Vec<(&str, Vec<f32>)> = hostile_queries()
+        .into_iter()
+        .filter(|(_, q)| q.len() == DIM)
+        .collect();
+    for (i, (_, q)) in hostile.iter().enumerate() {
+        queries.push(&row(i as u32 + 1));
+        queries.push(q);
+    }
+    queries.push(&row(9));
+    let wide = EmbeddingMatrix::from_flat(3 * DIM, row(3).repeat(3).repeat(2)).unwrap();
+    for (name, backend, scan) in layouts() {
+        let index = index(&backend, scan, true);
+        let batch = |queries: &EmbeddingMatrix, k| {
+            catch_unwind(AssertUnwindSafe(|| index.search_batch_rows(queries, k)))
+                .unwrap_or_else(|_| panic!("{name}: search_batch_rows panicked"))
+        };
+        let answers = batch(&queries, 5);
+        assert_eq!(answers.len(), queries.len(), "{name}");
+        for (slot, hits) in answers.iter().enumerate() {
+            let case = match slot % 2 {
+                0 => "valid",
+                _ => hostile[slot / 2].0,
+            };
+            let want = if slot % 2 == 0 { 1..=5 } else { 0..=0 };
+            assert!(
+                want.contains(&hits.len()),
+                "{name}, slot {slot} ({case}): {hits:?}"
+            );
+            assert!(
+                hits.iter().all(|h| h.distance.is_finite()),
+                "{name}, slot {slot} ({case}): {hits:?}"
+            );
+        }
+        assert!(
+            batch(&queries, 0).iter().all(Vec::is_empty),
+            "{name}, k = 0"
+        );
+        let answers = batch(&wide, 5);
+        assert_eq!(answers.len(), 2, "{name}");
+        assert!(
+            answers.iter().all(Vec::is_empty),
+            "{name}, too wide: {answers:?}"
+        );
+    }
+}
+
+#[test]
+fn blocking_a_wider_left_side_pairs_nothing() {
+    let right = EmbeddingMatrix::from_flat(DIM, (0..ROWS).flat_map(row).collect()).unwrap();
+    let right_ids: Vec<EntityId> = (0..ROWS).map(EntityId).collect();
+    let left =
+        EmbeddingMatrix::from_flat(3 * DIM, (0..3).flat_map(|id| row(id).repeat(3)).collect())
+            .unwrap();
+    let left_ids: Vec<EntityId> = (0..3).map(EntityId).collect();
+    for (name, backend, scan) in layouts() {
+        let point = OperatingPoint::new(5).backend(backend).scan(scan);
+        let pairs = catch_unwind(AssertUnwindSafe(|| {
+            top_k_blocking_scored_matrix(&left_ids, &left, &right_ids, &right, &point)
+        }))
+        .unwrap_or_else(|_| panic!("{name}: blocking a 12-d left side panicked"));
+        assert!(pairs.is_empty(), "{name}: {pairs:?}");
     }
 }

@@ -3,10 +3,10 @@
 //! [`Pipeline::resolve`] with a UMC threshold sweep reaches F1 ≥ 0.8 at
 //! its best δ, is byte-deterministic across two fully independent runs,
 //! and every scored candidate's similarity is bit-identical to
-//! `er_matching::similarity::cosine` recomputed from the embedding
-//! matrices — no kernel drift, no re-scoring.
+//! `er_core::kernels::cosine` recomputed from the embedding matrices — no
+//! kernel drift, no re-scoring.
 
-use embeddings4er::matching::similarity;
+use embeddings4er::core::kernels;
 use embeddings4er::prelude::*;
 
 fn resolve_config() -> ResolveConfig {
@@ -101,8 +101,7 @@ fn candidate_scores_are_bit_identical_to_matcher_side_cosine() {
     let outcome = pipeline.block(&ds.left, &ds.right, &resolve_config().blocking);
     assert!(!outcome.scored.is_empty());
     for p in &outcome.scored {
-        let expected =
-            similarity::cosine_slices(left.row(p.left.0 as usize), right.row(p.right.0 as usize));
+        let expected = kernels::cosine(left.row(p.left.0 as usize), right.row(p.right.0 as usize));
         assert_eq!(
             p.score.to_bits(),
             expected.to_bits(),
