@@ -223,13 +223,7 @@ impl MutableIndex for ExactIndex {
         // Keep the quantized companion storage in step.
         match &mut self.quant {
             Quant::None => {}
-            Quant::Int8 { codes, .. } => {
-                if codes.is_empty() && codes.dim() != row.len() {
-                    // The empty index adopted this row's dimension above.
-                    *codes = QuantizedMatrix::new(row.len());
-                }
-                codes.push_row(row);
-            }
+            Quant::Int8 { codes, .. } => codes.push_row(row),
             Quant::Pq { book, codes, .. } => book.encode_row(row, codes),
         }
         Ok(id)

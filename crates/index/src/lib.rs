@@ -37,7 +37,6 @@ pub use any::AnyIndex;
 pub use exact::{ExactIndex, Quantization, ScanConfig};
 pub use hnsw::HnswIndex;
 pub use lsh::HyperplaneLsh;
-pub use store::Ranked;
 // The metric, the backend configs and the runtime query-parameter
 // overrides every `IndexReader` accepts live in er-core beside
 // `OperatingPoint`, which holds them; re-exported so `er_index::{Metric,
@@ -113,10 +112,9 @@ pub trait IndexReader: NnIndex {
 pub trait MutableIndex: IndexReader {
     /// Append one vector, returning its new row id.
     ///
-    /// Fails on a dimension mismatch. An index built over an empty dim-0
-    /// matrix adopts the first inserted row's dimension where nothing
-    /// dimension-dependent was precomputed (exact, HNSW); LSH drew its
-    /// hyperplanes at build time and rejects the mismatch instead.
+    /// An index's width is fixed when it is built (an empty start is
+    /// `EmbeddingMatrix::new(dim)`): a row of another width is
+    /// [`er_core::ErError::Model`], on every backend.
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize>;
 
     /// Tombstone a row. Returns `false` when the id is out of range or

@@ -18,7 +18,7 @@
 use crate::store::Rows;
 use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
 use er_core::rng::derive;
-use er_core::{EmbeddingMatrix, ErError, KernelTier, LshConfig, QueryParams};
+use er_core::{EmbeddingMatrix, KernelTier, LshConfig, QueryParams};
 use rand::{Rng, RngCore};
 use std::collections::HashMap;
 
@@ -269,16 +269,6 @@ impl IndexReader for HyperplaneLsh {
 
 impl MutableIndex for HyperplaneLsh {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
-        // No dimension adoption here: the hyperplanes were drawn against
-        // the build-time dimension, so a mismatched row cannot be hashed.
-        if self.matrix().dim() != row.len() {
-            return Err(ErError::Model(format!(
-                "HyperplaneLsh::insert_row: pushed a {}-d row into a {}-d index \
-                 (build over `EmbeddingMatrix::new(dim)` for an empty start)",
-                row.len(),
-                self.matrix().dim()
-            )));
-        }
         let id = self.rows.push(row, "HyperplaneLsh::insert_row")?;
         let tier = self.config.tier;
         for table in &mut self.tables {

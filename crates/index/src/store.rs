@@ -12,9 +12,9 @@ use std::collections::BinaryHeap;
 /// max-heap (worst on top, ready for eviction),
 /// `BinaryHeap<Reverse<Ranked<T>>>` a min-heap (best on top).
 #[derive(Debug, Clone, Copy)]
-pub struct Ranked<T> {
-    pub dist: f32,
-    pub id: T,
+pub(crate) struct Ranked<T> {
+    pub(crate) dist: f32,
+    pub(crate) id: T,
 }
 
 impl<T: Ord> Ord for Ranked<T> {
@@ -113,14 +113,11 @@ impl Rows {
             && query.iter().all(|x| x.is_finite())
     }
 
-    /// Append `row`, live, and return its new row id. Fails on a
-    /// dimension mismatch; rows built over nothing (dim 0) adopt the first
-    /// row's dimension.
+    /// Append `row`, live, and return its new row id. Fails on a row of
+    /// another width than the one the rows were built with, and on every
+    /// row when that width is 0 (an empty row stores nothing to name).
     pub(crate) fn push(&mut self, row: &[f32], who: &str) -> Result<usize> {
-        if self.matrix.is_empty() && self.matrix.dim() == 0 && !row.is_empty() {
-            self.matrix = EmbeddingMatrix::new(row.len());
-        }
-        if self.matrix.dim() != row.len() {
+        if row.is_empty() || self.matrix.dim() != row.len() {
             return Err(ErError::Model(format!(
                 "{who}: pushed a {}-d row into a {}-d index",
                 row.len(),

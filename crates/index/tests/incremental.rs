@@ -183,24 +183,6 @@ fn dimension_mismatches_are_typed_errors() {
         Err(ErError::Model(_))
     ));
     assert_eq!(exact.insert_row(&[1.0; 4]).unwrap(), 0);
-    // Dim-0 empty stores adopt the first row's dimension (exact, HNSW)…
-    let mut adopt =
-        ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&[]), Metric::Euclidean);
-    assert_eq!(adopt.insert_row(&[1.0, 2.0]).unwrap(), 0);
-    assert!(matches!(
-        adopt.insert_row(&[1.0; 5]),
-        Err(ErError::Model(_))
-    ));
-    let mut hnsw =
-        HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&[]), HnswConfig::default());
-    assert_eq!(hnsw.insert_row(&[1.0, 2.0]).unwrap(), 0);
-    // …but LSH hashed nothing yet still fixed its hyperplane dimension.
-    let mut lsh =
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&[]), LshConfig::default());
-    assert!(matches!(
-        lsh.insert_row(&[1.0, 2.0]),
-        Err(ErError::Model(_))
-    ));
     let mut lsh = HyperplaneLsh::from_source(EmbeddingMatrix::new(2), LshConfig::default());
     assert_eq!(lsh.insert_row(&[1.0, 2.0]).unwrap(), 0);
     assert_eq!(

@@ -15,9 +15,9 @@
 //!   so a record embeds bit-identically on both paths.
 //! * [`ShardedIndex`] — the vector-level half: N hash-routed shards
 //!   (FNV-1a over the entity id) of any `er_index` backend, queried
-//!   scatter-gather with a `BinaryHeap` k-way merge that preserves the
-//!   `(distance, id)` total order. An N-shard exact search is
-//!   bit-identical to a single exact index over the same records.
+//!   scatter-gather: the per-shard top-k lists are gathered and sorted
+//!   once by `(distance, id)`. An N-shard exact search is bit-identical
+//!   to a single exact index over the same records.
 //! * One published manifest — the index publishes every shard's immutable
 //!   [`SegmentSnapshot`] together in one [`Manifest`], which a query pins
 //!   with one `Arc` clone; each shard's writer mutates a standby copy and
@@ -37,10 +37,10 @@
 //!   compaction policy) around the same `BlockerBackend` and `ScanConfig`
 //!   values an `er_core::OperatingPoint` holds.
 //! * Compaction — tombstoned rows are reclaimed automatically once a
-//!   shard crosses its [`CompactionPolicy`] threshold (or manually, one
-//!   shard at a time, via [`ShardedIndex::compact_shard`]), with live
-//!   top-k answers unchanged;
-//!   [`ShardStats`] reports live/tombstoned/journal depth per shard.
+//!   shard crosses its [`CompactionPolicy`] threshold, inside the one
+//!   apply path live writes and journal replay share, with live top-k
+//!   answers unchanged; [`ShardStats`] reports live/tombstoned/journal
+//!   depth per shard.
 //!
 //! Incremental index mutation itself (HNSW streaming insertion that is
 //! bit-identical to batch construction, tombstone-masked search,

@@ -43,7 +43,7 @@ use er_core::binary::{self, kind, BinReader, BinWriter};
 use er_core::journal::parse_journal;
 use er_core::{Embedding, Entity, EntityId, ErError, Result, SerializationMode};
 use er_embed::LanguageModel;
-use er_index::{AnyIndex, BlockerBackend, NnIndex, ScanConfig};
+use er_index::{AnyIndex, BlockerBackend, ScanConfig};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -118,7 +118,7 @@ impl ServeConfig {
     }
 
     /// Choose when shards compact automatically
-    /// ([`CompactionPolicy::never`] restores accumulate-until-manual).
+    /// ([`CompactionPolicy::never`] keeps every tombstoned row stored).
     pub fn compaction(mut self, compaction: CompactionPolicy) -> ServeConfig {
         self.compaction = compaction;
         self
@@ -408,7 +408,7 @@ impl<'m> Resolver<'m> {
         let snaps = self.index.snapshots();
         ServeConfig {
             shards: snaps.len(),
-            backend: self.index.backend().clone(),
+            backend: snaps[0].index().backend(),
             scan: shard_scan(snaps[0].index()),
             compaction: self.index.compaction_policy(),
         }
@@ -476,8 +476,10 @@ impl<'m> Resolver<'m> {
             min_stored: meta.get_usize()?,
         };
         meta.finish()?;
-        if shard_count == 0 {
-            return Err(ErError::corrupt("resolver with zero shards"));
+        if shard_count == 0 || dim == 0 {
+            return Err(ErError::corrupt(format!(
+                "resolver with {shard_count} shards over {dim}-d rows"
+            )));
         }
         // The model is checked before the shards are decoded: a save opened
         // under the wrong model fails without paying for its graphs.
@@ -508,10 +510,11 @@ impl<'m> Resolver<'m> {
         for i in 0..shard_count {
             let ids: Vec<EntityId> = shards.get_u32_vec()?.into_iter().map(EntityId).collect();
             let index = AnyIndex::from_bytes(shards.get_bytes()?)?;
-            // Every shard must hold META's row width (kernels only
+            // Every shard, empty or not, must hold META's row width (an
+            // index's width is fixed when it is built, and kernels only
             // debug-assert lengths) and share shard 0's backend.
             let rows_dim = index.matrix().dim();
-            if !index.is_empty() && rows_dim != dim {
+            if rows_dim != dim {
                 return Err(ErError::corrupt(format!(
                     "shard {i} stores {rows_dim}-d rows, the resolver {dim}-d"
                 )));
@@ -531,7 +534,7 @@ impl<'m> Resolver<'m> {
         Ok(Resolver {
             model,
             mode,
-            index: ShardedIndex::from_snapshots(snapshots, dim, policy)?,
+            index: ShardedIndex::from_snapshots(snapshots, dim, policy),
             epoch: Mutex::new(epoch),
             dir: None,
         })

@@ -10,34 +10,33 @@
 //! reader pins all shards with that one lock and one `Arc` clone, held
 //! only for the clone. Each shard's writer owns a *standby* snapshot behind
 //! its own mutex, the other side of a left-right pair with the shard's
-//! manifest slot, kept in step through an op backlog so that a write costs
-//! O(row) rather than a shard clone. A mutation catches the standby up,
-//! probes for no-ops, appends to the write-ahead journal (if attached),
-//! applies to the standby, then swaps it into its manifest slot and bumps
-//! the manifest's `seq` under the publish lock. A query therefore sees
-//! exactly a committed prefix of the index-wide write order: never a
-//! half-applied op, and never one shard's later write without another
-//! shard's earlier one. Readers never block writers. Lock order is always
+//! manifest slot, kept in step through a backlog of journal records so
+//! that a write costs O(row) rather than a shard clone. Every mutation is
+//! one [`JournalRecord`]: the writer catches the standby up, probes for
+//! no-ops, appends the record to the write-ahead journal (if attached),
+//! applies it to the standby, then swaps the standby into its manifest
+//! slot and bumps the manifest's `seq` under the publish lock. A query
+//! therefore sees exactly a committed prefix of the index-wide write
+//! order: never a half-applied write, and never one shard's later write
+//! without another shard's earlier one. Readers never block writers. Lock order is always
 //! writer → published, so the paths cannot deadlock.
 //!
 //! **Merge contract**: hits are globally ordered by
-//! `(distance.total_cmp, EntityId)`. Each shard's list is put into that
-//! order before merging (per-shard backends tie-break on *row* position,
-//! which need not agree with id order), so an N-shard exact search returns
-//! the bit-identical hit list a single exact index over the same records
-//! would — sharding never changes exact results, only distributes them
-//! (pinned by the equivalence suite).
+//! `(distance.total_cmp, EntityId)`, imposed once, on the gathered
+//! per-shard lists (per-shard backends tie-break on *row* position, which
+//! need not agree with id order). An N-shard exact search therefore
+//! returns the bit-identical hit list a single exact index over the same
+//! records would — sharding never changes exact results, only distributes
+//! them (pinned by the equivalence suite).
 
-use crate::snapshot::{CompactionPolicy, SegmentSnapshot, ShardStats, WriteOp};
+use crate::snapshot::{CompactionPolicy, SegmentSnapshot, ShardStats};
 use crate::wal::JournalWriter;
 use crate::Hit;
 use er_core::binary::fnv1a64;
 use er_core::journal::JournalRecord;
 use er_core::par::{self, SCAN_NS_PER_ELEMENT};
 use er_core::{EmbeddingMatrix, EntityId, ErError, Result};
-use er_index::{AnyIndex, BlockerBackend, Ranked, ScanConfig};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use er_index::{AnyIndex, BlockerBackend, ScanConfig};
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
@@ -67,15 +66,15 @@ impl Deref for Manifest {
     }
 }
 
-/// One shard's writer: the standby snapshot, the ops it is missing
+/// One shard's writer: the standby snapshot, the records it is missing
 /// (published but not yet applied here), and the write-ahead journal.
 #[derive(Debug)]
 struct WriterState {
     standby: Arc<SegmentSnapshot>,
-    /// Ops published since the standby was last caught up. At most one
-    /// publish behind, so this holds at most the ops of one commit —
+    /// Records published since the standby was last caught up. At most one
+    /// publish behind, so this holds at most the record of one commit —
     /// drained at the start of the next.
-    backlog: Vec<WriteOp>,
+    backlog: Vec<JournalRecord>,
     journal: Option<JournalWriter>,
     journal_len: u64,
 }
@@ -91,16 +90,17 @@ impl WriterState {
         }
         let backlog = std::mem::take(&mut self.backlog);
         let standby = Arc::make_mut(&mut self.standby);
-        for op in &backlog {
-            standby.apply(op, policy)?;
+        for rec in &backlog {
+            standby.apply(rec, policy)?;
         }
         Ok(())
     }
 }
 
 /// Scatter-gather top-k over an explicit set of per-shard snapshots: search
-/// every shard, then k-way merge the per-shard sorted lists with a
-/// `BinaryHeap` that preserves the `(distance, id)` total order.
+/// every shard for its top `k`, then sort the gathered hits by
+/// `(distance.total_cmp, id)` and keep the first `k`. Ids are unique
+/// across shards, so that order is total.
 ///
 /// The shards are searched through [`er_core::par::fill_chunks`]: on scoped
 /// threads only when every worker's shards are predicted to cost more than
@@ -132,27 +132,13 @@ pub fn search_snapshots(snaps: &[Arc<SegmentSnapshot>], query: &[f32], k: usize)
             }
         },
     );
-    // Each heap entry is the current head of one shard's sorted list,
-    // ordered by the global `(distance, id)` contract (an id lives on
-    // exactly one shard, so the trailing position never decides).
-    let head = |shard: usize, pos: usize| {
-        per_shard[shard].get(pos).map(|hit| {
-            Reverse(Ranked {
-                dist: hit.distance,
-                id: (hit.id, shard, pos),
-            })
-        })
-    };
-    let mut heap: BinaryHeap<_> = (0..per_shard.len()).filter_map(|s| head(s, 0)).collect();
-    let mut merged = Vec::with_capacity(k.min(per_shard.iter().map(Vec::len).sum()));
-    while merged.len() < k {
-        let Some(Reverse(Ranked { dist, id })) = heap.pop() else {
-            break;
-        };
-        let (entity, shard, pos) = id;
-        merged.push(Hit::new(entity, dist));
-        heap.extend(head(shard, pos + 1));
-    }
+    let mut merged = per_shard.concat();
+    merged.sort_unstable_by(|a, b| {
+        a.distance
+            .total_cmp(&b.distance)
+            .then_with(|| a.id.0.cmp(&b.id.0))
+    });
+    merged.truncate(k);
     merged
 }
 
@@ -170,14 +156,14 @@ pub struct ShardedIndex {
     /// One writer per shard, each behind its own lock: writes to different
     /// shards prepare in parallel and meet only at the publish.
     writers: Box<[Mutex<WriterState>]>,
-    backend: BlockerBackend,
     dim: usize,
     policy: CompactionPolicy,
 }
 
 impl ShardedIndex {
     /// `shards` empty indices of the given backend over `dim`-component
-    /// vectors. Errors for zero shards ([`ErError::Model`]) or a backend /
+    /// vectors. Errors for zero shards or `dim == 0` ([`ErError::Model`]:
+    /// an index's width is fixed when it is built) or a backend /
     /// scan config no index can honour (see [`AnyIndex::build`]: degenerate
     /// HNSW/LSH parameters and quantization on a non-Exact backend are
     /// [`ErError::Config`]; PQ, which cannot train on an empty shard, is
@@ -194,27 +180,29 @@ impl ShardedIndex {
         if shards == 0 {
             return Err(ErError::Model("need at least one shard".into()));
         }
+        if dim == 0 {
+            return Err(ErError::Model("need at least one vector component".into()));
+        }
         let snapshots = (0..shards)
             .map(|_| {
                 let index = AnyIndex::build(EmbeddingMatrix::new(dim), &backend, scan)?;
-                Ok(SegmentSnapshot::from_index(index))
+                SegmentSnapshot::from_parts(index, Vec::new())
             })
             .collect::<Result<Vec<_>>>()?;
-        ShardedIndex::from_snapshots(snapshots, dim, policy)
+        Ok(ShardedIndex::from_snapshots(snapshots, dim, policy))
     }
 
-    /// Rebuild from per-shard snapshots — the load path. They are published
-    /// as manifest 0, each shared with its shard's writer as the standby
-    /// until the first write diverges them.
+    /// Rebuild from per-shard snapshots (at least one, every one over
+    /// `dim`-wide rows) — the load path. They are published as manifest 0,
+    /// each shared with its shard's writer as the standby until the first
+    /// write diverges them.
     pub(crate) fn from_snapshots(
         snapshots: Vec<SegmentSnapshot>,
         dim: usize,
         policy: CompactionPolicy,
-    ) -> Result<ShardedIndex> {
-        let backend = snapshots
-            .first()
-            .map(|s| s.index.backend())
-            .ok_or_else(|| ErError::Corrupt("sharded index with zero shards".into()))?;
+    ) -> ShardedIndex {
+        debug_assert!(!snapshots.is_empty());
+        debug_assert!(snapshots.iter().all(|s| s.index.matrix().dim() == dim));
         let shards: Box<[Arc<SegmentSnapshot>]> = snapshots.into_iter().map(Arc::new).collect();
         let writers = shards
             .iter()
@@ -227,13 +215,12 @@ impl ShardedIndex {
                 })
             })
             .collect();
-        Ok(ShardedIndex {
+        ShardedIndex {
             published: Mutex::new(Arc::new(Manifest { seq: 0, shards })),
             writers,
-            backend,
             dim,
             policy,
-        })
+        }
     }
 
     /// Which shard an id lives on: FNV-1a over the id's little-endian
@@ -290,10 +277,6 @@ impl ShardedIndex {
             .collect()
     }
 
-    pub(crate) fn backend(&self) -> &BlockerBackend {
-        &self.backend
-    }
-
     pub(crate) fn dim(&self) -> usize {
         self.dim
     }
@@ -314,7 +297,7 @@ impl ShardedIndex {
     /// A caller's row fails as `ErError::Model`, a replayed journal row as
     /// `ErError::Corrupt`: `fail` picks the variant.
     fn check_row(&self, row: &[f32], fail: fn(String) -> ErError) -> Result<()> {
-        if self.dim != 0 && row.len() != self.dim {
+        if row.len() != self.dim {
             return Err(fail(format!(
                 "er-serve: record has {} components, index stores {}-dim vectors",
                 row.len(),
@@ -331,39 +314,34 @@ impl ShardedIndex {
     }
 
     /// The single mutation path: catch the shard's standby up, probe for
-    /// no-ops (which are neither journaled nor published), journal, apply
-    /// to the standby, and publish it. `journal: false` is used for replay
-    /// (the record is already on disk).
-    fn write(&self, shard: usize, op: WriteOp, journal: bool) -> Result<bool> {
+    /// no-ops (which are neither journaled nor published), journal the
+    /// record if the shard has a journal, apply it to the standby, and
+    /// publish it. Replay runs before its shard's journal is attached, so
+    /// a replayed record (already on disk) is never journaled twice.
+    /// Compaction is never a record of its own: `SegmentSnapshot::apply`
+    /// runs it after the delete or upsert that crosses the policy's
+    /// threshold, on the live path and in replay alike.
+    fn write(&self, shard: usize, rec: JournalRecord) -> Result<bool> {
         let mut w = self.writers[shard]
             .lock()
             .expect("shard writer lock poisoned");
         w.catch_up(&self.policy)?;
-        // No-op probe on the caught-up standby: an insert of a live id, a
-        // delete of an absent one, or a compaction with nothing to reclaim
-        // changes no state, so it must not reach the journal (replay would
-        // then diverge from the live no-op) or publish a new manifest.
-        match &op {
-            WriteOp::Record(JournalRecord::Insert { id, .. })
-                if w.standby.contains(EntityId(*id)) =>
-            {
+        // No-op probe on the caught-up standby: an insert of a live id or
+        // a delete of an absent one changes no state, so it must not reach
+        // the journal (replay would then diverge from the live no-op) or
+        // publish a new manifest.
+        match &rec {
+            JournalRecord::Insert { id, .. } if w.standby.contains(EntityId(*id)) => {
                 return Ok(false)
             }
-            WriteOp::Record(JournalRecord::Delete { id }) if !w.standby.contains(EntityId(*id)) => {
-                return Ok(false)
-            }
-            WriteOp::Compact if w.standby.stored() == w.standby.live_count() => return Ok(true),
+            JournalRecord::Delete { id } if !w.standby.contains(EntityId(*id)) => return Ok(false),
             _ => {}
         }
-        // A compaction is never journaled: it is logically invisible —
-        // recovery re-derives any *automatic* compaction deterministically
-        // inside `SegmentSnapshot::apply`, and a crash merely loses a
-        // manual one (an optimization, never data).
-        if let (true, WriteOp::Record(rec), Some(j)) = (journal, &op, w.journal.as_mut()) {
-            j.append(rec)?;
+        if let Some(j) = w.journal.as_mut() {
+            j.append(&rec)?;
             w.journal_len += 1;
         }
-        let out = Arc::make_mut(&mut w.standby).apply(&op, &self.policy)?;
+        let out = Arc::make_mut(&mut w.standby).apply(&rec, &self.policy)?;
         {
             let mut published = self.published.lock().expect("manifest lock poisoned");
             // In place unless a reader holds the current manifest: that
@@ -372,7 +350,7 @@ impl ShardedIndex {
             std::mem::swap(&mut manifest.shards[shard], &mut w.standby);
             manifest.seq += 1;
         }
-        w.backlog.push(op);
+        w.backlog.push(rec);
         Ok(out)
     }
 
@@ -381,38 +359,28 @@ impl ShardedIndex {
     /// [`ShardedIndex::upsert`] to replace.
     pub fn insert(&self, id: EntityId, row: &[f32]) -> Result<bool> {
         self.check_row(row, ErError::Model)?;
-        let op = JournalRecord::Insert {
+        let rec = JournalRecord::Insert {
             id: id.0,
             row: row.to_vec(),
         };
-        self.write(self.shard_of(id), WriteOp::Record(op), true)
+        self.write(self.shard_of(id), rec)
     }
 
     /// Insert, replacing any live record with the same id (the old row is
     /// tombstoned first). Returns whether a record was replaced.
     pub fn upsert(&self, id: EntityId, row: &[f32]) -> Result<bool> {
         self.check_row(row, ErError::Model)?;
-        let op = JournalRecord::Upsert {
+        let rec = JournalRecord::Upsert {
             id: id.0,
             row: row.to_vec(),
         };
-        self.write(self.shard_of(id), WriteOp::Record(op), true)
+        self.write(self.shard_of(id), rec)
     }
 
     /// Tombstone a record. Returns `Ok(false)` when the id is not live.
     /// (Errors are I/O failures appending to the write-ahead journal.)
     pub fn delete(&self, id: EntityId) -> Result<bool> {
-        let op = JournalRecord::Delete { id: id.0 };
-        self.write(self.shard_of(id), WriteOp::Record(op), true)
-    }
-
-    /// Manually compact one shard, dropping tombstoned rows. Live top-k
-    /// answers are unchanged. Not journaled: a compaction lost to a crash
-    /// costs storage, never data, and automatic compactions are re-derived
-    /// deterministically during replay.
-    pub fn compact_shard(&self, shard: usize) -> Result<()> {
-        self.write(shard, WriteOp::Compact, false)?;
-        Ok(())
+        self.write(self.shard_of(id), JournalRecord::Delete { id: id.0 })
     }
 
     /// The committed manifest: every shard's snapshot at one point of the
@@ -447,11 +415,18 @@ impl ShardedIndex {
         Ok(())
     }
 
-    /// Re-apply journal records to `shard` without re-journaling them —
-    /// the recovery path. Records are route-checked against the shard they
-    /// claim to belong to, and their rows pass the write path's
+    /// Re-apply journal records to `shard` — the recovery path, run before
+    /// the shard's journal is attached, so nothing is journaled twice.
+    /// Records are route-checked against the shard they claim to belong
+    /// to, and their rows pass the write path's
     /// [`check_row`](Self::check_row).
     pub(crate) fn replay(&self, shard: usize, records: Vec<JournalRecord>) -> Result<()> {
+        debug_assert!(
+            self.writers[shard]
+                .lock()
+                .is_ok_and(|w| w.journal.is_none()),
+            "replay runs before the shard's journal is attached"
+        );
         for rec in records {
             if let JournalRecord::Insert { row, .. } | JournalRecord::Upsert { row, .. } = &rec {
                 self.check_row(row, ErError::Corrupt)?;
@@ -465,7 +440,7 @@ impl ShardedIndex {
                     self.shard_of(id)
                 )));
             }
-            self.write(shard, WriteOp::Record(rec), false)?;
+            self.write(shard, rec)?;
         }
         Ok(())
     }

@@ -10,8 +10,9 @@
 //! swaps it into the manifest. Every mutation is therefore an atomic
 //! all-or-nothing transition: no torn reads, ever.
 //!
-//! The same `apply_*` functions run on the live write path and during
-//! journal replay, and the auto-compaction check runs *inside* them — so a
+//! Each mutation is one [`JournalRecord`], and one function,
+//! `SegmentSnapshot::apply`, applies it on the live write path and during
+//! journal replay alike. The compaction check runs *inside* it, so a
 //! recovered shard re-derives the bit-identical physical state (including
 //! HNSW graph layout) that the pre-crash writer built, as long as the
 //! [`CompactionPolicy`] persisted alongside the save is used.
@@ -44,9 +45,8 @@ impl Default for CompactionPolicy {
 }
 
 impl CompactionPolicy {
-    /// A policy that never triggers — the pre-snapshot behaviour
-    /// (tombstones accumulate until a manual
-    /// [`crate::ShardedIndex::compact_shard`]).
+    /// A policy that never triggers: tombstoned rows stay stored (and
+    /// masked out of every answer) for the life of the shard.
     pub fn never() -> CompactionPolicy {
         CompactionPolicy {
             max_deleted_fraction: f32::INFINITY,
@@ -78,19 +78,6 @@ pub struct ShardStats {
     pub journal_len: u64,
 }
 
-/// One mutation, as routed to a shard: a journalable record (carried as
-/// the [`JournalRecord`] itself, so the journaled write path and replay
-/// hand the same value around without re-packing the row) or a manual
-/// compaction. The writer applies ops to its standby side and keeps them
-/// in a backlog to catch the other side up after the publish.
-#[derive(Debug, Clone)]
-pub(crate) enum WriteOp {
-    Record(JournalRecord),
-    /// Manual compaction. Not journaled: logically invisible (same live
-    /// records, same answers), so recovery simply skips it.
-    Compact,
-}
-
 /// One shard's immutable, searchable state. See the module docs.
 #[derive(Debug, Clone)]
 pub struct SegmentSnapshot {
@@ -103,17 +90,10 @@ pub struct SegmentSnapshot {
 }
 
 impl SegmentSnapshot {
-    pub(crate) fn from_index(index: AnyIndex) -> SegmentSnapshot {
-        SegmentSnapshot {
-            index,
-            ids: Vec::new(),
-            rows: HashMap::new(),
-        }
-    }
-
-    /// Rebuild the live-id map from the insertion history + tombstones —
-    /// the load path. Fails if the history disagrees with the index (two
-    /// live rows claiming one id, or a row count mismatch).
+    /// Rebuild the live-id map from the insertion history + tombstones:
+    /// the load path, and (an empty index, no history) a new shard. Fails
+    /// if the history disagrees with the index (two live rows claiming one
+    /// id, or a row count mismatch).
     pub(crate) fn from_parts(index: AnyIndex, ids: Vec<EntityId>) -> Result<SegmentSnapshot> {
         if ids.len() != index.len() {
             return Err(ErError::Corrupt(format!(
@@ -163,38 +143,27 @@ impl SegmentSnapshot {
         ids
     }
 
-    /// Top-k over this snapshot's live records, ordered by the global
-    /// `(distance, id)` merge contract. The index's query rule applies: a
-    /// query of another width than the rows, or with a NaN or ±∞
-    /// component, gets no hits.
+    /// Top-k over this snapshot's live records, nearest first, in the
+    /// backend's own order: equal distances tie-break on row position, not
+    /// on id ([`crate::search_snapshots`] imposes the `(distance, id)`
+    /// order across shards). The index's query rule applies: a query of
+    /// another width than the rows, or with a NaN or ±∞ component, gets no
+    /// hits.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        let mut hits: Vec<Hit> = self
-            .index
+        self.index
             .search_slice(query, k)
             .into_iter()
-            .map(|n| Hit {
-                id: self.ids[n.index],
-                distance: n.distance,
-            })
-            .collect();
-        // Re-order by (distance, id): backends tie-break equal distances
-        // on row position, which need not agree with id order — the merge
-        // contract requires id order.
-        hits.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then_with(|| a.id.0.cmp(&b.id.0))
-        });
-        hits
+            .map(|n| Hit::new(self.ids[n.index], n.distance))
+            .collect()
     }
 
-    /// Apply one op. This is the **only** mutation path — live writes and
-    /// journal replay both funnel through it, so the two produce
-    /// bit-identical states. Returns what the op's public API reports
-    /// (insert: stored; upsert: replaced; delete: existed).
-    pub(crate) fn apply(&mut self, op: &WriteOp, policy: &CompactionPolicy) -> Result<bool> {
-        match op {
-            WriteOp::Record(JournalRecord::Insert { id, row }) => {
+    /// Apply one journal record. This is the **only** mutation path —
+    /// live writes and journal replay both funnel through it, so the two
+    /// produce bit-identical states. Returns what the record's public API
+    /// reports (insert: stored; upsert: replaced; delete: existed).
+    pub(crate) fn apply(&mut self, rec: &JournalRecord, policy: &CompactionPolicy) -> Result<bool> {
+        match rec {
+            JournalRecord::Insert { id, row } => {
                 let id = EntityId(*id);
                 if self.rows.contains_key(&id) {
                     return Ok(false);
@@ -205,7 +174,7 @@ impl SegmentSnapshot {
                 self.rows.insert(id, row_idx);
                 Ok(true)
             }
-            WriteOp::Record(JournalRecord::Upsert { id, row }) => {
+            JournalRecord::Upsert { id, row } => {
                 let id = EntityId(*id);
                 let replaced = match self.rows.remove(&id) {
                     Some(old_row) => {
@@ -222,7 +191,7 @@ impl SegmentSnapshot {
                 }
                 Ok(replaced)
             }
-            WriteOp::Record(JournalRecord::Delete { id }) => {
+            JournalRecord::Delete { id } => {
                 let existed = match self.rows.remove(&EntityId(*id)) {
                     Some(row) => self.index.delete_row(row),
                     None => false,
@@ -232,25 +201,18 @@ impl SegmentSnapshot {
                 }
                 Ok(existed)
             }
-            WriteOp::Compact => {
-                self.compact();
-                Ok(true)
-            }
         }
     }
 
+    /// Rebuild without tombstoned rows once `policy` says so. The
+    /// index-level [`MutableIndex::compact`] preserves live-row order and
+    /// returns the new→old mapping, which rebuilds the id history; live
+    /// top-k answers are unchanged (bit-identical for exact/LSH,
+    /// fresh-batch-build semantics for HNSW).
     fn maybe_compact(&mut self, policy: &CompactionPolicy) {
-        if policy.should_compact(self.index.live_count(), self.index.len()) {
-            self.compact();
+        if !policy.should_compact(self.index.live_count(), self.index.len()) {
+            return;
         }
-    }
-
-    /// Rebuild without tombstoned rows. The index-level
-    /// [`MutableIndex::compact`] preserves live-row order and returns the
-    /// new→old mapping, which rebuilds the id history; live top-k answers
-    /// are unchanged (bit-identical for exact/LSH, fresh-batch-build
-    /// semantics for HNSW).
-    pub(crate) fn compact(&mut self) {
         let mapping = self.index.compact();
         let ids: Vec<EntityId> = mapping.iter().map(|&old| self.ids[old as usize]).collect();
         let rows = ids.iter().enumerate().map(|(row, &id)| (id, row)).collect();

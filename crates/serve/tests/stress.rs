@@ -1,6 +1,8 @@
 //! Concurrency stress for the serving core's one published manifest: N
-//! scoped reader threads query while one writer inserts, deletes, upserts
-//! and compacts. The pinned invariants:
+//! scoped reader threads query while one writer inserts, deletes and
+//! upserts, its deletes and upserts crossing the compaction threshold as
+//! they go (the heavy run requires every shard to compact at least once
+//! under the readers). The pinned invariants:
 //!
 //! 1. **Committed prefixes only** — every manifest a reader pins names its
 //!    `seq`, and its per-shard live-id sets must equal the state the writer
@@ -61,7 +63,13 @@ type LiveSets = [u64; SHARDS];
 /// One pin a reader made: its manifest's `seq` and the live sets it saw.
 type Observation = (u64, LiveSets);
 
-fn run_churn(ops: usize, readers: usize, dim: usize) {
+/// One count per shard.
+type ShardCounts = [usize; SHARDS];
+
+/// Run the churn and check invariants 1–5; returns how many automatic
+/// compactions each shard ran (a write after which the shard's tombstoned
+/// count fell).
+fn run_churn(ops: usize, readers: usize, dim: usize) -> ShardCounts {
     let index = ShardedIndex::new(
         dim,
         SHARDS,
@@ -87,11 +95,11 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
     let observations: Mutex<Vec<Observation>> = Mutex::new(Vec::new());
     // Live (id, generation) at quiescence, filled in by the writer.
     let final_state: Mutex<HashMap<u32, u32>> = Mutex::new(HashMap::new());
+    let compactions: Mutex<ShardCounts> = Mutex::new([0; SHARDS]);
 
     let started = Instant::now();
     std::thread::scope(|scope| {
-        // The writer: seeded churn of inserts/deletes/upserts with
-        // periodic manual compactions.
+        // The writer: seeded churn of inserts/deletes/upserts.
         scope.spawn(|| {
             let mut rng = er_core::rng::rng(97);
             let mut generation: HashMap<u32, u32> = HashMap::new();
@@ -101,6 +109,8 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
             let mut shard_live: Vec<Vec<EntityId>> = vec![Vec::new(); SHARDS];
             let mut sets = [live_set_hash(&[]); SHARDS];
             let mut live: HashMap<u32, u32> = HashMap::new();
+            let mut tombstoned: ShardCounts = [0; SHARDS];
+            let mut compacted: ShardCounts = [0; SHARDS];
             let mut commit = |shard: usize, ids: &[EntityId]| {
                 let mut sorted = ids.to_vec();
                 sorted.sort_unstable_by_key(|id| id.0);
@@ -145,19 +155,15 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
                         commit(shard, &shard_live[shard]);
                     }
                 }
-                if op % 97 == 96 {
-                    // Manual compaction of one shard, interleaved with the
-                    // churn. Effective (publishes a manifest) only when
-                    // tombstones exist — the sole mutator can check that
-                    // race-free.
-                    let target = op % SHARDS;
-                    if index.stats()[target].tombstoned > 0 {
-                        index.compact_shard(target).unwrap();
-                        commit(target, &shard_live[target]);
-                    }
+                // Only a compaction lowers a shard's tombstone count.
+                let now = index.stats()[shard].tombstoned;
+                if now < tombstoned[shard] {
+                    compacted[shard] += 1;
                 }
+                tombstoned[shard] = now;
             }
             *final_state.lock().unwrap() = live;
+            *compactions.lock().unwrap() = compacted;
             done.store(true, Ordering::Release);
         });
 
@@ -273,6 +279,7 @@ fn run_churn(ops: usize, readers: usize, dim: usize) {
         elapsed.as_secs() < 120,
         "stress run exceeded its wall-clock bound: {elapsed:?}"
     );
+    compactions.into_inner().unwrap()
 }
 
 #[test]
@@ -286,5 +293,9 @@ fn concurrent_readers_observe_only_committed_snapshots_smoke() {
     ignore = "heavy: run in release (CI serve-durability job)"
 )]
 fn concurrent_readers_observe_only_committed_snapshots_heavy() {
-    run_churn(6000, 4, 16);
+    let compactions = run_churn(6000, 4, 16);
+    assert!(
+        compactions.iter().all(|&n| n > 0),
+        "every shard must compact under concurrent readers: {compactions:?}"
+    );
 }

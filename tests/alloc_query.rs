@@ -62,11 +62,11 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 #[test]
 fn a_warm_two_shard_exact_query_allocates_the_pinned_count() {
     // Two per shard (the scan's top-k and its id-mapped copy); the list of
-    // per-shard lists, the merge heap and the merged answer. The pin is one
-    // clone of the published manifest's `Arc` and allocates nothing. No
-    // thread, packet or closure: D1's ~45-row shards are far below the
-    // fan-out gate.
-    const QUERY_BUDGET: u64 = 7;
+    // per-shard lists and the gathered answer, sorted and cut in place.
+    // The pin is one clone of the published manifest's `Arc` and allocates
+    // nothing. No thread, packet or closure: D1's ~45-row shards are far
+    // below the fan-out gate.
+    const QUERY_BUDGET: u64 = 6;
 
     let zoo = ModelZoo::pretrain(None, &ZooConfig::tiny(), 42);
     let model = zoo.get(ModelCode::FT);

@@ -1,7 +1,10 @@
-//! Hostile inputs against every search entry. Every index answers by one
-//! query rule, checked at its search entry: a query of another width than
-//! the stored rows, or with a NaN or ±∞ component, returns no hits, and so
-//! do `k = 0` and an index with no live rows. The served entries
+//! Hostile inputs against every search entry and every row admission.
+//! Every index answers by one query rule, checked at its search entry: a
+//! query of another width than the stored rows, or with a NaN or ±∞
+//! component, returns no hits, and so do `k = 0` and an index with no live
+//! rows. Rows have the mirror rule: an index's width is fixed when it is
+//! built, and a row of another width, or with a NaN or ±∞ component, is
+//! an `ErError::Model` that changes nothing. The served entries
 //! (`Resolver::query_embedding`, `ShardedIndex::search_ids`,
 //! `search_snapshots` on a pinned manifest, `SegmentSnapshot::search`) and
 //! the index-level ones (`search_slice`, `search_counted`,
@@ -313,5 +316,92 @@ fn blocking_a_wider_left_side_pairs_nothing() {
         }))
         .unwrap_or_else(|_| panic!("{name}: blocking a 12-d left side panicked"));
         assert!(pairs.is_empty(), "{name}: {pairs:?}");
+    }
+}
+
+/// Every row the write path turns away, by name.
+fn hostile_rows() -> Vec<(&'static str, Vec<f32>)> {
+    let with = |i: usize, x: f32| {
+        let mut r = row(5);
+        r[i] = x;
+        r
+    };
+    vec![
+        ("NaN", with(2, f32::NAN)),
+        ("+inf", with(0, f32::INFINITY)),
+        ("-inf", with(DIM - 1, f32::NEG_INFINITY)),
+        ("3-d", row(5)[..DIM - 1].to_vec()),
+        ("5-d", [row(5), vec![1.0]].concat()),
+        ("empty", Vec::new()),
+    ]
+}
+
+/// `ShardedIndex::new` over the layout with the default compaction
+/// policy, under `catch_unwind`.
+fn sharded(
+    dim: usize,
+    shards: usize,
+    backend: &BlockerBackend,
+    scan: ScanConfig,
+    case: &str,
+) -> Result<ShardedIndex> {
+    let build = || ShardedIndex::new(dim, shards, backend.clone(), scan, Default::default());
+    catch_unwind(AssertUnwindSafe(build))
+        .unwrap_or_else(|_| panic!("{case}: ShardedIndex::new panicked"))
+}
+
+#[test]
+fn hostile_rows_are_typed_errors_that_change_nothing() {
+    for (name, backend, scan) in layouts() {
+        for shards in [1, 2] {
+            let case = format!("{name} × {shards} shard(s)");
+            // A width is fixed at construction: no index is born without one.
+            let zero = sharded(0, shards, &backend, scan, &case).map(|_| ());
+            assert!(
+                matches!(zero, Err(ErError::Model(_))),
+                "{case}, dim 0: {zero:?}"
+            );
+
+            let index = sharded(DIM, shards, &backend, scan, &case).expect("valid layout");
+            for id in 0..ROWS {
+                assert!(index.insert(EntityId(id), &row(id)).unwrap());
+            }
+            let before = (index.len(), index.stats());
+            for (what, bad) in hostile_rows() {
+                // A live id and an absent one: neither replaces nor adds.
+                for id in [EntityId(3), EntityId(ROWS + 7)] {
+                    let writes = catch_unwind(AssertUnwindSafe(|| {
+                        [
+                            ("insert", index.insert(id, &bad)),
+                            ("upsert", index.upsert(id, &bad)),
+                        ]
+                    }))
+                    .unwrap_or_else(|_| panic!("{case}, {what} row: a write panicked"));
+                    for (entry, out) in writes {
+                        assert!(
+                            matches!(out, Err(ErError::Model(_))),
+                            "{case}, {what} row via {entry} of {id:?}: {out:?}"
+                        );
+                    }
+                }
+                assert_eq!((index.len(), index.stats()), before, "{case}, {what} row");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_index_built_over_no_width_admits_no_row() {
+    for (name, backend, scan) in layouts() {
+        let mut index = AnyIndex::build(EmbeddingMatrix::new(0), &backend, scan).expect("builds");
+        for row in [&[1.0, 2.0][..], &[]] {
+            let out = catch_unwind(AssertUnwindSafe(|| index.insert_row(row)))
+                .unwrap_or_else(|_| panic!("{name}: insert_row of {row:?} panicked"));
+            assert!(
+                matches!(out, Err(ErError::Model(_))),
+                "{name}, {row:?}: {out:?}"
+            );
+            assert!(index.is_empty(), "{name}, {row:?}");
+        }
     }
 }
