@@ -65,22 +65,21 @@ impl EmbeddingMatrix {
     /// Reassemble a matrix from a flat buffer **and its already-computed
     /// norms** — the binary-persistence load path (`er_core::binary`),
     /// which must reconstitute the exact bits the build cached instead of
-    /// re-deriving them. Validates shape only; the norms are trusted.
+    /// re-deriving them. Validates shape only (a width-0 matrix holds no
+    /// row, so it has no floats and no norms); the norms are trusted.
     pub(crate) fn from_parts(
         dim: usize,
         data: Vec<f32>,
         norms: Vec<f32>,
     ) -> Result<EmbeddingMatrix> {
-        if dim == 0 && !data.is_empty() {
-            return Err(ErError::corrupt(
-                "EmbeddingMatrix: non-empty data with dim 0",
-            ));
+        if dim == 0 && !(data.is_empty() && norms.is_empty()) {
+            return Err(ErError::corrupt("EmbeddingMatrix: rows with dim 0"));
         }
         if data.len() != dim * norms.len() {
             return Err(ErError::corrupt(format!(
                 "EmbeddingMatrix: {} floats with dim {dim} needs {} norms, got {}",
                 data.len(),
-                data.len().checked_div(dim).unwrap_or(0),
+                data.len() / dim,
                 norms.len()
             )));
         }
@@ -101,11 +100,11 @@ impl EmbeddingMatrix {
         matrix
     }
 
-    /// Append one row. Panics if `row.len() != dim`.
+    /// Append one row. Panics if `row.len() != dim` or `dim` is 0 (a
+    /// width-0 matrix holds no row).
     pub fn push(&mut self, row: &[f32]) {
-        assert_eq!(
-            row.len(),
-            self.dim,
+        assert!(
+            self.dim != 0 && row.len() == self.dim,
             "EmbeddingMatrix: pushed a {}-d row into a {}-d matrix",
             row.len(),
             self.dim
@@ -125,13 +124,13 @@ impl EmbeddingMatrix {
         self.dim
     }
 
-    /// Number of rows.
+    /// Number of rows: one cached norm each.
     pub fn len(&self) -> usize {
-        self.data.len().checked_div(self.dim).unwrap_or(0)
+        self.norms.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.norms.is_empty()
     }
 
     /// Row `i` as a slice view into the contiguous buffer.
@@ -159,8 +158,7 @@ impl EmbeddingMatrix {
 
     /// Iterate over the rows as slices.
     pub fn rows_iter(&self) -> impl ExactSizeIterator<Item = &[f32]> {
-        // `chunks_exact(0)` panics, so pin the empty case explicitly.
-        self.data.chunks_exact(self.dim.max(1)).take(self.len())
+        (0..self.len()).map(|i| self.row(i))
     }
 
     /// Copy the given rows, in the given order, into a fresh matrix — row
@@ -259,6 +257,22 @@ mod tests {
     fn push_rejects_ragged_rows() {
         let mut matrix = EmbeddingMatrix::new(3);
         matrix.push(&[1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pushed a 0-d row into a 0-d matrix")]
+    fn a_width_zero_matrix_admits_no_row() {
+        let mut matrix = EmbeddingMatrix::new(0);
+        matrix.push(&[]);
+    }
+
+    #[test]
+    fn width_zero_parts_with_norms_are_corrupt() {
+        let parts = EmbeddingMatrix::from_parts(0, vec![], vec![1.0]);
+        assert!(matches!(parts, Err(ErError::Corrupt(_))), "{parts:?}");
+        assert!(EmbeddingMatrix::from_parts(0, vec![], vec![])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

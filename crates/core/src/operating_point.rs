@@ -296,20 +296,6 @@ impl OperatingPoint {
         self
     }
 
-    /// The runtime query-parameter slice of this point — what a search
-    /// against an already-built index needs to honor it.
-    pub fn query_params(&self) -> QueryParams {
-        match &self.backend {
-            BlockerBackend::Exact(_) => QueryParams::default(),
-            BlockerBackend::Hnsw(c) => QueryParams::with_ef_search(c.ef_search),
-            BlockerBackend::Lsh(c) => QueryParams {
-                probes: Some(c.probes),
-                tables: Some(c.tables),
-                ef_search: None,
-            },
-        }
-    }
-
     /// Reject self-contradictory settings with a typed
     /// [`ErError::Config`]: the backend rules of
     /// [`BlockerBackend::validate`] plus the recall target's range.
@@ -471,39 +457,6 @@ mod tests {
         assert!(matches!(no_tables.validate(), Err(ErError::Config(_))));
         let bad_target = OperatingPoint::recall_target(1.5);
         assert!(matches!(bad_target.validate(), Err(ErError::Config(_))));
-    }
-
-    #[test]
-    fn query_params_surface_only_the_active_backend() {
-        let hnsw = OperatingPoint::default().backend(BlockerBackend::Hnsw(HnswConfig {
-            ef_search: 32,
-            ..HnswConfig::default()
-        }));
-        assert_eq!(
-            hnsw.query_params(),
-            QueryParams {
-                ef_search: Some(32),
-                probes: None,
-                tables: None
-            }
-        );
-        let lsh = OperatingPoint::default().backend(BlockerBackend::Lsh(LshConfig {
-            probes: 3,
-            tables: 6,
-            ..LshConfig::default()
-        }));
-        assert_eq!(
-            lsh.query_params(),
-            QueryParams {
-                ef_search: None,
-                probes: Some(3),
-                tables: Some(6)
-            }
-        );
-        assert_eq!(
-            OperatingPoint::default().exact().query_params(),
-            QueryParams::default()
-        );
     }
 
     #[test]

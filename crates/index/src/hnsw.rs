@@ -89,10 +89,9 @@ impl HnswIndex {
         self.entry = 0;
         self.max_level = 0;
         self.level_rng = derive(self.config.seed, "hnsw-levels");
-        let mut visited = vec![false; n];
         for id in 0..n as u32 {
             let level = self.draw_level();
-            self.insert(id, level, &mut visited);
+            self.insert(id, level);
         }
     }
 
@@ -163,7 +162,7 @@ impl HnswIndex {
         )
     }
 
-    fn insert(&mut self, id: u32, level: usize, visited: &mut [bool]) {
+    fn insert(&mut self, id: u32, level: usize) {
         self.neighbors.push(vec![Vec::new(); level + 1]);
         if id == 0 {
             self.entry = 0;
@@ -196,7 +195,6 @@ impl HnswIndex {
                 &entries,
                 self.config.ef_construction,
                 layer,
-                visited,
                 &mut evals,
                 |_| true,
             );
@@ -207,12 +205,12 @@ impl HnswIndex {
             };
             let selected = self.select_neighbors(&found, self.config.m);
             for &nb in &selected {
-                let mut conns = self.neighbors[nb as usize][layer].clone();
+                let conns = &mut self.neighbors[nb as usize][layer];
                 conns.push(id);
                 if conns.len() > max_conn {
-                    conns = self.prune(nb, conns, max_conn);
+                    let conns = std::mem::take(conns);
+                    self.neighbors[nb as usize][layer] = self.prune(nb, conns, max_conn);
                 }
-                self.neighbors[nb as usize][layer] = conns;
             }
             self.neighbors[id as usize][layer] = selected;
             entries = found;
@@ -269,11 +267,11 @@ impl HnswIndex {
         entries: &[Cand],
         ef: usize,
         layer: usize,
-        visited: &mut [bool],
         evals: &mut u64,
         live: impl Fn(u32) -> bool,
     ) -> Vec<Cand> {
-        visited.iter_mut().for_each(|v| *v = false);
+        // Every node linked so far has an adjacency entry.
+        let mut visited = vec![false; self.neighbors.len()];
         let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
         // `ef` is at least the caller's `k`: cap the capacity by the nodes.
         let mut results: BinaryHeap<Cand> = BinaryHeap::with_capacity(ef.min(visited.len()) + 1);
@@ -411,17 +409,9 @@ impl IndexReader for HnswIndex {
             cur = self.greedy_closest(query, query_norm, cur, layer, &mut evals);
         }
         let ef = params.ef_search.unwrap_or(self.config.ef_search).max(k);
-        let mut visited = vec![false; self.rows.len()];
-        let found = self.search_layer(
-            query,
-            query_norm,
-            &[cur],
-            ef,
-            0,
-            &mut visited,
-            &mut evals,
-            |id| !self.rows.is_deleted(id as usize),
-        );
+        let found = self.search_layer(query, query_norm, &[cur], ef, 0, &mut evals, |id| {
+            !self.rows.is_deleted(id as usize)
+        });
         let hits = found
             .into_iter()
             .take(k)
@@ -435,8 +425,7 @@ impl MutableIndex for HnswIndex {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
         let id = self.rows.push(row, "HnswIndex::insert_row")?;
         let level = self.draw_level();
-        let mut visited = vec![false; self.rows.len()];
-        self.insert(id as u32, level, &mut visited);
+        self.insert(id as u32, level);
         Ok(id)
     }
 

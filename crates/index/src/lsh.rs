@@ -155,23 +155,6 @@ impl HyperplaneLsh {
         })
     }
 
-    /// The cost hook for `er-tune`'s occupancy model: the live occupancy
-    /// of every bucket `query` would probe under `(probes, tables)`, one
-    /// entry per probed bucket in probe order, **without** the cross-table
-    /// dedup that [`HyperplaneLsh::candidates_slice_with`] applies. The
-    /// estimator turns these raw per-bucket counts into an expected
-    /// *unique* candidate count analytically, so it must see the overlaps.
-    pub fn probed_occupancy(&self, query: &[f32], probes: usize, tables: usize) -> Vec<usize> {
-        self.probed_buckets(query, probes, tables)
-            .map(|bucket| {
-                bucket
-                    .iter()
-                    .filter(|&&id| !self.rows.is_deleted(id as usize))
-                    .count()
-            })
-            .collect()
-    }
-
     /// The deduplicated live candidate ids the probing scheme reaches for
     /// `query` (`search` re-ranks these): probe `probes` extra buckets per
     /// table, over only the first `tables` tables (clamped to the built

@@ -8,6 +8,13 @@
 //! table count and `(tables, probes)` vary at query time — the runtime
 //! [`QueryParams`] redesign exists exactly for this loop.
 //!
+//! **One measurement per trial.** Every trial is one `search_counted`
+//! pass over the sampled queries (`search_probes`): its hits give the
+//! recall proxy and its counter the mean evaluation count, which the
+//! [`CostModel`] prices for the *full* collection (its module doc says
+//! how a sample's measurement is extrapolated). Exact scans are priced
+//! analytically and need only the recall.
+//!
 //! **Recall proxy.** The tuner has no ground truth, so it uses the exact
 //! scan's top-k on the sample as reference: a trial's recall is the mean
 //! overlap of its top-k with the exact top-k over the sampled queries.
@@ -15,21 +22,12 @@
 //! tiers agree to within ordering tolerance; quantized re-ranks are
 //! measured like every other trial).
 //!
-//! **Extrapolation.** Costs are estimated for the *full* collection:
-//! exact analytically at the full row count; LSH candidate counts scale
-//! with collection size (bucket occupancy is proportional to rows); HNSW
-//! evaluation counts scale with the depth ratio `ln N / ln n` — the
-//! logarithmic-descent heuristic. On collections small enough for the
-//! sample to cover everything (the repo's datasets), every scale factor
-//! is exactly 1 and estimates are pure measurements.
-//!
 //! Determinism: sampling is stride-based (no RNG), trial order is fixed,
 //! and every trial index is built from one fixed seed — the same inputs
 //! always yield a byte-identical chosen point (pinned by
 //! `tests/autotune.rs`).
 
-use crate::calibrate::CostTier;
-use crate::cost::CostModel;
+use crate::cost::{CostEstimate, CostModel, HnswCostModel};
 use er_core::{
     BlockerBackend, EmbeddingMatrix, ErError, HnswConfig, LshConfig, OperatingPoint, QueryParams,
     Result, ScanConfig,
@@ -120,19 +118,24 @@ fn overlap(reference: &[Neighbor], hits: &[Neighbor]) -> f32 {
     shared as f32 / reference.len() as f32
 }
 
-/// The recall proxy: mean overlap of `search`'s top-k with the exact-scan
-/// `reference` top-k over the sampled `probes`.
-fn proxy_recall(
-    probes: &[&[f32]],
-    reference: &[Vec<Neighbor>],
-    search: impl Fn(&[f32]) -> Vec<Neighbor>,
-) -> f32 {
-    probes
-        .iter()
-        .zip(reference)
-        .map(|(q, r)| overlap(r, &search(q)))
-        .sum::<f32>()
-        / probes.len() as f32
+/// The tuner's one measuring pass: search each of `probes` once through
+/// `search_counted` under `params`, hand probe `i`'s hits to `hits`, and
+/// return the mean evaluation count (`NaN` when there are no probes).
+pub(crate) fn search_probes(
+    index: &dyn IndexReader,
+    probes: impl Iterator<Item = impl AsRef<[f32]>>,
+    k: usize,
+    params: &QueryParams,
+    mut hits: impl FnMut(usize, &[Neighbor]),
+) -> f64 {
+    let (mut total, mut count) = (0u64, 0usize);
+    for (i, q) in probes.enumerate() {
+        let (found, evals) = index.search_counted(q.as_ref(), k, params);
+        hits(i, &found);
+        total += evals;
+        count += 1;
+    }
+    total as f64 / count as f64
 }
 
 /// Tune `(backend, parameters, scan)` for searching `rows` with `queries`
@@ -188,13 +191,23 @@ pub fn autotune(
         .map(|q| exact_ref.search_slice(q, k))
         .collect();
 
+    // A trial's recall proxy (the mean overlap of its top-k with the
+    // reference) and mean evaluation count, from one pass.
+    let measure = |index: &dyn IndexReader, params: &QueryParams| {
+        let mut overlaps = 0.0f32;
+        let evals = search_probes(index, probes.iter(), k, params, |i, hits| {
+            overlaps += overlap(&reference[i], hits);
+        });
+        (overlaps / probes.len() as f32, evals)
+    };
+
     let mut trials: Vec<Trial> = Vec::new();
-    let mut push_trial = |point: OperatingPoint, recall: f32, est_evals: f64, est_ns: f64| {
+    let mut push_trial = |point: OperatingPoint, recall: f32, est: CostEstimate| {
         trials.push(Trial {
             point,
             recall,
-            est_evals,
-            est_ns,
+            est_evals: est.evals,
+            est_ns: est.ns,
             feasible: recall >= target,
         });
     };
@@ -214,20 +227,13 @@ pub fn autotune(
             1.0
         } else {
             let index = ExactIndex::from_source_scan(&sample, metric, scan)?;
-            proxy_recall(&probes, &reference, |q| index.search_slice(q, k))
+            measure(&index, &QueryParams::default()).0
         };
         let est = model.exact(full_rows, dim, metric, &scan, k)?;
-        let point = goal.clone().exact().scan(scan);
-        push_trial(point, recall, est.evals, est.ns);
+        push_trial(goal.clone().exact().scan(scan), recall, est);
     }
 
     // --- HNSW: one build per M, beam width swept at query time. ---------
-    // Depth heuristic: evaluation counts grow with graph depth ~ ln n.
-    let hnsw_scale = if full_rows > sample.len() && sample.len() >= 2 {
-        (full_rows as f64).ln() / (sample.len() as f64).ln()
-    } else {
-        1.0
-    };
     let mut build = HnswConfig::default();
     (build.seed, build.metric, build.tier) = (SEED, metric, tier);
     for m in HNSW_MS {
@@ -242,19 +248,15 @@ pub fn autotune(
                 .backend(BlockerBackend::Hnsw(trial))
                 .scan(ScanConfig::default())
         };
-        let curve = model.probe_hnsw(&index, probes.iter().copied(), k, &EF_GRID)?;
-        for ef in EF_GRID {
-            let params = QueryParams::with_ef_search(ef);
-            let recall = proxy_recall(&probes, &reference, |q| {
-                index.search_counted(q, k, &params).0
-            });
-            let est = curve.estimate(ef);
-            push_trial(
-                point_at(ef),
-                recall,
-                est.evals * hnsw_scale,
-                est.ns * hnsw_scale,
-            );
+        let measured = EF_GRID.map(|ef| measure(&index, &QueryParams::with_ef_search(ef)));
+        let anchors = EF_GRID
+            .iter()
+            .zip(&measured)
+            .map(|(&ef, &(_, evals))| (ef as f64, evals))
+            .collect();
+        let curve = HnswCostModel::new(&index, anchors, full_rows);
+        for (ef, (recall, _)) in EF_GRID.into_iter().zip(measured) {
+            push_trial(point_at(ef), recall, curve.estimate(ef));
         }
     }
 
@@ -271,11 +273,6 @@ pub fn autotune(
             .backend(BlockerBackend::Lsh(trial))
             .scan(ScanConfig::default())
     };
-    // Occupancy (and hence candidate count) is proportional to rows.
-    let lsh_scale = full_rows as f64 / sample.len() as f64;
-    let rerank_ns = model
-        .calibration
-        .ns_per_row_metric(CostTier::of_kernel(tier), metric, dim)?;
     for tables in LSH_TABLES {
         for probe_depth in LSH_PROBES {
             let params = QueryParams {
@@ -283,15 +280,9 @@ pub fn autotune(
                 tables: Some(tables),
                 ef_search: None,
             };
-            let recall = proxy_recall(&probes, &reference, |q| {
-                index.search_counted(q, k, &params).0
-            });
-            let est = model.lsh(&index, probes.iter().copied(), probe_depth, tables)?;
-            // Scale the re-ranked candidates to the full collection; the
-            // signature-hash term is row-count independent.
-            let est_evals = est.evals * lsh_scale;
-            let est_ns = est.ns + (est_evals - est.evals) * rerank_ns;
-            push_trial(point_at(tables, probe_depth), recall, est_evals, est_ns);
+            let (recall, evals) = measure(&index, &params);
+            let est = model.lsh(&index, tables, evals, full_rows);
+            push_trial(point_at(tables, probe_depth), recall, est);
         }
     }
 
@@ -333,11 +324,12 @@ pub fn measure_point(
             "measure_point needs at least one query".into(),
         ));
     }
-    let params = point.query_params();
+    // The index is built from `point`, so its default query parameters
+    // are the point's own.
     let index = AnyIndex::build(rows, &point.backend, point.scan)?;
     let mut total = 0u64;
     for q in queries.rows_iter() {
-        total += index.search_counted(q, point.k, &params).1;
+        total += index.search_counted(q, point.k, &QueryParams::default()).1;
     }
     Ok((total, total as f64 / queries.len() as f64))
 }

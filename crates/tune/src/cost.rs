@@ -1,33 +1,40 @@
-//! The per-backend query-cost estimators.
+//! The per-backend query-cost estimators: the one place a query is
+//! priced. Measuring is the tuner's job (one `search_counted` pass per
+//! trial); this module turns what was measured into a cost.
 //!
 //! Every estimate is in the same currency: **full-width distance
 //! evaluations per query** (the `u64` that `IndexReader::search_counted`
 //! reports) and **estimated nanoseconds per query** (evaluations priced by
-//! the `Calibration` table, plus each backend's setup terms — the
+//! the frozen calibration table, plus each backend's setup terms — the
 //! quantized first pass for exact scans, the signature dots for LSH).
 //!
 //! - **Exact** is analytic: a pure scan evaluates every live row; a
 //!   quantized scan runs a cheap first pass over every row and re-ranks
 //!   `max(rerank, k)` survivors at full width.
 //! - **HNSW** has no closed form — beam search's evaluation count depends
-//!   on the graph actually built. [`CostModel::probe_hnsw`] *measures*
-//!   mean evaluations at a few anchor `ef_search` values on a query
-//!   sample (cheap: the sample index is small) and interpolates piecewise
-//!   linearly in `ef` between them.
-//! - **LSH** follows expected bucket occupancy: a *dry gather* of the
-//!   probed buckets on sample queries — signature dots and bucket
-//!   lookups only, zero distance evaluations — yields the expected
-//!   unique candidate count (the union of probed-bucket occupancies;
-//!   tables overlap far too much for an independence correction, since a
-//!   true near-duplicate collides in every table at once). On top the
-//!   query pays `tables × planes` signature dots.
+//!   on the graph actually built. Mean evaluations measured at a few
+//!   anchor `ef_search` values become an [`HnswCostModel`], which
+//!   interpolates piecewise linearly in `ef` between them.
+//!   [`CostModel::probe_hnsw`] measures such anchors on any built index.
+//! - **LSH** is priced from the measured mean candidate count (every
+//!   candidate is re-ranked at full width, so it is the evaluation count)
+//!   plus the query's `tables × planes` signature dots.
+//!
+//! **Extrapolation.** The tuner measures on a sample and prices the full
+//! collection: exact scans analytically at the full row count; LSH
+//! candidate counts scale with collection size (bucket occupancy is
+//! proportional to rows); HNSW evaluation counts scale with the depth
+//! ratio `ln N / ln n` — the logarithmic-descent heuristic. When the
+//! measured index holds the whole collection (the repo's datasets fit the
+//! tuner's sample) every scale factor is exactly 1.
 //!
 //! Accuracy is pinned in `tests/cost_accuracy.rs`: each estimator stays
 //! within 25% of measured evaluation counts on D1/D3/D7 for both metrics.
 
-use crate::calibrate::{Calibration, CostTier};
+use crate::autotune::search_probes;
+use crate::calibrate::{ns_per_row, CostTier, Op};
 use er_core::{ErError, Metric, Quantization, QueryParams, Result, ScanConfig};
-use er_index::{HnswIndex, HyperplaneLsh, IndexReader};
+use er_index::{HnswIndex, HyperplaneLsh, NnIndex};
 
 /// One backend configuration's predicted per-query cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,22 +48,19 @@ pub struct CostEstimate {
     pub ns: f64,
 }
 
-/// The estimator bundle: a `Calibration` table plus the per-backend
-/// formulas.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    pub(crate) calibration: Calibration,
-}
+/// The per-backend formulas over the compiled-in calibration table. It
+/// holds no state.
+#[derive(Debug, Clone, Copy)]
+pub struct CostModel;
 
 impl CostModel {
-    /// The compiled-in calibration snapshot.
+    /// The model over the compiled-in calibration table.
     pub fn builtin() -> CostModel {
-        CostModel {
-            calibration: Calibration::builtin(),
-        }
+        CostModel
     }
 
-    /// Exact scan over `rows` live rows of width `dim`: analytic.
+    /// Exact scan over `rows` live rows of width `dim`: analytic, and
+    /// always `Ok`.
     ///
     /// Pure scans evaluate every live row at full width. Quantized scans
     /// run the quantized kernel over every row, then re-rank
@@ -71,18 +75,14 @@ impl CostModel {
         scan: &ScanConfig,
         k: usize,
     ) -> Result<CostEstimate> {
-        let full =
-            self.calibration
-                .ns_per_row_metric(CostTier::of_kernel(scan.tier), metric, dim)?;
+        let full = ns_per_row(CostTier::of_kernel(scan.tier), metric.into(), dim);
         Ok(match scan.quant {
             Quantization::None => CostEstimate {
                 evals: rows as f64,
                 ns: rows as f64 * full,
             },
             Quantization::Int8 { rerank } | Quantization::Pq { rerank, .. } => {
-                let first_pass =
-                    self.calibration
-                        .ns_per_row_metric(CostTier::of_scan(scan), metric, dim)?;
+                let first_pass = ns_per_row(CostTier::of_scan(scan), metric.into(), dim);
                 let rerank = rerank.max(k).min(rows) as f64;
                 CostEstimate {
                     evals: rerank,
@@ -93,8 +93,9 @@ impl CostModel {
     }
 
     /// Probe an HNSW index into an [`HnswCostModel`]: measure mean
-    /// evaluation counts at each `anchor_efs` value over `queries`, and
-    /// price rows by the index's metric/tier/dim.
+    /// evaluation counts at each `anchor_efs` value over `queries` (the
+    /// tuner's measuring pass), priced by the index's metric/tier/dim for
+    /// the index's own rows.
     pub fn probe_hnsw(
         &self,
         index: &HnswIndex,
@@ -102,87 +103,55 @@ impl CostModel {
         k: usize,
         anchor_efs: &[usize],
     ) -> Result<HnswCostModel> {
-        let config = index.config();
-        let ns_per_row = self.calibration.ns_per_row_metric(
-            CostTier::of_kernel(config.tier),
-            config.metric,
-            index.matrix().dim(),
-        )?;
         if anchor_efs.is_empty() {
             return Err(ErError::Config(
                 "probe_hnsw needs at least one anchor ef".into(),
             ));
         }
-        let mut anchors: Vec<(f64, f64)> = Vec::with_capacity(anchor_efs.len());
-        for &ef in anchor_efs {
-            let mut total = 0u64;
-            let mut count = 0usize;
-            for q in queries.clone() {
-                let (_, evals) =
-                    index.search_counted(q.as_ref(), k, &QueryParams::with_ef_search(ef));
-                total += evals;
-                count += 1;
-            }
-            if count == 0 {
-                return Err(ErError::Config(
-                    "probe_hnsw needs at least one query".into(),
-                ));
-            }
-            anchors.push((ef as f64, total as f64 / count as f64));
+        if queries.clone().next().is_none() {
+            return Err(ErError::Config(
+                "probe_hnsw needs at least one query".into(),
+            ));
         }
-        anchors.sort_by(|a, b| a.0.total_cmp(&b.0));
-        anchors.dedup_by(|a, b| a.0 == b.0);
-        Ok(HnswCostModel {
-            anchors,
-            ns_per_row,
-        })
+        let anchors = anchor_efs
+            .iter()
+            .map(|&ef| {
+                let params = QueryParams::with_ef_search(ef);
+                let evals = search_probes(index, queries.clone(), k, &params, |_, _| {});
+                (ef as f64, evals)
+            })
+            .collect();
+        Ok(HnswCostModel::new(index, anchors, index.len()))
     }
 
-    /// LSH cost under runtime `(probes, tables)` from expected bucket
-    /// occupancy, averaged over `queries`.
+    /// LSH cost of a query under runtime `tables` that re-ranks `evals`
+    /// candidates — the mean measured on `index` — priced for a
+    /// collection of `rows` rows.
     ///
-    /// Per query the probed buckets are dry-gathered — signature dots and
-    /// bucket lookups, **no distance evaluations** — into the unique
-    /// candidate count (the union of the probed occupancies; an
-    /// independence correction over `probed_occupancy` badly over-counts
-    /// because a near-duplicate collides in every table at once, so the
-    /// union is taken exactly). Candidates are re-ranked at full width
-    /// (= the counted evaluations); on top the query pays
-    /// `tables × planes` signature dot products.
+    /// Candidates are re-ranked at full width (= the counted evaluations)
+    /// and scale with the collection, by `rows / index.len()`; on top the
+    /// query pays `tables × planes` signature dot products, which do not.
     pub fn lsh(
         &self,
         index: &HyperplaneLsh,
-        queries: impl Iterator<Item = impl AsRef<[f32]>>,
-        probes: usize,
         tables: usize,
-    ) -> Result<CostEstimate> {
+        evals: f64,
+        rows: usize,
+    ) -> CostEstimate {
         let config = index.config();
         let dim = index.matrix().dim();
         let tier = CostTier::of_kernel(config.tier);
-        let rerank_ns = self
-            .calibration
-            .ns_per_row_metric(tier, config.metric, dim)?;
-        let hash_ns = self.calibration.ns_per_row(tier, "dot", dim)?;
-        let mut total_expected = 0.0f64;
-        let mut count = 0usize;
-        for q in queries {
-            total_expected += index
-                .candidates_slice_with(q.as_ref(), probes, tables)
-                .len() as f64;
-            count += 1;
+        let rerank_ns = ns_per_row(tier, config.metric.into(), dim);
+        let hash_ns = ns_per_row(tier, Op::Dot, dim);
+        let hashes = (tables.clamp(1, config.tables) * config.planes) as f64;
+        let measured_ns = evals * rerank_ns + hashes * hash_ns;
+        let scaled = evals * (rows as f64 / index.len() as f64);
+        // Priced as the measured cost plus the extra candidates' re-rank,
+        // in this order, so golden `AUTOTUNE_SCALED` keeps its bits.
+        CostEstimate {
+            evals: scaled,
+            ns: measured_ns + (scaled - evals) * rerank_ns,
         }
-        if count == 0 {
-            return Err(ErError::Config(
-                "lsh estimate needs at least one query".into(),
-            ));
-        }
-        let evals = total_expected / count as f64;
-        let tables = tables.clamp(1, config.tables);
-        let hashes = (tables * config.planes) as f64;
-        Ok(CostEstimate {
-            evals,
-            ns: evals * rerank_ns + hashes * hash_ns,
-        })
     }
 }
 
@@ -200,15 +169,41 @@ pub struct HnswCostModel {
     /// `(ef, mean evals)` sorted by ef.
     anchors: Vec<(f64, f64)>,
     ns_per_row: f64,
+    /// The depth ratio `ln N / ln n` from the measured index's `n` rows to
+    /// the priced collection's `N`; 1 when they are the same.
+    scale: f64,
 }
 
 impl HnswCostModel {
+    /// The curve of `(ef, mean evals)` anchors measured on `index`, priced
+    /// by its metric/tier/dim for a collection of `rows` rows.
+    pub(crate) fn new(index: &HnswIndex, mut anchors: Vec<(f64, f64)>, rows: usize) -> Self {
+        anchors.sort_by(|a, b| a.0.total_cmp(&b.0));
+        anchors.dedup_by(|a, b| a.0 == b.0);
+        let config = index.config();
+        let measured = index.len();
+        let scale = if rows > measured && measured >= 2 {
+            (rows as f64).ln() / (measured as f64).ln()
+        } else {
+            1.0
+        };
+        HnswCostModel {
+            anchors,
+            ns_per_row: ns_per_row(
+                CostTier::of_kernel(config.tier),
+                config.metric.into(),
+                index.matrix().dim(),
+            ),
+            scale,
+        }
+    }
+
     /// Predicted cost at beam width `ef`.
     pub fn estimate(&self, ef: usize) -> CostEstimate {
         let evals = self.evals_at(ef as f64);
         CostEstimate {
-            evals,
-            ns: evals * self.ns_per_row,
+            evals: evals * self.scale,
+            ns: evals * self.ns_per_row * self.scale,
         }
     }
 
@@ -273,6 +268,7 @@ mod tests {
         let model = HnswCostModel {
             anchors: vec![(16.0, 100.0), (64.0, 220.0), (128.0, 300.0)],
             ns_per_row: 10.0,
+            scale: 1.0,
         };
         assert_eq!(model.estimate(16).evals, 100.0);
         assert_eq!(model.estimate(40).evals, 160.0);

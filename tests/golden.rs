@@ -261,6 +261,52 @@ fn autotune_chosen_point_and_trials() {
     check("AUTOTUNE", &got, AUTOTUNE);
 }
 
+const AUTOTUNE_SCALED: &[(&str, u64)] = &[
+    ("cosine_chosen", 0x9ed68e62242cc467),
+    ("cosine_trials", 0xa6560ed461388f8e),
+    ("euclidean_chosen", 0xcb7fadeb3b686150),
+    ("euclidean_trials", 0x95d2983d38e68355),
+];
+
+/// The tuner on a seeded 600-row 48-d collection, more than its 256-row
+/// sample, so every HNSW and LSH estimate is extrapolated from the
+/// sample to the full collection. Both metrics fold the chosen point and
+/// each trial's point, recall, estimated evaluations and estimated ns.
+#[test]
+fn autotune_extrapolates_past_its_sample() {
+    let mut r = rng(91);
+    let rows: Vec<Embedding> = (0..600)
+        .map(|_| Embedding((0..48).map(|_| r.gen_range(-1.0..1.0)).collect()))
+        .collect();
+    let mut r = rng(92);
+    let queries: Vec<Embedding> = (0..64)
+        .map(|_| Embedding((0..48).map(|_| r.gen_range(-1.0..1.0)).collect()))
+        .collect();
+    let (rows, queries) = (
+        EmbeddingMatrix::from_embeddings(&rows),
+        EmbeddingMatrix::from_embeddings(&queries),
+    );
+    let mut got = Vec::new();
+    for (metric_name, metric) in METRICS {
+        let goal = OperatingPoint::recall_target(0.9).metric(metric);
+        let outcome = autotune(&queries, &rows, &goal).expect("tunes");
+        assert_eq!(outcome.sample_rows, 256);
+        let mut trials = Vec::new();
+        for t in &outcome.trials {
+            trials.extend_from_slice(t.point.to_json().as_bytes());
+            trials.extend_from_slice(&t.recall.to_bits().to_le_bytes());
+            trials.extend_from_slice(&t.est_evals.to_bits().to_le_bytes());
+            trials.extend_from_slice(&t.est_ns.to_bits().to_le_bytes());
+        }
+        got.push((
+            format!("{metric_name}_chosen"),
+            fnv1a64(outcome.chosen.to_json().as_bytes()),
+        ));
+        got.push((format!("{metric_name}_trials"), fnv1a64(&trials)));
+    }
+    check("AUTOTUNE_SCALED", &got, AUTOTUNE_SCALED);
+}
+
 const BLOCKING: &[(&str, u64)] = &[
     ("exact_reference_cosine", 0x966fe44fbe0bc3f5),
     ("exact_lanes_cosine", 0x966fe44fbe0bc3f5),
@@ -353,8 +399,8 @@ const EVALS: &[(&str, u64)] = &[
 ];
 
 /// Per-query distance-evaluation counts of `search_counted` for every left
-/// record of D1 against the right-hand index, under each blocking point's
-/// own query parameters.
+/// record of D1 against the right-hand index built from each blocking
+/// point, so the default query parameters are the point's own.
 #[test]
 fn search_counted_evals_on_d1() {
     let (left, right) = embedded(&CleanCleanDataset::generate(DatasetId::D1, 42));
@@ -362,10 +408,10 @@ fn search_counted_evals_on_d1() {
     for (metric_name, metric) in METRICS {
         for (name, config) in d1_points(metric) {
             let index = AnyIndex::build(&right, &config.backend, config.scan).expect("builds");
-            let params = config.query_params();
             let mut bytes = Vec::new();
             for i in 0..left.len() {
-                let (_, evals) = index.search_counted(left.row(i), config.k, &params);
+                let (_, evals) =
+                    index.search_counted(left.row(i), config.k, &QueryParams::default());
                 bytes.extend_from_slice(&evals.to_le_bytes());
             }
             got.push((format!("{name}_{metric_name}"), fnv1a64(&bytes)));
