@@ -10,12 +10,12 @@
 //! facade, the `er-serve` `ServeConfig` and `er-tune` all take these
 //! values as they are — nothing translates between config types.
 //!
-//! Each field means one thing: `scan` configures the Exact scan only,
-//! while an HNSW or LSH kernel tier lives in its own config (which is
-//! what the index persists). [`BlockerBackend::validate`] states the
-//! backend rules once, including "a non-default `scan` only on Exact",
-//! and [`OperatingPoint::validate`] rejects self-contradictory settings
-//! with a typed [`ErError::Config`].
+//! Each field means one thing: `scan.tier` is the kernel tier every
+//! backend ranks with (an HNSW or LSH index keeps it as its own field and
+//! persists it), while `scan.quant` configures the Exact scan only.
+//! [`BlockerBackend::validate`] states the backend rules once, including
+//! "quantization only on Exact", and [`OperatingPoint::validate`] rejects
+//! self-contradictory settings with a typed [`ErError::Config`].
 //!
 //! Query-time parameters (HNSW beam width, LSH probes/tables) are carried
 //! separately in [`QueryParams`] so the tuner can sweep them against one
@@ -24,7 +24,6 @@
 
 use crate::error::{ErError, Result};
 use crate::json::Json;
-use crate::kernels::KernelTier;
 use crate::metric::Metric;
 use crate::scan::{Quantization, ScanConfig};
 
@@ -42,12 +41,6 @@ pub struct HnswConfig {
     pub metric: Metric,
     /// Seed for the level-sampling stream.
     pub seed: u64,
-    /// Kernel tier every graph distance runs on. `Reference` (the default)
-    /// keeps builds bit-identical to the pre-tier index; `Lanes` speeds up
-    /// construction and search, with the usual ≤-tolerance contract. The
-    /// tier is persisted: a loaded graph searches with the tier it was
-    /// built with.
-    pub tier: KernelTier,
 }
 
 impl Default for HnswConfig {
@@ -58,7 +51,6 @@ impl Default for HnswConfig {
             ef_search: 64,
             metric: Metric::Euclidean,
             seed: 42,
-            tier: KernelTier::Reference,
         }
     }
 }
@@ -81,11 +73,6 @@ pub struct LshConfig {
     pub metric: Metric,
     /// Seed for the hyperplane streams.
     pub seed: u64,
-    /// Kernel tier for the signature dots and the candidate re-ranking.
-    /// Signatures are sign bits, so they rarely change across tiers, but
-    /// the tier is part of the build contract and is persisted with the
-    /// index: a loaded index probes with the same tier it hashed with.
-    pub tier: KernelTier,
 }
 
 impl Default for LshConfig {
@@ -98,7 +85,6 @@ impl Default for LshConfig {
             // native re-ranking metric.
             metric: Metric::Cosine,
             seed: 42,
-            tier: KernelTier::Reference,
         }
     }
 }
@@ -145,18 +131,17 @@ impl BlockerBackend {
     }
 
     /// The backend rules, stated once for every path that builds or loads
-    /// an index — [`OperatingPoint::validate`], `er_index::AnyIndex::build`
-    /// and the `er_index::persist` loaders all call this: `scan` (tier and
-    /// quantization) only configures `Exact`, so any other backend must
-    /// leave it at its default; HNSW needs `m >= 2` and non-zero beams;
-    /// LSH signatures are `u64` bitmasks over at least one table.
+    /// an index — [`OperatingPoint::validate`], the `er_index` constructors
+    /// and the `er_index::persist` loaders all call this: `scan.tier` ranks
+    /// on every backend, but quantization only configures `Exact`; HNSW
+    /// needs `m >= 2` and non-zero beams; LSH signatures are `u64`
+    /// bitmasks over at least one table.
     pub fn validate(&self, scan: &ScanConfig) -> Result<()> {
         let fail = |msg: String| Err(ErError::Config(format!("backend config: {msg}")));
         match self {
             BlockerBackend::Exact(_) => Ok(()),
-            _ if *scan != ScanConfig::default() => fail(format!(
-                "a scan tier or quantization only applies to the Exact backend; \
-                 {} carries its tier in its own config",
+            _ if scan.quant != Quantization::None => fail(format!(
+                "quantization only applies to the Exact backend; {} ranks full f32 rows",
                 self.name()
             )),
             BlockerBackend::Hnsw(c) if c.m < 2 => fail(format!("HNSW needs m >= 2, got {}", c.m)),
@@ -213,8 +198,8 @@ pub struct OperatingPoint {
     /// The index backend with its parameters; its metric is the distance
     /// every backend minimizes and every score derives from.
     pub backend: BlockerBackend,
-    /// Kernel tier + quantization of the *Exact* scan. Must stay at its
-    /// default on HNSW/LSH, whose tier lives in their own config.
+    /// The kernel tier every backend ranks with, and the quantization of
+    /// the *Exact* scan (HNSW/LSH refuse any).
     pub scan: ScanConfig,
     /// Dirty ER: both sides are the same collection, so pairs are
     /// order-normalized and self-pairs dropped.
@@ -284,7 +269,7 @@ impl OperatingPoint {
         self
     }
 
-    /// Choose the Exact backend's kernel tier / quantization.
+    /// Choose the kernel tier (every backend) and quantization (Exact only).
     pub fn scan(mut self, scan: ScanConfig) -> OperatingPoint {
         self.scan = scan;
         self
@@ -311,8 +296,8 @@ impl OperatingPoint {
 
     /// Canonical JSON rendering — stable field order, so two points are
     /// equal iff their JSON is byte-identical (the autotuner-determinism
-    /// contract is pinned on this). `scan.tier` is the tier that actually
-    /// ranks: the Exact scan's, or the HNSW/LSH config's.
+    /// contract is pinned on this). `scan.tier` is the tier that ranks, on
+    /// every backend.
     pub fn to_json(&self) -> String {
         let metric = match self.backend.metric() {
             Metric::Euclidean => "euclidean",
@@ -336,40 +321,34 @@ impl OperatingPoint {
             ("metric".into(), Json::from_str_value(metric)),
             ("backend".into(), Json::from_str_value(self.backend.name())),
         ];
-        let tier = match &self.backend {
-            BlockerBackend::Exact(_) => self.scan.tier,
-            BlockerBackend::Hnsw(c) => {
-                fields.push((
-                    "hnsw".into(),
-                    Json::Obj(vec![
-                        ("m".into(), Json::from_usize(c.m)),
-                        (
-                            "ef_construction".into(),
-                            Json::from_usize(c.ef_construction),
-                        ),
-                        ("ef_search".into(), Json::from_usize(c.ef_search)),
-                        ("seed".into(), Json::from_u64(c.seed)),
-                    ]),
-                ));
-                c.tier
-            }
-            BlockerBackend::Lsh(c) => {
-                fields.push((
-                    "lsh".into(),
-                    Json::Obj(vec![
-                        ("planes".into(), Json::from_usize(c.planes)),
-                        ("tables".into(), Json::from_usize(c.tables)),
-                        ("probes".into(), Json::from_usize(c.probes)),
-                        ("seed".into(), Json::from_u64(c.seed)),
-                    ]),
-                ));
-                c.tier
-            }
-        };
+        match &self.backend {
+            BlockerBackend::Exact(_) => {}
+            BlockerBackend::Hnsw(c) => fields.push((
+                "hnsw".into(),
+                Json::Obj(vec![
+                    ("m".into(), Json::from_usize(c.m)),
+                    (
+                        "ef_construction".into(),
+                        Json::from_usize(c.ef_construction),
+                    ),
+                    ("ef_search".into(), Json::from_usize(c.ef_search)),
+                    ("seed".into(), Json::from_u64(c.seed)),
+                ]),
+            )),
+            BlockerBackend::Lsh(c) => fields.push((
+                "lsh".into(),
+                Json::Obj(vec![
+                    ("planes".into(), Json::from_usize(c.planes)),
+                    ("tables".into(), Json::from_usize(c.tables)),
+                    ("probes".into(), Json::from_usize(c.probes)),
+                    ("seed".into(), Json::from_u64(c.seed)),
+                ]),
+            )),
+        }
         fields.push((
             "scan".into(),
             Json::Obj(vec![
-                ("tier".into(), Json::from_str_value(tier.name())),
+                ("tier".into(), Json::from_str_value(self.scan.tier.name())),
                 ("quant".into(), quant),
             ]),
         ));
@@ -384,6 +363,7 @@ impl OperatingPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::KernelTier;
 
     fn lsh_tables(tables: usize) -> BlockerBackend {
         BlockerBackend::Lsh(LshConfig {
@@ -421,23 +401,29 @@ mod tests {
     }
 
     #[test]
-    fn a_scan_on_approximate_backends_is_a_config_error() {
-        // Quantization and a kernel tier alike: HNSW/LSH carry their tier
-        // in their own config, so a non-default scan would be ignored.
-        for scan in [
-            ScanConfig {
-                tier: KernelTier::Reference,
-                quant: Quantization::Int8 { rerank: 32 },
-            },
-            ScanConfig::with_tier(KernelTier::Lanes),
-        ] {
-            for backend in [BlockerBackend::default(), lsh_tables(8)] {
-                let op = OperatingPoint::default().backend(backend).scan(scan);
-                let err = op.validate().unwrap_err();
-                assert!(matches!(err, ErError::Config(_)), "{err}");
-                // The same scan on the Exact backend is fine.
-                assert!(op.exact().validate().is_ok());
-            }
+    fn quantization_on_approximate_backends_is_a_config_error() {
+        let int8 = ScanConfig {
+            tier: KernelTier::Reference,
+            quant: Quantization::Int8 { rerank: 32 },
+        };
+        for backend in [BlockerBackend::default(), lsh_tables(8)] {
+            let op = OperatingPoint::default().backend(backend).scan(int8);
+            let err = op.validate().unwrap_err();
+            assert!(matches!(err, ErError::Config(_)), "{err}");
+            // The same scan on the Exact backend is fine.
+            assert!(op.exact().validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn the_scan_tier_ranks_on_every_backend() {
+        let lanes = ScanConfig::with_tier(KernelTier::Lanes);
+        for backend in [BlockerBackend::default(), lsh_tables(8)] {
+            let op = OperatingPoint::default().backend(backend).scan(lanes);
+            assert!(op.validate().is_ok());
+            let json = Json::parse(&op.to_json()).unwrap();
+            let tier = json.expect("scan").unwrap().expect("tier").unwrap();
+            assert_eq!(tier.as_str().unwrap(), "lanes");
         }
     }
 

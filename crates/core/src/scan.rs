@@ -1,6 +1,7 @@
-//! Scan configuration for the exact brute-force backend: which f32 kernel
-//! tier ranks the rows, and whether a quantized (int8 / PQ) first pass
-//! replaces the full-precision scan.
+//! Scan configuration: which f32 kernel tier ranks the rows — on every
+//! backend, the one tier setting of the workspace — and whether a
+//! quantized (int8 / PQ) first pass replaces the full-precision scan of
+//! the exact brute-force backend (the only backend that takes one).
 //!
 //! Historically these types lived in `er_index::exact`; they moved down
 //! into er-core with the [`crate::OperatingPoint`] redesign so one config
@@ -36,12 +37,15 @@ pub enum Quantization {
 /// pre-tier behavior, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ScanConfig {
+    /// The kernel tier every distance of the index runs on: the Exact
+    /// scan and re-rank, every HNSW graph distance, LSH signature dots and
+    /// re-ranking. An index persists the tier it was built with.
     pub tier: KernelTier,
     pub quant: Quantization,
 }
 
 impl ScanConfig {
-    /// The exact scan on the given kernel tier.
+    /// Rank on the given kernel tier, with no quantization.
     pub fn with_tier(tier: KernelTier) -> ScanConfig {
         ScanConfig {
             tier,

@@ -23,13 +23,12 @@ pub enum AnyIndex {
 impl AnyIndex {
     /// Build the index `backend` describes over `source` (a matrix moved
     /// in, or a `&EmbeddingMatrix` the index copies) — the one place a
-    /// backend choice becomes an index. `scan` configures the Exact
-    /// backend's kernel tier / quantization (HNSW and LSH carry their own
-    /// `tier` in their configs).
+    /// backend choice becomes an index. `scan.tier` is the kernel tier of
+    /// every backend; `scan.quant` configures the Exact scan only.
     ///
     /// Errors instead of panicking on a config no index can honour: a
-    /// degenerate HNSW/LSH config or a non-default scan on a non-Exact
-    /// backend is a typed [`ErError::Config`] (the rules of
+    /// degenerate HNSW/LSH config or quantization on a non-Exact backend
+    /// is a typed [`ErError::Config`] (the rules of
     /// [`BlockerBackend::validate`]); a PQ scan that cannot train — an empty
     /// store, so a streaming service must start on `Int8` or `None`, or
     /// `subspaces` not dividing the dimension — is the [`ErError::Model`]
@@ -39,27 +38,33 @@ impl AnyIndex {
         backend: &BlockerBackend,
         scan: ScanConfig,
     ) -> Result<AnyIndex> {
-        backend.validate(&scan)?;
         Ok(match backend {
             BlockerBackend::Exact(metric) => {
                 AnyIndex::Exact(ExactIndex::from_source_scan(source, *metric, scan)?)
             }
             BlockerBackend::Hnsw(config) => {
-                AnyIndex::Hnsw(HnswIndex::from_source(source, config.clone()))
+                AnyIndex::Hnsw(HnswIndex::from_source_scan(source, config.clone(), scan)?)
             }
             BlockerBackend::Lsh(config) => {
-                AnyIndex::Lsh(HyperplaneLsh::from_source(source, config.clone()))
+                AnyIndex::Lsh(HyperplaneLsh::from_source(source, config.clone(), scan)?)
             }
         })
     }
 
-    /// The backend config this index was built with — how a loaded shard
-    /// reconstitutes the `ShardedIndex`-level [`BlockerBackend`].
-    pub fn backend(&self) -> BlockerBackend {
+    /// The backend and scan this index was built with — the config
+    /// [`AnyIndex::build`] took (an HNSW/LSH scan is its tier), and how a
+    /// loaded shard reconstitutes the `ShardedIndex`-level layout.
+    pub fn config(&self) -> (BlockerBackend, ScanConfig) {
         match self {
-            AnyIndex::Exact(i) => BlockerBackend::Exact(i.metric()),
-            AnyIndex::Hnsw(i) => BlockerBackend::Hnsw(i.config().clone()),
-            AnyIndex::Lsh(i) => BlockerBackend::Lsh(i.config().clone()),
+            AnyIndex::Exact(i) => (BlockerBackend::Exact(i.metric()), i.scan_config()),
+            AnyIndex::Hnsw(i) => (
+                BlockerBackend::Hnsw(i.config().clone()),
+                ScanConfig::with_tier(i.tier()),
+            ),
+            AnyIndex::Lsh(i) => (
+                BlockerBackend::Lsh(i.config().clone()),
+                ScanConfig::with_tier(i.tier()),
+            ),
         }
     }
 

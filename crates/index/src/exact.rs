@@ -62,8 +62,12 @@ impl ExactIndex {
     /// Build with the default scan over `source`: a matrix moved in, or a
     /// `&EmbeddingMatrix` the index copies (the index owns its rows).
     pub fn from_source(source: impl Into<EmbeddingMatrix>, metric: Metric) -> ExactIndex {
-        ExactIndex::from_source_scan(source, metric, ScanConfig::default())
-            .expect("the default scan config cannot fail")
+        ExactIndex {
+            rows: Rows::new(source.into()),
+            metric,
+            tier: KernelTier::Reference,
+            quant: Quant::None,
+        }
     }
 
     /// Build with an explicit [`ScanConfig`]. Errors (typed
@@ -74,16 +78,17 @@ impl ExactIndex {
         metric: Metric,
         scan: ScanConfig,
     ) -> er_core::Result<ExactIndex> {
-        let matrix = source.into();
-        let quant = match scan.quant {
+        let mut index = ExactIndex::from_source(source, metric);
+        let matrix = index.rows.matrix();
+        index.quant = match scan.quant {
             Quantization::None => Quant::None,
             Quantization::Int8 { rerank } => Quant::Int8 {
                 rerank,
                 codes: matrix.quantize(),
             },
             Quantization::Pq { config, rerank } => {
-                let book = PqCodebook::train(&matrix, &config)?;
-                let codes = book.encode(&matrix);
+                let book = PqCodebook::train(matrix, &config)?;
+                let codes = book.encode(matrix);
                 Quant::Pq {
                     rerank,
                     config,
@@ -92,12 +97,8 @@ impl ExactIndex {
                 }
             }
         };
-        Ok(ExactIndex {
-            rows: Rows::new(matrix),
-            metric,
-            tier: scan.tier,
-            quant,
-        })
+        index.tier = scan.tier;
+        Ok(index)
     }
 
     /// The stored vectors.

@@ -27,9 +27,9 @@
 //! routes searches through the graph) but is masked out of results.
 
 use crate::store::{Ranked, Rows};
-use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
+use crate::{BlockerBackend, IndexReader, Metric, MutableIndex, Neighbor, NnIndex, ScanConfig};
 use er_core::rng::{derive, DetRng};
-use er_core::{EmbeddingMatrix, HnswConfig, QueryParams};
+use er_core::{EmbeddingMatrix, HnswConfig, KernelTier, QueryParams, Result};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -52,6 +52,9 @@ pub struct HnswIndex {
     pub(crate) entry: u32,
     pub(crate) max_level: usize,
     pub(crate) config: HnswConfig,
+    /// The kernel tier every graph distance runs on, fixed at build and
+    /// persisted: a loaded graph searches with the tier it was built with.
+    pub(crate) tier: KernelTier,
     /// The level-sampling stream, positioned after one draw per stored
     /// node — a later `insert_row` continues exactly where the build left
     /// off (and persistence replays the stream to this position on load).
@@ -59,15 +62,21 @@ pub struct HnswIndex {
 }
 
 impl HnswIndex {
-    /// Build the graph over `source`: a matrix moved in, or a
-    /// `&EmbeddingMatrix` the index copies (the index owns its rows).
+    /// Build the graph over `source` (a matrix moved in, or a
+    /// `&EmbeddingMatrix` the index copies: the index owns its rows) with
+    /// every distance on `scan.tier`. A config [`BlockerBackend::validate`]
+    /// refuses (quantization among them) is its typed
+    /// [`er_core::ErError::Config`].
     ///
     /// The batch build *is* the incremental path — one level draw plus one
     /// insert per row — so `insert_row` calls afterwards continue the same
     /// level stream and the graph never depends on which path built it.
-    pub fn from_source(source: impl Into<EmbeddingMatrix>, config: HnswConfig) -> HnswIndex {
-        assert!(config.m >= 2, "HNSW needs m >= 2");
-        assert!(config.ef_construction >= 1 && config.ef_search >= 1);
+    pub fn from_source_scan(
+        source: impl Into<EmbeddingMatrix>,
+        config: HnswConfig,
+        scan: ScanConfig,
+    ) -> Result<HnswIndex> {
+        BlockerBackend::Hnsw(config.clone()).validate(&scan)?;
         let mut index = HnswIndex {
             rows: Rows::new(source.into()),
             neighbors: Vec::new(),
@@ -75,9 +84,18 @@ impl HnswIndex {
             max_level: 0,
             level_rng: derive(config.seed, "hnsw-levels"),
             config,
+            tier: scan.tier,
         };
         index.build_graph();
-        index
+        Ok(index)
+    }
+
+    /// [`HnswIndex::from_source_scan`] on the default scan (the `Reference`
+    /// tier), panicking where it errs.
+    #[allow(clippy::panic)] // an infallible signature `bench_e2e` builds with
+    pub fn from_source(source: impl Into<EmbeddingMatrix>, config: HnswConfig) -> HnswIndex {
+        HnswIndex::from_source_scan(source, config, ScanConfig::default())
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Build the graph over every stored row from scratch: restart the
@@ -121,6 +139,11 @@ impl HnswIndex {
         &self.config
     }
 
+    /// The kernel tier every graph distance runs on.
+    pub fn tier(&self) -> KernelTier {
+        self.tier
+    }
+
     /// The stored vectors.
     pub fn matrix(&self) -> &EmbeddingMatrix {
         self.rows.matrix()
@@ -141,7 +164,7 @@ impl HnswIndex {
     fn dist(&self, query: &[f32], query_norm: f32, id: u32) -> f32 {
         let m = self.rows.matrix();
         self.config.metric.distance_prenorm_tier(
-            self.config.tier,
+            self.tier,
             query,
             query_norm,
             m.row(id as usize),
@@ -153,13 +176,7 @@ impl HnswIndex {
     #[inline]
     fn dist_rows(&self, a: u32, b: u32) -> f32 {
         let m = self.rows.matrix();
-        self.config.metric.distance_prenorm_tier(
-            self.config.tier,
-            m.row(a as usize),
-            m.norm(a as usize),
-            m.row(b as usize),
-            m.norm(b as usize),
-        )
+        self.dist(m.row(a as usize), m.norm(a as usize), b)
     }
 
     fn insert(&mut self, id: u32, level: usize) {
@@ -259,7 +276,9 @@ impl HnswIndex {
     /// enters the results, so the beam keeps `ef` live candidates and
     /// `k ≤ ef` hits never contain a masked id. Construction passes
     /// `|_| true`, which monomorphizes the mask away.
-    #[allow(clippy::too_many_arguments)]
+    // `expect`: a full beam holds `ef >= 1` entries (the query `k >= 1`,
+    // the validated `ef_construction >= 1`), so `peek` finds one.
+    #[allow(clippy::too_many_arguments, clippy::expect_used)]
     fn search_layer(
         &self,
         query: &[f32],
@@ -397,7 +416,7 @@ impl IndexReader for HnswIndex {
         if !self.rows.answers(query, k) {
             return (Vec::new(), 0);
         }
-        let query_norm = self.config.metric.query_norm_tier(self.config.tier, query);
+        let query_norm = self.config.metric.query_norm_tier(self.tier, query);
         let mut evals = 1u64;
         let mut cur = Cand {
             dist: self.dist(query, query_norm, self.entry),

@@ -23,8 +23,17 @@
 //! query gets no hits, never a panic or a NaN distance.
 //!
 //! [`AnyIndex::build`] is the one place a backend choice
-//! ([`BlockerBackend`]) becomes an index, and the one place its config is
-//! validated.
+//! ([`BlockerBackend`]) and a [`ScanConfig`] become an index: the scan's
+//! kernel tier ranks on every backend, and the HNSW and LSH constructors
+//! it calls refuse what [`BlockerBackend::validate`] refuses.
+//!
+//! The crate does not panic on its inputs: outside tests, `unwrap`,
+//! `expect`, `panic!` and `unreachable!` are compile errors, and the few
+//! sites that state an internal invariant carry a site-local `#[allow]`
+//! naming it.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod any;
 pub mod exact;

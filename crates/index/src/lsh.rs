@@ -16,9 +16,9 @@
 //! fixed seed (the candidate union only grows).
 
 use crate::store::Rows;
-use crate::{IndexReader, Metric, MutableIndex, Neighbor, NnIndex};
+use crate::{BlockerBackend, IndexReader, Metric, MutableIndex, Neighbor, NnIndex, ScanConfig};
 use er_core::rng::derive;
-use er_core::{EmbeddingMatrix, KernelTier, LshConfig, QueryParams};
+use er_core::{EmbeddingMatrix, KernelTier, LshConfig, QueryParams, Result};
 use rand::{Rng, RngCore};
 use std::collections::HashMap;
 
@@ -33,14 +33,27 @@ pub(crate) struct Table {
 }
 
 impl Table {
-    /// Rebuild the signature → ids map from stored signatures, in id order
-    /// — the persistence load path, which must never redo the float dot
-    /// products that produced the signatures.
-    pub(crate) fn rebuild_buckets(&mut self) {
-        self.buckets.clear();
-        for (id, &sig) in self.signatures.iter().enumerate() {
-            self.buckets.entry(sig).or_default().push(id as u32);
+    /// A table over stored `signatures`, one per row id, its signature →
+    /// ids map built from them in id order: the load and compaction paths
+    /// never redo the float dot products that produced the signatures.
+    pub(crate) fn new(hyperplanes: Vec<Vec<f32>>, signatures: Vec<u64>) -> Table {
+        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+        for (id, &sig) in signatures.iter().enumerate() {
+            buckets.entry(sig).or_default().push(id as u32);
         }
+        Table {
+            hyperplanes,
+            buckets,
+            signatures,
+        }
+    }
+
+    /// Hash row `id` into the table: its signature on `tier`, then its
+    /// bucket — the one per-row step of a build and of `insert_row`.
+    fn push(&mut self, id: u32, row: &[f32], tier: KernelTier) {
+        let sig = signature(&self.hyperplanes, row, tier, |_| {});
+        self.signatures.push(sig);
+        self.buckets.entry(sig).or_default().push(id);
     }
 }
 
@@ -51,6 +64,10 @@ pub struct HyperplaneLsh {
     pub(crate) rows: Rows,
     pub(crate) tables: Vec<Table>,
     pub(crate) config: LshConfig,
+    /// The kernel tier of the signature dots and the re-ranking, fixed at
+    /// build and persisted: a loaded index probes with the tier it hashed
+    /// with.
+    pub(crate) tier: KernelTier,
 }
 
 /// Standard normal via Box–Muller (the vendored `rand` has no
@@ -62,45 +79,47 @@ fn gaussian(rng: &mut impl RngCore) -> f32 {
 }
 
 impl HyperplaneLsh {
-    /// Hash `source` into the tables: a matrix moved in, or a
-    /// `&EmbeddingMatrix` the index copies (the index owns its rows).
-    pub fn from_source(source: impl Into<EmbeddingMatrix>, config: LshConfig) -> HyperplaneLsh {
-        assert!(
-            (1..=64).contains(&config.planes),
-            "signatures are u64 bitmasks: 1 <= planes <= 64"
-        );
-        assert!(config.tables >= 1, "need at least one table");
-        let matrix: EmbeddingMatrix = source.into();
-        let dim = matrix.dim();
+    /// Hash `source` (a matrix moved in, or a `&EmbeddingMatrix` the index
+    /// copies: the index owns its rows) into the tables, with every dot
+    /// product on `scan.tier`. A config [`BlockerBackend::validate`]
+    /// refuses (quantization among them) is its typed
+    /// [`er_core::ErError::Config`].
+    pub fn from_source(
+        source: impl Into<EmbeddingMatrix>,
+        config: LshConfig,
+        scan: ScanConfig,
+    ) -> Result<HyperplaneLsh> {
+        BlockerBackend::Lsh(config.clone()).validate(&scan)?;
+        let rows = Rows::new(source.into());
+        let dim = rows.matrix().dim();
         let tables = (0..config.tables)
             .map(|t| {
                 let mut rng = derive(config.seed, &format!("lsh-table-{t}"));
-                let hyperplanes: Vec<Vec<f32>> = (0..config.planes)
+                let hyperplanes = (0..config.planes)
                     .map(|_| (0..dim).map(|_| gaussian(&mut rng)).collect())
                     .collect();
-                let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-                let mut signatures = Vec::with_capacity(matrix.len());
-                for (id, row) in matrix.rows_iter().enumerate() {
-                    let sig = signature(&hyperplanes, row, config.tier, |_| {});
-                    signatures.push(sig);
-                    buckets.entry(sig).or_default().push(id as u32);
+                let mut table = Table::new(hyperplanes, Vec::new());
+                for (id, row) in rows.matrix().rows_iter().enumerate() {
+                    table.push(id as u32, row, scan.tier);
                 }
-                Table {
-                    hyperplanes,
-                    buckets,
-                    signatures,
-                }
+                table
             })
             .collect();
-        HyperplaneLsh {
-            rows: Rows::new(matrix),
+        Ok(HyperplaneLsh {
+            rows,
             tables,
             config,
-        }
+            tier: scan.tier,
+        })
     }
 
     pub fn config(&self) -> &LshConfig {
         &self.config
+    }
+
+    /// The kernel tier of the signature dots and the re-ranking.
+    pub fn tier(&self) -> KernelTier {
+        self.tier
     }
 
     /// The stored vectors.
@@ -138,7 +157,7 @@ impl HyperplaneLsh {
         };
         self.tables[..tables].iter().flat_map(move |table| {
             let mut margins = Vec::with_capacity(self.config.planes);
-            let sig = signature(&table.hyperplanes, query, self.config.tier, |dot| {
+            let sig = signature(&table.hyperplanes, query, self.tier, |dot| {
                 margins.push(dot)
             });
             let mut order: Vec<usize> = (0..self.config.planes).collect();
@@ -241,7 +260,7 @@ impl IndexReader for HyperplaneLsh {
         let evals = candidates.len() as u64;
         let hits = self.rows.rerank(
             self.config.metric,
-            self.config.tier,
+            self.tier,
             query,
             candidates.into_iter().map(|id| id as usize),
             k,
@@ -253,11 +272,8 @@ impl IndexReader for HyperplaneLsh {
 impl MutableIndex for HyperplaneLsh {
     fn insert_row(&mut self, row: &[f32]) -> er_core::Result<usize> {
         let id = self.rows.push(row, "HyperplaneLsh::insert_row")?;
-        let tier = self.config.tier;
         for table in &mut self.tables {
-            let sig = signature(&table.hyperplanes, row, tier, |_| {});
-            table.signatures.push(sig);
-            table.buckets.entry(sig).or_default().push(id as u32);
+            table.push(id as u32, row, self.tier);
         }
         Ok(id)
     }
@@ -276,11 +292,8 @@ impl MutableIndex for HyperplaneLsh {
         let keep = self.rows.compact();
         if keep.len() < stored {
             for table in &mut self.tables {
-                table.signatures = keep
-                    .iter()
-                    .map(|&old| table.signatures[old as usize])
-                    .collect();
-                table.rebuild_buckets();
+                let signatures = keep.iter().map(|&old| table.signatures[old as usize]);
+                *table = Table::new(std::mem::take(&mut table.hyperplanes), signatures.collect());
             }
         }
         keep
@@ -301,7 +314,8 @@ mod tests {
     #[test]
     fn identical_vectors_always_collide() {
         let vectors = random_vectors(20, 8, 1);
-        let lsh = HyperplaneLsh::from_source(&vectors, LshConfig::default());
+        let lsh = HyperplaneLsh::from_source(&vectors, LshConfig::default(), ScanConfig::default())
+            .unwrap();
         for (id, v) in vectors.rows_iter().enumerate() {
             // A vector is always a candidate for itself (same signature in
             // every table), so search finds it at distance ~0.
@@ -314,7 +328,8 @@ mod tests {
     #[test]
     fn probing_expands_the_candidate_set() {
         let vectors = random_vectors(200, 8, 2);
-        let lsh = HyperplaneLsh::from_source(&vectors, LshConfig::default());
+        let lsh = HyperplaneLsh::from_source(&vectors, LshConfig::default(), ScanConfig::default())
+            .unwrap();
         let q = [0.3; 8];
         let narrow = lsh.candidates_slice_with(&q, 0, 8).len();
         let wide = lsh.candidates_slice_with(&q, 4, 8).len();
@@ -323,11 +338,17 @@ mod tests {
 
     #[test]
     fn empty_index_and_zero_k() {
-        let lsh = HyperplaneLsh::from_source(EmbeddingMatrix::new(0), LshConfig::default());
+        let lsh = HyperplaneLsh::from_source(
+            EmbeddingMatrix::new(0),
+            LshConfig::default(),
+            ScanConfig::default(),
+        )
+        .unwrap();
         assert!(lsh.is_empty());
         assert!(lsh.search_slice(&[1.0], 5).is_empty());
         let one = EmbeddingMatrix::from_flat(2, vec![1.0, 2.0]).unwrap();
-        let one = HyperplaneLsh::from_source(one, LshConfig::default());
+        let one =
+            HyperplaneLsh::from_source(one, LshConfig::default(), ScanConfig::default()).unwrap();
         assert!(one.search_slice(&[1.0, 2.0], 0).is_empty());
     }
 

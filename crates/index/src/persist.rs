@@ -39,7 +39,6 @@ use crate::{BlockerBackend, ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, Ls
 use er_core::binary::{self, kind, BinReader, BinWriter, Container};
 use er_core::pq::PqConfig;
 use er_core::{ErError, KernelTier, Result};
-use std::collections::HashMap;
 
 /// Section tags shared by the three index containers (disjoint use is
 /// keyed by the container `kind`).
@@ -256,7 +255,7 @@ impl HnswIndex {
         meta.put_usize(self.config.ef_search);
         meta.put_u64(self.config.seed);
         meta.put_u8(metric_code(self.config.metric));
-        meta.put_u8(self.config.tier.code());
+        meta.put_u8(self.tier.code());
         meta.put_u32(self.entry);
         meta.put_usize(self.max_level);
         let mut graph = BinWriter::new();
@@ -276,7 +275,7 @@ impl HnswIndex {
     /// saved index's left off (so `insert_row` after a reload draws the
     /// same levels the original would have).
     pub fn from_bytes(bytes: &[u8]) -> Result<HnswIndex> {
-        let (mut c, rows, (config, entry, max_level)) =
+        let (mut c, rows, (config, tier, entry, max_level)) =
             Rows::from_container(bytes, kind::HNSW_INDEX, |meta, n| {
                 let config = HnswConfig {
                     m: meta.get_usize()?,
@@ -284,8 +283,8 @@ impl HnswIndex {
                     ef_search: meta.get_usize()?,
                     seed: meta.get_u64()?,
                     metric: metric_from_code(meta.get_u8()?)?,
-                    tier: tier_from_code(meta.get_u8()?)?,
                 };
+                let tier = tier_from_code(meta.get_u8()?)?;
                 let entry = meta.get_u32()?;
                 let max_level = meta.get_usize()?;
                 config_in_range(BlockerBackend::Hnsw(config.clone()))?;
@@ -294,7 +293,7 @@ impl HnswIndex {
                         "HNSW entry {entry} / max level {max_level} out of range for {n} nodes"
                     )));
                 }
-                Ok((config, entry, max_level))
+                Ok((config, tier, entry, max_level))
             })?;
         let n = rows.len();
         let mut graph = c.section(tag::GRAPH, "graph")?;
@@ -328,6 +327,7 @@ impl HnswIndex {
             max_level,
             level_rng: HnswIndex::level_rng_after(config.seed, n),
             config,
+            tier,
         })
     }
 }
@@ -343,7 +343,7 @@ impl HyperplaneLsh {
         meta.put_usize(self.config.probes);
         meta.put_u64(self.config.seed);
         meta.put_u8(metric_code(self.config.metric));
-        meta.put_u8(self.config.tier.code());
+        meta.put_u8(self.tier.code());
         let mut planes = BinWriter::new();
         for table in &self.tables {
             for plane in &table.hyperplanes {
@@ -365,18 +365,19 @@ impl HyperplaneLsh {
     /// from the stored signatures in id order (float-free), everything
     /// else is read back verbatim.
     pub fn from_bytes(bytes: &[u8]) -> Result<HyperplaneLsh> {
-        let (mut c, rows, config) = Rows::from_container(bytes, kind::LSH_INDEX, |meta, _| {
-            let config = LshConfig {
-                planes: meta.get_usize()?,
-                tables: meta.get_usize()?,
-                probes: meta.get_usize()?,
-                seed: meta.get_u64()?,
-                metric: metric_from_code(meta.get_u8()?)?,
-                tier: tier_from_code(meta.get_u8()?)?,
-            };
-            config_in_range(BlockerBackend::Lsh(config.clone()))?;
-            Ok(config)
-        })?;
+        let (mut c, rows, (config, tier)) =
+            Rows::from_container(bytes, kind::LSH_INDEX, |meta, _| {
+                let config = LshConfig {
+                    planes: meta.get_usize()?,
+                    tables: meta.get_usize()?,
+                    probes: meta.get_usize()?,
+                    seed: meta.get_u64()?,
+                    metric: metric_from_code(meta.get_u8()?)?,
+                };
+                let tier = tier_from_code(meta.get_u8()?)?;
+                config_in_range(BlockerBackend::Lsh(config.clone()))?;
+                Ok((config, tier))
+            })?;
         let (n, dim) = (rows.len(), rows.matrix().dim());
         // Each table holds `planes` length-prefixed hyperplanes.
         let mut planes = c.section(tag::HYPERPLANES, "hyperplanes")?;
@@ -390,22 +391,17 @@ impl HyperplaneLsh {
             .collect::<Result<Vec<_>>>()?;
         planes.finish()?;
         let mut sigs = c.section(tag::SIGNATURES, "signatures")?;
-        let mut tables = Vec::with_capacity(tables);
-        for hyperplanes in hyperplanes {
-            let mut table = Table {
-                hyperplanes,
-                buckets: HashMap::new(),
-                signatures: sigs.get_u64s(n)?,
-            };
-            table.rebuild_buckets();
-            tables.push(table);
-        }
+        let tables = hyperplanes
+            .into_iter()
+            .map(|hyperplanes| Ok(Table::new(hyperplanes, sigs.get_u64s(n)?)))
+            .collect::<Result<Vec<_>>>()?;
         sigs.finish()?;
         c.finish()?;
         Ok(HyperplaneLsh {
             rows,
             tables,
             config,
+            tier,
         })
     }
 }
@@ -417,7 +413,7 @@ mod tests {
         MutableIndex, NnIndex,
     };
     use er_core::binary::{self, kind};
-    use er_core::{EmbeddingMatrix, ErError};
+    use er_core::{EmbeddingMatrix, ErError, ScanConfig};
     use rand::Rng;
 
     fn vectors(n: usize, dim: usize, seed: u64) -> EmbeddingMatrix {
@@ -463,7 +459,9 @@ mod tests {
     #[test]
     fn lsh_round_trip_rebuilds_buckets_without_rehashing() {
         let vs = vectors(50, 8, 11);
-        let mut index = HyperplaneLsh::from_source(vs.clone(), LshConfig::default());
+        let mut index =
+            HyperplaneLsh::from_source(vs.clone(), LshConfig::default(), ScanConfig::default())
+                .unwrap();
         index.delete_row(25);
         let back = HyperplaneLsh::from_bytes(&index.to_bytes()).unwrap();
         assert_eq!(index.signatures(), back.signatures());

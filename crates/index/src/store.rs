@@ -180,6 +180,8 @@ impl Rows {
 /// [`Ranked`] order, its own order, so a `+NaN` distance ranks last and
 /// never shadows a finite one. The hot path is one float compare against
 /// the cached worst entry; `Ranked` decides only ties and NaN.
+// `expect`: the loop runs only once the heap holds `k >= 1` entries.
+#[allow(clippy::expect_used)]
 pub(crate) fn top_k(k: usize, mut hits: impl Iterator<Item = (usize, f32)>) -> Vec<Neighbor> {
     // `k` is caller input: cap the capacity by what the iterator can yield.
     let cap = hits.size_hint().1.map_or(k, |n| n.min(k));

@@ -181,7 +181,12 @@ fn lsh_compaction_is_bit_identical_for_both_metrics() {
             metric,
             ..LshConfig::default()
         };
-        let mut index = HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), config);
+        let mut index = HyperplaneLsh::from_source(
+            EmbeddingMatrix::from_embeddings(&vs),
+            config,
+            ScanConfig::default(),
+        )
+        .unwrap();
         delete_every_third(&mut index, vs.len());
         let before = distances(&index, &queries, 5);
         index.compact();
@@ -199,8 +204,12 @@ fn compacting_with_no_tombstones_is_an_identity_no_op() {
         ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean);
     let mut hnsw =
         HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
-    let mut lsh =
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
+    let mut lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vs),
+        LshConfig::default(),
+        ScanConfig::default(),
+    )
+    .unwrap();
     let bytes_before = (exact.to_bytes(), hnsw.to_bytes(), lsh.to_bytes());
     let identity: Vec<u32> = (0..vs.len() as u32).collect();
     assert_eq!(exact.compact(), identity);
@@ -221,8 +230,12 @@ fn empty_and_all_tombstoned_compactions_are_panic_free() {
         ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&[]), Metric::Euclidean);
     let mut hnsw =
         HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&[]), HnswConfig::default());
-    let mut lsh =
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&[]), LshConfig::default());
+    let mut lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&[]),
+        LshConfig::default(),
+        ScanConfig::default(),
+    )
+    .unwrap();
     assert!(exact.compact().is_empty());
     assert!(hnsw.compact().is_empty());
     assert!(lsh.compact().is_empty());
@@ -233,8 +246,12 @@ fn empty_and_all_tombstoned_compactions_are_panic_free() {
         ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean);
     let mut hnsw =
         HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
-    let mut lsh =
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
+    let mut lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vs),
+        LshConfig::default(),
+        ScanConfig::default(),
+    )
+    .unwrap();
     for i in 0..vs.len() {
         exact.delete_row(i);
         hnsw.delete_row(i);

@@ -4,7 +4,7 @@
 //! return clean truncated results instead of panicking or leaking
 //! deleted ids.
 
-use er_core::{Embedding, EmbeddingMatrix, ErError};
+use er_core::{Embedding, EmbeddingMatrix, ErError, ScanConfig};
 use er_index::{
     ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, IndexReader, LshConfig, Metric, MutableIndex,
     NnIndex,
@@ -51,9 +51,18 @@ fn exact_and_lsh_incremental_build_match_batch() {
     let batch_exact =
         ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Cosine);
     let mut inc_exact = ExactIndex::from_source(EmbeddingMatrix::new(6), Metric::Cosine);
-    let batch_lsh =
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
-    let mut inc_lsh = HyperplaneLsh::from_source(EmbeddingMatrix::new(6), LshConfig::default());
+    let batch_lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vs),
+        LshConfig::default(),
+        ScanConfig::default(),
+    )
+    .unwrap();
+    let mut inc_lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::new(6),
+        LshConfig::default(),
+        ScanConfig::default(),
+    )
+    .unwrap();
     for (i, v) in vs.iter().enumerate() {
         assert_eq!(inc_exact.insert_row(v.as_slice()).unwrap(), i);
         assert_eq!(inc_lsh.insert_row(v.as_slice()).unwrap(), i);
@@ -82,8 +91,12 @@ fn tombstones_mask_results_without_moving_ids() {
         ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean);
     let mut hnsw =
         HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
-    let mut lsh =
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
+    let mut lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vs),
+        LshConfig::default(),
+        ScanConfig::default(),
+    )
+    .unwrap();
     for &d in &dropped {
         assert!(exact.delete_row(d) && hnsw.delete_row(d) && lsh.delete_row(d));
         // Double deletion is a no-op, not a panic.
@@ -129,8 +142,12 @@ fn all_tombstoned_index_returns_empty_never_panics() {
         ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean);
     let mut hnsw =
         HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
-    let mut lsh =
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
+    let mut lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vs),
+        LshConfig::default(),
+        ScanConfig::default(),
+    )
+    .unwrap();
     for i in 0..vs.len() {
         exact.delete_row(i);
         hnsw.delete_row(i);
@@ -157,8 +174,12 @@ fn k_larger_than_live_count_truncates_cleanly() {
         ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean);
     let mut hnsw =
         HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default());
-    let mut lsh =
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
+    let mut lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vs),
+        LshConfig::default(),
+        ScanConfig::default(),
+    )
+    .unwrap();
     for d in [1usize, 4, 6] {
         exact.delete_row(d);
         hnsw.delete_row(d);
@@ -183,7 +204,12 @@ fn dimension_mismatches_are_typed_errors() {
         Err(ErError::Model(_))
     ));
     assert_eq!(exact.insert_row(&[1.0; 4]).unwrap(), 0);
-    let mut lsh = HyperplaneLsh::from_source(EmbeddingMatrix::new(2), LshConfig::default());
+    let mut lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::new(2),
+        LshConfig::default(),
+        ScanConfig::default(),
+    )
+    .unwrap();
     assert_eq!(lsh.insert_row(&[1.0, 2.0]).unwrap(), 0);
     assert_eq!(
         lsh.search_slice(Embedding(vec![1.0, 2.0]).as_slice(), 1)

@@ -4,7 +4,7 @@
 //! the sequential results.
 
 use er_core::rng::rng;
-use er_core::{kernels, Embedding, EmbeddingMatrix};
+use er_core::{kernels, Embedding, EmbeddingMatrix, ScanConfig};
 use er_index::{
     ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metric, Neighbor, NnIndex,
 };
@@ -65,11 +65,15 @@ fn same_seed_builds_bit_identical_lsh_signatures() {
     let a = HyperplaneLsh::from_source(
         EmbeddingMatrix::from_embeddings(&vectors),
         LshConfig::default(),
-    );
+        ScanConfig::default(),
+    )
+    .unwrap();
     let b = HyperplaneLsh::from_source(
         EmbeddingMatrix::from_embeddings(&vectors),
         LshConfig::default(),
-    );
+        ScanConfig::default(),
+    )
+    .unwrap();
     assert_eq!(a.signatures(), b.signatures());
     for q in random_vectors(10, 12, 25) {
         assert_eq!(
@@ -88,7 +92,9 @@ fn same_seed_builds_bit_identical_lsh_signatures() {
             seed: 7,
             ..LshConfig::default()
         },
-    );
+        ScanConfig::default(),
+    )
+    .unwrap();
     assert_ne!(a.signatures(), c.signatures());
 }
 
@@ -116,7 +122,8 @@ fn search_batch_matches_sequential_search() {
             );
             assert_eq!(hnsw.search_batch_rows(&queries, 10), sequential(&hnsw));
         }
-        let lsh = HyperplaneLsh::from_source(&vectors, LshConfig::default());
+        let lsh = HyperplaneLsh::from_source(&vectors, LshConfig::default(), ScanConfig::default())
+            .unwrap();
         assert_eq!(lsh.search_batch_rows(&queries, 10), sequential(&lsh));
         let exact = ExactIndex::from_matrix(&vectors, Metric::Euclidean);
         assert_eq!(exact.search_batch_rows(&queries, 10), sequential(&exact));

@@ -102,7 +102,7 @@ fn a_nan_row_hides_no_neighbour_of_the_lsh_rerank() {
         ..LshConfig::default()
     };
     assert_nan_row_is_invisible("LSH", |m| {
-        Box::new(HyperplaneLsh::from_source(m, config.clone()))
+        Box::new(HyperplaneLsh::from_source(m, config.clone(), ScanConfig::default()).unwrap())
     });
 }
 

@@ -85,7 +85,7 @@ proptest! {
         let metric = [Metric::Euclidean, Metric::Cosine][metric_pick];
         let config = LshConfig { metric, ..LshConfig::default() };
         let vs = vectors(n, dim, seed);
-        let mut index = HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), config);
+        let mut index = HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), config, ScanConfig::default()).unwrap();
         if n > 2 {
             index.delete_row(0);
         }
@@ -101,7 +101,7 @@ proptest! {
         let files = [
             ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean).to_bytes(),
             HnswIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), HnswConfig::default()).to_bytes(),
-            HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default()).to_bytes(),
+            HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default(), ScanConfig::default()).unwrap().to_bytes(),
         ];
         for bytes in &files {
             let cut = ((bytes.len() as f64) * cut_frac) as usize;
@@ -152,8 +152,12 @@ fn save_and_load_round_trip_through_the_filesystem() {
     let bytes = through_disk("hnsw.erbf", hnsw.to_bytes());
     assert_same_hits(&hnsw, &HnswIndex::from_bytes(&bytes).unwrap(), &queries, 5);
 
-    let lsh =
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default());
+    let lsh = HyperplaneLsh::from_source(
+        EmbeddingMatrix::from_embeddings(&vs),
+        LshConfig::default(),
+        ScanConfig::default(),
+    )
+    .unwrap();
     let bytes = through_disk("lsh.erbf", lsh.to_bytes());
     assert_same_hits(
         &lsh,
@@ -222,10 +226,20 @@ fn serialization_is_byte_deterministic() {
             .to_bytes()
     );
     assert_eq!(
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default())
-            .to_bytes(),
-        HyperplaneLsh::from_source(EmbeddingMatrix::from_embeddings(&vs), LshConfig::default())
-            .to_bytes()
+        HyperplaneLsh::from_source(
+            EmbeddingMatrix::from_embeddings(&vs),
+            LshConfig::default(),
+            ScanConfig::default()
+        )
+        .unwrap()
+        .to_bytes(),
+        HyperplaneLsh::from_source(
+            EmbeddingMatrix::from_embeddings(&vs),
+            LshConfig::default(),
+            ScanConfig::default()
+        )
+        .unwrap()
+        .to_bytes()
     );
     assert_eq!(
         ExactIndex::from_source(EmbeddingMatrix::from_embeddings(&vs), Metric::Euclidean)
@@ -290,6 +304,44 @@ fn quantized_and_tiered_indices_round_trip_bit_identically() {
             // Byte determinism extends to the new sections.
             assert_eq!(index.to_bytes(), back.to_bytes());
         }
+    }
+}
+
+/// HNSW and LSH built on a kernel tier keep it: `AnyIndex::config`
+/// reports the scan they were built with before and after a round trip,
+/// the loaded index answers bit-identically, and quantization on either
+/// backend is refused.
+#[test]
+fn graph_and_lsh_indices_keep_their_build_tier_through_bytes() {
+    use er_index::{AnyIndex, BlockerBackend};
+    let vs = EmbeddingMatrix::from_embeddings(&vectors(30, 8, 43));
+    let queries = vectors(6, 8, 44);
+    for backend in [
+        BlockerBackend::Hnsw(HnswConfig::default()),
+        BlockerBackend::Lsh(LshConfig::default()),
+    ] {
+        for tier in [KernelTier::Reference, KernelTier::Lanes] {
+            let scan = ScanConfig::with_tier(tier);
+            let mut index = AnyIndex::build(&vs, &backend, scan).unwrap();
+            index.delete_row(5);
+            assert_eq!(index.config(), (backend.clone(), scan));
+            let back = AnyIndex::from_bytes(&index.to_bytes()).unwrap();
+            assert_eq!(
+                back.config(),
+                (backend.clone(), scan),
+                "tier lost in transit"
+            );
+            assert_same_hits(&index, &back, &queries, 5);
+            assert_eq!(index.to_bytes(), back.to_bytes());
+        }
+        let int8 = ScanConfig {
+            tier: KernelTier::Reference,
+            quant: Quantization::Int8 { rerank: 12 },
+        };
+        assert!(matches!(
+            AnyIndex::build(&vs, &backend, int8),
+            Err(ErError::Config(_))
+        ));
     }
 }
 
@@ -420,7 +472,9 @@ fn length_bombs_and_trailing_bytes_in_index_files_are_corrupt() {
             rerank: 6,
         }),
         HnswIndex::from_source(vs.clone(), HnswConfig::default()).to_bytes(),
-        HyperplaneLsh::from_source(vs.clone(), LshConfig::default()).to_bytes(),
+        HyperplaneLsh::from_source(vs.clone(), LshConfig::default(), ScanConfig::default())
+            .unwrap()
+            .to_bytes(),
     ];
     let corrupt = |bytes: &[u8]| matches!(AnyIndex::from_bytes(bytes), Err(ErError::Corrupt(_)));
     for file in &files {

@@ -50,7 +50,9 @@ fn default_params_match_search_slice_on_every_backend() {
                 metric,
                 ..LshConfig::default()
             },
-        );
+            ScanConfig::default(),
+        )
+        .unwrap();
         for q in &queries {
             for k in [1usize, 5, 17] {
                 let d = QueryParams::default();
@@ -116,7 +118,9 @@ fn runtime_probes_and_tables_match_a_matching_build() {
             probes: 4,
             ..LshConfig::default()
         },
-    );
+        ScanConfig::default(),
+    )
+    .unwrap();
     for (tables, probes) in [(4usize, 0usize), (8, 2), (16, 4), (3, 1)] {
         let narrow = HyperplaneLsh::from_source(
             EmbeddingMatrix::from_embeddings(&vectors),
@@ -125,7 +129,9 @@ fn runtime_probes_and_tables_match_a_matching_build() {
                 probes,
                 ..LshConfig::default()
             },
-        );
+            ScanConfig::default(),
+        )
+        .unwrap();
         let params = QueryParams {
             probes: Some(probes),
             tables: Some(tables),
@@ -189,7 +195,9 @@ fn lsh_counter_is_the_gathered_candidate_count() {
     let lsh = HyperplaneLsh::from_source(
         EmbeddingMatrix::from_embeddings(&vectors),
         LshConfig::default(),
-    );
+        ScanConfig::default(),
+    )
+    .unwrap();
     for q in random_vectors(10, 10, 62) {
         let (_, evals) = lsh.search_counted(q.as_slice(), 5, &QueryParams::default());
         let config = lsh.config();

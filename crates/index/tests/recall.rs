@@ -3,7 +3,7 @@
 //! quality contract the blocking experiments (paper Fig. 7) rely on.
 
 use er_core::rng::rng;
-use er_core::{Embedding, EmbeddingMatrix, QueryParams};
+use er_core::{Embedding, EmbeddingMatrix, QueryParams, ScanConfig};
 use er_index::{
     ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, IndexReader, LshConfig, Metric, NnIndex,
 };
@@ -115,9 +115,10 @@ fn lsh_recall_improves_monotonically_with_table_count() {
                 probes: 1,
                 metric: Metric::Cosine,
                 seed: 42,
-                ..LshConfig::default()
             },
-        );
+            ScanConfig::default(),
+        )
+        .unwrap();
         let recall = recall_at_k(
             &lsh,
             &QueryParams::default(),
@@ -150,14 +151,18 @@ fn lsh_candidate_sets_are_nested_across_table_counts() {
             tables: 2,
             ..LshConfig::default()
         },
-    );
+        ScanConfig::default(),
+    )
+    .unwrap();
     let large = HyperplaneLsh::from_source(
         EmbeddingMatrix::from_embeddings(&vectors),
         LshConfig {
             tables: 6,
             ..LshConfig::default()
         },
-    );
+        ScanConfig::default(),
+    )
+    .unwrap();
     assert_eq!(small.signatures()[0], large.signatures()[0]);
     assert_eq!(small.signatures()[1], large.signatures()[1]);
     for q in random_vectors(10, 12, 18) {

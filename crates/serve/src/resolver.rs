@@ -71,8 +71,8 @@ fn write_save(dir: &Path, bytes: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// How a [`Resolver`] is laid out: shard count, index backend, Exact scan
-/// and compaction policy. The backend and scan are the same two values an
+/// How a [`Resolver`] is laid out: shard count, index backend, scan and
+/// compaction policy. The backend and scan are the same two values an
 /// [`er_core::OperatingPoint`] holds, so serving a point is
 /// `ServeConfig::new().backend(p.backend.clone()).scan(p.scan)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +83,8 @@ pub struct ServeConfig {
     /// including the seed, which is safe because shards hold disjoint
     /// records.
     pub backend: BlockerBackend,
-    /// Kernel tier / quantization for Exact-backend shards. Int8 is
+    /// The kernel tier every shard ranks with, whatever its backend, and
+    /// the quantization of Exact shards (HNSW/LSH refuse any). Int8 is
     /// per-row (shard-invariant) and tracks streaming inserts; PQ is
     /// rejected at construction — it needs a trained codebook and the
     /// service starts empty.
@@ -111,7 +112,7 @@ impl ServeConfig {
         self
     }
 
-    /// Choose the Exact backend's kernel tier / quantization.
+    /// Choose the kernel tier (every backend) and quantization (Exact only).
     pub fn scan(mut self, scan: ScanConfig) -> ServeConfig {
         self.scan = scan;
         self
@@ -133,15 +134,6 @@ impl Default for ServeConfig {
             scan: ScanConfig::default(),
             compaction: CompactionPolicy::default(),
         }
-    }
-}
-
-/// A shard index's scan when it is an Exact index (the approximate
-/// backends carry their tier in their config).
-fn shard_scan(index: &AnyIndex) -> ScanConfig {
-    match index {
-        AnyIndex::Exact(i) => i.scan_config(),
-        AnyIndex::Hnsw(_) | AnyIndex::Lsh(_) => ScanConfig::default(),
     }
 }
 
@@ -406,10 +398,11 @@ impl<'m> Resolver<'m> {
     /// caller's config to when a save exists.
     fn layout(&self) -> ServeConfig {
         let snaps = self.index.snapshots();
+        let (backend, scan) = snaps[0].index().config();
         ServeConfig {
             shards: snaps.len(),
-            backend: snaps[0].index().backend(),
-            scan: shard_scan(snaps[0].index()),
+            backend,
+            scan,
             compaction: self.index.compaction_policy(),
         }
     }
@@ -512,7 +505,7 @@ impl<'m> Resolver<'m> {
             let index = AnyIndex::from_bytes(shards.get_bytes()?)?;
             // Every shard, empty or not, must hold META's row width (an
             // index's width is fixed when it is built, and kernels only
-            // debug-assert lengths) and share shard 0's backend.
+            // debug-assert lengths) and share shard 0's backend and scan.
             let rows_dim = index.matrix().dim();
             if rows_dim != dim {
                 return Err(ErError::corrupt(format!(
@@ -520,11 +513,11 @@ impl<'m> Resolver<'m> {
                 )));
             }
             if let Some(first) = snapshots.first() {
-                if index.backend() != first.index.backend() {
+                if index.config() != first.index.config() {
                     return Err(ErError::corrupt(format!(
                         "shard {i} runs {:?}, shard 0 {:?}",
-                        index.backend(),
-                        first.index.backend()
+                        index.config(),
+                        first.index.config()
                     )));
                 }
             }
@@ -566,14 +559,12 @@ mod tests {
             BlockerBackend::Hnsw(HnswConfig {
                 m: 4,
                 ef_search: 8,
-                tier: lanes,
                 ..HnswConfig::default()
             }),
             BlockerBackend::Lsh(LshConfig::default()),
             BlockerBackend::Lsh(LshConfig {
                 tables: 3,
                 metric: Metric::Euclidean,
-                tier: lanes,
                 ..LshConfig::default()
             }),
         ];
@@ -622,8 +613,9 @@ mod tests {
                 }
             }
         }
-        // Every backend on its default scan, plus the Exact backends'
-        // Lanes and Int8 scans (PQ cannot train on an empty shard).
-        assert_eq!(accepted, (6 + 2 * 2) * 2 * 2);
+        // Every backend on the Reference and Lanes scans, plus the Exact
+        // backends' Int8 scan (PQ cannot train on an empty shard, and
+        // HNSW/LSH refuse quantization).
+        assert_eq!(accepted, (6 * 2 + 2) * 2 * 2);
     }
 }

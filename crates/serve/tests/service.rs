@@ -526,8 +526,9 @@ fn int8_service_with_full_rerank_matches_the_f32_service_bitwise() {
 }
 
 /// A container whose shards disagree with META (another row width) or
-/// with each other (another backend) is corrupt: loading it `Ok` would
-/// hand queries to kernels whose length check is only a `debug_assert`.
+/// with each other (another backend, or another kernel tier) is corrupt:
+/// loading it `Ok` would hand queries to kernels whose length check is
+/// only a `debug_assert`, or serve one layout under two tiers.
 #[test]
 fn shards_that_disagree_with_meta_or_with_each_other_are_corrupt() {
     use er_core::binary::{self, kind, BinReader, BinWriter};
@@ -535,9 +536,9 @@ fn shards_that_disagree_with_meta_or_with_each_other_are_corrupt() {
     const SHARDS: u32 = 2;
     const MODEL: u32 = 3;
     // The (META, SHARDS, MODEL) section bodies of a two-shard save.
-    let save = |dim: usize, backend: BlockerBackend| -> [Vec<u8>; 3] {
+    let save = |dim: usize, backend: BlockerBackend, scan: ScanConfig| -> [Vec<u8>; 3] {
         let model = TrigramModel { dim };
-        let config = ServeConfig::new().shards(2).backend(backend);
+        let config = ServeConfig::new().shards(2).backend(backend).scan(scan);
         let resolver = Resolver::new(&model, SerializationMode::SchemaAgnostic, config).unwrap();
         for id in 0..8u32 {
             resolver
@@ -555,7 +556,8 @@ fn shards_that_disagree_with_meta_or_with_each_other_are_corrupt() {
     };
     let model = TrigramModel { dim: 48 };
     let exact = BlockerBackend::Exact(Metric::Cosine);
-    let [meta, exact_shards, identity] = save(48, exact.clone());
+    let reference = ScanConfig::default();
+    let [meta, exact_shards, identity] = save(48, exact.clone(), reference);
     // Spliced saves keep the 48-d save's MODEL section, so only the
     // shards can disagree.
     let container = |meta: &[u8], shards: &[u8]| {
@@ -572,28 +574,39 @@ fn shards_that_disagree_with_meta_or_with_each_other_are_corrupt() {
     assert!(Resolver::from_bytes(&container(&meta, &exact_shards), &model).is_ok());
 
     // 48-d META over the shards of an 8-d save.
-    let [_, narrow_shards, _] = save(8, exact);
+    let [_, narrow_shards, _] = save(8, exact, reference);
     assert!(matches!(
         Resolver::from_bytes(&container(&meta, &narrow_shards), &model),
         Err(ErError::Corrupt(_))
     ));
 
-    // Shard 0 of the exact save beside shard 1 of an HNSW save.
-    let [_, hnsw_shards, _] = save(48, BlockerBackend::default());
-    let mut mixed = BinWriter::new();
-    for (i, body) in [&exact_shards, &hnsw_shards].into_iter().enumerate() {
-        let mut r = BinReader::new(body);
-        for _ in 0..i {
-            r.get_u32_vec().unwrap();
-            r.get_bytes().unwrap();
+    // Shard 0 of one save beside shard 1 of another.
+    let spliced = |first: &[u8], second: &[u8]| {
+        let mut mixed = BinWriter::new();
+        for (i, body) in [first, second].into_iter().enumerate() {
+            let mut r = BinReader::new(body);
+            for _ in 0..i {
+                r.get_u32_vec().unwrap();
+                r.get_bytes().unwrap();
+            }
+            mixed.put_u32_slice(&r.get_u32_vec().unwrap());
+            mixed.put_bytes(r.get_bytes().unwrap());
         }
-        mixed.put_u32_slice(&r.get_u32_vec().unwrap());
-        mixed.put_bytes(r.get_bytes().unwrap());
+        container(&meta, &mixed.into_bytes())
+    };
+    // Another backend, then the same HNSW backend on another tier.
+    let [_, hnsw_shards, _] = save(48, BlockerBackend::default(), reference);
+    let lanes = ScanConfig::with_tier(er_core::KernelTier::Lanes);
+    let [_, hnsw_lanes_shards, _] = save(48, BlockerBackend::default(), lanes);
+    for (first, second) in [
+        (&exact_shards, &hnsw_shards),
+        (&hnsw_shards, &hnsw_lanes_shards),
+    ] {
+        assert!(matches!(
+            Resolver::from_bytes(&spliced(first, second), &model),
+            Err(ErError::Corrupt(_))
+        ));
     }
-    assert!(matches!(
-        Resolver::from_bytes(&container(&meta, &mixed.into_bytes()), &model),
-        Err(ErError::Corrupt(_))
-    ));
 }
 
 /// Degenerate backend configs reach the serving path as typed
@@ -665,22 +678,77 @@ fn degenerate_backend_configs_are_typed_errors_not_panics() {
             "ShardedIndex::new: {label}"
         );
     }
-    // A scan — quantization or a kernel tier — on an approximate backend
-    // is the same typed error: HNSW and LSH carry their tier in their own
-    // config, so the scan would be silently ignored.
-    for scan in [
-        ScanConfig {
-            quant: er_index::Quantization::Int8 { rerank: 8 },
-            ..ScanConfig::default()
-        },
-        ScanConfig::with_tier(er_core::KernelTier::Lanes),
-    ] {
+    // Quantization on an approximate backend is the same typed error:
+    // HNSW and LSH rank full f32 rows.
+    let int8 = ScanConfig {
+        quant: er_index::Quantization::Int8 { rerank: 8 },
+        ..ScanConfig::default()
+    };
+    for backend in [BlockerBackend::default(), lsh(LshConfig::default())] {
+        let config = ServeConfig::new().backend(backend).scan(int8);
         assert!(matches!(
-            Resolver::new(&model, mode.clone(), ServeConfig::new().scan(scan)),
+            Resolver::new(&model, mode.clone(), config),
             Err(ErError::Config(_))
         ));
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The scan's kernel tier ranks on every backend: HNSW and LSH shards
+/// built with `ScanConfig::with_tier(Lanes)` hold that tier, persist it
+/// (every shard container reports that scan after `to_bytes`), and a
+/// durable directory reopens only under the scan it was created with.
+#[test]
+fn hnsw_and_lsh_shards_rank_on_the_scan_tier() {
+    use er_core::binary::{self, kind, BinReader};
+    use er_core::KernelTier;
+    use er_index::AnyIndex;
+    let model = TrigramModel { dim: 8 };
+    let mode = SerializationMode::SchemaAgnostic;
+    let lanes = ScanConfig::with_tier(KernelTier::Lanes);
+    for backend in [
+        BlockerBackend::default(),
+        BlockerBackend::Lsh(LshConfig::default()),
+    ] {
+        let label = format!("{backend:?}");
+        assert!(
+            ShardedIndex::new(8, 2, backend.clone(), lanes, CompactionPolicy::default()).is_ok(),
+            "ShardedIndex::new: {label}"
+        );
+        let config = ServeConfig::new().shards(2).backend(backend).scan(lanes);
+        let resolver = Resolver::new(&model, mode.clone(), config.clone()).unwrap();
+        for id in 0..10u32 {
+            resolver
+                .insert(&entity(id, &format!("tiered record {id}")))
+                .unwrap();
+        }
+        let bytes = resolver.to_bytes();
+        let sections = binary::read_container(&bytes, kind::RESOLVER)
+            .unwrap()
+            .sections;
+        let mut shards = BinReader::new(sections[1].1);
+        for shard in 0..2 {
+            shards.get_u32_vec().unwrap();
+            let index = AnyIndex::from_bytes(shards.get_bytes().unwrap()).unwrap();
+            assert_eq!(index.config().1, lanes, "{label}: shard {shard}");
+        }
+        let back = Resolver::from_bytes(&bytes, &model).unwrap();
+        assert_eq!(back.to_bytes(), bytes, "{label}");
+
+        let dir = std::env::temp_dir().join(format!("er-serve-tiered-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(Resolver::open(&dir, &model, mode.clone(), config.clone()).unwrap());
+        assert!(Resolver::open(&dir, &model, mode.clone(), config.clone()).is_ok());
+        let reference = config.scan(ScanConfig::default());
+        assert!(
+            matches!(
+                Resolver::open(&dir, &model, mode.clone(), reference),
+                Err(ErError::Config(_))
+            ),
+            "Resolver::open under the Reference scan: {label}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// `bytes` re-sealed after `edit` changed its sections: damage that only

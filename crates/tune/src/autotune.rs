@@ -173,7 +173,6 @@ pub fn autotune(
     }
     let k = goal.k;
     let metric = goal.backend.metric();
-    let tier = goal.scan.tier;
     let target = goal.recall_target.unwrap_or(0.95);
     let dim = rows.dim();
     let full_rows = rows.len();
@@ -233,20 +232,23 @@ pub fn autotune(
         push_trial(goal.clone().exact().scan(scan), recall, est);
     }
 
+    // Graph and LSH trials rank on the goal's kernel tier, as the index a
+    // chosen point builds will.
+    let scan = ScanConfig::with_tier(goal.scan.tier);
+    let tiered = goal.clone().scan(scan);
+
     // --- HNSW: one build per M, beam width swept at query time. ---------
     let mut build = HnswConfig::default();
-    (build.seed, build.metric, build.tier) = (SEED, metric, tier);
+    (build.seed, build.metric) = (SEED, metric);
     for m in HNSW_MS {
         // One graph per `m`, built as a chosen point would build it: the
         // beam width is a query-time knob and does not shape the graph.
         build.m = m;
-        let index = HnswIndex::from_source(&sample, build.clone());
+        let index = HnswIndex::from_source_scan(&sample, build.clone(), scan)?;
         let point_at = |ef_search: usize| {
             let mut trial = build.clone();
             trial.ef_search = ef_search;
-            goal.clone()
-                .backend(BlockerBackend::Hnsw(trial))
-                .scan(ScanConfig::default())
+            tiered.clone().backend(BlockerBackend::Hnsw(trial))
         };
         let measured = EF_GRID.map(|ef| measure(&index, &QueryParams::with_ef_search(ef)));
         let anchors = EF_GRID
@@ -264,14 +266,12 @@ pub fn autotune(
     let mut build = LshConfig::default();
     // The build holds the widest grid values; narrower ones are queried.
     (build.planes, build.tables, build.probes) = (LSH_PLANES, LSH_TABLES[2], LSH_PROBES[1]);
-    (build.seed, build.metric, build.tier) = (SEED, metric, tier);
-    let index = HyperplaneLsh::from_source(&sample, build.clone());
+    (build.seed, build.metric) = (SEED, metric);
+    let index = HyperplaneLsh::from_source(&sample, build.clone(), scan)?;
     let point_at = |tables: usize, probes: usize| {
         let mut trial = build.clone();
         (trial.tables, trial.probes) = (tables, probes);
-        goal.clone()
-            .backend(BlockerBackend::Lsh(trial))
-            .scan(ScanConfig::default())
+        tiered.clone().backend(BlockerBackend::Lsh(trial))
     };
     for tables in LSH_TABLES {
         for probe_depth in LSH_PROBES {

@@ -140,7 +140,7 @@ impl CostModel {
     ) -> CostEstimate {
         let config = index.config();
         let dim = index.matrix().dim();
-        let tier = CostTier::of_kernel(config.tier);
+        let tier = CostTier::of_kernel(index.tier());
         let rerank_ns = ns_per_row(tier, config.metric.into(), dim);
         let hash_ns = ns_per_row(tier, Op::Dot, dim);
         let hashes = (tables.clamp(1, config.tables) * config.planes) as f64;
@@ -190,7 +190,7 @@ impl HnswCostModel {
         HnswCostModel {
             anchors,
             ns_per_row: ns_per_row(
-                CostTier::of_kernel(config.tier),
+                CostTier::of_kernel(index.tier()),
                 config.metric.into(),
                 index.matrix().dim(),
             ),

@@ -132,7 +132,9 @@ fn check_dataset(id: DatasetId) {
                 metric,
                 ..LshConfig::default()
             },
-        );
+            ScanConfig::default(),
+        )
+        .unwrap();
         let sample = probe_sample(&queries, 2);
         for (tables, probes) in [(4usize, 2usize), (8, 2), (16, 4)] {
             let params = QueryParams {

@@ -10,7 +10,7 @@
 //! HNSW beam (links, hits, evals) with and without tombstones, UMC and
 //! Kiraly threshold sweeps (Clean-Clean and Dirty ER) with their match and
 //! metric bits, the PQ index container bytes on D1, and the
-//! `Resolver` save bytes (four backend/scan layouts) and per-shard journal
+//! `Resolver` save bytes (five backend/scan layouts) and per-shard journal
 //! bytes after a seeded write stream. The digests are identical in debug
 //! and release builds.
 //!
@@ -172,14 +172,15 @@ fn operating_point_json() {
         Quantization::Pq { config, rerank: 50 },
     );
     let hnsw = |m, ef_construction, ef_search, seed, tier| {
-        point().backend(BlockerBackend::Hnsw(HnswConfig {
-            m,
-            ef_construction,
-            ef_search,
-            metric: Metric::Cosine,
-            seed,
-            tier,
-        }))
+        point()
+            .backend(BlockerBackend::Hnsw(HnswConfig {
+                m,
+                ef_construction,
+                ef_search,
+                metric: Metric::Cosine,
+                seed,
+            }))
+            .scan(ScanConfig::with_tier(tier))
     };
     let lsh_custom = LshConfig {
         planes: 16,
@@ -187,7 +188,6 @@ fn operating_point_json() {
         probes: 1,
         metric: Metric::Euclidean,
         seed: 9,
-        tier: reference,
     };
     let points = [
         ("default", point()),
@@ -312,17 +312,22 @@ const BLOCKING: &[(&str, u64)] = &[
     ("exact_lanes_cosine", 0x966fe44fbe0bc3f5),
     ("exact_int8_cosine", 0x966fe44fbe0bc3f5),
     ("hnsw_default_cosine", 0x966fe44fbe0bc3f5),
+    ("hnsw_lanes_cosine", 0x966fe44fbe0bc3f5),
     ("lsh_default_cosine", 0x48bdf33f4fb89bd7),
+    ("lsh_lanes_cosine", 0x48bdf33f4fb89bd7),
     ("exact_reference_euclidean", 0x2787ea4959e3c28d),
     ("exact_lanes_euclidean", 0x2787ea4959e3c28d),
     ("exact_int8_euclidean", 0x2787ea4959e3c28d),
     ("hnsw_default_euclidean", 0x2787ea4959e3c28d),
+    ("hnsw_lanes_euclidean", 0x2787ea4959e3c28d),
     ("lsh_default_euclidean", 0xaded4cd6417f4b92),
+    ("lsh_lanes_euclidean", 0xaded4cd6417f4b92),
 ];
 
-/// The five D1 blocking points the `BLOCKING` and `EVALS` rows pin:
-/// Exact at three scan tiers, HNSW and LSH at their defaults.
-fn d1_points(metric: Metric) -> [(&'static str, OperatingPoint); 5] {
+/// The seven D1 blocking points the `BLOCKING` and `EVALS` rows pin:
+/// Exact at three scan tiers, HNSW and LSH at their defaults and on the
+/// `Lanes` kernel tier.
+fn d1_points(metric: Metric) -> [(&'static str, OperatingPoint); 7] {
     let exact = |tier, quant| {
         OperatingPoint::new(10)
             .backend(BlockerBackend::Exact(metric))
@@ -346,11 +351,29 @@ fn d1_points(metric: Metric) -> [(&'static str, OperatingPoint); 5] {
             })),
         ),
         (
+            "hnsw_lanes",
+            OperatingPoint::new(10)
+                .backend(BlockerBackend::Hnsw(HnswConfig {
+                    metric,
+                    ..HnswConfig::default()
+                }))
+                .scan(ScanConfig::with_tier(KernelTier::Lanes)),
+        ),
+        (
             "lsh_default",
             OperatingPoint::new(10).backend(BlockerBackend::Lsh(LshConfig {
                 metric,
                 ..LshConfig::default()
             })),
+        ),
+        (
+            "lsh_lanes",
+            OperatingPoint::new(10)
+                .backend(BlockerBackend::Lsh(LshConfig {
+                    metric,
+                    ..LshConfig::default()
+                }))
+                .scan(ScanConfig::with_tier(KernelTier::Lanes)),
         ),
     ]
 }
@@ -390,12 +413,16 @@ const EVALS: &[(&str, u64)] = &[
     ("exact_lanes_cosine", 0x14fcb095695551a5),
     ("exact_int8_cosine", 0x5269a77b82c41125),
     ("hnsw_default_cosine", 0x17adf1f2e65a7fa5),
+    ("hnsw_lanes_cosine", 0x17adf1f2e65a7fa5),
     ("lsh_default_cosine", 0xca874fdaaf487066),
+    ("lsh_lanes_cosine", 0xca874fdaaf487066),
     ("exact_reference_euclidean", 0x14fcb095695551a5),
     ("exact_lanes_euclidean", 0x14fcb095695551a5),
     ("exact_int8_euclidean", 0x5269a77b82c41125),
     ("hnsw_default_euclidean", 0x8273675375a44199),
+    ("hnsw_lanes_euclidean", 0x8273675375a44199),
     ("lsh_default_euclidean", 0xca874fdaaf487066),
+    ("lsh_lanes_euclidean", 0xca874fdaaf487066),
 ];
 
 /// Per-query distance-evaluation counts of `search_counted` for every left
@@ -616,6 +643,7 @@ const RESOLVER_BYTES: &[(&str, u64)] = &[
     ("exact_lanes", 0xad57a0c88c79ced2),
     ("lsh_default", 0x783aba9d62aef7fa),
     ("exact_int8", 0xf595702c136e4c75),
+    ("hnsw_lanes", 0xce5f01d9b4d151ac),
 ];
 
 /// Insert every D1 record (right side at its ids, left side offset past
@@ -668,6 +696,10 @@ fn resolver_bytes_after_a_seeded_write_stream() {
                     tier: KernelTier::Lanes,
                     quant: Quantization::Int8 { rerank: 40 },
                 }),
+        ),
+        (
+            "hnsw_lanes",
+            ServeConfig::new().scan(ScanConfig::with_tier(KernelTier::Lanes)),
         ),
     ];
     let mut got = Vec::new();
